@@ -4,9 +4,9 @@ use crate::types::{HoseApproval, PipeApproval};
 use entitlement_core::{NpgId, Rate, RegionId, SloTarget};
 use entitlement_hose::{generate_tms, HoseRequest, TmGenConfig};
 use entitlement_obs::Obs;
-use entitlement_risk::{assess_risk_samples_obs, AvailabilityCurve, RiskConfig};
+use entitlement_risk::{sweep_plan, AvailabilityCurve, RiskConfig};
 use entitlement_topology::routing::Demand;
-use entitlement_topology::{LinkId, ScenarioSet, Topology};
+use entitlement_topology::{LinkId, RoutePlan, ScenarioSet, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -111,6 +111,37 @@ fn preflight_rejections(
     rejected
 }
 
+/// What the risk sweeps of one hose share — its realizations within
+/// an approval round, its successive asks within a negotiation: the
+/// topology, its scenario set, and the [`RoutePlan`] that routes each
+/// (region pair, failure set) once for all of them. A round replaces
+/// the plan between hoses ([`RoundRoutes::next_hose`]); DESIGN.md §16
+/// records why it does not outlive the hose.
+pub(crate) struct RoundRoutes<'a> {
+    topo: &'a Topology,
+    scenarios: &'a ScenarioSet,
+    plan: RoutePlan,
+}
+
+impl<'a> RoundRoutes<'a> {
+    pub(crate) fn new(
+        topo: &'a Topology,
+        scenarios: &'a ScenarioSet,
+        config: &ApprovalConfig,
+    ) -> RoundRoutes<'a> {
+        RoundRoutes {
+            topo,
+            scenarios,
+            plan: RoutePlan::build(topo, scenarios, config.k_paths),
+        }
+    }
+
+    /// Start the next hose of a round on an empty plan.
+    fn next_hose(&mut self) {
+        self.plan = RoutePlan::build(self.topo, self.scenarios, self.plan.k_paths());
+    }
+}
+
 /// `Pipe_Approval` for one class batch against the current background.
 ///
 /// Returns per-pipe approvals; in [`ApprovalMode::StrictBatch`] the whole
@@ -169,12 +200,33 @@ pub fn pipe_approval_obs(
     config: &ApprovalConfig,
     obs: &Obs,
 ) -> Vec<PipeApproval> {
+    let mut routes = RoundRoutes::new(topo, scenarios, config);
+    pipe_approval_in(&mut routes, demands, requested, slo, background, config, obs)
+}
+
+/// [`pipe_approval_obs`] routing through the hose's shared plan.
+fn pipe_approval_in(
+    routes: &mut RoundRoutes<'_>,
+    demands: &[Demand],
+    requested: &[Rate],
+    slo: SloTarget,
+    background: &[Demand],
+    config: &ApprovalConfig,
+    obs: &Obs,
+) -> Vec<PipeApproval> {
     let span = obs
         .span("approval", "pipe_approval")
         .label("pipes", &demands.len().to_string())
         .label("slo", &format!("{:.4}", slo.availability()));
-    let samples = assess_risk_samples_obs(
+    let RoundRoutes {
         topo,
+        scenarios,
+        plan,
+    } = routes;
+    plan.ensure(topo, demands.iter().chain(background).map(Demand::pair));
+    let samples = sweep_plan(
+        topo,
+        plan,
         demands,
         scenarios,
         &RiskConfig {
@@ -309,7 +361,7 @@ pub fn hose_approval_scenarios(
 }
 
 /// All hoses as the `Low` band of their class, paired with their SLOs.
-fn band_low_requests(hoses: &[HoseRequest], slos: &[SloTarget]) -> Vec<ApprovalRequest> {
+pub(crate) fn band_low_requests(hoses: &[HoseRequest], slos: &[SloTarget]) -> Vec<ApprovalRequest> {
     assert_eq!(hoses.len(), slos.len());
     hoses
         .iter()
@@ -364,6 +416,22 @@ pub fn approve_requests_scenarios_obs(
     config: &ApprovalConfig,
     obs: &Obs,
 ) -> Vec<HoseApproval> {
+    let mut routes = RoundRoutes::new(topo, scenarios, config);
+    approve_requests_in(&mut routes, requests, config, obs)
+}
+
+/// One approval round over `routes`: the sweeps of a hose's
+/// realizations read the same plan — they share one background — so a
+/// hose searches each (region pair, failure set) once however many
+/// realizations cross it. The first hose rides the caller's plan (a
+/// negotiation re-asks its one hose over it), each later one its own.
+pub(crate) fn approve_requests_in(
+    routes: &mut RoundRoutes<'_>,
+    requests: &[ApprovalRequest],
+    config: &ApprovalConfig,
+    obs: &Obs,
+) -> Vec<HoseApproval> {
+    let (topo, scenarios) = (routes.topo, routes.scenarios);
     let round_span = obs
         .span("approval", "round")
         .label("hoses", &requests.len().to_string())
@@ -472,7 +540,10 @@ pub fn approve_requests_scenarios_obs(
         )
     };
 
-    for &h in &order {
+    for (nth, &h) in order.iter().enumerate() {
+        if nth > 0 {
+            routes.next_hose();
+        }
         let hose = hoses[h];
         let slo = requests[h].slo;
         let qos = format!("{:?}", hose.qos);
@@ -508,16 +579,7 @@ pub fn approve_requests_scenarios_obs(
         let mut worst_realization: Option<(Rate, Vec<PipeApproval>)> = None;
         for tm in &realizations[h] {
             let requested: Vec<Rate> = tm.iter().map(|d| d.amount).collect();
-            let approvals = pipe_approval_obs(
-                topo,
-                scenarios,
-                tm,
-                &requested,
-                slo,
-                &bg,
-                config,
-                obs,
-            );
+            let approvals = pipe_approval_in(routes, tm, &requested, slo, &bg, config, obs);
             let sum: Rate = approvals.iter().map(|p| p.approved).sum();
             per_realization.push(sum);
             if worst_realization

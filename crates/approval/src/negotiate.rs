@@ -19,10 +19,11 @@
 //!    accept the risk of going over the approval;
 //! 3. rounds repeat until agreement or the round budget runs out.
 
-use crate::engine::{hose_approval_scenarios, ApprovalConfig};
+use crate::engine::{approve_requests_in, band_low_requests, ApprovalConfig, RoundRoutes};
 use crate::types::HoseApproval;
 use entitlement_core::{Rate, SloTarget};
 use entitlement_hose::{HoseRequest, HoseSegment};
+use entitlement_obs::Obs;
 use entitlement_topology::{ScenarioSet, Topology};
 use serde::{Deserialize, Serialize};
 
@@ -180,11 +181,13 @@ pub fn negotiate_scenarios(
     max_rounds: usize,
     scenarios: &ScenarioSet,
 ) -> Agreement {
+    // One route plan for the whole negotiation: every round re-asks
+    // the same region pairs under the same failure sets.
+    let mut routes = RoundRoutes::new(topo, scenarios, config);
     let mut current = request.clone();
     let mut best_counter = Rate::ZERO;
     for round in 0..max_rounds {
-        let approvals =
-            hose_approval_scenarios(topo, &[current.clone()], &[slo], scenarios, config);
+        let approvals = approve_round(&mut routes, &current, slo, config);
         let approval = &approvals[0];
         let granted = approval.approved_total;
         best_counter = best_counter.max(granted);
@@ -223,6 +226,18 @@ pub fn negotiate_scenarios(
     Agreement::Exhausted { best_counter }
 }
 
+/// One negotiation round: `hose_approval_scenarios` for the current
+/// ask, over the negotiation's shared routes.
+fn approve_round(
+    routes: &mut RoundRoutes<'_>,
+    current: &HoseRequest,
+    slo: SloTarget,
+    config: &ApprovalConfig,
+) -> Vec<HoseApproval> {
+    let requests = band_low_requests(std::slice::from_ref(current), &[slo]);
+    approve_requests_in(routes, &requests, config, &Obs::disabled())
+}
+
 /// Convenience: the paper's "straightforward way" — shrink-and-retry
 /// until fully approved, halving the gap each round.
 pub fn shrink_to_fit(
@@ -233,10 +248,10 @@ pub fn shrink_to_fit(
     max_rounds: usize,
 ) -> Option<(HoseRequest, usize)> {
     let scenarios = ScenarioSet::enumerate(topo, config.max_cuts);
+    let mut routes = RoundRoutes::new(topo, &scenarios, config);
     let mut current = request.clone();
     for round in 0..max_rounds {
-        let approvals =
-            hose_approval_scenarios(topo, &[current.clone()], &[slo], &scenarios, config);
+        let approvals = approve_round(&mut routes, &current, slo, config);
         if approvals[0].fully_approved() {
             return Some((current, round + 1));
         }

@@ -11,15 +11,19 @@
 //!   where most draws repeat the same few failure sets and dedup routes
 //!   an order of magnitude fewer scenarios. `seed-style` reproduces the
 //!   pre-overlay code path (clone the topology and rewrite capacities
-//!   for every scenario) as the baseline the speedup is measured from.
+//!   for every scenario) as the baseline the speedup is measured from;
+//!   `reused-plan` sweeps over a route plan filled once outside the
+//!   loop — what the market and an approval round pay per sweep after
+//!   their first.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use entitlement_bench::experiments::approval_slo;
 use entitlement_core::Rate;
+use entitlement_obs::Obs;
 use entitlement_risk::curve::AvailabilityCurve;
-use entitlement_risk::{assess_risk, RiskConfig};
+use entitlement_risk::{assess_risk, sweep_plan, RiskConfig};
 use entitlement_topology::routing::Demand;
-use entitlement_topology::{route_matrix, BackboneSpec, ScenarioSet, Topology};
+use entitlement_topology::{route_matrix, BackboneSpec, RoutePlan, ScenarioSet, Topology};
 
 const FIG22_TARGETS: &[f64] = &[0.9, 0.99, 0.9995];
 
@@ -117,6 +121,26 @@ fn bench_monte_carlo(c: &mut Criterion) {
             b.iter(|| black_box(assess_risk(&topo, &demands, &scenarios, &config)))
         });
     }
+    let config = RiskConfig {
+        k_paths: 4,
+        background: background.clone(),
+        workers: 1,
+        dedup: true,
+    };
+    let mut plan = RoutePlan::build(&topo, &scenarios, config.k_paths);
+    plan.ensure(&topo, demands.iter().chain(&background).map(Demand::pair));
+    group.bench_function("dedup+reused-plan", |b| {
+        b.iter(|| {
+            black_box(sweep_plan(
+                &topo,
+                &plan,
+                &demands,
+                &scenarios,
+                &config,
+                &Obs::disabled(),
+            ))
+        })
+    });
     group.finish();
 }
 

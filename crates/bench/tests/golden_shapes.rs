@@ -36,6 +36,33 @@ fn fig22_shape_approval_vs_slo() {
     }
 }
 
+/// The fig22 curves to the bit, as the pipeline produced them when
+/// every risk sweep searched its own paths: a round whose hoses each
+/// share one route plan across their sweeps must not move a single grant.
+#[test]
+fn fig22_bits_unmoved_by_the_shared_route_plan() {
+    const EGRESS: [f64; 6] = [
+        0.6639760248771109,
+        0.6639760248771109,
+        0.28311130052529465,
+        0.263797636010669,
+        0.263797636010669,
+        0.263797636010669,
+    ];
+    const INGRESS: [f64; 6] = [
+        0.6608109789768739,
+        0.6608109789768739,
+        0.27587221131854134,
+        0.2571494035521757,
+        0.2571494035521757,
+        0.2571494035521757,
+    ];
+    let out = approval_slo::run_with_sweep(FIG22_TARGETS, 0.45, 0x22, 1, true);
+    let bits = |series: &[f64]| series.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&out.egress_approval), bits(&EGRESS), "{:?}", out.egress_approval);
+    assert_eq!(bits(&out.ingress_approval), bits(&INGRESS), "{:?}", out.ingress_approval);
+}
+
 #[test]
 fn fig22_invariant_under_sweep_knobs() {
     let baseline = approval_slo::run_with_sweep(FIG22_TARGETS, 0.45, 0x22, 1, false);

@@ -18,11 +18,12 @@ use crate::book::MarketKey;
 use crate::slice::SliceId;
 use entitlement_core::{QosBucket, Rate, RegionId, SloTarget};
 use entitlement_obs::Obs;
-use entitlement_risk::{assess_risk_samples_obs, RiskConfig};
+use entitlement_risk::{sweep_plan, RiskConfig, RiskSamples};
 use entitlement_topology::routing::Demand;
-use entitlement_topology::{LinkId, ScenarioSet, Topology};
+use entitlement_topology::{LinkId, RoutePlan, ScenarioSet, Topology};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Index key: directed region pair, bucket, slice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -100,7 +101,9 @@ pub fn fmt_links(links: &[LinkId]) -> String {
 #[derive(Clone, Debug, Default)]
 pub struct ResidualIndex {
     slots: BTreeMap<IndexKey, IndexSlot>,
-    provenance: BTreeMap<IndexKey, SlotProvenance>,
+    /// One record per sweep, shared by every key that sweep installed
+    /// (a warm-up sweep fills all slices of a pair and bucket).
+    provenance: BTreeMap<IndexKey, Arc<SlotProvenance>>,
     epoch: u64,
 }
 
@@ -156,6 +159,18 @@ impl ResidualIndex {
     /// so later index-path admits can still name the binding scenario
     /// without re-sweeping.
     pub fn install_with(&mut self, key: IndexKey, headroom: Rate, provenance: SlotProvenance) {
+        self.install_shared(key, headroom, Arc::new(provenance));
+    }
+
+    /// [`ResidualIndex::install_with`] for a record several keys share:
+    /// the index keeps the one allocation, however many slices point
+    /// at it and however often the index is cloned.
+    pub fn install_shared(
+        &mut self,
+        key: IndexKey,
+        headroom: Rate,
+        provenance: Arc<SlotProvenance>,
+    ) {
         self.install(key, headroom);
         self.provenance.insert(key, provenance);
     }
@@ -166,7 +181,7 @@ impl ResidualIndex {
     /// still holds).
     #[must_use]
     pub fn provenance(&self, key: &IndexKey) -> Option<&SlotProvenance> {
-        self.provenance.get(key)
+        self.provenance.get(key).map(Arc::as_ref)
     }
 
     /// Decrement a slot after a grant.
@@ -255,8 +270,9 @@ pub struct HeadroomProbe {
 /// identified and recorded. `probe.headroom` is bit-equal to
 /// [`pair_headroom`]'s return value; the provenance is free.
 ///
-/// Telemetry (`risk` sweep/merge/scenario spans, sweep histograms)
-/// lands in `obs` when enabled.
+/// Routes through a throw-away [`RoutePlan`]; the market's own sweeps
+/// read the one it keeps. Telemetry (`risk` sweep/merge/scenario
+/// spans, sweep histograms) lands in `obs` when enabled.
 #[allow(clippy::too_many_arguments)]
 pub fn pair_headroom_probe(
     topo: &Topology,
@@ -268,47 +284,80 @@ pub fn pair_headroom_probe(
     k_paths: usize,
     obs: &Obs,
 ) -> HeadroomProbe {
-    // Probe with the source's full egress: no admissible volume can
-    // exceed it, so the curve's SLO point is the true headroom.
+    let risk = headroom_risk(background, k_paths);
+    let mut plan = RoutePlan::build(topo, scenarios, k_paths);
+    plan.ensure(
+        topo,
+        background.iter().map(Demand::pair).chain([(src, dst)]),
+    );
+    let samples = pair_samples(topo, &plan, scenarios, &risk, src, dst, obs);
+    HeadroomProbe::at_slo(&samples, scenarios, slo)
+}
+
+/// The risk knobs every headroom sweep runs with: serial and
+/// deduplicated, so the `risk`/`scenario` spans are byte-stable.
+pub(crate) fn headroom_risk(background: &[Demand], k_paths: usize) -> RiskConfig {
+    RiskConfig {
+        k_paths,
+        background: background.to_vec(),
+        workers: 1,
+        dedup: true,
+    }
+}
+
+/// The headroom sweep itself: per-scenario admitted volume of a probe
+/// at the source's full egress — no admissible volume can exceed it, so
+/// the curve's point at any SLO is the true headroom at that SLO. The
+/// samples depend on the pair, never on the bucket: one sweep serves
+/// every bucket's [`HeadroomProbe::at_slo`] read. `plan` must cover the
+/// pair and the background's.
+pub(crate) fn pair_samples(
+    topo: &Topology,
+    plan: &RoutePlan,
+    scenarios: &ScenarioSet,
+    risk: &RiskConfig,
+    src: RegionId,
+    dst: RegionId,
+    obs: &Obs,
+) -> RiskSamples {
     let probe = Demand {
         src,
         dst,
         amount: topo.egress_capacity(src),
     };
-    let samples = assess_risk_samples_obs(
-        topo,
-        &[probe],
-        scenarios,
-        &RiskConfig {
-            k_paths,
-            background: background.to_vec(),
-            workers: 1,
-            dedup: true,
-        },
-        obs,
-    );
-    match samples.binding_scenario(0, slo.availability()) {
-        Some(b) => {
-            let scenario = &scenarios.scenarios[b];
-            HeadroomProbe {
-                headroom: samples.samples[0][b].0,
-                provenance: SlotProvenance {
-                    binding_scenario: scenario.label.clone(),
-                    binding_links: fmt_links(&scenario.dead_links),
-                    binding_probability: scenario.probability,
+    sweep_plan(topo, plan, &[probe], scenarios, risk, obs)
+}
+
+impl HeadroomProbe {
+    /// Read one pair's headroom sweep at an SLO.
+    pub(crate) fn at_slo(
+        samples: &RiskSamples,
+        scenarios: &ScenarioSet,
+        slo: SloTarget,
+    ) -> HeadroomProbe {
+        match samples.binding_scenario(0, slo.availability()) {
+            Some(b) => {
+                let scenario = &scenarios.scenarios[b];
+                HeadroomProbe {
                     headroom: samples.samples[0][b].0,
-                },
+                    provenance: SlotProvenance {
+                        binding_scenario: scenario.label.clone(),
+                        binding_links: fmt_links(&scenario.dead_links),
+                        binding_probability: scenario.probability,
+                        headroom: samples.samples[0][b].0,
+                    },
+                }
             }
-        }
-        None => HeadroomProbe {
-            headroom: Rate::ZERO,
-            provenance: SlotProvenance {
-                binding_scenario: "infeasible".to_string(),
-                binding_links: "none".to_string(),
-                binding_probability: 0.0,
+            None => HeadroomProbe {
                 headroom: Rate::ZERO,
+                provenance: SlotProvenance {
+                    binding_scenario: "infeasible".to_string(),
+                    binding_links: "none".to_string(),
+                    binding_probability: 0.0,
+                    headroom: Rate::ZERO,
+                },
             },
-        },
+        }
     }
 }
 

@@ -7,9 +7,9 @@
 //! The batch approval engine (paper §4.3) answers "can this quarter's
 //! contracts meet their SLOs?" with a full RSS sweep per decision. A
 //! serving system cannot pay that per admission. The market runs the
-//! sweep **once** per (region pair, QoS bucket) — against the committed
-//! contract background — and caches the SLO-feasible headroom per time
-//! slice. Steady-state [`EntitlementMarket::admit`] is then an index
+//! sweep **once** per region pair — against the committed contract
+//! background, read at each QoS bucket's SLO — and caches the
+//! SLO-feasible headroom per time slice. Steady-state [`EntitlementMarket::admit`] is then an index
 //! lookup plus a decrement; the full sweep only runs when a slot is
 //! cold, stale, or exhausted, and its decision re-installs the slot
 //! (incremental refresh, never a wholesale rebuild on the serving

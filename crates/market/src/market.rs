@@ -3,13 +3,15 @@
 //! [`EntitlementMarket`] turns the batch approval engine into an
 //! admission server. Contracts load into the [`EntitlementBook`] and
 //! become risk-sweep background; [`EntitlementMarket::warm`] runs one
-//! upfront sweep per (region pair, bucket) and installs the resulting
-//! SLO-feasible headroom into the [`ResidualIndex`] for every time
-//! slice. A steady-state [`EntitlementMarket::admit`] is then an index
+//! upfront sweep per region pair, reads it at every bucket's SLO, and
+//! installs the resulting SLO-feasible headroom into the
+//! [`ResidualIndex`] for every time slice. A steady-state [`EntitlementMarket::admit`] is then an index
 //! lookup plus a decrement; only a cold or exhausted slot falls back to
 //! the full RSS sweep (the same [`pair_headroom`] kernel the warm-up
 //! ran), whose decision re-installs the slot — the index refreshes
-//! incrementally from decisions, never from scratch.
+//! incrementally from decisions, never from scratch. Warm-up and
+//! fallback sweeps read one [`RoutePlan`], kept for the life of the
+//! effective scenario set, so neither searches a path twice.
 //!
 //! **Fail-closed**: a topology fault ([`EntitlementMarket::apply_fault`])
 //! bumps the index epoch before anything else, so no admit after the
@@ -17,16 +19,18 @@
 //! a fault pays for a sweep against the degraded scenario set.
 
 use crate::book::{EntitlementBook, MarketEntitlement, MarketKey};
-use crate::index::{pair_headroom_probe, IndexKey, ResidualIndex};
+use crate::index::{headroom_risk, pair_samples, HeadroomProbe, IndexKey, ResidualIndex};
 use crate::slice::{SliceGrid, SliceId};
 use entitlement_approval::{negotiate_scenarios, Agreement, ApprovalConfig, ServicePolicy};
 use entitlement_core::{NpgId, QosBucket, Rate, RegionId, SloTarget};
 use entitlement_hose::HoseRequest;
 use entitlement_obs::Obs;
+use entitlement_risk::{RiskConfig, RiskSamples};
 use entitlement_topology::routing::Demand;
-use entitlement_topology::{FailureScenario, LinkId, ScenarioSet, Topology};
+use entitlement_topology::{FailureScenario, LinkId, RoutePlan, ScenarioSet, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One admission request: an NPG asking for rate on a directed region
 /// pair, in one bucket and one time slice.
@@ -141,10 +145,15 @@ pub struct EntitlementMarket {
     /// `scenarios` with the currently dead links appended to every
     /// scenario's failure set. Rebuilt only when faults change.
     effective: ScenarioSet,
+    /// Path sets under `effective`, filled pair by pair as sweeps ask
+    /// and replaced — empty — whenever `effective` is. Shared by clones
+    /// until one of them needs a pair the others have not routed.
+    plan: Arc<RoutePlan>,
     dead_links: Vec<LinkId>,
     book: EntitlementBook,
-    /// Committed reserving contracts, merged by `(src, dst)`.
-    background: Vec<Demand>,
+    /// Headroom-sweep knobs; the background is the committed reserving
+    /// contracts, merged by `(src, dst)`.
+    risk: RiskConfig,
     index: ResidualIndex,
     /// Rates granted through `admit`, for reporting.
     grants: BTreeMap<MarketKey, Rate>,
@@ -161,15 +170,18 @@ impl EntitlementMarket {
     pub fn new(topo: Topology, grid: SliceGrid, config: ApprovalConfig) -> EntitlementMarket {
         let scenarios = ScenarioSet::enumerate(&topo, config.max_cuts);
         let effective = scenarios.clone();
+        let plan = Arc::new(RoutePlan::build(&topo, &effective, config.k_paths));
+        let risk = headroom_risk(&[], config.k_paths);
         EntitlementMarket {
             topo,
             grid,
             config,
             scenarios,
             effective,
+            plan,
             dead_links: Vec::new(),
             book: EntitlementBook::new(),
-            background: Vec::new(),
+            risk,
             index: ResidualIndex::new(),
             grants: BTreeMap::new(),
             admit_seq: 0,
@@ -201,6 +213,12 @@ impl EntitlementMarket {
         &self.dead_links
     }
 
+    /// The route plan the market's sweeps read (for inspection and
+    /// tests).
+    pub fn route_plan(&self) -> &RoutePlan {
+        &self.plan
+    }
+
     /// Total rate granted through `admit` so far under one key.
     pub fn granted(&self, key: &MarketKey) -> Rate {
         self.grants.get(key).copied().unwrap_or(Rate::ZERO)
@@ -219,7 +237,7 @@ impl EntitlementMarket {
         for c in contracts {
             self.book.commit_all_slices(&self.grid, c);
         }
-        self.background = self.book.reserved_background();
+        self.risk.background = self.book.reserved_background();
         self.index.invalidate_all();
     }
 
@@ -233,7 +251,7 @@ impl EntitlementMarket {
                 self.dead_links.push(*l);
             }
         }
-        self.effective = self.effective_scenarios();
+        self.set_effective(self.effective_scenarios());
     }
 
     /// Clear all faults. Headroom may have *grown*, so the index is
@@ -241,7 +259,28 @@ impl EntitlementMarket {
     pub fn clear_faults(&mut self) {
         self.index.invalidate_all();
         self.dead_links.clear();
-        self.effective = self.scenarios.clone();
+        self.set_effective(self.scenarios.clone());
+    }
+
+    /// Swap the effective scenario set, and with it the route plan: a
+    /// path set is only valid for the failure sets it was searched
+    /// under.
+    fn set_effective(&mut self, effective: ScenarioSet) {
+        self.plan = Arc::new(RoutePlan::build(&self.topo, &effective, self.config.k_paths));
+        self.effective = effective;
+    }
+
+    /// Make the plan cover `pairs` and the background's. Clones share
+    /// the plan; only one that needs a pair nobody has routed yet
+    /// copies it.
+    fn ensure_routes(&mut self, pairs: &[(RegionId, RegionId)]) {
+        let wanted = || {
+            let background = self.risk.background.iter().map(Demand::pair);
+            pairs.iter().copied().chain(background)
+        };
+        if !self.plan.covers(wanted()) {
+            Arc::make_mut(&mut self.plan).ensure(&self.topo, wanted());
+        }
     }
 
     /// The enumerated scenario set with every dead link appended to
@@ -272,46 +311,56 @@ impl EntitlementMarket {
         ScenarioSet { scenarios }
     }
 
-    /// Warm the index: one headroom sweep per (DC pair, bucket),
-    /// installed for every slice of the grid. This is the single
-    /// upfront risk sweep that makes steady-state admits index hits.
+    /// Warm the index: one headroom sweep per DC pair, read at each
+    /// bucket's SLO and installed for every slice of the grid. This is
+    /// the single upfront risk sweep that makes steady-state admits
+    /// index hits.
     pub fn warm(&mut self, buckets: &[QosBucket], obs: &Obs) {
         let span = obs
             .span("market", "warm")
             .label("buckets", &buckets.len().to_string());
         let dcs = self.topo.dc_ids();
-        for &src in &dcs {
-            for &dst in &dcs {
-                if src == dst {
-                    continue;
-                }
-                for &bucket in buckets {
-                    let probe = pair_headroom_probe(
-                        &self.topo,
-                        &self.effective,
-                        &self.background,
-                        src,
-                        dst,
-                        Self::slo_for(bucket),
-                        self.config.k_paths,
-                        obs,
+        let pairs: Vec<(RegionId, RegionId)> = dcs
+            .iter()
+            .flat_map(|&src| dcs.iter().map(move |&dst| (src, dst)))
+            .filter(|(src, dst)| src != dst)
+            .collect();
+        self.ensure_routes(&pairs);
+        for (src, dst) in pairs {
+            let samples = self.sweep_pair(src, dst, obs);
+            for &bucket in buckets {
+                let probe =
+                    HeadroomProbe::at_slo(&samples, &self.effective, Self::slo_for(bucket));
+                let provenance = Arc::new(probe.provenance);
+                for slice in self.grid.slices() {
+                    self.index.install_shared(
+                        IndexKey {
+                            src,
+                            dst,
+                            bucket,
+                            slice,
+                        },
+                        probe.headroom,
+                        Arc::clone(&provenance),
                     );
-                    for slice in self.grid.slices() {
-                        self.index.install_with(
-                            IndexKey {
-                                src,
-                                dst,
-                                bucket,
-                                slice,
-                            },
-                            probe.headroom,
-                            probe.provenance.clone(),
-                        );
-                    }
                 }
             }
         }
         span.finish();
+    }
+
+    /// One pair's headroom sweep over the market's own plan, which
+    /// must already cover it.
+    fn sweep_pair(&self, src: RegionId, dst: RegionId, obs: &Obs) -> RiskSamples {
+        pair_samples(
+            &self.topo,
+            &self.plan,
+            &self.effective,
+            &self.risk,
+            src,
+            dst,
+            obs,
+        )
     }
 
     /// Admit without telemetry.
@@ -364,15 +413,11 @@ impl EntitlementMarket {
                 let fallback = obs
                     .span("market", "sweep_fallback")
                     .label("reason", slot_state);
-                let probe = pair_headroom_probe(
-                    &self.topo,
+                self.ensure_routes(&[(req.src, req.dst)]);
+                let probe = HeadroomProbe::at_slo(
+                    &self.sweep_pair(req.src, req.dst, obs),
                     &self.effective,
-                    &self.background,
-                    req.src,
-                    req.dst,
                     Self::slo_for(req.bucket),
-                    self.config.k_paths,
-                    obs,
                 );
                 fallback.finish();
                 self.index.install_with(key, probe.headroom, probe.provenance);

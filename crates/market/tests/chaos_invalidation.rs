@@ -11,9 +11,10 @@ use entitlement_approval::ApprovalConfig;
 use entitlement_chaos::{Fault, FaultKind, FaultPlan, TimeWindow};
 use entitlement_core::{QosBand, QosBucket, QosClass, Quarter};
 use entitlement_market::{
-    generate_storm, AdmitPath, EntitlementMarket, SliceGrid, StormConfig,
+    generate_storm, pair_headroom, AdmitPath, AdmitRequest, EntitlementMarket, IndexKey,
+    SliceGrid, StormConfig,
 };
-use entitlement_topology::{BackboneSpec, LinkId};
+use entitlement_topology::{k_shortest_paths, BackboneSpec, LinkId, ScenarioSet};
 
 fn market() -> EntitlementMarket {
     let topo = BackboneSpec::small(0x1360).build();
@@ -127,4 +128,117 @@ fn healing_the_cut_invalidates_again() {
     assert_eq!(market.index().fresh_len(), 0, "heal invalidates too");
     let d = market.admit(&storm[0]);
     assert_eq!(d.path, AdmitPath::Sweep);
+}
+
+/// The scenario set a market with these dead links sweeps: the
+/// enumeration with the fault added to every scenario.
+fn effective(market: &EntitlementMarket) -> ScenarioSet {
+    let mut set = ScenarioSet::enumerate(market.topology(), 1);
+    for s in &mut set.scenarios {
+        for l in market.dead_links() {
+            if !s.dead_links.contains(l) {
+                s.dead_links.push(*l);
+            }
+        }
+    }
+    set
+}
+
+/// Serve `storm` on both markets in lockstep. Every first touch of a
+/// key must sweep, decide bit-for-bit what the never-warmed market
+/// decides, and install exactly the headroom a from-scratch sweep of
+/// the current scenario set computes; and every path the warmed
+/// market's plan then holds must be the one a fresh search under the
+/// current dead links finds — none crossing a dead link.
+fn assert_sweeps_like_a_cold_market(
+    warmed: &mut EntitlementMarket,
+    cold: &mut EntitlementMarket,
+    storm: &[AdmitRequest],
+) {
+    let scenarios = effective(warmed);
+    let k = ApprovalConfig::default().k_paths;
+    let mut seen: Vec<IndexKey> = Vec::new();
+    for req in storm {
+        let (a, b) = (warmed.admit(req), cold.admit(req));
+        assert_eq!(a.path, b.path);
+        assert_eq!(a.granted.as_bps().to_bits(), b.granted.as_bps().to_bits());
+        assert_eq!(
+            a.residual_before.as_bps().to_bits(),
+            b.residual_before.as_bps().to_bits()
+        );
+        let key = IndexKey {
+            src: req.src,
+            dst: req.dst,
+            bucket: req.bucket,
+            slice: req.slice,
+        };
+        if seen.contains(&key) {
+            continue;
+        }
+        seen.push(key);
+        assert_eq!(a.path, AdmitPath::Sweep, "first touch of {key:?}");
+        let from_scratch = pair_headroom(
+            warmed.topology(),
+            &scenarios,
+            &[],
+            req.src,
+            req.dst,
+            EntitlementMarket::slo_for(req.bucket),
+            k,
+        );
+        let installed = warmed.index().provenance(&key).unwrap().headroom;
+        assert_eq!(installed.as_bps().to_bits(), from_scratch.as_bps().to_bits());
+    }
+    let plan = warmed.route_plan();
+    for (i, scenario) in scenarios.scenarios.iter().enumerate() {
+        for key in &seen {
+            let served: Vec<Vec<LinkId>> = plan
+                .paths(key.src, key.dst, plan.unique_of(i))
+                .map(|p| p.links.to_vec())
+                .collect();
+            let searched: Vec<Vec<LinkId>> =
+                k_shortest_paths(warmed.topology(), key.src, key.dst, k, &scenario.dead_links)
+                    .unwrap_or_default()
+                    .into_iter()
+                    .map(|p| p.links)
+                    .collect();
+            assert_eq!(served, searched, "{key:?} under `{}`", scenario.label);
+            assert!(
+                served.iter().flatten().all(|l| !scenario.dead_links.contains(l)),
+                "{key:?} rides a dead link under `{}`",
+                scenario.label
+            );
+        }
+    }
+}
+
+#[test]
+fn a_fault_and_its_heal_each_replace_the_route_plan() {
+    let mut warmed = market();
+    warmed.warm(&buckets(), &entitlement_obs::Obs::disabled());
+    let healthy_sets = warmed.route_plan().path_sets();
+    assert!(healthy_sets > 0, "warm-up routed every DC pair");
+    let mut cold = market();
+    let storm = generate_storm(
+        &warmed,
+        &buckets(),
+        &StormConfig {
+            requests: 40,
+            seed: 11,
+            npgs: 4,
+            max_ask_gbps: 2.0,
+        },
+    );
+    // A whole fiber: both directions of the first duplex pair.
+    let cut = [LinkId(0), LinkId(1)];
+
+    warmed.apply_fault(&cut);
+    cold.apply_fault(&cut);
+    assert_eq!(warmed.route_plan().path_sets(), 0, "the cut empties the plan");
+    assert_sweeps_like_a_cold_market(&mut warmed, &mut cold, &storm);
+
+    warmed.clear_faults();
+    cold.clear_faults();
+    assert_eq!(warmed.route_plan().path_sets(), 0, "so does the heal");
+    assert_sweeps_like_a_cold_market(&mut warmed, &mut cold, &storm);
 }

@@ -4,6 +4,10 @@
 //!   serve bit-identical grant sequences for any seeded storm — the
 //!   warm index only ever returns the number the sweep would have
 //!   computed;
+//! * **warm per pair == warm per (pair, bucket)**: `warm` sweeps each
+//!   pair once and reads the samples at every bucket's SLO; every slot
+//!   it installs holds the bits a dedicated sweep for that (pair,
+//!   bucket) computes;
 //! * **warm negotiation == cold negotiation**: reusing the market's
 //!   one-shot scenario enumeration across §8 rounds returns the same
 //!   `Agreement`, byte for byte.
@@ -14,9 +18,10 @@ use entitlement_core::{
 };
 use entitlement_hose::HoseRequest;
 use entitlement_market::{
-    generate_storm, EntitlementKind, EntitlementMarket, MarketEntitlement, SliceGrid, StormConfig,
+    generate_storm, pair_headroom_probe, EntitlementKind, EntitlementMarket, IndexKey,
+    MarketEntitlement, SliceGrid, StormConfig,
 };
-use entitlement_topology::BackboneSpec;
+use entitlement_topology::{BackboneSpec, ScenarioSet};
 use proptest::prelude::*;
 
 const TOPO_SEEDS: [u64; 3] = [0x1360, 41, 7];
@@ -105,6 +110,56 @@ proptest! {
             );
             prop_assert_eq!(a.outcome, b.outcome);
         }
+    }
+
+    /// `warm` runs one sweep per pair and reads it at each bucket's SLO.
+    /// Slot for slot — headroom, remaining and provenance — that is
+    /// what one standalone `pair_headroom_probe` per (pair, bucket)
+    /// installs.
+    #[test]
+    fn warm_per_pair_installs_what_a_sweep_per_pair_and_bucket_would(topo_seed in 0usize..3) {
+        let topo = BackboneSpec::small(TOPO_SEEDS[topo_seed]).build();
+        let grid = SliceGrid::quarterly(Quarter(0), 30);
+        let dcs = topo.dc_ids();
+        let mut market = EntitlementMarket::new(topo.clone(), grid, config());
+        market.load_contracts(&contracts(&dcs));
+        let buckets: Vec<QosBucket> = [QosClass::C1, QosClass::C2, QosClass::C3, QosClass::C4]
+            .into_iter()
+            .map(|class| QosBucket { class, band: QosBand::Low })
+            .collect();
+        market.warm(&buckets, &entitlement_obs::Obs::disabled());
+
+        let scenarios = ScenarioSet::enumerate(&topo, config().max_cuts);
+        let background = market.book().reserved_background();
+        let mut slots = 0;
+        for &src in &dcs {
+            for &dst in dcs.iter().filter(|&&dst| dst != src) {
+                for &bucket in &buckets {
+                    let probe = pair_headroom_probe(
+                        &topo,
+                        &scenarios,
+                        &background,
+                        src,
+                        dst,
+                        EntitlementMarket::slo_for(bucket),
+                        config().k_paths,
+                        &entitlement_obs::Obs::disabled(),
+                    );
+                    for slice in grid.slices() {
+                        let key = IndexKey { src, dst, bucket, slice };
+                        let remaining = market.index().fresh_remaining(&key).unwrap();
+                        prop_assert_eq!(
+                            remaining.as_bps().to_bits(),
+                            probe.headroom.as_bps().to_bits(),
+                            "{:?}", key
+                        );
+                        prop_assert_eq!(market.index().provenance(&key), Some(&probe.provenance));
+                        slots += 1;
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(slots, market.index().fresh_len());
     }
 
     /// `negotiate_warm` against the market's cached enumeration returns

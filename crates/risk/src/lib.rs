@@ -25,6 +25,6 @@ pub mod sweep;
 pub use curve::AvailabilityCurve;
 pub use simulate::{
     assess_risk, assess_risk_detailed, assess_risk_detailed_obs, assess_risk_samples_obs,
-    RiskAssessment, RiskConfig, RiskSamples,
+    sweep_plan, RiskAssessment, RiskConfig, RiskSamples,
 };
-pub use sweep::{sweep_ordered_obs, UniqueScenarios};
+pub use sweep::sweep_ordered_obs;

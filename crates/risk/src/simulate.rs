@@ -1,11 +1,11 @@
 //! Scenario-sweep risk simulation.
 
 use crate::curve::AvailabilityCurve;
-use crate::sweep::{sweep_ordered_obs, UniqueScenarios};
+use crate::sweep::sweep_ordered_obs;
 use entitlement_core::Rate;
 use entitlement_obs::Obs;
 use entitlement_topology::routing::Demand;
-use entitlement_topology::{route_matrix, route_matrix_on_residual, ScenarioSet, Topology};
+use entitlement_topology::{RoutePlan, ScenarioSet, Topology};
 use serde::{Deserialize, Serialize};
 
 /// Risk simulation knobs.
@@ -161,6 +161,9 @@ impl RiskSamples {
 /// construction: returns the per-scenario samples themselves. Building
 /// [`AvailabilityCurve::from_samples`] over each demand's samples
 /// yields exactly the detailed assessment's curves.
+///
+/// Routes through a throw-away [`RoutePlan`]; a caller that sweeps the
+/// same scenario set again keeps one and calls [`sweep_plan`].
 pub fn assess_risk_samples_obs(
     topo: &Topology,
     demands: &[Demand],
@@ -168,32 +171,56 @@ pub fn assess_risk_samples_obs(
     config: &RiskConfig,
     obs: &Obs,
 ) -> RiskSamples {
-    let index = if config.dedup {
-        UniqueScenarios::build(scenarios)
+    let mut plan = RoutePlan::build(topo, scenarios, config.k_paths);
+    plan.ensure(
+        topo,
+        demands.iter().chain(&config.background).map(Demand::pair),
+    );
+    sweep_plan(topo, &plan, demands, scenarios, config, obs)
+}
+
+/// The sweep kernel: place `config.background` then `demands` under
+/// every failure set of `scenarios`, every path read from `plan` — which
+/// must have been built from `scenarios` (its `k_paths` is the one
+/// used) and cover the pairs of both demand lists.
+///
+/// Background (higher priority) goes first in a pass of its own; the
+/// batch is then placed on the residual capacities it left behind.
+/// Path selection reads only fiber lengths, so this is exactly a
+/// second pass over a topology with rewritten capacities.
+pub fn sweep_plan(
+    topo: &Topology,
+    plan: &RoutePlan,
+    demands: &[Demand],
+    scenarios: &ScenarioSet,
+    config: &RiskConfig,
+    obs: &Obs,
+) -> RiskSamples {
+    debug_assert_eq!(plan.scenario_count(), scenarios.len());
+    debug_assert_eq!(plan.k_paths(), config.k_paths);
+    // With dedup every distinct failure set is routed once, at its
+    // first scenario; without, every scenario is routed.
+    let every: Vec<usize>;
+    let routed: &[usize] = if config.dedup {
+        plan.representatives()
     } else {
-        UniqueScenarios::identity(scenarios)
+        every = (0..scenarios.len()).collect();
+        &every
     };
 
-    // Route every representative failure set. Background (higher
-    // priority) goes first in a pass of its own; the batch is then
-    // placed on the leftover capacity via a residual overlay — the
-    // router reads only fiber lengths for path selection, so overlaying
-    // residuals is exactly the old clone-and-rewrite-capacities path
-    // without the per-scenario topology clone.
     let sweep_span = obs
         .span("risk", "sweep")
         .label("scenarios", &scenarios.len().to_string())
-        .label("unique", &index.unique_len().to_string())
+        .label("unique", &routed.len().to_string())
         .label("demands", &demands.len().to_string());
-    let per_unique: Vec<Vec<Rate>> =
-        sweep_ordered_obs(&index.representatives, config.workers, obs, |scenario_idx| {
-            let dead = &scenarios.scenarios[scenario_idx].dead_links;
+    let per_routed: Vec<Vec<Rate>> =
+        sweep_ordered_obs(routed, config.workers, obs, |scenario_idx| {
+            let unique = plan.unique_of(scenario_idx);
             if config.background.is_empty() {
-                route_matrix(topo, demands, dead, config.k_paths).admitted
+                plan.route(topo, unique, demands).admitted
             } else {
-                let bg = route_matrix(topo, &config.background, dead, config.k_paths);
-                route_matrix_on_residual(topo, demands, dead, config.k_paths, &bg.residual)
-                    .admitted
+                let bg = plan.route(topo, unique, &config.background);
+                plan.route_on(unique, demands, bg.residual).admitted
             }
         });
     sweep_span.finish();
@@ -206,8 +233,8 @@ pub fn assess_risk_samples_obs(
     let mut samples: Vec<Vec<(Rate, f64)>> =
         vec![Vec::with_capacity(scenarios.len()); demands.len()];
     for (s_idx, scenario) in scenarios.scenarios.iter().enumerate() {
-        let admitted = &per_unique[index.assignment[s_idx]];
-        for (i, &a) in admitted.iter().enumerate() {
+        let slot = if config.dedup { plan.unique_of(s_idx) } else { s_idx };
+        for (i, &a) in per_routed[slot].iter().enumerate() {
             samples[i].push((a, scenario.probability));
         }
     }
@@ -215,7 +242,7 @@ pub fn assess_risk_samples_obs(
     RiskSamples {
         samples,
         total_scenarios: scenarios.len(),
-        routed_scenarios: index.unique_len(),
+        routed_scenarios: routed.len(),
     }
 }
 

@@ -1,95 +1,21 @@
-//! Deduplicated, parallel scenario sweep machinery.
+//! Parallel scenario sweep machinery.
 //!
 //! Routing a failure scenario depends only on its `dead_links` *set* —
 //! not on its probability, label, or position in the scenario list — so
-//! a sweep only has to route each distinct failure set once. Enumerated
-//! sets are already distinct, but Monte-Carlo sampling draws the same
-//! few failure sets over and over (the healthy network alone is usually
-//! the large majority of draws), which makes deduplication a superlinear
-//! win on sampled sets.
+//! a sweep only has to route each distinct failure set once; the
+//! [`RoutePlan`](entitlement_topology::RoutePlan) it routes through
+//! holds that index. Enumerated sets are already distinct, but
+//! Monte-Carlo sampling draws the same few failure sets over and over
+//! (the healthy network alone is usually the large majority of draws),
+//! which makes deduplication a superlinear win on sampled sets.
 //!
-//! Parallelism uses a fixed chunk-per-worker partition of the unique
+//! Parallelism uses a fixed chunk-per-worker partition of the routed
 //! list and merges results in list order, so the output is a pure
 //! function of the inputs: identical for any worker count, bitwise equal
 //! to the serial sweep.
 
 use entitlement_obs::Obs;
-use entitlement_topology::{LinkId, ScenarioSet};
 use std::thread;
-
-/// Index of distinct `dead_links` sets within a [`ScenarioSet`].
-///
-/// `representatives[u]` is the index (into the original scenario list)
-/// of the first scenario with the `u`-th distinct failure set, in
-/// first-appearance order; `assignment[s]` maps every original scenario
-/// to its entry in `representatives`. `mass[u]` accumulates the total
-/// probability carried by each unique set — the sweep itself never uses
-/// it (per-scenario samples keep their own probabilities so that curve
-/// construction stays bitwise identical to the non-deduplicated sweep),
-/// but it is the interesting statistic: it says how much probability
-/// mass each routed failure set actually covers.
-#[derive(Clone, Debug)]
-pub struct UniqueScenarios {
-    /// First-occurrence scenario index per unique failure set.
-    pub representatives: Vec<usize>,
-    /// Unique-set index for every original scenario.
-    pub assignment: Vec<usize>,
-    /// Accumulated probability per unique failure set (stats only).
-    pub mass: Vec<f64>,
-}
-
-impl UniqueScenarios {
-    /// Deduplicate `scenarios` by failure set. Two scenarios collapse
-    /// when their `dead_links` contain the same links in any order.
-    pub fn build(scenarios: &ScenarioSet) -> UniqueScenarios {
-        let mut by_set: std::collections::BTreeMap<Vec<LinkId>, usize> =
-            std::collections::BTreeMap::new();
-        let mut representatives = Vec::new();
-        let mut assignment = Vec::with_capacity(scenarios.scenarios.len());
-        let mut mass = Vec::new();
-        for (idx, scenario) in scenarios.scenarios.iter().enumerate() {
-            let mut key = scenario.dead_links.clone();
-            key.sort_unstable();
-            key.dedup();
-            let unique = *by_set.entry(key).or_insert_with(|| {
-                representatives.push(idx);
-                mass.push(0.0);
-                representatives.len() - 1
-            });
-            assignment.push(unique);
-            mass[unique] += scenario.probability;
-        }
-        UniqueScenarios {
-            representatives,
-            assignment,
-            mass,
-        }
-    }
-
-    /// The no-dedup index: every scenario is its own representative.
-    pub fn identity(scenarios: &ScenarioSet) -> UniqueScenarios {
-        let n = scenarios.scenarios.len();
-        UniqueScenarios {
-            representatives: (0..n).collect(),
-            assignment: (0..n).collect(),
-            mass: scenarios.scenarios.iter().map(|s| s.probability).collect(),
-        }
-    }
-
-    /// Number of distinct failure sets.
-    pub fn unique_len(&self) -> usize {
-        self.representatives.len()
-    }
-
-    /// Fraction of scenarios that were duplicates of an earlier one.
-    pub fn duplicate_fraction(&self) -> f64 {
-        if self.assignment.is_empty() {
-            0.0
-        } else {
-            1.0 - self.unique_len() as f64 / self.assignment.len() as f64
-        }
-    }
-}
 
 /// Resolve a `workers` knob: `0` means one worker per available core,
 /// anything else is taken literally; always within `[1, jobs]`.
@@ -214,36 +140,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use entitlement_topology::BackboneSpec;
-
-    #[test]
-    fn identity_index_is_one_to_one() {
-        let topo = BackboneSpec::small(3).build();
-        let scenarios = ScenarioSet::enumerate(&topo, 1);
-        let idx = UniqueScenarios::identity(&scenarios);
-        assert_eq!(idx.unique_len(), scenarios.len());
-        assert_eq!(idx.assignment, idx.representatives);
-        assert_eq!(idx.duplicate_fraction(), 0.0);
-    }
-
-    #[test]
-    fn enumerated_sets_have_no_duplicates() {
-        let topo = BackboneSpec::small(3).build();
-        let scenarios = ScenarioSet::enumerate(&topo, 2);
-        let idx = UniqueScenarios::build(&scenarios);
-        assert_eq!(idx.unique_len(), scenarios.len());
-    }
-
-    #[test]
-    fn monte_carlo_sets_deduplicate_heavily() {
-        let topo = BackboneSpec::small(3).build();
-        let scenarios = ScenarioSet::sample(&topo, 2000, 0xDED0);
-        let idx = UniqueScenarios::build(&scenarios);
-        assert!(idx.unique_len() < scenarios.len() / 2, "expected heavy duplication, got {} unique of {}", idx.unique_len(), scenarios.len());
-        // Mass is conserved exactly as a sum of the original samples.
-        let total: f64 = idx.mass.iter().sum();
-        assert!((total - scenarios.total_probability()).abs() < 1e-12);
-    }
 
     #[test]
     fn sweep_preserves_order_for_any_worker_count() {

@@ -2,12 +2,17 @@
 //! combination of the risk sweep must produce availability curves that
 //! are **bitwise identical** to the serial, non-deduplicated baseline —
 //! on enumerated and Monte-Carlo scenario sets, across seeds, with and
-//! without background traffic.
+//! without background traffic — and so must every way of sourcing the
+//! paths: searched on the spot per scenario (plan-less), read from a
+//! throw-away route plan, read from a plan reused across sweeps.
 
 use entitlement_core::Rate;
-use entitlement_risk::{assess_risk_detailed, AvailabilityCurve, RiskConfig};
+use entitlement_obs::Obs;
+use entitlement_risk::{assess_risk_detailed, sweep_plan, AvailabilityCurve, RiskConfig};
 use entitlement_topology::routing::Demand;
-use entitlement_topology::{BackboneSpec, ScenarioSet, Topology};
+use entitlement_topology::{
+    route_matrix, route_matrix_on_residual, BackboneSpec, RoutePlan, ScenarioSet, Topology,
+};
 
 /// Collapse curves to raw bits so equality is exact, not approximate.
 fn curve_bits(curves: &[AvailabilityCurve]) -> Vec<Vec<(u64, u64)>> {
@@ -49,7 +54,35 @@ fn demand_batch(topo: &Topology, seed: u64) -> Vec<Demand> {
     demands
 }
 
+/// The plan-less sweep: every scenario searches its own paths through
+/// the public one-shot router, no dedup, no sharing.
+fn plan_less_bits(
+    topo: &Topology,
+    demands: &[Demand],
+    scenarios: &ScenarioSet,
+    background: &[Demand],
+    k_paths: usize,
+) -> Vec<Vec<(u64, u64)>> {
+    let mut samples = vec![Vec::new(); demands.len()];
+    for scenario in &scenarios.scenarios {
+        let dead = &scenario.dead_links;
+        let bg = route_matrix(topo, background, dead, k_paths);
+        let out = route_matrix_on_residual(topo, demands, dead, k_paths, &bg.residual);
+        for (i, a) in out.admitted.iter().enumerate() {
+            samples[i].push((*a, scenario.probability));
+        }
+    }
+    let curves: Vec<AvailabilityCurve> = samples
+        .into_iter()
+        .map(AvailabilityCurve::from_samples)
+        .collect();
+    curve_bits(&curves)
+}
+
 fn assert_equivalent(topo: &Topology, demands: &[Demand], scenarios: &ScenarioSet, label: &str) {
+    // One plan for every sweep of this call: filled by the first, read
+    // by all the rest, across both backgrounds and all knob settings.
+    let mut reused = RoutePlan::build(topo, scenarios, RiskConfig::default().k_paths);
     for background in [
         Vec::new(),
         vec![Demand {
@@ -67,6 +100,12 @@ fn assert_equivalent(topo: &Topology, demands: &[Demand], scenarios: &ScenarioSe
         let baseline = assess_risk_detailed(topo, demands, scenarios, &baseline_cfg);
         let baseline_bits = curve_bits(&baseline.curves);
         assert_eq!(baseline.routed_scenarios, scenarios.len());
+        assert_eq!(
+            plan_less_bits(topo, demands, scenarios, &background, baseline_cfg.k_paths),
+            baseline_bits,
+            "{label}: the plan-less sweep diverged from the planned one"
+        );
+        reused.ensure(topo, demands.iter().chain(&background).map(Demand::pair));
 
         for workers in [1usize, 2, 8] {
             for dedup in [false, true] {
@@ -89,6 +128,18 @@ fn assert_equivalent(topo: &Topology, demands: &[Demand], scenarios: &ScenarioSe
                 } else {
                     assert_eq!(out.routed_scenarios, out.total_scenarios);
                 }
+                let again = sweep_plan(topo, &reused, demands, scenarios, &cfg, &Obs::disabled());
+                let curves: Vec<AvailabilityCurve> = again
+                    .samples
+                    .into_iter()
+                    .map(AvailabilityCurve::from_samples)
+                    .collect();
+                assert_eq!(
+                    curve_bits(&curves),
+                    baseline_bits,
+                    "{label}: reused plan diverged at workers={workers} dedup={dedup}"
+                );
+                assert_eq!(again.routed_scenarios, out.routed_scenarios);
             }
         }
     }

@@ -7,6 +7,8 @@
 //! * [`generator`] — a synthetic Meta-like backbone generator standing in
 //!   for the production topology (see DESIGN.md substitution table);
 //! * [`path`] — Dijkstra shortest paths and Yen's k-shortest paths;
+//! * [`plan`] — the k-shortest path sets of every (region pair, failure
+//!   set), computed once and shared by every placement;
 //! * [`maxflow`] — Dinic's maximum flow for feasibility checks;
 //! * [`routing`] — greedy k-shortest-path multipath placement of a traffic
 //!   matrix, reporting admitted volume and per-link utilization;
@@ -28,6 +30,7 @@ pub mod generator;
 pub mod graph;
 pub mod maxflow;
 pub mod path;
+pub mod plan;
 pub mod routing;
 pub mod srlg;
 
@@ -36,5 +39,6 @@ pub use generator::{BackboneSpec, RegionKind};
 pub use graph::{Link, LinkId, Region, Topology};
 pub use maxflow::max_flow;
 pub use path::{k_shortest_paths, shortest_path, Path};
+pub use plan::{PlannedPath, RoutePlan};
 pub use routing::{route_matrix, route_matrix_on_residual, RoutingOutcome};
 pub use srlg::{Conduit, SrlgMap};

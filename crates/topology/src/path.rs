@@ -2,6 +2,7 @@
 //! loopless paths, used by the multipath router and the risk simulator.
 
 use crate::graph::{LinkId, Topology};
+use crate::plan::LinkMask;
 use entitlement_core::{EntitlementError, RegionId, Result};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -19,21 +20,20 @@ pub struct Path {
 impl Path {
     /// Regions visited, starting with the source.
     pub fn regions(&self, topo: &Topology) -> Vec<RegionId> {
-        let mut out = Vec::with_capacity(self.links.len() + 1);
-        if let Some(&first) = self.links.first() {
-            out.push(topo.link(first).unwrap().src);
-        }
-        for &lid in &self.links {
-            out.push(topo.link(lid).unwrap().dst);
-        }
-        out
+        let links = || self.links.iter().filter_map(|&l| topo.link(l));
+        links()
+            .take(1)
+            .map(|l| l.src)
+            .chain(links().map(|l| l.dst))
+            .collect()
     }
 
     /// Bottleneck capacity along the path (minimum link capacity).
     pub fn bottleneck(&self, topo: &Topology) -> entitlement_core::Rate {
         self.links
             .iter()
-            .map(|l| topo.link(*l).unwrap().capacity)
+            .filter_map(|l| topo.link(*l))
+            .map(|l| l.capacity)
             .fold(entitlement_core::Rate(f64::INFINITY), entitlement_core::Rate::min)
     }
 
@@ -76,7 +76,8 @@ pub fn shortest_path(
     dst: RegionId,
     dead: &[LinkId],
 ) -> Result<Path> {
-    shortest_path_filtered(topo, src, dst, |lid| !dead.contains(&lid), &[])
+    let dead = LinkMask::of(topo.link_count(), dead);
+    shortest_path_filtered(topo, src, dst, |lid| !dead.contains(lid), &[])
 }
 
 /// Dijkstra with an arbitrary link filter and a set of banned intermediate
@@ -120,7 +121,7 @@ fn shortest_path_filtered(
             if !link_ok(lid) {
                 continue;
             }
-            let link = topo.link(lid).unwrap();
+            let Some(link) = topo.link(lid) else { continue };
             if banned_regions.contains(&link.dst) && link.dst != dst {
                 continue;
             }
@@ -142,9 +143,11 @@ fn shortest_path_filtered(
     let mut links = Vec::new();
     let mut cur = dst;
     while cur != src {
-        let lid = prev[cur.index()].expect("prev chain broken");
-        links.push(lid);
-        cur = topo.link(lid).unwrap().src;
+        let Some(link) = prev[cur.index()].and_then(|lid| topo.link(lid)) else {
+            return Err(EntitlementError::Disconnected(src, dst));
+        };
+        links.push(link.id);
+        cur = link.src;
     }
     links.reverse();
     Ok(Path {
@@ -163,53 +166,72 @@ pub fn k_shortest_paths(
     k: usize,
     dead: &[LinkId],
 ) -> Result<Vec<Path>> {
-    let first = shortest_path(topo, src, dst, dead)?;
-    let mut paths = vec![first];
+    yen(topo, src, dst, k, &LinkMask::of(topo.link_count(), dead), None)
+}
+
+/// Relative length gap under which a losing candidate counts as tied
+/// with the winner. Far above the few ulps by which a candidate's
+/// re-summed length can disagree with its spur distance, far below any
+/// gap between genuinely different fiber routes.
+const NEAR_TIE: f64 = 1e-9;
+
+/// [`k_shortest_paths`] over a dead-link mask. With `near_ties`, every
+/// link of a candidate that lost a selection to a path no more than
+/// [`NEAR_TIE`] shorter is added to it: those are the only candidates
+/// whose replacement, were one of their links to die too, could win
+/// that selection instead — see the alias rule in [`crate::plan`].
+pub(crate) fn yen(
+    topo: &Topology,
+    src: RegionId,
+    dst: RegionId,
+    k: usize,
+    dead: &LinkMask,
+    mut near_ties: Option<&mut LinkMask>,
+) -> Result<Vec<Path>> {
+    let length_of = |links: &[LinkId]| -> f64 {
+        links
+            .iter()
+            .filter_map(|l| topo.link(*l))
+            .map(|l| l.length_km)
+            .sum()
+    };
+    let mut last = shortest_path_filtered(topo, src, dst, |lid| !dead.contains(lid), &[])?;
+    let mut paths = vec![last.clone()];
     let mut candidates: Vec<Path> = Vec::new();
 
     while paths.len() < k {
-        let last = paths.last().unwrap().clone();
         // Spur from every node of the previous path.
+        let mut spur_node = src;
+        let mut banned_regions: Vec<RegionId> = Vec::new();
         for i in 0..last.links.len() {
             let root_links = &last.links[..i];
-            let spur_node = if i == 0 {
-                src
-            } else {
-                topo.link(last.links[i - 1]).unwrap().dst
-            };
             // Ban links that would recreate an already-found path with the
             // same root.
-            let mut banned_links: Vec<LinkId> = Vec::new();
-            for p in &paths {
-                if p.links.len() > i && p.links[..i] == *root_links {
-                    banned_links.push(p.links[i]);
-                }
-            }
-            // Ban the root's intermediate regions to keep paths loopless.
-            let mut banned_regions: Vec<RegionId> = Vec::new();
-            let mut cur = src;
-            for &lid in root_links {
-                banned_regions.push(cur);
-                cur = topo.link(lid).unwrap().dst;
-            }
+            let banned_links: Vec<LinkId> = paths
+                .iter()
+                .filter(|p| p.links.len() > i && p.links[..i] == *root_links)
+                .map(|p| p.links[i])
+                .collect();
             let spur = shortest_path_filtered(
                 topo,
                 spur_node,
                 dst,
-                |lid| !dead.contains(&lid) && !banned_links.contains(&lid),
+                |lid| !dead.contains(lid) && !banned_links.contains(&lid),
+                // The root's regions stay banned to keep paths loopless.
                 &banned_regions,
             );
             if let Ok(spur_path) = spur {
                 let mut links: Vec<LinkId> = root_links.to_vec();
                 links.extend_from_slice(&spur_path.links);
-                let length_km = links
-                    .iter()
-                    .map(|l| topo.link(*l).unwrap().length_km)
-                    .sum();
+                let length_km = length_of(&links);
                 let cand = Path { links, length_km };
                 if !paths.contains(&cand) && !candidates.contains(&cand) {
                     candidates.push(cand);
                 }
+            }
+            banned_regions.push(spur_node);
+            if let Some(link) = topo.link(last.links[i]) {
+                spur_node = link.dst;
             }
         }
         if candidates.is_empty() {
@@ -222,7 +244,14 @@ pub fn k_shortest_paths(
                 .unwrap_or(Ordering::Equal)
                 .then_with(|| a.links.cmp(&b.links))
         });
-        paths.push(candidates.remove(0));
+        last = candidates.remove(0);
+        if let Some(ties) = near_ties.as_deref_mut() {
+            let bound = last.length_km * (1.0 + NEAR_TIE);
+            for loser in candidates.iter().take_while(|c| c.length_km <= bound) {
+                loser.links.iter().for_each(|&l| ties.insert(l));
+            }
+        }
+        paths.push(last.clone());
     }
     Ok(paths)
 }

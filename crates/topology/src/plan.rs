@@ -1,0 +1,326 @@
+//! Route each (region pair, failure set) once.
+//!
+//! Every consumer of the risk sweep asks the same question over and
+//! over: *which k paths does a demand from `src` to `dst` ride when this
+//! set of links is dead?* The answer is a pure function of
+//! `(topology, src, dst, k, dead-link set)` — it reads fiber lengths,
+//! never capacities or demand volumes — so a [`RoutePlan`] computes it
+//! once per region pair and serves every later placement by lookup.
+//!
+//! A plan belongs to one `(topology, scenario set, k)`. Building it
+//! only deduplicates the scenarios' failure sets; [`RoutePlan::ensure`]
+//! then fills pairs in, and the plan is read-only while a sweep fans
+//! out over it (no lock, no interior mutability, so any worker count
+//! reads the same bytes). Placement over a plan — `RoutePlan::route`
+//! and `route_on` — lives with the rest of the router in
+//! [`crate::routing`].
+//!
+//! **The alias rule.** Filling a pair runs Yen's algorithm once on the
+//! links dead in *every* scenario (none, normally; the faulted links
+//! once a fault is applied to all scenarios). A scenario whose further
+//! dead links touch none of those k paths is served that same path set:
+//! each of Yen's Dijkstra runs returns the path it returned before
+//! (the path survives, distances elsewhere only grew, and Dijkstra's
+//! tie-break among equal-distance predecessors is by pop order, which
+//! a shrinking graph cannot reorder in the survivor's disfavour), and a
+//! spur candidate that did cross a now-dead link is replaced by a
+//! longer one that loses the selections its original lost. The one gap
+//! is a candidate that lost a selection by a *tie*: its replacement
+//! might tie too and win on link ids. [`crate::path::yen`] therefore
+//! reports the links of every near-tied loser, and a scenario touching
+//! one of those — or any of the k paths — gets a Yen run of its own.
+//! The argument needs strictly positive, finite link lengths; a
+//! topology without them is never aliased.
+
+use crate::failure::ScenarioSet;
+use crate::graph::{LinkId, Topology};
+use crate::path::{yen, Path};
+use entitlement_core::RegionId;
+use std::collections::BTreeMap;
+
+/// A set of links as one bit per [`LinkId`] of a topology. Ids past the
+/// topology's link count name no link and are never members.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct LinkMask(Vec<u64>);
+
+impl LinkMask {
+    fn empty(link_count: usize) -> LinkMask {
+        LinkMask(vec![0; link_count.div_ceil(64)])
+    }
+
+    pub(crate) fn of(link_count: usize, links: &[LinkId]) -> LinkMask {
+        let mut mask = LinkMask::empty(link_count);
+        for &l in links.iter().filter(|l| l.index() < link_count) {
+            mask.insert(l);
+        }
+        mask
+    }
+
+    pub(crate) fn insert(&mut self, link: LinkId) {
+        if let Some(word) = self.0.get_mut(link.index() / 64) {
+            *word |= 1 << (link.index() % 64);
+        }
+    }
+
+    pub(crate) fn contains(&self, link: LinkId) -> bool {
+        self.0
+            .get(link.index() / 64)
+            .is_some_and(|word| word >> (link.index() % 64) & 1 == 1)
+    }
+
+    fn intersects(&self, other: &LinkMask) -> bool {
+        self.0.iter().zip(&other.0).any(|(a, b)| a & b != 0)
+    }
+}
+
+/// One stored path: a range of the plan's link arena.
+#[derive(Clone, Copy, Debug)]
+struct PathRef {
+    start: u32,
+    len: u32,
+    length_km: f64,
+}
+
+/// One path served by a [`RoutePlan`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PlannedPath<'a> {
+    /// Links traversed, in order.
+    pub links: &'a [LinkId],
+    /// Total fiber length.
+    pub length_km: f64,
+}
+
+/// Precomputed k-shortest path sets for one
+/// `(topology, scenario set, k_paths)`; see the [module docs](self).
+#[derive(Clone, Debug)]
+pub struct RoutePlan {
+    k_paths: usize,
+    /// Unique failure set of every scenario.
+    assignment: Vec<u32>,
+    /// First scenario carrying each unique failure set, in
+    /// first-appearance order.
+    representatives: Vec<usize>,
+    /// Dead-link mask of each unique failure set.
+    dead: Vec<LinkMask>,
+    /// Links dead in every failure set.
+    common: LinkMask,
+    /// Whether the alias rule's premises hold for this topology.
+    aliasable: bool,
+    /// Row of each filled region pair in `set_of`.
+    rows: BTreeMap<(RegionId, RegionId), u32>,
+    /// `set_of[row * unique_len + u]`: the path set a pair rides under
+    /// unique failure set `u`.
+    set_of: Vec<u32>,
+    /// Path set → its range of `paths`; set 0 is the empty set of a
+    /// disconnected pair.
+    sets: Vec<(u32, u32)>,
+    paths: Vec<PathRef>,
+    /// Every stored path's links, back to back.
+    links: Vec<LinkId>,
+}
+
+impl RoutePlan {
+    /// A plan with no pair filled in yet. Two scenarios share a unique
+    /// failure set when they kill the same links of `topo`.
+    pub fn build(topo: &Topology, scenarios: &ScenarioSet, k_paths: usize) -> RoutePlan {
+        RoutePlan::of_dead_sets(
+            topo,
+            scenarios.scenarios.iter().map(|s| s.dead_links.as_slice()),
+            k_paths,
+        )
+    }
+
+    pub(crate) fn of_dead_sets<'a>(
+        topo: &Topology,
+        dead_sets: impl Iterator<Item = &'a [LinkId]>,
+        k_paths: usize,
+    ) -> RoutePlan {
+        let mut unique_of: BTreeMap<LinkMask, u32> = BTreeMap::new();
+        let mut representatives = Vec::new();
+        let mut assignment = Vec::new();
+        let mut dead: Vec<LinkMask> = Vec::new();
+        for (idx, links) in dead_sets.enumerate() {
+            let mask = LinkMask::of(topo.link_count(), links);
+            assignment.push(*unique_of.entry(mask).or_insert_with_key(|mask| {
+                representatives.push(idx);
+                dead.push(mask.clone());
+                (dead.len() - 1) as u32
+            }));
+        }
+        let mut common = dead
+            .first()
+            .cloned()
+            .unwrap_or_else(|| LinkMask::empty(topo.link_count()));
+        for mask in &dead {
+            for (c, m) in common.0.iter_mut().zip(&mask.0) {
+                *c &= m;
+            }
+        }
+        RoutePlan {
+            k_paths,
+            assignment,
+            representatives,
+            dead,
+            common,
+            aliasable: topo
+                .links()
+                .iter()
+                .all(|l| l.length_km.is_finite() && l.length_km > 0.0),
+            rows: BTreeMap::new(),
+            set_of: Vec::new(),
+            sets: vec![(0, 0)],
+            paths: Vec::new(),
+            links: Vec::new(),
+        }
+    }
+
+    /// Paths per demand this plan routes with.
+    pub fn k_paths(&self) -> usize {
+        self.k_paths
+    }
+
+    /// Scenarios in the set the plan was built from.
+    pub fn scenario_count(&self) -> usize {
+        self.assignment.len()
+    }
+
+    /// Distinct failure sets among them.
+    pub fn unique_len(&self) -> usize {
+        self.representatives.len()
+    }
+
+    /// The unique failure set of scenario `scenario`.
+    pub fn unique_of(&self, scenario: usize) -> usize {
+        self.assignment.get(scenario).map_or(0, |&u| u as usize)
+    }
+
+    /// The first scenario carrying each unique failure set, in
+    /// first-appearance order.
+    pub fn representatives(&self) -> &[usize] {
+        &self.representatives
+    }
+
+    /// Whether every pair in `pairs` is filled in.
+    pub fn covers(&self, pairs: impl IntoIterator<Item = (RegionId, RegionId)>) -> bool {
+        pairs
+            .into_iter()
+            .all(|(src, dst)| src == dst || self.rows.contains_key(&(src, dst)))
+    }
+
+    /// Fill in the path sets of `pairs` under every failure set. `topo`
+    /// must be the topology the plan was built for. Pairs already
+    /// present, and `src == dst`, cost a lookup.
+    pub fn ensure(
+        &mut self,
+        topo: &Topology,
+        pairs: impl IntoIterator<Item = (RegionId, RegionId)>,
+    ) {
+        for (src, dst) in pairs {
+            if src != dst && !self.rows.contains_key(&(src, dst)) {
+                self.fill(topo, src, dst);
+            }
+        }
+    }
+
+    fn fill(&mut self, topo: &Topology, src: RegionId, dst: RegionId) {
+        let row = (self.set_of.len() / self.unique_len().max(1)) as u32;
+        self.rows.insert((src, dst), row);
+        let mut touched = LinkMask::empty(topo.link_count());
+        let base = yen(
+            topo,
+            src,
+            dst,
+            self.k_paths,
+            &self.common,
+            Some(&mut touched),
+        );
+        let Ok(base) = base else {
+            // Cut off by the common dead links alone, so by every set.
+            self.set_of
+                .extend(std::iter::repeat_n(0, self.unique_len()));
+            return;
+        };
+        for link in base.iter().flat_map(|p| &p.links) {
+            touched.insert(*link);
+        }
+        let base_set = self.store(&base);
+        for u in 0..self.unique_len() {
+            let served_by_base = self.dead[u] == self.common
+                || (self.aliasable && !self.dead[u].intersects(&touched));
+            let set = if served_by_base {
+                base_set
+            } else {
+                match yen(topo, src, dst, self.k_paths, &self.dead[u], None) {
+                    Ok(own) => self.store(&own),
+                    Err(_) => 0,
+                }
+            };
+            self.set_of.push(set);
+        }
+    }
+
+    fn store(&mut self, paths: &[Path]) -> u32 {
+        let first = self.paths.len() as u32;
+        for p in paths {
+            self.paths.push(PathRef {
+                start: self.links.len() as u32,
+                len: p.links.len() as u32,
+                length_km: p.length_km,
+            });
+            self.links.extend_from_slice(&p.links);
+        }
+        self.sets.push((first, paths.len() as u32));
+        (self.sets.len() - 1) as u32
+    }
+
+    /// The paths a demand from `src` to `dst` rides under unique failure
+    /// set `unique`, shortest first. Empty when the failure set
+    /// disconnects the pair — and, failing closed, for a pair
+    /// [`RoutePlan::ensure`] was never asked for.
+    pub fn paths(
+        &self,
+        src: RegionId,
+        dst: RegionId,
+        unique: usize,
+    ) -> impl Iterator<Item = PlannedPath<'_>> {
+        let set = self
+            .rows
+            .get(&(src, dst))
+            .and_then(|&row| self.set_of.get(row as usize * self.unique_len() + unique));
+        debug_assert!(set.is_some(), "{src}->{dst} was not ensured");
+        let (first, len) = set.map_or((0, 0), |&s| self.sets[s as usize]);
+        self.paths[first as usize..(first + len) as usize]
+            .iter()
+            .map(|p| PlannedPath {
+                links: &self.links[p.start as usize..(p.start + p.len) as usize],
+                length_km: p.length_km,
+            })
+    }
+
+    /// Whether `link` is dead under unique failure set `unique`.
+    pub(crate) fn is_dead(&self, unique: usize, link: LinkId) -> bool {
+        self.dead.get(unique).is_some_and(|m| m.contains(link))
+    }
+
+    /// Path sets stored so far: one per search that found a path.
+    pub fn path_sets(&self) -> usize {
+        self.sets.len() - 1
+    }
+
+    /// Bytes held by the plan's tables (capacity, not length).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.assignment.capacity() * size_of::<u32>()
+            + self.representatives.capacity() * size_of::<usize>()
+            + self
+                .dead
+                .iter()
+                .map(|m| m.0.capacity() * 8 + size_of::<LinkMask>())
+                .sum::<usize>()
+            + self.rows.len() * (size_of::<(RegionId, RegionId)>() + size_of::<u32>())
+            + self.set_of.capacity() * size_of::<u32>()
+            + self.sets.capacity() * size_of::<(u32, u32)>()
+            + self.paths.capacity() * size_of::<PathRef>()
+            + self.links.capacity() * size_of::<LinkId>()
+    }
+}

@@ -7,8 +7,8 @@
 //! underestimates the optimum slightly but preserves ordering between
 //! scenarios, which is all the availability curve needs.
 
-use crate::graph::{LinkId, Topology};
-use crate::path::k_shortest_paths;
+use crate::graph::{Link, LinkId, Topology};
+use crate::plan::RoutePlan;
 use entitlement_core::{Rate, RegionId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -22,6 +22,13 @@ pub struct Demand {
     pub dst: RegionId,
     /// Requested volume.
     pub amount: Rate,
+}
+
+impl Demand {
+    /// The directed region pair the demand is routed between.
+    pub fn pair(&self) -> (RegionId, RegionId) {
+        (self.src, self.dst)
+    }
 }
 
 /// Result of routing one traffic matrix.
@@ -71,13 +78,7 @@ pub fn route_matrix(
     dead: &[LinkId],
     k_paths: usize,
 ) -> RoutingOutcome {
-    let residual: BTreeMap<LinkId, Rate> = topo
-        .links()
-        .iter()
-        .filter(|l| !dead.contains(&l.id))
-        .map(|l| (l.id, l.capacity))
-        .collect();
-    route_on_residual(topo, demands, dead, k_paths, residual)
+    plan_for(topo, demands, dead, k_paths).route(topo, 0, demands)
 }
 
 /// Like [`route_matrix`], but placement starts from `overlay` residual
@@ -95,73 +96,105 @@ pub fn route_matrix_on_residual(
     k_paths: usize,
     overlay: &BTreeMap<LinkId, Rate>,
 ) -> RoutingOutcome {
-    let residual: BTreeMap<LinkId, Rate> = topo
-        .links()
-        .iter()
-        .filter(|l| !dead.contains(&l.id))
-        .map(|l| (l.id, overlay.get(&l.id).copied().unwrap_or(l.capacity)))
-        .collect();
-    route_on_residual(topo, demands, dead, k_paths, residual)
+    let plan = plan_for(topo, demands, dead, k_paths);
+    let residual = plan.surviving(topo, 0, |l| {
+        overlay.get(&l.id).copied().unwrap_or(l.capacity)
+    });
+    plan.route_on(0, demands, residual)
 }
 
-fn route_on_residual(
-    topo: &Topology,
-    demands: &[Demand],
-    dead: &[LinkId],
-    k_paths: usize,
-    mut residual: BTreeMap<LinkId, Rate>,
-) -> RoutingOutcome {
-    // Largest-first placement with a deterministic tie-break.
-    let mut order: Vec<usize> = (0..demands.len()).collect();
-    order.sort_by(|&a, &b| {
-        demands[b]
-            .amount
-            .partial_cmp(&demands[a].amount)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.cmp(&b))
-    });
+/// The plan-less callers' path source: a throw-away plan over the one
+/// failure set, so each distinct pair of `demands` is searched once.
+fn plan_for(topo: &Topology, demands: &[Demand], dead: &[LinkId], k_paths: usize) -> RoutePlan {
+    let mut plan = RoutePlan::of_dead_sets(topo, std::iter::once(dead), k_paths);
+    plan.ensure(topo, demands.iter().map(Demand::pair));
+    plan
+}
 
-    let mut admitted = vec![Rate::ZERO; demands.len()];
-    for &i in &order {
-        let d = demands[i];
-        if d.amount.is_zero() || d.src == d.dst {
-            admitted[i] = d.amount;
-            continue;
-        }
-        let Ok(paths) = k_shortest_paths(topo, d.src, d.dst, k_paths, dead) else {
-            continue; // disconnected: nothing admitted
-        };
-        let mut remaining = d.amount;
-        for path in paths {
-            if remaining.is_zero() {
-                break;
-            }
-            // Bottleneck over residual capacities.
-            let avail = path
-                .links
-                .iter()
-                .map(|l| residual.get(l).copied().unwrap_or(Rate::ZERO))
-                .fold(Rate(f64::INFINITY), Rate::min);
-            let place = avail.min(remaining);
-            if place.is_zero() {
-                continue;
-            }
-            for l in &path.links {
-                let r = residual.get_mut(l).expect("link in residual map");
-                *r = (*r - place).clamp_zero();
-            }
-            admitted[i] += place;
-            remaining -= place;
-        }
+impl RoutePlan {
+    /// Place `demands` on the capacity that survives unique failure set
+    /// `unique`: [`route_matrix`] with the path search replaced by
+    /// lookups. Every demand's pair must have been
+    /// [`RoutePlan::ensure`]d.
+    pub fn route(&self, topo: &Topology, unique: usize, demands: &[Demand]) -> RoutingOutcome {
+        self.route_on(unique, demands, self.surviving(topo, unique, |l| l.capacity))
     }
 
-    let requested_total: Rate = demands.iter().map(|d| d.amount).sum();
-    let admitted_total: Rate = admitted.iter().copied().sum();
-    RoutingOutcome {
-        admitted,
-        requested_total,
-        admitted_total,
-        residual,
+    /// The links alive under failure set `unique`, each at `capacity`.
+    fn surviving(
+        &self,
+        topo: &Topology,
+        unique: usize,
+        capacity: impl Fn(&Link) -> Rate,
+    ) -> BTreeMap<LinkId, Rate> {
+        topo.links()
+            .iter()
+            .filter(|l| !self.is_dead(unique, l.id))
+            .map(|l| (l.id, capacity(l)))
+            .collect()
+    }
+
+    /// The placement kernel, starting from `residual` — what an earlier
+    /// placement under the same failure set left behind, say: largest
+    /// demand first (ties in input order), each over its planned paths
+    /// shortest first, taking the bottleneck of what `residual` still
+    /// holds.
+    pub fn route_on(
+        &self,
+        unique: usize,
+        demands: &[Demand],
+        mut residual: BTreeMap<LinkId, Rate>,
+    ) -> RoutingOutcome {
+        let mut order: Vec<usize> = (0..demands.len()).collect();
+        order.sort_by(|&a, &b| {
+            demands[b]
+                .amount
+                .as_bps()
+                .total_cmp(&demands[a].amount.as_bps())
+                .then_with(|| a.cmp(&b))
+        });
+
+        let mut admitted = vec![Rate::ZERO; demands.len()];
+        for &i in &order {
+            let d = demands[i];
+            if d.amount.is_zero() || d.src == d.dst {
+                admitted[i] = d.amount;
+                continue;
+            }
+            let mut remaining = d.amount;
+            // A disconnected pair has no paths: nothing admitted.
+            for path in self.paths(d.src, d.dst, unique) {
+                if remaining.is_zero() {
+                    break;
+                }
+                // Bottleneck over residual capacities.
+                let avail = path
+                    .links
+                    .iter()
+                    .map(|l| residual.get(l).copied().unwrap_or(Rate::ZERO))
+                    .fold(Rate(f64::INFINITY), Rate::min);
+                let placed = avail.min(remaining);
+                if placed.is_zero() {
+                    continue;
+                }
+                for l in path.links {
+                    if let Some(r) = residual.get_mut(l) {
+                        *r = (*r - placed).clamp_zero();
+                    }
+                }
+                admitted[i] += placed;
+                remaining -= placed;
+            }
+        }
+
+        let requested_total: Rate = demands.iter().map(|d| d.amount).sum();
+        let admitted_total: Rate = admitted.iter().copied().sum();
+        RoutingOutcome {
+            admitted,
+            requested_total,
+            admitted_total,
+            residual,
+        }
     }
 }
 

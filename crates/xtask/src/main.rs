@@ -125,6 +125,10 @@ const HOT_PATH_CRATES: &[&str] = &[
     "crates/enforcement/src/fleet",
     "crates/enforcement/src/shard",
     "crates/kvstore/src/fanout",
+    // The placement kernel and the path search under every risk sweep.
+    "crates/topology/src/path",
+    "crates/topology/src/plan",
+    "crates/topology/src/routing",
 ];
 
 struct Finding {

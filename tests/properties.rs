@@ -385,3 +385,103 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Placing through a route plan shared by every scenario admits,
+    /// and leaves behind, exactly what the one-shot router does when it
+    /// searches that scenario's paths on the spot.
+    #[test]
+    fn planned_routing_matches_one_shot_routing(
+        seed in any::<u64>(),
+        bg_gbps in 10.0f64..4000.0,
+        batch_gbps in 10.0f64..4000.0,
+    ) {
+        use network_entitlement::topology::{RoutePlan, ScenarioSet};
+
+        let topo = BackboneSpec::small(seed % 64).build();
+        let ids = topo.region_ids();
+        let scenarios = ScenarioSet::enumerate(&topo, 2);
+        let background = vec![
+            Demand { src: ids[0], dst: ids[2], amount: Rate::gbps(bg_gbps) },
+        ];
+        let demands = vec![
+            Demand { src: ids[1], dst: ids[2], amount: Rate::gbps(batch_gbps) },
+            Demand { src: ids[0], dst: ids[ids.len() - 1], amount: Rate::tbps(30.0) },
+            Demand { src: ids[1], dst: ids[2], amount: Rate::gbps(batch_gbps) },
+        ];
+        let mut plan = RoutePlan::build(&topo, &scenarios, 4);
+        plan.ensure(&topo, demands.iter().chain(&background).map(Demand::pair));
+        for (i, scenario) in scenarios.scenarios.iter().enumerate() {
+            let unique = plan.unique_of(i);
+            let bg = plan.route(&topo, unique, &background);
+            let planned = plan.route_on(unique, &demands, bg.residual);
+
+            let dead = &scenario.dead_links;
+            let bg = route_matrix(&topo, &background, dead, 4);
+            let one_shot = network_entitlement::topology::route_matrix_on_residual(
+                &topo, &demands, dead, 4, &bg.residual,
+            );
+            let bits = |rates: &[Rate]| rates.iter().map(|r| r.as_bps().to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&planned.admitted), bits(&one_shot.admitted), "{}", scenario.label);
+            prop_assert_eq!(
+                planned.residual.iter().map(|(l, r)| (*l, r.as_bps().to_bits())).collect::<Vec<_>>(),
+                one_shot.residual.iter().map(|(l, r)| (*l, r.as_bps().to_bits())).collect::<Vec<_>>()
+            );
+        }
+    }
+}
+
+/// An approval round now threads one route plan through the sweeps
+/// of each hose's realizations. These are the grants — every hose's total and
+/// every realization's sum, bit for bit, folded FNV-1a — that the
+/// engine produced when each sweep still searched its own paths.
+#[test]
+fn approval_round_over_a_shared_plan_keeps_the_pre_plan_bits() {
+    use network_entitlement::approval::{approve_requests, ApprovalConfig, ApprovalRequest};
+    use network_entitlement::core::QosBand;
+    use network_entitlement::hose::HoseRequest;
+
+    let topo = BackboneSpec::small(41).build();
+    let dcs = topo.dc_ids();
+    let slo = SloTarget::new(0.99).unwrap();
+    let request = |npg: u32, qos, band, region: usize, direction, tbps: f64| ApprovalRequest {
+        hose: HoseRequest::general(
+            NpgId(npg),
+            qos,
+            dcs[region],
+            direction,
+            Rate::tbps(tbps),
+            dcs.iter().copied().filter(|&r| r != dcs[region]),
+        ),
+        band,
+        slo,
+    };
+    // Four buckets, two sharing a source: every later bucket sweeps on
+    // the background the earlier ones left.
+    let requests = [
+        request(4, QosClass::C3, QosBand::Low, 0, Direction::Egress, 6.0),
+        request(1, QosClass::C1, QosBand::Low, 0, Direction::Egress, 3.0),
+        request(3, QosClass::C2, QosBand::High, 1, Direction::Ingress, 5.0),
+        request(2, QosClass::C1, QosBand::High, 2, Direction::Egress, 0.4),
+    ];
+    for (max_cuts, pinned) in [(1, 0xbe85_aec0_f5a9_b69du64), (2, 0x06a9_3570_2161_5bb0)] {
+        let config = ApprovalConfig {
+            tms_per_hose: 4,
+            max_cuts,
+            ..Default::default()
+        };
+        let out = approve_requests(&topo, &requests, &config);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for rate in out
+            .iter()
+            .flat_map(|a| std::iter::once(&a.approved_total).chain(&a.per_realization))
+        {
+            for byte in rate.as_bps().to_bits().to_le_bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(digest, pinned, "max_cuts {max_cuts}: {digest:#018x}");
+    }
+}
