@@ -216,8 +216,8 @@ fn pipe_approval_in(
 ) -> Vec<PipeApproval> {
     let span = obs
         .span("approval", "pipe_approval")
-        .label("pipes", &demands.len().to_string())
-        .label("slo", &format!("{:.4}", slo.availability()));
+        .label_fmt("pipes", demands.len())
+        .label_fmt("slo", format_args!("{:.4}", slo.availability()));
     let RoundRoutes {
         topo,
         scenarios,
@@ -265,28 +265,27 @@ fn pipe_approval_in(
             if p.fully_approved() {
                 continue;
             }
-            let (scenario, links, p_bind) =
-                match samples.binding_scenario(i, slo.availability()) {
-                    Some(s) => {
-                        let sc = &scenarios.scenarios[s];
-                        (sc.label.clone(), fmt_links(&sc.dead_links), sc.probability)
-                    }
-                    None => ("infeasible".to_string(), "none".to_string(), 0.0),
-                };
-            obs.event(
-                "approval",
-                "pipe_binding",
-                &[
-                    ("pipe", &i.to_string()),
-                    ("src", &p.src.to_string()),
-                    ("dst", &p.dst.to_string()),
-                    ("requested_gbps", &format!("{}", p.requested.as_gbps())),
-                    ("approved_gbps", &format!("{}", p.approved.as_gbps())),
-                    ("binding_scenario", &scenario),
-                    ("binding_links", &links),
-                    ("binding_p", &format!("{p_bind}")),
-                ],
-            );
+            let event = obs
+                .point("approval", "pipe_binding")
+                .label_fmt("pipe", i)
+                .label_fmt("src", p.src)
+                .label_fmt("dst", p.dst)
+                .label_fmt("requested_gbps", p.requested.as_gbps())
+                .label_fmt("approved_gbps", p.approved.as_gbps());
+            match samples.binding_scenario(i, slo.availability()) {
+                Some(s) => {
+                    let sc = &scenarios.scenarios[s];
+                    event
+                        .label("binding_scenario", &sc.label)
+                        .label("binding_links", &fmt_links(&sc.dead_links))
+                        .label_fmt("binding_p", sc.probability)
+                }
+                None => event
+                    .label("binding_scenario", "infeasible")
+                    .label("binding_links", "none")
+                    .label_fmt("binding_p", 0.0),
+            }
+            .finish();
         }
     }
     if config.mode == ApprovalMode::StrictBatch && out.iter().any(|p| !p.fully_approved()) {
@@ -434,8 +433,8 @@ pub(crate) fn approve_requests_in(
     let (topo, scenarios) = (routes.topo, routes.scenarios);
     let round_span = obs
         .span("approval", "round")
-        .label("hoses", &requests.len().to_string())
-        .label("scenarios", &scenarios.len().to_string());
+        .label_fmt("hoses", requests.len())
+        .label_fmt("scenarios", scenarios.len());
     let hoses: Vec<&HoseRequest> = requests.iter().map(|r| &r.hose).collect();
 
     // Pre-flight: reject statically invalid hoses before spending any
@@ -443,13 +442,10 @@ pub(crate) fn approve_requests_in(
     let rejected: Vec<bool> = if config.preflight {
         let mut span = obs
             .span("approval", "preflight")
-            .label("hoses", &requests.len().to_string());
+            .label_fmt("hoses", requests.len());
         let owned: Vec<HoseRequest> = requests.iter().map(|r| r.hose.clone()).collect();
         let r = preflight_rejections(topo, &owned);
-        span.add_label(
-            "rejected",
-            &r.iter().filter(|&&x| x).count().to_string(),
-        );
+        span.add_label_fmt("rejected", r.iter().filter(|&&x| x).count());
         span.finish();
         r
     } else {
@@ -460,8 +456,8 @@ pub(crate) fn approve_requests_in(
     // realizations[h] = Vec<TM>, each TM = Vec<(dst, rate)>.
     let gen_span = obs
         .span("approval", "gen_demand")
-        .label("hoses", &hoses.len().to_string())
-        .label("tms_per_hose", &config.tms_per_hose.to_string());
+        .label_fmt("hoses", hoses.len())
+        .label_fmt("tms_per_hose", config.tms_per_hose);
     let mut realizations: Vec<Vec<Vec<Demand>>> = Vec::with_capacity(hoses.len());
     for (hi, &hose) in hoses.iter().enumerate() {
         if rejected[hi] {
@@ -551,7 +547,7 @@ pub(crate) fn approve_requests_in(
         let mut hose_span = obs
             .span("approval", "hose_approval")
             .label("qos", &qos)
-            .label("npg", &hose.npg.0.to_string());
+            .label_fmt("npg", hose.npg.0);
         if rejected[h] {
             // Analyzer-rejected: zero grant, no counter-proposal, and
             // nothing added to the background of lower classes.
@@ -653,7 +649,7 @@ pub(crate) fn approve_requests_in(
     // Back to input order (the sweep visited hoses in bucket order).
     let agg_span = obs
         .span("approval", "aggregate")
-        .label("hoses", &results.len().to_string());
+        .label_fmt("hoses", results.len());
     results.sort_by_key(|&(i, _)| i);
     let out: Vec<HoseApproval> = results.into_iter().map(|(_, r)| r).collect();
     agg_span.finish();

@@ -305,9 +305,9 @@ pub fn run_drill_watch(
                 "kv",
                 if kv_unavailable > 0.0 { "unavailable" } else { "ok" },
             );
-            cycle_span.add_label(
+            cycle_span.add_label_fmt(
                 "marked_fraction",
-                &format!("{:.4}", marking.marked_fraction(config.hosts)),
+                format_args!("{:.4}", marking.marked_fraction(config.hosts)),
             );
             cycle_span.finish();
         }

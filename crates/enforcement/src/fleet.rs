@@ -537,7 +537,7 @@ pub fn run_fleet_engine_watch(
         }
 
         span.add_label("kv", if measurable { "ok" } else { "degraded" });
-        span.add_label("marked_fraction", &format!("{marked_fraction:.4}"));
+        span.add_label_fmt("marked_fraction", format_args!("{marked_fraction:.4}"));
         span.finish();
 
         // 6. Watchdog fold, outside the cycle span so watch events
@@ -624,15 +624,11 @@ fn emit_shard_events(obs: &Obs, snap_total: &FanoutSnapshot, snap_conform: &Fano
         ShardRead::Missing => "missing",
     };
     for (s, read) in snap_total.shards().iter().enumerate() {
-        obs.event(
-            "shard",
-            "fold",
-            &[
-                ("shard", &s.to_string()),
-                ("total", describe(read)),
-                ("conform", describe(&snap_conform.shards()[s])),
-            ],
-        );
+        obs.point("shard", "fold")
+            .label_fmt("shard", s)
+            .label("total", describe(read))
+            .label("conform", describe(&snap_conform.shards()[s]))
+            .finish();
     }
 }
 

@@ -78,20 +78,15 @@ impl<K> ObservedKv<K> {
             Err(_) => metrics.err.inc(),
         }
         if self.obs.enabled() {
-            let outcome = match &result {
-                Ok(_) => "ok".to_string(),
-                Err(e) => format!("error:{e:?}"),
-            };
-            // push_child: the sink allocates span ids and parents the
-            // op under the currently open span (the agent's cycle), so
+            // child: the sink allocates span ids and parents the op
+            // under the currently open span (the agent's cycle), so
             // KV ops land in the causal tree, not as orphan roots.
-            self.obs.trace.push_child(entitlement_obs::TraceEvent::new(
-                start_ms,
-                "kv",
-                phase,
-                vec![("outcome".to_string(), outcome)],
-                end_ms.saturating_sub(start_ms) as f64,
-            ));
+            let dur_ms = end_ms.saturating_sub(start_ms) as f64;
+            let mut event = self.obs.trace.child(start_ms, dur_ms, "kv", phase);
+            match &result {
+                Ok(_) => event.add_label("outcome", "ok"),
+                Err(e) => event.add_label_fmt("outcome", format_args!("error:{e:?}")),
+            }
         }
         result
     }

@@ -127,12 +127,6 @@ impl AdmitDecision {
     }
 }
 
-/// Shortest-round-trip decimal Gbps for provenance labels
-/// (deterministic: no locale, no precision knob).
-fn fmt_gbps(r: Rate) -> String {
-    format!("{}", r.as_gbps())
-}
-
 /// The serving-side entitlement market.
 #[derive(Clone, Debug)]
 pub struct EntitlementMarket {
@@ -318,7 +312,7 @@ impl EntitlementMarket {
     pub fn warm(&mut self, buckets: &[QosBucket], obs: &Obs) {
         let span = obs
             .span("market", "warm")
-            .label("buckets", &buckets.len().to_string());
+            .label_fmt("buckets", buckets.len());
         let dcs = self.topo.dc_ids();
         let pairs: Vec<(RegionId, RegionId)> = dcs
             .iter()
@@ -385,16 +379,7 @@ impl EntitlementMarket {
             slice: req.slice,
         };
         let traced = obs.enabled();
-        if traced {
-            span.add_label("request", &seq.to_string());
-            span.add_label("npg", &req.npg.to_string());
-            span.add_label("bucket", &req.bucket.to_string());
-            span.add_label("slice", &req.slice.to_string());
-            span.add_label("src", &req.src.to_string());
-            span.add_label("dst", &req.dst.to_string());
-            span.add_label("ask_gbps", &fmt_gbps(req.ask));
-            span.add_label("epoch", &self.index.epoch().to_string());
-        }
+        let epoch = self.index.epoch();
         let slot_state = self.index.slot_state(&key);
         if traced {
             obs.event("market", "index_probe", &[("state", slot_state)]);
@@ -443,24 +428,34 @@ impl EntitlementMarket {
         if traced {
             // Decision-provenance ledger: everything `entitlectl
             // explain` needs to reconstruct *why*, carried on the span
-            // itself so the trace alone is sufficient evidence.
-            span.add_label("granted_gbps", &fmt_gbps(decision.granted));
-            span.add_label("residual_before_gbps", &fmt_gbps(residual_before));
-            span.add_label(
-                "residual_after_gbps",
-                &fmt_gbps((residual_before - decision.granted).clamp_zero()),
-            );
-            if let Some(prov) = self.index.provenance(&key) {
-                span.add_label("binding_scenario", &prov.binding_scenario);
+            // itself so the trace alone is sufficient evidence. Written
+            // once, in key order (the sink's sort finds nothing to do),
+            // shortest-round-trip decimal Gbps throughout.
+            let prov = self.index.provenance(&key);
+            span.add_label_fmt("ask_gbps", req.ask.as_gbps());
+            if let Some(prov) = prov {
                 span.add_label("binding_links", &prov.binding_links);
-                span.add_label("binding_p", &format!("{}", prov.binding_probability));
-                span.add_label("headroom_gbps", &fmt_gbps(prov.headroom));
+                span.add_label_fmt("binding_p", prov.binding_probability);
+                span.add_label("binding_scenario", &prov.binding_scenario);
             }
+            span.add_label_fmt("bucket", req.bucket);
+            span.add_label_fmt("dst", req.dst);
+            span.add_label_fmt("epoch", epoch);
+            span.add_label_fmt("granted_gbps", decision.granted.as_gbps());
+            if let Some(prov) = prov {
+                span.add_label_fmt("headroom_gbps", prov.headroom.as_gbps());
+            }
+            span.add_label_fmt("npg", req.npg);
+            span.add_label("outcome", decision.outcome.as_str());
+            span.add_label("path", decision.path.as_str());
+            span.add_label_fmt("request", seq);
+            span.add_label_fmt("residual_after_gbps", decision.residual_after.as_gbps());
+            span.add_label_fmt("residual_before_gbps", residual_before.as_gbps());
+            span.add_label_fmt("slice", req.slice);
+            span.add_label_fmt("src", req.src);
         }
-        span.add_label("path", decision.path.as_str());
-        span.add_label("outcome", decision.outcome.as_str());
         span.finish();
-        if obs.enabled() {
+        if traced {
             let dur_ms = obs.clock.now_ms().saturating_sub(t0);
             obs.registry
                 .counter(

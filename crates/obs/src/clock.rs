@@ -8,7 +8,7 @@
 //! reproducibility does not matter).
 
 use entitlement_racecheck::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 enum Source {
@@ -24,18 +24,43 @@ enum Source {
 }
 
 /// A cloneable, thread-safe time source reporting milliseconds.
-#[derive(Clone)]
+///
+/// A manual clock allocates its shared cell when it is first set or
+/// cloned; until then it is just its start value, so the clock of an
+/// [`crate::Obs::disabled`] bundle is free.
 pub struct Clock {
-    source: Arc<Source>,
+    /// What an unshared manual clock reads.
+    start_ms: u64,
+    source: OnceLock<Arc<Source>>,
+}
+
+impl Clone for Clock {
+    fn clone(&self) -> Self {
+        Self::of(self.start_ms, Arc::clone(self.shared()))
+    }
 }
 
 impl Clock {
+    fn of(start_ms: u64, source: Arc<Source>) -> Self {
+        Self {
+            start_ms,
+            source: OnceLock::from(source),
+        }
+    }
+
+    fn shared(&self) -> &Arc<Source> {
+        self.source
+            .get_or_init(|| Arc::new(Source::Manual(AtomicU64::new(self.start_ms))))
+    }
+
     /// A logical clock starting at `start_ms`; reads return the last
     /// value passed to [`Clock::set_ms`] (or `start_ms`).
+    #[inline]
     #[must_use]
     pub fn manual(start_ms: u64) -> Self {
         Self {
-            source: Arc::new(Source::Manual(AtomicU64::new(start_ms))),
+            start_ms,
+            source: OnceLock::new(),
         }
     }
 
@@ -43,43 +68,44 @@ impl Clock {
     /// read advances by `step_ms` (minimum 1).
     #[must_use]
     pub fn counting(step_ms: u64) -> Self {
-        Self {
-            source: Arc::new(Source::Counting {
+        Self::of(
+            0,
+            Arc::new(Source::Counting {
                 next: AtomicU64::new(0),
                 step_ms: step_ms.max(1),
             }),
-        }
+        )
     }
 
     /// Real elapsed milliseconds since this call. Not deterministic;
     /// never used by library code in this workspace.
     #[must_use]
     pub fn wall() -> Self {
-        Self {
-            source: Arc::new(Source::Wall(Instant::now())),
-        }
+        Self::of(0, Arc::new(Source::Wall(Instant::now())))
     }
 
     /// Current time in milliseconds. Counting clocks advance on read.
+    #[inline]
     #[must_use]
     pub fn now_ms(&self) -> u64 {
-        match &*self.source {
-            Source::Manual(ms) => ms.load(Ordering::Acquire),
-            Source::Counting { next, step_ms } => next.fetch_add(*step_ms, Ordering::AcqRel),
-            Source::Wall(t0) => t0.elapsed().as_millis() as u64,
+        match self.source.get().map(|source| &**source) {
+            None => self.start_ms,
+            Some(Source::Manual(ms)) => ms.load(Ordering::Acquire),
+            Some(Source::Counting { next, step_ms }) => next.fetch_add(*step_ms, Ordering::AcqRel),
+            Some(Source::Wall(t0)) => t0.elapsed().as_millis() as u64,
         }
     }
 
     /// Set a manual clock to `ms`. No-op for other sources.
     pub fn set_ms(&self, ms: u64) {
-        if let Source::Manual(cur) = &*self.source {
+        if let Source::Manual(cur) = &**self.shared() {
             cur.store(ms, Ordering::Release);
         }
     }
 
     /// Advance a manual clock by `delta_ms`. No-op for other sources.
     pub fn advance_ms(&self, delta_ms: u64) {
-        if let Source::Manual(cur) = &*self.source {
+        if let Source::Manual(cur) = &**self.shared() {
             cur.fetch_add(delta_ms, Ordering::AcqRel);
         }
     }

@@ -80,6 +80,7 @@ impl Obs {
     /// function but nothing retains the registry. This is what
     /// un-instrumented entry points pass down, so the instrumented
     /// variants are the only implementation.
+    #[inline]
     #[must_use]
     pub fn disabled() -> Self {
         Self {
@@ -90,6 +91,7 @@ impl Obs {
     }
 
     /// Whether the trace sink records events.
+    #[inline]
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.trace.enabled()
@@ -97,6 +99,7 @@ impl Obs {
 
     /// Start a span; the event is emitted (with `dur_ms`) when the
     /// returned timer drops.
+    #[inline]
     #[must_use]
     pub fn span(&self, span: &str, phase: &str) -> SpanTimer {
         self.trace.span(&self.clock, span, phase)
@@ -105,6 +108,15 @@ impl Obs {
     /// Emit an instantaneous event (`dur_ms` = 0).
     pub fn event(&self, span: &str, phase: &str, labels: &[(&str, &str)]) {
         self.trace.event(&self.clock, span, phase, labels);
+    }
+
+    /// Start an instantaneous event whose labels are formatted in
+    /// place; it is emitted when the returned timer drops (see
+    /// [`TraceSink::point`]).
+    #[inline]
+    #[must_use]
+    pub fn point(&self, span: &str, phase: &str) -> SpanTimer {
+        self.trace.point(&self.clock, span, phase)
     }
 }
 

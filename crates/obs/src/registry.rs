@@ -6,7 +6,7 @@
 use crate::metrics::{Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// One `(name, sorted labels)` family member.
 type LabelSet = BTreeMap<String, String>;
@@ -32,86 +32,113 @@ struct Inner {
 /// A cloneable metric registry. Registration is idempotent: asking for
 /// the same `(name, labels)` again returns a handle to the same cell,
 /// so fan-out call sites need no coordination.
-#[derive(Clone, Default)]
+///
+/// The shared state is allocated on first registration or first clone,
+/// whichever comes first, so a registry nobody uses (every
+/// [`crate::Obs::disabled`] bundle) costs nothing to build or drop.
+#[derive(Default)]
 pub struct Registry {
-    inner: Arc<Mutex<Inner>>,
+    inner: OnceLock<Arc<Mutex<Inner>>>,
+}
+
+impl Clone for Registry {
+    fn clone(&self) -> Self {
+        Self {
+            inner: OnceLock::from(Arc::clone(self.shared())),
+        }
+    }
 }
 
 impl Registry {
     /// New empty registry.
+    #[inline]
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn shared(&self) -> &Arc<Mutex<Inner>> {
+        self.inner.get_or_init(Arc::default)
+    }
+
+    /// Get or create the `(name, labels)` cell of one instrument kind.
+    /// `labels` may come in any order; a repeated key keeps its last
+    /// value. Allocates only when the cell is new.
+    fn get_or_create<T: Clone + Default>(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        pick: fn(&Instrument) -> Option<&T>,
+        wrap: fn(T) -> Instrument,
+    ) -> T {
+        let mut inner = self
+            .shared()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        for e in &inner.entries {
+            if e.name == name && same_labels(&e.labels, labels) {
+                if let Some(cell) = pick(&e.instrument) {
+                    return cell.clone();
+                }
+            }
+        }
+        let cell = T::default();
+        inner.entries.push(Entry {
+            name: name.to_string(),
+            help: help.to_string(),
+            labels: labels
+                .iter()
+                .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
+                .collect(),
+            instrument: wrap(cell.clone()),
+        });
+        cell
     }
 
     /// Get or create a counter.
     #[must_use]
     pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        let want = to_label_set(labels);
-        let mut inner = self.lock();
-        for e in &inner.entries {
-            if e.name == name && e.labels == want {
-                if let Instrument::Counter(c) = &e.instrument {
-                    return c.clone();
-                }
-            }
-        }
-        let c = Counter::new();
-        inner.entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels: want,
-            instrument: Instrument::Counter(c.clone()),
-        });
-        c
+        self.get_or_create(
+            name,
+            help,
+            labels,
+            |i| match i {
+                Instrument::Counter(c) => Some(c),
+                _ => None,
+            },
+            Instrument::Counter,
+        )
     }
 
     /// Get or create a gauge.
     #[must_use]
     pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        let want = to_label_set(labels);
-        let mut inner = self.lock();
-        for e in &inner.entries {
-            if e.name == name && e.labels == want {
-                if let Instrument::Gauge(g) = &e.instrument {
-                    return g.clone();
-                }
-            }
-        }
-        let g = Gauge::new();
-        inner.entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels: want,
-            instrument: Instrument::Gauge(g.clone()),
-        });
-        g
+        self.get_or_create(
+            name,
+            help,
+            labels,
+            |i| match i {
+                Instrument::Gauge(g) => Some(g),
+                _ => None,
+            },
+            Instrument::Gauge,
+        )
     }
 
     /// Get or create a histogram.
     #[must_use]
     pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
-        let want = to_label_set(labels);
-        let mut inner = self.lock();
-        for e in &inner.entries {
-            if e.name == name && e.labels == want {
-                if let Instrument::Histogram(h) = &e.instrument {
-                    return h.clone();
-                }
-            }
-        }
-        let h = Histogram::new();
-        inner.entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels: want,
-            instrument: Instrument::Histogram(h.clone()),
-        });
-        h
+        self.get_or_create(
+            name,
+            help,
+            labels,
+            |i| match i {
+                Instrument::Histogram(h) => Some(h),
+                _ => None,
+            },
+            Instrument::Histogram,
+        )
     }
 
     /// Render every registered metric in the Prometheus text
@@ -120,10 +147,15 @@ impl Registry {
     /// series plus `_sum` and `_count`.
     #[must_use]
     pub fn render(&self) -> String {
-        let inner = self.lock();
+        let mut out = String::new();
+        let Some(shared) = self.inner.get() else {
+            return out;
+        };
+        let inner = shared
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut order: Vec<&Entry> = inner.entries.iter().collect();
         order.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        let mut out = String::new();
         let mut last_name: Option<&str> = None;
         for e in order {
             if last_name != Some(e.name.as_str()) {
@@ -136,57 +168,24 @@ impl Registry {
                 let _ = writeln!(out, "# TYPE {} {}", e.name, kind);
                 last_name = Some(e.name.as_str());
             }
+            // One sample line: `name[suffix]{labels[,le="…"]} value`.
+            let mut sample = |suffix: &str, le: Option<f64>, value: &dyn std::fmt::Display| {
+                out.push_str(&e.name);
+                out.push_str(suffix);
+                push_labels(&mut out, &e.labels, le);
+                let _ = writeln!(out, " {value}");
+            };
             match &e.instrument {
-                Instrument::Counter(c) => {
-                    let _ = writeln!(
-                        out,
-                        "{}{} {}",
-                        e.name,
-                        render_labels(&e.labels, &[]),
-                        c.get()
-                    );
-                }
-                Instrument::Gauge(g) => {
-                    let _ = writeln!(
-                        out,
-                        "{}{} {}",
-                        e.name,
-                        render_labels(&e.labels, &[]),
-                        fmt_f64(g.get())
-                    );
-                }
+                Instrument::Counter(c) => sample("", None, &c.get()),
+                Instrument::Gauge(g) => sample("", None, &Exposition(g.get())),
                 Instrument::Histogram(h) => {
                     let snap = h.snapshot();
                     for (le, cum) in &snap.cumulative {
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {}",
-                            e.name,
-                            render_labels(&e.labels, &[("le", &fmt_f64(*le))]),
-                            cum
-                        );
+                        sample("_bucket", Some(*le), cum);
                     }
-                    let _ = writeln!(
-                        out,
-                        "{}_bucket{} {}",
-                        e.name,
-                        render_labels(&e.labels, &[("le", "+Inf")]),
-                        snap.count
-                    );
-                    let _ = writeln!(
-                        out,
-                        "{}_sum{} {}",
-                        e.name,
-                        render_labels(&e.labels, &[]),
-                        fmt_f64(snap.sum)
-                    );
-                    let _ = writeln!(
-                        out,
-                        "{}_count{} {}",
-                        e.name,
-                        render_labels(&e.labels, &[]),
-                        snap.count
-                    );
+                    sample("_bucket", Some(f64::INFINITY), &snap.count);
+                    sample("_sum", None, &Exposition(snap.sum));
+                    sample("_count", None, &snap.count);
                 }
             }
         }
@@ -194,18 +193,21 @@ impl Registry {
     }
 }
 
-fn to_label_set(labels: &[(&str, &str)]) -> LabelSet {
-    labels
-        .iter()
-        .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
-        .collect()
+/// Whether `want`, normalised the way registration stores it (one
+/// value per key, the last one given), is exactly `have`.
+fn same_labels(have: &LabelSet, want: &[(&str, &str)]) -> bool {
+    want.iter().all(|(k, _)| have.contains_key(*k))
+        && have.iter().all(|(k, v)| {
+            want.iter()
+                .rev()
+                .find(|(wk, _)| wk == k)
+                .is_some_and(|(_, wv)| wv == v)
+        })
 }
 
-/// Escape a label value per the Prometheus text exposition format:
+/// Append `v` escaped per the Prometheus text exposition format:
 /// backslash, double-quote, and line-feed become `\\`, `\"`, and `\n`.
-#[must_use]
-pub fn escape_label_value(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
+fn push_escaped(out: &mut String, v: &str) {
     for ch in v.chars() {
         match ch {
             '\\' => out.push_str("\\\\"),
@@ -214,35 +216,55 @@ pub fn escape_label_value(v: &str) -> String {
             _ => out.push(ch),
         }
     }
+}
+
+/// Escape a label value per the Prometheus text exposition format:
+/// backslash, double-quote, and line-feed become `\\`, `\"`, and `\n`.
+#[must_use]
+pub fn escape_label_value(v: &str) -> String {
+    let mut out = String::with_capacity(v.len());
+    push_escaped(&mut out, v);
     out
 }
 
-/// Render `{k="v",...}` (or the empty string for no labels), with
-/// `extra` pairs appended after the sorted base labels.
-fn render_labels(base: &LabelSet, extra: &[(&str, &str)]) -> String {
-    if base.is_empty() && extra.is_empty() {
-        return String::new();
+/// Append `{k="v",...}` (nothing for no labels), with the histogram
+/// bucket bound `le` after the sorted base labels.
+fn push_labels(out: &mut String, base: &LabelSet, le: Option<f64>) {
+    if base.is_empty() && le.is_none() {
+        return;
     }
-    let mut parts = Vec::with_capacity(base.len() + extra.len());
-    for (k, v) in base {
-        parts.push(format!("{k}=\"{}\"", escape_label_value(v)));
+    out.push('{');
+    for (i, (k, v)) in base.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(k);
+        out.push_str("=\"");
+        push_escaped(out, v);
+        out.push('"');
     }
-    for (k, v) in extra {
-        parts.push(format!("{k}=\"{}\"", escape_label_value(v)));
+    if let Some(le) = le {
+        if !base.is_empty() {
+            out.push(',');
+        }
+        let _ = write!(out, "le=\"{}\"", Exposition(le));
     }
-    format!("{{{}}}", parts.join(","))
+    out.push('}');
 }
 
-/// Format an `f64` for exposition: integral values print without a
-/// trailing `.0` mantissa mismatch run-to-run, everything else uses
-/// Rust's shortest round-trip formatting.
-fn fmt_f64(v: f64) -> String {
-    if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
+/// An `f64` as the exposition format spells it: `+Inf`/`-Inf` for the
+/// infinities, Rust's shortest round-trip form for everything else.
+struct Exposition(f64);
+
+impl std::fmt::Display for Exposition {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.0 == f64::INFINITY {
+            f.write_str("+Inf")
+        } else if self.0 == f64::NEG_INFINITY {
+            f.write_str("-Inf")
+        } else {
+            write!(f, "{}", self.0)
+        }
     }
 }
 
@@ -261,6 +283,62 @@ mod tests {
         // Different labels are a different cell.
         let c = r.counter("ops_total", "ops", &[("kind", "put")]);
         assert_eq!(c.get(), 0);
+    }
+
+    /// Get-or-create compares labels in place; it must find the cell
+    /// the old map-building lookup found: order-free, last value wins
+    /// for a repeated key, and no match on a sub- or superset.
+    #[test]
+    fn lookup_normalises_labels_like_registration() {
+        let r = Registry::new();
+        let ab = r.counter("n_total", "n", &[("a", "1"), ("b", "2")]);
+        ab.inc();
+        assert_eq!(
+            r.counter("n_total", "n", &[("b", "2"), ("a", "1")]).get(),
+            1
+        );
+        assert_eq!(r.counter("n_total", "n", &[("a", "1")]).get(), 0, "subset");
+        assert_eq!(
+            r.counter("n_total", "n", &[("a", "1"), ("b", "2"), ("c", "3")])
+                .get(),
+            0,
+            "superset"
+        );
+        assert_eq!(
+            r.counter("n_total", "n", &[("a", "1"), ("b", "3")]).get(),
+            0
+        );
+
+        // A repeated key keeps its last value, on both sides.
+        let dup = r.counter("d_total", "d", &[("k", "old"), ("k", "new")]);
+        dup.add(5);
+        assert_eq!(r.counter("d_total", "d", &[("k", "new")]).get(), 5);
+        assert_eq!(
+            r.counter("d_total", "d", &[("k", "new"), ("k", "new")])
+                .get(),
+            5
+        );
+        assert_eq!(
+            r.counter("d_total", "d", &[("k", "new"), ("k", "old")])
+                .get(),
+            0
+        );
+        assert!(r.render().contains("d_total{k=\"new\"} 5\n"));
+
+        // The same name and labels under another kind is another cell.
+        r.gauge("n_total", "n", &[("a", "1"), ("b", "2")]).set(9.0);
+        assert_eq!(ab.get(), 1);
+    }
+
+    #[test]
+    fn shared_state_appears_on_first_use_or_first_clone() {
+        let r = Registry::new();
+        assert_eq!(r.render(), "", "an untouched registry renders empty");
+        // Cloning before first use still shares.
+        let early = r.clone();
+        early.counter("late_total", "late", &[]).inc();
+        assert_eq!(r.counter("late_total", "late", &[]).get(), 1);
+        assert_eq!(r.render(), early.render());
     }
 
     #[test]

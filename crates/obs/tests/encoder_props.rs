@@ -1,0 +1,505 @@
+//! Property tests for the trace sink's storage and encoder.
+//!
+//! The sink keeps events in flat arenas and renders them with one
+//! streaming encoder; these tests hold both to a model that shares no
+//! code with them: events as owned `TraceEvent`s built the way the
+//! sink used to build them (a `Vec<(String, String)>` of labels,
+//! `sort()`ed at emit; ids from a counter and an open-span stack) and
+//! the line format spelled out with `write!`. Every entry point is
+//! driven — `span` + label adders, `event`, `point`, `child`, `push`,
+//! `push_child` — with spans opened and closed in arbitrary, non-LIFO
+//! order, so a label leaking from one pooled buffer into another
+//! event shows up as a model mismatch.
+
+use entitlement_obs::{parse_trace, Clock, SpanTimer, TraceEvent, TraceSink};
+use proptest::prelude::*;
+use std::fmt::Write as _;
+
+/// Characters that exercise every branch of JSON escaping: quotes,
+/// backslashes, the named and the `\u00XX` control escapes, DEL,
+/// two-, three- and four-byte UTF-8, and JSON punctuation.
+const ALPHABET: &[char] = &[
+    'a', 'k', 'z', '0', ' ', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '日',
+    '😀', '{', ':', ',',
+];
+
+fn text(max_len: usize) -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..ALPHABET.len(), 0..max_len + 1)
+        .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+}
+
+/// Keys from a three-letter alphabet, at most two long: duplicates
+/// and empty keys are common.
+fn key() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0usize..3, 0..3)
+        .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+}
+
+/// Durations: the values the format special-cases, then anything.
+fn dur() -> impl Strategy<Value = f64> {
+    (0usize..14, any::<f64>()).prop_map(|(pick, other)| match pick {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::NAN,
+        3 => f64::INFINITY,
+        4 => f64::NEG_INFINITY,
+        5 => 3.0,
+        6 => 4.5,
+        7 => 1e300,
+        8 => f64::MAX,
+        9 => 9_007_199_254_740_992.0,
+        10 => 9_007_199_254_740_991.0,
+        11 => 1e-7,
+        12 => -2.5,
+        _ => other.abs(),
+    })
+}
+
+fn id() -> impl Strategy<Value = u64> {
+    (0usize..5, any::<u64>()).prop_map(|(pick, other)| match pick {
+        0 => 0,
+        1 => 1,
+        2 => u64::MAX,
+        3 => other % 1000,
+        _ => other,
+    })
+}
+
+/// A label value, by the adder that writes it.
+#[derive(Clone, Debug)]
+enum Value {
+    Str(String),
+    Fmt(u64),
+    F64(f64),
+}
+
+impl Value {
+    /// What the label must read back as.
+    fn expected(&self) -> String {
+        match self {
+            Value::Str(s) => s.clone(),
+            Value::Fmt(n) => n.to_string(),
+            Value::F64(v) if v.is_finite() => format!("{v}"),
+            Value::F64(_) => "0".to_string(),
+        }
+    }
+}
+
+fn value() -> impl Strategy<Value = Value> {
+    (0usize..3, text(6), id(), dur()).prop_map(|(pick, s, n, v)| match pick {
+        0 => Value::Str(s),
+        1 => Value::Fmt(n),
+        _ => Value::F64(v),
+    })
+}
+
+type Labels = Vec<(String, Value)>;
+
+fn labels() -> impl Strategy<Value = Labels> {
+    proptest::collection::vec((key(), value()), 0..6)
+}
+
+#[derive(Clone, Debug)]
+enum Op {
+    /// `span()`, then labels through the adders; stays open.
+    Open(String, String, Labels),
+    /// Drop the `n % live`-th open span (any order, not just LIFO).
+    Close(usize),
+    /// `event()` with its labels as a slice.
+    Event(String, String, Labels),
+    /// `point()` + adders, dropped at once.
+    Point(String, String, Labels),
+    /// `child(ts, dur)` + adders, dropped at once.
+    Child(u64, f64, String, String, Labels),
+    /// `push_child(TraceEvent)`.
+    PushChild(u64, f64, String, String, Labels),
+    /// `push(TraceEvent)` with the ids it carries.
+    Push([u64; 4], f64, String, String, Labels),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    (
+        0usize..9,
+        (text(5), text(5), labels()),
+        (id(), id(), id(), id()),
+        dur(),
+    )
+        .prop_map(
+            |(pick, (span, phase, labels), (a, b, c, d), dur)| match pick {
+                0 | 1 => Op::Open(span, phase, labels),
+                2 | 3 => Op::Close(a as usize),
+                4 => Op::Event(span, phase, labels),
+                5 => Op::Point(span, phase, labels),
+                6 => Op::Child(a, dur, span, phase, labels),
+                7 => Op::PushChild(a, dur, span, phase, labels),
+                _ => Op::Push([a, b, c, d], dur, span, phase, labels),
+            },
+        )
+}
+
+fn add_all(timer: &mut SpanTimer, labels: &Labels) {
+    for (k, v) in labels {
+        match v {
+            Value::Str(s) => timer.add_label(k, s),
+            Value::Fmt(n) => timer.add_label_fmt(k, n),
+            Value::F64(x) => timer.add_label_f64(k, *x),
+        }
+    }
+}
+
+fn owned(labels: &Labels) -> Vec<(String, String)> {
+    labels
+        .iter()
+        .map(|(k, v)| (k.clone(), v.expected()))
+        .collect()
+}
+
+/// The sink as it was before the arenas: owned events, labels sorted
+/// as `(String, String)` pairs, a counter and an open stack.
+#[derive(Default)]
+struct Model {
+    events: Vec<TraceEvent>,
+    next_id: u64,
+    open: Vec<(u64, u64)>,
+    /// `Clock::counting(1)`: each read returns the count of reads so far.
+    clock_reads: u64,
+}
+
+impl Model {
+    fn now(&mut self) -> u64 {
+        self.clock_reads += 1;
+        self.clock_reads - 1
+    }
+
+    /// `(span_id, trace_id, parent_id)`.
+    fn alloc(&mut self) -> (u64, u64, u64) {
+        self.next_id += 1;
+        match self.open.last() {
+            Some(&(parent, trace)) => (self.next_id, trace, parent),
+            None => (self.next_id, self.next_id, 0),
+        }
+    }
+
+    fn emit(
+        &mut self,
+        ids: (u64, u64, u64),
+        ts_ms: u64,
+        dur_ms: f64,
+        names: (&str, &str),
+        labels: &Labels,
+    ) {
+        let mut labels = owned(labels);
+        labels.sort();
+        self.events.push(TraceEvent {
+            ts_ms,
+            trace_id: ids.1,
+            span_id: ids.0,
+            parent_id: ids.2,
+            span: names.0.to_string(),
+            phase: names.1.to_string(),
+            labels,
+            dur_ms,
+        });
+    }
+}
+
+/// A span open in both worlds.
+struct Live {
+    timer: SpanTimer,
+    ids: (u64, u64, u64),
+    start_ms: u64,
+    span: String,
+    phase: String,
+    labels: Labels,
+}
+
+/// Drive `ops` through a fresh sink and the model side by side.
+fn run(ops: &[Op]) -> (TraceSink, Vec<TraceEvent>) {
+    let sink = TraceSink::new();
+    let clock = Clock::counting(1);
+    let mut model = Model::default();
+    let mut live: Vec<Live> = Vec::new();
+    let close = |model: &mut Model, l: Live| {
+        drop(l.timer);
+        let end = model.now();
+        model.open.retain(|&(id, _)| id != l.ids.0);
+        let dur = end.saturating_sub(l.start_ms) as f64;
+        model.emit(l.ids, l.start_ms, dur, (&l.span, &l.phase), &l.labels);
+    };
+    for op in ops {
+        match op {
+            Op::Open(span, phase, labels) => {
+                let mut timer = sink.span(&clock, span, phase);
+                add_all(&mut timer, labels);
+                let ids = model.alloc();
+                model.open.push((ids.0, ids.1));
+                assert_eq!(timer.id(), ids.0);
+                live.push(Live {
+                    timer,
+                    ids,
+                    start_ms: model.now(),
+                    span: span.clone(),
+                    phase: phase.clone(),
+                    labels: labels.clone(),
+                });
+            }
+            Op::Close(n) => {
+                if !live.is_empty() {
+                    let l = live.remove(n % live.len());
+                    close(&mut model, l);
+                }
+            }
+            Op::Event(span, phase, labels) => {
+                let strings = owned(labels);
+                let refs: Vec<(&str, &str)> = strings
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), v.as_str()))
+                    .collect();
+                sink.event(&clock, span, phase, &refs);
+                let ts = model.now();
+                let ids = model.alloc();
+                model.emit(ids, ts, 0.0, (span, phase), labels);
+            }
+            Op::Point(span, phase, labels) => {
+                let mut timer = sink.point(&clock, span, phase);
+                add_all(&mut timer, labels);
+                drop(timer);
+                let ts = model.now();
+                let ids = model.alloc();
+                model.emit(ids, ts, 0.0, (span, phase), labels);
+            }
+            Op::Child(ts, dur, span, phase, labels) => {
+                let mut timer = sink.child(*ts, *dur, span, phase);
+                add_all(&mut timer, labels);
+                drop(timer);
+                let ids = model.alloc();
+                model.emit(ids, *ts, *dur, (span, phase), labels);
+            }
+            Op::PushChild(ts, dur, span, phase, labels) => {
+                sink.push_child(TraceEvent::new(*ts, span, phase, owned(labels), *dur));
+                let ids = model.alloc();
+                model.emit(ids, *ts, *dur, (span, phase), labels);
+            }
+            Op::Push([ts, trace_id, span_id, parent_id], dur, span, phase, labels) => {
+                sink.push(TraceEvent {
+                    ts_ms: *ts,
+                    trace_id: *trace_id,
+                    span_id: *span_id,
+                    parent_id: *parent_id,
+                    ..TraceEvent::new(0, span, phase, owned(labels), *dur)
+                });
+                model.emit(
+                    (*span_id, *trace_id, *parent_id),
+                    *ts,
+                    *dur,
+                    (span, phase),
+                    labels,
+                );
+            }
+        }
+    }
+    // Whatever is still open drops front to back, as a Vec does.
+    for l in live {
+        close(&mut model, l);
+    }
+    (sink, model.events)
+}
+
+/// The line format, spelled out independently of the encoder.
+fn model_line(e: &TraceEvent) -> String {
+    let mut out = String::new();
+    let _ = write!(
+        out,
+        "{{\"ts_ms\":{},\"trace_id\":{},\"span_id\":{},\"parent_id\":{},\"span\":",
+        e.ts_ms, e.trace_id, e.span_id, e.parent_id
+    );
+    serde::write_json_string(&e.span, &mut out);
+    out.push_str(",\"phase\":");
+    serde::write_json_string(&e.phase, &mut out);
+    out.push_str(",\"labels\":{");
+    for (i, (k, v)) in e.labels.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        serde::write_json_string(k, &mut out);
+        out.push(':');
+        serde::write_json_string(v, &mut out);
+    }
+    if e.dur_ms.is_finite() {
+        let _ = write!(out, "}},\"dur_ms\":{}}}", e.dur_ms);
+    } else {
+        out.push_str("},\"dur_ms\":0}");
+    }
+    out
+}
+
+/// `TraceEvent` equality that also holds for a NaN duration.
+fn same(a: &TraceEvent, b: &TraceEvent) -> bool {
+    a.dur_ms.to_bits() == b.dur_ms.to_bits()
+        && TraceEvent {
+            dur_ms: 0.0,
+            ..a.clone()
+        } == TraceEvent {
+            dur_ms: 0.0,
+            ..b.clone()
+        }
+}
+
+/// Whether `parse_trace` can represent the event exactly: ids go
+/// through the vendored parser's `f64`, `span_id` 0 is rejected, and
+/// a non-finite duration was written as 0.
+fn parses_back(e: &TraceEvent) -> bool {
+    const EXACT: u64 = 1 << 53;
+    [e.ts_ms, e.trace_id, e.span_id, e.parent_id]
+        .iter()
+        .all(|&v| v < EXACT)
+        && e.span_id >= 1
+        && e.dur_ms.is_finite()
+        && e.dur_ms >= 0.0
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arenas == model, and the three exports agree with each other
+    /// and with the spelled-out format, byte for byte.
+    #[test]
+    fn storage_and_encoder_match_the_model(ops in proptest::collection::vec(op(), 1..16)) {
+        let (sink, expected) = run(&ops);
+        let events = sink.events();
+        prop_assert_eq!(events.len(), expected.len());
+        prop_assert_eq!(sink.len(), expected.len());
+        for (got, want) in events.iter().zip(&expected) {
+            prop_assert!(same(got, want), "stored {got:?}\nmodel  {want:?}");
+        }
+
+        let jsonl = sink.to_jsonl();
+        let lines: Vec<&str> = jsonl.split_terminator('\n').collect();
+        prop_assert_eq!(lines.len(), events.len());
+        for (line, e) in lines.iter().zip(&events) {
+            prop_assert_eq!(*line, e.to_json_line());
+            prop_assert_eq!(*line, model_line(e));
+            prop_assert!(serde_json::parse(line).is_ok(), "not JSON: {line}");
+        }
+
+        let mut streamed = Vec::new();
+        sink.write_jsonl(&mut streamed).expect("writing to a Vec");
+        prop_assert_eq!(streamed.as_slice(), jsonl.as_bytes());
+        // A clone reads the same arenas.
+        prop_assert_eq!(sink.clone().to_jsonl(), jsonl.clone());
+
+        if events.iter().all(parses_back) {
+            let parsed = parse_trace(&jsonl).expect("every line parses");
+            prop_assert_eq!(parsed, events);
+        }
+    }
+}
+
+/// Buffers go back to the pool at close and out again at the next
+/// open; nothing a previous tenant wrote may survive the hand-over.
+#[test]
+fn pooled_buffers_carry_nothing_over() {
+    let sink = TraceSink::new();
+    let clock = Clock::manual(0);
+    // Fill a buffer, return it, and take it out again for an event
+    // with fewer, shorter labels.
+    sink.span(&clock, "first", "tenant")
+        .label("long_key_one", "a long value that must not reappear")
+        .label("long_key_two", "another")
+        .finish();
+    sink.point(&clock, "next", "tenant")
+        .label("k", "v")
+        .finish();
+    // Two spans open at once hold two different buffers; closing the
+    // outer one first hands its buffer to the next event while the
+    // inner one is still writing into its own.
+    let mut outer = sink.span(&clock, "x", "outer");
+    let mut inner = sink.span(&clock, "x", "inner");
+    outer.add_label("who", "outer");
+    inner.add_label("who", "inner");
+    drop(outer);
+    sink.event(&clock, "x", "between", &[("who", "event")]);
+    inner.add_label_fmt("n", 7);
+    drop(inner);
+
+    let events = sink.events();
+    let labels = |i: usize| -> Vec<(&str, &str)> {
+        events[i]
+            .labels
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect()
+    };
+    assert_eq!(events.len(), 5);
+    assert_eq!(labels(1), [("k", "v")]);
+    assert_eq!(
+        (events[2].phase.as_str(), labels(2)),
+        ("outer", vec![("who", "outer")])
+    );
+    assert_eq!(
+        (events[3].phase.as_str(), labels(3)),
+        ("between", vec![("who", "event")])
+    );
+    assert_eq!(
+        (events[4].phase.as_str(), labels(4)),
+        ("inner", vec![("n", "7"), ("who", "inner")])
+    );
+    // The event emitted while `inner` was open is its child.
+    assert_eq!(events[3].parent_id, events[4].span_id);
+}
+
+/// `write_jsonl` hands its buffer over in bounded chunks and the
+/// pieces add up to `to_jsonl()`.
+#[test]
+fn streaming_export_is_chunked_and_complete() {
+    struct Chunks(Vec<usize>, Vec<u8>);
+    impl std::io::Write for Chunks {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.len());
+            self.1.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let sink = TraceSink::new();
+    let clock = Clock::counting(1);
+    for i in 0..5_000u64 {
+        sink.point(&clock, "bulk", "row")
+            .label_fmt("i", i)
+            .label_f64("x", i as f64 / 8.0)
+            .finish();
+    }
+    let mut out = Chunks(Vec::new(), Vec::new());
+    sink.write_jsonl(&mut out).expect("in-memory writer");
+    assert_eq!(out.1, sink.to_jsonl().into_bytes());
+    assert!(
+        out.0.len() > 2,
+        "one write per chunk, not one in all: {:?}",
+        out.0
+    );
+    assert!(
+        out.0.iter().all(|&n| n < 128 * 1024),
+        "chunks stay bounded: {:?}",
+        out.0
+    );
+
+    // A failing writer surfaces its error instead of losing it.
+    struct Full;
+    impl std::io::Write for Full {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("disk full"))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    assert!(sink.write_jsonl(&mut Full).is_err());
+    // Disabled sinks write nothing.
+    let mut nothing = Vec::new();
+    TraceSink::disabled()
+        .write_jsonl(&mut nothing)
+        .expect("no-op");
+    assert!(nothing.is_empty());
+}

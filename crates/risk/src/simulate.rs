@@ -210,9 +210,9 @@ pub fn sweep_plan(
 
     let sweep_span = obs
         .span("risk", "sweep")
-        .label("scenarios", &scenarios.len().to_string())
-        .label("unique", &routed.len().to_string())
-        .label("demands", &demands.len().to_string());
+        .label_fmt("scenarios", scenarios.len())
+        .label_fmt("unique", routed.len())
+        .label_fmt("demands", demands.len());
     let per_routed: Vec<Vec<Rate>> =
         sweep_ordered_obs(routed, config.workers, obs, |scenario_idx| {
             let unique = plan.unique_of(scenario_idx);

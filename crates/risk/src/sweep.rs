@@ -119,13 +119,10 @@ where
             let out = job(i);
             let dur = clock.now_ms().saturating_sub(t0) as f64;
             scenario_ms.record(dur);
-            trace.push_child(entitlement_obs::TraceEvent::new(
-                t0,
-                "risk",
-                "scenario",
-                vec![("scenario".to_string(), i.to_string())],
-                dur,
-            ));
+            trace
+                .child(t0, dur, "risk", "scenario")
+                .label_fmt("scenario", i)
+                .finish();
             out
         });
     }

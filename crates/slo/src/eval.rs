@@ -78,17 +78,6 @@ pub struct SloEvaluator {
     states: BTreeMap<(String, String), EntityState>,
 }
 
-/// Shortest-round-trip float formatting: `format!("{v}")` is exact
-/// under `str::parse::<f64>`, which is what keeps the in-process fold
-/// and the offline trace fold byte-identical.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
 impl SloEvaluator {
     /// New evaluator under `policy`.
     #[must_use]
@@ -135,20 +124,16 @@ impl SloEvaluator {
         st.sum_approved_bps += o.approved_bps;
         let cycle = st.intervals;
 
-        obs.event(
-            "slo",
-            "interval",
-            &[
-                ("entity", &o.entity),
-                ("qos", &o.qos),
-                ("target", &fmt_f64(o.target)),
-                ("demand_bps", &fmt_f64(o.demand_bps)),
-                ("delivered_bps", &fmt_f64(o.delivered_bps)),
-                ("approved_bps", &fmt_f64(o.approved_bps)),
-                ("measurable", if o.measurable { "true" } else { "false" }),
-                ("good", if good { "true" } else { "false" }),
-            ],
-        );
+        obs.point("slo", "interval")
+            .label("entity", &o.entity)
+            .label("qos", &o.qos)
+            .label_f64("target", o.target)
+            .label_f64("demand_bps", o.demand_bps)
+            .label_f64("delivered_bps", o.delivered_bps)
+            .label_f64("approved_bps", o.approved_bps)
+            .label("measurable", if o.measurable { "true" } else { "false" })
+            .label("good", if good { "true" } else { "false" })
+            .finish();
 
         if let Some(t) = st.alert.observe(!good) {
             let event = AlertEvent {
@@ -164,18 +149,14 @@ impl SloEvaluator {
                 AlertKind::Fire => "alert_fire",
                 AlertKind::Clear => "alert_clear",
             };
-            obs.event(
-                "slo",
-                phase,
-                &[
-                    ("entity", &o.entity),
-                    ("qos", &o.qos),
-                    ("cycle", &cycle.to_string()),
-                    ("window", &event.window),
-                    ("fast_burn", &fmt_f64(t.fast_burn)),
-                    ("slow_burn", &fmt_f64(t.slow_burn)),
-                ],
-            );
+            obs.point("slo", phase)
+                .label("entity", &o.entity)
+                .label("qos", &o.qos)
+                .label_fmt("cycle", cycle)
+                .label("window", &event.window)
+                .label_f64("fast_burn", t.fast_burn)
+                .label_f64("slow_burn", t.slow_burn)
+                .finish();
             st.alerts.push(event);
         }
     }

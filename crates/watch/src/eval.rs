@@ -26,7 +26,7 @@
 use crate::config::WatchPolicy;
 use crate::detector::{Cusum, EwmaDrift, WatchKind, WatchTransition};
 use crate::monitor::{
-    check_delivery, check_fractions, check_residual, check_shard_sum, fmt_f64,
+    check_delivery, check_fractions, check_residual, check_shard_sum,
 };
 use crate::report::{DetectorEvent, Violation, WatchReport};
 use entitlement_analyzer::Code;
@@ -140,18 +140,14 @@ impl WatchEvaluator {
         // slot stays -1 and the offending shard (if any) is named in
         // the detail text.
         let shard = -1i64;
-        obs.event(
-            "watch",
-            "violation",
-            &[
-                ("code", code.as_str()),
-                ("entity", entity),
-                ("qos", qos),
-                ("shard", &shard.to_string()),
-                ("cycle", &cycle.to_string()),
-                ("detail", &detail),
-            ],
-        );
+        obs.point("watch", "violation")
+            .label("code", code.as_str())
+            .label("entity", entity)
+            .label("qos", qos)
+            .label_fmt("shard", shard)
+            .label_fmt("cycle", cycle)
+            .label("detail", &detail)
+            .finish();
         self.violations.push(Violation {
             code,
             entity: entity.to_string(),
@@ -175,17 +171,13 @@ impl WatchEvaluator {
             WatchKind::Fire => "fire",
             WatchKind::Clear => "clear",
         };
-        obs.event(
-            "watch",
-            phase,
-            &[
-                ("code", code.as_str()),
-                ("entity", entity),
-                ("qos", qos),
-                ("cycle", &cycle.to_string()),
-                ("stat", &fmt_f64(t.stat)),
-            ],
-        );
+        obs.point("watch", phase)
+            .label("code", code.as_str())
+            .label("entity", entity)
+            .label("qos", qos)
+            .label_fmt("cycle", cycle)
+            .label_f64("stat", t.stat)
+            .finish();
         self.transitions.push(DetectorEvent {
             code,
             entity: entity.to_string(),
@@ -225,21 +217,17 @@ impl WatchEvaluator {
         }
         let settled = st.settled_for >= policy.settle_cycles;
 
-        obs.event(
-            "watch",
-            "cycle",
-            &[
-                ("entity", &o.entity),
-                ("qos", &o.qos),
-                ("demand_bps", &fmt_f64(o.demand_bps)),
-                ("delivered_bps", &fmt_f64(o.delivered_bps)),
-                ("approved_bps", &fmt_f64(o.approved_bps)),
-                ("marked_fraction", &fmt_f64(o.marked_fraction)),
-                ("conform_fraction", &fmt_f64(o.conform_fraction)),
-                ("staleness_ms", &fmt_f64(o.staleness_ms)),
-                ("measurable", if o.measurable { "true" } else { "false" }),
-            ],
-        );
+        obs.point("watch", "cycle")
+            .label("entity", &o.entity)
+            .label("qos", &o.qos)
+            .label_f64("demand_bps", o.demand_bps)
+            .label_f64("delivered_bps", o.delivered_bps)
+            .label_f64("approved_bps", o.approved_bps)
+            .label_f64("marked_fraction", o.marked_fraction)
+            .label_f64("conform_fraction", o.conform_fraction)
+            .label_f64("staleness_ms", o.staleness_ms)
+            .label("measurable", if o.measurable { "true" } else { "false" })
+            .finish();
 
         // W0101 delivery conservation (settled, measurable cycles only).
         if settled && o.measurable {
@@ -307,18 +295,17 @@ impl WatchEvaluator {
         st.shard_checks += 1;
         let cycle = st.shard_checks;
 
-        let mut labels: Vec<(String, String)> = vec![
-            ("entity".to_string(), entity.to_string()),
-            ("qos".to_string(), qos.to_string()),
-            ("total_bps".to_string(), fmt_f64(total_bps)),
-            ("shards".to_string(), shard_bps.len().to_string()),
-        ];
-        for (s, v) in shard_bps.iter().enumerate() {
-            labels.push((format!("s{s}"), fmt_f64(*v)));
+        if obs.enabled() {
+            let mut event = obs
+                .point("watch", "shards")
+                .label("entity", entity)
+                .label("qos", qos)
+                .label_f64("total_bps", total_bps)
+                .label_fmt("shards", shard_bps.len());
+            for (s, v) in shard_bps.iter().enumerate() {
+                event.add_label_f64(&format!("s{s}"), *v);
+            }
         }
-        let refs: Vec<(&str, &str)> =
-            labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-        obs.event("watch", "shards", &refs);
 
         if let Some(detail) = check_shard_sum(total_bps, shard_bps) {
             self.violation(obs, Code::W0102, entity, qos, cycle, detail);
@@ -330,19 +317,15 @@ impl WatchEvaluator {
     pub fn observe_admit(&mut self, obs: &Obs, o: &AdmitObs) {
         self.admit.admits += 1;
         let cycle = self.admit.admits;
-        obs.event(
-            "watch",
-            "admit",
-            &[
-                ("request", &o.request.to_string()),
-                ("ask_bps", &fmt_f64(o.ask_bps)),
-                ("granted_bps", &fmt_f64(o.granted_bps)),
-                ("residual_before_bps", &fmt_f64(o.residual_before_bps)),
-                ("residual_after_bps", &fmt_f64(o.residual_after_bps)),
-                ("admit_ms", &fmt_f64(o.admit_ms)),
-                ("path", &o.path),
-            ],
-        );
+        obs.point("watch", "admit")
+            .label_fmt("request", o.request)
+            .label_f64("ask_bps", o.ask_bps)
+            .label_f64("granted_bps", o.granted_bps)
+            .label_f64("residual_before_bps", o.residual_before_bps)
+            .label_f64("residual_after_bps", o.residual_after_bps)
+            .label_f64("admit_ms", o.admit_ms)
+            .label("path", &o.path)
+            .finish();
         if let Some(detail) = check_residual(
             o.residual_before_bps,
             o.residual_after_bps,

@@ -8,6 +8,7 @@
 //! runs with the same seed (no wall clock anywhere).
 
 use entitlement_obs::{Clock, Obs};
+use std::io::Write as _;
 
 /// Parsed `--trace` / `--metrics` destinations.
 #[derive(Clone, Debug, Default)]
@@ -56,9 +57,15 @@ impl TelemetrySpec {
     pub fn write(&self, obs: &Obs) -> Result<Vec<String>, String> {
         let mut written = Vec::new();
         if let Some(path) = &self.trace {
-            let jsonl = obs.trace.to_jsonl();
+            // Streamed: the trace never exists as one string.
             let events = obs.trace.len();
-            std::fs::write(path, jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
+            std::fs::File::create(path)
+                .and_then(|file| {
+                    let mut out = std::io::BufWriter::new(file);
+                    obs.trace.write_jsonl(&mut out)?;
+                    out.flush()
+                })
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
             written.push(format!("{events} trace event(s) written to {path}"));
         }
         if let Some(path) = &self.metrics {

@@ -6,6 +6,7 @@
 
 use std::collections::BTreeSet;
 
+use network_entitlement::kvstore::key_hash;
 use network_entitlement::obs::{parse_trace, validate_prometheus, Clock, Obs};
 use network_entitlement::prelude::{run_drill_obs, DrillConfig};
 use network_entitlement::telemetry::traced_approval_preamble;
@@ -97,3 +98,75 @@ fn rendered_metrics_validate_as_prometheus_text() {
         assert!(text.contains(metric), "missing {metric}");
     }
 }
+
+/// A small seeded admission storm with asks big enough to exhaust
+/// slots: index and sweep paths, grants, partials and denials with
+/// their provenance ledger, and the watchdog's per-admit events.
+fn seeded_storm(seed: u64) -> Obs {
+    use network_entitlement::approval::ApprovalConfig;
+    use network_entitlement::core::{QosBucket, Quarter};
+    use network_entitlement::market::{
+        generate_storm, run_storm_watch, EntitlementMarket, SliceGrid, StormConfig,
+    };
+    use network_entitlement::topology::BackboneSpec;
+    use network_entitlement::watch::WatchPolicy;
+
+    let obs = Obs::new(Clock::counting(1));
+    let config = ApprovalConfig {
+        max_cuts: 1,
+        ..Default::default()
+    };
+    let mut market = EntitlementMarket::new(
+        BackboneSpec::small(seed).build(),
+        SliceGrid::quarterly(Quarter(0), 30),
+        config,
+    );
+    let buckets = QosBucket::approval_order();
+    market.warm(&buckets, &obs);
+    let storm = StormConfig {
+        requests: 400,
+        seed,
+        max_ask_gbps: 2000.0,
+        ..Default::default()
+    };
+    let requests = generate_storm(&market, &buckets, &storm);
+    let _ = run_storm_watch(&mut market, &requests, &obs, &WatchPolicy::default());
+    obs
+}
+
+/// Cross-commit byte pin. Every other determinism gate compares a run
+/// with itself, so a change that moves both sides the same way — a
+/// label renamed, a float formatted differently, a clock read added
+/// (which shifts every later `ts_ms` under the counting clock) — passes
+/// them all. These constants were computed on the commit *before* the
+/// trace sink was rebuilt around arenas; a deliberate format change
+/// regenerates them in the same PR that makes it, with `obs diff`
+/// naming what moved.
+#[test]
+fn telemetry_bytes_match_the_pinned_digests() {
+    let runs = [
+        ("storm", seeded_storm(4960), STORM_TRACE_PIN, STORM_METRICS_PIN),
+        ("drill", seeded_run(0xE17), DRILL_TRACE_PIN, DRILL_METRICS_PIN),
+    ];
+    for (name, obs, trace_pin, metrics_pin) in runs {
+        let trace = obs.trace.to_jsonl();
+        let metrics = obs.registry.render();
+        assert_eq!(
+            (trace.len(), key_hash(&trace)),
+            trace_pin,
+            "{name}: trace bytes moved"
+        );
+        assert_eq!(
+            (metrics.len(), key_hash(&metrics)),
+            metrics_pin,
+            "{name}: metrics bytes moved"
+        );
+    }
+}
+
+// (byte length, FNV-1a-64 — `kvstore::key_hash`), computed on commit
+// be042a1 (PR 15).
+const STORM_TRACE_PIN: (usize, u64) = (1_037_808, 0xe86c_9e01_d3ad_1530);
+const STORM_METRICS_PIN: (usize, u64) = (12_468, 0x7a66_2ca9_b182_ff78);
+const DRILL_TRACE_PIN: (usize, u64) = (54_358, 0x1dfa_a583_3d27_c24a);
+const DRILL_METRICS_PIN: (usize, u64) = (20_425, 0x041c_407d_858d_f8bd);
