@@ -6,7 +6,7 @@ use entitlement_hose::{generate_tms, HoseRequest, TmGenConfig};
 use entitlement_obs::Obs;
 use entitlement_risk::{sweep_plan, AvailabilityCurve, RiskConfig};
 use entitlement_topology::routing::Demand;
-use entitlement_topology::{LinkId, RoutePlan, ScenarioSet, Topology};
+use entitlement_topology::{RoutePlan, ScenarioSet, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -167,19 +167,6 @@ pub fn pipe_approval(
     )
 }
 
-/// Binding-link sets rendered for trace labels: `"none"` for the
-/// healthy scenario, else `"l3+l7"`.
-fn fmt_links(links: &[LinkId]) -> String {
-    if links.is_empty() {
-        return "none".to_string();
-    }
-    links
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join("+")
-}
-
 /// [`pipe_approval`] with telemetry: an `approval`/`pipe_approval` span
 /// labelled with the pipe count and SLO target, plus the risk sweep's
 /// own spans and histograms (see
@@ -277,7 +264,7 @@ fn pipe_approval_in(
                     let sc = &scenarios.scenarios[s];
                     event
                         .label("binding_scenario", &sc.label)
-                        .label("binding_links", &fmt_links(&sc.dead_links))
+                        .label("binding_links", &sc.links_label())
                         .label_fmt("binding_p", sc.probability)
                 }
                 None => event

@@ -149,6 +149,11 @@ fn verdict(e: &TraceEvent) -> String {
     let headroom_zero = e.label("headroom_gbps") == Some("0");
     let residual_zero = e.label("residual_before_gbps") == Some("0");
     let body = match label(e, "outcome") {
+        _ if e.label("rejected").is_some() => format!(
+            "the request was refused for its {}: nothing was looked up, \
+             swept or decremented",
+            label(e, "rejected")
+        ),
         "denied" if headroom_zero && scenario == "infeasible" => format!(
             "no scenario mass meets the SLO for DC pair {pair}: \
              nothing can be guaranteed at this availability"
@@ -261,6 +266,30 @@ mod tests {
         assert!(text.contains("causal trace:"), "{text}");
         assert!(text.contains("market/index_probe"), "{text}");
         assert!(text.contains("critical path: market/admit"), "{text}");
+    }
+
+    #[test]
+    fn a_rejected_ask_is_explained_by_the_ask() {
+        let topo = BackboneSpec::small(7).build();
+        let grid = SliceGrid::quarterly(Quarter(0), 30);
+        let mut market = EntitlementMarket::new(topo, grid, ApprovalConfig::default());
+        let buckets = QosBucket::approval_order();
+        let storm = StormConfig {
+            requests: 1,
+            ..Default::default()
+        };
+        let mut req = generate_storm(&market, &buckets, &storm)[0];
+        req.slice = crate::slice::SliceId(grid.slice_count());
+        let obs = Obs::new(Clock::counting(1));
+        market.admit_obs(&req, &obs);
+        let text = explain_request(&obs.trace.events(), 0).unwrap();
+        assert!(
+            text.contains("decision: denied 0 Gbps via index path"),
+            "{text}"
+        );
+        assert!(text.contains("refused for its slice"), "{text}");
+        assert!(text.contains("market/index_probe"), "{text}");
+        assert!(text.contains("state=rejected"), "{text}");
     }
 
     #[test]

@@ -3,9 +3,17 @@
 //! For each `(src, dst, bucket, slice)` the index caches the
 //! SLO-feasible headroom the backbone can carry for that pair *on top
 //! of* the committed background, derived from one risk sweep. A warm
-//! admit is then a lookup plus a decrement — no sweep.
+//! admit is then one array probe — no sweep, no search.
 //!
-//! **Freshness invariant**: every slot records the index epoch it was
+//! **Layout**: the key space is dense, so a key's position is
+//! arithmetic. A `regions × regions` table maps a directed pair to its
+//! row; a row holds `slices × 8` cells, and a key's cell sits at
+//! `slice * 8 + bucket.rank()` within it. A cell no install has reached
+//! carries a sentinel epoch, so cold, stale, exhausted and fresh are
+//! all read off the one cell. A key outside the table is cold, never a
+//! panic. DESIGN.md §13 has the sizes.
+//!
+//! **Freshness invariant**: every cell records the index epoch it was
 //! built under. Any event that could change physical headroom (contract
 //! load, topology fault, fault clear) bumps the epoch, which makes every
 //! existing slot stale at once; stale slots are *never* served — the
@@ -20,9 +28,7 @@ use entitlement_core::{QosBucket, Rate, RegionId, SloTarget};
 use entitlement_obs::Obs;
 use entitlement_risk::{sweep_plan, RiskConfig, RiskSamples};
 use entitlement_topology::routing::Demand;
-use entitlement_topology::{LinkId, RoutePlan, ScenarioSet, Topology};
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use entitlement_topology::{RoutePlan, ScenarioSet, Topology};
 use std::sync::Arc;
 
 /// Index key: directed region pair, bucket, slice.
@@ -50,22 +56,10 @@ impl IndexKey {
     }
 }
 
-/// One cached headroom slot.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct IndexSlot {
-    /// Remaining SLO-feasible headroom for the key.
-    pub remaining: Rate,
-    /// Total granted against this key so far (survives invalidation:
-    /// grants are real regardless of index freshness).
-    pub consumed: Rate,
-    /// Epoch the headroom was computed under.
-    pub built_epoch: u64,
-}
-
 /// Why a slot's headroom is what it is: the scenario that was binding
-/// when the headroom sweep ran. Kept in a side map (not inside
-/// [`IndexSlot`], which stays `Copy`) and surfaced in the
-/// decision-provenance labels of every admit served off the slot.
+/// when the headroom sweep ran. One record per sweep, shared by every
+/// cell that sweep installed, and surfaced in the decision-provenance
+/// labels of every admit served off the slot.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SlotProvenance {
     /// Label of the binding failure scenario (e.g. `ok`,
@@ -81,36 +75,104 @@ pub struct SlotProvenance {
     pub headroom: Rate,
 }
 
-/// Render a dead-link set for provenance labels: `l3+l7`, or `none`.
-#[must_use]
-pub fn fmt_links(links: &[LinkId]) -> String {
-    if links.is_empty() {
-        return "none".to_string();
-    }
-    let mut out = String::new();
-    for (i, l) in links.iter().enumerate() {
-        if i > 0 {
-            out.push('+');
-        }
-        let _ = write!(out, "{l}");
-    }
-    out
+/// Cells per slice: one per approval bucket, at [`QosBucket::rank`].
+const BUCKETS: usize = 8;
+
+/// [`Cell::built`] of a cell no install has reached. Epochs count up
+/// from zero one invalidation at a time and never get here.
+const NEVER_BUILT: u64 = u64::MAX;
+
+/// Pair-table entry of a directed pair that has no row.
+const NO_ROW: usize = usize::MAX;
+
+/// One cached headroom slot.
+#[derive(Clone, Debug)]
+struct Cell {
+    /// Remaining SLO-feasible headroom for the key.
+    remaining: Rate,
+    /// Total granted against this key so far (survives invalidation:
+    /// grants are real regardless of index freshness).
+    consumed: Rate,
+    /// Epoch the headroom was computed under, or [`NEVER_BUILT`].
+    built: u64,
+    /// Survives epoch bumps alongside the cell: it explains the *last
+    /// computed* headroom, which is what the cell still holds.
+    provenance: Option<Arc<SlotProvenance>>,
 }
 
-/// The residual index: headroom slots plus the freshness epoch.
+impl Cell {
+    const NEVER: Cell = Cell {
+        remaining: Rate::ZERO,
+        consumed: Rate::ZERO,
+        built: NEVER_BUILT,
+        provenance: None,
+    };
+
+    /// Servable under `epoch`: built under it and not yet empty.
+    fn is_fresh(&self, epoch: u64) -> bool {
+        self.built == epoch && !self.remaining.is_zero()
+    }
+
+    fn state(&self, epoch: u64) -> &'static str {
+        if self.is_fresh(epoch) {
+            "fresh"
+        } else if self.built == epoch {
+            "exhausted"
+        } else if self.built == NEVER_BUILT {
+            "cold"
+        } else {
+            "stale"
+        }
+    }
+
+    /// Grant `ask.min(remaining)` and decrement in place; returns
+    /// `(residual_before, granted)`.
+    fn grant(&mut self, ask: Rate) -> (Rate, Rate) {
+        let before = self.remaining;
+        let granted = ask.min(before);
+        self.consume(granted);
+        (before, granted)
+    }
+
+    fn consume(&mut self, granted: Rate) {
+        self.remaining = (self.remaining - granted).clamp_zero();
+        self.consumed += granted;
+    }
+}
+
+/// The residual index: one dense table of headroom cells plus the
+/// freshness epoch.
 #[derive(Clone, Debug, Default)]
 pub struct ResidualIndex {
-    slots: BTreeMap<IndexKey, IndexSlot>,
-    /// One record per sweep, shared by every key that sweep installed
-    /// (a warm-up sweep fills all slices of a pair and bucket).
-    provenance: BTreeMap<IndexKey, Arc<SlotProvenance>>,
+    /// `regions × regions`, row-major by source: the pair's row number,
+    /// or [`NO_ROW`].
+    pair_rows: Vec<usize>,
+    regions: usize,
+    /// Slices per row; a row is `slices * BUCKETS` cells.
+    slices: usize,
+    cells: Vec<Cell>,
     epoch: u64,
 }
 
 impl ResidualIndex {
-    /// Empty (cold) index.
+    /// Empty (cold) index over an empty key space. Installs grow the
+    /// table to span whatever key they name, so keys that come from
+    /// outside are checked before they get here — the market does, and
+    /// sizes its index up front from its topology and grid.
     pub fn new() -> ResidualIndex {
         ResidualIndex::default()
+    }
+
+    /// Empty index whose pair table and row stride already span
+    /// `regions` regions and `slices` slices: no install inside that
+    /// space moves a cell.
+    pub(crate) fn with_space(regions: usize, slices: usize) -> ResidualIndex {
+        ResidualIndex {
+            pair_rows: vec![NO_ROW; regions * regions],
+            regions,
+            slices,
+            ..ResidualIndex::default()
+        }
     }
 
     /// The current freshness epoch.
@@ -119,40 +181,108 @@ impl ResidualIndex {
     }
 
     /// Invalidate every slot at once by advancing the epoch. O(1): the
-    /// slots stay in place but [`ResidualIndex::fresh_remaining`] stops
-    /// serving them.
+    /// cells stay in place but nothing serves them any more.
     pub fn invalidate_all(&mut self) {
         self.epoch += 1;
+    }
+
+    /// Where a key's cell is, if the table spans the key and its pair
+    /// has a row.
+    fn position(&self, key: &IndexKey) -> Option<usize> {
+        let (src, dst, slice) = (key.src.index(), key.dst.index(), key.slice.0 as usize);
+        if src >= self.regions || dst >= self.regions || slice >= self.slices {
+            return None;
+        }
+        let row = *self.pair_rows.get(src * self.regions + dst)?;
+        (row != NO_ROW)
+            .then(|| (row * self.slices + slice) * BUCKETS + usize::from(key.bucket.rank()))
+    }
+
+    /// A key's cell, if an install has reached it.
+    fn cell(&self, key: &IndexKey) -> Option<&Cell> {
+        self.cells
+            .get(self.position(key)?)
+            .filter(|c| c.built != NEVER_BUILT)
+    }
+
+    fn cell_mut(&mut self, key: &IndexKey) -> Option<&mut Cell> {
+        let at = self.position(key)?;
+        self.cells.get_mut(at).filter(|c| c.built != NEVER_BUILT)
+    }
+
+    /// Grow the table until it spans `key` and the key's pair has a
+    /// row. Cells move only when a dimension actually grows.
+    fn cover(&mut self, key: &IndexKey) {
+        let (src, dst, slice) = (key.src.index(), key.dst.index(), key.slice.0 as usize);
+        let regions = self.regions.max(src.max(dst) + 1);
+        if regions > self.regions {
+            let mut pair_rows = vec![NO_ROW; regions * regions];
+            let old_rows = self.pair_rows.chunks(self.regions.max(1));
+            for (old, new) in old_rows.zip(pair_rows.chunks_mut(regions)) {
+                new[..old.len()].copy_from_slice(old);
+            }
+            self.pair_rows = pair_rows;
+            self.regions = regions;
+        }
+        if slice >= self.slices {
+            let (old_stride, stride) = (self.slices * BUCKETS, (slice + 1) * BUCKETS);
+            let rows = self.cells.len() / old_stride.max(1);
+            let mut old = std::mem::take(&mut self.cells).into_iter();
+            self.cells.reserve_exact(rows * stride);
+            for _ in 0..rows {
+                self.cells.extend(old.by_ref().take(old_stride));
+                self.cells
+                    .resize(self.cells.len() + stride - old_stride, Cell::NEVER);
+            }
+            self.slices = slice + 1;
+        }
+        let stride = self.slices * BUCKETS;
+        let row = self.pair_rows.get_mut(src * self.regions + dst);
+        if let Some(row) = row.filter(|row| **row == NO_ROW) {
+            *row = self.cells.len() / stride;
+            self.cells.resize(self.cells.len() + stride, Cell::NEVER);
+        }
+    }
+
+    /// (Re)build a key's cell from a sweep decision under the current
+    /// epoch, growing the table to reach it. A provenance record, if
+    /// one comes along, replaces the cell's.
+    fn build(
+        &mut self,
+        key: &IndexKey,
+        headroom: Rate,
+        provenance: Option<Arc<SlotProvenance>>,
+    ) -> Option<&mut Cell> {
+        self.cover(key);
+        let at = self.position(key)?;
+        let cell = self.cells.get_mut(at)?;
+        cell.remaining = (headroom - cell.consumed).clamp_zero();
+        cell.built = self.epoch;
+        if provenance.is_some() {
+            cell.provenance = provenance;
+        }
+        Some(cell)
     }
 
     /// Remaining headroom for a key — only if the slot was built under
     /// the current epoch. Stale slots are never served.
     pub fn fresh_remaining(&self, key: &IndexKey) -> Option<Rate> {
-        self.slots
-            .get(key)
-            .filter(|s| s.built_epoch == self.epoch)
-            .map(|s| s.remaining)
+        self.cell(key)
+            .filter(|c| c.built == self.epoch)
+            .map(|c| c.remaining)
     }
 
     /// Rate already granted against a key (fresh or stale: consumption
     /// is real either way).
     pub fn consumed(&self, key: &IndexKey) -> Rate {
-        self.slots.get(key).map_or(Rate::ZERO, |s| s.consumed)
+        self.cell(key).map_or(Rate::ZERO, |c| c.consumed)
     }
 
     /// Install (or refresh) a slot from a sweep decision: `headroom` is
     /// the physical SLO-feasible volume for the pair, from which the
     /// key's prior consumption is subtracted.
     pub fn install(&mut self, key: IndexKey, headroom: Rate) {
-        let consumed = self.consumed(&key);
-        self.slots.insert(
-            key,
-            IndexSlot {
-                remaining: (headroom - consumed).clamp_zero(),
-                consumed,
-                built_epoch: self.epoch,
-            },
-        );
+        self.build(&key, headroom, None);
     }
 
     /// [`ResidualIndex::install`] plus the sweep's provenance record,
@@ -171,24 +301,51 @@ impl ResidualIndex {
         headroom: Rate,
         provenance: Arc<SlotProvenance>,
     ) {
-        self.install(key, headroom);
-        self.provenance.insert(key, provenance);
+        self.build(&key, headroom, Some(provenance));
+    }
+
+    /// The sweep path's one walk: [`ResidualIndex::install_with`], then
+    /// grant `ask` from whatever the rebuilt slot holds. Returns
+    /// `(residual_before, granted)`.
+    pub(crate) fn install_serve(
+        &mut self,
+        key: IndexKey,
+        headroom: Rate,
+        provenance: SlotProvenance,
+        ask: Rate,
+    ) -> (Rate, Rate) {
+        self.build(&key, headroom, Some(Arc::new(provenance)))
+            .map_or((Rate::ZERO, Rate::ZERO), |cell| cell.grant(ask))
+    }
+
+    /// The index path's one probe: classify the key's slot and, if it
+    /// is fresh, grant `ask.min(remaining)` and decrement in place.
+    /// Returns `(residual_before, granted)`.
+    ///
+    /// # Errors
+    ///
+    /// The [`ResidualIndex::slot_state`] label of a slot that cannot
+    /// serve (`exhausted`, `stale`, `cold`); the slot is untouched.
+    pub fn serve(&mut self, key: &IndexKey, ask: Rate) -> Result<(Rate, Rate), &'static str> {
+        let epoch = self.epoch;
+        match self.position(key).and_then(|at| self.cells.get_mut(at)) {
+            Some(cell) if cell.is_fresh(epoch) => Ok(cell.grant(ask)),
+            Some(cell) => Err(cell.state(epoch)),
+            None => Err("cold"),
+        }
     }
 
     /// Provenance of a key's slot, if a provenance-carrying install
-    /// recorded one. Survives epoch bumps alongside the slot (it
-    /// explains the *last computed* headroom, which is what the slot
-    /// still holds).
+    /// recorded one. Survives epoch bumps alongside the slot.
     #[must_use]
     pub fn provenance(&self, key: &IndexKey) -> Option<&SlotProvenance> {
-        self.provenance.get(key).map(Arc::as_ref)
+        self.cell(key)?.provenance.as_deref()
     }
 
     /// Decrement a slot after a grant.
     pub fn consume(&mut self, key: &IndexKey, granted: Rate) {
-        if let Some(slot) = self.slots.get_mut(key) {
-            slot.remaining = (slot.remaining - granted).clamp_zero();
-            slot.consumed += granted;
+        if let Some(cell) = self.cell_mut(key) {
+            cell.consume(granted);
         }
     }
 
@@ -197,30 +354,22 @@ impl ResidualIndex {
     /// an older epoch), or `cold` (never built).
     #[must_use]
     pub fn slot_state(&self, key: &IndexKey) -> &'static str {
-        match self.slots.get(key) {
-            Some(s) if s.built_epoch == self.epoch && !s.remaining.is_zero() => "fresh",
-            Some(s) if s.built_epoch == self.epoch => "exhausted",
-            Some(_) => "stale",
-            None => "cold",
-        }
+        self.cell(key).map_or("cold", |c| c.state(self.epoch))
     }
 
     /// Number of slots currently fresh.
     pub fn fresh_len(&self) -> usize {
-        self.slots
-            .values()
-            .filter(|s| s.built_epoch == self.epoch)
-            .count()
+        self.cells.iter().filter(|c| c.built == self.epoch).count()
     }
 
     /// Total number of slots, fresh or stale.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.cells.iter().filter(|c| c.built != NEVER_BUILT).count()
     }
 
     /// Whether the index holds no slots at all.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 }
 
@@ -342,7 +491,7 @@ impl HeadroomProbe {
                     headroom: samples.samples[0][b].0,
                     provenance: SlotProvenance {
                         binding_scenario: scenario.label.clone(),
-                        binding_links: fmt_links(&scenario.dead_links),
+                        binding_links: scenario.links_label(),
                         binding_probability: scenario.probability,
                         headroom: samples.samples[0][b].0,
                     },
@@ -422,10 +571,36 @@ mod tests {
     }
 
     #[test]
-    fn link_sets_render_for_labels() {
-        assert_eq!(fmt_links(&[]), "none");
-        assert_eq!(fmt_links(&[LinkId(3)]), "l3");
-        assert_eq!(fmt_links(&[LinkId(3), LinkId(7)]), "l3+l7");
+    fn a_key_outside_the_table_is_cold() {
+        let mut idx = ResidualIndex::with_space(2, 3);
+        idx.install(key(2), Rate::gbps(10.0));
+        let far = [
+            key(3),
+            key(u32::MAX),
+            IndexKey {
+                src: RegionId(u16::MAX),
+                ..key(0)
+            },
+            IndexKey {
+                dst: RegionId(2),
+                ..key(0)
+            },
+        ];
+        for k in &far {
+            assert_eq!(idx.slot_state(k), "cold");
+            assert_eq!(idx.serve(k, Rate::gbps(1.0)), Err("cold"));
+            idx.consume(k, Rate::gbps(1.0));
+            assert_eq!(idx.consumed(k), Rate::ZERO);
+            assert_eq!(idx.fresh_remaining(k), None);
+            assert_eq!(idx.provenance(k), None);
+        }
+        assert_eq!(idx.len(), 1);
+        // A never-built neighbour inside the table is just as cold.
+        assert_eq!(idx.serve(&key(1), Rate::gbps(1.0)), Err("cold"));
+        assert_eq!(
+            idx.serve(&key(2), Rate::gbps(4.0)),
+            Ok((Rate::gbps(10.0), Rate::gbps(4.0)))
+        );
     }
 
     #[test]

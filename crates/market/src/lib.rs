@@ -38,7 +38,7 @@ pub mod storm;
 pub use book::{EntitlementBook, EntitlementKind, MarketEntitlement, MarketKey};
 pub use explain::{explain_denied, explain_request};
 pub use index::{
-    pair_headroom, pair_headroom_probe, HeadroomProbe, IndexKey, IndexSlot, ResidualIndex,
+    pair_headroom, pair_headroom_probe, HeadroomProbe, IndexKey, ResidualIndex,
     SlotProvenance,
 };
 pub use market::{

@@ -5,8 +5,9 @@
 //! become risk-sweep background; [`EntitlementMarket::warm`] runs one
 //! upfront sweep per region pair, reads it at every bucket's SLO, and
 //! installs the resulting SLO-feasible headroom into the
-//! [`ResidualIndex`] for every time slice. A steady-state [`EntitlementMarket::admit`] is then an index
-//! lookup plus a decrement; only a cold or exhausted slot falls back to
+//! [`ResidualIndex`] for every time slice. A steady-state [`EntitlementMarket::admit`] is then one
+//! probe of that table — classify, grant, decrement in a single
+//! borrow; only a cold, stale or exhausted slot falls back to
 //! the full RSS sweep (the same [`pair_headroom`] kernel the warm-up
 //! ran), whose decision re-installs the slot — the index refreshes
 //! incrementally from decisions, never from scratch. Warm-up and
@@ -166,6 +167,7 @@ impl EntitlementMarket {
         let effective = scenarios.clone();
         let plan = Arc::new(RoutePlan::build(&topo, &effective, config.k_paths));
         let risk = headroom_risk(&[], config.k_paths);
+        let index = ResidualIndex::with_space(topo.region_count(), grid.slice_count() as usize);
         EntitlementMarket {
             topo,
             grid,
@@ -176,7 +178,7 @@ impl EntitlementMarket {
             dead_links: Vec::new(),
             book: EntitlementBook::new(),
             risk,
-            index: ResidualIndex::new(),
+            index,
             grants: BTreeMap::new(),
             admit_seq: 0,
         }
@@ -362,11 +364,36 @@ impl EntitlementMarket {
         self.admit_obs(req, &Obs::disabled())
     }
 
+    /// Which part of an ask cannot be served at all: its `ask` (a
+    /// negative or non-finite rate), `slice` (outside the grid) or
+    /// `region` (outside the topology). An ask is outside input;
+    /// nothing is sized, swept or decremented from one this names.
+    fn rejection(&self, req: &AdmitRequest) -> Option<&'static str> {
+        let regions = self.topo.region_count();
+        if !(0.0..f64::INFINITY).contains(&req.ask.as_bps()) {
+            Some("ask")
+        } else if req.slice.0 >= self.grid.slice_count() {
+            Some("slice")
+        } else if req.src.index() >= regions || req.dst.index() >= regions {
+            Some("region")
+        } else {
+            None
+        }
+    }
+
     /// Serve one admission. Index path when the slot is fresh and has
     /// residual; otherwise the sweep path recomputes the pair's
     /// headroom with the *same kernel* the warm-up used and re-installs
     /// the slot under the current epoch — so an index decision is
     /// bit-equal to the sweep decision it caches.
+    ///
+    /// An ask that cannot be served at all — a negative or non-finite
+    /// rate, a slice outside the grid, a region outside the topology —
+    /// is `Denied` with a zero grant and zero residuals before the
+    /// table, the ledger or the plan sees it. It takes its `request`
+    /// ordinal and, traced, its `market`/`admit` span (labelled
+    /// `rejected`) like any other, and reports [`AdmitPath::Index`]: it
+    /// was decided in O(1) and no sweep ran.
     pub fn admit_obs(&mut self, req: &AdmitRequest, obs: &Obs) -> AdmitDecision {
         let seq = self.admit_seq;
         self.admit_seq += 1;
@@ -380,20 +407,20 @@ impl EntitlementMarket {
         };
         let traced = obs.enabled();
         let epoch = self.index.epoch();
-        let slot_state = self.index.slot_state(&key);
+        let rejected = self.rejection(req);
+        // The one borrow of the table an index-path admit makes.
+        let probe = match rejected {
+            None => self.index.serve(&key, req.ask),
+            Some(_) => Err("rejected"),
+        };
         if traced {
-            obs.event("market", "index_probe", &[("state", slot_state)]);
+            let state = probe.err().unwrap_or("fresh");
+            obs.event("market", "index_probe", &[("state", state)]);
         }
-        let (mut decision, residual_before) = match self.index.fresh_remaining(&key) {
-            Some(remaining) if !remaining.is_zero() => {
-                let granted = req.ask.min(remaining);
-                self.index.consume(&key, granted);
-                (
-                    AdmitDecision::new(req.ask, granted, AdmitPath::Index),
-                    remaining,
-                )
-            }
-            _ => {
+        let (path, residual_before, granted) = match probe {
+            Ok((remaining, granted)) => (AdmitPath::Index, remaining, granted),
+            Err(_) if rejected.is_some() => (AdmitPath::Index, Rate::ZERO, Rate::ZERO),
+            Err(slot_state) => {
                 // Cold, stale, or exhausted: fall closed to the sweep.
                 let fallback = obs
                     .span("market", "sweep_fallback")
@@ -405,16 +432,13 @@ impl EntitlementMarket {
                     Self::slo_for(req.bucket),
                 );
                 fallback.finish();
-                self.index.install_with(key, probe.headroom, probe.provenance);
-                let available = self.index.fresh_remaining(&key).unwrap_or(Rate::ZERO);
-                let granted = req.ask.min(available);
-                self.index.consume(&key, granted);
-                (
-                    AdmitDecision::new(req.ask, granted, AdmitPath::Sweep),
-                    available,
-                )
+                let (available, granted) =
+                    self.index
+                        .install_serve(key, probe.headroom, probe.provenance, req.ask);
+                (AdmitPath::Sweep, available, granted)
             }
         };
+        let mut decision = AdmitDecision::new(req.ask, granted, path);
         decision.residual_before = residual_before;
         decision.residual_after = (residual_before - decision.granted).clamp_zero();
         if !decision.granted.is_zero() {
@@ -431,7 +455,10 @@ impl EntitlementMarket {
             // itself so the trace alone is sufficient evidence. Written
             // once, in key order (the sink's sort finds nothing to do),
             // shortest-round-trip decimal Gbps throughout.
-            let prov = self.index.provenance(&key);
+            let prov = match rejected {
+                None => self.index.provenance(&key),
+                Some(_) => None,
+            };
             span.add_label_fmt("ask_gbps", req.ask.as_gbps());
             if let Some(prov) = prov {
                 span.add_label("binding_links", &prov.binding_links);
@@ -448,6 +475,9 @@ impl EntitlementMarket {
             span.add_label_fmt("npg", req.npg);
             span.add_label("outcome", decision.outcome.as_str());
             span.add_label("path", decision.path.as_str());
+            if let Some(why) = rejected {
+                span.add_label("rejected", why);
+            }
             span.add_label_fmt("request", seq);
             span.add_label_fmt("residual_after_gbps", decision.residual_after.as_gbps());
             span.add_label_fmt("residual_before_gbps", residual_before.as_gbps());

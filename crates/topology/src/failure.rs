@@ -20,6 +20,7 @@ use crate::graph::{LinkId, Topology};
 use entitlement_core::{DetRng, RegionId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// One failure scenario: a set of dead links plus its probability weight.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -40,6 +41,23 @@ impl FailureScenario {
             probability,
             label: "ok".into(),
         }
+    }
+
+    /// The dead-link set as a trace label: `l3+l7`, or `none` for the
+    /// healthy scenario.
+    #[must_use]
+    pub fn links_label(&self) -> String {
+        if self.dead_links.is_empty() {
+            return "none".to_string();
+        }
+        let mut out = String::new();
+        for (i, l) in self.dead_links.iter().enumerate() {
+            if i > 0 {
+                out.push('+');
+            }
+            let _ = write!(out, "{l}");
+        }
+        out
     }
 }
 
@@ -190,6 +208,17 @@ impl ScenarioSet {
 mod tests {
     use super::*;
     use crate::generator::BackboneSpec;
+
+    #[test]
+    fn link_sets_render_for_labels() {
+        let cut = |dead_links: Vec<LinkId>| FailureScenario {
+            dead_links,
+            ..FailureScenario::healthy(1.0)
+        };
+        assert_eq!(cut(vec![]).links_label(), "none");
+        assert_eq!(cut(vec![LinkId(3)]).links_label(), "l3");
+        assert_eq!(cut(vec![LinkId(3), LinkId(7)]).links_label(), "l3+l7");
+    }
 
     #[test]
     fn fiber_groups_pair_duplex_links() {

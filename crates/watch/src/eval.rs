@@ -330,6 +330,7 @@ impl WatchEvaluator {
             o.residual_before_bps,
             o.residual_after_bps,
             o.granted_bps,
+            o.ask_bps,
         ) {
             self.violation(obs, Code::W0103, "market", "-", cycle, detail);
         }

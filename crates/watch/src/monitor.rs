@@ -72,15 +72,28 @@ pub fn check_shard_sum(total_bps: f64, shard_bps: &[f64]) -> Option<String> {
     None
 }
 
-/// W0103 — residual monotonicity: a residual-index decrement never
-/// goes negative, never grows the residual, and lands exactly on
-/// `max(before − granted, 0)`.
+/// W0103 — residual monotonicity: a grant is never negative and, when
+/// anything was granted, never more than the ask (a NaN ask fails the
+/// comparison); the residual-index decrement never goes negative, never
+/// grows the residual, and lands exactly on `max(before − granted, 0)`.
 #[must_use]
 pub fn check_residual(
     before_bps: f64,
     after_bps: f64,
     granted_bps: f64,
+    ask_bps: f64,
 ) -> Option<String> {
+    // A denial grants exactly zero whatever was asked, so a zero grant
+    // passes against any ask — also against one the trace's float
+    // policy rewrote (non-finite -> 0), which keeps an offline re-fold
+    // equal to the live verdict.
+    if !(granted_bps == 0.0 || (0.0..=ask_bps).contains(&granted_bps)) {
+        return Some(format!(
+            "granted {} is not within [0, ask {}]",
+            fmt_f64(granted_bps),
+            fmt_f64(ask_bps)
+        ));
+    }
     if before_bps < 0.0 || after_bps < 0.0 {
         return Some(format!(
             "negative residual: before {} after {}",
@@ -165,13 +178,24 @@ mod tests {
 
     #[test]
     fn residual_decrement_must_be_exact() {
-        assert!(check_residual(10.0, 7.5, 2.5).is_none());
+        assert!(check_residual(10.0, 7.5, 2.5, 2.5).is_none());
         // Over-grant clamps at zero.
-        assert!(check_residual(1.0, 0.0, 2.5).is_none());
-        assert!(check_residual(-1.0, 0.0, 0.0).is_some(), "negative before");
-        assert!(check_residual(1.0, -0.5, 0.0).is_some(), "negative after");
-        assert!(check_residual(1.0, 2.0, 0.0).is_some(), "residual grew");
-        assert!(check_residual(10.0, 7.0, 2.5).is_some(), "wrong decrement");
+        assert!(check_residual(1.0, 0.0, 2.5, 2.5).is_none());
+        assert!(check_residual(-1.0, 0.0, 0.0, 1.0).is_some(), "negative before");
+        assert!(check_residual(1.0, -0.5, 0.0, 1.0).is_some(), "negative after");
+        assert!(check_residual(1.0, 2.0, 0.0, 1.0).is_some(), "residual grew");
+        assert!(check_residual(10.0, 7.0, 2.5, 2.5).is_some(), "wrong decrement");
+    }
+
+    #[test]
+    fn a_grant_stays_within_its_ask() {
+        assert!(check_residual(10.0, 10.0, 0.0, 5.0).is_none(), "plain denial");
+        assert!(check_residual(10.0, 10.0, 0.0, -100.0).is_none(), "bad ask, denied");
+        assert!(check_residual(10.0, 10.0, 0.0, f64::NAN).is_none(), "bad ask, denied");
+        assert!(check_residual(10.0, 7.0, 3.0, 2.5).is_some(), "granted over the ask");
+        assert!(check_residual(10.0, 0.0, 10.0, f64::NAN).is_some(), "NaN ask served");
+        // The parent's bug: a negative ask "granted", minting headroom.
+        assert!(check_residual(10.0, 10.0, -100.0, -100.0).is_some(), "negative grant");
     }
 
     #[test]

@@ -133,6 +133,10 @@ const HOT_PATH_CRATES: &[&str] = &[
     // fleet cycle: a poisoned lock is recovered, never unwrapped.
     "crates/obs/src/trace",
     "crates/obs/src/registry",
+    // Every admit: the table probe and the decision around it. A key
+    // outside the table is cold, never a panic.
+    "crates/market/src/index",
+    "crates/market/src/market",
 ];
 
 struct Finding {

@@ -7,9 +7,10 @@
 //! so concurrent tests do not see each other.
 
 use network_entitlement::approval::ApprovalConfig;
-use network_entitlement::core::{QosBucket, Quarter};
+use network_entitlement::core::{NpgId, QosBucket, Quarter, Rate, RegionId};
 use network_entitlement::market::{
-    generate_storm, AdmitPath, AdmitRequest, EntitlementMarket, SliceGrid, StormConfig,
+    generate_storm, AdmitOutcome, AdmitPath, AdmitRequest, EntitlementMarket, IndexKey, MarketKey,
+    SliceGrid, SliceId, StormConfig,
 };
 use network_entitlement::obs::{Clock, Obs};
 use network_entitlement::topology::BackboneSpec;
@@ -108,6 +109,157 @@ fn a_plain_index_admit_allocates_nothing() {
         }
     });
     assert_eq!(n, 0, "{} untraced index-path admits", requests.len());
+}
+
+/// The benchmark's admit world: 90 DC pairs x 4 buckets x 12 slices.
+fn admit_world(buckets: &[QosBucket]) -> EntitlementMarket {
+    let spec = BackboneSpec {
+        dc_count: 10,
+        pop_count: 5,
+        ..BackboneSpec::small(2)
+    };
+    let config = ApprovalConfig {
+        max_cuts: 1,
+        ..Default::default()
+    };
+    let grid = SliceGrid::quarterly(Quarter(0), 7);
+    let mut market = EntitlementMarket::new(spec.build(), grid, config);
+    market.warm(buckets, &Obs::disabled());
+    market
+}
+
+#[test]
+fn cloning_a_warm_market_allocates_o1() {
+    let buckets = QosBucket::approval_order();
+    let (one, four) = (admit_world(&buckets[4..5]), admit_world(&buckets[4..]));
+    assert_eq!(four.index().len(), 4_320);
+    // The table is two buffers however many slots it holds. As two
+    // ordered maps it was a node per 6-11 slots in each: 1 436
+    // allocations for this world.
+    let (index, copy) = allocations(|| four.index().clone());
+    assert_eq!(copy.len(), 4_320);
+    assert!(index <= 2, "{index} allocations for the index");
+    // The rest of a market (topology, scenario sets, book) is the
+    // same 147 allocations whatever the index holds; over the maps a
+    // what-if copy of this world took 1 581, and 505 with one bucket.
+    let (small, _) = allocations(|| one.clone());
+    let (large, _) = allocations(|| four.clone());
+    assert_eq!(small, large, "4x the slots, the same allocations");
+    assert!(large <= 160, "{large} allocations for the market");
+}
+
+/// An ask is outside input: a negative or non-finite rate, a slice
+/// the grid does not have, a region the topology does not have. Each
+/// is denied before the table, the ledger or the plan sees it — a
+/// negative ask used to mint headroom, a NaN one was granted the whole
+/// slot, and an unknown slice or region was swept, granted and stored.
+#[test]
+fn a_bad_ask_is_denied_and_touches_nothing() {
+    let config = ApprovalConfig {
+        max_cuts: 1,
+        ..Default::default()
+    };
+    let grid = SliceGrid::quarterly(Quarter(0), 7);
+    let mut market = EntitlementMarket::new(BackboneSpec::small(2).build(), grid, config);
+    let c3_low = QosBucket::approval_order()[4];
+    market.warm(&[c3_low], &Obs::disabled());
+    let dcs = market.topology().dc_ids();
+    let good = AdmitRequest {
+        npg: NpgId(1),
+        bucket: c3_low,
+        slice: SliceId(0),
+        src: dcs[0],
+        dst: dcs[1],
+        ask: Rate::gbps(1.0),
+    };
+    let key = IndexKey {
+        src: good.src,
+        dst: good.dst,
+        bucket: good.bucket,
+        slice: good.slice,
+    };
+    let ledger = MarketKey {
+        npg: good.npg,
+        bucket: good.bucket,
+        slice: good.slice,
+    };
+    let residual = |m: &EntitlementMarket| {
+        m.index()
+            .fresh_remaining(&key)
+            .map(|r| r.as_bps().to_bits())
+    };
+    let (before, slots) = (residual(&market), market.index().len());
+    assert!(market
+        .index()
+        .fresh_remaining(&key)
+        .is_some_and(|r| !r.is_zero()));
+
+    let nowhere = RegionId(market.topology().region_count() as u16);
+    let bad = [
+        AdmitRequest {
+            ask: Rate::gbps(-100.0),
+            ..good
+        },
+        AdmitRequest {
+            ask: Rate::bps(f64::NAN),
+            ..good
+        },
+        AdmitRequest {
+            ask: Rate::bps(f64::INFINITY),
+            ..good
+        },
+        AdmitRequest {
+            slice: SliceId(grid.slice_count()),
+            ..good
+        },
+        AdmitRequest {
+            slice: SliceId(9999),
+            ..good
+        },
+        AdmitRequest {
+            slice: SliceId(u32::MAX),
+            ..good
+        },
+        AdmitRequest {
+            src: nowhere,
+            ..good
+        },
+        AdmitRequest {
+            dst: RegionId(u16::MAX),
+            ..good
+        },
+    ];
+    let (n, ()) = allocations(|| {
+        for req in &bad {
+            let d = market.admit(req);
+            assert_eq!(d.outcome, AdmitOutcome::Denied, "{req:?}");
+            assert_eq!(d.path, AdmitPath::Index, "{req:?}");
+            for rate in [d.granted, d.residual_before, d.residual_after] {
+                assert_eq!(rate.as_bps().to_bits(), 0, "{req:?}");
+            }
+        }
+    });
+    assert_eq!(n, 0, "a denial sizes nothing from the ask");
+    assert_eq!(residual(&market), before, "residual unchanged to the bit");
+    assert_eq!(market.index().len(), slots);
+    assert!(market.granted(&ledger).is_zero());
+
+    // Traced, a rejected ask still is a `market`/`admit` span — it says
+    // which part of the ask was refused — and took its ordinal.
+    let obs = Obs::new(Clock::counting(1));
+    market.admit_obs(&bad[1], &obs);
+    assert_eq!(market.admit_obs(&good, &obs).outcome, AdmitOutcome::Granted);
+    let admits: Vec<_> = obs
+        .trace
+        .events()
+        .into_iter()
+        .filter(|e| e.span == "market" && e.phase == "admit")
+        .collect();
+    assert_eq!(admits[0].label("rejected"), Some("ask"));
+    assert_eq!(admits[0].label("outcome"), Some("denied"));
+    assert_eq!(admits[0].label("request"), Some("8"));
+    assert_eq!(admits[1].label("rejected"), None);
+    assert_eq!(admits[1].label("request"), Some("9"));
 }
 
 #[test]
