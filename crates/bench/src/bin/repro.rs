@@ -20,7 +20,7 @@
 
 use entitlement_bench::experiments as exp;
 use entitlement_enforcement::MarkingStrategy;
-use entitlement_obs::{Clock, Obs};
+use entitlement_obs::TelemetrySpec;
 
 const INDEX: &[(&str, &str)] = &[
     ("fig1", "service distribution of a high QoS class"),
@@ -55,63 +55,23 @@ struct SweepOpts {
     dedup: bool,
 }
 
-/// `--trace` / `--metrics` output paths (drill experiments only).
-#[derive(Clone, Default)]
-struct TeleOpts {
-    trace: Option<String>,
-    metrics: Option<String>,
-}
-
-impl TeleOpts {
-    fn from_args(args: &[String]) -> Self {
-        let value = |name: &str| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1).cloned())
-        };
-        TeleOpts {
-            trace: value("--trace"),
-            metrics: value("--metrics"),
-        }
-    }
-
-    fn requested(&self) -> bool {
-        self.trace.is_some() || self.metrics.is_some()
-    }
-
-    fn make_obs(&self) -> Obs {
-        if self.requested() {
-            Obs::new(Clock::counting(1))
-        } else {
-            Obs::disabled()
-        }
-    }
-
-    fn write(&self, obs: &Obs) {
-        if let Some(path) = &self.trace {
-            std::fs::write(path, obs.trace.to_jsonl()).expect("write trace");
-            eprintln!("{} trace event(s) written to {path}", obs.trace.len());
-        }
-        if let Some(path) = &self.metrics {
-            std::fs::write(path, obs.registry.render()).expect("write metrics");
-            eprintln!("metrics written to {path}");
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let value = |name: &str| {
+        args.iter()
+            .position(|a| a == name)
+            .and_then(|i| args.get(i + 1).cloned())
+    };
     let json = args.iter().any(|a| a == "--json");
     let sweep = SweepOpts {
-        workers: args
-            .iter()
-            .position(|a| a == "--workers")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1),
+        workers: value("--workers").and_then(|s| s.parse().ok()).unwrap_or(1),
         dedup: !args.iter().any(|a| a == "--no-dedup"),
     };
-    let tele = TeleOpts::from_args(&args);
+    // `--trace` / `--metrics` output paths (drill experiments only).
+    let tele = TelemetrySpec {
+        trace: value("--trace"),
+        metrics: value("--metrics"),
+    };
     let id = args.first().map_or("list", String::as_str);
 
     match id {
@@ -145,7 +105,7 @@ fn emit<T: serde::Serialize>(json: bool, id: &str, value: &T, print: impl FnOnce
     }
 }
 
-fn run(id: &str, json: bool, sweep: SweepOpts, tele: &TeleOpts) {
+fn run(id: &str, json: bool, sweep: SweepOpts, tele: &TelemetrySpec) {
     match id {
         "fig1" | "fig2" => {
             let (high, low) = exp::service_distribution::run(0x51);
@@ -172,7 +132,13 @@ fn run(id: &str, json: bool, sweep: SweepOpts, tele: &TeleOpts) {
             let obs = tele.make_obs();
             let r = exp::drill::run_obs(MarkingStrategy::HostBased, &obs);
             emit(json, id, &r, || print!("{}", r.render()));
-            tele.write(&obs);
+            match tele.write(&obs) {
+                Ok(lines) => lines.iter().for_each(|line| eprintln!("{line}")),
+                Err(e) => {
+                    eprintln!("{e}");
+                    std::process::exit(1);
+                }
+            }
         }
         "fig18" | "fig19" => {
             let seed = if id == "fig18" { 0xF18 } else { 0xF19 };

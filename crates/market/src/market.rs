@@ -258,6 +258,20 @@ impl EntitlementMarket {
         self.set_effective(self.scenarios.clone());
     }
 
+    /// Make `links` the dead set — the fault schedule's one entry
+    /// point. A no-op while the set is unchanged, so a caller may ask
+    /// before every admit; a change clears, then applies, so the epoch
+    /// moves exactly as the two calls would move it by hand.
+    pub fn set_faults(&mut self, links: &[LinkId]) {
+        if self.dead_links == links {
+            return;
+        }
+        self.clear_faults();
+        if !links.is_empty() {
+            self.apply_fault(links);
+        }
+    }
+
     /// Swap the effective scenario set, and with it the route plan: a
     /// path set is only valid for the failure sets it was searched
     /// under.

@@ -5,6 +5,7 @@ use crate::market::{AdmitDecision, AdmitOutcome, AdmitPath, AdmitRequest, Entitl
 use crate::slice::SliceId;
 use entitlement_core::{DetRng, NpgId, QosBucket, Rate};
 use entitlement_obs::Obs;
+use entitlement_topology::LinkId;
 use entitlement_watch::{AdmitObs, WatchEvaluator, WatchPolicy, WatchReport};
 use serde::{Deserialize, Serialize};
 
@@ -106,7 +107,8 @@ pub fn run_storm(
     requests: &[AdmitRequest],
     obs: &Obs,
 ) -> StormReport {
-    run_storm_watch(market, requests, obs, &WatchPolicy::default()).0
+    let no_cuts = |_| Vec::new();
+    run_storm_watch(market, requests, obs, &WatchPolicy::default(), no_cuts, |_, _| {}).0
 }
 
 /// [`run_storm`] plus the runtime watchdog: every admission also feeds
@@ -119,15 +121,25 @@ pub fn run_storm(
 /// sweep path reads strictly slower than the warm index path.
 /// Re-folding the saved trace reproduces the returned [`WatchReport`]
 /// byte-for-byte.
+///
+/// `cuts(i)` is the fault schedule: the links dead while request `i`
+/// is served (logical time = request ordinal), handed to
+/// [`EntitlementMarket::set_faults`] before the admit. `on_admit(i,
+/// decision)` runs after request `i`'s watch fold, so a caller's own
+/// per-admit events (the CLI's `slo`/`interval` chunks) interleave
+/// with the storm's in request order.
 pub fn run_storm_watch(
     market: &mut EntitlementMarket,
     requests: &[AdmitRequest],
     obs: &Obs,
     watch_policy: &WatchPolicy,
+    cuts: impl Fn(usize) -> Vec<LinkId>,
+    mut on_admit: impl FnMut(usize, &AdmitDecision),
 ) -> (StormReport, WatchReport) {
     let mut report = StormReport::default();
     let mut watchdog = WatchEvaluator::new(watch_policy.clone());
     for (i, req) in requests.iter().enumerate() {
+        market.set_faults(&cuts(i));
         let t0 = obs.clock.now_ms();
         let d = market.admit_obs(req, obs);
         let admit_ms = obs.clock.now_ms().saturating_sub(t0) as f64;
@@ -144,6 +156,7 @@ pub fn run_storm_watch(
                 path: d.path.as_str().to_string(),
             },
         );
+        on_admit(i, &d);
     }
     (report, watchdog.report())
 }
@@ -176,8 +189,14 @@ mod tests {
             },
         );
         let obs = Obs::new(entitlement_obs::Clock::counting(1));
-        let (report, watch) =
-            run_storm_watch(&mut market, &requests, &obs, &WatchPolicy::default());
+        let (report, watch) = run_storm_watch(
+            &mut market,
+            &requests,
+            &obs,
+            &WatchPolicy::default(),
+            |_| Vec::new(),
+            |_, _| {},
+        );
         assert_eq!(report.requests, 300);
         assert_eq!(watch.admits, 300);
         assert!(watch.healthy(), "{}", watch.render_text());

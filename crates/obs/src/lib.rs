@@ -36,6 +36,7 @@ pub mod clock;
 pub mod metrics;
 pub mod registry;
 pub mod summary;
+pub mod telemetry;
 pub mod trace;
 pub mod tree;
 
@@ -46,6 +47,7 @@ pub use summary::{
     diff_counters, diff_prometheus, diff_traces, parse_trace, summarize_trace,
     summarize_trace_by_label, validate_prometheus,
 };
+pub use telemetry::TelemetrySpec;
 pub use trace::{SpanTimer, TraceEvent, TraceSink};
 pub use tree::{
     build_span_forest, check_well_formed, critical_path, flamegraph_folded, render_critical_path,

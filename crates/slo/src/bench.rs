@@ -1,11 +1,12 @@
 //! Run-to-run regression tracking.
 //!
 //! Each benchmarked run serializes one [`BenchRecord`] — p50/p99/p99.9
-//! agent cycle latency, mean delivered throughput, attainment, alert
-//! count —
+//! clock reads per agent cycle (instrumentation density under the
+//! counting clock, not speed: `benchmark/` measures speed), mean
+//! delivered throughput, attainment, alert count —
 //! to `BENCH_<name>.json`. The next run diffs itself against that file
 //! under a [`BenchTolerance`]: small drift passes, a real regression
-//! (latency up by more than the fractional gate, throughput or
+//! (reads per cycle up by more than the fractional gate, throughput or
 //! attainment down) produces findings that fail `entitlectl slo audit`.
 
 use crate::report::SloReport;
@@ -22,12 +23,13 @@ pub struct BenchRecord {
     pub seed: u64,
     /// Cycles (intervals) observed across all entities.
     pub cycles: u64,
-    /// Median agent cycle latency, ms.
-    pub p50_cycle_ms: f64,
-    /// Tail agent cycle latency, ms.
-    pub p99_cycle_ms: f64,
-    /// Extreme-tail (p99.9) agent cycle latency, ms.
-    pub p999_cycle_ms: f64,
+    /// Median counting-clock reads inside one `agent/cycle` or
+    /// `market/admit` span.
+    pub p50_cycle_reads: f64,
+    /// Tail (p99) reads per span.
+    pub p99_cycle_reads: f64,
+    /// Extreme-tail (p99.9) reads per span.
+    pub p999_cycle_reads: f64,
     /// Mean conforming delivered throughput across entities, Gbit/s.
     pub mean_delivered_gbps: f64,
     /// Worst per-entity SLO attainment.
@@ -41,8 +43,8 @@ pub struct BenchRecord {
 pub struct BenchTolerance {
     /// Allowed absolute drop in attainment (e.g. 0.005 = half a point).
     pub attainment_drop: f64,
-    /// Allowed fractional increase in p50/p99 latency.
-    pub latency_frac: f64,
+    /// Allowed fractional increase in p50/p99/p99.9 reads per cycle.
+    pub reads_frac: f64,
     /// Allowed fractional drop in delivered throughput.
     pub throughput_frac: f64,
 }
@@ -51,7 +53,7 @@ impl Default for BenchTolerance {
     fn default() -> Self {
         BenchTolerance {
             attainment_drop: 0.005,
-            latency_frac: 0.25,
+            reads_frac: 0.25,
             throughput_frac: 0.25,
         }
     }
@@ -74,7 +76,7 @@ fn num(v: &serde::JsonValue, key: &str) -> f64 {
 
 impl BenchRecord {
     /// Build the record from a run's trace events (agent `cycle` and
-    /// market `admit` span durations feed the latency quantiles) and
+    /// market `admit` span durations feed the reads-per-cycle quantiles) and
     /// its [`SloReport`] (throughput, attainment, alerts).
     ///
     /// Under the counting clock the folded durations are *logical*
@@ -87,12 +89,12 @@ impl BenchRecord {
     /// committed `BENCH_market.json` moves with it.
     #[must_use]
     pub fn from_run(name: &str, seed: u64, events: &[TraceEvent], report: &SloReport) -> Self {
-        let cycle_ms = Histogram::new();
+        let reads = Histogram::new();
         for e in events {
             if (e.span == "agent" && e.phase == "cycle")
                 || (e.span == "market" && e.phase == "admit")
             {
-                cycle_ms.record(e.dur_ms);
+                reads.record(e.dur_ms);
             }
         }
         let cycles = report.entities.iter().map(|e| e.intervals).sum();
@@ -110,9 +112,9 @@ impl BenchRecord {
             name: name.to_string(),
             seed,
             cycles,
-            p50_cycle_ms: cycle_ms.quantile(0.5).unwrap_or(0.0),
-            p99_cycle_ms: cycle_ms.quantile(0.99).unwrap_or(0.0),
-            p999_cycle_ms: cycle_ms.p999().unwrap_or(0.0),
+            p50_cycle_reads: reads.quantile(0.5).unwrap_or(0.0),
+            p99_cycle_reads: reads.quantile(0.99).unwrap_or(0.0),
+            p999_cycle_reads: reads.p999().unwrap_or(0.0),
             mean_delivered_gbps,
             attainment,
             alerts_fired: report.alerts_fired(),
@@ -128,14 +130,14 @@ impl BenchRecord {
         write_json_string(&self.name, &mut out);
         let _ = write!(
             out,
-            ",\"seed\":{},\"cycles\":{},\"p50_cycle_ms\":{},\"p99_cycle_ms\":{},\
-             \"p999_cycle_ms\":{},\
+            ",\"seed\":{},\"cycles\":{},\"p50_cycle_reads\":{},\"p99_cycle_reads\":{},\
+             \"p999_cycle_reads\":{},\
              \"mean_delivered_gbps\":{},\"attainment\":{},\"alerts_fired\":{}}}",
             self.seed,
             self.cycles,
-            fmt_f64(self.p50_cycle_ms),
-            fmt_f64(self.p99_cycle_ms),
-            fmt_f64(self.p999_cycle_ms),
+            fmt_f64(self.p50_cycle_reads),
+            fmt_f64(self.p99_cycle_reads),
+            fmt_f64(self.p999_cycle_reads),
             fmt_f64(self.mean_delivered_gbps),
             fmt_f64(self.attainment),
             self.alerts_fired
@@ -159,9 +161,9 @@ impl BenchRecord {
             name,
             seed: num(&v, "seed") as u64,
             cycles: num(&v, "cycles") as u64,
-            p50_cycle_ms: num(&v, "p50_cycle_ms"),
-            p99_cycle_ms: num(&v, "p99_cycle_ms"),
-            p999_cycle_ms: num(&v, "p999_cycle_ms"),
+            p50_cycle_reads: num(&v, "p50_cycle_reads"),
+            p99_cycle_reads: num(&v, "p99_cycle_reads"),
+            p999_cycle_reads: num(&v, "p999_cycle_reads"),
             mean_delivered_gbps: num(&v, "mean_delivered_gbps"),
             attainment: num(&v, "attainment"),
             alerts_fired: num(&v, "alerts_fired") as u64,
@@ -171,9 +173,9 @@ impl BenchRecord {
     /// Diff this run against a prior baseline. Each returned string is
     /// one regression finding; an empty vec passes the gate.
     ///
-    /// Latency gates only fire when the baseline is non-trivial
-    /// (> 0 ms): manual-clock drills record zero-duration cycles, and a
-    /// zero baseline would turn any measurable latency into a
+    /// The reads-per-cycle gates only fire when the baseline is
+    /// non-trivial (> 0): manual-clock drills record zero-duration
+    /// cycles, and a zero baseline would turn any reading into a
     /// regression by division.
     #[must_use]
     pub fn diff(&self, prior: &BenchRecord, tol: &BenchTolerance) -> Vec<String> {
@@ -187,16 +189,16 @@ impl BenchRecord {
             ));
         }
         for (label, now, was) in [
-            ("p50_cycle_ms", self.p50_cycle_ms, prior.p50_cycle_ms),
-            ("p99_cycle_ms", self.p99_cycle_ms, prior.p99_cycle_ms),
-            ("p999_cycle_ms", self.p999_cycle_ms, prior.p999_cycle_ms),
+            ("p50_cycle_reads", self.p50_cycle_reads, prior.p50_cycle_reads),
+            ("p99_cycle_reads", self.p99_cycle_reads, prior.p99_cycle_reads),
+            ("p999_cycle_reads", self.p999_cycle_reads, prior.p999_cycle_reads),
         ] {
-            if was > 0.0 && now > was * (1.0 + tol.latency_frac) {
+            if was > 0.0 && now > was * (1.0 + tol.reads_frac) {
                 out.push(format!(
-                    "{label} regressed: {} -> {} ms (allowed +{}%)",
+                    "{label} regressed: {} -> {} reads (allowed +{}%)",
                     fmt_f64(was),
                     fmt_f64(now),
-                    fmt_f64(tol.latency_frac * 100.0)
+                    fmt_f64(tol.reads_frac * 100.0)
                 ));
             }
         }
@@ -224,9 +226,9 @@ mod tests {
             name: "drill".to_string(),
             seed: 3607,
             cycles: 500,
-            p50_cycle_ms: 2.0,
-            p99_cycle_ms: 8.0,
-            p999_cycle_ms: 9.5,
+            p50_cycle_reads: 2.0,
+            p99_cycle_reads: 8.0,
+            p999_cycle_reads: 9.5,
             mean_delivered_gbps: 950.0,
             attainment: 0.996,
             alerts_fired: 0,
@@ -258,9 +260,9 @@ mod tests {
     }
 
     #[test]
-    fn latency_and_throughput_gates() {
+    fn reads_and_throughput_gates() {
         let mut now = record();
-        now.p99_cycle_ms = 11.0; // +37.5% > 25% gate
+        now.p99_cycle_reads = 11.0; // +37.5% > 25% gate
         now.mean_delivered_gbps = 700.0; // -26% > 25% gate
         let findings = now.diff(&record(), &BenchTolerance::default());
         assert_eq!(findings.len(), 2, "{findings:?}");
@@ -271,20 +273,20 @@ mod tests {
         // p50/p99 hold steady while only the extreme tail blows up —
         // the gate the p999 column exists to catch.
         let mut now = record();
-        now.p999_cycle_ms = 20.0; // +110% > 25% gate
+        now.p999_cycle_reads = 20.0; // +110% > 25% gate
         let findings = now.diff(&record(), &BenchTolerance::default());
         assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].contains("p999_cycle_ms regressed"));
+        assert!(findings[0].contains("p999_cycle_reads regressed"));
     }
 
     #[test]
-    fn zero_latency_baseline_never_divides_into_a_regression() {
+    fn zero_reads_baseline_never_divides_into_a_regression() {
         let mut prior = record();
-        prior.p50_cycle_ms = 0.0;
-        prior.p99_cycle_ms = 0.0;
+        prior.p50_cycle_reads = 0.0;
+        prior.p99_cycle_reads = 0.0;
         let mut now = record();
-        now.p50_cycle_ms = 5.0;
-        now.p99_cycle_ms = 5.0;
+        now.p50_cycle_reads = 5.0;
+        now.p99_cycle_reads = 5.0;
         assert!(now.diff(&prior, &BenchTolerance::default()).is_empty());
     }
 
@@ -292,7 +294,7 @@ mod tests {
     fn small_drift_within_tolerance_passes() {
         let mut now = record();
         now.attainment = 0.994; // -0.002 within 0.005
-        now.p50_cycle_ms = 2.3; // +15% within 25%
+        now.p50_cycle_reads = 2.3; // +15% within 25%
         now.mean_delivered_gbps = 900.0; // -5% within 25%
         assert!(now.diff(&record(), &BenchTolerance::default()).is_empty());
     }

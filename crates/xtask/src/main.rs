@@ -26,7 +26,9 @@
 //! * `X0102` / `X0103` — `.unwrap(` / `.expect(` in the library
 //!   (non-`#[cfg(test)]`) code of the hot-path crates (`risk`,
 //!   `approval`, `hose`); these run inside the granting loop and must
-//!   surface failures as `Result`s.
+//!   surface failures as `Result`s. The `entitlectl` binary and its
+//!   argv grammar (`src/bin/`, `src/cli*`) are enrolled too: outside
+//!   input must never reach a panic.
 //! * `X0104` — a library crate whose `lib.rs` does not declare
 //!   `#![forbid(unsafe_code)]`.
 //! * `X0105` — any `unsafe` block or function anywhere in workspace
@@ -137,6 +139,10 @@ const HOT_PATH_CRATES: &[&str] = &[
     // outside the table is cold, never a panic.
     "crates/market/src/index",
     "crates/market/src/market",
+    // The operator's edge: no argv and no file content may reach a
+    // panic (exit 101); failures are one line and exit 1 or 2.
+    "src/bin",
+    "src/cli",
 ];
 
 struct Finding {
@@ -333,7 +339,7 @@ fn lint(root: &Path, allowlist_path: &Path) -> Result<Vec<Finding>, String> {
         let thread_locals = thread_local_ranges(&lines);
         let deterministic = DETERMINISTIC_CRATES.iter().any(|c| rel.starts_with(c));
         let hot_path = HOT_PATH_CRATES.iter().any(|c| rel.starts_with(c))
-            && rel.contains("/src/");
+            && (rel.contains("/src/") || rel.starts_with("src/"));
         let par_module = PAR_MODULES.iter().any(|c| rel.starts_with(c)) && rel.contains("/src/");
         let spawn_approved = APPROVED_SPAWN_MODULES.iter().any(|c| rel.starts_with(c));
         // X0202/X0203/X0204 cover library sources only: integration

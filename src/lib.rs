@@ -17,8 +17,8 @@
 //! * [`hose`] — pipe/hose/segmented-hose models, Algorithm 1,
 //!   representative traffic matrices, hose coverage;
 //! * [`obs`] — the telemetry core (counters/gauges/histograms, span
-//!   traces as JSONL, Prometheus text export — see `src/telemetry.rs`
-//!   for the CLI plumbing);
+//!   traces as JSONL, Prometheus text export, and the
+//!   `--trace`/`--metrics` contract of the CLIs);
 //! * [`risk`] — the Risk Simulation System (availability curves);
 //! * [`approval`] — Algorithm 2 (`Hose_Approval` / `Pipe_Approval`);
 //! * [`market`] — approval as a serving system: time-sliced entitlement
@@ -60,6 +60,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod telemetry;
 
 pub use entitlement_analyzer as analyzer;

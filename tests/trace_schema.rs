@@ -106,10 +106,9 @@ fn seeded_storm(seed: u64) -> Obs {
     use network_entitlement::approval::ApprovalConfig;
     use network_entitlement::core::{QosBucket, Quarter};
     use network_entitlement::market::{
-        generate_storm, run_storm_watch, EntitlementMarket, SliceGrid, StormConfig,
+        generate_storm, run_storm, EntitlementMarket, SliceGrid, StormConfig,
     };
     use network_entitlement::topology::BackboneSpec;
-    use network_entitlement::watch::WatchPolicy;
 
     let obs = Obs::new(Clock::counting(1));
     let config = ApprovalConfig {
@@ -130,7 +129,7 @@ fn seeded_storm(seed: u64) -> Obs {
         ..Default::default()
     };
     let requests = generate_storm(&market, &buckets, &storm);
-    let _ = run_storm_watch(&mut market, &requests, &obs, &WatchPolicy::default());
+    run_storm(&mut market, &requests, &obs);
     obs
 }
 

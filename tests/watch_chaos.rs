@@ -31,7 +31,7 @@
 use network_entitlement::analyzer::Code;
 use network_entitlement::obs::parse_trace;
 use network_entitlement::prelude::*;
-use network_entitlement::watch::{AdmitObs, WatchKind};
+use network_entitlement::watch::WatchKind;
 
 /// The CI seed matrix, or the single `CHAOS_SEED` override.
 fn seeds() -> Vec<u64> {
@@ -197,12 +197,13 @@ fn stale_reads_unthrottle_fires_delivery_monitor() {
     }
 }
 
-/// Run the market admission storm under the watchdog exactly the way
-/// `entitlectl market --watch` does: deterministic counting clock,
-/// link cuts applied at logical time = admission ordinal.
+/// Run the market admission storm under the watchdog through the same
+/// library runner `entitlectl market --watch` calls: deterministic
+/// counting clock, link cuts applied at logical time = admission
+/// ordinal.
 fn market_storm_watch(seed: u64, requests: usize, faults: Option<FaultPlan>) -> WatchReport {
     use network_entitlement::core::{QosBand, QosBucket, QosClass};
-    use network_entitlement::market::generate_storm;
+    use network_entitlement::market::{generate_storm, run_storm_watch};
     use network_entitlement::topology::LinkId;
 
     let topo = BackboneSpec::small(seed).build();
@@ -259,37 +260,12 @@ fn market_storm_watch(seed: u64, requests: usize, faults: Option<FaultPlan>) -> 
         },
     );
 
-    let mut watchdog = WatchEvaluator::new(WatchPolicy::default());
-    let mut active_cuts: Vec<u32> = Vec::new();
-    for (i, req) in storm.iter().enumerate() {
-        if let Some(p) = &faults {
-            let cuts = p.cut_links(i as u64);
-            if cuts != active_cuts {
-                market.clear_faults();
-                if !cuts.is_empty() {
-                    let links: Vec<LinkId> = cuts.iter().map(|&l| LinkId(l)).collect();
-                    market.apply_fault(&links);
-                }
-                active_cuts = cuts;
-            }
-        }
-        let t0 = obs.clock.now_ms();
-        let d = market.admit_obs(req, &obs);
-        let admit_ms = obs.clock.now_ms().saturating_sub(t0) as f64;
-        watchdog.observe_admit(
-            &obs,
-            &AdmitObs {
-                request: i as u64,
-                ask_bps: req.ask.as_bps(),
-                granted_bps: d.granted.as_bps(),
-                residual_before_bps: d.residual_before.as_bps(),
-                residual_after_bps: d.residual_after.as_bps(),
-                admit_ms,
-                path: d.path.as_str().to_string(),
-            },
-        );
-    }
-    watchdog.report()
+    let cuts = |i: usize| -> Vec<LinkId> {
+        faults.as_ref().map_or_else(Vec::new, |p| {
+            p.cut_links(i as u64).into_iter().map(LinkId).collect()
+        })
+    };
+    run_storm_watch(&mut market, &storm, &obs, &WatchPolicy::default(), cuts, |_, _| {}).1
 }
 
 /// A healthy admission storm stays entirely on the warm index path and
