@@ -8,15 +8,22 @@ use std::collections::BTreeSet;
 
 use network_entitlement::kvstore::key_hash;
 use network_entitlement::obs::{parse_trace, validate_prometheus, Clock, Obs};
-use network_entitlement::prelude::{run_drill_obs, DrillConfig};
+use network_entitlement::prelude::{
+    run_drill_watch, DrillConfig, SloPolicy, SloReport, WatchPolicy, WatchReport,
+};
 use network_entitlement::telemetry::traced_approval_preamble;
 
 /// A short seeded run covering every instrumented span family: the
 /// approval preamble plus a 20-minute drill.
 fn seeded_run(seed: u64) -> Obs {
+    seeded_drill(seed).0
+}
+
+/// [`seeded_run`] with the two health reports the drill folded.
+fn seeded_drill(seed: u64) -> (Obs, SloReport, WatchReport) {
     let obs = Obs::new(Clock::counting(1));
     traced_approval_preamble(seed, &obs);
-    let _ = run_drill_obs(
+    let (_, slo, watch) = run_drill_watch(
         &DrillConfig {
             hosts: 200,
             duration_min: 20.0,
@@ -24,8 +31,10 @@ fn seeded_run(seed: u64) -> Obs {
             ..Default::default()
         },
         &obs,
+        &SloPolicy::default(),
+        &WatchPolicy::default(),
     );
-    obs
+    (obs, slo, watch)
 }
 
 #[test]
@@ -102,11 +111,11 @@ fn rendered_metrics_validate_as_prometheus_text() {
 /// A small seeded admission storm with asks big enough to exhaust
 /// slots: index and sweep paths, grants, partials and denials with
 /// their provenance ledger, and the watchdog's per-admit events.
-fn seeded_storm(seed: u64) -> Obs {
+fn seeded_storm(seed: u64) -> (Obs, WatchReport) {
     use network_entitlement::approval::ApprovalConfig;
     use network_entitlement::core::{QosBucket, Quarter};
     use network_entitlement::market::{
-        generate_storm, run_storm, EntitlementMarket, SliceGrid, StormConfig,
+        generate_storm, run_storm_watch, EntitlementMarket, SliceGrid, StormConfig,
     };
     use network_entitlement::topology::BackboneSpec;
 
@@ -129,37 +138,84 @@ fn seeded_storm(seed: u64) -> Obs {
         ..Default::default()
     };
     let requests = generate_storm(&market, &buckets, &storm);
-    run_storm(&mut market, &requests, &obs);
-    obs
+    let (_, watch) = run_storm_watch(
+        &mut market,
+        &requests,
+        &obs,
+        &WatchPolicy::default(),
+        |_| Vec::new(),
+        |_, _| {},
+    );
+    (obs, watch)
+}
+
+/// A small sharded fleet run with shard 2 dark for cycles 30..=33,
+/// past the detectors' warm-up so W0105 fires: held then missing
+/// partials, fail-static cycles, per-shard SLIs, the `shard`/`fold`
+/// fan-out and the W0102 shard reconciliation — the events the flat
+/// drill never emits.
+fn seeded_fleet(seed: u64) -> (Obs, SloReport, WatchReport) {
+    use network_entitlement::enforcement::{run_fleet_engine_watch, FleetConfig};
+    use network_entitlement::prelude::{Fault, FaultKind, FaultPlan, Rate, TimeWindow};
+
+    let obs = Obs::new(Clock::counting(1));
+    let config = FleetConfig {
+        hosts: 200,
+        shards: 4,
+        entitled: Rate::gbps(1000.0),
+        cycles: 40,
+        seed,
+        faults: Some(FaultPlan {
+            seed: 1,
+            faults: vec![Fault {
+                window: TimeWindow::new(30_000, 33_001),
+                kind: FaultKind::ShardOutage { shards: vec![2] },
+            }],
+        }),
+        per_shard_slis: true,
+        ..FleetConfig::default()
+    };
+    let (_, slo, watch) =
+        run_fleet_engine_watch(&config, &obs, &SloPolicy::default(), &WatchPolicy::default())
+            .expect("a valid fleet shape");
+    (obs, slo, watch)
 }
 
 /// Cross-commit byte pin. Every other determinism gate compares a run
 /// with itself, so a change that moves both sides the same way — a
 /// label renamed, a float formatted differently, a clock read added
 /// (which shifts every later `ts_ms` under the counting clock) — passes
-/// them all. These constants were computed on the commit *before* the
-/// trace sink was rebuilt around arenas; a deliberate format change
+/// them all. Each constant was computed on the commit *before* the
+/// rewrite it guards (named next to it); a deliberate format change
 /// regenerates them in the same PR that makes it, with `obs diff`
 /// naming what moved.
 #[test]
 fn telemetry_bytes_match_the_pinned_digests() {
+    let (storm, storm_watch) = seeded_storm(4960);
+    let (drill, drill_slo, drill_watch) = seeded_drill(0xE17);
+    let (fleet, fleet_slo, fleet_watch) = seeded_fleet(0xF1EE7);
+    let digest = |text: &str| (text.len(), key_hash(text));
     let runs = [
-        ("storm", seeded_storm(4960), STORM_TRACE_PIN, STORM_METRICS_PIN),
-        ("drill", seeded_run(0xE17), DRILL_TRACE_PIN, DRILL_METRICS_PIN),
+        ("storm", storm, STORM_TRACE_PIN, STORM_METRICS_PIN),
+        ("drill", drill, DRILL_TRACE_PIN, DRILL_METRICS_PIN),
+        ("fleet", fleet, FLEET_TRACE_PIN, FLEET_METRICS_PIN),
     ];
     for (name, obs, trace_pin, metrics_pin) in runs {
-        let trace = obs.trace.to_jsonl();
-        let metrics = obs.registry.render();
-        assert_eq!(
-            (trace.len(), key_hash(&trace)),
-            trace_pin,
-            "{name}: trace bytes moved"
-        );
-        assert_eq!(
-            (metrics.len(), key_hash(&metrics)),
-            metrics_pin,
-            "{name}: metrics bytes moved"
-        );
+        assert_eq!(digest(&obs.trace.to_jsonl()), trace_pin, "{name}: trace bytes moved");
+        assert_eq!(digest(&obs.registry.render()), metrics_pin, "{name}: metrics bytes moved");
+    }
+    // The health reports the loops fold while they run. The storm has
+    // no SLO fold of its own (`entitlectl market` feeds one from its
+    // per-admit hook).
+    let reports = [
+        ("storm watch", storm_watch.render_json(), STORM_WATCH_PIN),
+        ("drill slo", drill_slo.render_json(), DRILL_SLO_PIN),
+        ("drill watch", drill_watch.render_json(), DRILL_WATCH_PIN),
+        ("fleet slo", fleet_slo.render_json(), FLEET_SLO_PIN),
+        ("fleet watch", fleet_watch.render_json(), FLEET_WATCH_PIN),
+    ];
+    for (name, json, pin) in reports {
+        assert_eq!(digest(&json), pin, "{name}: report bytes moved");
     }
 }
 
@@ -169,3 +225,12 @@ const STORM_TRACE_PIN: (usize, u64) = (1_037_808, 0xe86c_9e01_d3ad_1530);
 const STORM_METRICS_PIN: (usize, u64) = (12_468, 0x7a66_2ca9_b182_ff78);
 const DRILL_TRACE_PIN: (usize, u64) = (54_358, 0x1dfa_a583_3d27_c24a);
 const DRILL_METRICS_PIN: (usize, u64) = (20_425, 0x041c_407d_858d_f8bd);
+// Computed on commit 1465d29 (PR 18), before the `run_*` ladders were
+// collapsed.
+const FLEET_TRACE_PIN: (usize, u64) = (180_173, 0xeb34_b31c_a346_52fd);
+const FLEET_METRICS_PIN: (usize, u64) = (9_217, 0xc36e_1e0e_6d72_bb5e);
+const STORM_WATCH_PIN: (usize, u64) = (113, 0xd7e4_5851_34e0_7628);
+const DRILL_SLO_PIN: (usize, u64) = (510, 0xddc1_591d_346d_74ee);
+const DRILL_WATCH_PIN: (usize, u64) = (112, 0x5aca_3fd3_41c1_b4ee);
+const FLEET_SLO_PIN: (usize, u64) = (2_168, 0x274c_d7b5_08a2_7084);
+const FLEET_WATCH_PIN: (usize, u64) = (200, 0xe3eb_85b1_1c22_f8e1);
