@@ -155,43 +155,19 @@ pub fn pipe_approval(
     background: &[Demand],
     config: &ApprovalConfig,
 ) -> Vec<PipeApproval> {
-    pipe_approval_obs(
-        topo,
-        scenarios,
-        demands,
-        requested,
-        slo,
-        background,
-        config,
-        &Obs::disabled(),
-    )
-}
-
-/// [`pipe_approval`] with telemetry: an `approval`/`pipe_approval` span
-/// labelled with the pipe count and SLO target, plus the risk sweep's
-/// own spans and histograms (see
-/// [`entitlement_risk::assess_risk_samples_obs`]). Every pipe the SLO
-/// curve clips below its request additionally gets an
-/// `approval`/`pipe_binding` provenance event naming the binding
-/// failure scenario, its dead links, and its probability — the reason
-/// the grant is what it is, recoverable from the trace alone. Approvals
-/// are identical to the un-instrumented path.
-#[allow(clippy::too_many_arguments)]
-pub fn pipe_approval_obs(
-    topo: &Topology,
-    scenarios: &ScenarioSet,
-    demands: &[Demand],
-    requested: &[Rate],
-    slo: SloTarget,
-    background: &[Demand],
-    config: &ApprovalConfig,
-    obs: &Obs,
-) -> Vec<PipeApproval> {
     let mut routes = RoundRoutes::new(topo, scenarios, config);
-    pipe_approval_in(&mut routes, demands, requested, slo, background, config, obs)
+    let obs = Obs::disabled();
+    pipe_approval_in(&mut routes, demands, requested, slo, background, config, &obs)
 }
 
-/// [`pipe_approval_obs`] routing through the hose's shared plan.
+/// [`pipe_approval`] routing through the hose's shared plan, with
+/// telemetry: an `approval`/`pipe_approval` span labelled with the pipe
+/// count and SLO target, plus the risk sweep's own spans and
+/// histograms. Every pipe the SLO curve clips below its request
+/// additionally gets an `approval`/`pipe_binding` provenance event
+/// naming the binding failure scenario, its dead links, and its
+/// probability — the reason the grant is what it is, recoverable from
+/// the trace alone. Approvals are the same whatever `obs` is.
 fn pipe_approval_in(
     routes: &mut RoundRoutes<'_>,
     demands: &[Demand],
@@ -313,7 +289,12 @@ pub fn hose_approval(
     hose_approval_obs(topo, hoses, slos, config, &Obs::disabled())
 }
 
-/// [`hose_approval`] with telemetry (see [`approve_requests_obs`]).
+/// [`hose_approval`] with telemetry: per-phase spans (`preflight`,
+/// `gen_demand`, one `hose_approval` per hose labelled with its QoS
+/// class and NPG, `aggregate`), a per-hose wall-time histogram
+/// `entitlement_approval_hose_ms{qos}` and an outcome counter
+/// `entitlement_approval_hoses_total{qos,outcome}` in `obs.registry`.
+/// Approvals are the same whatever `obs` is.
 pub fn hose_approval_obs(
     topo: &Topology,
     hoses: &[HoseRequest],
@@ -321,7 +302,8 @@ pub fn hose_approval_obs(
     config: &ApprovalConfig,
     obs: &Obs,
 ) -> Vec<HoseApproval> {
-    approve_requests_obs(topo, &band_low_requests(hoses, slos), config, obs)
+    let scenarios = ScenarioSet::enumerate(topo, config.max_cuts);
+    approve_round(topo, &band_low_requests(hoses, slos), &scenarios, config, obs)
 }
 
 /// [`hose_approval`] against a pre-enumerated scenario set: the warm
@@ -337,13 +319,8 @@ pub fn hose_approval_scenarios(
     scenarios: &ScenarioSet,
     config: &ApprovalConfig,
 ) -> Vec<HoseApproval> {
-    approve_requests_scenarios_obs(
-        topo,
-        &band_low_requests(hoses, slos),
-        scenarios,
-        config,
-        &Obs::disabled(),
-    )
+    let requests = band_low_requests(hoses, slos);
+    approve_round(topo, &requests, scenarios, config, &Obs::disabled())
 }
 
 /// All hoses as the `Low` band of their class, paired with their SLOs.
@@ -369,33 +346,18 @@ pub fn approve_requests(
     requests: &[ApprovalRequest],
     config: &ApprovalConfig,
 ) -> Vec<HoseApproval> {
-    approve_requests_obs(topo, requests, config, &Obs::disabled())
-}
-
-/// [`approve_requests`] with telemetry: per-phase spans (`preflight`,
-/// `gen_demand`, one `hose_approval` per hose labelled with its QoS
-/// class and NPG, `aggregate`), a per-hose wall-time histogram
-/// `entitlement_approval_hose_ms{qos}` and an outcome counter
-/// `entitlement_approval_hoses_total{qos,outcome}` in `obs.registry`.
-/// Approvals are identical to the un-instrumented path.
-pub fn approve_requests_obs(
-    topo: &Topology,
-    requests: &[ApprovalRequest],
-    config: &ApprovalConfig,
-    obs: &Obs,
-) -> Vec<HoseApproval> {
     let scenarios = ScenarioSet::enumerate(topo, config.max_cuts);
-    approve_requests_scenarios_obs(topo, requests, &scenarios, config, obs)
+    approve_round(topo, requests, &scenarios, config, &Obs::disabled())
 }
 
-/// [`approve_requests_obs`] against a pre-enumerated scenario set (see
-/// [`hose_approval_scenarios`] for the warm-path contract).
+/// One approval round on a fresh plan over a pre-enumerated scenario
+/// set (see [`hose_approval_scenarios`] for the warm-path contract).
 ///
 /// The whole invocation runs under one `approval`/`round` root span, so
 /// under trace-schema v2 the per-phase spans (`preflight`,
 /// `gen_demand`, each `hose_approval` with its nested `pipe_approval` →
 /// `risk` sweep, `aggregate`) form a single causal tree per round.
-pub fn approve_requests_scenarios_obs(
+fn approve_round(
     topo: &Topology,
     requests: &[ApprovalRequest],
     scenarios: &ScenarioSet,

@@ -27,6 +27,9 @@ pub mod engine;
 pub mod negotiate;
 pub mod types;
 
-pub use engine::{approve_requests, approve_requests_obs, approve_requests_scenarios_obs, hose_approval, hose_approval_obs, hose_approval_scenarios, merge_background, pipe_approval, pipe_approval_obs, ApprovalConfig, ApprovalMode, ApprovalRequest};
+pub use engine::{
+    approve_requests, hose_approval, hose_approval_obs, hose_approval_scenarios, merge_background,
+    pipe_approval, ApprovalConfig, ApprovalMode, ApprovalRequest,
+};
 pub use negotiate::{negotiate, negotiate_scenarios, propose_alternative, rescale_segments, segments_consistent, shrink_to_fit, Agreement, ServiceDecision, ServicePolicy, ThresholdPolicy};
 pub use types::{ApprovalSummary, HoseApproval, PipeApproval};

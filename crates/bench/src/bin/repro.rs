@@ -130,7 +130,7 @@ fn run(id: &str, json: bool, sweep: SweepOpts, tele: &TelemetrySpec) {
         }
         "fig11" | "fig12" | "fig13" | "fig14" | "fig15" | "fig16" | "fig17" => {
             let obs = tele.make_obs();
-            let r = exp::drill::run_obs(MarkingStrategy::HostBased, &obs);
+            let r = exp::drill::run(MarkingStrategy::HostBased, &obs);
             emit(json, id, &r, || print!("{}", r.render()));
             match tele.write(&obs) {
                 Ok(lines) => lines.iter().for_each(|line| eprintln!("{line}")),

@@ -1,11 +1,13 @@
 //! Figs 11–17: the end-to-end enforcement drill. This module wraps
-//! [`entitlement_enforcement::drill::run_drill`] and slices the recorder
-//! into the seven figures.
+//! [`entitlement_enforcement::drill::run_drill_with`] and slices the
+//! recorder into the seven figures.
 
-use entitlement_enforcement::drill::{run_drill_obs, DrillConfig};
-use entitlement_obs::Obs;
+use entitlement_enforcement::drill::{run_drill_with, DrillConfig};
 use entitlement_enforcement::MarkingStrategy;
+use entitlement_obs::Obs;
 use entitlement_simnet::Recorder;
+use entitlement_slo::SloEvaluator;
+use entitlement_watch::WatchEvaluator;
 use serde::{Deserialize, Serialize};
 
 /// All drill series (times in minutes).
@@ -57,23 +59,20 @@ fn slice(r: &Recorder) -> DrillResult {
     }
 }
 
-/// Run the drill with the default (paper) timeline.
-pub fn run(strategy: MarkingStrategy) -> DrillResult {
-    run_obs(strategy, &Obs::disabled())
-}
-
-/// [`run`] with telemetry: agent-cycle spans, KV latency histograms,
-/// and staleness metrics land in `obs` (see
-/// [`entitlement_enforcement::drill::run_drill_obs`]).
-pub fn run_obs(strategy: MarkingStrategy, obs: &Obs) -> DrillResult {
-    let r = run_drill_obs(
-        &DrillConfig {
-            strategy,
-            ..Default::default()
-        },
+/// Run the drill with the default (paper) timeline. Agent-cycle spans,
+/// KV latency histograms, staleness metrics and the two health folds'
+/// events land in `obs`; nobody reads the folds' reports here.
+pub fn run(strategy: MarkingStrategy, obs: &Obs) -> DrillResult {
+    let config = DrillConfig {
+        strategy,
+        ..Default::default()
+    };
+    slice(&run_drill_with(
+        &config,
         obs,
-    );
-    slice(&r)
+        &mut SloEvaluator::default(),
+        &mut WatchEvaluator::default(),
+    ))
 }
 
 impl DrillResult {
@@ -116,8 +115,8 @@ mod tests {
     /// plumbing and the flow-based ablation's contrast.
     #[test]
     fn host_based_reads_recover_at_full_drop_but_flow_based_do_not() {
-        let host = run(MarkingStrategy::HostBased);
-        let flow = run(MarkingStrategy::FlowBased);
+        let host = run(MarkingStrategy::HostBased, &Obs::disabled());
+        let flow = run(MarkingStrategy::FlowBased, &Obs::disabled());
         let window = |r: &DrillResult, series: fn(&DrillResult) -> &Vec<f64>, a: f64, b: f64| {
             let vals: Vec<f64> = r
                 .minutes

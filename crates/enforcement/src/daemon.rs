@@ -33,7 +33,7 @@ use entitlement_chaos::{ChaosKv, ChaosStore, FaultPlan};
 use entitlement_core::{HostId, NpgId, QosClass, Rate, RegionId};
 use entitlement_kvstore::{KvClient, KvError, KvServer, RetryPolicy, ShardFanout, StoreConfig};
 use entitlement_obs::Obs;
-use entitlement_slo::{IntervalObs, SloEvaluator, SloPolicy, SloReport};
+use entitlement_slo::{IntervalObs, SloEvaluator};
 use std::sync::Arc;
 use std::time::Duration;
 // Watch channels route through the racecheck sync shim: plain
@@ -69,6 +69,10 @@ pub struct DaemonConfig {
     pub retry: RetryPolicy,
 }
 
+/// The SLO target of the run's fixed contract, also the target its
+/// SLO intervals are judged against.
+const SLO_TARGET: f64 = 0.999;
+
 /// Final state of a daemon run.
 #[derive(Clone, Debug)]
 pub struct DaemonOutcome {
@@ -95,6 +99,12 @@ pub struct DaemonOutcome {
     pub kv_shards: usize,
 }
 
+/// [`run_fleet_with`] without telemetry: a disabled [`Obs`] and a
+/// default evaluator nobody reads.
+pub async fn run_fleet(config: DaemonConfig) -> DaemonOutcome {
+    run_fleet_with(config, &Obs::disabled(), &mut SloEvaluator::default()).await
+}
+
 /// Run a fleet of agent tasks to convergence.
 ///
 /// The "network" here is trivial (no drops): the point of this harness
@@ -105,36 +115,30 @@ pub struct DaemonOutcome {
 /// Rounds advance on a watch channel and carry a logical clock
 /// (`round * cycle` ms), so fault windows hit the same rounds on every
 /// run regardless of scheduler timing.
-pub async fn run_fleet(config: DaemonConfig) -> DaemonOutcome {
-    run_fleet_obs(config, &Obs::disabled()).await
-}
-
-/// [`run_fleet`] with telemetry: every agent's aggregate reads cross a
-/// [`ChaosKv`] recording retry-attempt histograms and outcome counters,
-/// each metering cycle records the agent's marked-fraction decision and
+///
+/// **Telemetry.** Every agent's aggregate reads cross a [`ChaosKv`]
+/// recording retry-attempt histograms and outcome counters, each
+/// metering cycle records the agent's marked-fraction decision and
 /// aggregate staleness into fleet-wide histograms
 /// (`entitlement_agent_marked_fraction`,
 /// `entitlement_agent_staleness_ms`), and on completion every agent's
 /// [`AgentMetrics`](crate::AgentMetrics) snapshot is folded into
 /// `obs.registry` by [`aggregate_fleet`] — one scrapeable registry for
-/// the whole fleet. The outcome is identical to [`run_fleet`].
-pub async fn run_fleet_obs(config: DaemonConfig, obs: &Obs) -> DaemonOutcome {
-    run_fleet_slo(config, obs, &SloPolicy::default()).await.0
-}
-
-/// [`run_fleet_obs`] plus the SLO fold: after each round the driver
-/// reads the fleet-wide conforming aggregate and feeds one
-/// [`IntervalObs`] into a streaming [`SloEvaluator`] (fleet demand vs.
-/// the entitled rate; a round inside a shard-outage window is
-/// unmeasurable and counts bad, fail-closed). Unlike the synchronous
-/// drill, the mid-round aggregate races real agent tasks, so the
-/// per-round *values* are not byte-stable — tests assert structure, not
-/// exact burn rates.
-pub async fn run_fleet_slo(
+/// the whole fleet. The outcome is the same whatever `obs` is.
+///
+/// **SLO fold.** The caller owns it: it builds `slo` under whatever
+/// policy it wants and reads `report()` afterwards. After each round
+/// the driver reads the fleet-wide conforming aggregate and feeds `slo`
+/// one [`IntervalObs`] (fleet demand vs. the entitled rate; a round
+/// inside a shard-outage window is unmeasurable and counts bad,
+/// fail-closed). Unlike the synchronous drill, the mid-round aggregate
+/// races real agent tasks, so the per-round *values* are not
+/// byte-stable — tests assert structure, not exact burn rates.
+pub async fn run_fleet_with(
     config: DaemonConfig,
     obs: &Obs,
-    policy: &SloPolicy,
-) -> (DaemonOutcome, SloReport) {
+    slo: &mut SloEvaluator,
+) -> DaemonOutcome {
     let decision_hist = obs.registry.histogram(
         "entitlement_agent_marked_fraction",
         "Per-cycle marked fraction decided by each agent",
@@ -185,7 +189,7 @@ pub async fn run_fleet_slo(
             let db = crate::db::ContractDb::new();
             db.insert(
                 cfg.npg,
-                entitlement_core::SloTarget::new(0.999).unwrap(),
+                entitlement_core::SloTarget::new(SLO_TARGET).expect("a probability"),
                 vec![entitlement_core::Entitlement {
                     npg: cfg.npg,
                     qos: cfg.qos,
@@ -276,7 +280,6 @@ pub async fn run_fleet_slo(
     // fail-static — the same bounded-staleness window agents apply.
     let mut fan_total = ShardFanout::new(kv_shards, cycle_ms);
     let mut fan_conform = ShardFanout::new(kv_shards, cycle_ms);
-    let mut evaluator = SloEvaluator::new(policy.clone());
     let fleet_demand_bps = config.hosts as f64 * config.per_host_rate.as_bps();
     for round in 1..=config.cycles {
         round_tx.send(round).expect("agents alive");
@@ -299,16 +302,13 @@ pub async fn run_fleet_slo(
         agg_tx.send((round, folded)).expect("agents alive");
         // Second half-cycle: agents meter on the broadcast fold.
         tokio::time::sleep(config.cycle / 2).await;
-        let delivered_bps = client.store().aggregate_sum(
-            &format!("rates/{}/{}/conform/", config.npg.0, config.qos),
-            now_ms,
-        );
-        evaluator.observe(
+        let delivered_bps = client.store().aggregate_sum(&conform_prefix, now_ms);
+        slo.observe(
             obs,
             &IntervalObs {
                 entity: config.npg.to_string(),
                 qos: config.qos.to_string(),
-                target: 0.999,
+                target: SLO_TARGET,
                 demand_bps: fleet_demand_bps,
                 delivered_bps,
                 approved_bps: config.entitled.as_bps(),
@@ -317,10 +317,7 @@ pub async fn run_fleet_slo(
         );
     }
     let end_ms = config.cycles as u64 * cycle_ms;
-    let final_total = Rate::bps(client.store().aggregate_sum(
-        &format!("rates/{}/{}/total/", config.npg.0, config.qos),
-        end_ms,
-    ));
+    let final_total = Rate::bps(client.store().aggregate_sum(&total_prefix, end_ms));
     round_tx.send(usize::MAX).ok();
     drop(round_tx);
     drop(agg_tx);
@@ -349,7 +346,7 @@ pub async fn run_fleet_slo(
     }
     // Fleet-level aggregation: every agent's metrics in one registry.
     aggregate_fleet(&snapshots, &obs.registry);
-    (out, evaluator.report())
+    out
 }
 
 #[cfg(test)]
@@ -441,7 +438,7 @@ mod tests {
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
     async fn instrumented_fleet_aggregates_metrics_into_one_registry() {
         let obs = Obs::new(entitlement_obs::Clock::manual(0));
-        let out = run_fleet_obs(config(6, 30.0, 10.0), &obs).await;
+        let out = run_fleet_with(config(6, 30.0, 10.0), &obs, &mut SloEvaluator::default()).await;
         assert_eq!(out.conform_ratios.len(), 6);
         let text = obs.registry.render();
         assert!(text.contains("entitlement_fleet_agents 6"), "{text}");

@@ -24,8 +24,8 @@ use entitlement_obs::Obs;
 use entitlement_simnet::{
     AclRule, AppConfig, Bottleneck, MarkingCommand, Recorder, StorageApp, World, WorldConfig,
 };
-use entitlement_slo::{IntervalObs, SloEvaluator, SloPolicy, SloReport};
-use entitlement_watch::{CycleObs, WatchEvaluator, WatchPolicy, WatchReport};
+use entitlement_slo::{IntervalObs, SloEvaluator};
+use entitlement_watch::{CycleObs, WatchEvaluator};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
@@ -109,6 +109,17 @@ fn demand_multiplier(t_secs: f64) -> f64 {
     0.9 + 1.3 * ((t_min - 20.0) / 100.0).clamp(0.0, 1.0)
 }
 
+/// [`run_drill_with`] without telemetry: a disabled [`Obs`] and
+/// default evaluators nobody reads.
+pub fn run_drill(config: &DrillConfig) -> Recorder {
+    run_drill_with(
+        config,
+        &Obs::disabled(),
+        &mut SloEvaluator::default(),
+        &mut WatchEvaluator::default(),
+    )
+}
+
 /// Run the drill; returns the recorder with every Fig 11–17 series.
 ///
 /// The metering loop runs through the real KV plumbing: each tick the
@@ -127,86 +138,55 @@ fn demand_multiplier(t_secs: f64) -> f64 {
 /// (1.0 when this tick's aggregate read failed), `fail_static`
 /// (cumulative held-decision cycles) and `staleness_ms` (age of the
 /// aggregates behind the standing decision).
-pub fn run_drill(config: &DrillConfig) -> Recorder {
-    run_drill_obs(config, &Obs::disabled())
-}
-
-/// [`run_drill`] with telemetry: the drill's logical time drives
-/// `obs.clock` (one `set_ms` per tick, so a manual clock tracks drill
-/// time exactly), every KV operation crosses an
-/// [`ObservedKv`] decorator (latency histograms, outcome counters, and
-/// `kv` trace spans), each metering cycle emits an `agent`/`cycle`
-/// span labelled with the KV outcome and standing decision, and agent
-/// staleness lands in the `entitlement_agent_staleness_ms` histogram.
-/// The recorded series are bitwise identical to [`run_drill`] — same
-/// seeds, same arithmetic, decoration only.
-pub fn run_drill_obs(config: &DrillConfig, obs: &Obs) -> Recorder {
-    run_drill_slo(config, obs, &SloPolicy::default()).0
-}
-
-/// [`run_drill_obs`] plus the SLO fold: every tick with a completed
-/// agent cycle feeds one [`IntervalObs`] into a streaming
-/// [`SloEvaluator`] — conforming delivery vs. the entitled rate in
-/// force, fail-closed on KV-unavailable ticks — which also emits
-/// `slo`/`interval` (and any `alert_*`) trace events into `obs`. The
-/// recorded series stay bitwise identical; the second return is the
-/// final [`SloReport`] for `entitlectl slo report|audit`.
-pub fn run_drill_slo(
+///
+/// **Telemetry.** The drill's logical time drives `obs.clock` (one
+/// `set_ms` per tick, so a manual clock tracks drill time exactly),
+/// every KV operation crosses an [`ObservedKv`] decorator (latency
+/// histograms, outcome counters, `kv` trace spans), each metering
+/// cycle emits an `agent`/`cycle` span labelled with the KV outcome
+/// and standing decision, and agent staleness lands in the
+/// `entitlement_agent_staleness_ms` histogram. Decoration only: the
+/// recorded series are bitwise identical whatever `obs` is.
+///
+/// **Health folds.** The caller owns them: it builds `slo` and `watch`
+/// under whatever policy it wants and reads `report()` afterwards.
+/// Every tick with a completed agent cycle feeds `slo` one
+/// [`IntervalObs`] (conforming delivery vs. the entitled rate in
+/// force, fail-closed on KV-unavailable ticks; emits `slo`/`interval`
+/// and any `alert_*` events) and then `watch` one [`CycleObs`] (the
+/// same rates plus the marked/conforming split and the aggregate
+/// staleness; emits `watch`/`cycle` and any `violation`, `fire`,
+/// `clear`). Re-folding the saved trace with `fold_trace` under the
+/// same policy reproduces both reports byte-for-byte.
+pub fn run_drill_with(
     config: &DrillConfig,
     obs: &Obs,
-    policy: &SloPolicy,
-) -> (Recorder, SloReport) {
-    let (recorder, slo, _) = run_drill_watch(config, obs, policy, &WatchPolicy::default());
-    (recorder, slo)
-}
-
-/// [`run_drill_slo`] plus the runtime watchdog: every metered tick also
-/// feeds one [`CycleObs`] into a streaming [`WatchEvaluator`] — the
-/// delivery-conservation and fraction monitors plus the staleness CUSUM
-/// and attainment-drift detectors — which emits `watch`/`cycle` (and
-/// any `watch`/`violation`, `watch`/`fire`|`clear`) trace events into
-/// `obs`. The recorded series and the SLO report stay bitwise
-/// identical; the third return is the final [`WatchReport`], and
-/// re-folding the saved trace with
-/// [`WatchEvaluator::fold_trace`] reproduces it byte-for-byte.
-pub fn run_drill_watch(
-    config: &DrillConfig,
-    obs: &Obs,
-    policy: &SloPolicy,
-    watch_policy: &WatchPolicy,
-) -> (Recorder, SloReport, WatchReport) {
+    slo: &mut SloEvaluator,
+    watch: &mut WatchEvaluator,
+) -> Recorder {
     // --- Contract database: the entitlement cut is a contract rollover.
     let db = ContractDb::new();
     let npg = NpgId(2); // "coldstorage" in the catalog ordering
     let qos = QosClass::C3;
     let region = RegionId(0);
-    let cut_minute = config.cut_min as u32;
-    db.insert(
-        npg,
-        SloTarget::new(0.99).unwrap(),
-        vec![Entitlement {
+    let slo_target = 0.99;
+    let contract_slo = SloTarget::new(slo_target).expect("a probability");
+    let cut_minute = (config.cut_min as u32).max(1);
+    for (entitled_rate, period) in [
+        (config.entitled_before, Period::new(0, cut_minute)),
+        (config.entitled_after, Period::new(cut_minute, u32::MAX)),
+    ] {
+        let entitlement = Entitlement {
             npg,
             qos,
             region,
             direction: Direction::Egress,
-            entitled_rate: config.entitled_before,
-            period: Period::new(0, cut_minute.max(1)),
-        }],
-    )
-    .expect("valid contract");
-    db.insert(
-        npg,
-        SloTarget::new(0.99).unwrap(),
-        vec![Entitlement {
-            npg,
-            qos,
-            region,
-            direction: Direction::Egress,
-            entitled_rate: config.entitled_after,
-            period: Period::new(cut_minute.max(1), u32::MAX),
-        }],
-    )
-    .expect("valid contract");
+            entitled_rate,
+            period,
+        };
+        db.insert(npg, contract_slo, vec![entitlement])
+            .expect("valid contract");
+    }
 
     // --- The world: Coldstorage fleet behind a 10T bottleneck.
     let mut bottleneck = Bottleneck {
@@ -267,17 +247,11 @@ pub fn run_drill_watch(
     // --- The storage application.
     let mut app = StorageApp::new(AppConfig::default());
 
-    // --- Main loop. `obs` is shadowed by the world observation inside
-    // the loop; keep the telemetry handle under its own name for the
-    // SLO fold at the bottom of each tick.
-    let telemetry = obs;
-    let slo_target = 0.99;
-    let mut evaluator = SloEvaluator::new(policy.clone());
-    let mut watchdog = WatchEvaluator::new(watch_policy.clone());
+    // --- Main loop.
     let mut recorder = Recorder::new();
     let ticks = (config.duration_min * 60.0 / config.dt_secs) as usize;
     let mut marking = MarkingCommand::None;
-    let mut last_obs: Option<entitlement_simnet::Observation> = None;
+    let mut last_seen: Option<entitlement_simnet::Observation> = None;
 
     for k in 0..ticks {
         let t = k as f64 * config.dt_secs;
@@ -291,8 +265,8 @@ pub fn run_drill_watch(
         obs.clock.set_ms(now_ms);
         let entitled = agent.refresh_contract(&db, minute).unwrap_or(Rate::ZERO);
         let mut kv_unavailable = 0.0;
-        let cycled = last_obs.is_some();
-        if let Some(o) = &last_obs {
+        let cycled = last_seen.is_some();
+        if let Some(o) = &last_seen {
             let mut cycle_span = obs.span("agent", "cycle");
             let _ = agent.publish(&kv, o.total_sent, o.conf_sent, now_ms);
             let observed = agent.read_aggregates(&kv, now_ms);
@@ -314,29 +288,29 @@ pub fn run_drill_watch(
         staleness_hist.record(agent.staleness_ms(now_ms) as f64);
 
         // World step.
-        let obs = world.step(t, &marking);
+        let seen = world.step(t, &marking);
 
         // Application step (impact depends on the marking granularity).
         let m = marking.marked_fraction(config.hosts);
         let app_metrics = match config.strategy {
             MarkingStrategy::HostBased => {
-                app.step(m, obs.fabric.nonconf_loss, obs.fabric.conf_loss)
+                app.step(m, seen.fabric.nonconf_loss, seen.fabric.conf_loss)
             }
             MarkingStrategy::FlowBased => {
-                app.step_flow_based(m, obs.fabric.nonconf_loss, obs.fabric.conf_loss)
+                app.step_flow_based(m, seen.fabric.nonconf_loss, seen.fabric.conf_loss)
             }
         };
 
         recorder.tick(t);
-        recorder.record("loss_conf", obs.fabric.conf_loss);
-        recorder.record("loss_nonconf", obs.fabric.nonconf_loss);
-        recorder.record("rate_total_tbps", obs.total_sent.as_tbps());
-        recorder.record("rate_conform_tbps", obs.conf_sent.as_tbps());
+        recorder.record("loss_conf", seen.fabric.conf_loss);
+        recorder.record("loss_nonconf", seen.fabric.nonconf_loss);
+        recorder.record("rate_total_tbps", seen.total_sent.as_tbps());
+        recorder.record("rate_conform_tbps", seen.conf_sent.as_tbps());
         recorder.record("rate_entitled_tbps", entitled.as_tbps());
-        recorder.record("rtt_conf_ms", obs.fabric.conf_rtt_ms);
-        recorder.record("rtt_nonconf_ms", obs.fabric.nonconf_rtt_ms);
-        recorder.record("syn_conf", obs.tcp_conf.syn_sent);
-        recorder.record("syn_nonconf", obs.tcp_nonconf.syn_sent);
+        recorder.record("rtt_conf_ms", seen.fabric.conf_rtt_ms);
+        recorder.record("rtt_nonconf_ms", seen.fabric.nonconf_rtt_ms);
+        recorder.record("syn_conf", seen.tcp_conf.syn_sent);
+        recorder.record("syn_nonconf", seen.tcp_nonconf.syn_sent);
         recorder.record("read_latency_s", app_metrics.read_latency_secs);
         recorder.record("write_latency_s", app_metrics.write_latency_secs);
         recorder.record("block_errors", app_metrics.block_errors);
@@ -349,46 +323,43 @@ pub fn run_drill_watch(
         // aggregate read failed is unmeasurable and counts bad
         // (fail-closed), regardless of what the wire delivered.
         if cycled {
-            evaluator.observe(
-                telemetry,
+            let total = seen.total_sent.as_bps();
+            let delivered = seen.conf_sent.as_bps();
+            let measurable = kv_unavailable == 0.0;
+            slo.observe(
+                obs,
                 &IntervalObs {
                     entity: npg.to_string(),
                     qos: qos.to_string(),
                     target: slo_target,
-                    demand_bps: obs.total_sent.as_bps(),
-                    delivered_bps: obs.conf_sent.as_bps(),
+                    demand_bps: total,
+                    delivered_bps: delivered,
                     approved_bps: entitled.as_bps(),
-                    measurable: kv_unavailable == 0.0,
+                    measurable,
                 },
             );
             // Watchdog fold over the same observation, plus the SLIs
             // the SLO evaluator does not consume: the marked/conforming
             // split and the aggregate staleness behind the decision.
-            let total = obs.total_sent.as_bps();
-            let conform_fraction = if total > 0.0 {
-                obs.conf_sent.as_bps() / total
-            } else {
-                1.0
-            };
-            watchdog.observe_cycle(
-                telemetry,
+            watch.observe_cycle(
+                obs,
                 &CycleObs {
                     entity: npg.to_string(),
                     qos: qos.to_string(),
                     demand_bps: total,
-                    delivered_bps: obs.conf_sent.as_bps(),
+                    delivered_bps: delivered,
                     approved_bps: entitled.as_bps(),
                     marked_fraction: m,
-                    conform_fraction,
+                    conform_fraction: if total > 0.0 { delivered / total } else { 1.0 },
                     staleness_ms: agent.staleness_ms(now_ms) as f64,
-                    measurable: kv_unavailable == 0.0,
+                    measurable,
                 },
             );
         }
 
-        last_obs = Some(obs);
+        last_seen = Some(seen);
     }
-    (recorder, evaluator.report(), watchdog.report())
+    recorder
 }
 
 #[cfg(test)]
@@ -526,12 +497,13 @@ mod tests {
             ..Default::default()
         };
         let obs = Obs::new(entitlement_obs::Clock::manual(0));
-        let (_, _, watch) =
-            run_drill_watch(&cfg, &obs, &SloPolicy::default(), &WatchPolicy::default());
+        let mut live = WatchEvaluator::default();
+        run_drill_with(&cfg, &obs, &mut SloEvaluator::default(), &mut live);
+        let watch = live.report();
         assert!(watch.healthy(), "{}", watch.render_text());
         assert_eq!(watch.cycles, 499, "one metered cycle per tick after the first");
-        let mut offline = WatchEvaluator::new(WatchPolicy::default());
-        offline.fold_trace(&obs.trace.events());
+        let mut offline = WatchEvaluator::default();
+        assert_eq!(offline.fold_trace(&obs.trace.events()), []);
         let refolded = offline.report();
         assert_eq!(refolded.render_json(), watch.render_json());
         assert_eq!(refolded.render_text(), watch.render_text());
@@ -554,7 +526,12 @@ mod tests {
         };
         let run = || {
             let obs = Obs::new(entitlement_obs::Clock::manual(0));
-            let r = run_drill_obs(&cfg, &obs);
+            let r = run_drill_with(
+                &cfg,
+                &obs,
+                &mut SloEvaluator::default(),
+                &mut WatchEvaluator::default(),
+            );
             (r, obs)
         };
         let (traced, obs_a) = run();

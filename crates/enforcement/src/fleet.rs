@@ -57,8 +57,8 @@ use entitlement_kvstore::{
     FanoutSnapshot, KvShardAccess, ObservedKv, ShardFanout, ShardRead, ShardedStore, StoreConfig,
 };
 use entitlement_obs::Obs;
-use entitlement_slo::{IntervalObs, SloEvaluator, SloPolicy, SloReport};
-use entitlement_watch::{CycleObs, WatchEvaluator, WatchPolicy, WatchReport};
+use entitlement_slo::{IntervalObs, SloEvaluator};
+use entitlement_watch::{CycleObs, WatchEvaluator};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -346,61 +346,50 @@ fn meter_pass(config: &FleetConfig, prev_cr: &mut [f64], total: f64, conform: f6
     }
 }
 
-/// Run the fleet engine without telemetry.
+/// [`run_fleet_engine_with`] without telemetry: a disabled [`Obs`] and
+/// default evaluators nobody reads.
 ///
 /// # Errors
 ///
 /// Propagates [`ShardPlan::new`] validation failures.
 pub fn run_fleet_engine(config: &FleetConfig) -> Result<FleetOutcome, String> {
-    let obs = Obs::disabled();
-    run_fleet_engine_obs(config, &obs)
+    run_fleet_engine_with(
+        config,
+        &Obs::disabled(),
+        &mut SloEvaluator::default(),
+        &mut WatchEvaluator::default(),
+    )
 }
 
-/// Run the fleet engine, recording spans/events/metrics into `obs`.
-///
-/// # Errors
-///
-/// Propagates [`ShardPlan::new`] validation failures.
-pub fn run_fleet_engine_obs(config: &FleetConfig, obs: &Obs) -> Result<FleetOutcome, String> {
-    run_fleet_engine_slo(config, obs, &SloPolicy::default()).map(|(outcome, _)| outcome)
-}
-
-/// Run the fleet engine plus the streaming SLO fold.
+/// Run the fleet engine, recording spans/events/metrics into `obs` and
+/// feeding the caller's two health folds.
 ///
 /// All telemetry and KV traffic is issued from the driver thread in
-/// deterministic order (cycle, then shard index), so traces, metrics,
-/// and the report are byte-identical across strategies.
+/// deterministic order (cycle, then shard index), so traces, metrics
+/// and both folds are byte-identical across strategies, and re-folding
+/// the saved trace with `fold_trace` reproduces the reports exactly.
+///
+/// The caller builds `slo` and `watch` under whatever policy it wants
+/// and reads `report()` afterwards. They are two arguments, not one
+/// observer, because they are fed at different points of a cycle:
+/// `slo` gets its [`IntervalObs`] (the global entity, plus one per
+/// shard with [`FleetConfig::per_shard_slis`]) *inside* the
+/// `agent`/`cycle` span, so `slo`/`interval` events carry the cycle
+/// span as `parent_id`; `watch` gets its [`CycleObs`] and the W0102
+/// shard reconciliation (the servable partials re-summed in shard
+/// order and bit-compared against the fold the meters consumed)
+/// *after* the span closes, so `watch`/`*` events are roots and never
+/// perturb span durations.
 ///
 /// # Errors
 ///
 /// Propagates [`ShardPlan::new`] validation failures.
-pub fn run_fleet_engine_slo(
+pub fn run_fleet_engine_with(
     config: &FleetConfig,
     obs: &Obs,
-    policy: &SloPolicy,
-) -> Result<(FleetOutcome, SloReport), String> {
-    run_fleet_engine_watch(config, obs, policy, &WatchPolicy::default())
-        .map(|(outcome, slo, _)| (outcome, slo))
-}
-
-/// [`run_fleet_engine_slo`] plus the runtime watchdog: every cycle also
-/// feeds the streaming [`WatchEvaluator`] — one [`CycleObs`] for the
-/// global entity plus a shard-reconciliation check that re-sums the
-/// per-shard partials in shard order and bit-compares against the fold
-/// the meters consumed (`W0102`). All watch events are emitted
-/// driver-side in deterministic order, so traces and the returned
-/// [`WatchReport`] stay byte-identical across strategies, and
-/// re-folding the saved trace reproduces the report exactly.
-///
-/// # Errors
-///
-/// Propagates [`ShardPlan::new`] validation failures.
-pub fn run_fleet_engine_watch(
-    config: &FleetConfig,
-    obs: &Obs,
-    policy: &SloPolicy,
-    watch_policy: &WatchPolicy,
-) -> Result<(FleetOutcome, SloReport, WatchReport), String> {
+    slo: &mut SloEvaluator,
+    watch: &mut WatchEvaluator,
+) -> Result<FleetOutcome, String> {
     let plan = ShardPlan::new(config.hosts, config.shards)?;
     let shards = plan.shards();
     let fault_plan = Arc::new(config.faults.clone().unwrap_or_else(FaultPlan::none));
@@ -410,8 +399,7 @@ pub fn run_fleet_engine_watch(
     }));
     let kv = ObservedKv::new(ChaosStore::new(Arc::clone(&store), fault_plan), obs);
 
-    let state_init = FleetState::new(config);
-    let mut state = state_init;
+    let mut state = FleetState::new(config);
     let shard_demand: Vec<f64> = (0..shards)
         .map(|s| plan.range(s).map(|h| state.demand[h]).sum())
         .collect();
@@ -423,8 +411,6 @@ pub fn run_fleet_engine_watch(
     let staleness_ms = config.staleness_cycles * config.cycle_ms;
     let mut fan_total = ShardFanout::new(shards, staleness_ms);
     let mut fan_conform = ShardFanout::new(shards, staleness_ms);
-    let mut evaluator = SloEvaluator::new(policy.clone());
-    let mut watchdog = WatchEvaluator::new(watch_policy.clone());
     let mut shard_stats = vec![FleetShardStats::default(); shards];
     let mut cycle_stats = Vec::with_capacity(config.cycles);
     let mut partials = vec![(0.0, 0.0, 0u64); shards];
@@ -475,7 +461,8 @@ pub fn run_fleet_engine_watch(
         }
 
         // 4. Meter pass on the folded aggregates — or fail-static.
-        let metered = match (snap_total.fold(), snap_conform.fold()) {
+        let folded_total = snap_total.fold();
+        let metered = match (folded_total, snap_conform.fold()) {
             (Ok(total), Ok(conform)) => {
                 meter_pass(config, &mut state.prev_cr, total, conform);
                 Some((total, conform))
@@ -502,7 +489,7 @@ pub fn run_fleet_engine_watch(
 
         // 5. SLO fold: the global entity, plus per-shard SLIs when on.
         let measurable = snap_total.missing() == 0 && snap_conform.missing() == 0;
-        evaluator.observe(
+        slo.observe(
             obs,
             &IntervalObs {
                 entity: config.npg.to_string(),
@@ -520,7 +507,7 @@ pub fn run_fleet_engine_watch(
                     ShardRead::Fresh(v) | ShardRead::Held(v) => (v, true),
                     ShardRead::Missing => (0.0, false),
                 };
-                evaluator.observe(
+                slo.observe(
                     obs,
                     &IntervalObs {
                         entity: format!("{}/s{s}", config.npg),
@@ -550,7 +537,7 @@ pub fn run_fleet_engine_watch(
         } else {
             1.0
         };
-        watchdog.observe_cycle(
+        watch.observe_cycle(
             obs,
             &CycleObs {
                 entity: config.npg.to_string(),
@@ -567,7 +554,7 @@ pub fn run_fleet_engine_watch(
         // W0102: re-sum the servable shard partials and bit-compare
         // against the fold the meters consumed. Skipped when the fold
         // itself failed (a missing shard is W0105's territory).
-        if let Ok(folded) = snap_total.fold() {
+        if let Ok(folded) = folded_total {
             let shard_values: Vec<f64> = snap_total
                 .shards()
                 .iter()
@@ -576,7 +563,7 @@ pub fn run_fleet_engine_watch(
                     ShardRead::Missing => 0.0,
                 })
                 .collect();
-            watchdog.observe_shards(
+            watch.observe_shards(
                 obs,
                 &config.npg.to_string(),
                 &config.qos.to_string(),
@@ -601,7 +588,7 @@ pub fn run_fleet_engine_watch(
     let end_ms = config.cycles as u64 * config.cycle_ms;
     let final_total = store.aggregate_sum(&total_prefix, end_ms);
     let marked_fraction = cycle_stats.last().map_or(0.0, |c| c.marked_fraction);
-    let outcome = FleetOutcome {
+    Ok(FleetOutcome {
         conform_ratios: state.prev_cr,
         marked_fraction,
         fail_static_cycles,
@@ -610,8 +597,7 @@ pub fn run_fleet_engine_watch(
         fanout_reads: fan_total.reads() + fan_conform.reads(),
         demand_bps,
         final_total,
-    };
-    Ok((outcome, evaluator.report(), watchdog.report()))
+    })
 }
 
 /// One `shard`/`fold` trace event per shard, shard order, labelling
@@ -650,9 +636,15 @@ mod tests {
 
     #[test]
     fn over_entitled_fleet_marks_about_half() {
-        let (out, report) =
-            run_fleet_engine_slo(&small_config(), &Obs::disabled(), &SloPolicy::default())
-                .unwrap();
+        let mut slo = SloEvaluator::default();
+        let out = run_fleet_engine_with(
+            &small_config(),
+            &Obs::disabled(),
+            &mut slo,
+            &mut WatchEvaluator::default(),
+        )
+        .unwrap();
+        let report = slo.report();
         assert!(
             (out.marked_fraction - 0.5).abs() < 0.15,
             "marked {}",
@@ -671,18 +663,15 @@ mod tests {
     #[test]
     fn healthy_fleet_watch_is_silent_and_refolds_byte_identically() {
         let obs = Obs::new(entitlement_obs::Clock::manual(0));
-        let (_, _, watch) = run_fleet_engine_watch(
-            &small_config(),
-            &obs,
-            &SloPolicy::default(),
-            &WatchPolicy::default(),
-        )
-        .unwrap();
+        let mut live = WatchEvaluator::default();
+        run_fleet_engine_with(&small_config(), &obs, &mut SloEvaluator::default(), &mut live)
+            .unwrap();
+        let watch = live.report();
         assert!(watch.healthy(), "{}", watch.render_text());
         assert_eq!(watch.cycles, 12);
         assert_eq!(watch.shard_checks, 12, "one W0102 reconciliation per cycle");
-        let mut offline = WatchEvaluator::new(WatchPolicy::default());
-        offline.fold_trace(&obs.trace.events());
+        let mut offline = WatchEvaluator::default();
+        assert_eq!(offline.fold_trace(&obs.trace.events()), []);
         assert_eq!(offline.report(), watch);
         assert_eq!(offline.report().render_json(), watch.render_json());
     }
@@ -752,8 +741,10 @@ mod tests {
             per_shard_slis: true,
             ..small_config()
         };
-        let (_, report) =
-            run_fleet_engine_slo(&config, &Obs::disabled(), &SloPolicy::default()).unwrap();
+        let mut slo = SloEvaluator::default();
+        run_fleet_engine_with(&config, &Obs::disabled(), &mut slo, &mut WatchEvaluator::default())
+            .unwrap();
+        let report = slo.report();
         assert_eq!(report.entities.len(), 5, "global + one per shard");
         assert!(report
             .entities

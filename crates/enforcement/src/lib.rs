@@ -52,11 +52,10 @@ pub use agent::{Agent, AgentConfig};
 pub use bpf::{ClassifyInput, MarkAction, MarkingTable};
 pub use convergence::{simulate_marking, MarkingSim, MarkingSimResult};
 pub use db::ContractDb;
-pub use drill::{run_drill, run_drill_obs, run_drill_slo, run_drill_watch, DrillConfig, DrillStage};
+pub use drill::{run_drill, run_drill_with, DrillConfig, DrillStage};
 pub use fleet::{
-    host_demand_bps, run_fleet_engine, run_fleet_engine_obs, run_fleet_engine_slo,
-    run_fleet_engine_watch, FleetConfig, FleetCycleStats, FleetOutcome, FleetShardStats,
-    FleetStrategy,
+    host_demand_bps, run_fleet_engine, run_fleet_engine_with, FleetConfig, FleetCycleStats,
+    FleetOutcome, FleetShardStats, FleetStrategy,
 };
 pub use shard::ShardPlan;
 pub use verify::{

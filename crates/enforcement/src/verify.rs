@@ -3,14 +3,14 @@
 //! [`ProtocolRun`] over the **real** runtime components.
 //!
 //! Nothing here is a reimplementation: the host pass calls
-//! [`crate::fleet::shard_partial`], publishes go through the real
+//! `crate::fleet::shard_partial`, publishes go through the real
 //! [`ShardedStore`] (via [`KvShardAccess::try_put_shard_batch`]), the
 //! fold runs the real [`ShardFanout`], and the meter pass is
 //! [`StatefulMeter::update_value`] — the identical float ops the fleet
 //! engine runs. The scheduler interleaves the protocol's logical tasks
 //! (workers, the driver) every legal way and asserts f64-bit outcome
 //! equality against the canonical schedule — which `reference_engine`
-//! pins to [`run_fleet_engine`]'s `FleetStrategy::Deterministic`
+//! pins to [`crate::fleet::run_fleet_engine`]'s `FleetStrategy::Deterministic`
 //! output, closing the loop: *every* schedule equals the deterministic
 //! engine, bit for bit.
 //!

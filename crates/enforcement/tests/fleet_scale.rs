@@ -15,9 +15,12 @@
 //! enforcement math — any drift here is a semantic change, not noise.
 
 use entitlement_core::Rate;
-use entitlement_enforcement::{run_fleet_engine_slo, FleetConfig, FleetStrategy};
+use entitlement_enforcement::{
+    run_fleet_engine_with, FleetConfig, FleetOutcome, FleetStrategy,
+};
 use entitlement_obs::{Clock, Obs};
-use entitlement_slo::SloPolicy;
+use entitlement_slo::{SloEvaluator, SloReport};
+use entitlement_watch::WatchEvaluator;
 use std::time::{Duration, Instant};
 
 const HOSTS: usize = 100_000;
@@ -40,17 +43,26 @@ fn scale_config(strategy: FleetStrategy) -> FleetConfig {
     }
 }
 
+/// One scale run under the default policies: the outcome and the SLO
+/// report it folded.
+fn scale_run(strategy: FleetStrategy, obs: &Obs) -> (FleetOutcome, SloReport) {
+    let mut slo = SloEvaluator::default();
+    let out = run_fleet_engine_with(
+        &scale_config(strategy),
+        obs,
+        &mut slo,
+        &mut WatchEvaluator::default(),
+    )
+    .expect("scale run");
+    (out, slo.report())
+}
+
 #[test]
 #[ignore = "scale gate: run in release via -- --ignored"]
 fn hundred_thousand_hosts_meet_the_ceiling_and_the_golden() {
     let obs = Obs::new(Clock::counting(1));
     let start = Instant::now();
-    let (par, report) = run_fleet_engine_slo(
-        &scale_config(FleetStrategy::Parallel),
-        &obs,
-        &SloPolicy::default(),
-    )
-    .expect("scale run");
+    let (par, report) = scale_run(FleetStrategy::Parallel, &obs);
     let wall = start.elapsed();
     let agent_cycles_per_sec = (HOSTS * CYCLES) as f64 / wall.as_secs_f64();
     eprintln!(
@@ -78,12 +90,8 @@ fn hundred_thousand_hosts_meet_the_ceiling_and_the_golden() {
 
     // Strategy equivalence holds at scale too: the single-threaded run
     // lands on bit-identical meter state and aggregates.
-    let (det, det_report) = run_fleet_engine_slo(
-        &scale_config(FleetStrategy::Deterministic),
-        &Obs::new(Clock::counting(1)),
-        &SloPolicy::default(),
-    )
-    .expect("det scale run");
+    let (det, det_report) =
+        scale_run(FleetStrategy::Deterministic, &Obs::new(Clock::counting(1)));
     assert_eq!(det.conform_ratios, par.conform_ratios);
     assert_eq!(det.final_total.to_bits(), par.final_total.to_bits());
     assert_eq!(det_report.render_json(), rendered);

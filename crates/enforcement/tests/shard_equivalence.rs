@@ -16,12 +16,13 @@
 use entitlement_chaos::{Fault, FaultKind, FaultPlan, TimeWindow};
 use entitlement_enforcement::marking::{Marker, GROUPS};
 use entitlement_enforcement::{
-    host_demand_bps, run_fleet_engine, run_fleet_engine_slo, FleetConfig, FleetOutcome,
+    host_demand_bps, run_fleet_engine, run_fleet_engine_with, FleetConfig, FleetOutcome,
     FleetStrategy, Meter, StatefulMeter,
 };
 use entitlement_core::{HostId, Rate};
 use entitlement_obs::{Clock, Obs};
-use entitlement_slo::SloPolicy;
+use entitlement_slo::SloEvaluator;
+use entitlement_watch::WatchEvaluator;
 use proptest::prelude::*;
 
 fn base_config(hosts: usize, shards: usize, seed: u64, cycles: usize) -> FleetConfig {
@@ -49,12 +50,13 @@ fn run_with_telemetry(
     config.strategy = strategy;
     config.workers = workers;
     let obs = Obs::new(Clock::counting(1));
-    let (outcome, report) =
-        run_fleet_engine_slo(&config, &obs, &SloPolicy::default()).expect("valid config");
+    let mut slo = SloEvaluator::default();
+    let outcome = run_fleet_engine_with(&config, &obs, &mut slo, &mut WatchEvaluator::default())
+        .expect("valid config");
     (
         outcome,
         obs.trace.to_jsonl(),
-        report.render_json(),
+        slo.report().render_json(),
         obs.registry.render(),
     )
 }

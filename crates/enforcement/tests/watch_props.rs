@@ -3,11 +3,18 @@
 //! offline trace refold is byte-identical to the streaming fold no
 //! matter the seed.
 
-use entitlement_enforcement::{run_drill_watch, DrillConfig};
+use entitlement_enforcement::{run_drill_with, DrillConfig};
 use entitlement_obs::{parse_trace, Clock, Obs};
-use entitlement_slo::SloPolicy;
-use entitlement_watch::{WatchEvaluator, WatchPolicy};
+use entitlement_slo::SloEvaluator;
+use entitlement_watch::{WatchEvaluator, WatchReport};
 use proptest::prelude::*;
+
+/// The watchdog report of one drill under the default policies.
+fn drill_watch(config: &DrillConfig, obs: &Obs) -> WatchReport {
+    let mut watch = WatchEvaluator::default();
+    run_drill_with(config, obs, &mut SloEvaluator::default(), &mut watch);
+    watch.report()
+}
 
 fn config(hosts: usize, seed: u64) -> DrillConfig {
     DrillConfig {
@@ -32,12 +39,7 @@ proptest! {
         hosts_pick in 0usize..4,
     ) {
         let hosts = [300usize, 500, 1000, 2000][hosts_pick];
-        let (_, _, report) = run_drill_watch(
-            &config(hosts, seed),
-            &Obs::disabled(),
-            &SloPolicy::default(),
-            &WatchPolicy::default(),
-        );
+        let report = drill_watch(&config(hosts, seed), &Obs::disabled());
         prop_assert!(
             report.healthy(),
             "hosts {hosts} seed {seed:#x}:\n{}",
@@ -50,15 +52,10 @@ proptest! {
     #[test]
     fn offline_refold_is_byte_identical(seed in any::<u64>()) {
         let obs = Obs::new(Clock::manual(0));
-        let (_, _, live) = run_drill_watch(
-            &config(300, seed),
-            &obs,
-            &SloPolicy::default(),
-            &WatchPolicy::default(),
-        );
+        let live = drill_watch(&config(300, seed), &obs);
         let events = parse_trace(&obs.trace.to_jsonl()).expect("trace parses");
-        let mut folded = WatchEvaluator::new(WatchPolicy::default());
-        folded.fold_trace(&events);
+        let mut folded = WatchEvaluator::default();
+        prop_assert_eq!(folded.fold_trace(&events), []);
         let offline = folded.report();
         prop_assert_eq!(live.render_json(), offline.render_json());
         prop_assert_eq!(live.render_text(), offline.render_text());

@@ -39,11 +39,10 @@ pub fn explain_request(events: &[TraceEvent], request: u64) -> Result<String, St
     if admits.is_empty() {
         return Err("trace contains no market/admit spans".to_string());
     }
-    let want = request.to_string();
     let node = admits
         .iter()
         .copied()
-        .find(|&i| events[i].label("request") == Some(want.as_str()))
+        .find(|&i| events[i].parsed("request") == Ok(request))
         .ok_or_else(|| {
             format!(
                 "no market/admit span with request ordinal {request} \

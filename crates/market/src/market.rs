@@ -8,8 +8,8 @@
 //! [`ResidualIndex`] for every time slice. A steady-state [`EntitlementMarket::admit`] is then one
 //! probe of that table — classify, grant, decrement in a single
 //! borrow; only a cold, stale or exhausted slot falls back to
-//! the full RSS sweep (the same [`pair_headroom`] kernel the warm-up
-//! ran), whose decision re-installs the slot — the index refreshes
+//! the full RSS sweep (the same [`crate::index::pair_headroom`] kernel
+//! the warm-up ran), whose decision re-installs the slot — the index refreshes
 //! incrementally from decisions, never from scratch. Warm-up and
 //! fallback sweeps read one [`RoutePlan`], kept for the life of the
 //! effective scenario set, so neither searches a path twice.

@@ -6,7 +6,7 @@ use crate::slice::SliceId;
 use entitlement_core::{DetRng, NpgId, QosBucket, Rate};
 use entitlement_obs::Obs;
 use entitlement_topology::LinkId;
-use entitlement_watch::{AdmitObs, WatchEvaluator, WatchPolicy, WatchReport};
+use entitlement_watch::{AdmitObs, WatchEvaluator};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of a deterministic admission storm.
@@ -101,26 +101,30 @@ impl StormReport {
     }
 }
 
-/// Drive a storm through the market, tallying outcomes and paths.
+/// [`run_storm_with`] on a healthy network with nobody reading the
+/// watchdog: no cuts, no per-admit hook, a default evaluator.
 pub fn run_storm(
     market: &mut EntitlementMarket,
     requests: &[AdmitRequest],
     obs: &Obs,
 ) -> StormReport {
     let no_cuts = |_| Vec::new();
-    run_storm_watch(market, requests, obs, &WatchPolicy::default(), no_cuts, |_, _| {}).0
+    run_storm_with(market, requests, obs, &mut WatchEvaluator::default(), no_cuts, |_, _| {})
 }
 
-/// [`run_storm`] plus the runtime watchdog: every admission also feeds
-/// one [`AdmitObs`] into a streaming [`WatchEvaluator`] — the W0103
-/// residual-monotonicity monitor (bit-exact against the index's own
-/// bps arithmetic) and the W0107 admit-latency CUSUM — emitting
-/// `watch`/`admit` (and any `watch`/`violation`, `watch`/`fire`|
-/// `clear`) trace events into `obs`. The latency sample is the logical
-/// clock delta around each admission, so under a counting clock the
-/// sweep path reads strictly slower than the warm index path.
-/// Re-folding the saved trace reproduces the returned [`WatchReport`]
-/// byte-for-byte.
+/// Drive a storm through the market, tallying outcomes and paths and
+/// feeding the caller's watchdog fold.
+///
+/// The caller builds `watch` under whatever policy it wants and reads
+/// `report()` afterwards. Every admission feeds it one [`AdmitObs`] —
+/// the W0103 residual-monotonicity monitor (bit-exact against the
+/// index's own bps arithmetic) and the W0107 admit-latency CUSUM —
+/// emitting `watch`/`admit` (and any `watch`/`violation`,
+/// `watch`/`fire`|`clear`) trace events into `obs`. The latency sample
+/// is the logical clock delta around each admission, so under a
+/// counting clock the sweep path reads strictly slower than the warm
+/// index path. Re-folding the saved trace with `fold_trace` under the
+/// same policy reproduces the report byte-for-byte.
 ///
 /// `cuts(i)` is the fault schedule: the links dead while request `i`
 /// is served (logical time = request ordinal), handed to
@@ -128,23 +132,22 @@ pub fn run_storm(
 /// decision)` runs after request `i`'s watch fold, so a caller's own
 /// per-admit events (the CLI's `slo`/`interval` chunks) interleave
 /// with the storm's in request order.
-pub fn run_storm_watch(
+pub fn run_storm_with(
     market: &mut EntitlementMarket,
     requests: &[AdmitRequest],
     obs: &Obs,
-    watch_policy: &WatchPolicy,
+    watch: &mut WatchEvaluator,
     cuts: impl Fn(usize) -> Vec<LinkId>,
     mut on_admit: impl FnMut(usize, &AdmitDecision),
-) -> (StormReport, WatchReport) {
+) -> StormReport {
     let mut report = StormReport::default();
-    let mut watchdog = WatchEvaluator::new(watch_policy.clone());
     for (i, req) in requests.iter().enumerate() {
         market.set_faults(&cuts(i));
         let t0 = obs.clock.now_ms();
         let d = market.admit_obs(req, obs);
         let admit_ms = obs.clock.now_ms().saturating_sub(t0) as f64;
         report.tally(&d);
-        watchdog.observe_admit(
+        watch.observe_admit(
             obs,
             &AdmitObs {
                 request: i as u64,
@@ -158,7 +161,7 @@ pub fn run_storm_watch(
         );
         on_admit(i, &d);
     }
-    (report, watchdog.report())
+    report
 }
 
 #[cfg(test)]
@@ -189,19 +192,15 @@ mod tests {
             },
         );
         let obs = Obs::new(entitlement_obs::Clock::counting(1));
-        let (report, watch) = run_storm_watch(
-            &mut market,
-            &requests,
-            &obs,
-            &WatchPolicy::default(),
-            |_| Vec::new(),
-            |_, _| {},
-        );
+        let mut live = WatchEvaluator::default();
+        let report =
+            run_storm_with(&mut market, &requests, &obs, &mut live, |_| Vec::new(), |_, _| {});
+        let watch = live.report();
         assert_eq!(report.requests, 300);
         assert_eq!(watch.admits, 300);
         assert!(watch.healthy(), "{}", watch.render_text());
-        let mut offline = WatchEvaluator::new(WatchPolicy::default());
-        offline.fold_trace(&obs.trace.events());
+        let mut offline = WatchEvaluator::default();
+        assert_eq!(offline.fold_trace(&obs.trace.events()), []);
         assert_eq!(offline.report(), watch);
         assert_eq!(offline.report().render_json(), watch.render_json());
     }

@@ -48,7 +48,7 @@ pub use summary::{
     summarize_trace_by_label, validate_prometheus,
 };
 pub use telemetry::TelemetrySpec;
-pub use trace::{SpanTimer, TraceEvent, TraceSink};
+pub use trace::{BadLabel, SpanTimer, TraceEvent, TraceSink};
 pub use tree::{
     build_span_forest, check_well_formed, critical_path, flamegraph_folded, render_critical_path,
     render_span_tree, self_time_ms, SpanForest, SpanNode,

@@ -70,6 +70,31 @@ pub struct TraceEvent {
     pub dur_ms: f64,
 }
 
+/// A label an event's reader requires that is absent or does not
+/// parse: what a strict decode reports in place of a default.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BadLabel {
+    /// `span_id` of the offending event.
+    pub span_id: u64,
+    /// Its `span/phase`.
+    pub event: String,
+    /// The label.
+    pub key: String,
+    /// The unusable value; `None` = the label is missing.
+    pub value: Option<String>,
+}
+
+impl fmt::Display for BadLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let BadLabel { span_id, event, key, value } = self;
+        write!(f, "{event} event span_id {span_id}: label `{key}` ")?;
+        match value {
+            None => f.write_str("is missing"),
+            Some(v) => write!(f, "has unusable value `{v}`"),
+        }
+    }
+}
+
 impl TraceEvent {
     /// An event with unassigned ids (all zero) — handed to
     /// [`TraceSink::push_child`], which allocates them under the
@@ -107,6 +132,51 @@ impl TraceEvent {
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// Value of a label the reader cannot do without.
+    ///
+    /// # Errors
+    ///
+    /// Names the event and the label when it is absent.
+    pub fn need(&self, key: &str) -> Result<&str, BadLabel> {
+        self.label(key).ok_or_else(|| self.bad(key, None))
+    }
+
+    /// A required label parsed as `T` (`u64`, `bool`, ...).
+    ///
+    /// # Errors
+    ///
+    /// Names the event, the label and the value when the label is
+    /// absent or its value is not a `T`.
+    pub fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<T, BadLabel> {
+        let value = self.need(key)?;
+        value.parse().map_err(|_| self.bad(key, Some(value)))
+    }
+
+    /// A required float label. The writer renders non-finite values as
+    /// `0` ([`SpanTimer::label_f64`]), so `NaN`/`inf` on the wire is
+    /// corruption like any other non-number.
+    ///
+    /// # Errors
+    ///
+    /// As [`parsed`](Self::parsed), also for a non-finite value.
+    pub fn num(&self, key: &str) -> Result<f64, BadLabel> {
+        let v: f64 = self.parsed(key)?;
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(self.bad(key, self.label(key)))
+        }
+    }
+
+    fn bad(&self, key: &str, value: Option<&str>) -> BadLabel {
+        BadLabel {
+            span_id: self.span_id,
+            event: format!("{}/{}", self.span, self.phase),
+            key: key.to_string(),
+            value: value.map(str::to_string),
+        }
     }
 
     /// Render this event as its canonical single JSON line (no

@@ -24,7 +24,7 @@ pub mod sweep;
 
 pub use curve::AvailabilityCurve;
 pub use simulate::{
-    assess_risk, assess_risk_detailed, assess_risk_detailed_obs, assess_risk_samples_obs,
-    sweep_plan, RiskAssessment, RiskConfig, RiskSamples,
+    assess_risk, assess_risk_detailed, assess_risk_detailed_obs, sweep_plan, RiskAssessment,
+    RiskConfig, RiskSamples,
 };
 pub use sweep::sweep_ordered_obs;

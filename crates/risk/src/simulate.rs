@@ -107,7 +107,14 @@ pub fn assess_risk_detailed_obs(
     config: &RiskConfig,
     obs: &Obs,
 ) -> RiskAssessment {
-    let s = assess_risk_samples_obs(topo, demands, scenarios, config, obs);
+    // A throw-away plan; a caller that sweeps the same scenario set
+    // again keeps one and calls [`sweep_plan`].
+    let mut plan = RoutePlan::build(topo, scenarios, config.k_paths);
+    plan.ensure(
+        topo,
+        demands.iter().chain(&config.background).map(Demand::pair),
+    );
+    let s = sweep_plan(topo, &plan, demands, scenarios, config, obs);
     RiskAssessment {
         curves: s
             .samples
@@ -157,32 +164,13 @@ impl RiskSamples {
     }
 }
 
-/// [`assess_risk_detailed_obs`] stopping one step short of curve
-/// construction: returns the per-scenario samples themselves. Building
-/// [`AvailabilityCurve::from_samples`] over each demand's samples
-/// yields exactly the detailed assessment's curves.
-///
-/// Routes through a throw-away [`RoutePlan`]; a caller that sweeps the
-/// same scenario set again keeps one and calls [`sweep_plan`].
-pub fn assess_risk_samples_obs(
-    topo: &Topology,
-    demands: &[Demand],
-    scenarios: &ScenarioSet,
-    config: &RiskConfig,
-    obs: &Obs,
-) -> RiskSamples {
-    let mut plan = RoutePlan::build(topo, scenarios, config.k_paths);
-    plan.ensure(
-        topo,
-        demands.iter().chain(&config.background).map(Demand::pair),
-    );
-    sweep_plan(topo, &plan, demands, scenarios, config, obs)
-}
-
 /// The sweep kernel: place `config.background` then `demands` under
 /// every failure set of `scenarios`, every path read from `plan` — which
 /// must have been built from `scenarios` (its `k_paths` is the one
-/// used) and cover the pairs of both demand lists.
+/// used) and cover the pairs of both demand lists. This is
+/// [`assess_risk_detailed_obs`] stopping one step short of curve
+/// construction: [`AvailabilityCurve::from_samples`] over each demand's
+/// samples yields exactly the detailed assessment's curves.
 ///
 /// Background (higher priority) goes first in a pass of its own; the
 /// batch is then placed on the residual capacities it left behind.
@@ -348,8 +336,10 @@ mod tests {
             amount: Rate::tbps(50.0),
         }];
         let scenarios = ScenarioSet::enumerate(&topo, 2);
-        let obs = Obs::disabled();
-        let s = assess_risk_samples_obs(&topo, &demands, &scenarios, &RiskConfig::default(), &obs);
+        let config = RiskConfig::default();
+        let mut plan = RoutePlan::build(&topo, &scenarios, config.k_paths);
+        plan.ensure(&topo, demands.iter().map(Demand::pair));
+        let s = sweep_plan(&topo, &plan, &demands, &scenarios, &config, &Obs::disabled());
         let curves = assess_risk(&topo, &demands, &scenarios, &RiskConfig::default());
         for slo in [0.9, 0.99, 0.9999] {
             let b = s.binding_scenario(0, slo).expect("feasible slo");

@@ -28,15 +28,13 @@ pub fn effective_workers(workers: usize, jobs: usize) -> usize {
     requested.clamp(1, jobs.max(1))
 }
 
-/// Apply `job` to every element of `items`, fanned out over `workers`
-/// scoped threads, returning results in input order.
-///
-/// The partition is a fixed contiguous chunk per worker (the first
-/// `len % workers` chunks get one extra item), and chunk results are
-/// concatenated in chunk order after all workers join — thread timing
-/// can never reorder the output, so any worker count produces the exact
-/// byte-for-byte result of the `workers == 1` path.
-pub fn sweep_ordered<T, F>(items: &[usize], workers: usize, job: F) -> Vec<T>
+/// The fan-out under [`sweep_ordered_obs`]. The partition is a fixed
+/// contiguous chunk per worker (the first `len % workers` chunks get
+/// one extra item), and chunk results are concatenated in chunk order
+/// after all workers join — thread timing can never reorder the output,
+/// so any worker count produces the exact byte-for-byte result of the
+/// `workers == 1` path.
+fn sweep_ordered<T, F>(items: &[usize], workers: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -66,13 +64,14 @@ where
     out
 }
 
-/// [`sweep_ordered`] with telemetry: per-item timing lands in the
+/// `job` over every element of `items` on `workers` scoped threads,
+/// results in input order — the same for any worker count and whatever
+/// `obs` is. Per-item timing lands in the
 /// `entitlement_risk_scenario_ms` histogram (timed by the obs clock —
 /// a counting clock gives deterministic pseudo-durations, a manual one
-/// charges zero), per-worker chunk sizes land in
-/// `entitlement_risk_worker_items` (utilization balance), and the
-/// resolved worker count in the `entitlement_risk_sweep_workers`
-/// gauge. Results are identical to [`sweep_ordered`].
+/// charges zero), per-worker chunk sizes in
+/// `entitlement_risk_worker_items` (utilization balance), the resolved
+/// worker count in the `entitlement_risk_sweep_workers` gauge.
 ///
 /// On the **serial** path (one resolved worker) each item additionally
 /// emits a `risk`/`scenario` trace event, parented under whatever span

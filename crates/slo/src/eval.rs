@@ -17,7 +17,7 @@
 use crate::burn::{AlertKind, BurnAlert};
 use crate::config::SloPolicy;
 use crate::report::{EntityReport, SloReport};
-use entitlement_obs::{Obs, TraceEvent};
+use entitlement_obs::{BadLabel, Obs, TraceEvent};
 use std::collections::BTreeMap;
 
 /// One metering cycle's delivery observation for one `(entity, QoS)`.
@@ -38,6 +38,42 @@ pub struct IntervalObs {
     /// Whether the cycle's aggregates were readable. Unmeasurable
     /// cycles count bad (fail-closed).
     pub measurable: bool,
+}
+
+impl IntervalObs {
+    /// The wire form: one `slo`/`interval` event carrying every field
+    /// plus the fold's `good` verdict (informational — a re-fold
+    /// recomputes it under its own policy).
+    fn encode(&self, obs: &Obs, good: bool) {
+        obs.point("slo", "interval")
+            .label("entity", &self.entity)
+            .label("qos", &self.qos)
+            .label_f64("target", self.target)
+            .label_f64("demand_bps", self.demand_bps)
+            .label_f64("delivered_bps", self.delivered_bps)
+            .label_f64("approved_bps", self.approved_bps)
+            .label_fmt("measurable", self.measurable)
+            .label_fmt("good", good)
+            .finish();
+    }
+
+    /// Read an `slo`/`interval` event back. Every field is required.
+    ///
+    /// # Errors
+    ///
+    /// Names the first label that is missing or does not parse;
+    /// nothing is defaulted.
+    pub fn decode(e: &TraceEvent) -> Result<IntervalObs, BadLabel> {
+        Ok(IntervalObs {
+            entity: e.need("entity")?.to_string(),
+            qos: e.need("qos")?.to_string(),
+            target: e.num("target")?,
+            demand_bps: e.num("demand_bps")?,
+            delivered_bps: e.num("delivered_bps")?,
+            approved_bps: e.num("approved_bps")?,
+            measurable: e.parsed("measurable")?,
+        })
+    }
 }
 
 /// A typed alert transition, as recorded in the report (the same
@@ -78,6 +114,13 @@ pub struct SloEvaluator {
     states: BTreeMap<(String, String), EntityState>,
 }
 
+impl Default for SloEvaluator {
+    /// An evaluator under the default [`SloPolicy`].
+    fn default() -> Self {
+        SloEvaluator::new(SloPolicy::default())
+    }
+}
+
 impl SloEvaluator {
     /// New evaluator under `policy`.
     #[must_use]
@@ -86,12 +129,6 @@ impl SloEvaluator {
             policy,
             states: BTreeMap::new(),
         }
-    }
-
-    /// The policy this evaluator folds under.
-    #[must_use]
-    pub fn policy(&self) -> &SloPolicy {
-        &self.policy
     }
 
     /// Fold one interval, emitting `slo` trace events into `obs`
@@ -124,16 +161,7 @@ impl SloEvaluator {
         st.sum_approved_bps += o.approved_bps;
         let cycle = st.intervals;
 
-        obs.point("slo", "interval")
-            .label("entity", &o.entity)
-            .label("qos", &o.qos)
-            .label_f64("target", o.target)
-            .label_f64("demand_bps", o.demand_bps)
-            .label_f64("delivered_bps", o.delivered_bps)
-            .label_f64("approved_bps", o.approved_bps)
-            .label("measurable", if o.measurable { "true" } else { "false" })
-            .label("good", if good { "true" } else { "false" })
-            .finish();
+        o.encode(obs, good);
 
         if let Some(t) = st.alert.observe(!good) {
             let event = AlertEvent {
@@ -167,33 +195,23 @@ impl SloEvaluator {
     /// the interval stream under this evaluator's policy, so the same
     /// policy reproduces the in-process alert timeline exactly and a
     /// different policy re-judges the same run.
-    pub fn fold_trace(&mut self, events: &[TraceEvent]) {
+    ///
+    /// Returns the interval events that did not decode
+    /// ([`IntervalObs::decode`]); those are not folded, so a non-empty
+    /// return means the report does not describe the run.
+    pub fn fold_trace(&mut self, events: &[TraceEvent]) -> Vec<BadLabel> {
         let silent = Obs::disabled();
+        let mut malformed = Vec::new();
         for e in events {
             if e.span != "slo" || e.phase != "interval" {
                 continue;
             }
-            let label = |k: &str| -> Option<&str> {
-                e.labels
-                    .iter()
-                    .find(|(lk, _)| lk == k)
-                    .map(|(_, v)| v.as_str())
-            };
-            let num = |k: &str| label(k).and_then(|v| v.parse::<f64>().ok());
-            let (Some(entity), Some(qos)) = (label("entity"), label("qos")) else {
-                continue;
-            };
-            let o = IntervalObs {
-                entity: entity.to_string(),
-                qos: qos.to_string(),
-                target: num("target").unwrap_or(0.99),
-                demand_bps: num("demand_bps").unwrap_or(0.0),
-                delivered_bps: num("delivered_bps").unwrap_or(0.0),
-                approved_bps: num("approved_bps").unwrap_or(0.0),
-                measurable: label("measurable") != Some("false"),
-            };
-            self.observe(&silent, &o);
+            match IntervalObs::decode(e) {
+                Ok(o) => self.observe(&silent, &o),
+                Err(bad) => malformed.push(bad),
+            }
         }
+        malformed
     }
 
     /// Whether any entity's burn alert is firing right now.

@@ -30,7 +30,7 @@ use crate::monitor::{
 };
 use crate::report::{DetectorEvent, Violation, WatchReport};
 use entitlement_analyzer::Code;
-use entitlement_obs::{Obs, TraceEvent};
+use entitlement_obs::{BadLabel, Obs, TraceEvent};
 use std::collections::BTreeMap;
 
 /// One metering cycle's health observation for one `(entity, QoS)`.
@@ -80,6 +80,106 @@ pub struct AdmitObs {
     pub path: String,
 }
 
+impl CycleObs {
+    /// The wire form: one `watch`/`cycle` event carrying every field.
+    fn encode(&self, obs: &Obs) {
+        obs.point("watch", "cycle")
+            .label("entity", &self.entity)
+            .label("qos", &self.qos)
+            .label_f64("demand_bps", self.demand_bps)
+            .label_f64("delivered_bps", self.delivered_bps)
+            .label_f64("approved_bps", self.approved_bps)
+            .label_f64("marked_fraction", self.marked_fraction)
+            .label_f64("conform_fraction", self.conform_fraction)
+            .label_f64("staleness_ms", self.staleness_ms)
+            .label_fmt("measurable", self.measurable)
+            .finish();
+    }
+
+    /// Read a `watch`/`cycle` event back. Every field is required.
+    ///
+    /// # Errors
+    ///
+    /// Names the first label that is missing or does not parse;
+    /// nothing is defaulted.
+    pub fn decode(e: &TraceEvent) -> Result<CycleObs, BadLabel> {
+        Ok(CycleObs {
+            entity: e.need("entity")?.to_string(),
+            qos: e.need("qos")?.to_string(),
+            demand_bps: e.num("demand_bps")?,
+            delivered_bps: e.num("delivered_bps")?,
+            approved_bps: e.num("approved_bps")?,
+            marked_fraction: e.num("marked_fraction")?,
+            conform_fraction: e.num("conform_fraction")?,
+            staleness_ms: e.num("staleness_ms")?,
+            measurable: e.parsed("measurable")?,
+        })
+    }
+}
+
+impl AdmitObs {
+    /// The wire form: one `watch`/`admit` event carrying every field.
+    fn encode(&self, obs: &Obs) {
+        obs.point("watch", "admit")
+            .label_fmt("request", self.request)
+            .label_f64("ask_bps", self.ask_bps)
+            .label_f64("granted_bps", self.granted_bps)
+            .label_f64("residual_before_bps", self.residual_before_bps)
+            .label_f64("residual_after_bps", self.residual_after_bps)
+            .label_f64("admit_ms", self.admit_ms)
+            .label("path", &self.path)
+            .finish();
+    }
+
+    /// Read a `watch`/`admit` event back. Every field is required.
+    ///
+    /// # Errors
+    ///
+    /// As [`CycleObs::decode`].
+    pub fn decode(e: &TraceEvent) -> Result<AdmitObs, BadLabel> {
+        Ok(AdmitObs {
+            request: e.parsed("request")?,
+            ask_bps: e.num("ask_bps")?,
+            granted_bps: e.num("granted_bps")?,
+            residual_before_bps: e.num("residual_before_bps")?,
+            residual_after_bps: e.num("residual_after_bps")?,
+            admit_ms: e.num("admit_ms")?,
+            path: e.need("path")?.to_string(),
+        })
+    }
+}
+
+/// The wire form of a W0102 shard check: one `watch`/`shards` event
+/// with the fold total, the shard count and one `s{n}` label per
+/// partial.
+fn encode_shards(obs: &Obs, entity: &str, qos: &str, total_bps: f64, shard_bps: &[f64]) {
+    if !obs.enabled() {
+        return; // spares formatting the `s{n}` keys
+    }
+    let mut event = obs
+        .point("watch", "shards")
+        .label("entity", entity)
+        .label("qos", qos)
+        .label_f64("total_bps", total_bps)
+        .label_fmt("shards", shard_bps.len());
+    for (s, v) in shard_bps.iter().enumerate() {
+        event.add_label_f64(&format!("s{s}"), *v);
+    }
+}
+
+/// Inverse of [`encode_shards`] — `(entity, qos, total, partials)`.
+/// Every label is required, including each of the `shards` partials.
+fn decode_shards(e: &TraceEvent) -> Result<(&str, &str, f64, Vec<f64>), BadLabel> {
+    let shards: usize = e.parsed("shards")?;
+    let partials = (0..shards).map(|s| e.num(&format!("s{s}")));
+    Ok((
+        e.need("entity")?,
+        e.need("qos")?,
+        e.num("total_bps")?,
+        partials.collect::<Result<_, _>>()?,
+    ))
+}
+
 struct EntityState {
     cycles: u64,
     shard_checks: u64,
@@ -104,6 +204,32 @@ pub struct WatchEvaluator {
     transitions: Vec<DetectorEvent>,
 }
 
+impl Default for WatchEvaluator {
+    /// An evaluator under the default [`WatchPolicy`].
+    fn default() -> Self {
+        WatchEvaluator::new(WatchPolicy::default())
+    }
+}
+
+/// The `(entity, QoS)` state, created on first sight.
+fn state_mut<'a>(
+    states: &'a mut BTreeMap<(String, String), EntityState>,
+    policy: &WatchPolicy,
+    entity: &str,
+    qos: &str,
+) -> &'a mut EntityState {
+    states
+        .entry((entity.to_string(), qos.to_string()))
+        .or_insert_with(|| EntityState {
+            cycles: 0,
+            shard_checks: 0,
+            last_approved: f64::NAN,
+            settled_for: 0,
+            staleness: Cusum::new(policy),
+            attainment: EwmaDrift::new(policy),
+        })
+}
+
 impl WatchEvaluator {
     /// New evaluator under `policy`.
     #[must_use]
@@ -119,12 +245,6 @@ impl WatchEvaluator {
             violations: Vec::new(),
             transitions: Vec::new(),
         }
-    }
-
-    /// The policy this evaluator folds under.
-    #[must_use]
-    pub fn policy(&self) -> &WatchPolicy {
-        &self.policy
     }
 
     fn violation(
@@ -191,16 +311,7 @@ impl WatchEvaluator {
     /// Fold one metering-cycle observation, emitting a `watch`/`cycle`
     /// event plus any violations/transitions it causes.
     pub fn observe_cycle(&mut self, obs: &Obs, o: &CycleObs) {
-        let policy = self.policy.clone();
-        let key = (o.entity.clone(), o.qos.clone());
-        let st = self.states.entry(key).or_insert_with(|| EntityState {
-            cycles: 0,
-            shard_checks: 0,
-            last_approved: f64::NAN,
-            settled_for: 0,
-            staleness: Cusum::new(&policy),
-            attainment: EwmaDrift::new(&policy),
-        });
+        let st = state_mut(&mut self.states, &self.policy, &o.entity, &o.qos);
         st.cycles += 1;
         let cycle = st.cycles;
 
@@ -215,58 +326,43 @@ impl WatchEvaluator {
         } else {
             st.settled_for += 1;
         }
-        let settled = st.settled_for >= policy.settle_cycles;
+        let settled = st.settled_for >= self.policy.settle_cycles;
 
-        obs.point("watch", "cycle")
-            .label("entity", &o.entity)
-            .label("qos", &o.qos)
-            .label_f64("demand_bps", o.demand_bps)
-            .label_f64("delivered_bps", o.delivered_bps)
-            .label_f64("approved_bps", o.approved_bps)
-            .label_f64("marked_fraction", o.marked_fraction)
-            .label_f64("conform_fraction", o.conform_fraction)
-            .label_f64("staleness_ms", o.staleness_ms)
-            .label("measurable", if o.measurable { "true" } else { "false" })
-            .finish();
+        // The detectors step here, while the entity's state is in
+        // hand; what they decided is emitted below, after the
+        // monitors' violations.
+        let stale = st.staleness.observe(o.staleness_ms);
+        // W0106's sample is the delivered share of what was required
+        // (capped at 1 — over-delivery is W0101's business); an idle
+        // cycle attains vacuously.
+        let required = o.demand_bps.min(o.approved_bps);
+        let drift = st.attainment.observe(if required > 0.0 {
+            (o.delivered_bps / required).min(1.0)
+        } else {
+            1.0
+        });
+
+        o.encode(obs);
 
         // W0101 delivery conservation (settled, measurable cycles only).
         if settled && o.measurable {
             if let Some(detail) =
-                check_delivery(&policy, o.demand_bps, o.delivered_bps, o.approved_bps)
+                check_delivery(&self.policy, o.demand_bps, o.delivered_bps, o.approved_bps)
             {
                 self.violation(obs, Code::W0101, &o.entity, &o.qos, cycle, detail);
             }
         }
         // W0104 fraction sanity (every cycle).
         if let Some(detail) =
-            check_fractions(&policy, o.marked_fraction, o.conform_fraction)
+            check_fractions(&self.policy, o.marked_fraction, o.conform_fraction)
         {
             self.violation(obs, Code::W0104, &o.entity, &o.qos, cycle, detail);
         }
-
-        // W0105 staleness CUSUM.
-        let key = (o.entity.clone(), o.qos.clone());
-        let t = self
-            .states
-            .get_mut(&key)
-            .and_then(|st| st.staleness.observe(o.staleness_ms));
-        if let Some(t) = t {
+        // W0105 staleness CUSUM, W0106 attainment drift.
+        if let Some(t) = stale {
             self.transition(obs, Code::W0105, &o.entity, &o.qos, cycle, t);
         }
-        // W0106 attainment drift. The sample is the delivered share of
-        // what was required (capped at 1 — over-delivery is W0101's
-        // business); an idle cycle attains vacuously.
-        let required = o.demand_bps.min(o.approved_bps);
-        let sample = if required > 0.0 {
-            (o.delivered_bps / required).min(1.0)
-        } else {
-            1.0
-        };
-        let t = self
-            .states
-            .get_mut(&key)
-            .and_then(|st| st.attainment.observe(sample));
-        if let Some(t) = t {
+        if let Some(t) = drift {
             self.transition(obs, Code::W0106, &o.entity, &o.qos, cycle, t);
         }
     }
@@ -282,31 +378,10 @@ impl WatchEvaluator {
         total_bps: f64,
         shard_bps: &[f64],
     ) {
-        let policy = self.policy.clone();
-        let key = (entity.to_string(), qos.to_string());
-        let st = self.states.entry(key).or_insert_with(|| EntityState {
-            cycles: 0,
-            shard_checks: 0,
-            last_approved: f64::NAN,
-            settled_for: 0,
-            staleness: Cusum::new(&policy),
-            attainment: EwmaDrift::new(&policy),
-        });
+        let st = state_mut(&mut self.states, &self.policy, entity, qos);
         st.shard_checks += 1;
         let cycle = st.shard_checks;
-
-        if obs.enabled() {
-            let mut event = obs
-                .point("watch", "shards")
-                .label("entity", entity)
-                .label("qos", qos)
-                .label_f64("total_bps", total_bps)
-                .label_fmt("shards", shard_bps.len());
-            for (s, v) in shard_bps.iter().enumerate() {
-                event.add_label_f64(&format!("s{s}"), *v);
-            }
-        }
-
+        encode_shards(obs, entity, qos, total_bps, shard_bps);
         if let Some(detail) = check_shard_sum(total_bps, shard_bps) {
             self.violation(obs, Code::W0102, entity, qos, cycle, detail);
         }
@@ -317,15 +392,7 @@ impl WatchEvaluator {
     pub fn observe_admit(&mut self, obs: &Obs, o: &AdmitObs) {
         self.admit.admits += 1;
         let cycle = self.admit.admits;
-        obs.point("watch", "admit")
-            .label_fmt("request", o.request)
-            .label_f64("ask_bps", o.ask_bps)
-            .label_f64("granted_bps", o.granted_bps)
-            .label_f64("residual_before_bps", o.residual_before_bps)
-            .label_f64("residual_after_bps", o.residual_after_bps)
-            .label_f64("admit_ms", o.admit_ms)
-            .label("path", &o.path)
-            .finish();
+        o.encode(obs);
         if let Some(detail) = check_residual(
             o.residual_before_bps,
             o.residual_after_bps,
@@ -344,64 +411,25 @@ impl WatchEvaluator {
     /// re-observed against a disabled sink. Violations and transitions
     /// are recomputed from the observation stream, so the same policy
     /// reproduces the live timeline exactly.
-    pub fn fold_trace(&mut self, events: &[TraceEvent]) {
+    ///
+    /// Returns the observation events that did not decode (a missing
+    /// or unparsable label); those are not folded, so a non-empty
+    /// return means the report does not describe the run.
+    pub fn fold_trace(&mut self, events: &[TraceEvent]) -> Vec<BadLabel> {
         let silent = Obs::disabled();
-        for e in events {
-            if e.span != "watch" {
-                continue;
-            }
-            let label = |k: &str| -> Option<&str> {
-                e.labels
-                    .iter()
-                    .find(|(lk, _)| lk == k)
-                    .map(|(_, v)| v.as_str())
+        let mut malformed = Vec::new();
+        for e in events.iter().filter(|e| e.span == "watch") {
+            let folded = match e.phase.as_str() {
+                "cycle" => CycleObs::decode(e).map(|o| self.observe_cycle(&silent, &o)),
+                "shards" => decode_shards(e).map(|(entity, qos, total, partials)| {
+                    self.observe_shards(&silent, entity, qos, total, &partials);
+                }),
+                "admit" => AdmitObs::decode(e).map(|o| self.observe_admit(&silent, &o)),
+                _ => Ok(()),
             };
-            let num = |k: &str| label(k).and_then(|v| v.parse::<f64>().ok());
-            match e.phase.as_str() {
-                "cycle" => {
-                    let (Some(entity), Some(qos)) = (label("entity"), label("qos")) else {
-                        continue;
-                    };
-                    let o = CycleObs {
-                        entity: entity.to_string(),
-                        qos: qos.to_string(),
-                        demand_bps: num("demand_bps").unwrap_or(0.0),
-                        delivered_bps: num("delivered_bps").unwrap_or(0.0),
-                        approved_bps: num("approved_bps").unwrap_or(0.0),
-                        marked_fraction: num("marked_fraction").unwrap_or(0.0),
-                        conform_fraction: num("conform_fraction").unwrap_or(0.0),
-                        staleness_ms: num("staleness_ms").unwrap_or(0.0),
-                        measurable: label("measurable") != Some("false"),
-                    };
-                    self.observe_cycle(&silent, &o);
-                }
-                "shards" => {
-                    let (Some(entity), Some(qos)) = (label("entity"), label("qos")) else {
-                        continue;
-                    };
-                    let entity = entity.to_string();
-                    let qos = qos.to_string();
-                    let n = num("shards").unwrap_or(0.0) as usize;
-                    let shard_bps: Vec<f64> =
-                        (0..n).map(|s| num(&format!("s{s}")).unwrap_or(0.0)).collect();
-                    let total = num("total_bps").unwrap_or(0.0);
-                    self.observe_shards(&silent, &entity, &qos, total, &shard_bps);
-                }
-                "admit" => {
-                    let o = AdmitObs {
-                        request: num("request").unwrap_or(0.0) as u64,
-                        ask_bps: num("ask_bps").unwrap_or(0.0),
-                        granted_bps: num("granted_bps").unwrap_or(0.0),
-                        residual_before_bps: num("residual_before_bps").unwrap_or(0.0),
-                        residual_after_bps: num("residual_after_bps").unwrap_or(0.0),
-                        admit_ms: num("admit_ms").unwrap_or(0.0),
-                        path: label("path").unwrap_or("index").to_string(),
-                    };
-                    self.observe_admit(&silent, &o);
-                }
-                _ => {}
-            }
+            malformed.extend(folded.err());
         }
+        malformed
     }
 
     /// Whether any detector is currently firing.

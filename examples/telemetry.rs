@@ -25,7 +25,7 @@ fn main() {
 
     // 2. A short drill: emits agent/cycle spans and KV op latencies
     //    through the same bundle.
-    let _ = run_drill_obs(
+    let _ = run_drill_with(
         &DrillConfig {
             hosts: 200,
             duration_min: 20.0,
@@ -33,6 +33,8 @@ fn main() {
             ..Default::default()
         },
         &obs,
+        &mut SloEvaluator::default(),
+        &mut WatchEvaluator::default(),
     );
 
     // 3. The trace is JSONL with a fixed key order; every line parses.

@@ -3,8 +3,7 @@
 
 use crate::{fail, load_faults, only_with, percentile, write_file, write_telemetry};
 use network_entitlement::cli::Matches;
-use network_entitlement::enforcement::drill::{run_drill_watch, DrillConfig};
-use network_entitlement::enforcement::{run_fleet_engine_watch, FleetConfig, FleetStrategy};
+use network_entitlement::enforcement::{run_fleet_engine_with, FleetConfig, FleetStrategy};
 use network_entitlement::prelude::*;
 use network_entitlement::telemetry::traced_approval_preamble;
 
@@ -52,8 +51,9 @@ pub fn drill(m: &Matches) {
         faults,
         ..Default::default()
     };
-    let (recorder, _slo, watch) =
-        run_drill_watch(&config, &obs, &SloPolicy::default(), &WatchPolicy::default());
+    let mut watchdog = WatchEvaluator::default();
+    let recorder = run_drill_with(&config, &obs, &mut SloEvaluator::default(), &mut watchdog);
+    let watch = watchdog.report();
     if let Some(csv) = m.text("--csv") {
         let series: Vec<Vec<f64>> = SERIES.iter().map(|n| recorder.series(n)).collect();
         let mut outbuf = format!("minute,{}\n", SERIES.join(","));
@@ -140,8 +140,10 @@ fn fleet_drill(m: &Matches) {
         ..FleetConfig::default()
     };
     let run = |obs: &Obs| {
-        run_fleet_engine_watch(&config, obs, &SloPolicy::default(), &WatchPolicy::default())
-            .unwrap_or_else(|e| fail(2, format_args!("invalid fleet config: {e}")))
+        let (mut slo, mut watch) = (SloEvaluator::default(), WatchEvaluator::default());
+        let out = run_fleet_engine_with(&config, obs, &mut slo, &mut watch)
+            .unwrap_or_else(|e| fail(2, format_args!("invalid fleet config: {e}")));
+        (out, slo.report(), watch.report())
     };
 
     let wall_obs = Obs::new(Clock::wall());

@@ -18,7 +18,7 @@ mod watch;
 
 use network_entitlement::chaos::FaultPlan;
 use network_entitlement::cli::{self, Exit, Matches};
-use network_entitlement::obs::{Obs, TelemetrySpec, TraceEvent};
+use network_entitlement::obs::{BadLabel, Obs, TelemetrySpec, TraceEvent};
 use std::fmt::Display;
 
 fn main() {
@@ -98,6 +98,16 @@ fn write_file(path: &str, text: &str) {
 fn load_trace(m: &Matches) -> Vec<TraceEvent> {
     let path = m.positional(0).unwrap_or_default();
     load(path, "trace", 1, network_entitlement::obs::parse_trace)
+}
+
+/// Exit 1 when a `fold_trace` met observation events it could not
+/// decode: the fold skipped them, so its report would not describe the
+/// run. One line, naming the first.
+fn reject_malformed(source: impl Display, malformed: &[BadLabel]) {
+    if let Some(first) = malformed.first() {
+        let n = malformed.len();
+        fail(1, format_args!("{source}: {first} ({n} malformed observation event(s))"));
+    }
 }
 
 /// The `--faults` plan, if one was given.

@@ -4,7 +4,7 @@
 use crate::{fail, load, load_faults, load_trace, percentile, write_telemetry};
 use network_entitlement::cli::Matches;
 use network_entitlement::core::{QosBand, QosBucket};
-use network_entitlement::market::{generate_storm, run_storm_watch};
+use network_entitlement::market::{generate_storm, run_storm_with};
 use network_entitlement::prelude::*;
 use network_entitlement::slo::IntervalObs;
 use network_entitlement::topology::LinkId;
@@ -158,14 +158,15 @@ index fails closed to the sweep path on every cut and heal"
         }
     };
     let (mut market, storm) = build(&obs);
-    let mut evaluator = SloEvaluator::new(SloPolicy::default());
+    let mut evaluator = SloEvaluator::default();
+    let mut watchdog = WatchEvaluator::default();
     let chunk = (requests / 16).max(1);
     let mut chunk_granted_bps = 0.0;
-    let (_, watch) = run_storm_watch(
+    run_storm_with(
         &mut market,
         &storm,
         &obs,
-        &WatchPolicy::default(),
+        &mut watchdog,
         cuts,
         |i, d| {
             chunk_granted_bps += d.granted.as_bps();
@@ -192,6 +193,7 @@ index fails closed to the sweep path on every cut and heal"
     );
     write_telemetry(&tele, &obs);
     if m.on("--watch") {
+        let watch = watchdog.report();
         print!("{}", watch.render_text());
         if !watch.healthy() {
             std::process::exit(1);

@@ -1,7 +1,7 @@
 //! `slo report | audit`: the windowed SLO fold over a recorded trace,
 //! and the bench-baseline regression gate.
 
-use crate::{fail, load_trace, only_with};
+use crate::{fail, load_trace, only_with, reject_malformed};
 use network_entitlement::cli::Matches;
 use network_entitlement::slo::{BenchRecord, BenchTolerance, SloEvaluator, SloPolicy};
 
@@ -44,7 +44,7 @@ pub fn slo(m: &Matches) {
     let policy = slo_policy(m);
     let events = load_trace(m);
     let mut evaluator = SloEvaluator::new(policy);
-    evaluator.fold_trace(&events);
+    reject_malformed(m.positional(0).unwrap_or_default(), &evaluator.fold_trace(&events));
     let report = evaluator.report();
     if report.entities.is_empty() {
         fail(2, "trace carries no slo/interval events (re-run the drill with --trace)");

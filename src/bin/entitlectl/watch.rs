@@ -1,10 +1,10 @@
 //! `watch`: re-fold the runtime watchdog over a recorded trace, or
 //! tail a growing trace file with `--follow`.
 
-use crate::{fail, load_trace, only_with};
+use crate::{fail, load_trace, only_with, reject_malformed};
 use network_entitlement::cli::Matches;
 use network_entitlement::obs::parse_trace;
-use network_entitlement::watch::{WatchEvaluator, WatchPolicy, WatchReport};
+use network_entitlement::watch::{WatchEvaluator, WatchReport};
 use std::time::{Duration, Instant};
 
 pub fn watch(m: &Matches) {
@@ -14,8 +14,9 @@ pub fn watch(m: &Matches) {
         println!();
         report
     } else {
-        let mut evaluator = WatchEvaluator::new(WatchPolicy::default());
-        evaluator.fold_trace(&load_trace(m));
+        let mut evaluator = WatchEvaluator::default();
+        let malformed = evaluator.fold_trace(&load_trace(m));
+        reject_malformed(m.positional(0).unwrap_or_default(), &malformed);
         evaluator.report()
     };
     if m.on("--json") {
@@ -63,7 +64,7 @@ fn follow(m: &Matches) -> WatchReport {
     let path = m.positional(0).unwrap_or_default();
     let idle = Duration::from_millis(m.get("--idle-ms").unwrap_or(2000));
     let poll = Duration::from_millis(100);
-    let mut evaluator = WatchEvaluator::new(WatchPolicy::default());
+    let mut evaluator = WatchEvaluator::default();
     let mut consumed_lines = 0usize;
     let mut consumed_bytes = 0usize;
     let (mut seen_v, mut seen_t) = (0usize, 0usize);
@@ -98,7 +99,8 @@ fn follow(m: &Matches) -> WatchReport {
                 let events = parse_trace(line).unwrap_or_else(|e| {
                     fail(1, format_args!("{path} line {consumed_lines}: invalid trace: {e}"))
                 });
-                evaluator.fold_trace(&events);
+                let malformed = evaluator.fold_trace(&events);
+                reject_malformed(format_args!("{path} line {consumed_lines}"), &malformed);
             }
             consumed_bytes = complete;
             (seen_v, seen_t) = print_new(&evaluator.report(), seen_v, seen_t);

@@ -29,7 +29,11 @@
 //! * [`chaos`] — deterministic fault injection for the runtime
 //!   (fault plans, degraded stores, fail-static drills);
 //! * [`enforcement`] — metering, marking, BPF-style classification,
-//!   agents, the §6 drill, and the §7.4 convergence simulation;
+//!   agents, the §6 drill, and the §7.4 convergence simulation. Each
+//!   runtime loop (drill, sharded fleet engine, tokio daemon — and the
+//!   [`market`] storm) is one function fed an [`obs::Obs`] and the
+//!   caller's own `&mut` [`slo::SloEvaluator`] /
+//!   [`watch::WatchEvaluator`], plus a shorthand without either;
 //! * [`analyzer`] — static diagnostics over contracts, hoses, pipes,
 //!   topologies, and availability curves (`entitlectl lint`);
 //! * [`slo`] — windowed SLO evaluation over the obs outputs:
@@ -89,10 +93,8 @@ pub mod prelude {
     };
     pub use entitlement_chaos::{Fault, FaultKind, FaultPlan, TimeWindow};
     pub use entitlement_enforcement::{
-        run_drill, run_drill_obs, run_drill_slo, run_drill_watch, Agent, AgentConfig, ContractDb,
-        DrillConfig,
-        Marker, MarkingStrategy, Meter,
-        StatefulMeter, StatelessMeter,
+        run_drill, run_drill_with, Agent, AgentConfig, ContractDb, DrillConfig, Marker,
+        MarkingStrategy, Meter, StatefulMeter, StatelessMeter,
     };
     pub use entitlement_forecast::{ForecastPipeline, PipelineConfig, QuarterForecast};
     pub use entitlement_hose::{

@@ -11,7 +11,7 @@
 
 use network_entitlement::obs::parse_trace;
 use network_entitlement::prelude::*;
-use network_entitlement::slo::{AlertKind, SloEvaluator, SloPolicy, SloReport};
+use network_entitlement::slo::{AlertKind, SloEvaluator, SloReport};
 
 /// The CI seed matrix, or the single `CHAOS_SEED` override.
 fn seeds() -> Vec<u64> {
@@ -41,13 +41,15 @@ fn drill_config(seed: u64, faults: Option<FaultPlan>) -> DrillConfig {
     }
 }
 
+/// The SLO report of one drill under the default policies.
+fn drill_slo(config: &DrillConfig, obs: &Obs) -> SloReport {
+    let mut slo = SloEvaluator::default();
+    run_drill_with(config, obs, &mut slo, &mut WatchEvaluator::default());
+    slo.report()
+}
+
 fn fault_report(seed: u64) -> SloReport {
-    let (_, report) = run_drill_slo(
-        &drill_config(seed, Some(outage_plan())),
-        &Obs::disabled(),
-        &SloPolicy::default(),
-    );
-    report
+    drill_slo(&drill_config(seed, Some(outage_plan())), &Obs::disabled())
 }
 
 /// The outage raises the fast-burn alert within a handful of cycles
@@ -104,11 +106,7 @@ fn kv_outage_fires_fast_burn_alert_promptly() {
 #[test]
 fn healthy_drill_stays_alert_free() {
     for seed in seeds() {
-        let (_, report) = run_drill_slo(
-            &drill_config(seed, None),
-            &Obs::disabled(),
-            &SloPolicy::default(),
-        );
+        let report = drill_slo(&drill_config(seed, None), &Obs::disabled());
         assert_eq!(report.alerts_fired(), 0, "seed {seed:#x}: no alerts");
         assert!(!report.has_violations(), "seed {seed:#x}: no violations");
         for e in &report.entities {
@@ -129,14 +127,10 @@ fn healthy_drill_stays_alert_free() {
 #[test]
 fn offline_trace_fold_matches_streaming_report() {
     let obs = Obs::new(Clock::manual(0));
-    let (_, live) = run_drill_slo(
-        &drill_config(0xD217, Some(outage_plan())),
-        &obs,
-        &SloPolicy::default(),
-    );
+    let live = drill_slo(&drill_config(0xD217, Some(outage_plan())), &obs);
     let events = parse_trace(&obs.trace.to_jsonl()).expect("trace parses");
-    let mut folded = SloEvaluator::new(SloPolicy::default());
-    folded.fold_trace(&events);
+    let mut folded = SloEvaluator::default();
+    assert_eq!(folded.fold_trace(&events), []);
     let offline = folded.report();
     assert_eq!(live.render_json(), offline.render_json());
     assert_eq!(live.render_text(), offline.render_text());

@@ -2,8 +2,9 @@
 //! `obs summarize --by-label` breakdown: a healthy seeded drill audits
 //! clean (exit 0) with byte-identical reports across same-seed runs,
 //! a faulted drill audits dirty (exit 1) naming the violated
-//! `(entity, QoS)` and burn window, the bench gate round-trips, and
-//! nonsense SLO policy flags exit 2 with their E06xx code.
+//! `(entity, QoS)` and burn window, the bench gate round-trips,
+//! nonsense SLO policy flags exit 2 with their E06xx code, and a trace
+//! whose observation events do not decode exits 1 naming the event.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -56,6 +57,52 @@ fn healthy_audit_is_clean_and_deterministic() {
         out.stdout
     };
     assert_eq!(json(&a), json(&b), "same seed, same bytes");
+}
+
+/// A corrupted trace is not re-judged under defaults. Garbling one
+/// label of every observation event of a healthy drill used to print
+/// `0/499 ... VIOLATED` with a burn alert and exit 0 (`slo report`) or
+/// `healthy` (`watch`); now each fold refuses on one line naming the
+/// first such event's `span_id` and the label, exit 1 — `slo report`,
+/// `slo audit`, `watch` and `watch --follow` alike, for a value that
+/// is not a number, one that is not a boolean, and a missing label.
+#[test]
+fn a_malformed_observation_event_exits_one_naming_it() {
+    let healthy = tmp("malformed_src.jsonl");
+    drill_trace(&healthy, "3607", None);
+    let text = std::fs::read_to_string(&healthy).expect("trace written");
+    let cases = [
+        ("\"delivered_bps\":\"", "\"delivered_bps\":\"oops", "label `delivered_bps` has unusable value `oops"),
+        ("\"measurable\":\"true\"", "\"measurable\":\"maybe\"", "label `measurable` has unusable value `maybe`"),
+        ("\"entity\":\"npg:2\",", "", "label `entity` is missing"),
+    ];
+    for (i, (from, to, complaint)) in cases.into_iter().enumerate() {
+        let bad = tmp(&format!("malformed_{i}.jsonl"));
+        std::fs::write(&bad, text.replace(from, to)).expect("write corrupted trace");
+        let invocations: [&[&str]; 4] = [
+            &["slo", "report"],
+            &["slo", "audit"],
+            &["watch"],
+            &["watch", "--follow", "--idle-ms", "200"],
+        ];
+        for args in invocations {
+            let out = ctl().args(args).arg(&bad).output().expect("spawn entitlectl");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?} case {i}: {out:?}");
+            assert_eq!(stderr.lines().count(), 1, "{args:?} case {i}: one line:\n{stderr}");
+            assert!(stderr.contains(complaint), "{args:?} case {i}:\n{stderr}");
+            assert!(stderr.contains("event span_id "), "{args:?} case {i}:\n{stderr}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(!stdout.contains("VIOLATED") && !stdout.contains("status:"), "{stdout}");
+        }
+    }
+    // The untouched trace still folds through both (a 200-host drill
+    // is too coarse for the watchdog to call healthy — DESIGN §15 — so
+    // only its having reached a verdict is checked).
+    let run = |args: &[&str]| ctl().args(args).arg(&healthy).output().expect("spawn");
+    assert!(run(&["slo", "audit"]).status.success());
+    let watch = run(&["watch"]);
+    assert!(watch.stderr.is_empty() && String::from_utf8_lossy(&watch.stdout).contains("status:"));
 }
 
 /// A drill through the example KV outage audits dirty: exit 1, the

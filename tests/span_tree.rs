@@ -14,7 +14,7 @@ use network_entitlement::market::{
 use network_entitlement::obs::{
     build_span_forest, check_well_formed, critical_path, Clock, Obs, TraceEvent,
 };
-use network_entitlement::prelude::{run_drill_obs, DrillConfig};
+use network_entitlement::prelude::{run_drill_with, DrillConfig, SloEvaluator, WatchEvaluator};
 use network_entitlement::telemetry::traced_approval_preamble;
 use network_entitlement::topology::BackboneSpec;
 use proptest::prelude::*;
@@ -24,7 +24,7 @@ use proptest::prelude::*;
 fn drill_trace(seed: u64) -> Vec<TraceEvent> {
     let obs = Obs::new(Clock::counting(1));
     traced_approval_preamble(seed, &obs);
-    let _ = run_drill_obs(
+    let _ = run_drill_with(
         &DrillConfig {
             hosts: 50,
             duration_min: 10.0,
@@ -32,6 +32,8 @@ fn drill_trace(seed: u64) -> Vec<TraceEvent> {
             ..Default::default()
         },
         &obs,
+        &mut SloEvaluator::default(),
+        &mut WatchEvaluator::default(),
     );
     obs.trace.events()
 }

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use network_entitlement::kvstore::key_hash;
 use network_entitlement::obs::{parse_trace, validate_prometheus, Clock, Obs};
 use network_entitlement::prelude::{
-    run_drill_watch, DrillConfig, SloPolicy, SloReport, WatchPolicy, WatchReport,
+    run_drill_with, DrillConfig, SloEvaluator, SloReport, WatchEvaluator, WatchReport,
 };
 use network_entitlement::telemetry::traced_approval_preamble;
 
@@ -23,7 +23,8 @@ fn seeded_run(seed: u64) -> Obs {
 fn seeded_drill(seed: u64) -> (Obs, SloReport, WatchReport) {
     let obs = Obs::new(Clock::counting(1));
     traced_approval_preamble(seed, &obs);
-    let (_, slo, watch) = run_drill_watch(
+    let (mut slo, mut watch) = (SloEvaluator::default(), WatchEvaluator::default());
+    run_drill_with(
         &DrillConfig {
             hosts: 200,
             duration_min: 20.0,
@@ -31,10 +32,10 @@ fn seeded_drill(seed: u64) -> (Obs, SloReport, WatchReport) {
             ..Default::default()
         },
         &obs,
-        &SloPolicy::default(),
-        &WatchPolicy::default(),
+        &mut slo,
+        &mut watch,
     );
-    (obs, slo, watch)
+    (obs, slo.report(), watch.report())
 }
 
 #[test]
@@ -115,7 +116,7 @@ fn seeded_storm(seed: u64) -> (Obs, WatchReport) {
     use network_entitlement::approval::ApprovalConfig;
     use network_entitlement::core::{QosBucket, Quarter};
     use network_entitlement::market::{
-        generate_storm, run_storm_watch, EntitlementMarket, SliceGrid, StormConfig,
+        generate_storm, run_storm_with, EntitlementMarket, SliceGrid, StormConfig,
     };
     use network_entitlement::topology::BackboneSpec;
 
@@ -138,15 +139,9 @@ fn seeded_storm(seed: u64) -> (Obs, WatchReport) {
         ..Default::default()
     };
     let requests = generate_storm(&market, &buckets, &storm);
-    let (_, watch) = run_storm_watch(
-        &mut market,
-        &requests,
-        &obs,
-        &WatchPolicy::default(),
-        |_| Vec::new(),
-        |_, _| {},
-    );
-    (obs, watch)
+    let mut watch = WatchEvaluator::default();
+    run_storm_with(&mut market, &requests, &obs, &mut watch, |_| Vec::new(), |_, _| {});
+    (obs, watch.report())
 }
 
 /// A small sharded fleet run with shard 2 dark for cycles 30..=33,
@@ -155,7 +150,7 @@ fn seeded_storm(seed: u64) -> (Obs, WatchReport) {
 /// fan-out and the W0102 shard reconciliation — the events the flat
 /// drill never emits.
 fn seeded_fleet(seed: u64) -> (Obs, SloReport, WatchReport) {
-    use network_entitlement::enforcement::{run_fleet_engine_watch, FleetConfig};
+    use network_entitlement::enforcement::{run_fleet_engine_with, FleetConfig};
     use network_entitlement::prelude::{Fault, FaultKind, FaultPlan, Rate, TimeWindow};
 
     let obs = Obs::new(Clock::counting(1));
@@ -175,10 +170,9 @@ fn seeded_fleet(seed: u64) -> (Obs, SloReport, WatchReport) {
         per_shard_slis: true,
         ..FleetConfig::default()
     };
-    let (_, slo, watch) =
-        run_fleet_engine_watch(&config, &obs, &SloPolicy::default(), &WatchPolicy::default())
-            .expect("a valid fleet shape");
-    (obs, slo, watch)
+    let (mut slo, mut watch) = (SloEvaluator::default(), WatchEvaluator::default());
+    run_fleet_engine_with(&config, &obs, &mut slo, &mut watch).expect("a valid fleet shape");
+    (obs, slo.report(), watch.report())
 }
 
 /// Cross-commit byte pin. Every other determinism gate compares a run

@@ -70,14 +70,15 @@ fn drill_config(seed: u64, faults: Option<FaultPlan>) -> DrillConfig {
     }
 }
 
+/// The watchdog report of one drill under the default policies.
+fn drill_watch(config: &DrillConfig, obs: &Obs) -> WatchReport {
+    let mut watch = WatchEvaluator::default();
+    run_drill_with(config, obs, &mut SloEvaluator::default(), &mut watch);
+    watch.report()
+}
+
 fn watch_drill(seed: u64, faults: Option<FaultPlan>) -> WatchReport {
-    let (_, _, report) = run_drill_watch(
-        &drill_config(seed, faults),
-        &Obs::disabled(),
-        &SloPolicy::default(),
-        &WatchPolicy::default(),
-    );
-    report
+    drill_watch(&drill_config(seed, faults), &Obs::disabled())
 }
 
 /// A healthy drill stays completely silent: no invariant violations,
@@ -203,7 +204,7 @@ fn stale_reads_unthrottle_fires_delivery_monitor() {
 /// ordinal.
 fn market_storm_watch(seed: u64, requests: usize, faults: Option<FaultPlan>) -> WatchReport {
     use network_entitlement::core::{QosBand, QosBucket, QosClass};
-    use network_entitlement::market::{generate_storm, run_storm_watch};
+    use network_entitlement::market::{generate_storm, run_storm_with};
     use network_entitlement::topology::LinkId;
 
     let topo = BackboneSpec::small(seed).build();
@@ -265,7 +266,9 @@ fn market_storm_watch(seed: u64, requests: usize, faults: Option<FaultPlan>) -> 
             p.cut_links(i as u64).into_iter().map(LinkId).collect()
         })
     };
-    run_storm_watch(&mut market, &storm, &obs, &WatchPolicy::default(), cuts, |_, _| {}).1
+    let mut watch = WatchEvaluator::default();
+    run_storm_with(&mut market, &storm, &obs, &mut watch, cuts, |_, _| {});
+    watch.report()
 }
 
 /// A healthy admission storm stays entirely on the warm index path and
@@ -335,15 +338,10 @@ fn market_link_cut_fires_admit_latency_cusum() {
 fn offline_refold_matches_streaming_under_faults() {
     for fault in ["kv_outage.json", "stale_reads.json"] {
         let obs = Obs::new(Clock::manual(0));
-        let (_, _, live) = run_drill_watch(
-            &drill_config(0xD217, Some(plan(fault))),
-            &obs,
-            &SloPolicy::default(),
-            &WatchPolicy::default(),
-        );
+        let live = drill_watch(&drill_config(0xD217, Some(plan(fault))), &obs);
         let events = parse_trace(&obs.trace.to_jsonl()).expect("trace parses");
-        let mut folded = WatchEvaluator::new(WatchPolicy::default());
-        folded.fold_trace(&events);
+        let mut folded = WatchEvaluator::default();
+        assert_eq!(folded.fold_trace(&events), [], "{fault}");
         let offline = folded.report();
         assert_eq!(live.render_json(), offline.render_json(), "{fault}");
         assert_eq!(live.render_text(), offline.render_text(), "{fault}");
