@@ -4,9 +4,9 @@ use crate::types::{HoseApproval, PipeApproval};
 use entitlement_core::{NpgId, Rate, RegionId, SloTarget};
 use entitlement_hose::{generate_tms, HoseRequest, TmGenConfig};
 use entitlement_obs::Obs;
-use entitlement_risk::{sweep_plan, AvailabilityCurve, RiskConfig};
+use entitlement_risk::{sweep_plan, AvailabilityCurve};
 use entitlement_topology::routing::Demand;
-use entitlement_topology::{RoutePlan, ScenarioSet, Topology};
+use entitlement_topology::{LinkId, RoutePlan, ScenarioSet, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -111,12 +111,11 @@ fn preflight_rejections(
     rejected
 }
 
-/// What the risk sweeps of one hose share — its realizations within
-/// an approval round, its successive asks within a negotiation: the
-/// topology, its scenario set, and the [`RoutePlan`] that routes each
-/// (region pair, failure set) once for all of them. A round replaces
-/// the plan between hoses ([`RoundRoutes::next_hose`]); DESIGN.md §16
-/// records why it does not outlive the hose.
+/// What the risk sweeps of one approval round share — every realization
+/// of every hose, and the successive asks of a negotiation: the
+/// topology, its scenario set, and the one [`RoutePlan`] that searches
+/// each (region pair, failure set) once for all of them. The plan is
+/// only ever extended; DESIGN.md §16 has the lifetimes.
 pub(crate) struct RoundRoutes<'a> {
     topo: &'a Topology,
     scenarios: &'a ScenarioSet,
@@ -136,16 +135,25 @@ impl<'a> RoundRoutes<'a> {
         }
     }
 
-    /// Start the next hose of a round on an empty plan.
-    fn next_hose(&mut self) {
-        self.plan = RoutePlan::build(self.topo, self.scenarios, self.plan.k_paths());
+    /// Place `background` under every unique failure set of the plan:
+    /// the capacity it leaves on each surviving link. Placement never
+    /// reads the batch swept over it, so one serves all the sweeps that
+    /// share the background (a hose's realizations).
+    fn place(&mut self, background: &[Demand]) -> Vec<BTreeMap<LinkId, Rate>> {
+        let RoundRoutes { topo, plan, .. } = self;
+        plan.ensure(topo, background.iter().map(Demand::pair));
+        (0..plan.unique_len())
+            .map(|u| plan.route(topo, u, background).residual)
+            .collect()
     }
 }
 
 /// `Pipe_Approval` for one class batch against the current background.
 ///
 /// Returns per-pipe approvals; in [`ApprovalMode::StrictBatch`] the whole
-/// batch zeroes out if any pipe misses its full request at the SLO.
+/// batch zeroes out if any pipe misses its full request at the SLO. A
+/// standalone call pays a throw-away plan and background placement of
+/// its own; [`approve_requests`] shares both across a round.
 pub fn pipe_approval(
     topo: &Topology,
     scenarios: &ScenarioSet,
@@ -156,24 +164,26 @@ pub fn pipe_approval(
     config: &ApprovalConfig,
 ) -> Vec<PipeApproval> {
     let mut routes = RoundRoutes::new(topo, scenarios, config);
-    let obs = Obs::disabled();
-    pipe_approval_in(&mut routes, demands, requested, slo, background, config, &obs)
+    let placed = routes.place(background);
+    let requested = requested.iter().copied();
+    pipe_approval_in(&mut routes, demands, requested, slo, &placed, config, &Obs::disabled())
 }
 
-/// [`pipe_approval`] routing through the hose's shared plan, with
-/// telemetry: an `approval`/`pipe_approval` span labelled with the pipe
-/// count and SLO target, plus the risk sweep's own spans and
-/// histograms. Every pipe the SLO curve clips below its request
-/// additionally gets an `approval`/`pipe_binding` provenance event
-/// naming the binding failure scenario, its dead links, and its
-/// probability — the reason the grant is what it is, recoverable from
-/// the trace alone. Approvals are the same whatever `obs` is.
+/// [`pipe_approval`] routing through the round's shared plan over an
+/// already placed background, with telemetry: an
+/// `approval`/`pipe_approval` span labelled with the pipe count and SLO
+/// target, plus the risk sweep's own spans and histograms. Every pipe
+/// the SLO curve clips below its request additionally gets an
+/// `approval`/`pipe_binding` provenance event naming the binding
+/// failure scenario, its dead links, and its probability — the reason
+/// the grant is what it is, recoverable from the trace alone. Approvals
+/// are the same whatever `obs` is.
 fn pipe_approval_in(
     routes: &mut RoundRoutes<'_>,
     demands: &[Demand],
-    requested: &[Rate],
+    requested: impl Iterator<Item = Rate>,
     slo: SloTarget,
-    background: &[Demand],
+    background: &[BTreeMap<LinkId, Rate>],
     config: &ApprovalConfig,
     obs: &Obs,
 ) -> Vec<PipeApproval> {
@@ -181,35 +191,30 @@ fn pipe_approval_in(
         .span("approval", "pipe_approval")
         .label_fmt("pipes", demands.len())
         .label_fmt("slo", format_args!("{:.4}", slo.availability()));
-    let RoundRoutes {
-        topo,
-        scenarios,
+    let RoundRoutes { topo, scenarios, plan } = routes;
+    plan.ensure(topo, demands.iter().map(Demand::pair));
+    let mut samples = sweep_plan(
         plan,
-    } = routes;
-    plan.ensure(topo, demands.iter().chain(background).map(Demand::pair));
-    let samples = sweep_plan(
-        topo,
-        plan,
+        |u| background[u].clone(),
         demands,
         scenarios,
-        &RiskConfig {
-            k_paths: config.k_paths,
-            background: background.to_vec(),
-            workers: config.workers,
-            dedup: config.dedup,
-        },
+        config.workers,
+        config.dedup,
         obs,
     );
+    // Only the traced `pipe_binding` events read the samples again.
+    let traced = obs.enabled();
     let curves: Vec<AvailabilityCurve> = samples
         .samples
-        .iter()
-        .map(|s| AvailabilityCurve::from_samples(s.clone()))
+        .iter_mut()
+        .map(|s| if traced { s.clone() } else { std::mem::take(s) })
+        .map(AvailabilityCurve::from_samples)
         .collect();
     let mut out: Vec<PipeApproval> = demands
         .iter()
         .zip(requested)
         .zip(&curves)
-        .map(|((d, &req), curve)| {
+        .map(|((d, req), curve)| {
             let slo_volume = curve.bandwidth_at(slo.availability());
             let approved = slo_volume.min(req);
             PipeApproval {
@@ -252,8 +257,11 @@ fn pipe_approval_in(
         }
     }
     if config.mode == ApprovalMode::StrictBatch && out.iter().any(|p| !p.fully_approved()) {
-        for p in &mut out {
+        // The whole batch is refused: every pipe reports the zero grant
+        // and the availability of *that*, not of the volume it lost.
+        for (p, curve) in out.iter_mut().zip(&curves) {
             p.approved = Rate::ZERO;
+            p.achieved_availability = curve.availability_of(Rate::ZERO);
         }
     }
     span.finish();
@@ -341,6 +349,10 @@ pub(crate) fn band_low_requests(hoses: &[HoseRequest], slos: &[SloTarget]) -> Ve
 /// requests are processed `c1_low, c1_high, c2_low, … c4_high`
 /// (low-touch NPG first within a bucket), each bucket seeing every more
 /// premium approval as background traffic.
+///
+/// One [`RoutePlan`] serves the whole round and a hose's background is
+/// placed once for all of its realizations; grants are bit-identical to
+/// replaying the round through [`pipe_approval`], which shares neither.
 pub fn approve_requests(
     topo: &Topology,
     requests: &[ApprovalRequest],
@@ -350,7 +362,7 @@ pub fn approve_requests(
     approve_round(topo, requests, &scenarios, config, &Obs::disabled())
 }
 
-/// One approval round on a fresh plan over a pre-enumerated scenario
+/// One approval round on a plan of its own over a pre-enumerated scenario
 /// set (see [`hose_approval_scenarios`] for the warm-path contract).
 ///
 /// The whole invocation runs under one `approval`/`round` root span, so
@@ -368,11 +380,11 @@ fn approve_round(
     approve_requests_in(&mut routes, requests, config, obs)
 }
 
-/// One approval round over `routes`: the sweeps of a hose's
-/// realizations read the same plan — they share one background — so a
-/// hose searches each (region pair, failure set) once however many
-/// realizations cross it. The first hose rides the caller's plan (a
-/// negotiation re-asks its one hose over it), each later one its own.
+/// One approval round over `routes`: every sweep of the round reads the
+/// same plan, so the round searches each (region pair, failure set)
+/// once however many hoses and realizations cross it (a negotiation
+/// re-asks its one hose over the same plan, round after round); and the
+/// realizations of a hose share one background, placed once.
 pub(crate) fn approve_requests_in(
     routes: &mut RoundRoutes<'_>,
     requests: &[ApprovalRequest],
@@ -485,10 +497,7 @@ pub(crate) fn approve_requests_in(
         )
     };
 
-    for (nth, &h) in order.iter().enumerate() {
-        if nth > 0 {
-            routes.next_hose();
-        }
+    for &h in &order {
         let hose = hoses[h];
         let slo = requests[h].slo;
         let qos = format!("{:?}", hose.qos);
@@ -516,15 +525,15 @@ pub(crate) fn approve_requests_in(
             ));
             continue;
         }
-        let bg = background_demands(&background);
+        let placed = routes.place(&background_demands(&background));
         let mut per_realization: Vec<Rate> = Vec::with_capacity(realizations[h].len());
         // Tracks the minimum-sum realization: the *worst* case, which is
         // both the conservative background pushed to lower classes and
         // the binding constraint on the grant.
         let mut worst_realization: Option<(Rate, Vec<PipeApproval>)> = None;
         for tm in &realizations[h] {
-            let requested: Vec<Rate> = tm.iter().map(|d| d.amount).collect();
-            let approvals = pipe_approval_in(routes, tm, &requested, slo, &bg, config, obs);
+            let requested = tm.iter().map(|d| d.amount);
+            let approvals = pipe_approval_in(routes, tm, requested, slo, &placed, config, obs);
             let sum: Rate = approvals.iter().map(|p| p.approved).sum();
             per_realization.push(sum);
             if worst_realization

@@ -6,11 +6,13 @@
 //!   must produce the same approvals over merged and unmerged
 //!   backgrounds carrying identical per-pair totals;
 //! * `propose_alternative` proposes a genuine alternative even when
-//!   every segment cap ties.
+//!   every segment cap ties;
+//! * a batch `StrictBatch` refuses reports, per pipe, the availability
+//!   of the zero grant — not of the volume it was just refused.
 
 use entitlement_approval::{
     hose_approval, hose_approval_obs, merge_background, pipe_approval, propose_alternative,
-    segments_consistent, ApprovalConfig,
+    segments_consistent, ApprovalConfig, ApprovalMode,
 };
 use entitlement_core::{Direction, NpgId, QosClass, Rate, RegionId, SloTarget};
 use entitlement_hose::{HoseRequest, HoseSegment};
@@ -184,5 +186,52 @@ fn propose_alternative_breaks_all_equal_tie() {
             .zip(&hose.segments)
             .any(|(a, b)| (a.cap.as_bps() - b.cap.as_bps()).abs() > 1.0);
         assert!(moved, "tie case must still reshape the request: {alt:?}");
+    }
+}
+
+/// `StrictBatch` zeroed `approved` for the whole batch when one pipe
+/// missed its request but left `achieved_availability` at what the
+/// refused volume would have had: a pipe carrying nothing, reported at
+/// the availability of something. It must read what a zero grant reads.
+#[test]
+fn strict_batch_rejection_reports_the_zero_grants_availability() {
+    let t = topo();
+    let dcs = t.dc_ids();
+    let scenarios = ScenarioSet::enumerate(&t, 2);
+    let slo = SloTarget::new(0.999).unwrap();
+    // One pipe far over the backbone sinks the batch; the second is
+    // clipped a little, the third would have cleared on its own.
+    let demands = vec![
+        Demand { src: dcs[0], dst: dcs[1], amount: Rate::tbps(100.0) },
+        Demand { src: dcs[2], dst: dcs[3], amount: Rate::gbps(400.0) },
+        Demand { src: dcs[1], dst: dcs[4], amount: Rate::gbps(5.0) },
+    ];
+    let requested: Vec<Rate> = demands.iter().map(|d| d.amount).collect();
+    let strict = ApprovalConfig {
+        mode: ApprovalMode::StrictBatch,
+        ..Default::default()
+    };
+    let refused = pipe_approval(&t, &scenarios, &demands, &requested, slo, &[], &strict);
+    // The same sweep asked for nothing: `Partial` grants zero and reads
+    // the curve at zero.
+    let nothing = vec![Rate::ZERO; demands.len()];
+    let zero = pipe_approval(&t, &scenarios, &demands, &nothing, slo, &[], &ApprovalConfig::default());
+    let partial = pipe_approval(&t, &scenarios, &demands, &requested, slo, &[], &ApprovalConfig::default());
+    assert!(!partial[0].fully_approved() && partial[2].fully_approved());
+    assert!(
+        partial.iter().any(|p| p.achieved_availability < zero[0].achieved_availability),
+        "fixture: some refused volume must be less available than nothing"
+    );
+    for (p, z) in refused.iter().zip(&zero) {
+        assert_eq!(p.approved, Rate::ZERO, "the batch is refused whole");
+        assert_eq!(
+            p.achieved_availability.to_bits(),
+            z.achieved_availability.to_bits(),
+            "{}->{}: availability {} is not the zero grant's {}",
+            p.src,
+            p.dst,
+            p.achieved_availability,
+            z.achieved_availability
+        );
     }
 }

@@ -474,7 +474,8 @@ pub(crate) fn pair_samples(
         dst,
         amount: topo.egress_capacity(src),
     };
-    sweep_plan(topo, plan, &[probe], scenarios, risk, obs)
+    let background = |u| plan.route(topo, u, &risk.background).residual;
+    sweep_plan(plan, background, &[probe], scenarios, risk.workers, risk.dedup, obs)
 }
 
 impl HeadroomProbe {

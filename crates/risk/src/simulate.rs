@@ -5,8 +5,9 @@ use crate::sweep::sweep_ordered_obs;
 use entitlement_core::Rate;
 use entitlement_obs::Obs;
 use entitlement_topology::routing::Demand;
-use entitlement_topology::{RoutePlan, ScenarioSet, Topology};
+use entitlement_topology::{LinkId, RoutePlan, ScenarioSet, Topology};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Risk simulation knobs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -114,7 +115,8 @@ pub fn assess_risk_detailed_obs(
         topo,
         demands.iter().chain(&config.background).map(Demand::pair),
     );
-    let s = sweep_plan(topo, &plan, demands, scenarios, config, obs);
+    let background = |u| plan.route(topo, u, &config.background).residual;
+    let s = sweep_plan(&plan, background, demands, scenarios, config.workers, config.dedup, obs);
     RiskAssessment {
         curves: s
             .samples
@@ -164,32 +166,38 @@ impl RiskSamples {
     }
 }
 
-/// The sweep kernel: place `config.background` then `demands` under
+/// The sweep kernel: place `demands` on what the background left under
 /// every failure set of `scenarios`, every path read from `plan` — which
-/// must have been built from `scenarios` (its `k_paths` is the one
-/// used) and cover the pairs of both demand lists. This is
-/// [`assess_risk_detailed_obs`] stopping one step short of curve
-/// construction: [`AvailabilityCurve::from_samples`] over each demand's
-/// samples yields exactly the detailed assessment's curves.
+/// must have been built from `scenarios` and cover the demands' pairs.
+/// This is [`assess_risk_detailed_obs`] stopping one step short of
+/// curve construction: [`AvailabilityCurve::from_samples`] over each
+/// demand's samples yields exactly the detailed assessment's curves.
+/// `workers` and `dedup` are [`RiskConfig`]'s.
 ///
-/// Background (higher priority) goes first in a pass of its own; the
-/// batch is then placed on the residual capacities it left behind.
-/// Path selection reads only fiber lengths, so this is exactly a
+/// `background(u)` is the capacity the higher-priority traffic leaves
+/// on each link surviving the plan's unique failure set `u`, placed in
+/// a pass of its own: `plan.route(topo, u, &premium).residual` (every
+/// link at full capacity when `premium` is empty). That reads the
+/// failure set and the premium demands, never `demands` — so a caller
+/// that sweeps once places inside the closure, and one that sweeps many
+/// batches over one background (the realizations of a hose) places once
+/// per failure set and hands out clones. Path selection reads only
+/// fiber lengths, so placing the batch on that residual is exactly a
 /// second pass over a topology with rewritten capacities.
 pub fn sweep_plan(
-    topo: &Topology,
     plan: &RoutePlan,
+    background: impl Fn(usize) -> BTreeMap<LinkId, Rate> + Sync,
     demands: &[Demand],
     scenarios: &ScenarioSet,
-    config: &RiskConfig,
+    workers: usize,
+    dedup: bool,
     obs: &Obs,
 ) -> RiskSamples {
     debug_assert_eq!(plan.scenario_count(), scenarios.len());
-    debug_assert_eq!(plan.k_paths(), config.k_paths);
     // With dedup every distinct failure set is routed once, at its
     // first scenario; without, every scenario is routed.
     let every: Vec<usize>;
-    let routed: &[usize] = if config.dedup {
+    let routed: &[usize] = if dedup {
         plan.representatives()
     } else {
         every = (0..scenarios.len()).collect();
@@ -201,16 +209,10 @@ pub fn sweep_plan(
         .label_fmt("scenarios", scenarios.len())
         .label_fmt("unique", routed.len())
         .label_fmt("demands", demands.len());
-    let per_routed: Vec<Vec<Rate>> =
-        sweep_ordered_obs(routed, config.workers, obs, |scenario_idx| {
-            let unique = plan.unique_of(scenario_idx);
-            if config.background.is_empty() {
-                plan.route(topo, unique, demands).admitted
-            } else {
-                let bg = plan.route(topo, unique, &config.background);
-                plan.route_on(unique, demands, bg.residual).admitted
-            }
-        });
+    let per_routed: Vec<Vec<Rate>> = sweep_ordered_obs(routed, workers, obs, |scenario_idx| {
+        let unique = plan.unique_of(scenario_idx);
+        plan.route_on(unique, demands, background(unique)).admitted
+    });
     sweep_span.finish();
 
     // Merge per original scenario, in scenario order: each scenario
@@ -221,7 +223,7 @@ pub fn sweep_plan(
     let mut samples: Vec<Vec<(Rate, f64)>> =
         vec![Vec::with_capacity(scenarios.len()); demands.len()];
     for (s_idx, scenario) in scenarios.scenarios.iter().enumerate() {
-        let slot = if config.dedup { plan.unique_of(s_idx) } else { s_idx };
+        let slot = if dedup { plan.unique_of(s_idx) } else { s_idx };
         for (i, &a) in per_routed[slot].iter().enumerate() {
             samples[i].push((a, scenario.probability));
         }
@@ -339,7 +341,8 @@ mod tests {
         let config = RiskConfig::default();
         let mut plan = RoutePlan::build(&topo, &scenarios, config.k_paths);
         plan.ensure(&topo, demands.iter().map(Demand::pair));
-        let s = sweep_plan(&topo, &plan, &demands, &scenarios, &config, &Obs::disabled());
+        let healthy = |u| plan.route(&topo, u, &[]).residual;
+        let s = sweep_plan(&plan, healthy, &demands, &scenarios, 1, true, &Obs::disabled());
         let curves = assess_risk(&topo, &demands, &scenarios, &RiskConfig::default());
         for slo in [0.9, 0.99, 0.9999] {
             let b = s.binding_scenario(0, slo).expect("feasible slo");

@@ -4,7 +4,9 @@
 //! on enumerated and Monte-Carlo scenario sets, across seeds, with and
 //! without background traffic — and so must every way of sourcing the
 //! paths: searched on the spot per scenario (plan-less), read from a
-//! throw-away route plan, read from a plan reused across sweeps.
+//! throw-away route plan, read from a plan reused across sweeps — and
+//! the sweep over a background placed ahead of time must equal the one
+//! that places it scenario by scenario.
 
 use entitlement_core::Rate;
 use entitlement_obs::Obs;
@@ -13,6 +15,7 @@ use entitlement_topology::routing::Demand;
 use entitlement_topology::{
     route_matrix, route_matrix_on_residual, BackboneSpec, RoutePlan, ScenarioSet, Topology,
 };
+use proptest::prelude::*;
 
 /// Collapse curves to raw bits so equality is exact, not approximate.
 fn curve_bits(curves: &[AvailabilityCurve]) -> Vec<Vec<(u64, u64)>> {
@@ -128,7 +131,15 @@ fn assert_equivalent(topo: &Topology, demands: &[Demand], scenarios: &ScenarioSe
                 } else {
                     assert_eq!(out.routed_scenarios, out.total_scenarios);
                 }
-                let again = sweep_plan(topo, &reused, demands, scenarios, &cfg, &Obs::disabled());
+                let again = sweep_plan(
+                    &reused,
+                    |u| reused.route(topo, u, &background).residual,
+                    demands,
+                    scenarios,
+                    workers,
+                    dedup,
+                    &Obs::disabled(),
+                );
                 let curves: Vec<AvailabilityCurve> = again
                     .samples
                     .into_iter()
@@ -195,4 +206,91 @@ fn monte_carlo_dedup_actually_collapses_scenarios() {
         "expected >50% of routings skipped, saved {:.1}%",
         out.dedup_savings() * 100.0
     );
+}
+
+/// The sweep as it ran before backgrounds were placed ahead of time:
+/// under each scenario the background in a pass of its own, the batch
+/// on the residual it left; an empty background skips the first pass.
+fn self_placing_bits(
+    topo: &Topology,
+    plan: &RoutePlan,
+    demands: &[Demand],
+    scenarios: &ScenarioSet,
+    background: &[Demand],
+) -> Vec<Vec<(u64, u64)>> {
+    let mut samples = vec![Vec::new(); demands.len()];
+    for (s, scenario) in scenarios.scenarios.iter().enumerate() {
+        let unique = plan.unique_of(s);
+        let admitted = if background.is_empty() {
+            plan.route(topo, unique, demands).admitted
+        } else {
+            let bg = plan.route(topo, unique, background);
+            plan.route_on(unique, demands, bg.residual).admitted
+        };
+        for (i, a) in admitted.iter().enumerate() {
+            samples[i].push((a.as_bps().to_bits(), scenario.probability.to_bits()));
+        }
+    }
+    samples
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn pre_placed_background_sweeps_to_the_self_placing_bits(
+        seed in 0u64..10_000,
+        sampled in any::<bool>(),
+        // (src, dst, Gbps) by region index; self pairs are legal no-ops.
+        batch in proptest::collection::vec((0usize..8, 0usize..8, 1.0f64..30_000.0), 1..5),
+        background in proptest::collection::vec((0usize..8, 0usize..8, 1.0f64..30_000.0), 0..4),
+    ) {
+        let topo = BackboneSpec::small(seed).build();
+        let ids = topo.region_ids();
+        let demands_of = |spec: &[(usize, usize, f64)]| -> Vec<Demand> {
+            spec.iter()
+                .map(|&(s, d, gbps)| Demand {
+                    src: ids[s % ids.len()],
+                    dst: ids[d % ids.len()],
+                    amount: Rate::gbps(gbps),
+                })
+                .collect()
+        };
+        let (demands, background) = (demands_of(&batch), demands_of(&background));
+        let scenarios = if sampled {
+            ScenarioSet::sample(&topo, 80, seed)
+        } else {
+            ScenarioSet::enumerate(&topo, 1)
+        };
+        let mut plan = RoutePlan::build(&topo, &scenarios, 4);
+        plan.ensure(&topo, demands.iter().chain(&background).map(Demand::pair));
+        let expected = self_placing_bits(&topo, &plan, &demands, &scenarios, &background);
+
+        // One placement per failure set, cloned by every sweep below.
+        let placed: Vec<_> = (0..plan.unique_len())
+            .map(|u| plan.route(&topo, u, &background).residual)
+            .collect();
+        for workers in [1usize, 2] {
+            for dedup in [true, false] {
+                let out = sweep_plan(
+                    &plan,
+                    |u| placed[u].clone(),
+                    &demands,
+                    &scenarios,
+                    workers,
+                    dedup,
+                    &Obs::disabled(),
+                );
+                let bits: Vec<Vec<(u64, u64)>> = out
+                    .samples
+                    .iter()
+                    .map(|d| d.iter().map(|&(r, p)| (r.as_bps().to_bits(), p.to_bits())).collect())
+                    .collect();
+                prop_assert_eq!(
+                    &bits, &expected,
+                    "workers={} dedup={} background={}", workers, dedup, background.len()
+                );
+            }
+        }
+    }
 }

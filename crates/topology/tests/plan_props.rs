@@ -120,6 +120,15 @@ proptest! {
     }
 }
 
+/// Every directed pair of distinct DCs.
+fn dc_pairs(topo: &Topology) -> Vec<(RegionId, RegionId)> {
+    let dcs = topo.dc_ids();
+    dcs.iter()
+        .flat_map(|&s| dcs.iter().map(move |&d| (s, d)))
+        .filter(|(s, d)| s != d)
+        .collect()
+}
+
 #[test]
 fn most_single_cuts_ride_the_healthy_paths() {
     let topo = BackboneSpec {
@@ -129,12 +138,7 @@ fn most_single_cuts_ride_the_healthy_paths() {
     }
     .build();
     let scenarios = ScenarioSet::enumerate(&topo, 1);
-    let dcs = topo.dc_ids();
-    let pairs: Vec<(RegionId, RegionId)> = dcs
-        .iter()
-        .flat_map(|&s| dcs.iter().map(move |&d| (s, d)))
-        .filter(|(s, d)| s != d)
-        .collect();
+    let pairs = dc_pairs(&topo);
     let mut plan = RoutePlan::build(&topo, &scenarios, 4);
     plan.ensure(&topo, pairs.iter().copied());
     let lookups = pairs.len() * scenarios.len();
@@ -234,4 +238,20 @@ fn a_tie_decided_by_a_dead_link_gets_its_own_search() {
         ],
     };
     assert_plan_is_yen(&topo, &scenarios, 2, "hand-built tie");
+}
+
+/// An approval round keeps one plan for all its hoses, so at worst the
+/// plan holds every DC pair of the backbone under every dual cut, not
+/// one hose's. That worst case is a number — on the small backbone 20
+/// pairs x 107 failure sets, 1 712 stored path sets, 300 032 bytes —
+/// and the budget is that measurement plus a sixth.
+#[test]
+fn a_round_lifetime_plan_of_every_dc_pair_fits_its_budget() {
+    let topo = BackboneSpec::small(41).build();
+    let scenarios = ScenarioSet::enumerate(&topo, 2);
+    let pairs = dc_pairs(&topo);
+    let mut plan = RoutePlan::build(&topo, &scenarios, 4);
+    plan.ensure(&topo, pairs.iter().copied());
+    assert_eq!((pairs.len(), plan.unique_len()), (20, 107));
+    assert!(plan.heap_bytes() < 350_000, "{} bytes", plan.heap_bytes());
 }
