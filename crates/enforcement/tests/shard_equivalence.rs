@@ -20,6 +20,7 @@ use entitlement_enforcement::{
     FleetStrategy, Meter, StatefulMeter,
 };
 use entitlement_core::{HostId, Rate};
+use entitlement_kvstore::key_hash;
 use entitlement_obs::{Clock, Obs};
 use entitlement_slo::SloEvaluator;
 use entitlement_watch::WatchEvaluator;
@@ -200,5 +201,52 @@ fn equivalence_survives_a_dark_shard() {
         assert_outcomes_identical(&det, &par);
         assert_eq!(det_trace, par_trace, "seed={seed:#x}");
         assert_eq!(det_report, par_report);
+    }
+}
+
+/// FNV-1a (`kvstore::key_hash`) over the hex bits of every cycle's
+/// `live_total` / `live_conform` / `marked_fraction` and every final
+/// conform ratio of one 20 000-host / 64-shard / 8-cycle run.
+fn outcome_digest(out: &FleetOutcome) -> u64 {
+    use std::fmt::Write;
+    let mut text = String::new();
+    for c in &out.cycles {
+        for v in [c.live_total, c.live_conform, c.marked_fraction] {
+            write!(text, "{:016x}", v.to_bits()).expect("write to a String");
+        }
+    }
+    for cr in &out.conform_ratios {
+        write!(text, "{:016x}", cr.to_bits()).expect("write to a String");
+    }
+    key_hash(&text)
+}
+
+// Computed on commit d8a41b3 (PR 20), before the host and meter passes
+// became block kernels: offered ÷ entitled, digest.
+const KERNEL_PINS: [(f64, u64); 4] = [
+    (0.5, 0xd101_352c_c3e1_e445),
+    (1.0, 0xd101_352c_c3e1_e445), // nobody marked either: same bits as 0.5
+    (2.0, 0xecaa_8ff7_3661_0cb8),
+    (10.0, 0xd86d_e136_5a88_65d9),
+];
+
+/// Cross-commit pin: the engine's numbers at each load regime are the
+/// parent's, bit for bit, under both strategies. 312- and 313-host
+/// shards, so every shard ends on a partial block.
+#[test]
+fn load_regimes_match_the_pinned_digests() {
+    for (regime, pin) in KERNEL_PINS {
+        let hosts = 20_000;
+        let mut config = base_config(hosts, 64, 0xD217, 8);
+        let offered: f64 = (0..hosts as u32)
+            .map(|h| host_demand_bps(config.seed, config.per_host_rate, h))
+            .sum();
+        config.entitled = Rate::bps(offered / regime);
+        let det = run_fleet_engine(&config).expect("det run");
+        assert_eq!(outcome_digest(&det), pin, "det, offered/entitled = {regime}");
+        config.strategy = FleetStrategy::Parallel;
+        config.workers = 2;
+        let par = run_fleet_engine(&config).expect("par run");
+        assert_eq!(outcome_digest(&par), pin, "par, offered/entitled = {regime}");
     }
 }
