@@ -17,6 +17,7 @@ pub struct DetRng {
     spare_normal: Option<f64>,
 }
 
+#[inline]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -27,6 +28,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 impl DetRng {
     /// Seed the generator. Distinct seeds give independent streams.
+    #[inline]
     pub fn new(seed: u64) -> Self {
         let mut sm = seed;
         DetRng {
@@ -47,6 +49,7 @@ impl DetRng {
     }
 
     /// Next raw 64-bit value (xoshiro256++).
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
@@ -63,12 +66,14 @@ impl DetRng {
     }
 
     /// Uniform in `[0, 1)`.
+    #[inline]
     pub fn f64(&mut self) -> f64 {
         // 53 high bits -> [0, 1) double.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform in `[lo, hi)`.
+    #[inline]
     pub fn range(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.f64()
     }

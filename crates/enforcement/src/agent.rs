@@ -436,6 +436,34 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_aggregate_holds_the_decision_instead_of_recovering() {
+        let db = db_with_contract(50.0);
+        let mut a = agent(0);
+        a.refresh_contract(&db, 0);
+        let cr = a.cycle_observed(Ok((Rate::gbps(200.0), Rate::gbps(200.0))), 1_000);
+        assert!((cr - 0.25).abs() < 1e-9);
+        // One host published NaN: the store's sums are NaN, the read
+        // itself succeeds. Still over-entitled, so nothing may relax.
+        for cycle in 2..6 {
+            let held =
+                a.cycle_observed(Ok((Rate::gbps(200.0), Rate::bps(f64::NAN))), cycle * 1_000);
+            assert_eq!(held, cr, "cycle {cycle} held, not doubled");
+        }
+        assert_eq!(
+            a.metrics.snapshot().decision_changes,
+            1,
+            "only the first cut"
+        );
+        let probe = crate::bpf::ClassifyInput {
+            npg: NpgId(1),
+            qos: QosClass::C2,
+            flow_group: 99,
+            host_group: 10,
+        };
+        assert_eq!(a.table.classify(probe).0, crate::bpf::MarkAction::Remark);
+    }
+
+    #[test]
     fn restart_clears_meter_state_and_counts() {
         let db = db_with_contract(50.0);
         let mut a = agent(0);

@@ -12,7 +12,10 @@
 //!    fleet shard — a contiguous host range from [`ShardPlan`] — is
 //!    folded in ascending host order into one `(total, conform)`
 //!    partial: a metering cycle over 10⁶ agents is a handful of linear
-//!    sweeps, not 10⁶ task wakeups.
+//!    sweeps, not 10⁶ task wakeups. The fold is two loops per block of
+//!    64 hosts — write a keep-mask, then add in host order with the
+//!    demand masked on the conform side — so it has no branch on who is
+//!    marked and a cycle costs the same in every load regime.
 //! 2. **Shard publish.** Each shard's partial is batch-published as two
 //!    keys (`…/total/s{s}`, `…/conform/s{s}`) placed directly on
 //!    storage shard `s`, so a `ShardOutage` fault on storage shard `s`
@@ -22,9 +25,12 @@
 //!    order. The flat prefix aggregate (`…/total/`) that existing
 //!    `AggregateWatch` consumers poll still sees the identical global
 //!    sum over the partial keys.
-//! 4. **Meter pass.** Every host runs
-//!    [`StatefulMeter::update_value`] on the same folded aggregates —
-//!    the exact float ops the flat-path agent runs, in the same order.
+//! 4. **Meter pass.** Every host takes
+//!    [`StatefulMeter::update_value`] of its own previous ratio and the
+//!    same folded aggregates — the exact float ops the flat-path agent
+//!    runs. The aggregates are fixed for the pass, so the update is
+//!    recomputed only where a host's previous ratio differs in bits
+//!    from the host's before it.
 //!
 //! # Strategies
 //!
@@ -217,6 +223,7 @@ pub struct FleetOutcome {
 /// A host's offered demand in bits/s: `per_host_rate` jittered ±25% by
 /// a per-host deterministic stream. Public so the flat-path reference
 /// in the equivalence harness reproduces the engine's inputs exactly.
+#[inline]
 #[must_use]
 pub fn host_demand_bps(seed: u64, per_host_rate: Rate, host: u32) -> f64 {
     let mut rng = DetRng::new(seed ^ (u64::from(host) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -229,10 +236,13 @@ struct FleetState {
     /// Previous conform ratio (the meter state), host order.
     prev_cr: Vec<f64>,
     /// Stable marking group id, precomputed from `HostId::group`.
-    group: Vec<u32>,
+    group: Vec<u8>,
     /// Offered demand, bits/s, fixed for the run.
     demand: Vec<f64>,
 }
+
+// Group ids and the cut (`0..=GROUPS`) are held as one byte per host.
+const _: () = assert!(GROUPS <= u8::MAX as u32);
 
 impl FleetState {
     fn new(config: &FleetConfig) -> FleetState {
@@ -240,7 +250,7 @@ impl FleetState {
         let mut group = Vec::with_capacity(hosts);
         let mut demand = Vec::with_capacity(hosts);
         for h in 0..hosts {
-            group.push(HostId(h as u32).group(GROUPS));
+            group.push(HostId(h as u32).group(GROUPS) as u8);
             demand.push(host_demand_bps(config.seed, config.per_host_rate, h as u32));
         }
         FleetState {
@@ -251,28 +261,92 @@ impl FleetState {
     }
 }
 
+/// Hosts per keep-mask block of [`shard_partial`].
+const BLOCK: usize = 64;
+
 /// One shard's host pass: ascending-host-order fold of the shard's
 /// demand into `(total, conform, marked_hosts)`. A host whose group id
 /// falls under its meter's cut is remarked: its traffic leaves the
 /// conforming aggregate (same rule as `Agent::self_marked`).
+///
+/// Two loops per block of [`BLOCK`] hosts, neither with a branch on a
+/// host's marking. The first writes a keep-mask — all-ones for a host
+/// at or above the cut, zero for a marked one. The cut is recomputed
+/// only when a host's ratio differs in bits from the previous host's:
+/// a block whose ratios all equal the last one seen compares its group
+/// ids against one loop-invariant cut (a uniform fleet computes the cut
+/// once per pass), any other block walks its hosts one by one, so the
+/// mask is exact either way. The second loop adds in host order,
+/// masking the demand's bits on the conform side: a marked host adds
+/// `+0.0`, which leaves every sum but `-0.0` as it was, and `conform`
+/// starts at `+0.0` and can never become `-0.0`. The mask has to come
+/// from memory: written as a select in the adding loop, the compiler
+/// turns it back into the branch, and the pass costs 3× more at 50 %
+/// marked than at 0 %.
 pub(crate) fn shard_partial(
     range: std::ops::Range<usize>,
     prev_cr: &[f64],
-    group: &[u32],
+    group: &[u8],
     demand: &[f64],
 ) -> (f64, f64, u64) {
+    let prev_cr = &prev_cr[range.clone()];
+    let group = &group[range.clone()];
+    let demand = &demand[range];
     let mut total = 0.0;
     let mut conform = 0.0;
     let mut marked = 0u64;
-    for h in range {
-        total += demand[h];
-        if group[h] < Marker::marked_group_count(prev_cr[h]) {
-            marked += 1;
+    let Some(&first) = prev_cr.first() else {
+        return (total, conform, marked);
+    };
+    let mut seen = first.to_bits();
+    let mut cut = Marker::marked_group_count(first) as u8;
+    let mut keep = [0u64; BLOCK];
+    for ((cr, g), d) in prev_cr
+        .chunks(BLOCK)
+        .zip(group.chunks(BLOCK))
+        .zip(demand.chunks(BLOCK))
+    {
+        if cr.iter().fold(0, |diff, cr| diff | (cr.to_bits() ^ seen)) == 0 {
+            for (keep, &g) in keep.iter_mut().zip(g) {
+                *keep = if g >= cut { u64::MAX } else { 0 };
+            }
         } else {
-            conform += demand[h];
+            for ((keep, &g), &cr) in keep.iter_mut().zip(g).zip(cr) {
+                if cr.to_bits() != seen {
+                    seen = cr.to_bits();
+                    cut = Marker::marked_group_count(cr) as u8;
+                }
+                *keep = if g >= cut { u64::MAX } else { 0 };
+            }
+        }
+        for (&d, &keep) in d.iter().zip(&keep) {
+            total += d;
+            conform += f64::from_bits(d.to_bits() & keep);
+            marked += !keep & 1;
         }
     }
     (total, conform, marked)
+}
+
+/// One contiguous run of hosts' meter pass: every host takes
+/// [`StatefulMeter::update_value`] of its own previous ratio. The other
+/// four arguments are fixed for the pass, so the update is a function
+/// of the previous ratio alone and is recomputed only when that differs
+/// in bits from the previous host's.
+pub(crate) fn meter_chunk(prev_cr: &mut [f64], total: f64, conform: f64, entitled: f64) {
+    let recovery = 2.0; // StatefulMeter::new's paper default
+    let Some(&first) = prev_cr.first() else {
+        return;
+    };
+    let mut seen = first.to_bits();
+    let mut next = StatefulMeter::update_value(first, total, conform, entitled, recovery);
+    for cr in prev_cr {
+        if cr.to_bits() != seen {
+            seen = cr.to_bits();
+            next = StatefulMeter::update_value(*cr, total, conform, entitled, recovery);
+        }
+        *cr = next;
+    }
 }
 
 fn effective_workers(config: &FleetConfig, jobs: usize) -> usize {
@@ -328,18 +402,14 @@ fn host_pass(
 /// host and a flat-path agent fed the same inputs stay bit-identical.
 fn meter_pass(config: &FleetConfig, prev_cr: &mut [f64], total: f64, conform: f64) {
     let entitled = config.entitled.as_bps();
-    let recovery = 2.0; // StatefulMeter::new's paper default
-    let update = |cr: &mut f64| {
-        *cr = StatefulMeter::update_value(*cr, total, conform, entitled, recovery);
-    };
     match config.strategy {
-        FleetStrategy::Deterministic => prev_cr.iter_mut().for_each(update),
+        FleetStrategy::Deterministic => meter_chunk(prev_cr, total, conform, entitled),
         FleetStrategy::Parallel => {
             let workers = effective_workers(config, prev_cr.len());
             let block = prev_cr.len().div_ceil(workers);
             std::thread::scope(|scope| {
                 for chunk in prev_cr.chunks_mut(block) {
-                    scope.spawn(move || chunk.iter_mut().for_each(update));
+                    scope.spawn(move || meter_chunk(chunk, total, conform, entitled));
                 }
             });
         }
@@ -415,6 +485,36 @@ pub fn run_fleet_engine_with(
     let mut cycle_stats = Vec::with_capacity(config.cycles);
     let mut partials = vec![(0.0, 0.0, 0u64); shards];
     let mut fail_static_cycles = 0u64;
+    // Keys and labels are built once per run; a cycle overwrites only
+    // the values it measured.
+    let mut entries: Vec<[(String, f64); 2]> = (0..shards)
+        .map(|s| {
+            [
+                (format!("{total_prefix}s{s}"), 0.0),
+                (format!("{conform_prefix}s{s}"), 0.0),
+            ]
+        })
+        .collect();
+    let mut interval = IntervalObs {
+        entity: config.npg.to_string(),
+        qos: config.qos.to_string(),
+        target: config.slo_target,
+        demand_bps,
+        delivered_bps: 0.0,
+        approved_bps: config.entitled.as_bps(),
+        measurable: false,
+    };
+    let mut cycle_obs = CycleObs {
+        entity: interval.entity.clone(),
+        qos: interval.qos.clone(),
+        demand_bps,
+        delivered_bps: 0.0,
+        approved_bps: config.entitled.as_bps(),
+        marked_fraction: 0.0,
+        conform_fraction: 0.0,
+        staleness_ms: 0.0,
+        measurable: false,
+    };
 
     obs.registry
         .gauge("entitlement_fleet_hosts", "Hosts in the sharded fleet", &[])
@@ -438,12 +538,10 @@ pub fn run_fleet_engine_with(
         let marked_fraction = marked_hosts as f64 / config.hosts as f64;
 
         // 2. Shard publish, driver-side, shard order.
-        for (s, &(total, conform, _)) in partials.iter().enumerate() {
-            let entries = [
-                (format!("{total_prefix}s{s}"), total),
-                (format!("{conform_prefix}s{s}"), conform),
-            ];
-            if kv.try_put_shard_batch(s, &entries, now_ms).is_err() {
+        for (s, (batch, &(total, conform, _))) in entries.iter_mut().zip(&partials).enumerate() {
+            batch[0].1 = total;
+            batch[1].1 = conform;
+            if kv.try_put_shard_batch(s, batch, now_ms).is_err() {
                 shard_stats[s].publish_failures += 1;
             }
         }
@@ -489,18 +587,9 @@ pub fn run_fleet_engine_with(
 
         // 5. SLO fold: the global entity, plus per-shard SLIs when on.
         let measurable = snap_total.missing() == 0 && snap_conform.missing() == 0;
-        slo.observe(
-            obs,
-            &IntervalObs {
-                entity: config.npg.to_string(),
-                qos: config.qos.to_string(),
-                target: config.slo_target,
-                demand_bps,
-                delivered_bps: live_conform,
-                approved_bps: config.entitled.as_bps(),
-                measurable,
-            },
-        );
+        interval.delivered_bps = live_conform;
+        interval.measurable = measurable;
+        slo.observe(obs, &interval);
         if config.per_shard_slis {
             for (s, (&sd, read)) in shard_demand.iter().zip(snap_conform.shards()).enumerate() {
                 let (delivered, shard_measurable) = match *read {
@@ -510,8 +599,8 @@ pub fn run_fleet_engine_with(
                 slo.observe(
                     obs,
                     &IntervalObs {
-                        entity: format!("{}/s{s}", config.npg),
-                        qos: config.qos.to_string(),
+                        entity: format!("{}/s{s}", interval.entity),
+                        qos: interval.qos.clone(),
                         target: config.slo_target,
                         demand_bps: sd,
                         delivered_bps: delivered,
@@ -532,25 +621,16 @@ pub fn run_fleet_engine_with(
         // degraded serves: each held or missing shard this cycle ages
         // the decision by one cycle (a healthy run holds it at zero).
         let degraded = (snap_total.held() + snap_total.missing()) as f64;
-        let conform_fraction = if live_total > 0.0 {
+        cycle_obs.delivered_bps = live_conform;
+        cycle_obs.marked_fraction = marked_fraction;
+        cycle_obs.conform_fraction = if live_total > 0.0 {
             live_conform / live_total
         } else {
             1.0
         };
-        watch.observe_cycle(
-            obs,
-            &CycleObs {
-                entity: config.npg.to_string(),
-                qos: config.qos.to_string(),
-                demand_bps,
-                delivered_bps: live_conform,
-                approved_bps: config.entitled.as_bps(),
-                marked_fraction,
-                conform_fraction,
-                staleness_ms: degraded * config.cycle_ms as f64,
-                measurable,
-            },
-        );
+        cycle_obs.staleness_ms = degraded * config.cycle_ms as f64;
+        cycle_obs.measurable = measurable;
+        watch.observe_cycle(obs, &cycle_obs);
         // W0102: re-sum the servable shard partials and bit-compare
         // against the fold the meters consumed. Skipped when the fold
         // itself failed (a missing shard is W0105's territory).
@@ -565,8 +645,8 @@ pub fn run_fleet_engine_with(
                 .collect();
             watch.observe_shards(
                 obs,
-                &config.npg.to_string(),
-                &config.qos.to_string(),
+                &cycle_obs.entity,
+                &cycle_obs.qos,
                 folded,
                 &shard_values,
             );
@@ -622,6 +702,7 @@ fn emit_shard_events(obs: &Obs, snap_total: &FanoutSnapshot, snap_conform: &Fano
 mod tests {
     use super::*;
     use entitlement_chaos::{Fault, FaultKind, TimeWindow};
+    use proptest::prelude::*;
 
     fn small_config() -> FleetConfig {
         FleetConfig {
@@ -764,6 +845,168 @@ mod tests {
         assert_eq!(det.conform_ratios, par.conform_ratios);
         assert_eq!(det.demand_bps, par.demand_bps);
         assert_eq!(det.final_total, par.final_total);
+    }
+
+    /// The scalar host pass [`shard_partial`] replaced: a branch per
+    /// host, the cut recomputed per host. The oracle the kernel is held
+    /// to.
+    fn scalar_shard_partial(
+        range: std::ops::Range<usize>,
+        prev_cr: &[f64],
+        group: &[u8],
+        demand: &[f64],
+    ) -> (f64, f64, u64) {
+        let mut total = 0.0;
+        let mut conform = 0.0;
+        let mut marked = 0u64;
+        for h in range {
+            total += demand[h];
+            if u32::from(group[h]) < Marker::marked_group_count(prev_cr[h]) {
+                marked += 1;
+            } else {
+                conform += demand[h];
+            }
+        }
+        (total, conform, marked)
+    }
+
+    /// The per-host meter loop [`meter_chunk`] replaced.
+    fn scalar_meter(prev_cr: &mut [f64], total: f64, conform: f64, entitled: f64) {
+        for cr in prev_cr {
+            *cr = StatefulMeter::update_value(*cr, total, conform, entitled, 2.0);
+        }
+    }
+
+    /// Ratios whose cuts are 0 / 1 / 50 / 99 / 100.
+    const CUT_RATIOS: [f64; 5] = [1.0, 0.99, 0.5, 0.01, 0.0];
+
+    /// `n` previous ratios: one value throughout (0), one change at a
+    /// random host (1), a different value at every host (2), or runs of
+    /// 1..=90 hosts, i.e. changes mid-block and across blocks (3).
+    fn ratios(rng: &mut DetRng, n: usize, pattern: u8) -> Vec<f64> {
+        let pick = |rng: &mut DetRng| CUT_RATIOS[rng.usize(CUT_RATIOS.len())];
+        match pattern {
+            0 => vec![pick(rng); n],
+            1 => {
+                let (a, b, at) = (pick(rng), pick(rng), rng.usize(n + 1));
+                (0..n).map(|h| if h < at { a } else { b }).collect()
+            }
+            2 => (0..n).map(|_| rng.f64()).collect(),
+            _ => {
+                let mut out = Vec::with_capacity(n);
+                while out.len() < n {
+                    let (value, run) = (pick(rng), 1 + rng.usize(90));
+                    out.resize((out.len() + run).min(n), value);
+                }
+                out
+            }
+        }
+    }
+
+    /// Random state over `n` hosts: groups over the whole id space,
+    /// demands with `0.0` and `-0.0` mixed in.
+    fn random_state(rng: &mut DetRng, n: usize, pattern: u8) -> FleetState {
+        FleetState {
+            prev_cr: ratios(rng, n, pattern),
+            group: (0..n).map(|_| rng.usize(GROUPS as usize) as u8).collect(),
+            demand: (0..n)
+                .map(|_| match rng.usize(8) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.range(0.75e9, 1.25e9),
+                })
+                .collect(),
+        }
+    }
+
+    /// Aggregates that reach each branch of `update_value` against an
+    /// entitlement of 1e12: recover, probe, ratio step, and the
+    /// non-finite hold.
+    const METER_INPUTS: [(f64, f64); 5] = [
+        (0.5e12, 0.5e12),
+        (2e12, 0.5),
+        (2e12, 1.7e12),
+        (2e12, 0.6e12),
+        (2e12, f64::NAN),
+    ];
+
+    fn bits(p: (f64, f64, u64)) -> (u64, u64, u64) {
+        (p.0.to_bits(), p.1.to_bits(), p.2)
+    }
+
+    fn ratio_bits(ratios: &[f64]) -> Vec<u64> {
+        ratios.iter().map(|cr| cr.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Both kernels against the loops they replaced, bit for bit,
+        /// on ranges that start and end off a block boundary, are
+        /// shorter than a block, or are empty.
+        #[test]
+        fn kernels_match_the_scalar_loops(
+            seed in any::<u64>(),
+            (lead, hosts, tail) in (0usize..70, 0usize..200, 0usize..70),
+            pattern in 0u8..4,
+        ) {
+            let mut rng = DetRng::new(seed);
+            let state = random_state(&mut rng, lead + hosts + tail, pattern);
+            let range = lead..lead + hosts;
+            let (cr, group, demand) = (&state.prev_cr, &state.group, &state.demand);
+            prop_assert_eq!(
+                bits(shard_partial(range.clone(), cr, group, demand)),
+                bits(scalar_shard_partial(range.clone(), cr, group, demand))
+            );
+            for (total, conform) in METER_INPUTS {
+                let mut kernel = state.prev_cr[range.clone()].to_vec();
+                let mut scalar = kernel.clone();
+                meter_chunk(&mut kernel, total, conform, 1e12);
+                scalar_meter(&mut scalar, total, conform, 1e12);
+                prop_assert_eq!(ratio_bits(&kernel), ratio_bits(&scalar));
+            }
+        }
+
+        /// The two passes as the engine drives them, under both
+        /// strategies and 1-3 workers: every shard's partial and every
+        /// stored ratio equal the scalar loops'.
+        #[test]
+        fn passes_match_the_scalar_loops_under_both_strategies(
+            seed in any::<u64>(),
+            (hosts, shards) in (1usize..=400, 1usize..=9),
+            workers in 1usize..=3,
+            pattern in 0u8..4,
+        ) {
+            let shards = shards.min(hosts);
+            let plan = ShardPlan::new(hosts, shards).expect("a valid shape");
+            let mut rng = DetRng::new(seed);
+            let state = random_state(&mut rng, hosts, pattern);
+            let (cr, group, demand) = (&state.prev_cr, &state.group, &state.demand);
+            let expected: Vec<_> = (0..shards)
+                .map(|s| bits(scalar_shard_partial(plan.range(s), cr, group, demand)))
+                .collect();
+            for strategy in [FleetStrategy::Deterministic, FleetStrategy::Parallel] {
+                let config = FleetConfig {
+                    hosts,
+                    shards,
+                    strategy,
+                    workers,
+                    entitled: Rate::bps(1e12),
+                    ..FleetConfig::default()
+                };
+                let mut partials = vec![(0.0, 0.0, 0u64); shards];
+                host_pass(&config, &plan, &state, &mut partials);
+                let got: Vec<_> = partials.iter().map(|&p| bits(p)).collect();
+                prop_assert_eq!(&got, &expected);
+                for (total, conform) in METER_INPUTS {
+                    let mut kernel = state.prev_cr.clone();
+                    let mut scalar = state.prev_cr.clone();
+                    meter_pass(&config, &mut kernel, total, conform);
+                    scalar_meter(&mut scalar, total, conform, 1e12);
+                    prop_assert_eq!(ratio_bits(&kernel), ratio_bits(&scalar));
+                }
+            }
+        }
     }
 
     #[test]

@@ -121,6 +121,13 @@ impl StatefulMeter {
     /// paths run the exact same float operations in the same order, so
     /// a fleet host and a standalone [`StatefulMeter`] fed identical
     /// inputs produce bit-identical conform ratios.
+    ///
+    /// A non-finite `total_bps`, `conform_bps` or `entitled_bps` is
+    /// unmeasurable, not zero and not huge: the update holds `prev`,
+    /// the fail-static rule agents follow for an unreachable store.
+    /// (Left to the arithmetic, a NaN conforming rate loses every
+    /// `min` and doubles the ratio each cycle until an over-entitled
+    /// service is fully unmarked.)
     #[must_use]
     pub fn update_value(
         prev: f64,
@@ -129,6 +136,9 @@ impl StatefulMeter {
         entitled_bps: f64,
         recovery_factor: f64,
     ) -> f64 {
+        if !(total_bps.is_finite() && conform_bps.is_finite() && entitled_bps.is_finite()) {
+            return prev;
+        }
         let new_ratio = if total_bps < entitled_bps {
             // Back in conformance: exponential un-throttle.
             (prev * recovery_factor).min(1.0)
@@ -269,6 +279,57 @@ mod tests {
             m.update(Rate::bps(0.5), Rate::bps(0.5), Rate::bps(1.0));
         }
         assert!((m.conform_ratio() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_non_finite_aggregate_holds_the_ratio() {
+        // One host publishing NaN poisons the store's sum. The parent
+        // read that as "recover": 0.25 -> 0.5 -> 1.0, fully unmarked.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (total, conform, entitled) in [
+                (2e12, bad, 1e12),
+                (bad, 1e12, 1e12),
+                (bad, bad, 1e12),
+                (2e12, 1e12, bad),
+            ] {
+                let held = StatefulMeter::update_value(0.25, total, conform, entitled, 2.0);
+                assert_eq!(
+                    held.to_bits(),
+                    0.25f64.to_bits(),
+                    "total {total} conform {conform} entitled {entitled}"
+                );
+            }
+        }
+        // Through the trait: the meter neither recovers on NaN nor
+        // wedges at the floor on an infinite aggregate.
+        let mut m = StatefulMeter::new();
+        m.update(Rate::tbps(4.0), Rate::tbps(4.0), Rate::tbps(1.0)); // 0.25
+        for _ in 0..8 {
+            m.update(Rate::tbps(2.0), Rate::bps(f64::NAN), Rate::tbps(1.0));
+            m.update(
+                Rate::bps(f64::INFINITY),
+                Rate::bps(f64::INFINITY),
+                Rate::tbps(1.0),
+            );
+        }
+        assert_eq!(m.conform_ratio(), 0.25);
+    }
+
+    #[test]
+    fn finite_inputs_keep_their_bits() {
+        // The three branches and the floor, against the arithmetic
+        // written out by hand.
+        let up = |prev, t, c, e| StatefulMeter::update_value(prev, t, c, e, 2.0);
+        assert_eq!(
+            up(0.3, 1e12, 1e12, 2e12).to_bits(),
+            (0.3f64 * 2.0).to_bits()
+        );
+        assert_eq!(up(0.3, 2e12, 0.5, 1e12).to_bits(), 0.3f64.to_bits());
+        assert_eq!(
+            up(0.3, 3e12, 1.7e12, 1e12).to_bits(),
+            ((1e12 / 1.7e12) * 0.3f64).to_bits()
+        );
+        assert_eq!(up(1e-4, 1e15, 1e15, 1.0).to_bits(), 1e-4f64.to_bits());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! `crate::fleet::shard_partial`, publishes go through the real
 //! [`ShardedStore`] (via [`KvShardAccess::try_put_shard_batch`]), the
 //! fold runs the real [`ShardFanout`], and the meter pass is
-//! [`StatefulMeter::update_value`] — the identical float ops the fleet
-//! engine runs. The scheduler interleaves the protocol's logical tasks
+//! `crate::fleet::meter_chunk` over the shard's hosts — the kernels the
+//! fleet engine runs. The scheduler interleaves the protocol's logical tasks
 //! (workers, the driver) every legal way and asserts f64-bit outcome
 //! equality against the canonical schedule — which `reference_engine`
 //! pins to [`crate::fleet::run_fleet_engine`]'s `FleetStrategy::Deterministic`
@@ -41,9 +41,8 @@
 //! (unsynchronized `kv/s0` access) plus `R0103` (schedules that fold
 //! before the publish read a zero partial and diverge).
 
-use crate::fleet::{host_demand_bps, shard_partial, FleetConfig, FleetStrategy};
+use crate::fleet::{host_demand_bps, meter_chunk, shard_partial, FleetConfig, FleetStrategy};
 use crate::marking::GROUPS;
-use crate::metering::StatefulMeter;
 use crate::shard::ShardPlan;
 use entitlement_core::{HostId, Rate};
 use entitlement_kvstore::{KvShardAccess, ShardFanout, ShardedStore, StoreConfig};
@@ -107,7 +106,7 @@ struct ProtoState {
     fan_total: ShardFanout,
     fan_conform: ShardFanout,
     prev_cr: Vec<f64>,
-    group: Vec<u32>,
+    group: Vec<u8>,
     demand: Vec<f64>,
     partials: Vec<(f64, f64, u64)>,
     /// The broadcast fold, `None` while unavailable (fail-static).
@@ -121,7 +120,7 @@ impl ProtoState {
         let mut group = Vec::with_capacity(cfg.hosts);
         let mut demand = Vec::with_capacity(cfg.hosts);
         for h in 0..cfg.hosts {
-            group.push(HostId(h as u32).group(GROUPS));
+            group.push(HostId(h as u32).group(GROUPS) as u8);
             demand.push(host_demand_bps(cfg.seed, cfg.per_host_rate, h as u32));
         }
         ProtoState {
@@ -218,15 +217,8 @@ pub fn protocol(cfg: &VerifyConfig) -> impl Fn() -> ProtocolRun + '_ {
                             .run(move || {
                                 let mut st = st.borrow_mut();
                                 if let Some((total, conform)) = st.agg {
-                                    for h in range.clone() {
-                                        st.prev_cr[h] = StatefulMeter::update_value(
-                                            st.prev_cr[h],
-                                            total,
-                                            conform,
-                                            entitled,
-                                            2.0,
-                                        );
-                                    }
+                                    let hosts = &mut st.prev_cr[range.clone()];
+                                    meter_chunk(hosts, total, conform, entitled);
                                 }
                             }),
                     );

@@ -243,10 +243,18 @@ fn load_regimes_match_the_pinned_digests() {
             .sum();
         config.entitled = Rate::bps(offered / regime);
         let det = run_fleet_engine(&config).expect("det run");
-        assert_eq!(outcome_digest(&det), pin, "det, offered/entitled = {regime}");
+        assert_eq!(
+            outcome_digest(&det),
+            pin,
+            "det, offered/entitled = {regime}"
+        );
         config.strategy = FleetStrategy::Parallel;
         config.workers = 2;
         let par = run_fleet_engine(&config).expect("par run");
-        assert_eq!(outcome_digest(&par), pin, "par, offered/entitled = {regime}");
+        assert_eq!(
+            outcome_digest(&par),
+            pin,
+            "par, offered/entitled = {regime}"
+        );
     }
 }
