@@ -28,11 +28,14 @@ fn text(max_len: usize) -> impl Strategy<Value = String> {
         .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
 }
 
-/// Keys from a three-letter alphabet, at most two long: duplicates
-/// and empty keys are common.
+/// Keys from a five-letter alphabet, at most two long: duplicates and
+/// empty keys are common, and so are keys that sort one way as text
+/// and the other way once quoted (`a` before `a b`, but `"a b"` before
+/// `"a"`) or escaped.
 fn key() -> impl Strategy<Value = String> {
-    proptest::collection::vec(0usize..3, 0..3)
-        .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+    const KEY_ALPHABET: [char; 5] = ['a', 'k', ' ', '"', '\\'];
+    proptest::collection::vec(0..KEY_ALPHABET.len(), 0..3)
+        .prop_map(|picks| picks.into_iter().map(|i| KEY_ALPHABET[i]).collect())
 }
 
 /// Durations: the values the format special-cases, then anything.
@@ -392,6 +395,164 @@ proptest! {
             let parsed = parse_trace(&jsonl).expect("every line parses");
             prop_assert_eq!(parsed, events);
         }
+    }
+}
+
+/// A float label reads as `{}` prints it however often, under however
+/// many keys and through whichever pooled buffer it was written
+/// before: a value the sink has formatted once must come back as the
+/// same bytes, and one it has not must not come back as another's.
+#[test]
+fn a_repeated_float_label_is_the_same_bytes_every_time() {
+    let specials = [
+        0.0,
+        -0.0,
+        0.001,
+        4.5,
+        -2.5,
+        1e-7,
+        1e300,
+        -1e300,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        5e-324,
+        9_007_199_254_740_991.0,
+        9_007_199_254_740_992.0,
+        123_456_789.123_456_79,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let sink = TraceSink::new();
+    let clock = Clock::manual(0);
+    let mut expected: Vec<Vec<(String, String)>> = Vec::new();
+    let want = |keys: &[&str], v: f64| -> Vec<(String, String)> {
+        let mut labels: Vec<_> = keys
+            .iter()
+            .map(|k| (k.to_string(), Value::F64(v).expected()))
+            .collect();
+        labels.sort();
+        labels
+    };
+    for &v in &specials {
+        // Twice in one event, then again through the same buffer.
+        sink.point(&clock, "f", "twice")
+            .label_f64("b", v)
+            .label_f64("a", v)
+            .finish();
+        expected.push(want(&["a", "b"], v));
+        sink.point(&clock, "f", "again").label_f64("x", v).finish();
+        expected.push(want(&["x"], v));
+        // Two spans open at once write into two buffers.
+        let mut outer = sink.span(&clock, "f", "outer");
+        let mut inner = sink.span(&clock, "f", "inner");
+        outer.add_label_f64("o", v);
+        inner.add_label_f64("i", v);
+        outer.add_label_f64("p", v);
+        drop(inner);
+        drop(outer);
+        expected.push(want(&["i"], v));
+        expected.push(want(&["o", "p"], v));
+    }
+    // More distinct values than any cache of formatted text holds,
+    // each seen three times, 5 000 values apart and back to back.
+    let many = |i: u64| i as f64 / 7.0 - 100.0;
+    for round in 0..2 {
+        for i in 0..5_000u64 {
+            let v = if round == 0 { many(i) } else { many(4_999 - i) };
+            sink.point(&clock, "f", "many")
+                .label_f64("v", v)
+                .label_f64("w", v)
+                .finish();
+            expected.push(want(&["v", "w"], v));
+        }
+    }
+    let events = sink.events();
+    assert_eq!(events.len(), expected.len());
+    let jsonl = sink.to_jsonl();
+    for ((e, labels), line) in events.iter().zip(&expected).zip(jsonl.lines()) {
+        assert_eq!(&e.labels, labels, "{}/{}", e.span, e.phase);
+        assert_eq!(line, model_line(e));
+    }
+}
+
+/// Labels are ordered by their own text — `Vec<(String, String)>::sort`
+/// — not by the quoted, escaped text on the wire: `a` sorts before
+/// `a b` although `"a"` sorts after `"a b"`, U+0001 before `!`
+/// although `\u0001` sorts after it. Duplicate keys are kept and
+/// ordered by value, escaped or not.
+#[test]
+fn labels_are_ordered_by_their_own_text_not_the_wire_text() {
+    let cases: [&[(&str, &str)]; 5] = [
+        &[("a b", "1"), ("a", "2")],
+        &[("a", "\u{1}"), ("a", "\""), ("a", "!"), ("a", "a")],
+        &[("a\"", "2"), ("a", "3"), ("a\"", "1"), ("a b", "0"), ("a\"", "\\")],
+        &[("k", "\\z"), ("k", "\\\""), ("k", "]"), ("\n", ""), ("", "\n"), ("", "")],
+        &[("z", "z"), ("z", "z"), ("é", "日"), ("z\t", "z"), ("z", "z\t")],
+    ];
+    let sink = TraceSink::new();
+    let clock = Clock::manual(0);
+    let mut expected = Vec::new();
+    for labels in cases {
+        let mut owned: Vec<(String, String)> = labels
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        // Through the in-place adders, the slice entry point and an
+        // owned event: three ways in, one order out.
+        let mut timer = sink.span(&clock, "order", "adders");
+        for (k, v) in labels {
+            timer.add_label(k, v);
+        }
+        drop(timer);
+        sink.event(&clock, "order", "slice", labels);
+        sink.push_child(TraceEvent::new(0, "order", "owned", owned.clone(), 0.0));
+        owned.sort();
+        expected.extend([owned.clone(), owned.clone(), owned]);
+    }
+    let events = sink.events();
+    assert_eq!(events.len(), expected.len());
+    let jsonl = sink.to_jsonl();
+    for ((e, labels), line) in events.iter().zip(&expected).zip(jsonl.lines()) {
+        assert_eq!(&e.labels, labels, "{}/{}", e.span, e.phase);
+        assert_eq!(line, model_line(e));
+        assert_eq!(line, e.to_json_line());
+    }
+    assert_eq!(parse_trace(&jsonl).expect("every line parses"), events);
+}
+
+/// `events()` hands back what was pushed even where the wire cannot:
+/// ids above 2^53, `span_id` 0, and a duration the line renders as `0`.
+#[test]
+fn events_keep_what_the_wire_cannot_carry() {
+    let sink = TraceSink::new();
+    let pushed: Vec<TraceEvent> = [
+        ([u64::MAX; 4], f64::NAN),
+        ([0, 0, 0, 0], f64::NEG_INFINITY),
+        ([u64::MAX - 1, 1 << 53, 0, (1 << 53) + 1], -0.0),
+        ([7, 1, 2, 1], f64::INFINITY),
+        ([8, 1, 3, 1], 1e300),
+    ]
+    .into_iter()
+    .map(|([ts_ms, trace_id, span_id, parent_id], dur_ms)| TraceEvent {
+        ts_ms,
+        trace_id,
+        span_id,
+        parent_id,
+        ..TraceEvent::new(0, "sp\"an", "ph\\ase", vec![("k".to_string(), "v\n".to_string())], dur_ms)
+    })
+    .collect();
+    for e in &pushed {
+        sink.push(e.clone());
+    }
+    let events = sink.events();
+    assert_eq!(events.len(), pushed.len());
+    for (got, want) in events.iter().zip(&pushed) {
+        assert!(same(got, want), "stored {got:?}\npushed {want:?}");
+    }
+    for (line, e) in sink.to_jsonl().lines().zip(&pushed) {
+        assert_eq!(line, model_line(e));
     }
 }
 

@@ -175,6 +175,67 @@ fn seeded_fleet(seed: u64) -> (Obs, SloReport, WatchReport) {
     (obs, slo.report(), watch.report())
 }
 
+/// The traced admission path end to end: 2 000 index-path admits with
+/// their float labels, a slot exhausted and asked again (the sweep
+/// path, with its `risk` spans), the eight asks `tests/alloc_count.rs`
+/// has rejected (negative, NaN, ∞, slices and regions out of range —
+/// `ask_gbps` says `NaN`/`inf` there), and one label whose value needs
+/// every kind of JSON escape.
+fn seeded_admits() -> Obs {
+    use network_entitlement::approval::ApprovalConfig;
+    use network_entitlement::core::{QosBucket, Quarter, Rate, RegionId};
+    use network_entitlement::market::{
+        generate_storm, AdmitPath, AdmitRequest, EntitlementMarket, SliceGrid, SliceId,
+        StormConfig,
+    };
+    use network_entitlement::topology::BackboneSpec;
+
+    let config = ApprovalConfig {
+        max_cuts: 1,
+        ..Default::default()
+    };
+    let grid = SliceGrid::quarterly(Quarter(0), 30);
+    let mut market = EntitlementMarket::new(BackboneSpec::small(7).build(), grid, config);
+    let buckets = QosBucket::approval_order();
+    market.warm(&buckets, &Obs::disabled());
+    // C1/C2 headroom is zero under single cuts; ask where there is some.
+    let storm = StormConfig {
+        requests: 2_000,
+        max_ask_gbps: 0.002,
+        ..Default::default()
+    };
+    let requests = generate_storm(&market, &buckets[4..], &storm);
+    let obs = Obs::new(Clock::counting(1));
+    for req in &requests {
+        assert_eq!(market.admit_obs(req, &obs).path, AdmitPath::Index);
+    }
+    let good = requests[0];
+    let all = AdmitRequest {
+        ask: Rate::gbps(1e9),
+        ..good
+    };
+    assert_eq!(market.admit_obs(&all, &obs).path, AdmitPath::Index);
+    assert_eq!(market.admit_obs(&good, &obs).path, AdmitPath::Sweep);
+    let nowhere = RegionId(market.topology().region_count() as u16);
+    let bad = [
+        AdmitRequest { ask: Rate::gbps(-100.0), ..good },
+        AdmitRequest { ask: Rate::bps(f64::NAN), ..good },
+        AdmitRequest { ask: Rate::bps(f64::INFINITY), ..good },
+        AdmitRequest { slice: SliceId(grid.slice_count()), ..good },
+        AdmitRequest { slice: SliceId(9999), ..good },
+        AdmitRequest { slice: SliceId(u32::MAX), ..good },
+        AdmitRequest { src: nowhere, ..good },
+        AdmitRequest { dst: RegionId(u16::MAX), ..good },
+    ];
+    for req in &bad {
+        market.admit_obs(req, &obs);
+    }
+    obs.point("pin", "escapes")
+        .label("note", "quote \" backslash \\ bell \u{7} newline \n")
+        .finish();
+    obs
+}
+
 /// Cross-commit byte pin. Every other determinism gate compares a run
 /// with itself, so a change that moves both sides the same way — a
 /// label renamed, a float formatted differently, a clock read added
@@ -211,6 +272,18 @@ fn telemetry_bytes_match_the_pinned_digests() {
     for (name, json, pin) in reports {
         assert_eq!(digest(&json), pin, "{name}: report bytes moved");
     }
+    let admits = seeded_admits().trace.to_jsonl();
+    for part in [
+        r#""path":"sweep""#,
+        r#""ask_gbps":"NaN""#,
+        r#""ask_gbps":"inf""#,
+        r#""ask_gbps":"-100""#,
+        r#""rejected":"region""#,
+        r#""note":"quote \" backslash \\ bell \u0007 newline \n""#,
+    ] {
+        assert!(admits.contains(part), "admits: no {part} in the trace");
+    }
+    assert_eq!(digest(&admits), ADMITS_TRACE_PIN, "admits: trace bytes moved");
 }
 
 // (byte length, FNV-1a-64 — `kvstore::key_hash`), computed on commit
@@ -228,3 +301,6 @@ const DRILL_SLO_PIN: (usize, u64) = (510, 0xddc1_591d_346d_74ee);
 const DRILL_WATCH_PIN: (usize, u64) = (112, 0x5aca_3fd3_41c1_b4ee);
 const FLEET_SLO_PIN: (usize, u64) = (2_168, 0x274c_d7b5_08a2_7084);
 const FLEET_WATCH_PIN: (usize, u64) = (200, 0xe3eb_85b1_1c22_f8e1);
+// Computed on commit 6dd45db (PR 21), before the sink's buffer became
+// the JSONL it exports.
+const ADMITS_TRACE_PIN: (usize, u64) = (1_319_012, 0xe54b_d55e_d170_9149);
