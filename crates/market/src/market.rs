@@ -25,7 +25,7 @@ use crate::slice::{SliceGrid, SliceId};
 use entitlement_approval::{negotiate_scenarios, Agreement, ApprovalConfig, ServicePolicy};
 use entitlement_core::{NpgId, QosBucket, Rate, RegionId, SloTarget};
 use entitlement_hose::HoseRequest;
-use entitlement_obs::Obs;
+use entitlement_obs::{Obs, SpanTimer};
 use entitlement_risk::{RiskConfig, RiskSamples};
 use entitlement_topology::routing::Demand;
 use entitlement_topology::{FailureScenario, LinkId, RoutePlan, ScenarioSet, Topology};
@@ -468,23 +468,33 @@ impl EntitlementMarket {
             // explain` needs to reconstruct *why*, carried on the span
             // itself so the trace alone is sufficient evidence. Written
             // once, in key order (the sink's sort finds nothing to do),
-            // shortest-round-trip decimal Gbps throughout.
+            // shortest-round-trip decimal Gbps throughout. The sink
+            // formats a float once per value and the same few repeat
+            // from admit to admit; only the `NaN` or `inf` of a
+            // rejected ask has to be spelled out.
             let prov = match rejected {
                 None => self.index.provenance(&key),
                 Some(_) => None,
             };
-            span.add_label_fmt("ask_gbps", req.ask.as_gbps());
+            let float = |span: &mut SpanTimer, key: &str, v: f64| {
+                if v.is_finite() {
+                    span.add_label_f64(key, v);
+                } else {
+                    span.add_label_fmt(key, v);
+                }
+            };
+            float(&mut span, "ask_gbps", req.ask.as_gbps());
             if let Some(prov) = prov {
                 span.add_label("binding_links", &prov.binding_links);
-                span.add_label_fmt("binding_p", prov.binding_probability);
+                float(&mut span, "binding_p", prov.binding_probability);
                 span.add_label("binding_scenario", &prov.binding_scenario);
             }
             span.add_label_fmt("bucket", req.bucket);
             span.add_label_fmt("dst", req.dst);
             span.add_label_fmt("epoch", epoch);
-            span.add_label_fmt("granted_gbps", decision.granted.as_gbps());
+            float(&mut span, "granted_gbps", decision.granted.as_gbps());
             if let Some(prov) = prov {
-                span.add_label_fmt("headroom_gbps", prov.headroom.as_gbps());
+                float(&mut span, "headroom_gbps", prov.headroom.as_gbps());
             }
             span.add_label_fmt("npg", req.npg);
             span.add_label("outcome", decision.outcome.as_str());
@@ -493,8 +503,8 @@ impl EntitlementMarket {
                 span.add_label("rejected", why);
             }
             span.add_label_fmt("request", seq);
-            span.add_label_fmt("residual_after_gbps", decision.residual_after.as_gbps());
-            span.add_label_fmt("residual_before_gbps", residual_before.as_gbps());
+            float(&mut span, "residual_after_gbps", decision.residual_after.as_gbps());
+            float(&mut span, "residual_before_gbps", residual_before.as_gbps());
             span.add_label_fmt("slice", req.slice);
             span.add_label_fmt("src", req.src);
         }

@@ -14,8 +14,9 @@ use std::fmt::Write as _;
 
 /// Parse a JSONL trace (one event per line; blank lines ignored),
 /// validating the stable v2 schema: `ts_ms`/`trace_id`/`span_id`/
-/// `parent_id` (non-negative integers, `span_id` ≥ 1), `span`/`phase`
-/// (strings), `labels` (string→string object), `dur_ms` (number).
+/// `parent_id` (non-negative integers below 2^53, `span_id` ≥ 1),
+/// `span`/`phase` (strings), `labels` (string→string object), `dur_ms`
+/// (number).
 pub fn parse_trace(jsonl: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
     for (i, line) in jsonl.lines().enumerate() {
@@ -29,8 +30,16 @@ pub fn parse_trace(jsonl: &str) -> Result<Vec<TraceEvent>, String> {
     Ok(events)
 }
 
+/// A `u64` field. The vendored parser reads numbers through `f64`, so
+/// from 2^53 up the value in hand may not be the one in the file
+/// (`…962` reads as `…976`, `1e300` as `u64::MAX`): refused, because a
+/// rounded id attaches the span to some other parent.
 fn parse_id(v: &JsonValue, key: &str) -> Result<u64, String> {
+    const EXACT: f64 = 9_007_199_254_740_992.0;
     match v.get(key) {
+        Some(JsonValue::Number(n)) if *n >= EXACT => {
+            Err(format!("`{key}` exceeds 2^53 and cannot be read exactly"))
+        }
         Some(JsonValue::Number(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
         Some(_) => Err(format!("`{key}` must be a non-negative integer")),
         None => Err(format!("missing `{key}`")),
@@ -617,6 +626,43 @@ mod tests {
         )
         .is_err());
         assert!(parse_trace("not json").is_err());
+    }
+
+    #[test]
+    fn an_id_the_parser_cannot_read_exactly_is_refused_not_rounded() {
+        let line = |key: &str, value: &str| {
+            let field = |k: &str, v: &str| format!("\"{k}\":{}", if k == key { value } else { v });
+            format!(
+                "{{{},{},{},{},\"span\":\"a\",\"phase\":\"b\",\"labels\":{{}},\"dur_ms\":0}}",
+                field("ts_ms", "1"),
+                field("trace_id", "1"),
+                field("span_id", "2"),
+                field("parent_id", "1"),
+            )
+        };
+        let ok = line("", "");
+        assert_eq!(parse_trace(&ok).expect("a plain line").len(), 1);
+        for key in ["ts_ms", "trace_id", "span_id", "parent_id"] {
+            // 2^53 + 1 reads as 2^53, …962 as …976, 1e300 as u64::MAX.
+            for value in [
+                "9007199254740992",
+                "9007199254740993",
+                "16131454690887550962",
+                "18446744073709551615",
+                "1e300",
+            ] {
+                let text = format!("{ok}\n{}\n", line(key, value));
+                assert_eq!(
+                    parse_trace(&text),
+                    Err(format!("line 2: `{key}` exceeds 2^53 and cannot be read exactly")),
+                    "{key} = {value}"
+                );
+            }
+            let exact = line(key, "9007199254740991");
+            let event = &parse_trace(&exact).expect("2^53 - 1 is exact")[0];
+            let read = [event.ts_ms, event.trace_id, event.span_id, event.parent_id];
+            assert!(read.contains(&((1 << 53) - 1)), "{key}: {read:?}");
+        }
     }
 
     #[test]

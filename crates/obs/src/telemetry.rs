@@ -8,7 +8,6 @@
 //! the same seed (no wall clock anywhere).
 
 use crate::{Clock, Obs};
-use std::io::Write as _;
 
 /// Requested `--trace` / `--metrics` destinations.
 #[derive(Clone, Debug, Default)]
@@ -46,14 +45,11 @@ impl TelemetrySpec {
     pub fn write(&self, obs: &Obs) -> Result<Vec<String>, String> {
         let mut written = Vec::new();
         if let Some(path) = &self.trace {
-            // Streamed: the trace never exists as one string.
+            // The sink's buffer goes to the file as it is, a chunk per
+            // write: no second copy, and the first error wins.
             let events = obs.trace.len();
             std::fs::File::create(path)
-                .and_then(|file| {
-                    let mut out = std::io::BufWriter::new(file);
-                    obs.trace.write_jsonl(&mut out)?;
-                    out.flush()
-                })
+                .and_then(|mut file| obs.trace.write_jsonl(&mut file))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             written.push(format!("{events} trace event(s) written to {path}"));
         }

@@ -31,20 +31,28 @@
 //! keys always appear in the order above so identical runs produce
 //! byte-identical traces.
 //!
-//! **Storage.** The sink is an append-only log in three flat arenas —
-//! one fixed-size [`Record`] per event, one `(key end, value end)` pair
-//! per label, one text buffer holding every name, key and value in
-//! emit order — so recording an event is a few `memcpy`s and no heap
-//! allocation once the arenas have grown. A [`SpanTimer`] formats its
-//! labels in place into a [`Scratch`] buffer that the sink hands out
+//! **Storage.** The sink's buffer *is* the JSONL it exports: an event
+//! is encoded once, when it closes, onto the last of the sink's 1 MiB
+//! pages of text, next to one fixed-size `Record` holding its numbers
+//! (a page at a time, so nothing recorded ever moves). A [`SpanTimer`]
+//! writes each label straight into wire form — the fragment
+//! `"key":"value",` — in a `Scratch` buffer that the sink hands out
 //! when the span opens and takes back when it closes, under the two
-//! locks a span takes anyway. One encoder ([`Line::encode`]) renders
-//! [`TraceEvent::to_json_line`], [`TraceSink::to_jsonl`] and
-//! [`TraceSink::write_jsonl`]; readers get owned [`TraceEvent`]s from
-//! [`TraceSink::events`]. DESIGN.md §9 has the cost model and the wire
-//! contract.
+//! locks a span takes anyway; an event whose labels were added in
+//! `(key, value)` order and need no escaping, as every emitter in the
+//! workspace writes them, moves from that buffer to the sink as one
+//! copy. A float label is formatted once per distinct value: the
+//! buffer keeps a small direct-mapped memo of the formatter's own
+//! output, keyed by the value's bits. One encoder (`push_numbers`,
+//! `push_names`, `push_label`, `push_tail`) is behind
+//! [`TraceEvent::to_json_line`] and the sink; [`TraceSink::to_jsonl`]
+//! and [`TraceSink::write_jsonl`] copy the buffer, and
+//! [`TraceSink::events`] reads its strings back through the encoder's
+//! strict inverse (`read_event`). DESIGN.md §9 has the cost model and
+//! the wire contract.
 
 use crate::clock::Clock;
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 use std::io;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -184,19 +192,17 @@ impl TraceEvent {
     #[must_use]
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(128);
-        Line {
-            ids: Ids {
-                span_id: self.span_id,
-                trace_id: self.trace_id,
-                parent_id: self.parent_id,
-            },
-            ts_ms: self.ts_ms,
-            dur_ms: self.dur_ms,
-            span: &self.span,
-            phase: &self.phase,
-            labels: self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())),
+        let ids = Ids {
+            span_id: self.span_id,
+            trace_id: self.trace_id,
+            parent_id: self.parent_id,
+        };
+        push_numbers(&mut out, ids, self.ts_ms);
+        push_names(&mut out, &self.span, &self.phase);
+        for (k, v) in &self.labels {
+            push_label(&mut out, k, v);
         }
-        .encode(&mut out);
+        push_tail(&mut out, self.dur_ms);
         out
     }
 }
@@ -209,70 +215,107 @@ struct Ids {
     parent_id: u64,
 }
 
-/// A borrowed view of one event — what the encoder consumes, whether
-/// the event lives in a [`TraceEvent`] or in the sink's arenas.
-struct Line<'a, L> {
-    ids: Ids,
-    ts_ms: u64,
-    dur_ms: f64,
-    span: &'a str,
-    phase: &'a str,
-    labels: L,
+// The one encoder behind every trace export. A line is `push_numbers`,
+// `push_names`, one `push_label` per label in (key, value) order and
+// `push_tail`; a name is written as the fragment a label would be.
+
+/// Append a line up to its names.
+fn push_numbers(out: &mut String, ids: Ids, ts_ms: u64) {
+    out.push_str("{\"ts_ms\":");
+    push_u64(out, ts_ms);
+    out.push_str(",\"trace_id\":");
+    push_u64(out, ids.trace_id);
+    out.push_str(",\"span_id\":");
+    push_u64(out, ids.span_id);
+    out.push_str(",\"parent_id\":");
+    push_u64(out, ids.parent_id);
+    out.push(',');
 }
 
-impl<'a, L: Iterator<Item = (&'a str, &'a str)>> Line<'a, L> {
-    /// Append the event's canonical JSON line (no trailing newline):
-    /// the one encoder behind every trace export.
-    fn encode(self, out: &mut String) {
-        out.push_str("{\"ts_ms\":");
-        push_u64(out, self.ts_ms);
-        out.push_str(",\"trace_id\":");
-        push_u64(out, self.ids.trace_id);
-        out.push_str(",\"span_id\":");
-        push_u64(out, self.ids.span_id);
-        out.push_str(",\"parent_id\":");
-        push_u64(out, self.ids.parent_id);
-        out.push_str(",\"span\":");
-        push_json_str(out, self.span);
-        out.push_str(",\"phase\":");
-        push_json_str(out, self.phase);
-        out.push_str(",\"labels\":{");
-        for (i, (k, v)) in self.labels.enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(out, k);
-            out.push(':');
-            push_json_str(out, v);
-        }
-        out.push_str("},\"dur_ms\":");
-        push_f64(out, self.dur_ms);
-        out.push('}');
+/// What follows the names: the brace that opens the labels.
+const LABELS_OPEN: &str = "\"labels\":{";
+
+/// Append a line's names, up to and including [`LABELS_OPEN`].
+fn push_names(out: &mut String, span: &str, phase: &str) {
+    push_label(out, "span", span);
+    push_label(out, "phase", phase);
+    out.push_str(LABELS_OPEN);
+}
+
+/// Where one [`push_fragment`] wrote, in byte offsets.
+#[derive(Clone, Copy, Default)]
+struct Fragment {
+    start: usize,
+    /// The key's closing quote; the value's text starts 3 bytes on.
+    key_end: usize,
+    end: usize,
+}
+
+/// Append `"key":"`, what `write` appends, and `",`: a label's
+/// fragment, provided neither text needs escaping.
+fn push_fragment(out: &mut String, key: &str, write: impl FnOnce(&mut String)) -> Fragment {
+    let start = out.len();
+    out.push('"');
+    out.push_str(key);
+    let key_end = out.len();
+    out.push_str("\":\"");
+    write(out);
+    out.push_str("\",");
+    Fragment {
+        start,
+        key_end,
+        end: out.len(),
     }
 }
 
-/// Bytes of one encoded line besides its numbers and strings
-/// (newline included); each label adds [`LABEL_FRAME`].
-const LINE_FRAME: usize =
-    "{\"ts_ms\":,\"trace_id\":,\"span_id\":,\"parent_id\":,\"span\":\"\",\"phase\":\"\",\"labels\":{},\"dur_ms\":}\n"
-        .len();
-/// `"":"",` around one label.
-const LABEL_FRAME: usize = 6;
-/// Room reserved for the five numbers of a line (ids in these traces
-/// are a handful of digits each; the estimate only has to be close).
-const NUMBERS_ESTIMATE: usize = 32;
+/// Append one label's fragment.
+fn push_label(out: &mut String, key: &str, value: &str) {
+    if is_plain(key) && is_plain(value) {
+        push_fragment(out, key, |out| out.push_str(value));
+    } else {
+        serde::write_json_string(key, out);
+        out.push(':');
+        serde::write_json_string(value, out);
+        out.push(',');
+    }
+}
 
-/// Append `v` in decimal.
+/// Close the labels — the last fragment's comma goes — and the line
+/// (no trailing newline).
+fn push_tail(out: &mut String, dur_ms: f64) {
+    if out.ends_with(',') {
+        out.pop();
+    }
+    out.push_str("},\"dur_ms\":");
+    push_f64(out, dur_ms);
+    out.push('}');
+}
+
+/// `00` to `99`, two bytes each.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    00010203040506070809101112131415161718192021222324\
+    25262728293031323334353637383940414243444546474849\
+    50515253545556575859606162636465666768697071727374\
+    75767778798081828384858687888990919293949596979899";
+
+/// Append `v` in decimal, two digits per division: four numbers open
+/// every line, and a digit at a time they cost as much as its labels.
 fn push_u64(out: &mut String, mut v: u64) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
-    loop {
+    while v >= 100 {
+        let pair = 2 * (v % 100) as usize;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = 2 * v as usize;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         at -= 1;
-        buf[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+        buf[at] = b'0' + v as u8;
     }
     // ASCII digits, so this never fails.
     if let Ok(digits) = std::str::from_utf8(&buf[at..]) {
@@ -296,91 +339,252 @@ fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Append `s` as a JSON string. Text with nothing to escape — every
-/// name and almost every value — is copied as is.
-fn push_json_str(out: &mut String, s: &str) {
-    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
-        out.push('"');
-        out.push_str(s);
-        out.push('"');
-    } else {
-        serde::write_json_string(s, out);
+/// What in `s` a JSON string has to escape: how many quotes, and
+/// whether any backslash or control character. Branch-free over blocks
+/// with byte-wide accumulators, which is the shape the compiler turns
+/// into vector code; a byte-at-a-time `all()` costs more than
+/// formatting the floats does.
+fn escapes(s: &str) -> (usize, bool) {
+    let (mut quotes, mut other) = (0usize, 0u8);
+    let mut blocks = s.as_bytes().chunks_exact(32);
+    for block in &mut blocks {
+        let mut n = 0u8;
+        for &b in block {
+            n += u8::from(b == b'"');
+            other |= u8::from(b < 0x20) | u8::from(b == b'\\');
+        }
+        quotes += usize::from(n);
+    }
+    for &b in blocks.remainder() {
+        quotes += usize::from(b == b'"');
+        other |= u8::from(b < 0x20) | u8::from(b == b'\\');
+    }
+    (quotes, other != 0)
+}
+
+/// Whether `s` is its own JSON string body: nothing to escape, which
+/// is every name and almost every value.
+fn is_plain(s: &str) -> bool {
+    escapes(s) == (0, false)
+}
+
+// The encoder's inverse, for the sink's own lines (`parse_trace` is
+// the reader for files). Strict: it yields text only for bytes the
+// functions above would have written for that text.
+
+/// The text a JSON string body stands for.
+fn unescape(body: &str) -> Option<Cow<'_, str>> {
+    if is_plain(body) {
+        return Some(Cow::Borrowed(body));
+    }
+    let mut text = String::with_capacity(body.len());
+    let mut rest = body;
+    while let Some(at) = rest.find('\\') {
+        text.push_str(&rest[..at]);
+        let (c, len) = match rest.as_bytes().get(at + 1)? {
+            b'"' => ('"', 2),
+            b'\\' => ('\\', 2),
+            b'n' => ('\n', 2),
+            b'r' => ('\r', 2),
+            b't' => ('\t', 2),
+            b'u' => {
+                let code = u32::from_str_radix(rest.get(at + 2..at + 6)?, 16).ok()?;
+                (char::from_u32(code)?, 6)
+            }
+            _ => return None,
+        };
+        text.push(c);
+        rest = &rest[at + len..];
+    }
+    text.push_str(rest);
+    // Only the one spelling the encoder gives this text.
+    let mut wire = String::with_capacity(body.len() + 2);
+    serde::write_json_string(&text, &mut wire);
+    (wire.get(1..wire.len() - 1) == Some(body)).then_some(Cow::Owned(text))
+}
+
+/// Read one JSON string off the front of `s`: its text and what
+/// follows its closing quote.
+fn read_json_str(s: &str) -> Option<(Cow<'_, str>, &str)> {
+    let s = s.strip_prefix('"')?;
+    let bytes = s.as_bytes();
+    let mut end = 0;
+    while *bytes.get(end)? != b'"' {
+        end += if bytes[end] == b'\\' { 2 } else { 1 };
+    }
+    Some((unescape(&s[..end])?, &s[end + 1..]))
+}
+
+/// The event of one newline-terminated line: span, phase and labels
+/// read from it, its numbers — skipped over in the line — from `rec`,
+/// where an id above 2^53 or a NaN duration survives.
+fn read_event(line: &str, rec: &Record) -> Option<TraceEvent> {
+    let mut rest = line;
+    for key in ["{\"ts_ms\":", ",\"trace_id\":", ",\"span_id\":", ",\"parent_id\":"] {
+        let number = rest.strip_prefix(key)?;
+        rest = number.trim_start_matches(|c: char| c.is_ascii_digit());
+        if rest.len() == number.len() {
+            return None;
+        }
+    }
+    let (span, rest) = read_json_str(rest.strip_prefix(",\"span\":")?)?;
+    let (phase, rest) = read_json_str(rest.strip_prefix(",\"phase\":")?)?;
+    let mut rest = rest.strip_prefix(",\"labels\":{")?;
+    let mut labels = Vec::new();
+    while !rest.starts_with('}') {
+        let (key, after) = read_json_str(rest)?;
+        let (value, after) = read_json_str(after.strip_prefix(':')?)?;
+        labels.push((key.into_owned(), value.into_owned()));
+        rest = match after.strip_prefix(',') {
+            Some(next) if next.starts_with('"') => next,
+            None if after.starts_with('}') => after,
+            _ => return None,
+        };
+    }
+    let dur_ms = rest.strip_prefix("},\"dur_ms\":")?.strip_suffix("}\n")?;
+    dur_ms.parse::<f64>().ok()?;
+    Some(TraceEvent {
+        ts_ms: rec.ts_ms,
+        trace_id: rec.ids.trace_id,
+        span_id: rec.ids.span_id,
+        parent_id: rec.ids.parent_id,
+        span: span.into_owned(),
+        phase: phase.into_owned(),
+        labels,
+        dur_ms: rec.dur_ms,
+    })
+}
+
+/// Slots of a buffer's float memo (a power of two).
+const MEMO_SLOTS: usize = 4096;
+/// Longest text a memo slot holds: every float the admission path
+/// writes is shorter, and the rare `1e300` is formatted each time.
+const MEMO_TEXT: usize = 24;
+
+/// One direct-mapped memo entry: what the formatter wrote for `bits`.
+#[derive(Clone, Copy)]
+struct MemoSlot {
+    bits: u64,
+    /// 0 = empty: no float formats to nothing.
+    len: u8,
+    text: [u8; MEMO_TEXT],
+}
+
+impl MemoSlot {
+    const EMPTY: MemoSlot = MemoSlot {
+        bits: 0,
+        len: 0,
+        text: [0; MEMO_TEXT],
+    };
+}
+
+/// [`push_f64`] through `memo`: a value whose bits are in its slot is
+/// copied, any other is formatted and takes the slot over. The cached
+/// text is `push_f64`'s own output for the same bits, so the bytes are
+/// the same either way.
+fn push_f64_memo(memo: &mut [MemoSlot], out: &mut String, v: f64) {
+    let bits = v.to_bits();
+    // Fibonacci hashing: the product's top bits depend on all of `bits`.
+    let at = bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - MEMO_SLOTS.trailing_zeros());
+    let Some(slot) = memo.get_mut(at as usize) else {
+        return push_f64(out, v);
+    };
+    if slot.len > 0 && slot.bits == bits {
+        if let Ok(text) = std::str::from_utf8(&slot.text[..usize::from(slot.len)]) {
+            return out.push_str(text);
+        }
+    }
+    let start = out.len();
+    push_f64(out, v);
+    let text = &out.as_bytes()[start..];
+    if let Some(cached) = slot.text.get_mut(..text.len()) {
+        cached.copy_from_slice(text);
+        slot.bits = bits;
+        slot.len = text.len() as u8;
     }
 }
 
-/// One label being accumulated: byte offsets into [`Scratch::text`].
-struct ScratchLabel {
-    start: usize,
-    key_end: usize,
-    end: usize,
-}
-
-/// The write buffer of one event in flight: its names, then each
-/// label's key and value back to back, in the order they were added.
-/// Owned by the sink's pool between events, so a steady stream of
-/// spans formats into the same few buffers.
+/// The write buffer of one event in flight: the line from its names
+/// on — the two name fragments, [`LABELS_OPEN`], then each label's
+/// fragment in the order they were added — with nothing escaped yet
+/// ([`SinkInner::commit`] checks). Owned by the sink's pool between
+/// events, so a steady stream of spans writes into the same few
+/// buffers and finds its floats in the same few memos.
 #[derive(Default)]
 struct Scratch {
     text: String,
-    span_end: usize,
-    phase_end: usize,
-    labels: Vec<ScratchLabel>,
+    span: Fragment,
+    phase: Fragment,
+    labels: Vec<Fragment>,
+    /// Empty until this buffer's first float label.
+    memo: Vec<MemoSlot>,
 }
 
 impl Scratch {
     fn begin(&mut self, span: &str, phase: &str) {
         self.text.clear();
         self.labels.clear();
-        self.text.push_str(span);
-        self.span_end = self.text.len();
-        self.text.push_str(phase);
-        self.phase_end = self.text.len();
+        self.span = push_fragment(&mut self.text, "span", |text| text.push_str(span));
+        self.phase = push_fragment(&mut self.text, "phase", |text| text.push_str(phase));
+        self.text.push_str(LABELS_OPEN);
     }
 
     /// Add a label whose value `write` appends to the text.
     fn label(&mut self, key: &str, write: impl FnOnce(&mut String)) {
-        let start = self.text.len();
-        self.text.push_str(key);
-        let key_end = self.text.len();
-        write(&mut self.text);
-        self.labels.push(ScratchLabel {
-            start,
-            key_end,
-            end: self.text.len(),
-        });
+        self.labels.push(push_fragment(&mut self.text, key, write));
+    }
+
+    /// Add a float label through the memo.
+    fn label_f64(&mut self, key: &str, v: f64) {
+        if self.memo.is_empty() {
+            self.memo = vec![MemoSlot::EMPTY; MEMO_SLOTS];
+        }
+        let memo = &mut self.memo;
+        let write = |text: &mut String| push_f64_memo(memo, text, v);
+        self.labels.push(push_fragment(&mut self.text, key, write));
     }
 }
 
-/// One event's fixed-size part. Its strings are the next run of the
-/// sink's text arena — span name, phase name, then each label's key
-/// and value — delimited by end offsets only: an event starts where
-/// the previous one ended, so the arenas are read front to back.
+/// One event's fixed-size part: its numbers as they were given, which
+/// the line cannot always carry (an id above 2^53 does not survive a
+/// JSON reader, a non-finite duration is written as `0`), and where
+/// its line ends in its page's text. A line starts where the previous
+/// one ended.
 struct Record {
     ids: Ids,
     ts_ms: u64,
     dur_ms: f64,
-    /// End of the span name in the text arena.
-    span_end: usize,
-    /// End of the phase name; the first label's key starts here.
-    phase_end: usize,
-    /// End of this event's run in the label arena.
-    labels_end: usize,
+    line_end: usize,
+}
+
+/// A page takes lines until its text holds this much: the sink's
+/// buffer grows a page at a time and never moves what it holds. (As
+/// one `String` it doubled, and whether the allocator could reuse the
+/// 32 MB block the last doubling of a 50 k-admit trace left behind
+/// moved the process's peak by 20 MB from run to run.)
+const PAGE: usize = 1 << 20;
+
+/// A run of events: their canonical lines, newline-terminated, in emit
+/// order, and one record per line. Never empty.
+struct Page {
+    text: String,
+    records: Vec<Record>,
 }
 
 #[derive(Default)]
 struct SinkInner {
-    records: Vec<Record>,
-    /// `(key end, value end)` per label, in text-arena offsets.
-    labels: Vec<(usize, usize)>,
-    text: String,
-    /// Running estimate of the rendered JSONL size.
-    jsonl_bytes: usize,
+    /// Every event, in emit order; the pages' texts, end to end, are
+    /// the bytes every export copies.
+    pages: Vec<Page>,
     /// Next span id to hand out; ids start at 1 so 0 can mean "root".
     next_id: u64,
     /// Open spans, innermost last: `(span_id, trace_id)`.
     open: Vec<(u64, u64)>,
-    /// Scratch buffers not in use by an open span.
-    pool: Vec<Scratch>,
+    /// Scratch buffers not in use by an open span. Boxed, so a
+    /// [`SpanTimer`] — moved by value through every builder call,
+    /// enabled or not — carries a pointer and not the buffer's fields.
+    #[allow(clippy::vec_box)]
+    pool: Vec<Box<Scratch>>,
 }
 
 impl SinkInner {
@@ -402,42 +606,59 @@ impl SinkInner {
         }
     }
 
-    fn take_scratch(&mut self, span: &str, phase: &str) -> Scratch {
+    fn take_scratch(&mut self, span: &str, phase: &str) -> Box<Scratch> {
         let mut scratch = self.pool.pop().unwrap_or_default();
         scratch.begin(span, phase);
         scratch
     }
 
-    /// Append the event in `scratch` to the arenas, labels ordered by
-    /// (key, value) — the order `Vec<(String, String)>::sort` gives,
-    /// duplicates kept — and return the buffer to the pool.
-    fn commit(&mut self, ids: Ids, ts_ms: u64, dur_ms: f64, mut scratch: Scratch) {
-        let text = scratch.text.as_str();
-        let pair = |l: &ScratchLabel| (&text[l.start..l.key_end], &text[l.key_end..l.end]);
-        // Equal labels are the same bytes, so stability buys nothing
-        // and the unstable sort never allocates.
-        scratch
-            .labels
-            .sort_unstable_by(|a, b| pair(a).cmp(&pair(b)));
-
-        let base = self.text.len();
-        self.text.push_str(&text[..scratch.phase_end]);
-        for l in &scratch.labels {
-            let at = self.text.len();
-            self.text.push_str(&text[l.start..l.end]);
-            self.labels
-                .push((at + (l.key_end - l.start), at + (l.end - l.start)));
+    /// Encode the event in `scratch` onto the buffer, labels ordered by
+    /// their own (key, value) text — the order `Vec<(String,
+    /// String)>::sort` gives, duplicates kept — and return the buffer
+    /// to the pool.
+    fn commit(&mut self, ids: Ids, ts_ms: u64, dur_ms: f64, mut scratch: Box<Scratch>) {
+        if self.pages.last().is_none_or(|page| page.text.len() >= PAGE) {
+            // The first page grows with a small trace; the others are
+            // allocated once, with room for the line that crosses the
+            // mark and for lines of 256 bytes or more.
+            let room = if self.pages.is_empty() { 0 } else { PAGE + PAGE / 256 };
+            self.pages.push(Page {
+                text: String::with_capacity(room),
+                records: Vec::with_capacity(room / 256),
+            });
         }
-        self.records.push(Record {
+        let last = self.pages.len() - 1;
+        let Page { text: out, records } = &mut self.pages[last];
+        push_numbers(out, ids, ts_ms);
+        let text = scratch.text.as_str();
+        let own = |f: &Fragment| (&text[f.start + 1..f.key_end], &text[f.key_end + 3..f.end - 2]);
+        let labels = &mut scratch.labels;
+        let sorted = labels.windows(2).all(|w| own(&w[0]) <= own(&w[1]));
+        // Nothing to escape but the quotes the fragments and
+        // `LABELS_OPEN` bring themselves.
+        let quotes = 4 * (2 + labels.len()) + 2;
+        if sorted && escapes(text) == (quotes, false) {
+            // Added in order, as every emitter here does: the buffer is
+            // the wire text, one copy.
+            out.push_str(text);
+        } else {
+            push_names(out, own(&scratch.span).1, own(&scratch.phase).1);
+            // Equal labels are the same bytes, so stability buys nothing
+            // and the unstable sort never allocates.
+            labels.sort_unstable_by(|a, b| own(a).cmp(&own(b)));
+            for l in labels.iter() {
+                let (key, value) = own(l);
+                push_label(out, key, value);
+            }
+        }
+        push_tail(out, dur_ms);
+        out.push('\n');
+        records.push(Record {
             ids,
             ts_ms,
             dur_ms,
-            span_end: base + scratch.span_end,
-            phase_end: base + scratch.phase_end,
-            labels_end: self.labels.len(),
+            line_end: out.len(),
         });
-        self.jsonl_bytes +=
-            LINE_FRAME + NUMBERS_ESTIMATE + text.len() + LABEL_FRAME * scratch.labels.len();
         self.pool.push(scratch);
     }
 
@@ -456,73 +677,9 @@ impl SinkInner {
         }
         self.commit(ids, ts_ms, dur_ms, scratch);
     }
-
-    /// Every recorded event, in emit order.
-    fn lines(&self) -> Lines<'_> {
-        Lines {
-            sink: self,
-            records: self.records.iter(),
-            text_at: 0,
-            labels_at: 0,
-        }
-    }
 }
 
-/// Front-to-back reader of the arenas.
-struct Lines<'a> {
-    sink: &'a SinkInner,
-    records: std::slice::Iter<'a, Record>,
-    text_at: usize,
-    labels_at: usize,
-}
-
-impl<'a> Iterator for Lines<'a> {
-    type Item = Line<'a, LabelIter<'a>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let rec = self.records.next()?;
-        let sink = self.sink;
-        let ends = &sink.labels[self.labels_at..rec.labels_end];
-        let line = Line {
-            ids: rec.ids,
-            ts_ms: rec.ts_ms,
-            dur_ms: rec.dur_ms,
-            span: &sink.text[self.text_at..rec.span_end],
-            phase: &sink.text[rec.span_end..rec.phase_end],
-            labels: LabelIter {
-                text: &sink.text,
-                ends: ends.iter(),
-                at: rec.phase_end,
-            },
-        };
-        self.text_at = ends
-            .last()
-            .map_or(rec.phase_end, |&(_, value_end)| value_end);
-        self.labels_at = rec.labels_end;
-        Some(line)
-    }
-}
-
-/// The `(key, value)` pairs of one event in the arenas.
-struct LabelIter<'a> {
-    text: &'a str,
-    ends: std::slice::Iter<'a, (usize, usize)>,
-    at: usize,
-}
-
-impl<'a> Iterator for LabelIter<'a> {
-    type Item = (&'a str, &'a str);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let &(key_end, value_end) = self.ends.next()?;
-        let pair = (&self.text[self.at..key_end], &self.text[key_end..value_end]);
-        self.at = value_end;
-        Some(pair)
-    }
-}
-
-/// [`TraceSink::write_jsonl`] hands its buffer to the writer whenever
-/// it holds this much.
+/// [`TraceSink::write_jsonl`] hands the writer this much at a time.
 const WRITE_CHUNK: usize = 64 * 1024;
 
 /// A cloneable, append-only event sink. Disabled sinks drop events at
@@ -650,7 +807,7 @@ impl TraceSink {
     #[must_use]
     pub fn len(&self) -> usize {
         match &self.inner {
-            Some(inner) => lock(inner).records.len(),
+            Some(inner) => lock(inner).pages.iter().map(|page| page.records.len()).sum(),
             None => 0,
         }
     }
@@ -661,74 +818,68 @@ impl TraceSink {
         self.len() == 0
     }
 
-    /// Copy out all buffered events.
+    /// Copy out all buffered events: numbers from the records, strings
+    /// read back from the buffer's own lines. A line the encoder did
+    /// not write — a bug in this module, nothing a caller can cause —
+    /// trips a debug assertion and is left out; telemetry does not
+    /// panic the run it describes.
     #[must_use]
     pub fn events(&self) -> Vec<TraceEvent> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
         let guard = lock(inner);
-        let mut events = Vec::with_capacity(guard.records.len());
-        events.extend(guard.lines().map(|line| {
-            TraceEvent {
-                ts_ms: line.ts_ms,
-                trace_id: line.ids.trace_id,
-                span_id: line.ids.span_id,
-                parent_id: line.ids.parent_id,
-                span: line.span.to_string(),
-                phase: line.phase.to_string(),
-                labels: line
-                    .labels
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .collect(),
-                dur_ms: line.dur_ms,
+        let mut events = Vec::new();
+        for page in &guard.pages {
+            events.reserve(page.records.len());
+            let mut line_start = 0;
+            for rec in &page.records {
+                let line = page.text.get(line_start..rec.line_end);
+                let event = line.and_then(|line| read_event(line, rec));
+                debug_assert!(event.is_some(), "not the encoder's: {line:?}");
+                events.extend(event);
+                line_start = rec.line_end;
             }
-        }));
+        }
         events
     }
 
-    /// Render every buffered event as JSONL (one event per line,
-    /// trailing newline when non-empty) into one buffer.
+    /// Every buffered event as JSONL (one event per line, trailing
+    /// newline when non-empty): a copy of the sink's buffer.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        // Nothing is handed off, so nothing can fail.
-        let _ = self.render(&mut out, usize::MAX, |_| Ok(()));
-        out
+        match &self.inner {
+            Some(inner) => {
+                let guard = lock(inner);
+                let bytes = guard.pages.iter().map(|page| page.text.len()).sum();
+                let mut out = String::with_capacity(bytes);
+                for page in &guard.pages {
+                    out.push_str(&page.text);
+                }
+                out
+            }
+            None => String::new(),
+        }
     }
 
-    /// Stream the same bytes [`TraceSink::to_jsonl`] returns into
-    /// `out`, a bounded chunk at a time. The sink stays locked for the
-    /// duration, so the export is one consistent snapshot.
+    /// Write the same bytes [`TraceSink::to_jsonl`] returns to `out`, a
+    /// bounded chunk at a time and without copying them first. The
+    /// sink stays locked for the duration, so the export is one
+    /// consistent snapshot.
+    ///
+    /// # Errors
+    ///
+    /// The first error `out` reports; nothing more is written after it.
     pub fn write_jsonl(&self, out: &mut impl io::Write) -> io::Result<()> {
-        self.render(&mut String::new(), WRITE_CHUNK, |chunk| {
-            out.write_all(chunk.as_bytes())?;
-            chunk.clear();
-            Ok(())
-        })
-    }
-
-    /// Encode every event into `buf`, calling `full` each time it holds
-    /// `chunk` bytes or more and once at the end.
-    fn render(
-        &self,
-        buf: &mut String,
-        chunk: usize,
-        mut full: impl FnMut(&mut String) -> io::Result<()>,
-    ) -> io::Result<()> {
         let Some(inner) = &self.inner else {
             return Ok(());
         };
         let guard = lock(inner);
-        buf.reserve(guard.jsonl_bytes.min(chunk.saturating_add(WRITE_CHUNK)));
-        for line in guard.lines() {
-            line.encode(buf);
-            buf.push('\n');
-            if buf.len() >= chunk {
-                full(buf)?;
-            }
-        }
-        full(buf)
+        guard
+            .pages
+            .iter()
+            .flat_map(|page| page.text.as_bytes().chunks(WRITE_CHUNK))
+            .try_for_each(|chunk| out.write_all(chunk))
     }
 }
 
@@ -745,7 +896,7 @@ struct Armed {
     /// leaf: its interval is already known and it never went on the
     /// open stack.
     clock: Option<Clock>,
-    scratch: Scratch,
+    scratch: Box<Scratch>,
     start_ms: u64,
     dur_ms: f64,
     ids: Ids,
@@ -861,7 +1012,7 @@ impl SpanTimer {
     #[inline]
     pub fn add_label_f64(&mut self, k: &str, v: f64) {
         if let Some(armed) = &mut self.0 {
-            armed.scratch.label(k, |text| push_f64(text, v));
+            armed.scratch.label_f64(k, v);
         }
     }
 
@@ -899,6 +1050,78 @@ mod tests {
             e.to_json_line(),
             r#"{"ts_ms":12,"trace_id":1,"span_id":3,"parent_id":1,"span":"approval","phase":"hose_approval","labels":{"qos":"C1"},"dur_ms":4.5}"#
         );
+    }
+
+    #[test]
+    fn integers_print_as_display_prints_them() {
+        let mut cases = vec![0, 9, 10, 11, 99, 100, 101, 999, 1_000, 1_009, u64::MAX];
+        cases.extend((1..20).flat_map(|p| [10u64.pow(p) - 1, 10u64.pow(p), 10u64.pow(p) + 1]));
+        for v in cases {
+            let mut out = String::new();
+            push_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+    }
+
+    #[test]
+    fn the_reader_takes_only_the_encoders_own_spelling() {
+        let text = "quote \" backslash \\ bell \u{7} tab \t é";
+        let mut wire = String::new();
+        serde::write_json_string(text, &mut wire);
+        let (read, rest) = read_json_str(&wire).expect("the encoder's own output");
+        assert_eq!((read.as_ref(), rest), (text, ""));
+        // Valid JSON strings the encoder never writes, and broken ones.
+        for body in [
+            r"\u0041",  // an escape where the letter itself goes
+            r"\u001F",  // upper-case hex
+            r"\u0009",  // a tab is spelled \t
+            r"\/",      // a solidus is never escaped
+            r"\x41",
+            r"\u00",
+            "\\",
+            "raw \u{1} control",
+            "raw \" quote",
+        ] {
+            assert_eq!(unescape(body), None, "{body:?}");
+        }
+        assert_eq!(read_json_str("\"unterminated"), None);
+        assert_eq!(read_json_str("\"ends on a backslash\\"), None);
+
+        let event = TraceEvent {
+            ts_ms: 5,
+            trace_id: 1,
+            span_id: 2,
+            parent_id: 1,
+            span: "s\"".to_string(),
+            phase: "p".to_string(),
+            labels: vec![("k".to_string(), "v\n".to_string()), ("l".to_string(), String::new())],
+            dur_ms: 1.5,
+        };
+        let rec = Record {
+            ids: Ids { span_id: 2, trace_id: 1, parent_id: 1 },
+            ts_ms: 5,
+            dur_ms: 1.5,
+            line_end: 0,
+        };
+        let line = event.to_json_line() + "\n";
+        assert_eq!(read_event(&line, &rec), Some(event));
+        for (from, to) in [
+            ("\"ts_ms\":5", "\"ts_ms\":"),
+            ("\"ts_ms\":5", "\"ts_ms\":5.0"),
+            ("\"span_id\":2", "\"span_id\":-2"),
+            (",\"l\":\"\"", ",\"l\":\"\","),
+            (",\"l\":\"\"", "\"l\":\"\""),
+            (",\"l\":\"\"", ",\"l\":7"),
+            ("\"dur_ms\":1.5", "\"dur_ms\":x"),
+            // (Braces spelled as escapes: `xtask lint` finds the end of
+            // this module by counting them.)
+            ("\u{7d}\n", "\u{7d}"),
+            ("\u{7b}\"ts_ms\"", " \u{7b}\"ts_ms\""),
+        ] {
+            let broken = line.replacen(from, to, 1);
+            assert_ne!(broken, line, "{from} is in the line");
+            assert_eq!(read_event(&broken, &rec), None, "{broken}");
+        }
     }
 
     #[test]

@@ -626,7 +626,9 @@ fn streaming_export_is_chunked_and_complete() {
     }
     let sink = TraceSink::new();
     let clock = Clock::counting(1);
-    for i in 0..5_000u64 {
+    // 2.7 MB: the sink's buffer grows a 1 MiB page at a time, so the
+    // export crosses page ends that are not chunk ends.
+    for i in 0..20_000u64 {
         sink.point(&clock, "bulk", "row")
             .label_fmt("i", i)
             .label_f64("x", i as f64 / 8.0)
@@ -635,6 +637,8 @@ fn streaming_export_is_chunked_and_complete() {
     let mut out = Chunks(Vec::new(), Vec::new());
     sink.write_jsonl(&mut out).expect("in-memory writer");
     assert_eq!(out.1, sink.to_jsonl().into_bytes());
+    assert!(out.1.len() > 2 << 20, "{} bytes", out.1.len());
+    assert_eq!(parse_trace(&sink.to_jsonl()).expect("every line parses"), sink.events());
     assert!(
         out.0.len() > 2,
         "one write per chunk, not one in all: {:?}",

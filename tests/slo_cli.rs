@@ -190,3 +190,39 @@ fn summarize_by_label_groups_outcomes() {
     assert!(stdout.contains("outcome="), "label groups present:\n{stdout}");
     assert!(stdout.contains("p95_ms"), "histogram columns present:\n{stdout}");
 }
+
+/// A trace line whose id the JSON reader cannot hold exactly is
+/// refused with its line and key: `obs summarize --tree` exits 1 and
+/// prints no tree, where it used to round the id and hang the span
+/// under whichever parent the rounded value named.
+#[test]
+fn summarize_refuses_an_id_it_cannot_read_exactly() {
+    let good = tmp("exact_ids.jsonl");
+    drill_trace(&good, "3607", None);
+    let text = std::fs::read_to_string(&good).expect("the drill's trace");
+    let lines = text.lines().count();
+    let event = |span_id: &str, parent_id: &str| {
+        format!(
+            "{{\"ts_ms\":1,\"trace_id\":1,\"span_id\":{span_id},\"parent_id\":{parent_id},\
+             \"span\":\"x\",\"phase\":\"y\",\"labels\":{{}},\"dur_ms\":0}}"
+        )
+    };
+    let doctored = [
+        ("parent_id", event("900001", "16131454690887550962")),
+        ("span_id", event("1e300", "1")),
+    ];
+    for (key, line) in doctored {
+        let bad = tmp(&format!("inexact_{key}.jsonl"));
+        std::fs::write(&bad, format!("{text}{line}\n")).expect("write the doctored trace");
+        let out = ctl()
+            .args(["obs", "summarize", "--tree"])
+            .arg(&bad)
+            .output()
+            .expect("summarize --tree");
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let want = format!("line {}: `{key}` exceeds 2^53 and cannot be read exactly", lines + 1);
+        assert!(stderr.contains(&want), "names the line and the key:\n{stderr}");
+        assert!(out.stdout.is_empty(), "no table, no tree: {out:?}");
+    }
+}
