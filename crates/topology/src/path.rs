@@ -76,84 +76,8 @@ pub fn shortest_path(
     dst: RegionId,
     dead: &[LinkId],
 ) -> Result<Path> {
-    let dead = LinkMask::of(topo.link_count(), dead);
-    shortest_path_filtered(topo, src, dst, |lid| !dead.contains(lid), &[])
-}
-
-/// Dijkstra with an arbitrary link filter and a set of banned intermediate
-/// regions (needed by Yen's spur computation).
-fn shortest_path_filtered(
-    topo: &Topology,
-    src: RegionId,
-    dst: RegionId,
-    link_ok: impl Fn(LinkId) -> bool,
-    banned_regions: &[RegionId],
-) -> Result<Path> {
-    let n = topo.region_count();
-    if src.index() >= n {
-        return Err(EntitlementError::UnknownRegion(src));
-    }
-    if dst.index() >= n {
-        return Err(EntitlementError::UnknownRegion(dst));
-    }
-    if src == dst {
-        return Ok(Path {
-            links: Vec::new(),
-            length_km: 0.0,
-        });
-    }
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<LinkId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[src.index()] = 0.0;
-    heap.push(HeapItem {
-        dist: 0.0,
-        region: src,
-    });
-    while let Some(HeapItem { dist: d, region }) = heap.pop() {
-        if d > dist[region.index()] {
-            continue;
-        }
-        if region == dst {
-            break;
-        }
-        for &lid in topo.outgoing(region) {
-            if !link_ok(lid) {
-                continue;
-            }
-            let Some(link) = topo.link(lid) else { continue };
-            if banned_regions.contains(&link.dst) && link.dst != dst {
-                continue;
-            }
-            let nd = d + link.length_km;
-            if nd < dist[link.dst.index()] {
-                dist[link.dst.index()] = nd;
-                prev[link.dst.index()] = Some(lid);
-                heap.push(HeapItem {
-                    dist: nd,
-                    region: link.dst,
-                });
-            }
-        }
-    }
-    if dist[dst.index()].is_infinite() {
-        return Err(EntitlementError::Disconnected(src, dst));
-    }
-    // Reconstruct.
-    let mut links = Vec::new();
-    let mut cur = dst;
-    while cur != src {
-        let Some(link) = prev[cur.index()].and_then(|lid| topo.link(lid)) else {
-            return Err(EntitlementError::Disconnected(src, dst));
-        };
-        links.push(link.id);
-        cur = link.src;
-    }
-    links.reverse();
-    Ok(Path {
-        links,
-        length_km: dist[dst.index()],
-    })
+    let mut search = Yen::new(topo, src, dst, LinkMask::of(topo.link_count(), dead))?;
+    Ok(search.paths.swap_remove(0))
 }
 
 /// Yen's algorithm: up to `k` loopless shortest paths by length, skipping
@@ -166,94 +90,251 @@ pub fn k_shortest_paths(
     k: usize,
     dead: &[LinkId],
 ) -> Result<Vec<Path>> {
-    yen(topo, src, dst, k, &LinkMask::of(topo.link_count(), dead), None)
+    k_shortest_paths_avoiding(topo, src, dst, k, LinkMask::of(topo.link_count(), dead))
 }
 
-/// Relative length gap under which a losing candidate counts as tied
-/// with the winner. Far above the few ulps by which a candidate's
-/// re-summed length can disagree with its spur distance, far below any
-/// gap between genuinely different fiber routes.
-const NEAR_TIE: f64 = 1e-9;
-
-/// [`k_shortest_paths`] over a dead-link mask. With `near_ties`, every
-/// link of a candidate that lost a selection to a path no more than
-/// [`NEAR_TIE`] shorter is added to it: those are the only candidates
-/// whose replacement, were one of their links to die too, could win
-/// that selection instead — see the alias rule in [`crate::plan`].
-pub(crate) fn yen(
+/// [`k_shortest_paths`] over a dead-link mask: the first `k` paths of
+/// one [`Yen`] search.
+pub(crate) fn k_shortest_paths_avoiding(
     topo: &Topology,
     src: RegionId,
     dst: RegionId,
     k: usize,
-    dead: &LinkMask,
-    mut near_ties: Option<&mut LinkMask>,
+    dead: LinkMask,
 ) -> Result<Vec<Path>> {
-    let length_of = |links: &[LinkId]| -> f64 {
-        links
-            .iter()
-            .filter_map(|l| topo.link(*l))
-            .map(|l| l.length_km)
-            .sum()
-    };
-    let mut last = shortest_path_filtered(topo, src, dst, |lid| !dead.contains(lid), &[])?;
-    let mut paths = vec![last.clone()];
-    let mut candidates: Vec<Path> = Vec::new();
+    let mut search = Yen::new(topo, src, dst, dead)?;
+    search.extend_to(k);
+    search.paths.truncate(k);
+    Ok(search.paths)
+}
 
-    while paths.len() < k {
-        // Spur from every node of the previous path.
-        let mut spur_node = src;
-        let mut banned_regions: Vec<RegionId> = Vec::new();
-        for i in 0..last.links.len() {
-            let root_links = &last.links[..i];
-            // Ban links that would recreate an already-found path with the
-            // same root.
-            let banned_links: Vec<LinkId> = paths
-                .iter()
-                .filter(|p| p.links.len() > i && p.links[..i] == *root_links)
-                .map(|p| p.links[i])
-                .collect();
-            let spur = shortest_path_filtered(
-                topo,
-                spur_node,
-                dst,
-                |lid| !dead.contains(lid) && !banned_links.contains(&lid),
-                // The root's regions stay banned to keep paths loopless.
-                &banned_regions,
-            );
-            if let Ok(spur_path) = spur {
-                let mut links: Vec<LinkId> = root_links.to_vec();
-                links.extend_from_slice(&spur_path.links);
-                let length_km = length_of(&links);
-                let cand = Path { links, length_km };
-                if !paths.contains(&cand) && !candidates.contains(&cand) {
-                    candidates.push(cand);
+/// Dijkstra's buffers, kept across the runs of one search so a spur
+/// allocates nothing but the candidate it finds.
+struct Dijkstra {
+    dist: Vec<f64>,
+    prev: Vec<Option<LinkId>>,
+    heap: BinaryHeap<HeapItem>,
+    /// Regions a spur may not enter: its root's, so paths stay loopless.
+    banned: Vec<bool>,
+}
+
+impl Dijkstra {
+    fn new(regions: usize) -> Dijkstra {
+        Dijkstra {
+            dist: vec![f64::INFINITY; regions],
+            prev: vec![None; regions],
+            heap: BinaryHeap::new(),
+            banned: vec![false; regions],
+        }
+    }
+
+    /// Append the links of the shortest `src` → `dst` path that avoids
+    /// `blocked` links and banned regions to `out`, and return its
+    /// length; `None` when there is no such path. `src != dst`.
+    fn run(
+        &mut self,
+        topo: &Topology,
+        src: RegionId,
+        dst: RegionId,
+        blocked: &LinkMask,
+        out: &mut Vec<LinkId>,
+    ) -> Option<f64> {
+        self.dist.fill(f64::INFINITY);
+        self.prev.fill(None);
+        self.heap.clear();
+        self.dist[src.index()] = 0.0;
+        self.heap.push(HeapItem {
+            dist: 0.0,
+            region: src,
+        });
+        while let Some(HeapItem { dist: d, region }) = self.heap.pop() {
+            if d > self.dist[region.index()] {
+                continue;
+            }
+            if region == dst {
+                break;
+            }
+            for &lid in topo.outgoing(region) {
+                if blocked.contains(lid) {
+                    continue;
+                }
+                let Some(link) = topo.link(lid) else { continue };
+                let to = link.dst.index();
+                if self.banned[to] {
+                    continue;
+                }
+                let nd = d + link.length_km;
+                if nd < self.dist[to] {
+                    self.dist[to] = nd;
+                    self.prev[to] = Some(lid);
+                    self.heap.push(HeapItem {
+                        dist: nd,
+                        region: link.dst,
+                    });
                 }
             }
-            banned_regions.push(spur_node);
+        }
+        if self.dist[dst.index()].is_infinite() {
+            return None;
+        }
+        let start = out.len();
+        let mut cur = dst;
+        while cur != src {
+            let Some(link) = self.prev[cur.index()].and_then(|lid| topo.link(lid)) else {
+                out.truncate(start);
+                return None;
+            };
+            out.push(link.id);
+            cur = link.src;
+        }
+        out[start..].reverse();
+        Some(self.dist[dst.index()])
+    }
+}
+
+/// Shortest first, ties on link ids: the order Yen selects candidates in.
+fn shorter_first(a: &Path, b: &Path) -> Ordering {
+    a.length_km
+        .partial_cmp(&b.length_km)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| a.links.cmp(&b.links))
+}
+
+/// One resumable Yen search: the loopless paths from `src` to `dst`
+/// that avoid `dead`, selected shortest first, as deep as
+/// [`Yen::extend_to`] has asked. Stopping at `n` paths and resuming
+/// selects exactly what one run asked for more would have.
+pub(crate) struct Yen<'t> {
+    topo: &'t Topology,
+    src: RegionId,
+    dst: RegionId,
+    dead: LinkMask,
+    /// Selected so far, in selection order.
+    paths: Vec<Path>,
+    /// Spur paths not selected yet, longest first (the next selection
+    /// pops off the end); no two share their links.
+    candidates: Vec<Path>,
+    exhausted: bool,
+    dijkstra: Dijkstra,
+    /// A spur's blocked links: `dead` plus the next link of every
+    /// selected path sharing its root.
+    blocked: LinkMask,
+    spur: Vec<LinkId>,
+}
+
+impl<'t> Yen<'t> {
+    /// Start a search by selecting the shortest path. Errs on an
+    /// unknown region, or when no path avoids `dead`.
+    pub(crate) fn new(
+        topo: &'t Topology,
+        src: RegionId,
+        dst: RegionId,
+        dead: LinkMask,
+    ) -> Result<Yen<'t>> {
+        let n = topo.region_count();
+        if src.index() >= n {
+            return Err(EntitlementError::UnknownRegion(src));
+        }
+        if dst.index() >= n {
+            return Err(EntitlementError::UnknownRegion(dst));
+        }
+        let mut dijkstra = Dijkstra::new(n);
+        let mut links = Vec::new();
+        let length_km = if src == dst {
+            0.0
+        } else {
+            dijkstra
+                .run(topo, src, dst, &dead, &mut links)
+                .ok_or(EntitlementError::Disconnected(src, dst))?
+        };
+        Ok(Yen {
+            topo,
+            src,
+            dst,
+            blocked: dead.clone(),
+            dead,
+            paths: vec![Path { links, length_km }],
+            candidates: Vec::new(),
+            exhausted: false,
+            dijkstra,
+            spur: Vec::new(),
+        })
+    }
+
+    /// The paths selected so far, shortest first.
+    pub(crate) fn paths(&self) -> &[Path] {
+        &self.paths
+    }
+
+    /// Whether every path avoiding `dead` has been selected.
+    pub(crate) fn exhausted(&self) -> bool {
+        self.exhausted
+    }
+
+    /// Select paths until there are `n` or none are left.
+    pub(crate) fn extend_to(&mut self, n: usize) {
+        while self.paths.len() < n && !self.exhausted {
+            self.select_next();
+        }
+    }
+
+    /// Spur from every node of the last selected path, then select the
+    /// shortest candidate.
+    fn select_next(&mut self) {
+        let Yen {
+            topo,
+            src,
+            dst,
+            dead,
+            paths,
+            candidates,
+            exhausted,
+            dijkstra,
+            blocked,
+            spur,
+        } = self;
+        let last = &paths[paths.len() - 1];
+        let mut spur_node = *src;
+        for i in 0..last.links.len() {
+            let root = &last.links[..i];
+            // Ban links that would recreate an already-selected path
+            // with the same root.
+            blocked.copy_from(dead);
+            for p in paths
+                .iter()
+                .filter(|p| p.links.len() > i && p.links[..i] == *root)
+            {
+                blocked.insert(p.links[i]);
+            }
+            spur.clear();
+            if dijkstra.run(topo, spur_node, *dst, blocked, spur).is_some() {
+                let mut links = Vec::with_capacity(i + spur.len());
+                links.extend_from_slice(root);
+                links.extend_from_slice(spur);
+                let length_km = links
+                    .iter()
+                    .filter_map(|l| topo.link(*l))
+                    .map(|l| l.length_km)
+                    .sum();
+                let cand = Path { links, length_km };
+                // A spur never recreates a selected path (its first link
+                // is banned), so the one duplicate possible is a
+                // candidate found from an earlier root.
+                if let Err(at) = candidates.binary_search_by(|c| shorter_first(&cand, c)) {
+                    candidates.insert(at, cand);
+                }
+            }
+            dijkstra.banned[spur_node.index()] = true;
             if let Some(link) = topo.link(last.links[i]) {
                 spur_node = link.dst;
             }
         }
-        if candidates.is_empty() {
-            break;
+        dijkstra.banned.fill(false);
+        match candidates.pop() {
+            Some(next) => paths.push(next),
+            None => *exhausted = true,
         }
-        // Take the shortest candidate (stable tie-break on link ids).
-        candidates.sort_by(|a, b| {
-            a.length_km
-                .partial_cmp(&b.length_km)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| a.links.cmp(&b.links))
-        });
-        last = candidates.remove(0);
-        if let Some(ties) = near_ties.as_deref_mut() {
-            let bound = last.length_km * (1.0 + NEAR_TIE);
-            for loser in candidates.iter().take_while(|c| c.length_km <= bound) {
-                loser.links.iter().for_each(|&l| ties.insert(l));
-            }
-        }
-        paths.push(last.clone());
     }
-    Ok(paths)
 }
 
 #[cfg(test)]

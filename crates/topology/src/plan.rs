@@ -15,26 +15,26 @@
 //! and `route_on` — lives with the rest of the router in
 //! [`crate::routing`].
 //!
-//! **The alias rule.** Filling a pair runs Yen's algorithm once on the
-//! links dead in *every* scenario (none, normally; the faulted links
-//! once a fault is applied to all scenarios). A scenario whose further
-//! dead links touch none of those k paths is served that same path set:
-//! each of Yen's Dijkstra runs returns the path it returned before
-//! (the path survives, distances elsewhere only grew, and Dijkstra's
-//! tie-break among equal-distance predecessors is by pop order, which
-//! a shrinking graph cannot reorder in the survivor's disfavour), and a
-//! spur candidate that did cross a now-dead link is replaced by a
-//! longer one that loses the selections its original lost. The one gap
-//! is a candidate that lost a selection by a *tie*: its replacement
-//! might tie too and win on link ids. [`crate::path::yen`] therefore
-//! reports the links of every near-tied loser, and a scenario touching
-//! one of those — or any of the k paths — gets a Yen run of its own.
-//! The argument needs strictly positive, finite link lengths; a
-//! topology without them is never aliased.
+//! **The pool rule.** Filling a pair runs one resumable Yen search —
+//! the pair's *pool* — on the links dead in *every* failure set of the
+//! plan (none, normally; the faulted links once a fault is applied to
+//! all scenarios). Its first k paths are the base path set, served as
+//! is to a failure set that kills nothing more. Yen is exact, so the
+//! loopless paths that avoid a larger dead set are, in order, the pool's
+//! paths that survive it: a failure set is served its first k survivors
+//! when the pool also holds a (k+1)-th survivor (or the search ran out
+//! of paths) and no two consecutive survivors among those k + 1 are
+//! within `NEAR_TIE` of each other — a tie that a search of its own
+//! might break the other way. A pool too short is deepened once, to
+//! `POOL_DEPTH` paths; a failure set it still cannot answer gets a Yen
+//! run of its own. An answer equal to the base shares the base's entry.
+//! The argument needs strictly positive, finite link lengths; on a
+//! topology without them every failure set but the common one is
+//! searched.
 
 use crate::failure::ScenarioSet;
 use crate::graph::{LinkId, Topology};
-use crate::path::{yen, Path};
+use crate::path::{k_shortest_paths_avoiding, Path, Yen};
 use entitlement_core::RegionId;
 use std::collections::BTreeMap;
 
@@ -68,10 +68,23 @@ impl LinkMask {
             .is_some_and(|word| word >> (link.index() % 64) & 1 == 1)
     }
 
-    fn intersects(&self, other: &LinkMask) -> bool {
-        self.0.iter().zip(&other.0).any(|(a, b)| a & b != 0)
+    /// Become `other`, a mask over the same topology.
+    pub(crate) fn copy_from(&mut self, other: &LinkMask) {
+        self.0.copy_from_slice(&other.0);
     }
 }
+
+/// How deep a pair's pool is searched, once, when a failure set needs
+/// more than the base's k paths to be read off it. Deeper answers more
+/// failure sets from the pool and costs every pair more selections; 10
+/// is where the approval world's fill time bottoms out (DESIGN §16).
+const POOL_DEPTH: usize = 10;
+
+/// Relative length gap under which two paths count as tied. Far above
+/// the few ulps by which a path's re-summed length can disagree with
+/// its spur distance, far below any gap between genuinely different
+/// fiber routes.
+const NEAR_TIE: f64 = 1e-9;
 
 /// One stored path: a range of the plan's link arena.
 #[derive(Clone, Copy, Debug)]
@@ -104,8 +117,9 @@ pub struct RoutePlan {
     dead: Vec<LinkMask>,
     /// Links dead in every failure set.
     common: LinkMask,
-    /// Whether the alias rule's premises hold for this topology.
-    aliasable: bool,
+    /// Whether the pool rule's premise (positive, finite link lengths)
+    /// holds for this topology.
+    poolable: bool,
     /// Row of each filled region pair in `set_of`.
     rows: BTreeMap<(RegionId, RegionId), u32>,
     /// `set_of[row * unique_len + u]`: the path set a pair rides under
@@ -162,7 +176,7 @@ impl RoutePlan {
             representatives,
             dead,
             common,
-            aliasable: topo
+            poolable: topo
                 .links()
                 .iter()
                 .all(|l| l.length_km.is_finite() && l.length_km > 0.0),
@@ -225,32 +239,31 @@ impl RoutePlan {
     fn fill(&mut self, topo: &Topology, src: RegionId, dst: RegionId) {
         let row = (self.set_of.len() / self.unique_len().max(1)) as u32;
         self.rows.insert((src, dst), row);
-        let mut touched = LinkMask::empty(topo.link_count());
-        let base = yen(
-            topo,
-            src,
-            dst,
-            self.k_paths,
-            &self.common,
-            Some(&mut touched),
-        );
-        let Ok(base) = base else {
+        let k = self.k_paths;
+        let Ok(mut pool) = Yen::new(topo, src, dst, self.common.clone()) else {
             // Cut off by the common dead links alone, so by every set.
             self.set_of
                 .extend(std::iter::repeat_n(0, self.unique_len()));
             return;
         };
-        for link in base.iter().flat_map(|p| &p.links) {
-            touched.insert(*link);
-        }
-        let base_set = self.store(&base);
+        pool.extend_to(k);
+        let base_len = pool.paths().len().min(k);
+        let base = self.store(&pool.paths()[..base_len]);
+        let mut picked = Vec::with_capacity(k + 1);
         for u in 0..self.unique_len() {
-            let served_by_base = self.dead[u] == self.common
-                || (self.aliasable && !self.dead[u].intersects(&touched));
-            let set = if served_by_base {
-                base_set
+            let dead = &self.dead[u];
+            let set = if *dead == self.common {
+                base
+            } else if self.poolable && read_pool(&mut pool, dead, k, &mut picked) {
+                if picked.iter().copied().eq(0..base_len) {
+                    base
+                } else {
+                    let pool = pool.paths();
+                    self.store(picked.iter().map(|&i| &pool[i]))
+                }
             } else {
-                match yen(topo, src, dst, self.k_paths, &self.dead[u], None) {
+                match k_shortest_paths_avoiding(topo, src, dst, k, dead.clone()) {
+                    Ok(own) if own[..] == pool.paths()[..base_len] => base,
                     Ok(own) => self.store(&own),
                     Err(_) => 0,
                 }
@@ -259,7 +272,8 @@ impl RoutePlan {
         }
     }
 
-    fn store(&mut self, paths: &[Path]) -> u32 {
+    /// Store a path set; the empty set is set 0.
+    fn store<'p>(&mut self, paths: impl IntoIterator<Item = &'p Path>) -> u32 {
         let first = self.paths.len() as u32;
         for p in paths {
             self.paths.push(PathRef {
@@ -269,7 +283,11 @@ impl RoutePlan {
             });
             self.links.extend_from_slice(&p.links);
         }
-        self.sets.push((first, paths.len() as u32));
+        let len = self.paths.len() as u32 - first;
+        if len == 0 {
+            return 0;
+        }
+        self.sets.push((first, len));
         (self.sets.len() - 1) as u32
     }
 
@@ -302,7 +320,8 @@ impl RoutePlan {
         self.dead.get(unique).is_some_and(|m| m.contains(link))
     }
 
-    /// Path sets stored so far: one per search that found a path.
+    /// Path sets stored so far: per pair its base set, plus one per
+    /// failure set whose paths differ from the base and are not empty.
     pub fn path_sets(&self) -> usize {
         self.sets.len() - 1
     }
@@ -323,4 +342,37 @@ impl RoutePlan {
             + self.paths.capacity() * size_of::<PathRef>()
             + self.links.capacity() * size_of::<LinkId>()
     }
+}
+
+/// The k shortest paths avoiding `dead`, read off `pool` as indices
+/// into it (see the pool rule in the [module docs](self)), deepening
+/// the pool once if it is too short. False when the pool cannot answer
+/// exactly: too short even then, or a near-tie among the first k + 1
+/// survivors.
+fn read_pool(pool: &mut Yen<'_>, dead: &LinkMask, k: usize, picked: &mut Vec<usize>) -> bool {
+    let depth = POOL_DEPTH.max(k + 1);
+    loop {
+        picked.clear();
+        picked.extend(
+            pool.paths()
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.links.iter().all(|&l| !dead.contains(l)))
+                .map(|(i, _)| i)
+                .take(k + 1),
+        );
+        if picked.len() > k || pool.exhausted() {
+            break;
+        }
+        if pool.paths().len() >= depth {
+            return false;
+        }
+        pool.extend_to(depth);
+    }
+    let paths = pool.paths();
+    let tied = picked
+        .windows(2)
+        .any(|w| paths[w[1]].length_km <= paths[w[0]].length_km * (1.0 + NEAR_TIE));
+    picked.truncate(k);
+    !tied
 }

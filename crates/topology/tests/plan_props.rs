@@ -1,13 +1,15 @@
 //! The route plan's one contract: whatever it serves for a
 //! `(pair, scenario)` is exactly what a Yen run on that scenario's dead
 //! links returns — same links, same order, same `length_km` bits —
-//! including on topologies built to tie, where the alias rule has to
-//! fall back to a search of its own.
+//! including on topologies built to tie, where reading the answer off
+//! the pair's pool has to fall back to a search of its own. "A Yen run"
+//! is the library's `k_shortest_paths` and, independently, PR 15's
+//! search kept below as `reference_yen`.
 
-use entitlement_core::{DetRng, RegionId};
+use entitlement_core::{DetRng, EntitlementError, RegionId};
 use entitlement_topology::failure::fiber_groups;
 use entitlement_topology::{
-    k_shortest_paths, BackboneSpec, FailureScenario, LinkId, RoutePlan, ScenarioSet, Topology,
+    k_shortest_paths, BackboneSpec, FailureScenario, LinkId, Path, RoutePlan, ScenarioSet, Topology,
 };
 use proptest::prelude::*;
 
@@ -46,6 +48,25 @@ fn faulted(set: &ScenarioSet, fault: &[LinkId]) -> ScenarioSet {
     }
 }
 
+/// Every directed pair of distinct regions.
+fn all_pairs(topo: &Topology) -> Vec<(RegionId, RegionId)> {
+    let ids = topo.region_ids();
+    ids.iter()
+        .flat_map(|&s| ids.iter().map(move |&d| (s, d)))
+        .filter(|(s, d)| s != d)
+        .collect()
+}
+
+/// A search's answer as links plus `length_km` bits; no path when the
+/// search errs.
+fn bits(paths: Result<Vec<Path>, EntitlementError>) -> Vec<(Vec<LinkId>, u64)> {
+    paths
+        .unwrap_or_default()
+        .into_iter()
+        .map(|p| (p.links, p.length_km.to_bits()))
+        .collect()
+}
+
 fn assert_plan_is_yen(topo: &Topology, scenarios: &ScenarioSet, k: usize, what: &str) {
     let ids = topo.region_ids();
     let pairs: Vec<(RegionId, RegionId)> = ids
@@ -78,31 +99,36 @@ fn assert_plan_is_yen(topo: &Topology, scenarios: &ScenarioSet, k: usize, what: 
     }
 }
 
+/// A small generated backbone of `shape` (3-5 DCs x 0-3 PoPs), with
+/// the generator's lengths (`snap` 0) or lengths snapped to 250 km,
+/// 1 000 km or one common length.
+fn backbone(seed: u64, shape: usize, snap: usize) -> Topology {
+    let generated = BackboneSpec {
+        dc_count: 3 + shape / 4,
+        pop_count: shape % 4,
+        seed,
+        ..BackboneSpec::small(seed)
+    }
+    .build();
+    match snap {
+        0 => generated,
+        1 => snapped(&generated, 250.0, 0.93),
+        2 => snapped(&generated, 1000.0, 0.93),
+        _ => snapped(&generated, 1e6, 0.85), // every link the same length
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn every_served_path_set_is_the_yen_answer(
         seed in 0u64..10_000,
-        // 3-5 DCs x 0-3 PoPs.
         shape in 0usize..12,
         k in 1usize..6,
-        // 0 keeps the generator's lengths; otherwise snap to this many km.
         snap in 0usize..4,
     ) {
-        let generated = BackboneSpec {
-            dc_count: 3 + shape / 4,
-            pop_count: shape % 4,
-            seed,
-            ..BackboneSpec::small(seed)
-        }
-        .build();
-        let topo = match snap {
-            0 => generated,
-            1 => snapped(&generated, 250.0, 0.93),
-            2 => snapped(&generated, 1000.0, 0.93),
-            _ => snapped(&generated, 1e6, 0.85), // every link the same length
-        };
+        let topo = backbone(seed, shape, snap);
         let mut rng = DetRng::new(seed ^ 0xFA17);
         let groups = fiber_groups(&topo);
         let fault = groups[rng.usize(groups.len())].links.clone();
@@ -118,6 +144,349 @@ proptest! {
         assert_plan_is_yen(&topo, &sampled, k, "sampled");
         assert_plan_is_yen(&topo, &faulted(&sampled, &fault), k, "sampled + fault");
     }
+}
+
+/// PR 15's `path::yen` and its Dijkstra, kept verbatim as a reference
+/// the library shares no code with. Two mechanical edits: dead links
+/// are a slice instead of the crate-private bit mask, and the near-tie
+/// bookkeeping only the retired alias rule read is gone.
+mod reference {
+    use entitlement_core::{EntitlementError, RegionId, Result};
+    use entitlement_topology::{LinkId, Path, Topology};
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    #[derive(PartialEq)]
+    struct HeapItem {
+        dist: f64,
+        region: RegionId,
+    }
+
+    impl Eq for HeapItem {}
+
+    impl Ord for HeapItem {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Min-heap on distance; tie-break on region for determinism.
+            other
+                .dist
+                .partial_cmp(&self.dist)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| other.region.cmp(&self.region))
+        }
+    }
+
+    impl PartialOrd for HeapItem {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    fn shortest_path_filtered(
+        topo: &Topology,
+        src: RegionId,
+        dst: RegionId,
+        link_ok: impl Fn(LinkId) -> bool,
+        banned_regions: &[RegionId],
+    ) -> Result<Path> {
+        let n = topo.region_count();
+        if src.index() >= n {
+            return Err(EntitlementError::UnknownRegion(src));
+        }
+        if dst.index() >= n {
+            return Err(EntitlementError::UnknownRegion(dst));
+        }
+        if src == dst {
+            return Ok(Path {
+                links: Vec::new(),
+                length_km: 0.0,
+            });
+        }
+        let mut dist = vec![f64::INFINITY; n];
+        let mut prev: Vec<Option<LinkId>> = vec![None; n];
+        let mut heap = BinaryHeap::new();
+        dist[src.index()] = 0.0;
+        heap.push(HeapItem {
+            dist: 0.0,
+            region: src,
+        });
+        while let Some(HeapItem { dist: d, region }) = heap.pop() {
+            if d > dist[region.index()] {
+                continue;
+            }
+            if region == dst {
+                break;
+            }
+            for &lid in topo.outgoing(region) {
+                if !link_ok(lid) {
+                    continue;
+                }
+                let Some(link) = topo.link(lid) else { continue };
+                if banned_regions.contains(&link.dst) && link.dst != dst {
+                    continue;
+                }
+                let nd = d + link.length_km;
+                if nd < dist[link.dst.index()] {
+                    dist[link.dst.index()] = nd;
+                    prev[link.dst.index()] = Some(lid);
+                    heap.push(HeapItem {
+                        dist: nd,
+                        region: link.dst,
+                    });
+                }
+            }
+        }
+        if dist[dst.index()].is_infinite() {
+            return Err(EntitlementError::Disconnected(src, dst));
+        }
+        // Reconstruct.
+        let mut links = Vec::new();
+        let mut cur = dst;
+        while cur != src {
+            let Some(link) = prev[cur.index()].and_then(|lid| topo.link(lid)) else {
+                return Err(EntitlementError::Disconnected(src, dst));
+            };
+            links.push(link.id);
+            cur = link.src;
+        }
+        links.reverse();
+        Ok(Path {
+            links,
+            length_km: dist[dst.index()],
+        })
+    }
+
+    pub fn reference_yen(
+        topo: &Topology,
+        src: RegionId,
+        dst: RegionId,
+        k: usize,
+        dead: &[LinkId],
+    ) -> Result<Vec<Path>> {
+        let length_of = |links: &[LinkId]| -> f64 {
+            links
+                .iter()
+                .filter_map(|l| topo.link(*l))
+                .map(|l| l.length_km)
+                .sum()
+        };
+        let mut last = shortest_path_filtered(topo, src, dst, |lid| !dead.contains(&lid), &[])?;
+        let mut paths = vec![last.clone()];
+        let mut candidates: Vec<Path> = Vec::new();
+
+        while paths.len() < k {
+            // Spur from every node of the previous path.
+            let mut spur_node = src;
+            let mut banned_regions: Vec<RegionId> = Vec::new();
+            for i in 0..last.links.len() {
+                let root_links = &last.links[..i];
+                // Ban links that would recreate an already-found path with the
+                // same root.
+                let banned_links: Vec<LinkId> = paths
+                    .iter()
+                    .filter(|p| p.links.len() > i && p.links[..i] == *root_links)
+                    .map(|p| p.links[i])
+                    .collect();
+                let spur = shortest_path_filtered(
+                    topo,
+                    spur_node,
+                    dst,
+                    |lid| !dead.contains(&lid) && !banned_links.contains(&lid),
+                    // The root's regions stay banned to keep paths loopless.
+                    &banned_regions,
+                );
+                if let Ok(spur_path) = spur {
+                    let mut links: Vec<LinkId> = root_links.to_vec();
+                    links.extend_from_slice(&spur_path.links);
+                    let length_km = length_of(&links);
+                    let cand = Path { links, length_km };
+                    if !paths.contains(&cand) && !candidates.contains(&cand) {
+                        candidates.push(cand);
+                    }
+                }
+                banned_regions.push(spur_node);
+                if let Some(link) = topo.link(last.links[i]) {
+                    spur_node = link.dst;
+                }
+            }
+            if candidates.is_empty() {
+                break;
+            }
+            // Take the shortest candidate (stable tie-break on link ids).
+            candidates.sort_by(|a, b| {
+                a.length_km
+                    .partial_cmp(&b.length_km)
+                    .unwrap_or(Ordering::Equal)
+                    .then_with(|| a.links.cmp(&b.links))
+            });
+            last = candidates.remove(0);
+            paths.push(last.clone());
+        }
+        Ok(paths)
+    }
+}
+
+use reference::reference_yen;
+
+/// [`assert_plan_is_yen`] against [`reference_yen`] instead of the
+/// library's own search.
+fn assert_plan_is_reference(topo: &Topology, scenarios: &ScenarioSet, k: usize, what: &str) {
+    let pairs = all_pairs(topo);
+    let mut plan = RoutePlan::build(topo, scenarios, k);
+    plan.ensure(topo, pairs.iter().copied());
+    for u in 0..plan.unique_len() {
+        let dead = &scenarios.scenarios[plan.representatives()[u]].dead_links;
+        for &(s, d) in &pairs {
+            let served: Vec<(Vec<LinkId>, u64)> = plan
+                .paths(s, d, u)
+                .map(|p| (p.links.to_vec(), p.length_km.to_bits()))
+                .collect();
+            assert_eq!(
+                served,
+                bits(reference_yen(topo, s, d, k, dead)),
+                "{what}: {s}->{d} under {dead:?} (k = {k})"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `k_shortest_paths` selects what the reference selects, on exact
+    /// ties and all-equal lengths too, and deeper than the plan's pool.
+    #[test]
+    fn the_search_is_the_reference_yen(
+        seed in 0u64..10_000,
+        shape in 0usize..12,
+        k in 1usize..13,
+        snap in 0usize..4,
+    ) {
+        let topo = backbone(seed, shape, snap);
+        let mut scenarios = ScenarioSet::enumerate(&topo, 1).scenarios;
+        scenarios.extend(ScenarioSet::sample(&topo, 12, seed).scenarios);
+        for scenario in &scenarios {
+            for (s, d) in all_pairs(&topo) {
+                let ours = k_shortest_paths(&topo, s, d, k, &scenario.dead_links);
+                let theirs = reference_yen(&topo, s, d, k, &scenario.dead_links);
+                assert_eq!(ours.is_err(), theirs.is_err(), "{s}->{d} under `{}`", scenario.label);
+                assert_eq!(bits(ours), bits(theirs), "{s}->{d} under `{}` (k = {k})", scenario.label);
+            }
+        }
+    }
+
+    /// Whatever the plan serves is the reference's answer under every
+    /// failure set, whether read off the pool or searched on its own.
+    #[test]
+    fn every_served_path_set_is_the_reference_answer(
+        seed in 0u64..10_000,
+        shape in 0usize..12,
+        k in 1usize..13,
+        snap in 0usize..4,
+    ) {
+        let topo = backbone(seed, shape, snap);
+        let groups = fiber_groups(&topo);
+        let fault = groups[DetRng::new(seed ^ 0xFA17).usize(groups.len())].links.clone();
+        for max_cuts in [1, 2] {
+            let set = ScenarioSet::enumerate(&topo, max_cuts);
+            assert_plan_is_reference(&topo, &set, k, "enumerated");
+            if max_cuts == 1 {
+                assert_plan_is_reference(&topo, &faulted(&set, &fault), k, "enumerated + fault");
+            }
+        }
+        assert_plan_is_reference(&topo, &ScenarioSet::sample(&topo, 40, seed), k, "sampled");
+    }
+}
+
+/// FNV-1a-64 of every `(pair, failure set)` path set a fully ensured
+/// plan serves: per set its path count, per path its links and
+/// `length_km` bits.
+fn served_digest(topo: &Topology, scenarios: &ScenarioSet, k: usize) -> u64 {
+    let pairs = all_pairs(topo);
+    let mut plan = RoutePlan::build(topo, scenarios, k);
+    plan.ensure(topo, pairs.iter().copied());
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for &(s, d) in &pairs {
+        for u in 0..plan.unique_len() {
+            word(plan.paths(s, d, u).count() as u64);
+            for p in plan.paths(s, d, u) {
+                word(p.links.len() as u64);
+                p.links.iter().for_each(|l| word(l.index() as u64));
+                word(p.length_km.to_bits());
+            }
+        }
+    }
+    h
+}
+
+/// The path sets of the benchmark's two worlds, pinned on the parent
+/// of the pool rewrite: the approval world (6 DCs, 3 PoPs) under single
+/// and dual cuts, the admit world (10 DCs, 5 PoPs) under single cuts,
+/// healthy and with its first fiber faulted in every scenario.
+#[test]
+fn served_path_sets_match_the_pinned_digests() {
+    let approval = BackboneSpec {
+        dc_count: 6,
+        pop_count: 3,
+        seed: 2,
+        ..Default::default()
+    }
+    .build();
+    let admit = BackboneSpec {
+        dc_count: 10,
+        pop_count: 5,
+        ..BackboneSpec::small(2)
+    }
+    .build();
+    let single = ScenarioSet::enumerate(&admit, 1);
+    let fault = fiber_groups(&admit)[0].links.clone();
+    let got = [
+        served_digest(&approval, &ScenarioSet::enumerate(&approval, 1), 4),
+        served_digest(&approval, &ScenarioSet::enumerate(&approval, 2), 4),
+        served_digest(&admit, &single, 4),
+        served_digest(&admit, &faulted(&single, &fault), 4),
+    ];
+    assert_eq!(
+        got,
+        [
+            0x4a77_b6cc_04ef_3754,
+            0x1c2f_ef0f_8e8e_04a6,
+            0xa8d2_3a55_5a8d_b1ff,
+            0x6662_d6ce_36b8_14ea,
+        ],
+        "{got:#018x?}"
+    );
+}
+
+/// `k = 0` asks for no path, and gets none — not the shortest one.
+#[test]
+fn zero_paths_means_no_path() {
+    let topo = BackboneSpec::small(3).build();
+    let ids = topo.region_ids();
+    assert_eq!(
+        k_shortest_paths(&topo, ids[0], ids[1], 0, &[]).unwrap(),
+        vec![]
+    );
+
+    let scenarios = ScenarioSet::enumerate(&topo, 1);
+    let mut plan = RoutePlan::build(&topo, &scenarios, 0);
+    plan.ensure(&topo, [(ids[0], ids[1])]);
+    assert_eq!(plan.paths(ids[0], ids[1], 0).count(), 0);
+    let demand = entitlement_topology::routing::Demand {
+        src: ids[0],
+        dst: ids[1],
+        amount: entitlement_core::Rate::gbps(1.0),
+    };
+    let placed = plan.route(&topo, 0, &[demand]);
+    assert!(
+        placed.admitted_total.is_zero(),
+        "routed {:?}",
+        placed.admitted
+    );
 }
 
 /// Every directed pair of distinct DCs.
@@ -196,13 +565,15 @@ fn covers_tracks_what_ensure_filled() {
     assert!(plan.paths(ids[0], ids[1], 0).count() > 0);
 }
 
-/// The alias rule's one gap, built by hand. Healthy, the second path is
-/// picked from a three-way tie: the spur at `s` finds `s-c-d-t` (region
-/// `d` pops before `y`), the spur at `a` finds `s-a-b-t`, and
-/// `s-a-b-t` wins on link ids. Cutting `c->d` touches neither chosen
-/// path — but now the spur at `s` finds `s-x-y-t`, whose link ids beat
-/// `s-a-b-t`. A plan that aliased this scenario would serve the wrong
-/// second path.
+/// A tie decided by a dead link, built by hand (the gap that retired
+/// PR 15's alias rule). Healthy, the second path is picked from a
+/// three-way tie: the spur at `s` finds `s-c-d-t` (region `d` pops
+/// before `y`), the spur at `a` finds `s-a-b-t`, and `s-a-b-t` wins on
+/// link ids. Cutting `c->d` touches neither chosen path — but now the
+/// spur at `s` finds `s-x-y-t`, whose link ids beat `s-a-b-t`. A plan
+/// that served this scenario the healthy paths would serve the wrong
+/// second path; the pool rule sees the second and third survivors tied
+/// and gives the scenario a search of its own.
 #[test]
 fn a_tie_decided_by_a_dead_link_gets_its_own_search() {
     use entitlement_core::Rate;

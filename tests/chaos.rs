@@ -313,12 +313,60 @@ fn dark_shard_degrades_only_its_contribution_and_reconverges() {
 /// documented entry point (`entitlectl drill --faults`).
 #[test]
 fn example_fault_plans_parse() {
-    for path in ["examples/faults/kv_outage.json", "examples/faults/degraded_store.json"] {
+    let mut paths: Vec<_> = std::fs::read_dir("examples/faults")
+        .expect("examples/faults")
+        .map(|entry| entry.expect("dir entry").path())
+        .collect();
+    paths.sort();
+    assert_eq!(paths.len(), 4, "{paths:?}");
+    for path in &paths {
+        let path = path.to_str().expect("utf-8 path");
         let text = std::fs::read_to_string(path).expect(path);
         let plan = FaultPlan::from_json(&text).expect(path);
         assert!(!plan.is_empty(), "{path} should describe faults");
         // Round-trip through the serializer.
         let again = FaultPlan::from_json(&plan.to_json()).expect(path);
         assert_eq!(plan, again);
+    }
+}
+
+/// An integer field takes only an integer the JSON parser read
+/// exactly. Each of these used to load as something else — link 0,
+/// link 1, `u32::MAX`, `from_ms` 0, seed …992 — and is now refused,
+/// by the library and by `entitlectl drill --faults` (exit 2).
+#[test]
+fn inexact_integers_in_a_fault_plan_are_refused() {
+    let plan = |seed: &str, from_ms: &str, links: &str| {
+        format!(
+            r#"{{"seed":{seed},"faults":[{{"window":{{"from_ms":{from_ms},"to_ms":5000}},"kind":{{"LinkCut":{{"links":[{links}]}}}}}}]}}"#
+        )
+    };
+    let good = FaultPlan::from_json(&plan("9007199254740991", "1000", "0,3")).expect("exact");
+    assert_eq!(good.seed, 9_007_199_254_740_991);
+    let bad = [
+        plan("19", "1000", "-1"),
+        plan("19", "1000", "1.5"),
+        plan("19", "1000", "4294967296"),
+        plan("19", "1000", "1e300"),
+        plan("19", "-5", "0"),
+        plan("9007199254740993", "1000", "0"),
+    ];
+    let dir = std::env::temp_dir().join(format!("chaos_inexact_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (i, text) in bad.iter().enumerate() {
+        assert!(FaultPlan::from_json(text).is_err(), "{text} loaded");
+        let path = dir.join(format!("plan{i}.json"));
+        std::fs::write(&path, text).expect("write plan");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_entitlectl"))
+            .args(["drill", "--hosts", "20", "--faults"])
+            .arg(&path)
+            .output()
+            .expect("run entitlectl");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{text}: {stderr}");
+        assert!(
+            stderr.contains("cannot parse fault plan"),
+            "{text}: {stderr}"
+        );
     }
 }
