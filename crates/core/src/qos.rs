@@ -124,11 +124,26 @@ impl QosBucket {
                 QosBand::High => 1,
             }
     }
+
+    /// The bucket's name, `c1_low` to `c4_high`: `{class}_{band}`.
+    pub fn as_str(self) -> &'static str {
+        use {QosBand::*, QosClass::*};
+        match (self.class, self.band) {
+            (C1, Low) => "c1_low",
+            (C1, High) => "c1_high",
+            (C2, Low) => "c2_low",
+            (C2, High) => "c2_high",
+            (C3, Low) => "c3_low",
+            (C3, High) => "c3_high",
+            (C4, Low) => "c4_low",
+            (C4, High) => "c4_high",
+        }
+    }
 }
 
 impl fmt::Display for QosBucket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}_{}", self.class, self.band)
+        f.write_str(self.as_str())
     }
 }
 
@@ -225,5 +240,13 @@ mod tests {
             .to_string(),
             "c2_high"
         );
+    }
+
+    #[test]
+    fn bucket_names_are_class_underscore_band() {
+        for b in QosBucket::approval_order() {
+            assert_eq!(b.as_str(), format!("{}_{}", b.class, b.band));
+            assert_eq!(b.as_str(), b.to_string());
+        }
     }
 }

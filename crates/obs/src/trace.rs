@@ -1008,6 +1008,19 @@ impl SpanTimer {
         }
     }
 
+    /// Attach a label whose value is `prefix` followed by `v` in
+    /// decimal — what `{}` prints for an id such as `r3` or `s0` —
+    /// without going through `core::fmt`.
+    #[inline]
+    pub fn add_label_u64(&mut self, k: &str, prefix: &str, v: u64) {
+        if let Some(armed) = &mut self.0 {
+            armed.scratch.label(k, |text| {
+                text.push_str(prefix);
+                push_u64(text, v);
+            });
+        }
+    }
+
     /// [`SpanTimer::label_f64`] by reference.
     #[inline]
     pub fn add_label_f64(&mut self, k: &str, v: f64) {

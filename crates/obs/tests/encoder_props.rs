@@ -73,6 +73,8 @@ fn id() -> impl Strategy<Value = u64> {
 enum Value {
     Str(String),
     Fmt(u64),
+    /// `add_label_u64`: a prefix and a number.
+    Id(&'static str, u64),
     F64(f64),
 }
 
@@ -82,6 +84,7 @@ impl Value {
         match self {
             Value::Str(s) => s.clone(),
             Value::Fmt(n) => n.to_string(),
+            Value::Id(prefix, n) => format!("{prefix}{n}"),
             Value::F64(v) if v.is_finite() => format!("{v}"),
             Value::F64(_) => "0".to_string(),
         }
@@ -89,9 +92,11 @@ impl Value {
 }
 
 fn value() -> impl Strategy<Value = Value> {
-    (0usize..3, text(6), id(), dur()).prop_map(|(pick, s, n, v)| match pick {
+    const PREFIXES: [&str; 4] = ["", "r", "npg:", "\"\\"];
+    (0usize..4, text(6), id(), dur()).prop_map(|(pick, s, n, v)| match pick {
         0 => Value::Str(s),
         1 => Value::Fmt(n),
+        2 => Value::Id(PREFIXES[n as usize % PREFIXES.len()], n),
         _ => Value::F64(v),
     })
 }
@@ -145,6 +150,7 @@ fn add_all(timer: &mut SpanTimer, labels: &Labels) {
         match v {
             Value::Str(s) => timer.add_label(k, s),
             Value::Fmt(n) => timer.add_label_fmt(k, n),
+            Value::Id(prefix, n) => timer.add_label_u64(k, prefix, *n),
             Value::F64(x) => timer.add_label_f64(k, *x),
         }
     }
