@@ -3,12 +3,16 @@
 //!
 //! Every `market`/`admit` span carries the decision-provenance ledger
 //! as labels (request ordinal, ask/grant, serving path, index epoch,
-//! residual headroom before/after, binding failure scenario and its
-//! dead links — see [`crate::market::EntitlementMarket::admit_obs`]),
-//! and schema-v2 parent ids tie the admit to its `index_probe` /
-//! `sweep_fallback` / `risk` descendants. `entitlectl explain` feeds a
-//! parsed trace through [`explain_request`]; no market state, topology,
-//! or replay is needed — the trace is the audit record.
+//! the slot state the probe found, residual headroom before/after, and
+//! — for a denial or a partial grant — the binding failure scenario
+//! with its dead links; see
+//! [`crate::market::EntitlementMarket::admit_obs`]), and parent ids tie
+//! the admit to its `sweep_fallback` / `risk` descendants. A
+//! trace-schema v2 recording (the slot state in an `index_probe` child,
+//! the provenance on every admit) explains exactly as it always did.
+//! `entitlectl explain` feeds a parsed trace through
+//! [`explain_request`]; no market state, topology, or replay is needed
+//! — the trace is the audit record.
 
 use entitlement_obs::tree::{build_span_forest, critical_path, SpanForest};
 use entitlement_obs::TraceEvent;
@@ -104,28 +108,39 @@ fn render_one(events: &[TraceEvent], forest: Option<&SpanForest>, node: usize) -
         label(e, "bucket"),
         label(e, "slice"),
     );
-    let _ = writeln!(
+    let _ = write!(
         out,
-        "  decision: {} {} Gbps via {} path (index epoch {})",
+        "  decision: {} {} Gbps via {} path (index epoch {}",
         label(e, "outcome"),
         label(e, "granted_gbps"),
         label(e, "path"),
         label(e, "epoch"),
     );
+    // Schema v3 names the slot state on the admit itself; in v2 it is
+    // the `index_probe` child's, printed with the causal subtree.
+    let state = e.label("state");
+    if let Some(state) = state {
+        let _ = write!(out, ", slot {state}");
+    }
+    out.push_str(")\n");
     let _ = writeln!(
         out,
         "  residual headroom: {} Gbps before -> {} Gbps after",
         label(e, "residual_before_gbps"),
         label(e, "residual_after_gbps"),
     );
-    let _ = writeln!(
-        out,
-        "  physical headroom: {} Gbps, bound by scenario `{}` (links {}, p={})",
-        label(e, "headroom_gbps"),
-        label(e, "binding_scenario"),
-        label(e, "binding_links"),
-        label(e, "binding_p"),
-    );
+    // v3 writes the provenance only where the verdict reads it; every
+    // v2 admit printed this line, `?`s and all.
+    if state.is_none() || e.label("headroom_gbps").is_some() {
+        let _ = writeln!(
+            out,
+            "  physical headroom: {} Gbps, bound by scenario `{}` (links {}, p={})",
+            label(e, "headroom_gbps"),
+            label(e, "binding_scenario"),
+            label(e, "binding_links"),
+            label(e, "binding_p"),
+        );
+    }
     out.push_str(&verdict(e));
     if let Some(forest) = forest {
         let _ = writeln!(out, "  causal trace:");
@@ -263,8 +278,34 @@ mod tests {
         );
         assert!(text.contains(&pair), "names the DC pair: {text}");
         assert!(text.contains("causal trace:"), "{text}");
-        assert!(text.contains("market/index_probe"), "{text}");
+        let state = denied.label("state").expect("every v3 admit names its slot state");
+        assert!(
+            ["fresh", "cold", "stale", "exhausted"].contains(&state),
+            "{state}"
+        );
+        assert!(
+            text.contains(&format!("(index epoch {}, slot {state})\n", label(denied, "epoch"))),
+            "the decision line names the slot state: {text}"
+        );
+        assert!(!text.contains("market/index_probe"), "{text}");
         assert!(text.contains("critical path: market/admit"), "{text}");
+    }
+
+    #[test]
+    fn a_full_grant_is_explained_without_provenance() {
+        let events = storm_trace(300);
+        let granted = events
+            .iter()
+            .find(|e| {
+                e.span == "market" && e.phase == "admit" && e.label("outcome") == Some("granted")
+            })
+            .expect("a storm grants something");
+        let ordinal: u64 = granted.label("request").unwrap().parse().unwrap();
+        let text = explain_request(&events, ordinal).unwrap();
+        assert!(text.contains("decision: granted"), "{text}");
+        assert!(text.contains(", slot fresh)\n"), "{text}");
+        assert!(text.contains("verdict: ask fit within"), "{text}");
+        assert!(!text.contains("physical headroom"), "{text}");
     }
 
     #[test]
@@ -283,12 +324,32 @@ mod tests {
         market.admit_obs(&req, &obs);
         let text = explain_request(&obs.trace.events(), 0).unwrap();
         assert!(
-            text.contains("decision: denied 0 Gbps via index path"),
+            text.contains("decision: denied 0 Gbps via index path (index epoch 0, slot rejected)\n"),
             "{text}"
         );
         assert!(text.contains("refused for its slice"), "{text}");
-        assert!(text.contains("market/index_probe"), "{text}");
-        assert!(text.contains("state=rejected"), "{text}");
+        assert!(!text.contains("physical headroom"), "nothing was looked up: {text}");
+    }
+
+    /// A recording made before trace-schema v3 — the slot state in an
+    /// `index_probe` child, the provenance on every admit — explains
+    /// byte for byte as it did when it was made: every denial, then
+    /// every request by ordinal. The fixture is a 12-ask storm (seed
+    /// 11, asks up to 2 000 Gbps, all eight buckets) on
+    /// `BackboneSpec::small(7)` with single cuts, then the first ask's
+    /// slot asked for everything, the first ask again (a sweep) and an
+    /// ask for a slice past the grid (rejected).
+    #[test]
+    fn a_v2_trace_explains_as_it_always_did() {
+        let jsonl = include_str!("../tests/fixtures/explain_v2.jsonl");
+        let events = entitlement_obs::parse_trace(jsonl).expect("the fixture parses");
+        assert!(events.iter().any(|e| e.phase == "index_probe"));
+        let mut text = explain_denied(&events).unwrap();
+        for request in 0..admit_events(&events).len() as u64 {
+            text.push('\n');
+            text.push_str(&explain_request(&events, request).unwrap());
+        }
+        assert_eq!(text, include_str!("../tests/fixtures/explain_v2.txt"));
     }
 
     #[test]

@@ -82,9 +82,10 @@ impl BenchRecord {
     /// Under the counting clock the folded durations are *logical*
     /// milliseconds — each clock read inside the span adds one — so a
     /// baseline pins the span's instrumentation density, not wall
-    /// time. Trace-schema v2's decision-provenance events (the
-    /// `index_probe` read and the sweep-path scenario spans inside
-    /// `market/admit`) are part of that density: adding or removing
+    /// time. An index-path `market/admit` reads the clock once inside
+    /// its span (its close; trace-schema v3 keeps the slot state as a
+    /// label, where v2 spent a read on an `index_probe` event), and a
+    /// sweep-path admit adds its scenario spans: adding or removing
     /// provenance instrumentation shows up as a bench diff and the
     /// committed `BENCH_market.json` moves with it.
     #[must_use]

@@ -39,8 +39,8 @@ fn drill_trace(seed: u64) -> Vec<TraceEvent> {
 }
 
 /// A seeded market storm with asks large enough to force sweep
-/// fallbacks: covers the market admit / index_probe / sweep_fallback /
-/// risk scenario span families.
+/// fallbacks: covers the market admit / sweep_fallback / risk scenario
+/// span families.
 fn market_trace(seed: u64, requests: usize) -> Vec<TraceEvent> {
     let topo = BackboneSpec::small(7).build();
     let grid = SliceGrid::quarterly(Quarter(0), 30);

@@ -236,6 +236,45 @@ fn seeded_admits() -> Obs {
     obs
 }
 
+/// Trace-schema v3 on the storm's oversized asks and on the admits'
+/// sweep and rejected asks: an admit is one event, it names the slot
+/// state its probe found, and it carries the binding scenario and the
+/// physical headroom exactly when its verdict reads them — when the
+/// ask was looked up and not granted in full.
+#[test]
+fn an_admit_is_one_event_with_its_slot_state_and_provenance_off_a_full_grant() {
+    const PROVENANCE: [&str; 4] = ["binding_links", "binding_p", "binding_scenario", "headroom_gbps"];
+    let mut seen = BTreeSet::new();
+    for obs in [seeded_storm(4960).0, seeded_admits()] {
+        let events = obs.trace.events();
+        assert!(
+            !events.iter().any(|e| e.span == "market" && e.phase == "index_probe"),
+            "the slot state is a label, not an event"
+        );
+        for e in events.iter().filter(|e| e.span == "market" && e.phase == "admit") {
+            let state = e.label("state").expect("every admit names its slot state");
+            let outcome = e.label("outcome").expect("every admit has an outcome");
+            let rejected = e.label("rejected").is_some();
+            assert_eq!(state == "rejected", rejected, "{e:?}");
+            let swept = ["cold", "stale", "exhausted"].contains(&state);
+            assert!(swept || ["fresh", "rejected"].contains(&state), "{e:?}");
+            assert_eq!(e.label("path") == Some("sweep"), swept, "{e:?}");
+            let provenance = outcome != "granted" && !rejected;
+            for key in PROVENANCE {
+                assert_eq!(e.label(key).is_some(), provenance, "{key}: {e:?}");
+            }
+            seen.insert((outcome.to_string(), state.to_string()));
+        }
+    }
+    // Every branch above was taken.
+    for outcome in ["granted", "partial", "denied"] {
+        assert!(seen.iter().any(|(o, _)| o == outcome), "no {outcome}: {seen:?}");
+    }
+    for state in ["fresh", "exhausted", "rejected"] {
+        assert!(seen.iter().any(|(_, s)| s == state), "no {state}: {seen:?}");
+    }
+}
+
 /// Cross-commit byte pin. Every other determinism gate compares a run
 /// with itself, so a change that moves both sides the same way — a
 /// label renamed, a float formatted differently, a clock read added
@@ -288,8 +327,6 @@ fn telemetry_bytes_match_the_pinned_digests() {
 
 // (byte length, FNV-1a-64 — `kvstore::key_hash`), computed on commit
 // be042a1 (PR 15).
-const STORM_TRACE_PIN: (usize, u64) = (1_037_808, 0xe86c_9e01_d3ad_1530);
-const STORM_METRICS_PIN: (usize, u64) = (12_468, 0x7a66_2ca9_b182_ff78);
 const DRILL_TRACE_PIN: (usize, u64) = (54_358, 0x1dfa_a583_3d27_c24a);
 const DRILL_METRICS_PIN: (usize, u64) = (20_425, 0x041c_407d_858d_f8bd);
 // Computed on commit 1465d29 (PR 18), before the `run_*` ladders were
@@ -301,6 +338,14 @@ const DRILL_SLO_PIN: (usize, u64) = (510, 0xddc1_591d_346d_74ee);
 const DRILL_WATCH_PIN: (usize, u64) = (112, 0x5aca_3fd3_41c1_b4ee);
 const FLEET_SLO_PIN: (usize, u64) = (2_168, 0x274c_d7b5_08a2_7084);
 const FLEET_WATCH_PIN: (usize, u64) = (200, 0xe3eb_85b1_1c22_f8e1);
-// Computed on commit 6dd45db (PR 21), before the sink's buffer became
-// the JSONL it exports.
-const ADMITS_TRACE_PIN: (usize, u64) = (1_319_012, 0xe54b_d55e_d170_9149);
+// Regenerated with trace-schema v3: an admit is one event (its slot
+// state a label, no `index_probe` child), the binding scenario and
+// the physical headroom are left off full grants, and the admit reads
+// the clock once less — so under the counting clock every later
+// `ts_ms` moves, and so do the storm's `entitlement_market_admit_ms`
+// sums (one logical ms less per admit). The v2 values were
+// (1_037_808, 0xe86c_9e01_d3ad_1530), (12_468, 0x7a66_2ca9_b182_ff78)
+// and (1_319_012, 0xe54b_d55e_d170_9149).
+const STORM_TRACE_PIN: (usize, u64) = (979_348, 0x6aaa_e658_cfbb_50ef);
+const STORM_METRICS_PIN: (usize, u64) = (12_469, 0xbe53_7116_e52e_6ac1);
+const ADMITS_TRACE_PIN: (usize, u64) = (816_594, 0x4600_8611_2e7c_6773);
