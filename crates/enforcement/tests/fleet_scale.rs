@@ -1,6 +1,6 @@
 //! The golden scale gate: a 10⁵-host fleet drill under a wall-clock
 //! ceiling, with the SLO report pinned byte-for-byte to a committed
-//! golden.
+//! golden and the clock reads of every agent cycle pinned exactly.
 //!
 //! Ignored by default — CI runs it in release
 //! (`cargo test --release --test fleet_scale -- --ignored`). To
@@ -28,6 +28,8 @@ const CYCLES: usize = 16;
 /// Generous for shared CI runners; a release build folds the 10⁵-host
 /// fleet three orders of magnitude faster than this.
 const WALL_CEILING: Duration = Duration::from_secs(60);
+/// Counting-clock reads inside every `agent/cycle` span of the run.
+const CYCLE_READS: f64 = 450.0;
 
 fn scale_config(strategy: FleetStrategy) -> FleetConfig {
     FleetConfig {
@@ -75,6 +77,19 @@ fn hundred_thousand_hosts_meet_the_ceiling_and_the_golden() {
     );
     assert_eq!(par.fail_static_cycles, 0, "healthy run");
     assert!((par.marked_fraction - 0.5).abs() < 0.15);
+
+    // Clock reads per agent cycle at this shape: under the counting
+    // clock a cycle span's `dur_ms` is the number of reads inside it,
+    // so one read more or fewer in the host pass, the shard publish or
+    // the fan-out fold moves every cycle.
+    let cycle_reads: Vec<f64> = obs
+        .trace
+        .events()
+        .iter()
+        .filter(|e| e.span == "agent" && e.phase == "cycle")
+        .map(|e| e.dur_ms)
+        .collect();
+    assert_eq!(cycle_reads, [CYCLE_READS; CYCLES], "clock reads per agent cycle moved");
 
     // The SLO report is pinned to the committed golden, byte for byte.
     let rendered = report.render_json();

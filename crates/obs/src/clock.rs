@@ -1,15 +1,13 @@
 //! Caller-supplied time sources.
 //!
-//! Nothing in this workspace's libraries reads the wall clock on its
-//! own: simulations stamp telemetry with their logical time via
-//! [`Clock::manual`], CLI paths that want monotonically increasing but
-//! reproducible timestamps use [`Clock::counting`], and only the
-//! opt-in [`Clock::wall`] touches real time (for interactive use where
-//! reproducibility does not matter).
+//! No clock here reads real time, so a trace is a function of the run
+//! that wrote it: simulations stamp telemetry with their logical time
+//! via [`Clock::manual`], and CLI paths that want monotonically
+//! increasing but reproducible timestamps use [`Clock::counting`].
+//! Speed is measured outside the libraries, by `benchmark/`.
 
 use entitlement_racecheck::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 enum Source {
     /// Logical time, advanced explicitly by the owner (e.g. a
@@ -19,8 +17,6 @@ enum Source {
     /// value plus a fixed step, so spans get non-zero, reproducible
     /// durations without any wall-clock dependence.
     Counting { next: AtomicU64, step_ms: u64 },
-    /// Real elapsed time since the clock was created. Opt-in only.
-    Wall(Instant),
 }
 
 /// A cloneable, thread-safe time source reporting milliseconds.
@@ -77,13 +73,6 @@ impl Clock {
         )
     }
 
-    /// Real elapsed milliseconds since this call. Not deterministic;
-    /// never used by library code in this workspace.
-    #[must_use]
-    pub fn wall() -> Self {
-        Self::of(0, Arc::new(Source::Wall(Instant::now())))
-    }
-
     /// Current time in milliseconds. Counting clocks advance on read.
     #[inline]
     #[must_use]
@@ -92,7 +81,6 @@ impl Clock {
             None => self.start_ms,
             Some(Source::Manual(ms)) => ms.load(Ordering::Acquire),
             Some(Source::Counting { next, step_ms }) => next.fetch_add(*step_ms, Ordering::AcqRel),
-            Some(Source::Wall(t0)) => t0.elapsed().as_millis() as u64,
         }
     }
 

@@ -27,10 +27,6 @@
 //! * the **utilization audit** — each entity is classified
 //!   over-/well-/under-entitled from mean demand vs. approved rate,
 //!   flagging the headroom the paper would reclaim at re-negotiation.
-//! * [`BenchRecord`] — a per-run performance record (p50/p99 agent
-//!   cycle latency, delivered throughput, attainment) serialized to
-//!   `BENCH_<name>.json` and diffed against the prior run with a
-//!   tolerance gate, so perf regressions fail CI instead of landing.
 //!
 //! Alert transitions are emitted as typed [`AlertEvent`]s *and* as
 //! `slo`-span trace events with the workspace's pinned JSONL key
@@ -40,13 +36,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod burn;
 pub mod config;
 pub mod eval;
 pub mod report;
 
-pub use bench::{BenchRecord, BenchTolerance};
 pub use burn::{AlertKind, AlertTransition, BurnAlert, BurnWindow};
 pub use config::{PolicyIssue, SloPolicy};
 pub use eval::{AlertEvent, IntervalObs, SloEvaluator};

@@ -1,7 +1,7 @@
 //! `drill`: the §6 enforcement drill — flat, or (`--shards` /
 //! `--strategy`) the hierarchical sharded fleet engine.
 
-use crate::{fail, load_faults, only_with, percentile, write_file, write_telemetry};
+use crate::{fail, load_faults, only_with, write_file, write_telemetry};
 use network_entitlement::cli::Matches;
 use network_entitlement::enforcement::{run_fleet_engine_with, FleetConfig, FleetStrategy};
 use network_entitlement::prelude::*;
@@ -104,13 +104,10 @@ max aggregate staleness {:.0} s",
     }
 }
 
-/// The hierarchical sharded fleet engine.
-///
-/// Runs once against a wall clock for the perf headline (agents/sec
-/// and cycle latency percentiles come from real elapsed time), then —
-/// only if telemetry files were requested — once more under the
-/// deterministic counting clock, so `--trace`/`--metrics` output stays
-/// byte-identical per seed as the CLI contract promises.
+/// The hierarchical sharded fleet engine, run once: under the counting
+/// clock when `--trace`/`--metrics` were requested, untraced otherwise,
+/// so stdout and every telemetry file are byte-identical per seed.
+/// Cycle speed is measured by `benchmark/` (`fleet_cycle`), not here.
 fn fleet_drill(m: &Matches) {
     let hosts: usize = m.get("--hosts").unwrap_or(100_000);
     let shards: usize = m.get("--shards").unwrap_or(64);
@@ -139,53 +136,15 @@ fn fleet_drill(m: &Matches) {
         per_host_rate: Rate::gbps(10.0),
         ..FleetConfig::default()
     };
-    let run = |obs: &Obs| {
-        let (mut slo, mut watch) = (SloEvaluator::default(), WatchEvaluator::default());
-        let out = run_fleet_engine_with(&config, obs, &mut slo, &mut watch)
-            .unwrap_or_else(|e| fail(2, format_args!("invalid fleet config: {e}")));
-        (out, slo.report(), watch.report())
-    };
-
-    let wall_obs = Obs::new(Clock::wall());
-    let started = std::time::Instant::now();
-    // The fleet watchdog folds only deterministic SLI streams (rates,
-    // shard partials, held/missing counts), so running it on the
-    // wall-clock pass cannot produce clock-dependent verdicts.
-    let (out, report, watch) = run(&wall_obs);
-    let wall_s = started.elapsed().as_secs_f64();
-
-    let mut cycle_ms: Vec<f64> = wall_obs
-        .trace
-        .events()
-        .iter()
-        .filter(|e| e.span == "agent" && e.phase == "cycle")
-        .map(|e| e.dur_ms)
-        .collect();
-    cycle_ms.sort_by(f64::total_cmp);
+    let tele = m.telemetry();
+    let obs = tele.make_obs();
+    let (mut slo, mut watchdog) = (SloEvaluator::default(), WatchEvaluator::default());
+    let out = run_fleet_engine_with(&config, &obs, &mut slo, &mut watchdog)
+        .unwrap_or_else(|e| fail(2, format_args!("invalid fleet config: {e}")));
+    let (report, watch) = (slo.report(), watchdog.report());
     println!(
-        "fleet drill: {hosts} hosts / {shards} shards, strategy {} — {cycles} cycles in {wall_s:.3}s",
+        "fleet drill: {hosts} hosts / {shards} shards, strategy {} — {cycles} cycles",
         strategy.as_str()
-    );
-    if matches!(strategy, FleetStrategy::Parallel) {
-        // Provenance for perf numbers: an instrumented binary routes
-        // every atomic/mutex/watch op through the racecheck shims, so
-        // its timings are not comparable to production builds.
-        println!(
-            "  parallel path: {}",
-            if cfg!(feature = "racecheck") {
-                "racecheck-instrumented build (timings NOT representative; \
-                 rebuild without --features racecheck for perf numbers)"
-            } else {
-                "uninstrumented build (schedule equivalence proven separately \
-                 by `cargo run -p xtask -- racecheck`)"
-            }
-        );
-    }
-    println!(
-        "  {:.0} agents/sec; cycle p50 {:.2} ms, p99 {:.2} ms",
-        (hosts * cycles) as f64 / wall_s,
-        percentile(&cycle_ms, 0.50),
-        percentile(&cycle_ms, 0.99),
     );
     let delivered = out.cycles.last().map_or(0.0, |c| c.live_conform);
     println!(
@@ -208,12 +167,7 @@ fn fleet_drill(m: &Matches) {
     if m.on("--watch") {
         print!("{}", watch.render_text());
     }
-    let tele = m.telemetry();
-    if tele.requested() {
-        let obs = tele.make_obs();
-        run(&obs);
-        write_telemetry(&tele, &obs);
-    }
+    write_telemetry(&tele, &obs);
     if m.on("--watch") && !watch.healthy() {
         std::process::exit(1);
     }

@@ -124,12 +124,3 @@ fn write_telemetry(tele: &TelemetrySpec, obs: &Obs) {
         Err(e) => fail(1, e),
     }
 }
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}

@@ -1,7 +1,7 @@
 //! `market`: a seeded admission storm through the entitlement market,
 //! and `explain`: decision provenance from its trace.
 
-use crate::{fail, load, load_faults, load_trace, percentile, write_telemetry};
+use crate::{fail, load, load_faults, load_trace, write_telemetry};
 use network_entitlement::cli::Matches;
 use network_entitlement::core::{QosBand, QosBucket};
 use network_entitlement::market::{generate_storm, run_storm_with};
@@ -11,12 +11,11 @@ use network_entitlement::topology::LinkId;
 
 /// `market`: warm residual index, index-path admits, sweep fallback.
 ///
-/// Wall-clock run first for the perf headline (admits/sec, p50/p99
-/// admit µs from real elapsed time); then, only when `--trace` /
-/// `--metrics` / `--watch` were requested, an identical storm under the
-/// counting clock so the telemetry stays byte-identical per seed. Fault
-/// windows are applied at logical time = request index (1 ms per admit)
-/// in both runs, so the two serve the same decision sequence.
+/// One deterministic pass: the storm runs once, under the counting
+/// clock whenever `--trace` / `--metrics` / `--watch` asked for one,
+/// so stdout and every telemetry file are a function of the flags.
+/// Fault windows are applied at logical time = request index (1 ms
+/// per admit). Admit speed is measured by `benchmark/`, not here.
 pub fn market(m: &Matches) {
     let requests: usize = m.get("--requests").unwrap_or(100_000);
     let seed: u64 = m.get("--seed").unwrap_or(0x1360);
@@ -81,88 +80,27 @@ pub fn market(m: &Matches) {
         npgs: 32,
         max_ask_gbps: m.get("--max-ask").unwrap_or(2.0),
     };
-    let build = |obs: &Obs| {
-        let mut market = EntitlementMarket::new(topo.clone(), grid, cfg.clone());
-        market.load_contracts(&contracts);
-        market.warm(&buckets, obs);
-        let storm = generate_storm(&market, &buckets, &storm_cfg);
-        (market, storm)
-    };
-
-    // Wall-clock run: the perf headline.
-    let (mut market, storm) = build(&Obs::disabled());
-    let warm_slots = market.index().fresh_len();
-    let mut report = StormReport::default();
-    let mut lat_us: Vec<f64> = Vec::with_capacity(requests);
-    let started = std::time::Instant::now();
-    for (i, req) in storm.iter().enumerate() {
-        market.set_faults(&cuts(i));
-        let t = std::time::Instant::now();
-        let d = market.admit(req);
-        lat_us.push(t.elapsed().as_secs_f64() * 1e6);
-        report.tally(&d);
-    }
-    let wall_s = started.elapsed().as_secs_f64();
-    lat_us.sort_by(f64::total_cmp);
-
-    println!(
-        "market storm: {requests} requests over {} DC pairs x {} buckets x {} slices (seed {seed})",
-        dcs.len() * (dcs.len() - 1),
-        buckets.len(),
-        grid.slice_count(),
-    );
-    println!(
-        "  book: {} contract(s); index warm with {warm_slots} slot(s)",
-        contracts.len()
-    );
-    println!(
-        "  {:.0} admits/sec; admit p50 {:.2} µs, p99 {:.2} µs",
-        requests as f64 / wall_s,
-        percentile(&lat_us, 0.50),
-        percentile(&lat_us, 0.99),
-    );
-    println!(
-        "  outcomes: {} granted / {} partial / {} denied; paths: {} index / {} sweep; {:.1} Tbps granted",
-        report.granted,
-        report.partial,
-        report.denied,
-        report.index_path,
-        report.sweep_path,
-        report.granted_gbps / 1000.0,
-    );
-    if faults.is_some() {
-        println!(
-            "  fault plan: link cuts applied at logical time = request index (1 ms/admit); \
-index fails closed to the sweep path on every cut and heal"
-        );
-    }
-
-    // Deterministic run: same storm, counting clock. Runs when
-    // telemetry files were requested and/or --watch asked for the
-    // watchdog fold (admit latency under the counting clock is logical
-    // instrumentation density — the sweep path reads the clock more
-    // than the warm index path — so detector verdicts stay
-    // reproducible, unlike wall-clock microseconds).
     let tele = m.telemetry();
-    if !tele.requested() && !m.on("--watch") {
-        return;
-    }
-    let obs = if tele.requested() {
-        tele.make_obs()
-    } else {
-        // --watch alone: deterministic clock, but nothing retains the
-        // trace.
+    let obs = if m.on("--watch") && !tele.requested() {
+        // --watch alone: the watchdog folds counting-clock admit
+        // latencies, but nothing retains the trace.
         Obs {
             trace: network_entitlement::obs::TraceSink::disabled(),
             ..Obs::new(Clock::counting(1))
         }
+    } else {
+        tele.make_obs()
     };
-    let (mut market, storm) = build(&obs);
+    let mut market = EntitlementMarket::new(topo, grid, cfg);
+    market.load_contracts(&contracts);
+    market.warm(&buckets, &obs);
+    let warm_slots = market.index().fresh_len();
+    let storm = generate_storm(&market, &buckets, &storm_cfg);
     let mut evaluator = SloEvaluator::default();
     let mut watchdog = WatchEvaluator::default();
     let chunk = (requests / 16).max(1);
     let mut chunk_granted_bps = 0.0;
-    run_storm_with(
+    let report = run_storm_with(
         &mut market,
         &storm,
         &obs,
@@ -191,6 +129,32 @@ index fails closed to the sweep path on every cut and heal"
             chunk_granted_bps = 0.0;
         },
     );
+
+    println!(
+        "market storm: {requests} requests over {} DC pairs x {} buckets x {} slices (seed {seed})",
+        dcs.len() * (dcs.len() - 1),
+        buckets.len(),
+        grid.slice_count(),
+    );
+    println!(
+        "  book: {} contract(s); index warm with {warm_slots} slot(s)",
+        contracts.len()
+    );
+    println!(
+        "  outcomes: {} granted / {} partial / {} denied; paths: {} index / {} sweep; {:.1} Tbps granted",
+        report.granted,
+        report.partial,
+        report.denied,
+        report.index_path,
+        report.sweep_path,
+        report.granted_gbps / 1000.0,
+    );
+    if faults.is_some() {
+        println!(
+            "  fault plan: link cuts applied at logical time = request index (1 ms/admit); \
+index fails closed to the sweep path on every cut and heal"
+        );
+    }
     write_telemetry(&tele, &obs);
     if m.on("--watch") {
         let watch = watchdog.report();

@@ -5,7 +5,7 @@ use crate::{fail, load_trace, only_with, reject_malformed};
 use network_entitlement::cli::Matches;
 use network_entitlement::obs::parse_trace;
 use network_entitlement::watch::{WatchEvaluator, WatchReport};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub fn watch(m: &Matches) {
     only_with(m, "--follow", m.on("--follow"), &["--idle-ms"]);
@@ -59,17 +59,19 @@ fn print_new(report: &WatchReport, seen_v: usize, seen_t: usize) -> (usize, usiz
 
 /// `watch --follow`: tail a trace file, folding complete lines as they
 /// are appended and printing violations/transitions live. Returns the
-/// full report once the file stops growing for `--idle-ms`.
+/// full report once the file stops growing for `--idle-ms`, counted in
+/// the polls slept since it last grew.
 fn follow(m: &Matches) -> WatchReport {
+    const POLL_MS: u64 = 100;
     let path = m.positional(0).unwrap_or_default();
-    let idle = Duration::from_millis(m.get("--idle-ms").unwrap_or(2000));
-    let poll = Duration::from_millis(100);
+    let idle_ms: u64 = m.get("--idle-ms").unwrap_or(2000);
+    let poll = Duration::from_millis(POLL_MS);
     let mut evaluator = WatchEvaluator::default();
     let mut consumed_lines = 0usize;
     let mut consumed_bytes = 0usize;
     let (mut seen_v, mut seen_t) = (0usize, 0usize);
     let mut seen_file = false;
-    let mut last_growth = Instant::now();
+    let mut idle = 0u64;
     loop {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => {
@@ -79,10 +81,11 @@ fn follow(m: &Matches) -> WatchReport {
             Err(e) => {
                 // The producer may not have created the file yet; keep
                 // waiting until the idle deadline.
-                if last_growth.elapsed() >= idle {
+                if idle >= idle_ms {
                     fail(if seen_file { 1 } else { 2 }, format_args!("cannot read {path}: {e}"));
                 }
                 std::thread::sleep(poll);
+                idle += POLL_MS;
                 continue;
             }
         };
@@ -104,10 +107,11 @@ fn follow(m: &Matches) -> WatchReport {
             }
             consumed_bytes = complete;
             (seen_v, seen_t) = print_new(&evaluator.report(), seen_v, seen_t);
-            last_growth = Instant::now();
-        } else if last_growth.elapsed() >= idle {
+            idle = 0;
+        } else if idle >= idle_ms {
             return evaluator.report();
         }
         std::thread::sleep(poll);
+        idle += POLL_MS;
     }
 }

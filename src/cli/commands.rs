@@ -181,17 +181,8 @@ pub static ENTITLECTL: &[Command] = &[
     Command {
         name: "slo audit",
         positionals: &["<trace.jsonl>"],
-        flags: &[
-            &[
-                flag("--json", Switch, "emit the report as JSON"),
-                flag("--bench-name", Text("NAME"), "also gate against the BENCH_<NAME>.json baseline"),
-                flag("--bench-dir", Text("DIR"), "where the baseline lives (default .)"),
-                flag("--write-bench", Switch, "(re)write the baseline after the diff"),
-                flag("--seed", U64("N"), "seed recorded in the bench record (default 53783)"),
-            ],
-            SLO_POLICY,
-        ],
-        about: "`slo report` as a gate: exit 1 on an SLO miss or a bench regression",
+        flags: &[&[flag("--json", Switch, "emit the report as JSON")], SLO_POLICY],
+        about: "`slo report` as a gate: exit 1 on an SLO miss",
     },
     Command {
         name: "watch",

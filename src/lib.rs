@@ -111,9 +111,7 @@ pub mod prelude {
         RiskAssessment, RiskConfig,
     };
     pub use entitlement_simnet::{Bottleneck, MarkingCommand, World, WorldConfig};
-    pub use entitlement_slo::{
-        BenchRecord, BenchTolerance, BurnAlert, SloEvaluator, SloPolicy, SloReport,
-    };
+    pub use entitlement_slo::{BurnAlert, SloEvaluator, SloPolicy, SloReport};
     pub use entitlement_topology::{BackboneSpec, ScenarioSet, Topology};
     pub use entitlement_watch::{WatchEvaluator, WatchPolicy, WatchReport};
     pub use entitlement_workload::{

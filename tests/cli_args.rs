@@ -114,6 +114,134 @@ fn outside_input_never_panics() {
     }
 }
 
+/// Same flags, same stdout, byte for byte: `market` and the sharded
+/// `drill` each run their workload once, under no clock that reads
+/// real time. The text is also pinned, so a change that moves both
+/// runs the same way — an outcome, a marked fraction, granted volume —
+/// shows up here too.
+#[test]
+fn market_and_fleet_drill_stdout_is_a_function_of_the_flags() {
+    let runs: [(&[&str], &str); 2] = [
+        (
+            &["market", "--requests", "2000"],
+            "market storm: 2000 requests over 20 DC pairs x 4 buckets x 12 slices (seed 4960)\n  \
+             book: 4 contract(s); index warm with 960 slot(s)\n  \
+             outcomes: 2000 granted / 0 partial / 0 denied; paths: 2000 index / 0 sweep; 2.0 Tbps granted\n",
+        ),
+        (
+            &["drill", "--hosts", "2000", "--shards", "8", "--cycles", "4"],
+            "fleet drill: 2000 hosts / 8 shards, strategy det \u{2014} 4 cycles\n  \
+             marked fraction 0.5015; conforming 9.998 of 20.043 Tbps offered; attainment 1.0000\n",
+        ),
+    ];
+    for (args, pinned) in runs {
+        let [a, b] = [ctl(args), ctl(args)];
+        assert!(a.status.success() && b.status.success(), "{args:?}: {a:?}");
+        assert_eq!(a.stdout, b.stdout, "{args:?}: two runs differ");
+        assert_eq!(String::from_utf8_lossy(&a.stdout), pinned, "{args:?}");
+    }
+}
+
+/// A seeded stream of byte mutations of `base`: each one flips a byte,
+/// truncates the text, or duplicates a run of bytes in place.
+fn mutants(base: &[u8], seed: u64, count: usize) -> Vec<Vec<u8>> {
+    let mut state = seed;
+    // splitmix64
+    let mut next = |bound: usize| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % bound.max(1) as u64) as usize
+    };
+    (0..count)
+        .map(|i| {
+            let mut bytes = base.to_vec();
+            let at = next(bytes.len());
+            match i % 3 {
+                0 => bytes[at] ^= 1 + next(255) as u8,
+                1 => bytes.truncate(at),
+                _ => {
+                    let end = (at + 1 + next(64)).min(bytes.len());
+                    let run = bytes[at..end].to_vec();
+                    bytes.splice(at..at, run);
+                }
+            }
+            bytes
+        })
+        .collect()
+}
+
+/// Flipped, truncated and duplicated bytes of a fault plan, a contract
+/// book and a recorded trace, fed to every command that reads that
+/// kind of file: each exit is 0, 1 or 2, never a panic.
+#[test]
+fn mutated_input_files_never_panic() {
+    use network_entitlement::core::{QosBand, QosBucket};
+    use network_entitlement::prelude::*;
+
+    let root = env!("CARGO_MANIFEST_DIR");
+    let faults = std::fs::read(format!("{root}/examples/faults/kv_outage.json")).expect("fault plan");
+    let dcs = BackboneSpec::small(4960).build().dc_ids();
+    let book: Vec<MarketEntitlement> = (0..4)
+        .map(|i| MarketEntitlement {
+            npg: NpgId(100 + i as u32),
+            bucket: QosBucket { class: QosClass::C3, band: QosBand::Low },
+            src: dcs[i % dcs.len()],
+            dst: dcs[(i + 1) % dcs.len()],
+            rate: Rate::gbps(10.0 * (i + 1) as f64),
+            kind: [
+                EntitlementKind::Subscription,
+                EntitlementKind::Quota { volume_bytes: 1e15 },
+                EntitlementKind::UsageBased,
+            ][i % 3],
+        })
+        .collect();
+    let book = serde_json::to_string(&book).expect("book serializes").into_bytes();
+    let trace_path = tmp("sweep-base.jsonl").display().to_string();
+    let storm = ctl(&["market", "--requests", "200", "--max-ask", "2000", "--trace", &trace_path]);
+    assert!(storm.status.success(), "{storm:?}");
+    let trace = std::fs::read(&trace_path).expect("recorded trace");
+
+    let input = tmp("sweep-input").display().to_string();
+    let readers: [(&[u8], &[&[&str]]); 3] = [
+        (
+            &faults,
+            &[
+                &["drill", "--hosts", "20", "--faults"],
+                &["drill", "--hosts", "20", "--shards", "2", "--cycles", "4", "--faults"],
+                &["market", "--requests", "50", "--faults"],
+            ],
+        ),
+        (&book, &[&["lint"], &["market", "--requests", "50", "--contracts"]]),
+        (
+            &trace,
+            &[
+                &["watch"],
+                &["explain", "--all-denied"],
+                &["slo", "audit"],
+                &["obs", "summarize", "--tree"],
+            ],
+        ),
+    ];
+    for (seed, (base, commands)) in readers.into_iter().enumerate() {
+        for mutant in mutants(base, 0x5EED + seed as u64, 30) {
+            std::fs::write(&input, &mutant).expect("write mutant");
+            for command in commands {
+                let args = [command, &[input.as_str()][..]].concat();
+                let out = ctl(&args);
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert!(
+                    matches!(out.status.code(), Some(0..=2)) && !stderr.contains("panicked at"),
+                    "{args:?} on {:?}: {:?}\n{stderr}",
+                    String::from_utf8_lossy(&mutant),
+                    out.status,
+                );
+            }
+        }
+    }
+}
+
 /// The positional scan used to mistake `t.jsonl` for `--out`'s value
 /// and print usage; silently ignored flags now say so.
 #[test]
@@ -132,7 +260,12 @@ fn positionals_and_mode_flags_are_read_from_the_table() {
     assert_rejected(&["drill", "--cycles", "3"], "--cycles");
     assert_rejected(&["drill", "--shards", "2", "--csv", "x.csv"], "--csv");
     assert_rejected(&["watch", &trace, "--idle-ms", "5"], "--idle-ms");
-    assert_rejected(&["slo", "audit", &trace, "--write-bench"], "--write-bench");
+    // The retired bench-baseline gate's flags are unknown, not ignored.
+    let retired: [&[&str]; 4] =
+        [&["--bench-name", "drill"], &["--bench-dir", "."], &["--write-bench"], &["--seed", "3607"]];
+    for stray in retired {
+        assert_rejected(&[&["slo", "audit", &trace][..], stray].concat(), stray[0]);
+    }
     assert_rejected(
         &["check", "--npg", "1", "--qos", "c1", "--region", "0", "--rate", "5", "--seed", "4"],
         "--seed",
