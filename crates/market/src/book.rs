@@ -68,8 +68,10 @@ pub struct MarketEntitlement {
     pub kind: EntitlementKind,
 }
 
-/// The time-sliced entitlement store. Every committed contract and
-/// every admitted grant lands here, keyed by `(npg, bucket, slice)`.
+/// The time-sliced entitlement store: every committed contract, keyed
+/// by `(npg, bucket, slice)`. Admitted grants do not land here; they
+/// add up in the market's own ledger
+/// ([`EntitlementMarket::granted`](crate::EntitlementMarket::granted)).
 #[derive(Clone, Debug, Default)]
 pub struct EntitlementBook {
     entries: BTreeMap<MarketKey, Vec<MarketEntitlement>>,

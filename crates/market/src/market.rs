@@ -7,10 +7,11 @@
 //! installs the resulting SLO-feasible headroom into the
 //! [`ResidualIndex`] for every time slice. A steady-state [`EntitlementMarket::admit`] is then one
 //! probe of that table — classify, grant, decrement in a single
-//! borrow; only a cold, stale or exhausted slot falls back to
-//! the full RSS sweep (the same [`crate::index::pair_headroom`] kernel
-//! the warm-up ran), whose decision re-installs the slot — the index refreshes
-//! incrementally from decisions, never from scratch. Warm-up and
+//! borrow — and one hashed slot of the grant ledger; only a cold,
+//! stale or exhausted slot falls back to the full RSS sweep (the same
+//! [`crate::index::pair_headroom`] kernel the warm-up ran), whose
+//! decision re-installs the slot — the index refreshes incrementally
+//! from decisions, never from scratch. Warm-up and
 //! fallback sweeps read one [`RoutePlan`], kept for the life of the
 //! effective scenario set, so neither searches a path twice.
 //!
@@ -30,7 +31,8 @@ use entitlement_risk::{RiskConfig, RiskSamples};
 use entitlement_topology::routing::Demand;
 use entitlement_topology::{FailureScenario, LinkId, RoutePlan, ScenarioSet, Topology};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// One admission request: an NPG asking for rate on a directed region
@@ -150,8 +152,13 @@ pub struct EntitlementMarket {
     /// contracts, merged by `(src, dst)`.
     risk: RiskConfig,
     index: ResidualIndex,
-    /// Rates granted through `admit`, for reporting.
-    grants: BTreeMap<MarketKey, Rate>,
+    /// Rates granted through `admit`, for reporting: one hashed slot
+    /// per key, added to in admission order, so a key's sum has the
+    /// bits an ordered map's had. Nothing iterates it, so the map's
+    /// order never reaches an output. Its hasher is fixed, not seeded
+    /// (`LedgerHasher`): crafted NPG ids can make keys collide and
+    /// slow the map down, never change an answer.
+    grants: HashMap<MarketKey, Rate, BuildHasherDefault<LedgerHasher>>,
     /// Monotone per-market admission ordinal; becomes the stable
     /// `request` label on `market`/`admit` spans so explain/summarize
     /// can address one decision without positional indexing. Counts
@@ -179,7 +186,7 @@ impl EntitlementMarket {
             book: EntitlementBook::new(),
             risk,
             index,
-            grants: BTreeMap::new(),
+            grants: HashMap::default(),
             admit_seq: 0,
         }
     }
@@ -215,7 +222,8 @@ impl EntitlementMarket {
         &self.plan
     }
 
-    /// Total rate granted through `admit` so far under one key.
+    /// Total rate granted through `admit` so far under one key: one
+    /// hashed lookup, O(1) expected.
     pub fn granted(&self, key: &MarketKey) -> Rate {
         self.grants.get(key).copied().unwrap_or(Rate::ZERO)
     }
@@ -557,6 +565,41 @@ impl EntitlementMarket {
     }
 }
 
+/// The grant ledger's hasher: a multiply-rotate fold per written word,
+/// the rotate in `finish` bringing the product's well-mixed high bits
+/// down to where the table indexes. Fixed and unseeded, unlike
+/// `RandomState`, so a market's work is a function of its inputs alone.
+#[derive(Clone, Copy, Default)]
+struct LedgerHasher(u64);
+
+impl LedgerHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for LedgerHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(b.into());
+        }
+    }
+
+    // What `MarketKey`'s derived `Hash` writes: its two `u32` ids and
+    // its two enum discriminants (`isize`, forwarded here).
+    fn write_u32(&mut self, v: u32) {
+        self.add(v.into());
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// An ask's field as a ledger label: the text `{}` prints for it,
 /// written as a static prefix and a number. The ids' `Display` runs
 /// nested `Debug`/`write!` through `core::fmt`, which cost a traced
@@ -635,6 +678,43 @@ mod tests {
         for bucket in QosBucket::approval_order() {
             assert_same(bucket);
         }
+    }
+
+    /// The ledger's hash of three fixed keys, read through the field's
+    /// own hasher: a seeded `RandomState` or a swap to `DefaultHasher`
+    /// moves every one of them.
+    #[test]
+    fn the_ledger_hasher_is_fixed() {
+        use entitlement_core::{QosBand, QosClass, Quarter};
+        use entitlement_topology::BackboneSpec;
+        use std::hash::BuildHasher;
+        let market = EntitlementMarket::new(
+            BackboneSpec::small(7).build(),
+            SliceGrid::quarterly(Quarter(0), 30),
+            ApprovalConfig {
+                max_cuts: 1,
+                ..Default::default()
+            },
+        );
+        let key = |npg, class, band, slice| MarketKey {
+            npg,
+            bucket: QosBucket { class, band },
+            slice: SliceId(slice),
+        };
+        let keys = [
+            key(NpgId(0), QosClass::C2, QosBand::High, 5),
+            key(NpgId(9), QosClass::C3, QosBand::High, 2),
+            key(NpgId::LOW_TOUCH, QosClass::C4, QosBand::Low, 11),
+        ];
+        let hashes = keys.map(|k| market.grants.hasher().hash_one(k));
+        assert_eq!(
+            hashes,
+            [
+                742_175_102_900_394_349,
+                3_466_055_217_681_984_914,
+                9_031_885_237_645_016_525
+            ]
+        );
     }
 
     proptest! {

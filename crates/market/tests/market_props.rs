@@ -10,7 +10,10 @@
 //!   bucket) computes;
 //! * **warm negotiation == cold negotiation**: reusing the market's
 //!   one-shot scenario enumeration across §8 rounds returns the same
-//!   `Agreement`, byte for byte.
+//!   `Agreement`, byte for byte;
+//! * **hashed ledger == ordered ledger**: `granted` returns, to the
+//!   bit, the sums an ordered map of grants accumulates in admission
+//!   order.
 
 use entitlement_approval::{negotiate, ApprovalConfig, ThresholdPolicy};
 use entitlement_core::{
@@ -18,11 +21,12 @@ use entitlement_core::{
 };
 use entitlement_hose::HoseRequest;
 use entitlement_market::{
-    generate_storm, pair_headroom_probe, EntitlementKind, EntitlementMarket, IndexKey,
-    MarketEntitlement, SliceGrid, StormConfig,
+    generate_storm, pair_headroom_probe, AdmitOutcome, AdmitRequest, EntitlementKind,
+    EntitlementMarket, IndexKey, MarketEntitlement, MarketKey, SliceGrid, SliceId, StormConfig,
 };
 use entitlement_topology::{BackboneSpec, ScenarioSet};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 const TOPO_SEEDS: [u64; 3] = [0x1360, 41, 7];
 
@@ -196,5 +200,99 @@ proptest! {
             serde_json::to_string(&warm).unwrap(),
             serde_json::to_string(&cold).unwrap()
         );
+    }
+
+    /// The hashed grant ledger against the ordered map it replaced,
+    /// kept here and added to exactly as `admit_obs` used to: after a
+    /// storm of full grants, partial grants, denials and rejected asks
+    /// (NaN, negative, infinite, off the grid, off the topology) from
+    /// NPGs 0, 9 and low-touch, every key the storm named reads the
+    /// reference's bits, and every key it did not name reads zero.
+    #[test]
+    fn the_hashed_ledger_sums_what_the_ordered_one_did(
+        topo_seed in 0usize..3,
+        asks in proptest::collection::vec(
+            (0usize..3, 0usize..2, 0u32..3, any::<u16>(), 0u8..16, 0.01f64..1.5),
+            60..120,
+        ),
+    ) {
+        let topo = BackboneSpec::small(TOPO_SEEDS[topo_seed]).build();
+        let grid = SliceGrid::quarterly(Quarter(0), 30);
+        prop_assert_eq!(grid.slice_count(), 3);
+        let dcs = topo.dc_ids();
+        let nowhere = RegionId(topo.region_count() as u16);
+        let mut market = EntitlementMarket::new(topo, grid, config());
+        market.load_contracts(&contracts(&dcs));
+        market.warm(&buckets(), &entitlement_obs::Obs::disabled());
+
+        let npgs = [NpgId(0), NpgId(9), NpgId::LOW_TOUCH];
+        let mut reference: BTreeMap<MarketKey, Rate> = BTreeMap::new();
+        let mut named = BTreeSet::new();
+        let mut outcomes = BTreeSet::new();
+        for (npg, bucket, slice, pair, kind, fraction) in asks {
+            let (n, pair) = (dcs.len(), pair as usize);
+            let (src, dst) = (dcs[pair % n], dcs[(pair % n + 1 + pair / n % (n - 1)) % n]);
+            let mut req = AdmitRequest {
+                npg: npgs[npg],
+                bucket: buckets()[bucket],
+                slice: SliceId(slice),
+                src,
+                dst,
+                ask: Rate::ZERO,
+            };
+            // Most asks are a fraction of what the slot holds, so a
+            // storm grants in full, in part, and (once a slot is spent
+            // or has nothing) not at all; the rest cannot be served.
+            req.ask = match market.index().fresh_remaining(&IndexKey {
+                src, dst, bucket: req.bucket, slice: req.slice,
+            }) {
+                Some(r) if !r.is_zero() => Rate::bps(r.as_bps() * fraction),
+                _ => Rate::gbps(fraction),
+            };
+            match kind {
+                11 => req.ask = Rate::bps(f64::NAN),
+                12 => req.ask = Rate::gbps(-1.0),
+                13 => req.ask = Rate::bps(f64::INFINITY),
+                14 => req.slice = SliceId(grid.slice_count() + slice),
+                15 => req.src = nowhere,
+                _ => {}
+            }
+            let decision = market.admit(&req);
+            outcomes.insert(decision.outcome as u8);
+            let key = MarketKey { npg: req.npg, bucket: req.bucket, slice: req.slice };
+            named.insert(key);
+            if !decision.granted.is_zero() {
+                *reference.entry(key).or_insert(Rate::ZERO) += decision.granted;
+            }
+        }
+        prop_assert_eq!(
+            outcomes,
+            [AdmitOutcome::Granted, AdmitOutcome::Partial, AdmitOutcome::Denied]
+                .map(|o| o as u8)
+                .into(),
+            "the storm grants in full, in part and not at all"
+        );
+        for key in &named {
+            let want = reference.get(key).copied().unwrap_or(Rate::ZERO);
+            prop_assert_eq!(
+                market.granted(key).as_bps().to_bits(),
+                want.as_bps().to_bits(),
+                "{:?}", key
+            );
+            if key.slice.0 >= grid.slice_count() {
+                prop_assert_eq!(market.granted(key).as_bps().to_bits(), 0);
+            }
+        }
+        let c4_low = QosBucket { class: QosClass::C4, band: QosBand::Low };
+        for npg in npgs.into_iter().chain([NpgId(1), NpgId(100), NpgId(u32::MAX - 1)]) {
+            for slice in [0, 1, 2, grid.slice_count(), 9_999, u32::MAX] {
+                for bucket in [buckets()[0], buckets()[1], c4_low] {
+                    let key = MarketKey { npg, bucket, slice: SliceId(slice) };
+                    if !named.contains(&key) {
+                        prop_assert_eq!(market.granted(&key).as_bps().to_bits(), 0, "{:?}", key);
+                    }
+                }
+            }
+        }
     }
 }
