@@ -5,8 +5,9 @@
 //! link models its fiber plant: longer routes cross more conduits and fail
 //! more often, which is what makes WAN SLO guarantees hard (paper §3.1).
 
+use crate::plan::PoolMemo;
 use entitlement_core::{EntitlementError, Rate, RegionId, Result};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, JsonValue, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -68,12 +69,62 @@ impl Link {
 }
 
 /// The backbone network: regions plus directed capacitated links.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+///
+/// A topology also remembers each region pair's shortest loopless
+/// paths once a [`RoutePlan`](crate::RoutePlan) has searched them
+/// (`plan`'s pool memo). Clones share that memo; adding a region or a
+/// link starts an empty one. Equality, `Debug` and the JSON form are
+/// the regions, links and adjacency alone.
+#[derive(Clone, Default)]
 pub struct Topology {
     regions: Vec<Region>,
     links: Vec<Link>,
     /// adjacency[region_index] = outgoing link ids.
     adjacency: Vec<Vec<LinkId>>,
+    /// Path pools of the region pairs searched so far.
+    pub(crate) pools: PoolMemo,
+}
+
+impl PartialEq for Topology {
+    fn eq(&self, other: &Topology) -> bool {
+        self.regions == other.regions
+            && self.links == other.links
+            && self.adjacency == other.adjacency
+    }
+}
+
+impl fmt::Debug for Topology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Topology")
+            .field("regions", &self.regions)
+            .field("links", &self.links)
+            .field("adjacency", &self.adjacency)
+            .finish()
+    }
+}
+
+impl Serialize for Topology {
+    fn serialize_json(&self, out: &mut String) {
+        out.push_str("{\"regions\":");
+        self.regions.serialize_json(out);
+        out.push_str(",\"links\":");
+        self.links.serialize_json(out);
+        out.push_str(",\"adjacency\":");
+        self.adjacency.serialize_json(out);
+        out.push('}');
+    }
+}
+
+impl Deserialize for Topology {
+    fn deserialize_json(v: &JsonValue) -> std::result::Result<Topology, DeError> {
+        let obj = serde::expect_object(v, "Topology")?;
+        Ok(Topology {
+            regions: serde::de_field(obj, "regions")?,
+            links: serde::de_field(obj, "links")?,
+            adjacency: serde::de_field(obj, "adjacency")?,
+            pools: PoolMemo::default(),
+        })
+    }
 }
 
 impl Topology {
@@ -85,6 +136,7 @@ impl Topology {
     /// Add a region, returning its id. Regions receive consecutive ids.
     pub fn add_region(&mut self, name: impl Into<String>, is_dc: bool, capacity_scale: f64) -> RegionId {
         let id = RegionId::from_index(self.regions.len());
+        self.pools.detach();
         self.regions.push(Region {
             id,
             name: name.into(),
@@ -111,6 +163,7 @@ impl Topology {
             return Err(EntitlementError::UnknownRegion(dst));
         }
         let id = LinkId(u32::try_from(self.links.len()).expect("too many links"));
+        self.pools.detach();
         self.links.push(Link {
             id,
             src,
@@ -246,10 +299,22 @@ impl Topology {
         out
     }
 
+    /// Region pairs whose path pool this topology has memoised: at most
+    /// one per ordered pair.
+    pub fn pooled_pairs(&self) -> usize {
+        self.pools.len()
+    }
+
+    /// Bytes the path-pool memo holds (capacity, not length).
+    pub fn pool_bytes(&self) -> usize {
+        self.pools.heap_bytes()
+    }
+
     /// Replace link capacities with the residual capacities from a prior
     /// routing pass (links absent from the map keep their capacity).
     /// Used to give higher-priority traffic strict precedence: route it
-    /// first, then route lower classes on the residual topology.
+    /// first, then route lower classes on the residual topology. Paths
+    /// read lengths, never capacities, so the path-pool memo is kept.
     pub fn apply_residual(&mut self, residual: &BTreeMap<LinkId, Rate>) {
         for link in &mut self.links {
             if let Some(&r) = residual.get(&link.id) {

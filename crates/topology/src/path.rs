@@ -261,14 +261,14 @@ impl<'t> Yen<'t> {
         })
     }
 
-    /// The paths selected so far, shortest first.
-    pub(crate) fn paths(&self) -> &[Path] {
-        &self.paths
-    }
-
     /// Whether every path avoiding `dead` has been selected.
     pub(crate) fn exhausted(&self) -> bool {
         self.exhausted
+    }
+
+    /// The paths selected so far, shortest first, ending the search.
+    pub(crate) fn into_paths(self) -> Vec<Path> {
+        self.paths
     }
 
     /// Select paths until there are `n` or none are left.

@@ -15,28 +15,38 @@
 //! and `route_on` — lives with the rest of the router in
 //! [`crate::routing`].
 //!
-//! **The pool rule.** Filling a pair runs one resumable Yen search —
-//! the pair's *pool* — on the links dead in *every* failure set of the
-//! plan (none, normally; the faulted links once a fault is applied to
-//! all scenarios). Its first k paths are the base path set, served as
-//! is to a failure set that kills nothing more. Yen is exact, so the
-//! loopless paths that avoid a larger dead set are, in order, the pool's
-//! paths that survive it: a failure set is served its first k survivors
-//! when the pool also holds a (k+1)-th survivor (or the search ran out
-//! of paths) and no two consecutive survivors among those k + 1 are
-//! within `NEAR_TIE` of each other — a tie that a search of its own
-//! might break the other way. A pool too short is deepened once, to
-//! `POOL_DEPTH` paths; a failure set it still cannot answer gets a Yen
-//! run of its own. An answer equal to the base shares the base's entry.
-//! The argument needs strictly positive, finite link lengths; on a
-//! topology without them every failure set but the common one is
-//! searched.
+//! **The pool rule.** A region pair's *pool* is one Yen search on the
+//! intact graph, `POOL_DEPTH` paths deep (k + 1 if that is more). Yen
+//! is exact, so the loopless paths that avoid a dead set are, in order,
+//! the pool's paths that survive it: a failure set is served its first
+//! k survivors when the pool also holds a (k+1)-th survivor (or the
+//! search ran out of paths) and no two consecutive survivors among
+//! those k + 1 are within `NEAR_TIE` of each other — a tie that a
+//! search of its own might break the other way. A failure set that
+//! kills nothing is served the pool's first k as they stand; one the
+//! pool cannot answer gets a Yen run of its own. The argument needs
+//! strictly positive, finite link lengths; on a topology without them
+//! every failure set that kills a link is searched.
+//!
+//! **The pool memo.** A pool depends on the topology's links and
+//! nothing else, so the topology keeps it: the first plan to fill a
+//! pair searches it, under the memo's lock, and every later plan of
+//! that topology — another round, a faulted market plan, a clone's —
+//! reads it. The lock is taken only inside [`RoutePlan::ensure`]; a
+//! plan copies the paths it serves into its own tables. Adding a
+//! region or a link gives the topology a fresh, empty memo.
+//!
+//! Each pair's answers are stored once: the answer under the links
+//! dead in every failure set of the plan (none, normally; the faulted
+//! links once a fault is applied to all scenarios) is the pair's base,
+//! and any failure set served the same paths shares its entry.
 
 use crate::failure::ScenarioSet;
 use crate::graph::{LinkId, Topology};
 use crate::path::{k_shortest_paths_avoiding, Path, Yen};
 use entitlement_core::RegionId;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A set of links as one bit per [`LinkId`] of a topology. Ids past the
 /// topology's link count name no link and are never members.
@@ -72,13 +82,120 @@ impl LinkMask {
     pub(crate) fn copy_from(&mut self, other: &LinkMask) {
         self.0.copy_from_slice(&other.0);
     }
+
+    fn is_empty(&self) -> bool {
+        self.0.iter().all(|&word| word == 0)
+    }
 }
 
-/// How deep a pair's pool is searched, once, when a failure set needs
-/// more than the base's k paths to be read off it. Deeper answers more
-/// failure sets from the pool and costs every pair more selections; 10
-/// is where the approval world's fill time bottoms out (DESIGN §16).
+/// How deep a pair's pool is searched (k + 1 if that is more). Deeper
+/// answers more failure sets from the pool and costs every pair more
+/// selections; 10 is where the approval world's fill time bottoms out
+/// (DESIGN §16).
 const POOL_DEPTH: usize = 10;
+
+/// One region pair's pool: its loopless paths on the intact graph,
+/// shortest first.
+struct Pool {
+    paths: Vec<Path>,
+    /// Whether `paths` is every loopless path of the pair.
+    exhausted: bool,
+}
+
+impl Pool {
+    /// No path at all: a pair the graph does not connect, or a region
+    /// it does not have.
+    const NONE: Pool = Pool {
+        paths: Vec::new(),
+        exhausted: true,
+    };
+
+    fn search(topo: &Topology, src: RegionId, dst: RegionId, depth: usize) -> Pool {
+        match Yen::new(topo, src, dst, LinkMask::empty(topo.link_count())) {
+            Ok(mut yen) => {
+                yen.extend_to(depth);
+                Pool {
+                    exhausted: yen.exhausted(),
+                    paths: yen.into_paths(),
+                }
+            }
+            Err(_) => Pool::NONE,
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.paths.capacity() * size_of::<Path>()
+            + self
+                .paths
+                .iter()
+                .map(|p| p.links.capacity() * size_of::<LinkId>())
+                .sum::<usize>()
+    }
+}
+
+/// Each pooled region pair's pool.
+type Pools = BTreeMap<(RegionId, RegionId), Arc<Pool>>;
+
+/// The pools of a topology's region pairs, at most one per ordered
+/// pair, each searched on first use (see the [module docs](self)).
+/// Clones share it; [`Topology`]'s equality, `Debug` and wire format
+/// ignore it.
+#[derive(Clone, Default)]
+pub(crate) struct PoolMemo(Arc<Mutex<Pools>>);
+
+impl PoolMemo {
+    /// The pool of `src -> dst` on `topo`, the topology holding this
+    /// memo, at least `depth` paths deep or exhausted. A miss, or a
+    /// pool shallower than `depth`, is searched and stored in place of
+    /// what was there. A region `topo` does not have gets no paths, and
+    /// nothing is stored for it. A poisoned lock is recovered: an entry
+    /// is only ever replaced whole, so no holder's panic leaves the map
+    /// half-written.
+    fn pool(&self, topo: &Topology, src: RegionId, dst: RegionId, depth: usize) -> Arc<Pool> {
+        let known = |r: RegionId| r.index() < topo.region_count();
+        if !known(src) || !known(dst) {
+            return Arc::new(Pool::NONE);
+        }
+        let mut pools = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        match pools.get(&(src, dst)) {
+            Some(pool) if pool.exhausted || pool.paths.len() >= depth => Arc::clone(pool),
+            _ => {
+                let pool = Arc::new(Pool::search(topo, src, dst, depth));
+                pools.insert((src, dst), Arc::clone(&pool));
+                pool
+            }
+        }
+    }
+
+    /// Forget every pool, for this holder alone: the graph they were
+    /// searched on is changing. Clones sharing the memo keep theirs.
+    pub(crate) fn detach(&mut self) {
+        match Arc::get_mut(&mut self.0) {
+            Some(pools) => pools
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clear(),
+            None => *self = PoolMemo::default(),
+        }
+    }
+
+    /// Region pairs pooled so far.
+    pub(crate) fn len(&self) -> usize {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).len()
+    }
+
+    /// Bytes held by the pools and the map's entries (capacity, not
+    /// length).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let pools = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let entry = size_of::<((RegionId, RegionId), Arc<Pool>)>()
+            + 2 * size_of::<usize>() // the `Arc`'s counts
+            + size_of::<Pool>();
+        pools.values().map(|p| entry + p.heap_bytes()).sum()
+    }
+}
 
 /// Relative length gap under which two paths count as tied. Far above
 /// the few ulps by which a path's re-summed length can disagree with
@@ -115,7 +232,8 @@ pub struct RoutePlan {
     representatives: Vec<usize>,
     /// Dead-link mask of each unique failure set.
     dead: Vec<LinkMask>,
-    /// Links dead in every failure set.
+    /// Links dead in every failure set: a pair's answer under them is
+    /// its base.
     common: LinkMask,
     /// Whether the pool rule's premise (positive, finite link lengths)
     /// holds for this topology.
@@ -223,7 +341,8 @@ impl RoutePlan {
 
     /// Fill in the path sets of `pairs` under every failure set. `topo`
     /// must be the topology the plan was built for. Pairs already
-    /// present, and `src == dst`, cost a lookup.
+    /// present, and `src == dst`, cost a lookup; a pair `topo` has
+    /// pooled before costs no search of its pool.
     pub fn ensure(
         &mut self,
         topo: &Topology,
@@ -239,41 +358,59 @@ impl RoutePlan {
     fn fill(&mut self, topo: &Topology, src: RegionId, dst: RegionId) {
         let row = (self.set_of.len() / self.unique_len().max(1)) as u32;
         self.rows.insert((src, dst), row);
-        let k = self.k_paths;
-        let Ok(mut pool) = Yen::new(topo, src, dst, self.common.clone()) else {
-            // Cut off by the common dead links alone, so by every set.
-            self.set_of
-                .extend(std::iter::repeat_n(0, self.unique_len()));
-            return;
-        };
-        pool.extend_to(k);
-        let base_len = pool.paths().len().min(k);
-        let base = self.store(&pool.paths()[..base_len]);
-        let mut picked = Vec::with_capacity(k + 1);
+        let pool = topo
+            .pools
+            .pool(topo, src, dst, POOL_DEPTH.max(self.k_paths + 1));
+        let mut picked = Vec::with_capacity(self.k_paths + 1);
+        let base = self.answer(topo, &pool, (src, dst), None, 0, &mut picked);
         for u in 0..self.unique_len() {
-            let dead = &self.dead[u];
-            let set = if *dead == self.common {
+            let set = if self.dead[u] == self.common {
                 base
-            } else if self.poolable && read_pool(&mut pool, dead, k, &mut picked) {
-                if picked.iter().copied().eq(0..base_len) {
-                    base
-                } else {
-                    let pool = pool.paths();
-                    self.store(picked.iter().map(|&i| &pool[i]))
-                }
             } else {
-                match k_shortest_paths_avoiding(topo, src, dst, k, dead.clone()) {
-                    Ok(own) if own[..] == pool.paths()[..base_len] => base,
-                    Ok(own) => self.store(&own),
-                    Err(_) => 0,
-                }
+                self.answer(topo, &pool, (src, dst), Some(u), base, &mut picked)
             };
             self.set_of.push(set);
         }
     }
 
-    /// Store a path set; the empty set is set 0.
-    fn store<'p>(&mut self, paths: impl IntoIterator<Item = &'p Path>) -> u32 {
+    /// Store the k shortest paths of `pair` that avoid failure set
+    /// `unique`'s dead links (`None`: the common ones), or name `shared`
+    /// when that set holds the same paths. Read off `pool` by the pool
+    /// rule where it can answer, searched otherwise.
+    fn answer(
+        &mut self,
+        topo: &Topology,
+        pool: &Pool,
+        (src, dst): (RegionId, RegionId),
+        unique: Option<usize>,
+        shared: u32,
+        picked: &mut Vec<usize>,
+    ) -> u32 {
+        let k = self.k_paths;
+        let dead = unique.map_or(&self.common, |u| &self.dead[u]);
+        if dead.is_empty() {
+            // The pool is Yen's own search on this graph: its first k
+            // are the answer as they stand, near-ties and all.
+            self.store(shared, pool.paths.iter().take(k))
+        } else if self.poolable && read_pool(pool, dead, k, picked) {
+            self.store(shared, picked.iter().map(|&i| &pool.paths[i]))
+        } else {
+            let own =
+                k_shortest_paths_avoiding(topo, src, dst, k, dead.clone()).unwrap_or_default();
+            self.store(shared, own.iter())
+        }
+    }
+
+    /// Store a path set, or name `shared` when that set holds the same
+    /// paths; the empty set is set 0.
+    fn store<'p>(&mut self, shared: u32, paths: impl Iterator<Item = &'p Path> + Clone) -> u32 {
+        let same = paths.clone().map(|p| PlannedPath {
+            links: &p.links,
+            length_km: p.length_km,
+        });
+        if self.set(shared).eq(same) {
+            return shared;
+        }
         let first = self.paths.len() as u32;
         for p in paths {
             self.paths.push(PathRef {
@@ -291,6 +428,17 @@ impl RoutePlan {
         (self.sets.len() - 1) as u32
     }
 
+    /// The paths of stored set `set`, shortest first.
+    fn set(&self, set: u32) -> impl Iterator<Item = PlannedPath<'_>> {
+        let (first, len) = self.sets[set as usize];
+        self.paths[first as usize..(first + len) as usize]
+            .iter()
+            .map(|p| PlannedPath {
+                links: &self.links[p.start as usize..(p.start + p.len) as usize],
+                length_km: p.length_km,
+            })
+    }
+
     /// The paths a demand from `src` to `dst` rides under unique failure
     /// set `unique`, shortest first. Empty when the failure set
     /// disconnects the pair — and, failing closed, for a pair
@@ -306,13 +454,7 @@ impl RoutePlan {
             .get(&(src, dst))
             .and_then(|&row| self.set_of.get(row as usize * self.unique_len() + unique));
         debug_assert!(set.is_some(), "{src}->{dst} was not ensured");
-        let (first, len) = set.map_or((0, 0), |&s| self.sets[s as usize]);
-        self.paths[first as usize..(first + len) as usize]
-            .iter()
-            .map(|p| PlannedPath {
-                links: &self.links[p.start as usize..(p.start + p.len) as usize],
-                length_km: p.length_km,
-            })
+        self.set(set.copied().unwrap_or(0))
     }
 
     /// Whether `link` is dead under unique failure set `unique`.
@@ -345,34 +487,59 @@ impl RoutePlan {
 }
 
 /// The k shortest paths avoiding `dead`, read off `pool` as indices
-/// into it (see the pool rule in the [module docs](self)), deepening
-/// the pool once if it is too short. False when the pool cannot answer
-/// exactly: too short even then, or a near-tie among the first k + 1
-/// survivors.
-fn read_pool(pool: &mut Yen<'_>, dead: &LinkMask, k: usize, picked: &mut Vec<usize>) -> bool {
-    let depth = POOL_DEPTH.max(k + 1);
-    loop {
-        picked.clear();
-        picked.extend(
-            pool.paths()
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.links.iter().all(|&l| !dead.contains(l)))
-                .map(|(i, _)| i)
-                .take(k + 1),
-        );
-        if picked.len() > k || pool.exhausted() {
-            break;
-        }
-        if pool.paths().len() >= depth {
-            return false;
-        }
-        pool.extend_to(depth);
+/// into it (see the pool rule in the [module docs](self)). False when
+/// the pool cannot answer exactly: fewer than k + 1 survivors in a
+/// pool that did not run out, or a near-tie among the first k + 1.
+fn read_pool(pool: &Pool, dead: &LinkMask, k: usize, picked: &mut Vec<usize>) -> bool {
+    picked.clear();
+    picked.extend(
+        pool.paths
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.links.iter().all(|&l| !dead.contains(l)))
+            .map(|(i, _)| i)
+            .take(k + 1),
+    );
+    if picked.len() <= k && !pool.exhausted {
+        return false;
     }
-    let paths = pool.paths();
     let tied = picked
         .windows(2)
-        .any(|w| paths[w[1]].length_km <= paths[w[0]].length_km * (1.0 + NEAR_TIE));
+        .any(|w| pool.paths[w[1]].length_km <= pool.paths[w[0]].length_km * (1.0 + NEAR_TIE));
     picked.truncate(k);
     !tied
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::generator::BackboneSpec;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A holder that panics leaves the memo's lock poisoned; the next
+    /// fill recovers it instead of panicking in turn.
+    #[test]
+    fn a_poisoned_memo_lock_is_recovered() {
+        let topo = BackboneSpec::small(3).build();
+        let ids = topo.region_ids();
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            let _held = topo.pools.0.lock();
+            panic!("a holder dies with the memo locked");
+        }));
+        assert!(died.is_err() && topo.pools.0.is_poisoned());
+
+        let scenarios = ScenarioSet::enumerate(&topo, 1);
+        let mut plan = RoutePlan::build(&topo, &scenarios, 4);
+        plan.ensure(&topo, [(ids[0], ids[1])]);
+        assert_eq!((topo.pooled_pairs(), topo.pools.0.is_poisoned()), (1, true));
+        let served: Vec<Vec<LinkId>> = plan
+            .paths(ids[0], ids[1], 0)
+            .map(|p| p.links.to_vec())
+            .collect();
+        let searched = crate::path::k_shortest_paths(&topo, ids[0], ids[1], 4, &[]).unwrap();
+        assert_eq!(
+            served,
+            searched.into_iter().map(|p| p.links).collect::<Vec<_>>()
+        );
+    }
 }

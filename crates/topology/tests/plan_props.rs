@@ -13,49 +13,9 @@ use entitlement_topology::{
 };
 use proptest::prelude::*;
 
-/// `topo` with every fiber length snapped up to a multiple of `step`
-/// km (so many routes tie exactly) and every link `availability`
-/// available (so Monte-Carlo draws cut something).
-fn snapped(topo: &Topology, step: f64, availability: f64) -> Topology {
-    let mut out = Topology::new();
-    for r in topo.regions() {
-        out.add_region(r.name.clone(), r.is_dc, r.capacity_scale);
-    }
-    for l in topo.links() {
-        let length = (l.length_km / step).ceil().max(1.0) * step;
-        out.add_link(l.src, l.dst, l.capacity, availability, length)
-            .unwrap();
-    }
-    out
-}
+mod support;
 
-/// Every scenario of `set` with `fault` dead on top, as the market
-/// builds its effective set after `apply_fault`.
-fn faulted(set: &ScenarioSet, fault: &[LinkId]) -> ScenarioSet {
-    ScenarioSet {
-        scenarios: set
-            .scenarios
-            .iter()
-            .map(|s| {
-                let mut dead = s.dead_links.clone();
-                dead.extend(fault.iter().filter(|l| !s.dead_links.contains(l)));
-                FailureScenario {
-                    dead_links: dead,
-                    ..s.clone()
-                }
-            })
-            .collect(),
-    }
-}
-
-/// Every directed pair of distinct regions.
-fn all_pairs(topo: &Topology) -> Vec<(RegionId, RegionId)> {
-    let ids = topo.region_ids();
-    ids.iter()
-        .flat_map(|&s| ids.iter().map(move |&d| (s, d)))
-        .filter(|(s, d)| s != d)
-        .collect()
-}
+use support::{admit_world, all_pairs, approval_world, backbone, dc_pairs, faulted};
 
 /// A search's answer as links plus `length_km` bits; no path when the
 /// search errs.
@@ -96,25 +56,6 @@ fn assert_plan_is_yen(topo: &Topology, scenarios: &ScenarioSet, k: usize, what: 
                 scenario.label
             );
         }
-    }
-}
-
-/// A small generated backbone of `shape` (3-5 DCs x 0-3 PoPs), with
-/// the generator's lengths (`snap` 0) or lengths snapped to 250 km,
-/// 1 000 km or one common length.
-fn backbone(seed: u64, shape: usize, snap: usize) -> Topology {
-    let generated = BackboneSpec {
-        dc_count: 3 + shape / 4,
-        pop_count: shape % 4,
-        seed,
-        ..BackboneSpec::small(seed)
-    }
-    .build();
-    match snap {
-        0 => generated,
-        1 => snapped(&generated, 250.0, 0.93),
-        2 => snapped(&generated, 1000.0, 0.93),
-        _ => snapped(&generated, 1e6, 0.85), // every link the same length
     }
 }
 
@@ -397,71 +338,6 @@ proptest! {
     }
 }
 
-/// FNV-1a-64 of every `(pair, failure set)` path set a fully ensured
-/// plan serves: per set its path count, per path its links and
-/// `length_km` bits.
-fn served_digest(topo: &Topology, scenarios: &ScenarioSet, k: usize) -> u64 {
-    let pairs = all_pairs(topo);
-    let mut plan = RoutePlan::build(topo, scenarios, k);
-    plan.ensure(topo, pairs.iter().copied());
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut word = |w: u64| {
-        for b in w.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    };
-    for &(s, d) in &pairs {
-        for u in 0..plan.unique_len() {
-            word(plan.paths(s, d, u).count() as u64);
-            for p in plan.paths(s, d, u) {
-                word(p.links.len() as u64);
-                p.links.iter().for_each(|l| word(l.index() as u64));
-                word(p.length_km.to_bits());
-            }
-        }
-    }
-    h
-}
-
-/// The path sets of the benchmark's two worlds, pinned on the parent
-/// of the pool rewrite: the approval world (6 DCs, 3 PoPs) under single
-/// and dual cuts, the admit world (10 DCs, 5 PoPs) under single cuts,
-/// healthy and with its first fiber faulted in every scenario.
-#[test]
-fn served_path_sets_match_the_pinned_digests() {
-    let approval = BackboneSpec {
-        dc_count: 6,
-        pop_count: 3,
-        seed: 2,
-        ..Default::default()
-    }
-    .build();
-    let admit = BackboneSpec {
-        dc_count: 10,
-        pop_count: 5,
-        ..BackboneSpec::small(2)
-    }
-    .build();
-    let single = ScenarioSet::enumerate(&admit, 1);
-    let fault = fiber_groups(&admit)[0].links.clone();
-    let got = [
-        served_digest(&approval, &ScenarioSet::enumerate(&approval, 1), 4),
-        served_digest(&approval, &ScenarioSet::enumerate(&approval, 2), 4),
-        served_digest(&admit, &single, 4),
-        served_digest(&admit, &faulted(&single, &fault), 4),
-    ];
-    assert_eq!(
-        got,
-        [
-            0x4a77_b6cc_04ef_3754,
-            0x1c2f_ef0f_8e8e_04a6,
-            0xa8d2_3a55_5a8d_b1ff,
-            0x6662_d6ce_36b8_14ea,
-        ],
-        "{got:#018x?}"
-    );
-}
-
 /// `k = 0` asks for no path, and gets none — not the shortest one.
 #[test]
 fn zero_paths_means_no_path() {
@@ -489,23 +365,9 @@ fn zero_paths_means_no_path() {
     );
 }
 
-/// Every directed pair of distinct DCs.
-fn dc_pairs(topo: &Topology) -> Vec<(RegionId, RegionId)> {
-    let dcs = topo.dc_ids();
-    dcs.iter()
-        .flat_map(|&s| dcs.iter().map(move |&d| (s, d)))
-        .filter(|(s, d)| s != d)
-        .collect()
-}
-
 #[test]
 fn most_single_cuts_ride_the_healthy_paths() {
-    let topo = BackboneSpec {
-        dc_count: 10,
-        pop_count: 5,
-        ..BackboneSpec::small(2)
-    }
-    .build();
+    let topo = admit_world();
     let scenarios = ScenarioSet::enumerate(&topo, 1);
     let pairs = dc_pairs(&topo);
     let mut plan = RoutePlan::build(&topo, &scenarios, 4);
@@ -517,6 +379,30 @@ fn most_single_cuts_ride_the_healthy_paths() {
         plan.path_sets()
     );
     assert!(plan.heap_bytes() < 300_000, "{} bytes", plan.heap_bytes());
+}
+
+/// The topology's pool memo beside the plans that read it: one pool
+/// per ordered pair a plan asked for, and no more however many plans,
+/// failure sets or `k` ask again (a deeper `k` replaces the pair's pool
+/// in place). At `k` = 4 the admit world's 90 DC pairs hold 69 392
+/// bytes and the approval world's 30 hold 21 824; the budgets are those
+/// measurements plus a sixth.
+#[test]
+fn the_pool_memo_holds_one_pool_per_pair_within_its_budget() {
+    for (topo, budget) in [(admit_world(), 81_000), (approval_world(), 25_500)] {
+        let pairs = dc_pairs(&topo);
+        let fill = |max_cuts, k| {
+            let scenarios = ScenarioSet::enumerate(&topo, max_cuts);
+            RoutePlan::build(&topo, &scenarios, k).ensure(&topo, pairs.iter().copied());
+            assert_eq!(topo.pooled_pairs(), pairs.len(), "max_cuts {max_cuts}, k {k}");
+        };
+        fill(1, 4);
+        fill(2, 4);
+        assert!(topo.pool_bytes() < budget, "{} bytes", topo.pool_bytes());
+        fill(1, 1);
+        fill(1, 12);
+        fill(1, 4);
+    }
 }
 
 #[test]

@@ -127,7 +127,8 @@ const HOT_PATH_CRATES: &[&str] = &[
     "crates/enforcement/src/fleet",
     "crates/enforcement/src/shard",
     "crates/kvstore/src/fanout",
-    // The placement kernel and the path search under every risk sweep.
+    // The placement kernel and the path search under every risk sweep;
+    // the plan fills its topology's pool memo under a lock.
     "crates/topology/src/path",
     "crates/topology/src/plan",
     "crates/topology/src/routing",
@@ -792,6 +793,14 @@ mod tests {
              pub fn h(m: &std::sync::Mutex<u64>) -> u64 { *m.lock().unwrap() }\n",
         )
         .unwrap();
+        // The route plan's pool memo is filled under a lock.
+        let topology = dir.join("crates/topology/src");
+        std::fs::create_dir_all(&topology).unwrap();
+        std::fs::write(
+            topology.join("plan.rs"),
+            "pub fn p(m: &std::sync::Mutex<u64>) -> u64 { *m.lock().unwrap() }\n",
+        )
+        .unwrap();
         // A non-approved module spawning threads and holding a static.
         let other = dir.join("crates/demo/src");
         std::fs::create_dir_all(&other).unwrap();
@@ -818,6 +827,10 @@ mod tests {
         );
         assert!(
             codes.contains(&("X0205", "crates/enforcement/src/fleet.rs", 3)),
+            "{codes:?}"
+        );
+        assert!(
+            codes.contains(&("X0205", "crates/topology/src/plan.rs", 1)),
             "{codes:?}"
         );
         assert!(
