@@ -113,9 +113,10 @@ fn preflight_rejections(
 
 /// What the risk sweeps of one approval round share — every realization
 /// of every hose, and the successive asks of a negotiation: the
-/// topology, its scenario set, and the one [`RoutePlan`] that searches
-/// each (region pair, failure set) once for all of them. The plan is
-/// only ever extended; DESIGN.md §16 has the lifetimes.
+/// topology, its scenario set, and the one [`RoutePlan`] that holds
+/// each region pair's path sets for all of them. The plan is only ever
+/// extended, and a pair it takes in is a lookup of the row an earlier
+/// round on the topology filled; DESIGN.md §16 has the lifetimes.
 pub(crate) struct RoundRoutes<'a> {
     topo: &'a Topology,
     scenarios: &'a ScenarioSet,
@@ -152,8 +153,10 @@ impl<'a> RoundRoutes<'a> {
 ///
 /// Returns per-pipe approvals; in [`ApprovalMode::StrictBatch`] the whole
 /// batch zeroes out if any pipe misses its full request at the SLO. A
-/// standalone call pays a throw-away plan and background placement of
-/// its own; [`approve_requests`] shares both across a round.
+/// standalone call builds a plan of its own — a view of the rows the
+/// topology keeps, so it searches only a pair no earlier plan of this
+/// key asked for — and places the background afresh;
+/// [`approve_requests`] shares both across a round.
 pub fn pipe_approval(
     topo: &Topology,
     scenarios: &ScenarioSet,
@@ -352,7 +355,8 @@ pub(crate) fn band_low_requests(hoses: &[HoseRequest], slos: &[SloTarget]) -> Ve
 ///
 /// One [`RoutePlan`] serves the whole round and a hose's background is
 /// placed once for all of its realizations; grants are bit-identical to
-/// replaying the round through [`pipe_approval`], which shares neither.
+/// replaying the round through [`pipe_approval`] on a second build of
+/// the topology, which shares neither.
 pub fn approve_requests(
     topo: &Topology,
     requests: &[ApprovalRequest],
@@ -381,8 +385,8 @@ fn approve_round(
 }
 
 /// One approval round over `routes`: every sweep of the round reads the
-/// same plan, so the round searches each (region pair, failure set)
-/// once however many hoses and realizations cross it (a negotiation
+/// same plan, so the round looks up each region pair's row once
+/// however many hoses and realizations cross it (a negotiation
 /// re-asks its one hose over the same plan, round after round); and the
 /// realizations of a hose share one background, placed once.
 pub(crate) fn approve_requests_in(

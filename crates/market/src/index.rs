@@ -419,9 +419,11 @@ pub struct HeadroomProbe {
 /// identified and recorded. `probe.headroom` is bit-equal to
 /// [`pair_headroom`]'s return value; the provenance is free.
 ///
-/// Routes through a throw-away [`RoutePlan`]; the market's own sweeps
-/// read the one it keeps. Telemetry (`risk` sweep/merge/scenario
-/// spans, sweep histograms) lands in `obs` when enabled.
+/// Routes through a [`RoutePlan`] of its own, whose rows the topology
+/// keeps: on the market's topology and scenario set it looks up the
+/// rows the market's sweeps filled and searches nothing. Telemetry
+/// (`risk` sweep/merge/scenario spans, sweep histograms) lands in `obs`
+/// when enabled.
 #[allow(clippy::too_many_arguments)]
 pub fn pair_headroom_probe(
     topo: &Topology,

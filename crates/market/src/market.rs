@@ -13,7 +13,10 @@
 //! decision re-installs the slot — the index refreshes incrementally
 //! from decisions, never from scratch. Warm-up and
 //! fallback sweeps read one [`RoutePlan`], kept for the life of the
-//! effective scenario set, so neither searches a path twice.
+//! effective scenario set, so neither searches a path twice; its rows
+//! outlive it on the topology (which keeps the rows of the last few
+//! sets asked for), so a heal, or the same fault again, finds them
+//! filled.
 //!
 //! **Fail-closed**: a topology fault ([`EntitlementMarket::apply_fault`])
 //! bumps the index epoch before anything else, so no admit after the
@@ -282,7 +285,9 @@ impl EntitlementMarket {
 
     /// Swap the effective scenario set, and with it the route plan: a
     /// path set is only valid for the failure sets it was searched
-    /// under.
+    /// under. The new plan starts empty; the topology still holds the
+    /// rows an earlier plan of the same set filled (the healthy plan's,
+    /// after a heal), so taking a pair in is then a lookup.
     fn set_effective(&mut self, effective: ScenarioSet) {
         self.plan = Arc::new(RoutePlan::build(&self.topo, &effective, self.config.k_paths));
         self.effective = effective;

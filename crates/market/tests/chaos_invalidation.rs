@@ -242,3 +242,62 @@ fn a_fault_and_its_heal_each_replace_the_route_plan() {
     assert_eq!(warmed.route_plan().path_sets(), 0, "so does the heal");
     assert_sweeps_like_a_cold_market(&mut warmed, &mut cold, &storm);
 }
+
+/// Every slot a warm-up installs, as bits: per DC pair and slice, the
+/// headroom left and the provenance's headroom, scenario and links.
+fn warm_slots(market: &EntitlementMarket) -> Vec<(u64, u64, String, String)> {
+    let dcs = market.topology().dc_ids();
+    let mut slots = Vec::new();
+    for &src in &dcs {
+        for &dst in dcs.iter().filter(|&&d| d != src) {
+            for slice in market.grid().slices() {
+                for bucket in buckets() {
+                    let key = IndexKey {
+                        src,
+                        dst,
+                        bucket,
+                        slice,
+                    };
+                    let left = market.index().fresh_remaining(&key).unwrap();
+                    let why = market.index().provenance(&key).unwrap();
+                    slots.push((
+                        left.as_bps().to_bits(),
+                        why.headroom.as_bps().to_bits(),
+                        why.binding_scenario.clone(),
+                        why.binding_links.clone(),
+                    ));
+                }
+            }
+        }
+    }
+    slots
+}
+
+/// A heal rebuilds the healthy plan, and the rows the healthy plan
+/// filled before the cut are still on the topology: re-warming every
+/// DC pair searches nothing and fills nothing, and installs exactly
+/// what a freshly warmed market installs. Cutting the same links again
+/// finds the faulted rows the first cut filled.
+#[test]
+fn a_heal_and_a_repeated_cut_reuse_the_rows_already_filled() {
+    let obs = entitlement_obs::Obs::disabled();
+    let mut fresh = market();
+    fresh.warm(&buckets(), &obs);
+    let mut healed = market();
+    healed.warm(&buckets(), &obs);
+    let cut = [LinkId(0), LinkId(1)];
+    healed.apply_fault(&cut);
+    healed.warm(&buckets(), &obs);
+    let faulted = warm_slots(&healed);
+
+    healed.clear_faults();
+    let before = healed.topology().route_work();
+    healed.warm(&buckets(), &obs);
+    assert_eq!(healed.topology().route_work(), before, "the heal re-warms off the memo");
+    assert_eq!(warm_slots(&healed), warm_slots(&fresh));
+
+    healed.apply_fault(&cut);
+    healed.warm(&buckets(), &obs);
+    assert_eq!(healed.topology().route_work(), before, "the repeated cut too");
+    assert_eq!(warm_slots(&healed), faulted);
+}

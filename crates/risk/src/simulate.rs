@@ -108,8 +108,9 @@ pub fn assess_risk_detailed_obs(
     config: &RiskConfig,
     obs: &Obs,
 ) -> RiskAssessment {
-    // A throw-away plan; a caller that sweeps the same scenario set
-    // again keeps one and calls [`sweep_plan`].
+    // A plan per call, over the rows the topology keeps; a caller that
+    // sweeps the same scenario set again keeps one and calls
+    // [`sweep_plan`].
     let mut plan = RoutePlan::build(topo, scenarios, config.k_paths);
     plan.ensure(
         topo,

@@ -3,8 +3,9 @@
 //! are **bitwise identical** to the serial, non-deduplicated baseline —
 //! on enumerated and Monte-Carlo scenario sets, across seeds, with and
 //! without background traffic — and so must every way of sourcing the
-//! paths: searched on the spot per scenario (plan-less), read from a
-//! throw-away route plan, read from a plan reused across sweeps — and
+//! paths: through a one-failure-set plan per scenario (plan-less), read
+//! from a route plan built per call, read from a plan reused across
+//! sweeps — and
 //! the sweep over a background placed ahead of time must equal the one
 //! that places it scenario by scenario.
 

@@ -5,7 +5,7 @@
 //! link models its fiber plant: longer routes cross more conduits and fail
 //! more often, which is what makes WAN SLO guarantees hard (paper §3.1).
 
-use crate::plan::PoolMemo;
+use crate::plan::{RouteMemo, RouteWork};
 use entitlement_core::{EntitlementError, Rate, RegionId, Result};
 use serde::{DeError, Deserialize, JsonValue, Serialize};
 use std::collections::BTreeMap;
@@ -71,18 +71,19 @@ impl Link {
 /// The backbone network: regions plus directed capacitated links.
 ///
 /// A topology also remembers each region pair's shortest loopless
-/// paths once a [`RoutePlan`](crate::RoutePlan) has searched them
-/// (`plan`'s pool memo). Clones share that memo; adding a region or a
-/// link starts an empty one. Equality, `Debug` and the JSON form are
-/// the regions, links and adjacency alone.
+/// paths, and the path sets a [`RoutePlan`](crate::RoutePlan) filled
+/// from them, once a plan has asked (`plan`'s memo). Clones share that
+/// memo; adding a region or a link starts an empty one. Equality,
+/// `Debug` and the JSON form are the regions, links and adjacency
+/// alone.
 #[derive(Clone, Default)]
 pub struct Topology {
     regions: Vec<Region>,
     links: Vec<Link>,
     /// adjacency[region_index] = outgoing link ids.
     adjacency: Vec<Vec<LinkId>>,
-    /// Path pools of the region pairs searched so far.
-    pub(crate) pools: PoolMemo,
+    /// Path pools and plan rows of the region pairs asked for so far.
+    pub(crate) memo: RouteMemo,
 }
 
 impl PartialEq for Topology {
@@ -122,7 +123,7 @@ impl Deserialize for Topology {
             regions: serde::de_field(obj, "regions")?,
             links: serde::de_field(obj, "links")?,
             adjacency: serde::de_field(obj, "adjacency")?,
-            pools: PoolMemo::default(),
+            memo: RouteMemo::default(),
         })
     }
 }
@@ -136,7 +137,7 @@ impl Topology {
     /// Add a region, returning its id. Regions receive consecutive ids.
     pub fn add_region(&mut self, name: impl Into<String>, is_dc: bool, capacity_scale: f64) -> RegionId {
         let id = RegionId::from_index(self.regions.len());
-        self.pools.detach();
+        self.memo.detach();
         self.regions.push(Region {
             id,
             name: name.into(),
@@ -163,7 +164,7 @@ impl Topology {
             return Err(EntitlementError::UnknownRegion(dst));
         }
         let id = LinkId(u32::try_from(self.links.len()).expect("too many links"));
-        self.pools.detach();
+        self.memo.detach();
         self.links.push(Link {
             id,
             src,
@@ -302,19 +303,36 @@ impl Topology {
     /// Region pairs whose path pool this topology has memoised: at most
     /// one per ordered pair.
     pub fn pooled_pairs(&self) -> usize {
-        self.pools.len()
+        self.memo.pooled()
     }
 
-    /// Bytes the path-pool memo holds (capacity, not length).
+    /// Bytes the memo's path pools hold (capacity, not length).
     pub fn pool_bytes(&self) -> usize {
-        self.pools.heap_bytes()
+        self.memo.pool_bytes()
+    }
+
+    /// Plan keys (`k` and a plan's failure sets) whose filled rows the
+    /// memo keeps: at most [`PLAN_KEYS`](crate::plan::PLAN_KEYS).
+    pub fn plan_keys(&self) -> usize {
+        self.memo.keys()
+    }
+
+    /// Bytes the memo's plan rows hold, with their keys.
+    pub fn row_bytes(&self) -> usize {
+        self.memo.row_bytes()
+    }
+
+    /// The searches and row fills the memo has done for every plan of
+    /// this topology and its clones since its graph last changed.
+    pub fn route_work(&self) -> RouteWork {
+        self.memo.work()
     }
 
     /// Replace link capacities with the residual capacities from a prior
     /// routing pass (links absent from the map keep their capacity).
     /// Used to give higher-priority traffic strict precedence: route it
     /// first, then route lower classes on the residual topology. Paths
-    /// read lengths, never capacities, so the path-pool memo is kept.
+    /// read lengths, never capacities, so the memo is kept.
     pub fn apply_residual(&mut self, residual: &BTreeMap<LinkId, Rate>) {
         for link in &mut self.links {
             if let Some(&r) = residual.get(&link.id) {

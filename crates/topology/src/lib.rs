@@ -39,6 +39,6 @@ pub use generator::{BackboneSpec, RegionKind};
 pub use graph::{Link, LinkId, Region, Topology};
 pub use maxflow::max_flow;
 pub use path::{k_shortest_paths, shortest_path, Path};
-pub use plan::{PlannedPath, RoutePlan};
+pub use plan::{PlannedPath, RoutePlan, RouteWork, PLAN_KEYS};
 pub use routing::{route_matrix, route_matrix_on_residual, RoutingOutcome};
 pub use srlg::{Conduit, SrlgMap};

@@ -4,8 +4,9 @@
 //! over: *which k paths does a demand from `src` to `dst` ride when this
 //! set of links is dead?* The answer is a pure function of
 //! `(topology, src, dst, k, dead-link set)` — it reads fiber lengths,
-//! never capacities or demand volumes — so a [`RoutePlan`] computes it
-//! once per region pair and serves every later placement by lookup.
+//! never capacities or demand volumes — so the topology answers it once
+//! per region pair and every [`RoutePlan`] serves later placements by
+//! lookup.
 //!
 //! A plan belongs to one `(topology, scenario set, k)`. Building it
 //! only deduplicates the scenarios' failure sets; [`RoutePlan::ensure`]
@@ -28,25 +29,35 @@
 //! strictly positive, finite link lengths; on a topology without them
 //! every failure set that kills a link is searched.
 //!
-//! **The pool memo.** A pool depends on the topology's links and
-//! nothing else, so the topology keeps it: the first plan to fill a
-//! pair searches it, under the memo's lock, and every later plan of
-//! that topology — another round, a faulted market plan, a clone's —
-//! reads it. The lock is taken only inside [`RoutePlan::ensure`]; a
-//! plan copies the paths it serves into its own tables. Adding a
-//! region or a link gives the topology a fresh, empty memo.
+//! **The memo.** A pool depends on the topology's links alone, and a
+//! pair's answers on its pool, `k` and the failure sets, so the
+//! topology keeps both behind one lock: one pool per ordered pair, and
+//! per *plan key* — `k` plus the plan's unique dead-link masks in
+//! first-appearance order, matched on full equality — one row per pair,
+//! its path sets under every failure set of the key. When
+//! [`RoutePlan::ensure`] meets a pair the plan does not hold, it takes
+//! the lock and hands the plan the key's row: filled by an earlier plan
+//! of the topology (another round, a clone's, the healthy plan a heal
+//! rebuilds), or filled now from the pair's pool, itself searched now if
+//! no plan has read it. A plan is a view: its scenario index plus one
+//! shared row per pair. The memo keeps at most [`PLAN_KEYS`] keys and
+//! forgets the one asked for least recently; a plan holding a forgotten
+//! key's rows keeps them. Adding a region or a link gives the topology
+//! a fresh, empty memo.
 //!
-//! Each pair's answers are stored once: the answer under the links
-//! dead in every failure set of the plan (none, normally; the faulted
-//! links once a fault is applied to all scenarios) is the pair's base,
-//! and any failure set served the same paths shares its entry.
+//! A row stores each of its pair's answers once: the answer under the
+//! links dead in every failure set of the key (none, normally; the
+//! faulted links once a fault is applied to all scenarios) is the
+//! pair's base, and any failure set served the same paths shares its
+//! entry.
 
 use crate::failure::ScenarioSet;
 use crate::graph::{LinkId, Topology};
 use crate::path::{k_shortest_paths_avoiding, Path, Yen};
 use entitlement_core::RegionId;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::mem::size_of;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A set of links as one bit per [`LinkId`] of a topology. Ids past the
 /// topology's link count name no link and are never members.
@@ -86,6 +97,10 @@ impl LinkMask {
     fn is_empty(&self) -> bool {
         self.0.iter().all(|&word| word == 0)
     }
+
+    fn heap_bytes(&self) -> usize {
+        size_of::<LinkMask>() + self.0.capacity() * size_of::<u64>()
+    }
 }
 
 /// How deep a pair's pool is searched (k + 1 if that is more). Deeper
@@ -93,6 +108,12 @@ impl LinkMask {
 /// selections; 10 is where the approval world's fill time bottoms out
 /// (DESIGN §16).
 const POOL_DEPTH: usize = 10;
+
+/// Plan keys the memo keeps rows for: enough for a market's healthy
+/// set, its latest fault, an approval round's set and a one-set
+/// `route_matrix` plan at once. A new key past this many forgets the
+/// key asked for least recently.
+pub const PLAN_KEYS: usize = 4;
 
 /// One region pair's pool: its loopless paths on the intact graph,
 /// shortest first.
@@ -103,13 +124,6 @@ struct Pool {
 }
 
 impl Pool {
-    /// No path at all: a pair the graph does not connect, or a region
-    /// it does not have.
-    const NONE: Pool = Pool {
-        paths: Vec::new(),
-        exhausted: true,
-    };
-
     fn search(topo: &Topology, src: RegionId, dst: RegionId, depth: usize) -> Pool {
         match Yen::new(topo, src, dst, LinkMask::empty(topo.link_count())) {
             Ok(mut yen) => {
@@ -119,12 +133,15 @@ impl Pool {
                     paths: yen.into_paths(),
                 }
             }
-            Err(_) => Pool::NONE,
+            // A pair the graph does not connect: no path at all.
+            Err(_) => Pool {
+                paths: Vec::new(),
+                exhausted: true,
+            },
         }
     }
 
     fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.paths.capacity() * size_of::<Path>()
             + self
                 .paths
@@ -134,66 +151,342 @@ impl Pool {
     }
 }
 
-/// Each pooled region pair's pool.
-type Pools = BTreeMap<(RegionId, RegionId), Arc<Pool>>;
+/// The memo's work so far: what [`Topology::route_work`] reports. Each
+/// count is taken under the memo's lock, beside the work it counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RouteWork {
+    /// Yen searches of a pair's pool.
+    pub pool_searches: u64,
+    /// Yen searches of one failure set that the pool rule could not
+    /// answer (a pool too short for it, or a near-tie).
+    pub own_searches: u64,
+    /// Rows filled: one pair's path sets under every failure set of one
+    /// plan key.
+    pub row_fills: u64,
+}
 
-/// The pools of a topology's region pairs, at most one per ordered
-/// pair, each searched on first use (see the [module docs](self)).
-/// Clones share it; [`Topology`]'s equality, `Debug` and wire format
-/// ignore it.
-#[derive(Clone, Default)]
-pub(crate) struct PoolMemo(Arc<Mutex<Pools>>);
+/// One stored path: a range of its row's link arena.
+#[derive(Clone, Copy, Debug)]
+struct PathRef {
+    start: u32,
+    len: u32,
+    length_km: f64,
+}
 
-impl PoolMemo {
-    /// The pool of `src -> dst` on `topo`, the topology holding this
-    /// memo, at least `depth` paths deep or exhausted. A miss, or a
-    /// pool shallower than `depth`, is searched and stored in place of
-    /// what was there. A region `topo` does not have gets no paths, and
-    /// nothing is stored for it. A poisoned lock is recovered: an entry
-    /// is only ever replaced whole, so no holder's panic leaves the map
-    /// half-written.
-    fn pool(&self, topo: &Topology, src: RegionId, dst: RegionId, depth: usize) -> Arc<Pool> {
-        let known = |r: RegionId| r.index() < topo.region_count();
-        if !known(src) || !known(dst) {
-            return Arc::new(Pool::NONE);
+/// One region pair's path sets under every unique failure set of one
+/// plan key, each table at exact capacity.
+#[derive(Debug)]
+struct Row {
+    /// `set_of[u]`: the path set the pair rides under unique failure
+    /// set `u`.
+    set_of: Box<[u32]>,
+    /// Path set → its range of `paths`; set 0 is the empty set of a
+    /// disconnected pair.
+    sets: Box<[(u32, u32)]>,
+    paths: Box<[PathRef]>,
+    /// Every stored path's links, back to back.
+    links: Box<[LinkId]>,
+}
+
+impl Row {
+    /// A pair naming a region the topology does not have: no path under
+    /// any failure set.
+    fn unknown(unique_len: usize) -> Row {
+        Row {
+            set_of: vec![0; unique_len].into(),
+            sets: Box::new([(0, 0)]),
+            paths: Box::new([]),
+            links: Box::new([]),
         }
-        let mut pools = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        match pools.get(&(src, dst)) {
+    }
+
+    /// Bytes the row holds, its `Arc`'s counts included.
+    fn heap_bytes(&self) -> usize {
+        2 * size_of::<usize>()
+            + size_of::<Row>()
+            + self.set_of.len() * size_of::<u32>()
+            + self.sets.len() * size_of::<(u32, u32)>()
+            + self.paths.len() * size_of::<PathRef>()
+            + self.links.len() * size_of::<LinkId>()
+    }
+}
+
+/// The paths of set `set` of one row's tables, shortest first.
+fn stored<'a>(
+    sets: &'a [(u32, u32)],
+    paths: &'a [PathRef],
+    links: &'a [LinkId],
+    set: u32,
+) -> impl Iterator<Item = PlannedPath<'a>> {
+    let (first, len) = sets[set as usize];
+    paths[first as usize..(first + len) as usize]
+        .iter()
+        .map(|p| PlannedPath {
+            links: &links[p.start as usize..(p.start + p.len) as usize],
+            length_km: p.length_km,
+        })
+}
+
+/// A row being filled: what its pair's answers are read from, and the
+/// tables they are stored in.
+struct Fill<'a> {
+    topo: &'a Topology,
+    plan: &'a RoutePlan,
+    pool: &'a Pool,
+    pair: (RegionId, RegionId),
+    work: &'a mut RouteWork,
+    sets: Vec<(u32, u32)>,
+    paths: Vec<PathRef>,
+    links: Vec<LinkId>,
+}
+
+impl Fill<'_> {
+    /// The pair's row under every unique failure set of the plan.
+    fn row(mut self) -> Row {
+        let plan = self.plan;
+        let mut picked = Vec::with_capacity(plan.k_paths + 1);
+        let base = self.answer(&plan.common, 0, &mut picked);
+        let set_of = plan
+            .dead
+            .iter()
+            .map(|dead| {
+                if *dead == plan.common {
+                    base
+                } else {
+                    self.answer(dead, base, &mut picked)
+                }
+            })
+            .collect();
+        self.work.row_fills += 1;
+        Row {
+            set_of,
+            sets: self.sets.into_boxed_slice(),
+            paths: self.paths.into_boxed_slice(),
+            links: self.links.into_boxed_slice(),
+        }
+    }
+
+    /// Store the k shortest paths of the pair that avoid `dead`, or name
+    /// `shared` when that set holds the same paths. Read off the pool by
+    /// the pool rule where it can answer, searched otherwise.
+    fn answer(&mut self, dead: &LinkMask, shared: u32, picked: &mut Vec<usize>) -> u32 {
+        let (topo, pool, k) = (self.topo, self.pool, self.plan.k_paths);
+        if dead.is_empty() {
+            // The pool is Yen's own search on this graph: its first k
+            // are the answer as they stand, near-ties and all.
+            self.store(shared, pool.paths.iter().take(k))
+        } else if self.plan.poolable && read_pool(pool, dead, k, picked) {
+            self.store(shared, picked.iter().map(|&i| &pool.paths[i]))
+        } else {
+            self.work.own_searches += 1;
+            let (src, dst) = self.pair;
+            let own =
+                k_shortest_paths_avoiding(topo, src, dst, k, dead.clone()).unwrap_or_default();
+            self.store(shared, own.iter())
+        }
+    }
+
+    /// Store a path set, or name `shared` when that set holds the same
+    /// paths; the empty set is set 0.
+    fn store<'p>(&mut self, shared: u32, paths: impl Iterator<Item = &'p Path> + Clone) -> u32 {
+        let same = paths.clone().map(|p| PlannedPath {
+            links: &p.links,
+            length_km: p.length_km,
+        });
+        if stored(&self.sets, &self.paths, &self.links, shared).eq(same) {
+            return shared;
+        }
+        let first = self.paths.len() as u32;
+        for p in paths {
+            self.paths.push(PathRef {
+                start: self.links.len() as u32,
+                len: p.links.len() as u32,
+                length_km: p.length_km,
+            });
+            self.links.extend_from_slice(&p.links);
+        }
+        let len = self.paths.len() as u32 - first;
+        if len == 0 {
+            return 0;
+        }
+        self.sets.push((first, len));
+        (self.sets.len() - 1) as u32
+    }
+}
+
+/// One plan key's filled rows.
+struct Shelf {
+    k_paths: usize,
+    /// The key's unique dead-link masks, in first-appearance order.
+    dead: Vec<LinkMask>,
+    rows: BTreeMap<(RegionId, RegionId), Arc<Row>>,
+}
+
+/// What the lock guards: each pooled pair's pool, the rows of up to
+/// [`PLAN_KEYS`] plan keys, and the work done filling them.
+#[derive(Default)]
+struct Memo {
+    pools: BTreeMap<(RegionId, RegionId), Arc<Pool>>,
+    /// Asked for least recently first.
+    shelves: Vec<Shelf>,
+    work: RouteWork,
+}
+
+impl Memo {
+    /// The pool of `src -> dst` on `topo`, at least `depth` paths deep
+    /// or exhausted. A miss, or a pool shallower than `depth`, is
+    /// searched and stored in place of what was there.
+    fn pool(&mut self, topo: &Topology, src: RegionId, dst: RegionId, depth: usize) -> Arc<Pool> {
+        match self.pools.get(&(src, dst)) {
             Some(pool) if pool.exhausted || pool.paths.len() >= depth => Arc::clone(pool),
             _ => {
+                self.work.pool_searches += 1;
                 let pool = Arc::new(Pool::search(topo, src, dst, depth));
-                pools.insert((src, dst), Arc::clone(&pool));
+                self.pools.insert((src, dst), Arc::clone(&pool));
                 pool
             }
         }
     }
+}
 
-    /// Forget every pool, for this holder alone: the graph they were
-    /// searched on is changing. Clones sharing the memo keep theirs.
+/// The memo of a topology's pools and plan rows (see the
+/// [module docs](self)). Clones share it; [`Topology`]'s equality,
+/// `Debug` and wire format ignore it.
+#[derive(Clone, Default)]
+pub(crate) struct RouteMemo(Arc<Mutex<Memo>>);
+
+/// The memo locked for one plan, whose key's rows are `shelves[at]`.
+struct Shelved<'m> {
+    memo: MutexGuard<'m, Memo>,
+    at: usize,
+}
+
+impl RouteMemo {
+    /// The memo, locked. A poisoned lock is recovered: a pool or a row
+    /// is only ever stored whole, so no holder's panic leaves either
+    /// half-written.
+    fn lock(&self) -> MutexGuard<'_, Memo> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The memo locked for `plan`'s key, made the key asked for most
+    /// recently; a new key forgets the least recent one past
+    /// [`PLAN_KEYS`].
+    fn shelve(&self, plan: &RoutePlan) -> Shelved<'_> {
+        let mut memo = self.lock();
+        let found = memo
+            .shelves
+            .iter()
+            .position(|s| s.k_paths == plan.k_paths && s.dead == plan.dead);
+        let shelf = match found {
+            Some(at) => memo.shelves.remove(at),
+            None => {
+                if memo.shelves.len() == PLAN_KEYS {
+                    memo.shelves.remove(0);
+                }
+                Shelf {
+                    k_paths: plan.k_paths,
+                    dead: plan.dead.clone(),
+                    rows: BTreeMap::new(),
+                }
+            }
+        };
+        memo.shelves.push(shelf);
+        let at = memo.shelves.len() - 1;
+        Shelved { memo, at }
+    }
+
+    /// Forget every pool and row, and the work count, for this holder
+    /// alone: the graph they were searched on is changing. Clones
+    /// sharing the memo keep theirs.
     pub(crate) fn detach(&mut self) {
         match Arc::get_mut(&mut self.0) {
-            Some(pools) => pools
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clear(),
-            None => *self = PoolMemo::default(),
+            Some(memo) => {
+                let memo = memo.get_mut().unwrap_or_else(PoisonError::into_inner);
+                memo.pools.clear();
+                memo.shelves.clear();
+                memo.work = RouteWork::default();
+            }
+            None => *self = RouteMemo::default(),
         }
     }
 
     /// Region pairs pooled so far.
-    pub(crate) fn len(&self) -> usize {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner).len()
+    pub(crate) fn pooled(&self) -> usize {
+        self.lock().pools.len()
     }
 
     /// Bytes held by the pools and the map's entries (capacity, not
     /// length).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let pools = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+    pub(crate) fn pool_bytes(&self) -> usize {
         let entry = size_of::<((RegionId, RegionId), Arc<Pool>)>()
             + 2 * size_of::<usize>() // the `Arc`'s counts
             + size_of::<Pool>();
-        pools.values().map(|p| entry + p.heap_bytes()).sum()
+        self.lock()
+            .pools
+            .values()
+            .map(|p| entry + p.heap_bytes())
+            .sum()
+    }
+
+    /// Plan keys with rows kept.
+    pub(crate) fn keys(&self) -> usize {
+        self.lock().shelves.len()
+    }
+
+    /// Bytes held by the kept keys and their rows.
+    pub(crate) fn row_bytes(&self) -> usize {
+        let entry = size_of::<((RegionId, RegionId), Arc<Row>)>();
+        self.lock()
+            .shelves
+            .iter()
+            .map(|s| {
+                size_of::<Shelf>()
+                    + s.dead.iter().map(LinkMask::heap_bytes).sum::<usize>()
+                    + s.rows
+                        .values()
+                        .map(|r| entry + r.heap_bytes())
+                        .sum::<usize>()
+            })
+            .sum()
+    }
+
+    pub(crate) fn work(&self) -> RouteWork {
+        self.lock().work
+    }
+}
+
+impl Shelved<'_> {
+    /// The row of `pair` under the shelved key: the stored one, or one
+    /// filled now and stored. A region `topo` does not have gets no
+    /// paths, and nothing is stored for it.
+    fn row(&mut self, topo: &Topology, plan: &RoutePlan, pair: (RegionId, RegionId)) -> Arc<Row> {
+        let known = |r: RegionId| r.index() < topo.region_count();
+        if !known(pair.0) || !known(pair.1) {
+            return Arc::new(Row::unknown(plan.unique_len()));
+        }
+        if let Some(row) = self.memo.shelves[self.at].rows.get(&pair) {
+            return Arc::clone(row);
+        }
+        let depth = POOL_DEPTH.max(plan.k_paths + 1);
+        let pool = self.memo.pool(topo, pair.0, pair.1, depth);
+        let row = Arc::new(
+            Fill {
+                topo,
+                plan,
+                pool: &pool,
+                pair,
+                work: &mut self.memo.work,
+                sets: vec![(0, 0)],
+                paths: Vec::new(),
+                links: Vec::new(),
+            }
+            .row(),
+        );
+        self.memo.shelves[self.at]
+            .rows
+            .insert(pair, Arc::clone(&row));
+        row
     }
 }
 
@@ -202,14 +495,6 @@ impl PoolMemo {
 /// its spur distance, far below any gap between genuinely different
 /// fiber routes.
 const NEAR_TIE: f64 = 1e-9;
-
-/// One stored path: a range of the plan's link arena.
-#[derive(Clone, Copy, Debug)]
-struct PathRef {
-    start: u32,
-    len: u32,
-    length_km: f64,
-}
 
 /// One path served by a [`RoutePlan`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -221,7 +506,8 @@ pub struct PlannedPath<'a> {
 }
 
 /// Precomputed k-shortest path sets for one
-/// `(topology, scenario set, k_paths)`; see the [module docs](self).
+/// `(topology, scenario set, k_paths)`: a view of the topology's memo
+/// rows; see the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct RoutePlan {
     k_paths: usize,
@@ -238,17 +524,8 @@ pub struct RoutePlan {
     /// Whether the pool rule's premise (positive, finite link lengths)
     /// holds for this topology.
     poolable: bool,
-    /// Row of each filled region pair in `set_of`.
-    rows: BTreeMap<(RegionId, RegionId), u32>,
-    /// `set_of[row * unique_len + u]`: the path set a pair rides under
-    /// unique failure set `u`.
-    set_of: Vec<u32>,
-    /// Path set → its range of `paths`; set 0 is the empty set of a
-    /// disconnected pair.
-    sets: Vec<(u32, u32)>,
-    paths: Vec<PathRef>,
-    /// Every stored path's links, back to back.
-    links: Vec<LinkId>,
+    /// Each filled region pair's row, shared with the memo.
+    rows: BTreeMap<(RegionId, RegionId), Arc<Row>>,
 }
 
 impl RoutePlan {
@@ -299,10 +576,6 @@ impl RoutePlan {
                 .iter()
                 .all(|l| l.length_km.is_finite() && l.length_km > 0.0),
             rows: BTreeMap::new(),
-            set_of: Vec::new(),
-            sets: vec![(0, 0)],
-            paths: Vec::new(),
-            links: Vec::new(),
         }
     }
 
@@ -341,102 +614,24 @@ impl RoutePlan {
 
     /// Fill in the path sets of `pairs` under every failure set. `topo`
     /// must be the topology the plan was built for. Pairs already
-    /// present, and `src == dst`, cost a lookup; a pair `topo` has
-    /// pooled before costs no search of its pool.
+    /// present, and `src == dst`, cost a lookup and take no lock; a pair
+    /// whose row an earlier plan of `topo` with this plan's key filled
+    /// costs a lookup under the memo's lock, and one whose pool an
+    /// earlier plan read costs no search of its pool.
     pub fn ensure(
         &mut self,
         topo: &Topology,
         pairs: impl IntoIterator<Item = (RegionId, RegionId)>,
     ) {
+        let mut shelved = None;
         for (src, dst) in pairs {
-            if src != dst && !self.rows.contains_key(&(src, dst)) {
-                self.fill(topo, src, dst);
+            if src == dst || self.rows.contains_key(&(src, dst)) {
+                continue;
             }
+            let shelved = shelved.get_or_insert_with(|| topo.memo.shelve(self));
+            let row = shelved.row(topo, self, (src, dst));
+            self.rows.insert((src, dst), row);
         }
-    }
-
-    fn fill(&mut self, topo: &Topology, src: RegionId, dst: RegionId) {
-        let row = (self.set_of.len() / self.unique_len().max(1)) as u32;
-        self.rows.insert((src, dst), row);
-        let pool = topo
-            .pools
-            .pool(topo, src, dst, POOL_DEPTH.max(self.k_paths + 1));
-        let mut picked = Vec::with_capacity(self.k_paths + 1);
-        let base = self.answer(topo, &pool, (src, dst), None, 0, &mut picked);
-        for u in 0..self.unique_len() {
-            let set = if self.dead[u] == self.common {
-                base
-            } else {
-                self.answer(topo, &pool, (src, dst), Some(u), base, &mut picked)
-            };
-            self.set_of.push(set);
-        }
-    }
-
-    /// Store the k shortest paths of `pair` that avoid failure set
-    /// `unique`'s dead links (`None`: the common ones), or name `shared`
-    /// when that set holds the same paths. Read off `pool` by the pool
-    /// rule where it can answer, searched otherwise.
-    fn answer(
-        &mut self,
-        topo: &Topology,
-        pool: &Pool,
-        (src, dst): (RegionId, RegionId),
-        unique: Option<usize>,
-        shared: u32,
-        picked: &mut Vec<usize>,
-    ) -> u32 {
-        let k = self.k_paths;
-        let dead = unique.map_or(&self.common, |u| &self.dead[u]);
-        if dead.is_empty() {
-            // The pool is Yen's own search on this graph: its first k
-            // are the answer as they stand, near-ties and all.
-            self.store(shared, pool.paths.iter().take(k))
-        } else if self.poolable && read_pool(pool, dead, k, picked) {
-            self.store(shared, picked.iter().map(|&i| &pool.paths[i]))
-        } else {
-            let own =
-                k_shortest_paths_avoiding(topo, src, dst, k, dead.clone()).unwrap_or_default();
-            self.store(shared, own.iter())
-        }
-    }
-
-    /// Store a path set, or name `shared` when that set holds the same
-    /// paths; the empty set is set 0.
-    fn store<'p>(&mut self, shared: u32, paths: impl Iterator<Item = &'p Path> + Clone) -> u32 {
-        let same = paths.clone().map(|p| PlannedPath {
-            links: &p.links,
-            length_km: p.length_km,
-        });
-        if self.set(shared).eq(same) {
-            return shared;
-        }
-        let first = self.paths.len() as u32;
-        for p in paths {
-            self.paths.push(PathRef {
-                start: self.links.len() as u32,
-                len: p.links.len() as u32,
-                length_km: p.length_km,
-            });
-            self.links.extend_from_slice(&p.links);
-        }
-        let len = self.paths.len() as u32 - first;
-        if len == 0 {
-            return 0;
-        }
-        self.sets.push((first, len));
-        (self.sets.len() - 1) as u32
-    }
-
-    /// The paths of stored set `set`, shortest first.
-    fn set(&self, set: u32) -> impl Iterator<Item = PlannedPath<'_>> {
-        let (first, len) = self.sets[set as usize];
-        self.paths[first as usize..(first + len) as usize]
-            .iter()
-            .map(|p| PlannedPath {
-                links: &self.links[p.start as usize..(p.start + p.len) as usize],
-                length_km: p.length_km,
-            })
     }
 
     /// The paths a demand from `src` to `dst` rides under unique failure
@@ -449,12 +644,13 @@ impl RoutePlan {
         dst: RegionId,
         unique: usize,
     ) -> impl Iterator<Item = PlannedPath<'_>> {
-        let set = self
-            .rows
-            .get(&(src, dst))
-            .and_then(|&row| self.set_of.get(row as usize * self.unique_len() + unique));
+        let row = self.rows.get(&(src, dst));
+        let set = row.and_then(|row| row.set_of.get(unique).copied());
         debug_assert!(set.is_some(), "{src}->{dst} was not ensured");
-        self.set(set.copied().unwrap_or(0))
+        match row {
+            Some(row) => stored(&row.sets, &row.paths, &row.links, set.unwrap_or(0)),
+            None => stored(&[(0, 0)], &[], &[], 0),
+        }
     }
 
     /// Whether `link` is dead under unique failure set `unique`.
@@ -462,27 +658,26 @@ impl RoutePlan {
         self.dead.get(unique).is_some_and(|m| m.contains(link))
     }
 
-    /// Path sets stored so far: per pair its base set, plus one per
-    /// failure set whose paths differ from the base and are not empty.
+    /// Path sets the plan's rows store: per pair its base set, plus one
+    /// per failure set whose paths differ from the base and are not
+    /// empty.
     pub fn path_sets(&self) -> usize {
-        self.sets.len() - 1
+        self.rows.values().map(|row| row.sets.len() - 1).sum()
     }
 
-    /// Bytes held by the plan's tables (capacity, not length).
+    /// Bytes held by the plan's own tables (capacity, not length) and
+    /// by every row it references. Rows live in the topology's memo and
+    /// are shared with every plan of the same key, so the rows of two
+    /// such plans are counted by each.
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
         self.assignment.capacity() * size_of::<u32>()
             + self.representatives.capacity() * size_of::<usize>()
+            + self.dead.iter().map(LinkMask::heap_bytes).sum::<usize>()
             + self
-                .dead
-                .iter()
-                .map(|m| m.0.capacity() * 8 + size_of::<LinkMask>())
+                .rows
+                .values()
+                .map(|row| size_of::<((RegionId, RegionId), Arc<Row>)>() + row.heap_bytes())
                 .sum::<usize>()
-            + self.rows.len() * (size_of::<(RegionId, RegionId)>() + size_of::<u32>())
-            + self.set_of.capacity() * size_of::<u32>()
-            + self.sets.capacity() * size_of::<(u32, u32)>()
-            + self.paths.capacity() * size_of::<PathRef>()
-            + self.links.capacity() * size_of::<LinkId>()
     }
 }
 
@@ -523,15 +718,15 @@ mod tests {
         let topo = BackboneSpec::small(3).build();
         let ids = topo.region_ids();
         let died = catch_unwind(AssertUnwindSafe(|| {
-            let _held = topo.pools.0.lock();
+            let _held = topo.memo.0.lock();
             panic!("a holder dies with the memo locked");
         }));
-        assert!(died.is_err() && topo.pools.0.is_poisoned());
+        assert!(died.is_err() && topo.memo.0.is_poisoned());
 
         let scenarios = ScenarioSet::enumerate(&topo, 1);
         let mut plan = RoutePlan::build(&topo, &scenarios, 4);
         plan.ensure(&topo, [(ids[0], ids[1])]);
-        assert_eq!((topo.pooled_pairs(), topo.pools.0.is_poisoned()), (1, true));
+        assert_eq!((topo.pooled_pairs(), topo.memo.0.is_poisoned()), (1, true));
         let served: Vec<Vec<LinkId>> = plan
             .paths(ids[0], ids[1], 0)
             .map(|p| p.links.to_vec())

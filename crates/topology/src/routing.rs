@@ -103,8 +103,9 @@ pub fn route_matrix_on_residual(
     plan.route_on(0, demands, residual)
 }
 
-/// The plan-less callers' path source: a throw-away plan over the one
-/// failure set, so each distinct pair of `demands` is searched once.
+/// The plan-less callers' path source: a plan over the one failure set,
+/// so each distinct pair of `demands` is looked up once — and searched
+/// only if no earlier call with this dead set and `k` filled its row.
 fn plan_for(topo: &Topology, demands: &[Demand], dead: &[LinkId], k_paths: usize) -> RoutePlan {
     let mut plan = RoutePlan::of_dead_sets(topo, std::iter::once(dead), k_paths);
     plan.ensure(topo, demands.iter().map(Demand::pair));

@@ -9,7 +9,8 @@
 use entitlement_core::{DetRng, EntitlementError, RegionId};
 use entitlement_topology::failure::fiber_groups;
 use entitlement_topology::{
-    k_shortest_paths, BackboneSpec, FailureScenario, LinkId, Path, RoutePlan, ScenarioSet, Topology,
+    k_shortest_paths, BackboneSpec, FailureScenario, LinkId, Path, RoutePlan, ScenarioSet,
+    Topology, PLAN_KEYS,
 };
 use proptest::prelude::*;
 
@@ -405,6 +406,34 @@ fn the_pool_memo_holds_one_pool_per_pair_within_its_budget() {
     }
 }
 
+/// The memo's plan rows beside its pools: at `k` = 4 the admit world's
+/// 90 DC pairs under its 28 single-cut failure sets hold 150 264 bytes
+/// of rows, and the approval world's 30 under 17 hold 36 424; the
+/// budgets are those measurements plus a sixth. A plan's bytes count
+/// the rows it references. However many keys are asked for, the memo
+/// keeps [`PLAN_KEYS`] of them.
+#[test]
+fn the_row_memo_keeps_at_most_plan_keys_within_its_budget() {
+    let worlds = [
+        (admit_world(), (90, 28), 175_500),
+        (approval_world(), (30, 17), 42_500),
+    ];
+    for (topo, shape, budget) in worlds {
+        let pairs = dc_pairs(&topo);
+        let scenarios = ScenarioSet::enumerate(&topo, 1);
+        for (n, k) in (4..4 + 2 * PLAN_KEYS).enumerate() {
+            let mut plan = RoutePlan::build(&topo, &scenarios, k);
+            plan.ensure(&topo, pairs.iter().copied());
+            assert_eq!(topo.plan_keys(), (n + 1).min(PLAN_KEYS), "k {k}");
+            if n == 0 {
+                assert_eq!((pairs.len(), plan.unique_len()), shape);
+                assert!(topo.row_bytes() < budget, "{} bytes", topo.row_bytes());
+                assert!(plan.heap_bytes() > topo.row_bytes());
+            }
+        }
+    }
+}
+
 #[test]
 fn monte_carlo_sets_deduplicate_heavily_and_enumerated_ones_not_at_all() {
     let topo = BackboneSpec::small(3).build();
@@ -500,8 +529,9 @@ fn a_tie_decided_by_a_dead_link_gets_its_own_search() {
 /// An approval round keeps one plan for all its hoses, so at worst the
 /// plan holds every DC pair of the backbone under every dual cut, not
 /// one hose's. That worst case is a number — on the small backbone 20
-/// pairs x 107 failure sets, 1 712 stored path sets, 300 032 bytes —
-/// and the budget is that measurement plus a sixth.
+/// pairs x 107 failure sets, 1 712 stored path sets, 224 504 bytes with
+/// the rows at exact capacity — and the budget is that measurement plus
+/// a sixth.
 #[test]
 fn a_round_lifetime_plan_of_every_dc_pair_fits_its_budget() {
     let topo = BackboneSpec::small(41).build();
@@ -510,5 +540,6 @@ fn a_round_lifetime_plan_of_every_dc_pair_fits_its_budget() {
     let mut plan = RoutePlan::build(&topo, &scenarios, 4);
     plan.ensure(&topo, pairs.iter().copied());
     assert_eq!((pairs.len(), plan.unique_len()), (20, 107));
-    assert!(plan.heap_bytes() < 350_000, "{} bytes", plan.heap_bytes());
+    assert_eq!(plan.path_sets(), 1_712);
+    assert!(plan.heap_bytes() < 262_000, "{} bytes", plan.heap_bytes());
 }

@@ -128,7 +128,7 @@ const HOT_PATH_CRATES: &[&str] = &[
     "crates/enforcement/src/shard",
     "crates/kvstore/src/fanout",
     // The placement kernel and the path search under every risk sweep;
-    // the plan fills its topology's pool memo under a lock.
+    // the plan fills its topology's memo of pools and rows under a lock.
     "crates/topology/src/path",
     "crates/topology/src/plan",
     "crates/topology/src/routing",
@@ -793,7 +793,7 @@ mod tests {
              pub fn h(m: &std::sync::Mutex<u64>) -> u64 { *m.lock().unwrap() }\n",
         )
         .unwrap();
-        // The route plan's pool memo is filled under a lock.
+        // The route plan's memo (pools and rows) is filled under a lock.
         let topology = dir.join("crates/topology/src");
         std::fs::create_dir_all(&topology).unwrap();
         std::fs::write(

@@ -1,23 +1,24 @@
-//! The path-pool memo a `Topology` keeps for its route plans: a plan
-//! on a topology whose memo is warm serves exactly what a plan on a
-//! freshly built one does; the memo never outlives a change to the
-//! graph and never reaches equality, `Debug` or the wire; and rounds
-//! approved on one topology — again, or at the same time — read the
-//! bits a fresh topology gives.
+//! The memo of path pools and plan rows a `Topology` keeps for its
+//! route plans: a plan on a topology whose memo is warm serves exactly
+//! what a plan on a freshly built one does, also for a key the memo
+//! forgot; the memo never outlives a change to the graph and never
+//! reaches equality, `Debug` or the wire; and rounds approved on one
+//! topology — again, or at the same time — read the bits a fresh
+//! topology gives, searching and filling each pool and row once.
 
 #[path = "../crates/topology/tests/support/mod.rs"]
 mod support;
 
 use entitlement_core::{DetRng, Direction, NpgId, QosBand, QosClass, Rate, RegionId, SloTarget};
 use entitlement_topology::failure::fiber_groups;
-use entitlement_topology::{BackboneSpec, LinkId, RoutePlan, ScenarioSet, Topology};
+use entitlement_topology::{BackboneSpec, LinkId, RoutePlan, ScenarioSet, Topology, PLAN_KEYS};
 use network_entitlement::analyzer::LintBundle;
 use network_entitlement::approval::{
     approve_requests, ApprovalConfig, ApprovalMode, ApprovalRequest, HoseApproval,
 };
 use network_entitlement::hose::HoseRequest;
 use proptest::prelude::*;
-use support::{admit_world, all_pairs, approval_world, backbone, faulted};
+use support::{admit_world, all_pairs, approval_world, backbone, dc_pairs, faulted};
 
 /// Every path set a plan of `scenarios` at `k` serves, every pair of
 /// `topo` ensured: per (pair, unique failure set) its paths as links
@@ -54,10 +55,12 @@ fn rebuilt(topo: &Topology) -> Topology {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Warm the memo with a plan at one `k`, then ask at another: the
-    /// pools are shallower or deeper than the second plan needs, and it
-    /// still serves what a plan on a fresh topology serves, healthy and
-    /// with a fault in every scenario, under single and dual cuts.
+    /// Warm the memo with rows of another `k`, another `max_cuts` and
+    /// a faulted key, then ask: the pools are shallower or deeper than
+    /// the asking plan needs, its rows are filled now or were filled by
+    /// an earlier plan of its key, and it still serves what a plan on a
+    /// fresh topology serves, healthy and with a fault in every
+    /// scenario, under single and dual cuts.
     #[test]
     fn a_warm_memo_serves_what_a_fresh_topology_serves(
         seed in 0u64..10_000,
@@ -68,10 +71,13 @@ proptest! {
         let warm = backbone(seed, shape, snap);
         let groups = fiber_groups(&warm);
         let fault = groups[DetRng::new(seed ^ 0xFA17).usize(groups.len())].links.clone();
+        let sets = [1, 2].map(|max_cuts| ScenarioSet::enumerate(&warm, max_cuts));
         for max_cuts in [1, 2] {
-            let set = ScenarioSet::enumerate(&warm, max_cuts);
-            for scenarios in [faulted(&set, &fault), set] {
+            let (set, other) = (&sets[max_cuts - 1], &sets[2 - max_cuts]);
+            for scenarios in [faulted(set, &fault), set.clone()] {
                 served(&warm, &scenarios, warm_k);
+                served(&warm, other, k);
+                served(&warm, &faulted(other, &fault), k);
                 let fresh = backbone(seed, shape, snap);
                 prop_assert_eq!(
                     served(&warm, &scenarios, k),
@@ -81,7 +87,87 @@ proptest! {
             }
         }
         prop_assert_eq!(warm.pooled_pairs(), all_pairs(&warm).len());
+        prop_assert!(warm.plan_keys() <= PLAN_KEYS);
     }
+}
+
+/// One key more than the memo keeps: the first key's rows are
+/// forgotten, a plan that holds them still serves them, and asking for
+/// the key again fills it anew — from the pools, with no pool search —
+/// to what a fresh topology serves.
+#[test]
+fn a_forgotten_key_is_filled_again_to_what_a_fresh_topology_serves() {
+    let topo = approval_world();
+    let single = ScenarioSet::enumerate(&topo, 1);
+    let pairs = all_pairs(&topo);
+    let mut first = RoutePlan::build(&topo, &single, 1);
+    first.ensure(&topo, pairs.iter().copied());
+    let held = served(&topo, &single, 1);
+    for k in 2..=PLAN_KEYS + 1 {
+        served(&topo, &single, k);
+        assert_eq!(topo.plan_keys(), k.min(PLAN_KEYS));
+    }
+    let before = topo.route_work();
+    assert_eq!(
+        served(&topo, &single, 1),
+        served(&rebuilt(&topo), &single, 1)
+    );
+    let after = topo.route_work();
+    assert_eq!(after.pool_searches, before.pool_searches);
+    assert_eq!(after.row_fills - before.row_fills, pairs.len() as u64);
+    assert_eq!(topo.plan_keys(), PLAN_KEYS);
+
+    let still: Vec<Vec<(Vec<LinkId>, u64)>> = pairs
+        .iter()
+        .flat_map(|&(s, d)| (0..first.unique_len()).map(move |u| (s, d, u)))
+        .map(|(s, d, u)| {
+            first
+                .paths(s, d, u)
+                .map(|p| (p.links.to_vec(), p.length_km.to_bits()))
+                .collect()
+        })
+        .collect();
+    assert_eq!(still, held, "a plan keeps the rows of a forgotten key");
+}
+
+/// What the memo does for rounds on the benchmark's approval world: a
+/// first round on a cold topology searches the 13 pairs it touches and
+/// fills their rows; the same round approved again searches and fills
+/// nothing. Every DC pair under the 17 single-cut failure sets at k = 4
+/// — what one repetition of the benchmark's twelve rounds asks — is 30
+/// pool searches, 48 searches of a failure set's own and 30 row fills,
+/// once per topology.
+#[test]
+fn a_round_approved_again_searches_and_fills_nothing() {
+    let topo = approval_world();
+    let config = ApprovalConfig {
+        tms_per_hose: 4,
+        max_cuts: 1,
+        ..Default::default()
+    };
+    let requests = round(&topo);
+    let first = decision_bits(&approve_requests(&topo, &requests, &config));
+    let work = topo.route_work();
+    assert_eq!(
+        (work.pool_searches, work.own_searches, work.row_fills),
+        (13, 20, 13),
+        "first round"
+    );
+    let second = decision_bits(&approve_requests(&topo, &requests, &config));
+    assert_eq!(second, first);
+    assert_eq!(topo.route_work(), work, "second round");
+
+    let fresh = approval_world();
+    let mut plan = RoutePlan::build(&fresh, &ScenarioSet::enumerate(&fresh, 1), 4);
+    plan.ensure(&fresh, dc_pairs(&fresh));
+    let work = fresh.route_work();
+    assert_eq!(
+        (work.pool_searches, work.own_searches, work.row_fills),
+        (30, 48, 30)
+    );
+    let mut again = RoutePlan::build(&fresh, &ScenarioSet::enumerate(&fresh, 1), 4);
+    again.ensure(&fresh, dc_pairs(&fresh));
+    assert_eq!(fresh.route_work(), work);
 }
 
 /// FNV-1a-64 of every `(pair, failure set)` path set a fully ensured
@@ -188,8 +274,8 @@ fn configs() -> impl Iterator<Item = ApprovalConfig> {
         })
 }
 
-/// The second round on a topology reads every pool the first one
-/// searched, and decides exactly what a round on a fresh topology does.
+/// The second round on a topology reads every row the first one
+/// filled, and decides exactly what a round on a fresh topology does.
 #[test]
 fn one_round_approved_twice_on_one_topology_is_a_fresh_round() {
     let topo = BackboneSpec::small(41).build();
@@ -205,13 +291,15 @@ fn one_round_approved_twice_on_one_topology_is_a_fresh_round() {
 
 /// Two rounds at once on one cold topology race to fill its memo (a
 /// barrier releases them together); both read the bits a serial round
-/// on a fresh topology does.
+/// on a fresh topology does, and between them they search and fill
+/// what that one round does: each pool and each `(key, pair)` row once.
 #[test]
 fn concurrent_rounds_on_one_topology_read_the_serial_bits() {
     let topo = BackboneSpec::small(41).build();
     let requests = round(&topo);
     for config in configs() {
-        let serial = decision_bits(&approve_requests(&rebuilt(&topo), &requests, &config));
+        let alone = rebuilt(&topo);
+        let serial = decision_bits(&approve_requests(&alone, &requests, &config));
         let shared = rebuilt(&topo);
         let start = std::sync::Barrier::new(2);
         let approve = || {
@@ -225,6 +313,7 @@ fn concurrent_rounds_on_one_topology_read_the_serial_bits() {
         });
         assert_eq!(decision_bits(&a), serial, "{config:?}");
         assert_eq!(decision_bits(&b), serial, "{config:?}");
+        assert_eq!(shared.route_work(), alone.route_work(), "{config:?}");
     }
 }
 
@@ -257,7 +346,8 @@ fn adding_a_link_or_a_region_to_a_warm_topology_starts_a_fresh_memo() {
     let mut fresh = rebuilt(&topo);
     let shortcut = add_shortcut(&mut topo);
     add_shortcut(&mut fresh);
-    assert_eq!(topo.pooled_pairs(), 0);
+    assert_eq!((topo.pooled_pairs(), topo.plan_keys()), (0, 0));
+    assert_eq!(topo.route_work(), Default::default());
     assert_eq!(first_path(&topo), [shortcut]);
     assert_eq!(
         served(&topo, &single(&topo), 4),
@@ -274,7 +364,7 @@ fn adding_a_link_or_a_region_to_a_warm_topology_starts_a_fresh_memo() {
         t.add_duplex(hub, dcs[dcs.len() - 1], Rate::gbps(100.0), 0.999, 1.0)
             .unwrap();
     }
-    assert_eq!(topo.pooled_pairs(), 0);
+    assert_eq!((topo.pooled_pairs(), topo.plan_keys()), (0, 0));
     let cut_shortcut = ScenarioSet::enumerate(&topo, 1);
     assert_eq!(
         served(&topo, &faulted(&cut_shortcut, &[shortcut]), 4),
