@@ -18,10 +18,9 @@
 //!   added latency, agent crashes), each active over a window of
 //!   logical milliseconds. Every injection is a pure function of
 //!   `(plan, key, now_ms)`, so chaos runs are exactly reproducible.
-//! * [`store::ChaosStore`] — the synchronous `KvAccess` wrapper the
-//!   drill and unit tests run against.
-//! * [`store::ChaosKv`] — the async `KvClient` wrapper the daemon
-//!   fleet runs against, with a retry policy on reads.
+//! * [`store::ChaosStore`] — the one fault wrapper: a `KvAccess` layer
+//!   over the sharded store that the drill, the sharded fleet engine
+//!   and the tokio daemon all run against.
 //!
 //! Like the kvstore it wraps, this crate is deterministic: no ambient
 //! clocks, no ambient randomness — time comes in as `now_ms`,
@@ -33,4 +32,4 @@ pub mod plan;
 pub mod store;
 
 pub use plan::{Fault, FaultKind, FaultPlan, TimeWindow};
-pub use store::{ChaosKv, ChaosMetrics, ChaosStore};
+pub use store::{ChaosMetrics, ChaosStore};

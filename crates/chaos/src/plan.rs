@@ -60,9 +60,12 @@ pub enum FaultKind {
         /// Offset added to the logical clock, in milliseconds.
         skew_ms: i64,
     },
-    /// Every operation takes `ms` longer (slow network path).
+    /// The store answers `ms` later (slow network path). Only the tokio
+    /// daemon honours it, as a real sleep before each round's fan-out
+    /// reads; the logical-time drill and fleet engine ignore it, and no
+    /// decision depends on it.
     AddedLatency {
-        /// Added per-operation latency, milliseconds.
+        /// Added latency per daemon round, milliseconds.
         ms: u64,
     },
     /// The listed agent hosts are down (crashed); they neither publish
@@ -122,8 +125,31 @@ impl FaultPlan {
     }
 
     /// Parse a plan from its JSON representation.
+    ///
+    /// A plan that parses but would silently mean something else is
+    /// refused, naming the index of the first bad fault: a window whose
+    /// `from_ms` is after its `to_ms` (it would never fire) and a
+    /// `DropPublishes` fraction outside `[0, 1]` (it would act as the
+    /// nearest bound).
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
-        serde_json::from_str(text).map_err(|e| format!("invalid fault plan: {e}"))
+        let plan: FaultPlan =
+            serde_json::from_str(text).map_err(|e| format!("invalid fault plan: {e}"))?;
+        for (i, fault) in plan.faults.iter().enumerate() {
+            let TimeWindow { from_ms, to_ms } = fault.window;
+            if from_ms > to_ms {
+                return Err(format!(
+                    "invalid fault plan: fault {i}: window from_ms {from_ms} is after to_ms {to_ms}"
+                ));
+            }
+            if let FaultKind::DropPublishes { fraction } = fault.kind {
+                if !(0.0..=1.0).contains(&fraction) {
+                    return Err(format!(
+                        "invalid fault plan: fault {i}: DropPublishes fraction {fraction} is outside [0, 1]"
+                    ));
+                }
+            }
+        }
+        Ok(plan)
     }
 
     /// Serialize the plan to JSON.
@@ -192,7 +218,8 @@ impl FaultPlan {
         now_ms.saturating_add_signed(skew)
     }
 
-    /// Added per-operation latency at `now_ms`, milliseconds.
+    /// Added latency at `now_ms`, milliseconds (see
+    /// [`FaultKind::AddedLatency`]).
     pub fn latency_ms(&self, now_ms: u64) -> u64 {
         self.active(now_ms)
             .map(|k| match k {
@@ -438,5 +465,34 @@ mod tests {
         assert_eq!(p.faults.len(), 2);
         assert!(p.any_shard_down(30_000));
         assert!(FaultPlan::from_json("{nonsense").is_err());
+    }
+
+    #[test]
+    fn plans_that_would_mean_something_else_name_the_bad_fault() {
+        let plan = |second: &str| {
+            format!(
+                r#"{{"seed":1,"faults":[{{"window":{{"from_ms":0,"to_ms":10}},"kind":"StaleReads"}},{second}]}}"#
+            )
+        };
+        let drop = |fraction: &str| {
+            plan(&format!(
+                r#"{{"window":{{"from_ms":0,"to_ms":10}},"kind":{{"DropPublishes":{{"fraction":{fraction}}}}}}}"#
+            ))
+        };
+        for fraction in ["0", "0.5", "1"] {
+            assert!(FaultPlan::from_json(&drop(fraction)).is_ok(), "{fraction}");
+        }
+        for fraction in ["1.5", "-0.1"] {
+            let e = FaultPlan::from_json(&drop(fraction)).unwrap_err();
+            assert!(e.contains("fault 1:") && e.contains("fraction"), "{e}");
+        }
+        let window = |from: u64, to: u64| {
+            plan(&format!(
+                r#"{{"window":{{"from_ms":{from},"to_ms":{to}}},"kind":"StaleReads"}}"#
+            ))
+        };
+        assert!(FaultPlan::from_json(&window(5, 5)).is_ok(), "empty window");
+        let e = FaultPlan::from_json(&window(6, 5)).unwrap_err();
+        assert!(e.contains("fault 1:") && e.contains("from_ms 6"), "{e}");
     }
 }

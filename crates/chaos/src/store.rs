@@ -1,20 +1,16 @@
-//! Fault-injecting wrappers over the KV layers.
+//! The fault-injecting wrapper over the KV store.
 //!
 //! [`ChaosStore`] wraps the synchronous [`ShardedStore`] behind the
 //! [`KvAccess`] trait, so anything written against the trait (the
-//! enforcement agent, the §6 drill) can be run against a degraded
-//! store without code changes. [`ChaosKv`] wraps the async
-//! [`KvClient`] the daemon fleet uses, adding the same faults plus a
-//! retry policy on reads.
+//! enforcement agent, the §6 drill, the sharded fleet engine, the tokio
+//! daemon) can be run against a degraded store without code changes.
 
 use crate::plan::FaultPlan;
-use entitlement_kvstore::{KvAccess, KvClient, KvError, KvShardAccess, RetryPolicy, ShardedStore};
-use entitlement_obs::Obs;
+use entitlement_kvstore::{KvAccess, KvError, ShardedStore};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// What the chaos layer injected, for test assertions and drill
 /// summaries.
@@ -146,16 +142,15 @@ impl KvAccess for ChaosStore {
             self.inner.aggregate_sum(prefix, now)
         }))
     }
-}
 
-/// Shard-addressed access under the same fault plan: the aggregation
-/// tree places fleet shard `s`'s partials on storage shard `s`, so a
-/// `ShardOutage { shards: [s] }` darkens exactly fleet shard `s` —
-/// *its* publishes and fold reads fail while every other shard keeps
-/// serving. This is the per-shard fault targeting the flat
-/// [`KvAccess`] path cannot express (its aggregates span all shards
-/// and poison on any outage).
-impl KvShardAccess for ChaosStore {
+    // Shard-addressed access under the same fault plan: the aggregation
+    // tree places fleet shard `s`'s partials on storage shard `s`, so a
+    // `ShardOutage { shards: [s] }` darkens exactly fleet shard `s` —
+    // *its* publishes and fold reads fail while every other shard keeps
+    // serving. This is the per-shard fault targeting the flat
+    // operations cannot express (their aggregates span all shards and
+    // poison on any outage).
+
     fn shard_count(&self) -> usize {
         self.inner.shard_count()
     }
@@ -203,136 +198,12 @@ impl KvShardAccess for ChaosStore {
     }
 }
 
-/// The daemon-side wrapper: a [`KvClient`] with the same fault plan
-/// plus a [`RetryPolicy`] on reads and injected per-op latency.
-#[derive(Clone)]
-pub struct ChaosKv {
-    client: KvClient,
-    plan: Arc<FaultPlan>,
-    /// Retry/backoff applied to aggregate reads.
-    pub retry: RetryPolicy,
-    /// Telemetry bundle; disabled unless [`ChaosKv::with_obs`] is used.
-    obs: Obs,
-}
-
-impl ChaosKv {
-    /// Wrap a client (no telemetry).
-    pub fn new(client: KvClient, plan: Arc<FaultPlan>, retry: RetryPolicy) -> Self {
-        ChaosKv {
-            client,
-            plan,
-            retry,
-            obs: Obs::disabled(),
-        }
-    }
-
-    /// Route op outcomes and retry counts into `obs`: per-op outcome
-    /// counters plus an `entitlement_kv_retry_attempts` histogram, so
-    /// the retry amplification a fault plan causes is visible.
-    #[must_use]
-    pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.obs = obs.clone();
-        self
-    }
-
-    /// The plan driving the injections.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    async fn injected_latency(&self, now_ms: u64) {
-        let ms = self.plan.latency_ms(now_ms);
-        if ms > 0 {
-            tokio::time::sleep(Duration::from_millis(ms)).await;
-        }
-    }
-
-    fn record_op<T>(&self, op: &str, result: &Result<T, KvError>, attempts: u32) {
-        let outcome = if result.is_ok() { "ok" } else { "error" };
-        self.obs
-            .registry
-            .counter(
-                "entitlement_kv_async_ops_total",
-                "Async (daemon-path) KV operations by kind and outcome",
-                &[("op", op), ("outcome", outcome)],
-            )
-            .inc();
-        self.obs
-            .registry
-            .histogram(
-                "entitlement_kv_retry_attempts",
-                "Attempts consumed per retried KV operation",
-                &[("op", op)],
-            )
-            .record(f64::from(attempts));
-    }
-
-    /// Publish; outages fail, drops succeed silently.
-    pub async fn put(&self, key: &str, value: f64, now_ms: u64) -> Result<(), KvError> {
-        self.injected_latency(now_ms).await;
-        let shard = self.client.store().shard_index(key);
-        let result = if self.plan.shard_down(shard, now_ms) {
-            Err(KvError::ShardUnavailable)
-        } else if self
-            .plan
-            .drop_publish(entitlement_kvstore::key_hash(key), now_ms)
-        {
-            Ok(())
-        } else {
-            self.client
-                .put(key, value, self.plan.skewed_now(now_ms))
-                .await
-        };
-        self.record_op("put", &result, 1);
-        result
-    }
-
-    /// Aggregate under the retry policy; an active outage fails every
-    /// attempt, so callers see `Err` after the policy is exhausted.
-    pub async fn aggregate(&self, prefix: &str, now_ms: u64) -> Result<f64, KvError> {
-        self.injected_latency(now_ms).await;
-        if self.plan.any_shard_down(now_ms) {
-            // The outage sits in front of the client: the policy's
-            // budget would be burned without reaching the store.
-            let result = Err(KvError::ShardUnavailable);
-            self.record_op("aggregate", &result, self.retry.attempts.max(1));
-            return result;
-        }
-        let (result, attempts) = self
-            .client
-            .aggregate_with_retry_counted(prefix, self.plan.skewed_now(now_ms), &self.retry)
-            .await;
-        self.record_op("aggregate", &result, attempts);
-        result
-    }
-
-    /// Per-shard aggregate: fails only when *that* shard is down, so
-    /// the fan-out driver keeps folding the healthy shards while a
-    /// dark one degrades (fail-static per shard, not per fleet).
-    pub async fn shard_aggregate(
-        &self,
-        prefix: &str,
-        shard: usize,
-        now_ms: u64,
-    ) -> Result<f64, KvError> {
-        self.injected_latency(now_ms).await;
-        let result = if self.plan.shard_down(shard, now_ms) {
-            Err(KvError::ShardUnavailable)
-        } else {
-            self.client
-                .shard_aggregate(prefix, shard, self.plan.skewed_now(now_ms))
-                .await
-        };
-        self.record_op("shard_aggregate", &result, 1);
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{Fault, FaultKind, TimeWindow};
     use entitlement_kvstore::StoreConfig;
+    use std::time::Duration;
 
     fn store() -> Arc<ShardedStore> {
         Arc::new(ShardedStore::new(StoreConfig {
@@ -499,61 +370,5 @@ mod tests {
         assert_eq!(chaos.try_shard_aggregate("rates/x/total/", 3, 2500), Ok(4.0));
         let (ur, uw, _, _) = chaos.metrics.snapshot();
         assert_eq!((ur, uw), (1, 1));
-    }
-
-    #[tokio::test]
-    async fn chaos_kv_shard_aggregate_targets_one_shard() {
-        use entitlement_kvstore::{KvServer, StoreConfig};
-        let (server, client) = KvServer::new(StoreConfig {
-            shards: 4,
-            ttl: Duration::from_secs(60),
-        });
-        tokio::spawn(server.run());
-        for s in 0..4usize {
-            client
-                .put_shard_batch(s, vec![(format!("rates/x/total/s{s}"), 2.0)], 0)
-                .await
-                .unwrap();
-        }
-        let chaos = ChaosKv::new(
-            client,
-            plan(vec![Fault {
-                window: TimeWindow::new(0, 1000),
-                kind: FaultKind::ShardOutage { shards: vec![1] },
-            }]),
-            RetryPolicy::none(),
-        );
-        assert_eq!(chaos.shard_aggregate("rates/x/total/", 0, 500).await, Ok(2.0));
-        assert_eq!(
-            chaos.shard_aggregate("rates/x/total/", 1, 500).await,
-            Err(KvError::ShardUnavailable)
-        );
-        assert_eq!(chaos.shard_aggregate("rates/x/total/", 1, 1500).await, Ok(2.0));
-    }
-
-    #[tokio::test]
-    async fn chaos_kv_injects_on_the_async_path() {
-        use entitlement_kvstore::{KvServer, StoreConfig};
-        let (server, client) = KvServer::new(StoreConfig::default());
-        tokio::spawn(server.run());
-        let chaos = ChaosKv::new(
-            client,
-            plan(vec![Fault {
-                window: TimeWindow::new(1000, 2000),
-                kind: FaultKind::ShardOutage { shards: vec![] },
-            }]),
-            RetryPolicy::none(),
-        );
-        chaos.put("rates/a/h0", 3.0, 0).await.unwrap();
-        assert_eq!(chaos.aggregate("rates/", 500).await, Ok(3.0));
-        assert_eq!(
-            chaos.aggregate("rates/", 1500).await,
-            Err(KvError::ShardUnavailable)
-        );
-        assert_eq!(
-            chaos.put("rates/a/h0", 9.0, 1500).await,
-            Err(KvError::ShardUnavailable)
-        );
-        assert_eq!(chaos.aggregate("rates/", 2500).await, Ok(3.0));
     }
 }

@@ -2,11 +2,11 @@
 //! concurrent tasks.
 //!
 //! Each simulated host runs an agent task that periodically publishes
-//! its rate into the async KV store, runs the stateful meter on the
+//! its rate into the shared KV store, runs the stateful meter on the
 //! service aggregates, and updates a shared marking decision — the same
 //! loop `agent.rs` exposes synchronously, here exercised under real
-//! concurrency (task scheduling, channel backpressure, TTL'd rates from
-//! slow agents).
+//! concurrency (task scheduling, concurrent publishes into one store,
+//! TTL'd rates from slow agents).
 //!
 //! Aggregates reach the fleet through a **per-shard fan-out** instead
 //! of every agent polling the global prefix sum: once per round the
@@ -18,10 +18,15 @@
 //! cycle; a regression test pins the new read count to
 //! `2 × shards × cycles` regardless of fleet size.
 //!
-//! The fleet can run against a [`FaultPlan`]: publishes go through a
-//! fault-injecting [`ChaosStore`], aggregate reads through a
-//! [`ChaosKv`] with the configured [`RetryPolicy`], and hosts listed in
-//! an `AgentCrash` fault skip their rounds and restart with empty state
+//! The KV path is the one the drill and the sharded fleet engine run
+//! on: one [`ShardedStore`] behind `Arc`, one fault-injecting
+//! [`ChaosStore`] over it that every agent publishes through, and an
+//! [`ObservedKv`] over that same `ChaosStore` for the driver's fan-out
+//! reads. With a [`FaultPlan`], outages, dropped publishes, stale
+//! reads and clock skew therefore reach the daemon exactly as they
+//! reach the drill; `AddedLatency` is honoured here alone, as a real
+//! sleep before each round's fan-out; and hosts listed in an
+//! `AgentCrash` fault skip their rounds and restart with empty state
 //! when the window closes. Agents go **fail-static** on unavailable
 //! aggregates ([`Agent::cycle_observed`]): a KV outage freezes the
 //! standing decision, it never unthrottles the fleet.
@@ -29,9 +34,9 @@
 use crate::agent::{Agent, AgentConfig};
 use crate::marking::MarkingStrategy;
 use crate::metrics::{aggregate_fleet, MetricsSnapshot};
-use entitlement_chaos::{ChaosKv, ChaosStore, FaultPlan};
+use entitlement_chaos::{ChaosStore, FaultPlan};
 use entitlement_core::{HostId, NpgId, QosClass, Rate, RegionId};
-use entitlement_kvstore::{KvClient, KvError, KvServer, RetryPolicy, ShardFanout, StoreConfig};
+use entitlement_kvstore::{KvError, ObservedKv, ShardFanout, ShardedStore, StoreConfig};
 use entitlement_obs::Obs;
 use entitlement_slo::{IntervalObs, SloEvaluator};
 use std::sync::Arc;
@@ -65,8 +70,6 @@ pub struct DaemonConfig {
     /// (`None` = healthy run). Windows are in logical milliseconds:
     /// round `r` of the run happens at `r * cycle` ms.
     pub faults: Option<FaultPlan>,
-    /// Retry policy applied to aggregate reads.
-    pub retry: RetryPolicy,
 }
 
 /// The SLO target of the run's fixed contract, also the target its
@@ -116,9 +119,10 @@ pub async fn run_fleet(config: DaemonConfig) -> DaemonOutcome {
 /// (`round * cycle` ms), so fault windows hit the same rounds on every
 /// run regardless of scheduler timing.
 ///
-/// **Telemetry.** Every agent's aggregate reads cross a [`ChaosKv`]
-/// recording retry-attempt histograms and outcome counters, each
-/// metering cycle records the agent's marked-fraction decision and
+/// **Telemetry.** The driver's fan-out reads cross an [`ObservedKv`]
+/// recording the drill's KV families (`entitlement_kv_ops_total`,
+/// `entitlement_kv_op_ms`, `kv/shard_aggregate` spans), each metering
+/// cycle records the agent's marked-fraction decision and
 /// aggregate staleness into fleet-wide histograms
 /// (`entitlement_agent_marked_fraction`,
 /// `entitlement_agent_staleness_ms`), and on completion every agent's
@@ -150,12 +154,17 @@ pub async fn run_fleet_with(
         &[],
     );
     let kv_shards = 32usize;
-    let (server, client) = KvServer::new(StoreConfig {
+    let store = Arc::new(ShardedStore::new(StoreConfig {
         shards: kv_shards,
         ttl: config.cycle * 4,
-    });
-    tokio::spawn(server.run());
+    }));
     let plan = Arc::new(config.faults.clone().unwrap_or_default());
+    // One fault layer over the one store: agents publish through
+    // `kv.inner()`, the driver's fan-out reads through `kv` itself.
+    let kv = Arc::new(ObservedKv::new(
+        ChaosStore::new(Arc::clone(&store), Arc::clone(&plan)),
+        obs,
+    ));
     let cycle_ms = config.cycle.as_millis() as u64;
 
     // Broadcast of the logical cycle number: agents step in rounds so
@@ -165,11 +174,11 @@ pub async fn run_fleet_with(
     // this instead of issuing their own global reads — the fan-out
     // keeps the per-round KV read count at O(shards), not O(agents).
     type FoldedAggregates = (usize, Result<(f64, f64), KvError>);
-    let (agg_tx, agg_rx) = watch::channel::<FoldedAggregates>((0, Err(KvError::ServerDown)));
+    let (agg_tx, agg_rx) = watch::channel::<FoldedAggregates>((0, Err(KvError::ShardUnavailable)));
 
     let mut handles = Vec::with_capacity(config.hosts);
     for h in 0..config.hosts {
-        let client: KvClient = client.clone();
+        let kv = Arc::clone(&kv);
         let mut round_rx = round_rx.clone();
         let mut agg_rx = agg_rx.clone();
         let cfg = config.clone();
@@ -201,10 +210,6 @@ pub async fn run_fleet_with(
             )
             .unwrap();
             agent.refresh_contract(&db, 0);
-
-            // Publishes go through the sync fault layer; aggregates
-            // arrive on the driver's fan-out broadcast.
-            let store = ChaosStore::new(client.store_arc(), Arc::clone(&plan));
 
             let mut last_round = 0usize;
             let mut was_down = false;
@@ -244,7 +249,9 @@ pub async fn run_fleet_with(
                 let cr = agent.marking_command(cfg.hosts);
                 let marked = agent.self_marked() && cr != entitlement_simnet::MarkingCommand::None;
                 let conforming = if marked { Rate::ZERO } else { cfg.per_host_rate };
-                let _ = agent.publish(&store, cfg.per_host_rate, conforming, now_ms);
+                // Publishes cross the shared fault layer; aggregates
+                // arrive on the driver's fan-out broadcast.
+                let _ = agent.publish(kv.inner(), cfg.per_host_rate, conforming, now_ms);
                 // Wait for the driver's fan-out to fold this round's
                 // shard partials and broadcast the result.
                 let folded = loop {
@@ -269,11 +276,9 @@ pub async fn run_fleet_with(
     }
 
     // Drive the rounds. Mid-round the driver folds the shard partials
-    // through the fan-out (reads cross the fault-injecting [`ChaosKv`]
-    // under the retry policy) and broadcasts the result; each round
-    // ends with one SLO interval folded from the store's conforming
-    // aggregate.
-    let kv = ChaosKv::new(client.clone(), Arc::clone(&plan), config.retry).with_obs(obs);
+    // through the fan-out (reads cross the same fault layer the agents
+    // publish through) and broadcasts the result; each round ends with
+    // one SLO interval folded from the store's conforming aggregate.
     let total_prefix = format!("rates/{}/{}/total/", config.npg.0, config.qos);
     let conform_prefix = format!("rates/{}/{}/conform/", config.npg.0, config.qos);
     // Held partials may serve for one cycle before the fold goes
@@ -286,15 +291,14 @@ pub async fn run_fleet_with(
         // First half-cycle: agents publish their shard partials.
         tokio::time::sleep(config.cycle / 2).await;
         let now_ms = round as u64 * cycle_ms;
-        for s in 0..kv_shards {
-            let r = kv.shard_aggregate(&total_prefix, s, now_ms).await;
-            fan_total.observe(s, r, now_ms);
-            let r = kv.shard_aggregate(&conform_prefix, s, now_ms).await;
-            fan_conform.observe(s, r, now_ms);
+        // `AddedLatency` slows the round's fan-out, nothing else.
+        let latency_ms = plan.latency_ms(now_ms);
+        if latency_ms > 0 {
+            tokio::time::sleep(Duration::from_millis(latency_ms)).await;
         }
         let folded = match (
-            fan_total.snapshot(now_ms).fold(),
-            fan_conform.snapshot(now_ms).fold(),
+            fan_total.refresh(&*kv, &total_prefix, now_ms).fold(),
+            fan_conform.refresh(&*kv, &conform_prefix, now_ms).fold(),
         ) {
             (Ok(t), Ok(c)) => Ok((t, c)),
             (Err(e), _) | (_, Err(e)) => Err(e),
@@ -302,7 +306,7 @@ pub async fn run_fleet_with(
         agg_tx.send((round, folded)).expect("agents alive");
         // Second half-cycle: agents meter on the broadcast fold.
         tokio::time::sleep(config.cycle / 2).await;
-        let delivered_bps = client.store().aggregate_sum(&conform_prefix, now_ms);
+        let delivered_bps = store.aggregate_sum(&conform_prefix, now_ms);
         slo.observe(
             obs,
             &IntervalObs {
@@ -317,7 +321,7 @@ pub async fn run_fleet_with(
         );
     }
     let end_ms = config.cycles as u64 * cycle_ms;
-    let final_total = Rate::bps(client.store().aggregate_sum(&total_prefix, end_ms));
+    let final_total = Rate::bps(store.aggregate_sum(&total_prefix, end_ms));
     round_tx.send(usize::MAX).ok();
     drop(round_tx);
     drop(agg_tx);
@@ -365,7 +369,6 @@ mod tests {
             cycle: Duration::from_millis(40),
             cycles: 8,
             faults: None,
-            retry: RetryPolicy::none(),
         }
     }
 
@@ -445,9 +448,13 @@ mod tests {
         // Per-cycle decision and staleness histograms saw every cycle.
         assert!(text.contains("entitlement_agent_marked_fraction_count"));
         assert!(text.contains("entitlement_agent_staleness_ms_count"));
-        // The async KV layer recorded op outcomes and retry attempts.
-        assert!(text.contains("entitlement_kv_async_ops_total"));
-        assert!(text.contains("entitlement_kv_retry_attempts"));
+        // The fan-out's reads landed in the drill's KV families: two
+        // prefixes × 32 shards × 8 rounds, all served.
+        assert!(
+            text.contains("entitlement_kv_ops_total{op=\"aggregate\",outcome=\"ok\"} 512"),
+            "{text}"
+        );
+        assert!(text.contains("entitlement_kv_op_ms_count{op=\"aggregate\"} 512"));
         // Fleet counters carry the summed agent counters.
         assert!(text.contains("entitlement_agent_cycles_total"));
     }
@@ -465,6 +472,25 @@ mod tests {
                 "reads for {hosts} hosts"
             );
         }
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+    async fn added_latency_slows_the_fan_out_but_moves_no_decision() {
+        let healthy = run_fleet(config(20, 100.0, 10.0)).await;
+        let mut cfg = config(20, 100.0, 10.0);
+        // Rounds 2..=5 (logical ms 80..=200) each wait 15 ms more.
+        cfg.faults = Some(FaultPlan {
+            seed: 3,
+            faults: vec![Fault {
+                window: TimeWindow::new(2 * 40, 6 * 40),
+                kind: FaultKind::AddedLatency { ms: 15 },
+            }],
+        });
+        let t0 = std::time::Instant::now();
+        let slow = run_fleet(cfg).await;
+        assert!(t0.elapsed() >= Duration::from_millis(8 * 40 + 4 * 15));
+        assert_eq!(slow.marked_fractions, healthy.marked_fractions);
+        assert_eq!(slow.fail_static_cycles, 0);
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]

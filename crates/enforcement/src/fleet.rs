@@ -22,9 +22,8 @@
 //!    darkens exactly fleet shard `s`.
 //! 3. **Global fold.** A [`ShardFanout`] reads each shard's partial once
 //!    per cycle — O(shards) reads — and folds them in ascending shard
-//!    order. The flat prefix aggregate (`…/total/`) that existing
-//!    `AggregateWatch` consumers poll still sees the identical global
-//!    sum over the partial keys.
+//!    order. The flat prefix aggregate (`…/total/`) still sees the
+//!    identical global sum over the partial keys.
 //! 4. **Meter pass.** Every host takes
 //!    [`StatefulMeter::update_value`] of its own previous ratio and the
 //!    same folded aggregates — the exact float ops the flat-path agent
@@ -60,7 +59,7 @@ use crate::shard::ShardPlan;
 use entitlement_chaos::{ChaosStore, FaultPlan};
 use entitlement_core::{DetRng, HostId, NpgId, QosClass, Rate};
 use entitlement_kvstore::{
-    FanoutSnapshot, KvShardAccess, ObservedKv, ShardFanout, ShardRead, ShardedStore, StoreConfig,
+    FanoutSnapshot, KvAccess, ObservedKv, ShardFanout, ShardRead, ShardedStore, StoreConfig,
 };
 use entitlement_obs::Obs;
 use entitlement_slo::{IntervalObs, SloEvaluator};
@@ -216,7 +215,7 @@ pub struct FleetOutcome {
     /// Total offered demand, bits/s (constant across cycles).
     pub demand_bps: f64,
     /// The flat prefix aggregate (`…/total/`) read at end of run — what
-    /// an `AggregateWatch` consumer sees after the shards fold.
+    /// a flat-path reader sees after the shards fold.
     pub final_total: f64,
 }
 

@@ -21,14 +21,16 @@
 //! * [`drill`] — the §6 end-to-end drill harness coupling agents to the
 //!   simnet world and the storage application (Figs 11–17);
 //! * [`daemon`] — a tokio runtime where agents run as real concurrent
-//!   tasks against the async KV store.
+//!   tasks sharing one synchronous KV store through the drill's fault
+//!   layer.
 //!
 //! The whole runtime is **fail-static** (§5.3): when the KV store is
 //! unavailable, agents hold their last enforcement decision instead of
 //! reading the outage as "no traffic" and unthrottling. The drill and
 //! the daemon both accept an `entitlement_chaos::FaultPlan` to inject
 //! store outages, dropped publishes, stale reads, clock skew and agent
-//! crashes and prove that property end to end.
+//! crashes (and the daemon added latency) and prove that property end to
+//! end.
 
 #![forbid(unsafe_code)]
 

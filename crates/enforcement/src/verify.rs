@@ -4,7 +4,7 @@
 //!
 //! Nothing here is a reimplementation: the host pass calls
 //! `crate::fleet::shard_partial`, publishes go through the real
-//! [`ShardedStore`] (via [`KvShardAccess::try_put_shard_batch`]), the
+//! [`ShardedStore`] (via [`KvAccess::try_put_shard_batch`]), the
 //! fold runs the real [`ShardFanout`], and the meter pass is
 //! `crate::fleet::meter_chunk` over the shard's hosts — the kernels the
 //! fleet engine runs. The scheduler interleaves the protocol's logical tasks
@@ -45,7 +45,7 @@ use crate::fleet::{host_demand_bps, meter_chunk, shard_partial, FleetConfig, Fle
 use crate::marking::GROUPS;
 use crate::shard::ShardPlan;
 use entitlement_core::{HostId, Rate};
-use entitlement_kvstore::{KvShardAccess, ShardFanout, ShardedStore, StoreConfig};
+use entitlement_kvstore::{KvAccess, ShardFanout, ShardedStore, StoreConfig};
 use entitlement_racecheck::{
     explore_exhaustive, explore_random, fnv1a_bits, DivergenceCode, OutcomeSlot, ProtocolRun,
     Step, VerifyOutcome,

@@ -22,22 +22,15 @@ use std::fmt;
 /// absence of a key is data, unavailability is absence of data.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KvError {
-    /// The server task is gone (command channel closed) or a full
-    /// outage is in effect.
-    ServerDown,
     /// The shard holding the key — or at least one shard spanned by an
     /// aggregate — is unreachable.
     ShardUnavailable,
-    /// The operation did not complete within the client's deadline.
-    Timeout,
 }
 
 impl fmt::Display for KvError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            KvError::ServerDown => write!(f, "kv server unreachable"),
             KvError::ShardUnavailable => write!(f, "kv shard unavailable"),
-            KvError::Timeout => write!(f, "kv operation timed out"),
         }
     }
 }
@@ -45,6 +38,13 @@ impl fmt::Display for KvError {
 impl std::error::Error for KvError {}
 
 /// Synchronous, possibly-degraded access to a rate store.
+///
+/// Two families of operations. The flat ones route a key to its shard
+/// by hash and aggregate across every shard. The shard-addressed ones
+/// are what the hierarchical aggregation tree runs on: fleet shard `s`
+/// publishes its two partial keys directly into storage shard `s` and
+/// reads them back from there, so a `ShardOutage` on storage shard `s`
+/// darkens exactly fleet shard `s` and nothing else.
 pub trait KvAccess {
     /// Write a value at logical time `now_ms`.
     fn try_put(&self, key: &str, value: f64, now_ms: u64) -> Result<(), KvError>;
@@ -55,22 +55,7 @@ pub trait KvAccess {
 
     /// Sum of live values under `prefix`.
     fn try_aggregate(&self, prefix: &str, now_ms: u64) -> Result<f64, KvError>;
-}
 
-/// Shard-addressed access for the hierarchical aggregation tree.
-///
-/// The fleet runtime folds host rates into *per-shard partials* and
-/// needs to place and read them by explicit shard index rather than by
-/// key hash: fleet shard `s` publishes its two partial keys directly
-/// into storage shard `s`, so a `ShardOutage` on storage shard `s`
-/// darkens exactly fleet shard `s` and nothing else. The global
-/// aggregate stays the plain prefix sum every existing
-/// [`AggregateWatch`](crate::AggregateWatch) consumer already reads.
-///
-/// This is a separate trait (not new methods on [`KvAccess`]) so that
-/// flat-path callers and test doubles keep compiling unchanged; only
-/// the sharded runtime opts in.
-pub trait KvShardAccess: KvAccess {
     /// Number of physical shards the store is split into.
     fn shard_count(&self) -> usize;
 
@@ -116,9 +101,7 @@ impl KvAccess for ShardedStore {
     fn try_aggregate(&self, prefix: &str, now_ms: u64) -> Result<f64, KvError> {
         Ok(self.aggregate_sum(prefix, now_ms))
     }
-}
 
-impl KvShardAccess for ShardedStore {
     fn shard_count(&self) -> usize {
         self.shard_count()
     }
@@ -174,8 +157,6 @@ mod tests {
 
     #[test]
     fn kv_error_renders() {
-        assert_eq!(KvError::ServerDown.to_string(), "kv server unreachable");
         assert_eq!(KvError::ShardUnavailable.to_string(), "kv shard unavailable");
-        assert_eq!(KvError::Timeout.to_string(), "kv operation timed out");
     }
 }

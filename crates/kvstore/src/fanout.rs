@@ -16,7 +16,7 @@
 //! produce an aggregate — fail-static, exactly like the flat path's
 //! `Err(KvError)`, because unthrottling on a partial sum is never safe.
 
-use crate::access::{KvError, KvShardAccess};
+use crate::access::{KvAccess, KvError};
 
 #[derive(Clone, Copy, Debug)]
 struct Held {
@@ -125,7 +125,7 @@ impl ShardFanout {
 
     /// Read every shard's `prefix` partial from `kv` and snapshot —
     /// the synchronous one-call-per-cycle driver path.
-    pub fn refresh<K: KvShardAccess + ?Sized>(
+    pub fn refresh<K: KvAccess + ?Sized>(
         &mut self,
         kv: &K,
         prefix: &str,
@@ -314,7 +314,7 @@ mod tests {
     fn never_observed_shard_is_missing() {
         let mut f = ShardFanout::new(2, 1000);
         f.observe(0, Ok(1.0), 0);
-        f.observe(1, Err(KvError::ServerDown), 0);
+        f.observe(1, Err(KvError::ShardUnavailable), 0);
         let snap = f.snapshot(0);
         assert_eq!(snap.shards()[1], ShardRead::Missing);
         assert_eq!(snap.fold(), Err(KvError::ShardUnavailable));

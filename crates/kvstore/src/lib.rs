@@ -6,42 +6,36 @@
 //! aggregated remotely across the entire service and read by the agent
 //! periodically."
 //!
-//! Two layers:
+//! One synchronous stack, in layers:
 //!
-//! * [`store::ShardedStore`] — the synchronous core: a fixed number of
+//! * [`store::ShardedStore`] — the core: a fixed number of
 //!   mutex-guarded shards, TTL'd numeric entries, prefix-sum aggregation.
-//!   Deterministic and directly testable.
-//! * [`service`] — the async facade: a cloneable [`service::KvClient`]
-//!   speaking to a tokio task, plus a periodic aggregator broadcasting
-//!   prefix sums on a `tokio::sync::watch` channel, which is how a fleet
-//!   of agent tasks sees the service-wide TotalRate/ConformRate without
-//!   a central controller.
+//!   Deterministic and directly testable; concurrent agent tasks share
+//!   it behind an `Arc`.
 //! * [`access`] — the fallible access layer: [`access::KvError`]
 //!   distinguishes "store unreachable" from "key absent" (zero is a
 //!   legitimate aggregate; an outage is not), and the
-//!   [`access::KvAccess`] trait lets fault-injection wrappers stand in
-//!   for the real store so agents can be tested fail-static. The
-//!   [`access::KvShardAccess`] extension adds the shard-addressed
-//!   publish/fold path the hierarchical aggregation tree runs on.
+//!   [`access::KvAccess`] trait — flat and shard-addressed operations —
+//!   lets fault-injection wrappers stand in for the real store so agents
+//!   can be tested fail-static.
+//! * [`observed`] — [`observed::ObservedKv`], the telemetry decorator
+//!   over any [`access::KvAccess`] layer.
 //! * [`fanout`] — the per-shard aggregate fan-out:
 //!   [`fanout::ShardFanout`] folds per-shard partials in shard index
 //!   order with a staleness bound, turning the flat path's O(agents)
 //!   global polls into O(shards) reads per cycle.
 //!
 //! This crate is deterministic: no ambient wall-clock or randomness —
-//! every operation takes a caller-supplied logical `now_ms`, and
-//! [`service::AggregateWatch`] takes the clock as a closure.
+//! every operation takes a caller-supplied logical `now_ms`.
 
 #![forbid(unsafe_code)]
 
 pub mod access;
 pub mod fanout;
 pub mod observed;
-pub mod service;
 pub mod store;
 
-pub use access::{KvAccess, KvError, KvShardAccess};
+pub use access::{KvAccess, KvError};
 pub use fanout::{FanoutSnapshot, ShardFanout, ShardRead};
 pub use observed::ObservedKv;
-pub use service::{with_deadline, AggregateWatch, KvClient, KvServer, RetryPolicy};
 pub use store::{key_hash, ShardedStore, StoreConfig};

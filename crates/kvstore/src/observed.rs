@@ -9,7 +9,7 @@
 //! the latency histograms tell the fail-static story from the store's
 //! side.
 
-use crate::access::{KvAccess, KvError, KvShardAccess};
+use crate::access::{KvAccess, KvError};
 use entitlement_obs::{Counter, Histogram, Obs};
 
 /// Cached metric handles for one operation kind.
@@ -110,13 +110,12 @@ impl<K: KvAccess> KvAccess for ObservedKv<K> {
         let r = self.inner.try_aggregate(prefix, now_ms);
         self.observe(&self.aggregate, "aggregate", r, start)
     }
-}
 
-/// Shard-addressed ops reuse the `put`/`aggregate` metric families
-/// (same op labels) with distinct trace phases, so per-shard publishes
-/// and fan-out reads show up in the same dashboards as their flat
-/// counterparts.
-impl<K: KvShardAccess> KvShardAccess for ObservedKv<K> {
+    // Shard-addressed ops reuse the `put`/`aggregate` metric families
+    // (same op labels) with distinct trace phases, so per-shard
+    // publishes and fan-out reads show up in the same dashboards as
+    // their flat counterparts.
+
     fn shard_count(&self) -> usize {
         self.inner.shard_count()
     }
@@ -169,10 +168,19 @@ mod tests {
                 Err(KvError::ShardUnavailable)
             }
             fn try_get(&self, _: &str, _: u64) -> Result<Option<f64>, KvError> {
-                Err(KvError::ServerDown)
+                Err(KvError::ShardUnavailable)
             }
             fn try_aggregate(&self, _: &str, _: u64) -> Result<f64, KvError> {
-                Err(KvError::Timeout)
+                Err(KvError::ShardUnavailable)
+            }
+            fn shard_count(&self) -> usize {
+                1
+            }
+            fn try_put_shard(&self, _: usize, _: &str, _: f64, _: u64) -> Result<(), KvError> {
+                Err(KvError::ShardUnavailable)
+            }
+            fn try_shard_aggregate(&self, _: &str, _: usize, _: u64) -> Result<f64, KvError> {
+                Err(KvError::ShardUnavailable)
             }
         }
         Down
@@ -203,12 +211,14 @@ mod tests {
         assert!(store.try_put("k", 1.0, 10).is_err());
         assert!(store.try_get("k", 10).is_err());
         assert!(store.try_aggregate("k", 10).is_err());
+        assert!(store.try_shard_aggregate("k", 0, 10).is_err());
         let text = obs.registry.render();
         assert!(text.contains("entitlement_kv_ops_total{op=\"put\",outcome=\"error\"} 1"));
+        assert!(text.contains("entitlement_kv_ops_total{op=\"aggregate\",outcome=\"error\"} 2"));
         let events = obs.trace.events();
         assert!(events
             .iter()
-            .any(|e| e.labels.iter().any(|(_, v)| v == "error:Timeout")));
+            .any(|e| e.labels.iter().any(|(_, v)| v == "error:ShardUnavailable")));
     }
 
     #[test]
@@ -221,7 +231,7 @@ mod tests {
             .unwrap();
         assert_eq!(store.try_shard_aggregate("rates/x/total/", 2, 0), Ok(8.0));
         assert_eq!(store.try_shard_aggregate("rates/x/total/", 3, 0), Ok(4.0));
-        assert_eq!(KvShardAccess::shard_count(&store), 16);
+        assert_eq!(KvAccess::shard_count(&store), 16);
         let text = obs.registry.render();
         assert!(text.contains("entitlement_kv_ops_total{op=\"put\",outcome=\"ok\"} 2"));
         assert!(text.contains("entitlement_kv_ops_total{op=\"aggregate\",outcome=\"ok\"} 2"));

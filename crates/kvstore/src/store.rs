@@ -323,8 +323,7 @@ mod tests {
                 (sh + 1) as f64
             );
         }
-        // ...and the flat global aggregate every AggregateWatch consumer
-        // reads still sees the full fold.
+        // ...and the flat global aggregate still sees the full fold.
         assert_eq!(s.aggregate_sum("rates/cold/total/", 100), 36.0);
     }
 

@@ -1,18 +1,18 @@
 //! The distributed enforcement fleet as real tokio tasks: N agents
-//! publish their host rates into the async KV store, read back the
-//! service-wide aggregates, and independently converge on the same
-//! marking decision — no controller anywhere (§5.1's second-generation
-//! architecture). Midway through the run the KV store suffers a full
-//! outage; the agents go fail-static and hold the throttle instead of
-//! reading the outage as an idle service.
+//! publish their host rates into one shared KV store (through the same
+//! fault-injecting layer the §6 drill uses), read back the service-wide
+//! aggregates the driver's per-shard fan-out folds, and independently
+//! converge on the same marking decision — no controller anywhere
+//! (§5.1's second-generation architecture). Midway through the run the
+//! KV store suffers a full outage; the agents go fail-static and hold
+//! the throttle instead of reading the outage as an idle service.
 //!
 //! ```sh
-//! cargo run --example enforcement_daemon
+//! cargo run --release --example enforcement_daemon
 //! ```
 
 use network_entitlement::chaos::{Fault, FaultKind, FaultPlan, TimeWindow};
 use network_entitlement::enforcement::daemon::{run_fleet, DaemonConfig};
-use network_entitlement::kvstore::RetryPolicy;
 use network_entitlement::prelude::*;
 use std::time::Duration;
 
@@ -36,7 +36,6 @@ async fn main() {
                 kind: FaultKind::ShardOutage { shards: vec![] },
             }],
         }),
-        retry: RetryPolicy::default(),
     };
     println!(
         "spawning {} agent tasks; offered {} vs entitled {}",

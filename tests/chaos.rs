@@ -11,7 +11,6 @@ use network_entitlement::enforcement::daemon::{run_fleet, DaemonConfig};
 use network_entitlement::enforcement::{
     host_demand_bps, run_fleet_engine, FleetConfig, ShardPlan,
 };
-use network_entitlement::kvstore::RetryPolicy;
 use network_entitlement::prelude::*;
 use std::time::Duration;
 
@@ -163,7 +162,6 @@ async fn fleet_outage_holds_then_reconverges() {
                     kind: FaultKind::ShardOutage { shards: vec![] },
                 }],
             }),
-            retry: RetryPolicy::default(),
         })
         .await;
 
@@ -187,6 +185,50 @@ async fn fleet_outage_holds_then_reconverges() {
         assert!(
             (first - 0.5).abs() < 0.2,
             "seed {seed:#x}: reconverged marked fraction {first} near 0.5"
+        );
+    }
+}
+
+/// A `StaleReads` window reaches the daemon's fan-out. From round 2 on
+/// the driver is served round 1's frozen partials, taken before anyone
+/// marked: every round the fleet reads 100G conforming against 50G
+/// entitled and keeps cutting, so it ends marking far more than the
+/// healthy fleet, which settles near half. Reads that serve a frozen
+/// snapshot succeed, so nobody runs fail-static.
+#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+async fn stale_reads_freeze_the_daemon_fan_out() {
+    let config = |faults| DaemonConfig {
+        hosts: 10,
+        npg: NpgId(7),
+        qos: QosClass::C2,
+        region: RegionId(0),
+        entitled: Rate::gbps(50.0),
+        per_host_rate: Rate::gbps(10.0),
+        cycle: Duration::from_millis(40),
+        cycles: 10,
+        faults,
+    };
+    let healthy = run_fleet(config(None)).await;
+    for seed in seeds() {
+        let stale = run_fleet(config(Some(FaultPlan {
+            seed,
+            faults: vec![Fault {
+                window: TimeWindow::new(2 * 40, u64::MAX),
+                kind: FaultKind::StaleReads,
+            }],
+        })))
+        .await;
+        assert_eq!(stale.fail_static_cycles, 0, "seed {seed:#x}");
+        let first = stale.marked_fractions[0];
+        assert!(
+            stale.marked_fractions.iter().all(|&m| m == first),
+            "seed {seed:#x}: agents disagree: {:?}",
+            stale.marked_fractions
+        );
+        assert!(
+            first > healthy.marked_fractions[0] + 0.25,
+            "seed {seed:#x}: the frozen fan-out marked {first}, the healthy run {}",
+            healthy.marked_fractions[0]
         );
     }
 }
@@ -330,19 +372,28 @@ fn example_fault_plans_parse() {
     }
 }
 
-/// An integer field takes only an integer the JSON parser read
-/// exactly. Each of these used to load as something else — link 0,
-/// link 1, `u32::MAX`, `from_ms` 0, seed …992 — and is now refused,
-/// by the library and by `entitlectl drill --faults` (exit 2).
+/// A fault plan that would load as something else is refused, by the
+/// library and by `entitlectl drill --faults` (exit 2). An integer
+/// field takes only an integer the JSON parser read exactly (these used
+/// to load as link 0, link 1, `u32::MAX`, `from_ms` 0, seed …992); a
+/// window must not close before it opens (it would never fire); a
+/// `DropPublishes` fraction must lie in [0, 1] (1.5 acted as 1, −0.1 as
+/// 0).
 #[test]
-fn inexact_integers_in_a_fault_plan_are_refused() {
+fn fault_plans_that_load_as_something_else_are_refused() {
     let plan = |seed: &str, from_ms: &str, links: &str| {
         format!(
             r#"{{"seed":{seed},"faults":[{{"window":{{"from_ms":{from_ms},"to_ms":5000}},"kind":{{"LinkCut":{{"links":[{links}]}}}}}}]}}"#
         )
     };
+    let drop = |fraction: &str| {
+        format!(
+            r#"{{"seed":19,"faults":[{{"window":{{"from_ms":0,"to_ms":5000}},"kind":{{"DropPublishes":{{"fraction":{fraction}}}}}}}]}}"#
+        )
+    };
     let good = FaultPlan::from_json(&plan("9007199254740991", "1000", "0,3")).expect("exact");
     assert_eq!(good.seed, 9_007_199_254_740_991);
+    FaultPlan::from_json(&drop("1")).expect("fraction 1 drops everything");
     let bad = [
         plan("19", "1000", "-1"),
         plan("19", "1000", "1.5"),
@@ -350,6 +401,9 @@ fn inexact_integers_in_a_fault_plan_are_refused() {
         plan("19", "1000", "1e300"),
         plan("19", "-5", "0"),
         plan("9007199254740993", "1000", "0"),
+        plan("19", "5001", "0"),
+        drop("1.5"),
+        drop("-0.1"),
     ];
     let dir = std::env::temp_dir().join(format!("chaos_inexact_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
