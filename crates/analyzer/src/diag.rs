@@ -43,10 +43,10 @@ impl fmt::Display for Severity {
 /// Numbering scheme: `E01xx` contracts, `E02xx` hoses/pipes, `E03xx`
 /// QoS ordering, `E04xx` topology, `E05xx` availability curves,
 /// `E06xx` SLO evaluation policies, `E07xx` approval-engine
-/// configuration, `R01xx` runtime concurrency (reported by the
-/// `racecheck` verifier, not the config analyzer), `W01xx` runtime
-/// watchdog (streaming invariant monitors and anomaly detectors over
-/// live SLI streams, reported by `entitlement-watch`).
+/// configuration, `W01xx` runtime watchdog (streaming invariant
+/// monitors and anomaly detectors over live SLI streams, reported by
+/// `entitlement-watch`). `R01xx` (runtime concurrency findings of a
+/// since-deleted schedule explorer) is retired, never to be reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Code {
     /// Entitled rate must be positive and finite.
@@ -112,21 +112,6 @@ pub enum Code {
     /// Approval config sweep parameters out of range: `max_cuts` above
     /// the enumerable bound or `k_paths` not a positive integer.
     E0702,
-    /// Conflicting unsynchronized accesses: two tasks touch one
-    /// location, at least one writes, and no happens-before edge orders
-    /// them.
-    R0101,
-    /// Ordering-dependent float fold: a non-associative f64 reduction
-    /// whose bit pattern depends on arrival order.
-    R0102,
-    /// Publish/fold schedule divergence: an explored interleaving of the
-    /// shard publish → fanout fold → broadcast protocol produced a
-    /// different f64-bit outcome than the deterministic reference.
-    R0103,
-    /// Lock-order inversion or deadlock: two locks are acquired in
-    /// opposite orders on different tasks, or a schedule wedged with no
-    /// enabled step.
-    R0104,
     /// Delivery conservation: conforming delivery exceeded
     /// `min(demand, approved) × (1 + ε)` on a settled, measurable cycle.
     W0101,
@@ -166,7 +151,7 @@ pub struct CatalogEntry {
 
 impl Code {
     /// The full rule catalog, in code order.
-    pub const CATALOG: [CatalogEntry; 40] = [
+    pub const CATALOG: [CatalogEntry; 36] = [
         CatalogEntry {
             code: Code::E0101,
             severity: Severity::Error,
@@ -342,30 +327,6 @@ impl Code {
             paper: "§4.3 (RSS enumerates up to two simultaneous cuts)",
         },
         CatalogEntry {
-            code: Code::R0101,
-            severity: Severity::Error,
-            invariant: "every pair of conflicting accesses is ordered by happens-before",
-            paper: "§6 (agents and the driver share only published aggregates)",
-        },
-        CatalogEntry {
-            code: Code::R0102,
-            severity: Severity::Error,
-            invariant: "f64 folds on parallel paths are order-insensitive bit-for-bit",
-            paper: "§6 (metering aggregates must be reproducible)",
-        },
-        CatalogEntry {
-            code: Code::R0103,
-            severity: Severity::Error,
-            invariant: "every publish/fold/broadcast schedule yields the deterministic outcome",
-            paper: "§6 / §7.4 (enforcement decisions are a pure function of the round)",
-        },
-        CatalogEntry {
-            code: Code::R0104,
-            severity: Severity::Error,
-            invariant: "locks are acquired in one global order and every schedule can finish",
-            paper: "§6 (the enforcement loop must never wedge mid-round)",
-        },
-        CatalogEntry {
             code: Code::W0101,
             severity: Severity::Error,
             invariant: "delivered never exceeds min(demand, approved) × (1 + ε)",
@@ -441,10 +402,6 @@ impl Code {
             Code::E0603 => "E0603",
             Code::E0701 => "E0701",
             Code::E0702 => "E0702",
-            Code::R0101 => "R0101",
-            Code::R0102 => "R0102",
-            Code::R0103 => "R0103",
-            Code::R0104 => "R0104",
             Code::W0101 => "W0101",
             Code::W0102 => "W0102",
             Code::W0103 => "W0103",

@@ -808,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_approval_emits_phase_spans_and_matches_plain() {
+    fn traced_approval_emits_phase_spans_and_matches_plain() {
         let t = topo();
         let dcs = t.dc_ids();
         let mk = || hose(1, QosClass::C1, dcs[0], Rate::gbps(10.0), &t);

@@ -41,10 +41,7 @@ use entitlement_obs::Obs;
 use entitlement_slo::{IntervalObs, SloEvaluator};
 use std::sync::Arc;
 use std::time::Duration;
-// Watch channels route through the racecheck sync shim: plain
-// `tokio::sync::watch` re-exports normally, send/borrow/changed
-// happens-before recording under `--features racecheck`.
-use entitlement_racecheck::sync::watch;
+use tokio::sync::watch;
 
 /// Configuration for a daemon fleet run.
 #[derive(Clone, Debug)]
@@ -439,7 +436,7 @@ mod tests {
     }
 
     #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
-    async fn instrumented_fleet_aggregates_metrics_into_one_registry() {
+    async fn observed_fleet_aggregates_metrics_into_one_registry() {
         let obs = Obs::new(entitlement_obs::Clock::manual(0));
         let out = run_fleet_with(config(6, 30.0, 10.0), &obs, &mut SloEvaluator::default()).await;
         assert_eq!(out.conform_ratios.len(), 6);

@@ -518,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_drill_matches_plain_and_traces_are_reproducible() {
+    fn traced_drill_matches_plain_and_traces_are_reproducible() {
         let cfg = DrillConfig {
             hosts: 200,
             duration_min: 20.0,

@@ -282,7 +282,7 @@ const BLOCK: usize = 64;
 /// from memory: written as a select in the adding loop, the compiler
 /// turns it back into the branch, and the pass costs 3× more at 50 %
 /// marked than at 0 %.
-pub(crate) fn shard_partial(
+fn shard_partial(
     range: std::ops::Range<usize>,
     prev_cr: &[f64],
     group: &[u8],
@@ -332,7 +332,7 @@ pub(crate) fn shard_partial(
 /// four arguments are fixed for the pass, so the update is a function
 /// of the previous ratio alone and is recomputed only when that differs
 /// in bits from the previous host's.
-pub(crate) fn meter_chunk(prev_cr: &mut [f64], total: f64, conform: f64, entitled: f64) {
+fn meter_chunk(prev_cr: &mut [f64], total: f64, conform: f64, entitled: f64) {
     let recovery = 2.0; // StatefulMeter::new's paper default
     let Some(&first) = prev_cr.first() else {
         return;

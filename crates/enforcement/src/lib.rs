@@ -48,7 +48,6 @@ pub mod metering;
 pub mod metrics;
 pub mod multidrill;
 pub mod shard;
-pub mod verify;
 
 pub use agent::{Agent, AgentConfig};
 pub use bpf::{ClassifyInput, MarkAction, MarkingTable};
@@ -60,9 +59,6 @@ pub use fleet::{
     FleetOutcome, FleetShardStats, FleetStrategy,
 };
 pub use shard::ShardPlan;
-pub use verify::{
-    model_reference, reference_engine, verify_exhaustive, verify_random, VerifyConfig,
-};
 pub use ingress::{IngressCoordinator, SourceMeter};
 pub use metrics::{aggregate_fleet, AgentMetrics, Counter, Gauge, MetricsSnapshot};
 pub use multidrill::{run_multi_drill, MultiDrillConfig, ServiceSpec};

@@ -4,7 +4,7 @@
 //! [`crate::ShardedStore`] or a fault-injecting chaos wrapper — and
 //! records per-operation latency histograms, outcome counters, and
 //! trace spans into an [`Obs`] bundle. Because it composes over the
-//! trait, the same instrumentation sees healthy stores and degraded
+//! trait, the same telemetry sees healthy stores and degraded
 //! ones: under a chaos fault plan the `outcome="error"` counters and
 //! the latency histograms tell the fail-static story from the store's
 //! side.

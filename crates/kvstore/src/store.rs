@@ -1,9 +1,6 @@
 //! The synchronous sharded store core.
 
-// Shard mutexes go through the racecheck sync shim: a plain
-// `parking_lot::Mutex` alias normally, a lock-order- and
-// happens-before-recording wrapper under `--features racecheck`.
-use entitlement_racecheck::sync::Mutex;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Duration;

@@ -6,7 +6,7 @@
 //! increasing but reproducible timestamps use [`Clock::counting`].
 //! Speed is measured outside the libraries, by `benchmark/`.
 
-use entitlement_racecheck::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 enum Source {

@@ -54,7 +54,7 @@ pub use tree::{
     render_span_tree, self_time_ms, SpanForest, SpanNode,
 };
 
-/// The telemetry bundle threaded through instrumented call paths: a
+/// The telemetry bundle threaded through traced call paths: a
 /// metric [`Registry`], a [`TraceSink`], and the [`Clock`] that stamps
 /// both. Cloning shares all three.
 #[derive(Clone)]
@@ -80,7 +80,7 @@ impl Obs {
 
     /// A no-op bundle: spans and events vanish, metric handles still
     /// function but nothing retains the registry. This is what
-    /// un-instrumented entry points pass down, so the instrumented
+    /// untraced entry points pass down, so the traced
     /// variants are the only implementation.
     #[inline]
     #[must_use]

@@ -3,7 +3,7 @@
 //! underlying cell, so a metric can be registered once and recorded
 //! from many owners (agents, worker threads) without locks.
 
-use entitlement_racecheck::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A monotonically increasing `u64` counter.
@@ -287,8 +287,9 @@ pub struct HistogramSnapshot {
 /// The success ordering must be `AcqRel`: a `Relaxed` CAS here would
 /// let a reader observe the folded sum without a happens-before edge
 /// from the fold that produced it, so the read is not ordered after
-/// the observations it claims to summarize (the racecheck shims flag
-/// exactly that as R0101 — see `tests/cas_racecheck.rs`).
+/// the observations it claims to summarize. The loop retries on a
+/// stale `cur`, so concurrent recorders never lose an update
+/// (`tests/histogram_props.rs` records from four threads at once).
 fn fold_bits(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
     let mut cur = cell.load(Ordering::Acquire);
     loop {

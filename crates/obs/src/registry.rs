@@ -21,7 +21,7 @@ struct Entry {
     name: String,
     help: String,
     labels: LabelSet,
-    instrument: Instrument,
+    cell: Instrument,
 }
 
 #[derive(Default)]
@@ -61,7 +61,7 @@ impl Registry {
         self.inner.get_or_init(Arc::default)
     }
 
-    /// Get or create the `(name, labels)` cell of one instrument kind.
+    /// Get or create the `(name, labels)` cell of one metric kind.
     /// `labels` may come in any order; a repeated key keeps its last
     /// value. Allocates only when the cell is new.
     fn get_or_create<T: Clone + Default>(
@@ -78,7 +78,7 @@ impl Registry {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         for e in &inner.entries {
             if e.name == name && same_labels(&e.labels, labels) {
-                if let Some(cell) = pick(&e.instrument) {
+                if let Some(cell) = pick(&e.cell) {
                     return cell.clone();
                 }
             }
@@ -91,7 +91,7 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| ((*k).to_string(), (*v).to_string()))
                 .collect(),
-            instrument: wrap(cell.clone()),
+            cell: wrap(cell.clone()),
         });
         cell
     }
@@ -159,7 +159,7 @@ impl Registry {
         let mut last_name: Option<&str> = None;
         for e in order {
             if last_name != Some(e.name.as_str()) {
-                let kind = match &e.instrument {
+                let kind = match &e.cell {
                     Instrument::Counter(_) => "counter",
                     Instrument::Gauge(_) => "gauge",
                     Instrument::Histogram(_) => "histogram",
@@ -175,7 +175,7 @@ impl Registry {
                 push_labels(&mut out, &e.labels, le);
                 let _ = writeln!(out, " {value}");
             };
-            match &e.instrument {
+            match &e.cell {
                 Instrument::Counter(c) => sample("", None, &c.get()),
                 Instrument::Gauge(g) => sample("", None, &Exposition(g.get())),
                 Instrument::Histogram(h) => {

@@ -732,7 +732,7 @@ impl TraceSink {
 
     /// Append an event with ids allocated under the currently open
     /// span (the event becomes its child; a leaf, not itself openable).
-    /// This is how instrumented components that time themselves (e.g.
+    /// This is how traced components that time themselves (e.g.
     /// the observed KV client) join the causal tree.
     pub fn push_child(&self, event: TraceEvent) {
         self.push_with(&event, SinkInner::alloc);

@@ -1,10 +1,45 @@
 //! Property tests for the log-bucketed histogram: quantile estimates
-//! are always bounded by the observed min/max, and merging histograms
-//! is indistinguishable from batch-recording the union of their
-//! observations.
+//! are always bounded by the observed min/max, merging histograms is
+//! indistinguishable from batch-recording the union of their
+//! observations, and recording from several threads at once loses
+//! nothing.
 
 use entitlement_obs::Histogram;
 use proptest::prelude::*;
+use std::sync::Barrier;
+
+/// Four threads record into one shared histogram at once; the result
+/// must equal recording the same samples serially. The samples are
+/// integers far below 2^53, so every partial sum is exact and the sum
+/// is the same in any order: a mismatch in `sum`, `min`, `max`, `count`
+/// or any bucket is a lost update, not float rounding.
+#[test]
+fn concurrent_recording_equals_serial_recording() {
+    const THREADS: u64 = 4;
+    const SAMPLES: u64 = 10_000;
+    let sample = |t: u64, i: u64| ((t * SAMPLES + i) * 7_919 % 100_003) as f64;
+    let serial = Histogram::new();
+    for t in 0..THREADS {
+        for i in 0..SAMPLES {
+            serial.record(sample(t, i));
+        }
+    }
+    let shared = Histogram::new();
+    let start = Barrier::new(THREADS as usize);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (shared, start) = (&shared, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..SAMPLES {
+                    shared.record(sample(t, i));
+                }
+            });
+        }
+    });
+    assert_eq!(shared.count(), THREADS * SAMPLES);
+    assert_eq!(shared.snapshot(), serial.snapshot());
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]

@@ -100,7 +100,7 @@ pub fn assess_risk_detailed(
 /// sample merge, per-scenario child spans on the serial path, and the
 /// sweep's per-scenario timing and worker-utilization histograms in
 /// `obs.registry` (see [`crate::sweep::sweep_ordered_obs`]). Curves
-/// are bitwise identical to the un-instrumented path.
+/// are bitwise identical to the untraced path.
 pub fn assess_risk_detailed_obs(
     topo: &Topology,
     demands: &[Demand],

@@ -1,6 +1,6 @@
 //! Telemetry: spans, histograms, and trace export in one page.
 //!
-//! Runs an instrumented approval round plus a short enforcement drill
+//! Runs a traced approval round plus a short enforcement drill
 //! with a single [`Obs`] bundle, then prints a per-phase latency
 //! summary, the Prometheus rendering, and the first few JSONL trace
 //! lines. The clock is a counting clock, so a re-run with the same

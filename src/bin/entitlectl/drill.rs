@@ -28,6 +28,9 @@ const SERIES: [&str; 16] = [
 ];
 
 pub fn drill(m: &Matches) {
+    if m.get::<usize>("--hosts") == Some(0) {
+        fail(2, "--hosts 0: a drill needs at least one host");
+    }
     let fleet = m.on("--shards") || m.on("--strategy");
     only_with(m, "--shards/--strategy", fleet, &["--workers", "--cycles"]);
     only_with(m, "the flat drill (no --shards/--strategy)", !fleet, &["--csv"]);

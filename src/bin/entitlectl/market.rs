@@ -30,7 +30,19 @@ pub fn market(m: &Matches) {
 
     let topo = BackboneSpec::small(seed).build();
     let dcs = topo.dc_ids();
-    let grid = SliceGrid::quarterly(Quarter(0), m.get("--slice-days").unwrap_or(7));
+    // `SliceGrid` clamps the width into the quarter; outside input must
+    // not quietly mean another grid.
+    let quarter_days = Quarter(0).period().days();
+    let slice_days: u32 = m.get("--slice-days").unwrap_or(7);
+    if !(1..=quarter_days).contains(&slice_days) {
+        fail(
+            2,
+            format_args!(
+                "--slice-days {slice_days}: must be in 1..={quarter_days}, the quarter's days"
+            ),
+        );
+    }
+    let grid = SliceGrid::quarterly(Quarter(0), slice_days);
     let cfg = ApprovalConfig {
         tms_per_hose: 2,
         max_cuts: 1,

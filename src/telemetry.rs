@@ -7,7 +7,7 @@ use entitlement_obs::Obs;
 
 /// A small traced approval round: one hose on the seed backbone through
 /// the full `Hose_Approval` pipeline. `entitlectl drill --trace` runs
-/// this before the drill so one trace file covers every instrumented
+/// this before the drill so one trace file covers every traced
 /// span family — approval phases, the risk sweep, KV operations, and
 /// agent cycles — without paying for a full planning run.
 pub fn traced_approval_preamble(seed: u64, obs: &Obs) {

@@ -84,7 +84,9 @@ fn help_is_generated_from_the_table() {
     assert_eq!(String::from_utf8_lossy(&none.stderr), listing);
 }
 
-/// Each of these used to exit 101 with a Rust backtrace.
+/// Each of these used to exit 101 with a Rust backtrace, or (a value
+/// outside its flag's range) ran an empty or clamped workload and
+/// exited 0.
 #[test]
 fn outside_input_never_panics() {
     let unwritable = "/nonexistent-dir/out";
@@ -111,6 +113,18 @@ fn outside_input_never_panics() {
         assert_eq!(out.status.code(), Some(code), "{args:?}:\n{stderr}");
         assert!(!stderr.contains("panicked at"), "{args:?}:\n{stderr}");
         assert!(!stderr.is_empty(), "{args:?} fails without saying why");
+    }
+    let out_of_range: [&[&str]; 4] = [
+        &["drill", "--hosts", "0"],
+        &["drill", "--hosts", "0", "--shards", "4"],
+        &["market", "--slice-days", "0"],
+        &["market", "--slice-days", "500"],
+    ];
+    for args in out_of_range {
+        let out = ctl(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(stderr.contains(args[1]), "{args:?} does not name its flag:\n{stderr}");
     }
 }
 

@@ -13,7 +13,7 @@ use network_entitlement::prelude::{
 };
 use network_entitlement::telemetry::traced_approval_preamble;
 
-/// A short seeded run covering every instrumented span family: the
+/// A short seeded run covering every traced span family: the
 /// approval preamble plus a 20-minute drill.
 fn seeded_run(seed: u64) -> Obs {
     seeded_drill(seed).0
