@@ -690,9 +690,9 @@ fn emit_shard_events(obs: &Obs, snap_total: &FanoutSnapshot, snap_conform: &Fano
     };
     for (s, read) in snap_total.shards().iter().enumerate() {
         obs.point("shard", "fold")
+            .label("conform", describe(&snap_conform.shards()[s]))
             .label_fmt("shard", s)
             .label("total", describe(read))
-            .label("conform", describe(&snap_conform.shards()[s]))
             .finish();
     }
 }

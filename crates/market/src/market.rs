@@ -29,7 +29,7 @@ use crate::slice::{SliceGrid, SliceId};
 use entitlement_approval::{negotiate_scenarios, Agreement, ApprovalConfig, ServicePolicy};
 use entitlement_core::{NpgId, QosBucket, Rate, RegionId, SloTarget};
 use entitlement_hose::HoseRequest;
-use entitlement_obs::{Obs, SpanTimer};
+use entitlement_obs::{Counter, Histogram, Obs, PerRegistry, Registry, SpanTimer};
 use entitlement_risk::{RiskConfig, RiskSamples};
 use entitlement_topology::routing::Demand;
 use entitlement_topology::{FailureScenario, LinkId, RoutePlan, ScenarioSet, Topology};
@@ -167,6 +167,9 @@ pub struct EntitlementMarket {
     /// can address one decision without positional indexing. Counts
     /// every admit, traced or not, so ordinals match across runs.
     admit_seq: u64,
+    /// The traced admit's metric cells in the registry it last recorded
+    /// into: looked up once per registry, not on every admit.
+    metrics: PerRegistry<AdmitMetrics>,
 }
 
 impl EntitlementMarket {
@@ -191,6 +194,7 @@ impl EntitlementMarket {
             index,
             grants: HashMap::default(),
             admit_seq: 0,
+            metrics: PerRegistry::default(),
         }
     }
 
@@ -525,23 +529,10 @@ impl EntitlementMarket {
         span.finish();
         if traced {
             let dur_ms = obs.clock.now_ms().saturating_sub(t0);
-            obs.registry
-                .counter(
-                    "entitlement_market_admits_total",
-                    "admission decisions by outcome and serving path",
-                    &[
-                        ("outcome", decision.outcome.as_str()),
-                        ("path", decision.path.as_str()),
-                    ],
-                )
-                .inc();
-            obs.registry
-                .histogram(
-                    "entitlement_market_admit_ms",
-                    "admission latency by serving path",
-                    &[("path", decision.path.as_str())],
-                )
-                .record(dur_ms as f64);
+            let registry = &obs.registry;
+            let metrics = self.metrics.get(registry);
+            metrics.admits(registry, &decision).inc();
+            metrics.latency(registry, decision.path).record(dur_ms as f64);
         }
         decision
     }
@@ -567,6 +558,39 @@ impl EntitlementMarket {
             max_rounds,
             &self.effective,
         )
+    }
+}
+
+/// An admit's two metric families in one registry, each cell
+/// registered the first time an admit needs it, so the registry holds
+/// exactly the cells per-admit lookups would have registered.
+#[derive(Clone, Default)]
+struct AdmitMetrics {
+    /// By outcome, then path.
+    admits: [[Option<Counter>; 2]; 3],
+    /// By path.
+    latency: [Option<Histogram>; 2],
+}
+
+impl AdmitMetrics {
+    fn admits(&mut self, registry: &Registry, d: &AdmitDecision) -> &Counter {
+        self.admits[d.outcome as usize][d.path as usize].get_or_insert_with(|| {
+            registry.counter(
+                "entitlement_market_admits_total",
+                "admission decisions by outcome and serving path",
+                &[("outcome", d.outcome.as_str()), ("path", d.path.as_str())],
+            )
+        })
+    }
+
+    fn latency(&mut self, registry: &Registry, path: AdmitPath) -> &Histogram {
+        self.latency[path as usize].get_or_insert_with(|| {
+            registry.histogram(
+                "entitlement_market_admit_ms",
+                "admission latency by serving path",
+                &[("path", path.as_str())],
+            )
+        })
     }
 }
 

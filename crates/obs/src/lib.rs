@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 
 pub mod clock;
+mod decimal;
 pub mod metrics;
 pub mod registry;
 pub mod summary;
@@ -42,7 +43,7 @@ pub mod tree;
 
 pub use clock::Clock;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-pub use registry::{escape_label_value, Registry};
+pub use registry::{escape_label_value, PerRegistry, Registry};
 pub use summary::{
     diff_counters, diff_prometheus, diff_traces, parse_trace, summarize_trace,
     summarize_trace_by_label, validate_prometheus,
@@ -103,7 +104,7 @@ impl Obs {
     /// returned timer drops.
     #[inline]
     #[must_use]
-    pub fn span(&self, span: &str, phase: &str) -> SpanTimer {
+    pub fn span(&self, span: &str, phase: &str) -> SpanTimer<'_> {
         self.trace.span(&self.clock, span, phase)
     }
 
@@ -117,7 +118,7 @@ impl Obs {
     /// [`TraceSink::point`]).
     #[inline]
     #[must_use]
-    pub fn point(&self, span: &str, phase: &str) -> SpanTimer {
+    pub fn point(&self, span: &str, phase: &str) -> SpanTimer<'_> {
         self.trace.point(&self.clock, span, phase)
     }
 }

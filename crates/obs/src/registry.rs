@@ -3,10 +3,11 @@
 //! thread it to wherever metrics are recorded; `render()` produces the
 //! scrape payload.
 
+use crate::decimal::{push_finite, push_u64};
 use crate::metrics::{Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 /// One `(name, sorted labels)` family member.
 type LabelSet = BTreeMap<String, String>;
@@ -169,27 +170,71 @@ impl Registry {
                 last_name = Some(e.name.as_str());
             }
             // One sample line: `name[suffix]{labels[,le="…"]} value`.
-            let mut sample = |suffix: &str, le: Option<f64>, value: &dyn std::fmt::Display| {
+            let mut sample = |suffix: &str, le: Option<f64>, value: Sample| {
                 out.push_str(&e.name);
                 out.push_str(suffix);
                 push_labels(&mut out, &e.labels, le);
-                let _ = writeln!(out, " {value}");
+                out.push(' ');
+                match value {
+                    Sample::Count(n) => push_u64(&mut out, n),
+                    Sample::Value(v) => push_exposition(&mut out, v),
+                }
+                out.push('\n');
             };
             match &e.cell {
-                Instrument::Counter(c) => sample("", None, &c.get()),
-                Instrument::Gauge(g) => sample("", None, &Exposition(g.get())),
+                Instrument::Counter(c) => sample("", None, Sample::Count(c.get())),
+                Instrument::Gauge(g) => sample("", None, Sample::Value(g.get())),
                 Instrument::Histogram(h) => {
                     let snap = h.snapshot();
                     for (le, cum) in &snap.cumulative {
-                        sample("_bucket", Some(*le), cum);
+                        sample("_bucket", Some(*le), Sample::Count(*cum));
                     }
-                    sample("_bucket", Some(f64::INFINITY), &snap.count);
-                    sample("_sum", None, &Exposition(snap.sum));
-                    sample("_count", None, &snap.count);
+                    sample("_bucket", Some(f64::INFINITY), Sample::Count(snap.count));
+                    sample("_sum", None, Sample::Value(snap.sum));
+                    sample("_count", None, Sample::Count(snap.count));
                 }
             }
         }
         out
+    }
+}
+
+/// A value — typically metric handles — resolved from one registry at
+/// a time, for a caller that records into whichever registry it is
+/// handed: [`PerRegistry::get`] builds it on the first call and again
+/// whenever the registry differs from the one it was built for, so a
+/// steady caller resolves its handles once instead of on every record.
+///
+/// A registry is told apart by the identity of its shared state, the
+/// one its clones share. The value holds a weak reference to it, which
+/// keeps that allocation — not the metrics — in place, so no later
+/// registry can take its address while the value is held.
+#[derive(Clone, Default)]
+pub struct PerRegistry<T> {
+    held: Option<(Weak<Mutex<Inner>>, T)>,
+}
+
+impl<T: Default> PerRegistry<T> {
+    /// The value for `registry`: the held one if it was built for this
+    /// registry (or a clone of it), a fresh `T::default()` otherwise.
+    pub fn get(&mut self, registry: &Registry) -> &mut T {
+        let shared = registry.shared();
+        let same = |(from, _): &(Weak<Mutex<Inner>>, T)| std::ptr::eq(from.as_ptr(), Arc::as_ptr(shared));
+        if !self.held.as_ref().is_some_and(same) {
+            self.held = None;
+        }
+        &mut self
+            .held
+            .get_or_insert_with(|| (Arc::downgrade(shared), T::default()))
+            .1
+    }
+}
+
+impl<T> std::fmt::Debug for PerRegistry<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PerRegistry")
+            .field("held", &self.held.is_some())
+            .finish()
     }
 }
 
@@ -247,24 +292,30 @@ fn push_labels(out: &mut String, base: &LabelSet, le: Option<f64>) {
         if !base.is_empty() {
             out.push(',');
         }
-        let _ = write!(out, "le=\"{}\"", Exposition(le));
+        out.push_str("le=\"");
+        push_exposition(out, le);
+        out.push('"');
     }
     out.push('}');
 }
 
-/// An `f64` as the exposition format spells it: `+Inf`/`-Inf` for the
-/// infinities, Rust's shortest round-trip form for everything else.
-struct Exposition(f64);
+/// A sample's value: a count, or a float.
+enum Sample {
+    Count(u64),
+    Value(f64),
+}
 
-impl std::fmt::Display for Exposition {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0 == f64::INFINITY {
-            f.write_str("+Inf")
-        } else if self.0 == f64::NEG_INFINITY {
-            f.write_str("-Inf")
-        } else {
-            write!(f, "{}", self.0)
-        }
+/// Append an `f64` as the exposition format spells it: `+Inf`/`-Inf`
+/// for the infinities, `NaN`, and what `{}` prints for everything else.
+fn push_exposition(out: &mut String, v: f64) {
+    if v.is_finite() {
+        push_finite(out, v);
+    } else if v.is_nan() {
+        out.push_str("NaN");
+    } else if v > 0.0 {
+        out.push_str("+Inf");
+    } else {
+        out.push_str("-Inf");
     }
 }
 

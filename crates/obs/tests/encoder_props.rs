@@ -213,8 +213,8 @@ impl Model {
 }
 
 /// A span open in both worlds.
-struct Live {
-    timer: SpanTimer,
+struct Live<'a> {
+    timer: SpanTimer<'a>,
     ids: (u64, u64, u64),
     start_ms: u64,
     span: String,

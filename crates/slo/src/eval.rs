@@ -43,17 +43,18 @@ pub struct IntervalObs {
 impl IntervalObs {
     /// The wire form: one `slo`/`interval` event carrying every field
     /// plus the fold's `good` verdict (informational — a re-fold
-    /// recomputes it under its own policy).
+    /// recomputes it under its own policy). Labels in key order, which
+    /// is the order the sink writes them in.
     fn encode(&self, obs: &Obs, good: bool) {
         obs.point("slo", "interval")
+            .label_f64("approved_bps", self.approved_bps)
+            .label_f64("delivered_bps", self.delivered_bps)
+            .label_f64("demand_bps", self.demand_bps)
             .label("entity", &self.entity)
+            .label_fmt("good", good)
+            .label_fmt("measurable", self.measurable)
             .label("qos", &self.qos)
             .label_f64("target", self.target)
-            .label_f64("demand_bps", self.demand_bps)
-            .label_f64("delivered_bps", self.delivered_bps)
-            .label_f64("approved_bps", self.approved_bps)
-            .label_fmt("measurable", self.measurable)
-            .label_fmt("good", good)
             .finish();
     }
 

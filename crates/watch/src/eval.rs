@@ -81,18 +81,19 @@ pub struct AdmitObs {
 }
 
 impl CycleObs {
-    /// The wire form: one `watch`/`cycle` event carrying every field.
+    /// The wire form: one `watch`/`cycle` event carrying every field,
+    /// labels in key order (the order the sink writes them in).
     fn encode(&self, obs: &Obs) {
         obs.point("watch", "cycle")
-            .label("entity", &self.entity)
-            .label("qos", &self.qos)
-            .label_f64("demand_bps", self.demand_bps)
-            .label_f64("delivered_bps", self.delivered_bps)
             .label_f64("approved_bps", self.approved_bps)
-            .label_f64("marked_fraction", self.marked_fraction)
             .label_f64("conform_fraction", self.conform_fraction)
-            .label_f64("staleness_ms", self.staleness_ms)
+            .label_f64("delivered_bps", self.delivered_bps)
+            .label_f64("demand_bps", self.demand_bps)
+            .label("entity", &self.entity)
+            .label_f64("marked_fraction", self.marked_fraction)
             .label_fmt("measurable", self.measurable)
+            .label("qos", &self.qos)
+            .label_f64("staleness_ms", self.staleness_ms)
             .finish();
     }
 
@@ -118,16 +119,17 @@ impl CycleObs {
 }
 
 impl AdmitObs {
-    /// The wire form: one `watch`/`admit` event carrying every field.
+    /// The wire form: one `watch`/`admit` event carrying every field,
+    /// labels in key order.
     fn encode(&self, obs: &Obs) {
         obs.point("watch", "admit")
-            .label_fmt("request", self.request)
+            .label_f64("admit_ms", self.admit_ms)
             .label_f64("ask_bps", self.ask_bps)
             .label_f64("granted_bps", self.granted_bps)
-            .label_f64("residual_before_bps", self.residual_before_bps)
-            .label_f64("residual_after_bps", self.residual_after_bps)
-            .label_f64("admit_ms", self.admit_ms)
             .label("path", &self.path)
+            .label_fmt("request", self.request)
+            .label_f64("residual_after_bps", self.residual_after_bps)
+            .label_f64("residual_before_bps", self.residual_before_bps)
             .finish();
     }
 
@@ -151,20 +153,26 @@ impl AdmitObs {
 
 /// The wire form of a W0102 shard check: one `watch`/`shards` event
 /// with the fold total, the shard count and one `s{n}` label per
-/// partial.
+/// partial. Labels in key order: the `s{n}` keys as text sorts them
+/// (`s0, s1, s10, …, s2, …`), all before `shards`.
 fn encode_shards(obs: &Obs, entity: &str, qos: &str, total_bps: f64, shard_bps: &[f64]) {
     if !obs.enabled() {
         return; // spares formatting the `s{n}` keys
     }
-    let mut event = obs
-        .point("watch", "shards")
-        .label("entity", entity)
-        .label("qos", qos)
-        .label_f64("total_bps", total_bps)
-        .label_fmt("shards", shard_bps.len());
-    for (s, v) in shard_bps.iter().enumerate() {
-        event.add_label_f64(&format!("s{s}"), *v);
+    let mut partials: Vec<(String, f64)> = shard_bps
+        .iter()
+        .enumerate()
+        .map(|(s, &v)| (format!("s{s}"), v))
+        .collect();
+    partials.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let mut event = obs.point("watch", "shards").label("entity", entity).label("qos", qos);
+    for (key, v) in &partials {
+        event.add_label_f64(key, *v);
     }
+    event
+        .label_fmt("shards", shard_bps.len())
+        .label_f64("total_bps", total_bps)
+        .finish();
 }
 
 /// Inverse of [`encode_shards`] — `(entity, qos, total, partials)`.
