@@ -28,8 +28,13 @@ const SERIES: [&str; 16] = [
 ];
 
 pub fn drill(m: &Matches) {
-    if m.get::<usize>("--hosts") == Some(0) {
-        fail(2, "--hosts 0: a drill needs at least one host");
+    match m.get::<usize>("--hosts") {
+        Some(0) => fail(2, "--hosts 0: a drill needs at least one host"),
+        Some(hosts) if u32::try_from(hosts).is_err() => fail(
+            2,
+            format_args!("--hosts {hosts}: host ids are 32-bit, at most {}", u32::MAX),
+        ),
+        _ => {}
     }
     let fleet = m.on("--shards") || m.on("--strategy");
     only_with(m, "--shards/--strategy", fleet, &["--workers", "--cycles"]);
@@ -139,6 +144,15 @@ fn fleet_drill(m: &Matches) {
         per_host_rate: Rate::gbps(10.0),
         ..FleetConfig::default()
     };
+    if config.end_ms().is_none() {
+        fail(
+            2,
+            format_args!(
+                "--cycles {cycles}: {cycles} cycles of {} ms overflow the u64 millisecond clock",
+                config.cycle_ms
+            ),
+        );
+    }
     let tele = m.telemetry();
     let obs = tele.make_obs();
     let (mut slo, mut watchdog) = (SloEvaluator::default(), WatchEvaluator::default());
