@@ -9,11 +9,11 @@
 //!   partials in ascending shard order. Both folds have a fixed order,
 //!   so the single-threaded and parallel strategies produce
 //!   bit-identical float sums no matter how work is scheduled.
-//! * **Cache locality** — the struct-of-arrays fleet state is walked as
-//!   one linear pass per shard, two loops per block of 64 hosts (a
-//!   keep-mask, then the ordered adds); a metering cycle over 10⁶ hosts
-//!   is a handful of streaming sweeps instead of 10⁶ pointer chases, and
-//!   none of them branches on a host's state.
+//! * **Cache locality** — the struct-of-arrays fleet state is walked in
+//!   one linear pass, eight neighbouring shards abreast, two loops per
+//!   block of 64 hosts (a keep-mask, then the ordered adds); a metering
+//!   cycle over 10⁶ hosts is a streaming sweep instead of 10⁶ pointer
+//!   chases, and it does not branch on a host's state.
 //!
 //! Host *marking* still uses the stable per-host hash
 //! (`HostId::group`), so a contiguous shard holds a representative
