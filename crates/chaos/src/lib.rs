@@ -15,12 +15,16 @@
 //!
 //! * [`plan::FaultPlan`] — a seeded, serializable schedule of faults
 //!   (per-shard outages, dropped publishes, stale reads, clock skew,
-//!   added latency, agent crashes), each active over a window of
-//!   logical milliseconds. Every injection is a pure function of
+//!   agent crashes, link cuts), each active over a window of logical
+//!   milliseconds. Every injection is a pure function of
 //!   `(plan, key, now_ms)`, so chaos runs are exactly reproducible.
+//!   Each consumer honours some families and refuses a plan naming
+//!   any other ([`FaultPlan::check_honoured`]): the drill and the
+//!   sharded fleet engine the four store families, the engine agent
+//!   crashes too, the market link cuts.
 //! * [`store::ChaosStore`] — the one fault wrapper: a `KvAccess` layer
-//!   over the sharded store that the drill, the sharded fleet engine
-//!   and the tokio daemon all run against.
+//!   over the sharded store that the drill and the sharded fleet
+//!   engine both run against.
 //!
 //! Like the kvstore it wraps, this crate is deterministic: no ambient
 //! clocks, no ambient randomness — time comes in as `now_ms`,

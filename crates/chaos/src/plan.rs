@@ -60,16 +60,8 @@ pub enum FaultKind {
         /// Offset added to the logical clock, in milliseconds.
         skew_ms: i64,
     },
-    /// The store answers `ms` later (slow network path). Only the tokio
-    /// daemon honours it, as a real sleep before each round's fan-out
-    /// reads; the logical-time drill and fleet engine ignore it, and no
-    /// decision depends on it.
-    AddedLatency {
-        /// Added latency per daemon round, milliseconds.
-        ms: u64,
-    },
     /// The listed agent hosts are down (crashed); they neither publish
-    /// nor cycle, and restart with fresh (lost) meter state when the
+    /// nor meter, and restart with fresh (lost) meter state when the
     /// window closes.
     AgentCrash {
         /// Hosts that crash.
@@ -85,6 +77,20 @@ pub enum FaultKind {
         /// Raw link ids that are down.
         links: Vec<u32>,
     },
+}
+
+impl FaultKind {
+    /// The family's name, as a plan's JSON spells it.
+    pub fn family(&self) -> &'static str {
+        match self {
+            FaultKind::ShardOutage { .. } => "ShardOutage",
+            FaultKind::DropPublishes { .. } => "DropPublishes",
+            FaultKind::StaleReads => "StaleReads",
+            FaultKind::ClockSkew { .. } => "ClockSkew",
+            FaultKind::AgentCrash { .. } => "AgentCrash",
+            FaultKind::LinkCut { .. } => "LinkCut",
+        }
+    }
 }
 
 /// One scheduled fault.
@@ -150,6 +156,24 @@ impl FaultPlan {
             }
         }
         Ok(plan)
+    }
+
+    /// Refuse a plan that names a family `consumer` does not honour,
+    /// naming the index of the first such fault: a fault nobody injects
+    /// would let the run pass for a faulted one.
+    pub fn check_honoured(&self, consumer: &str, honoured: &[&str]) -> Result<(), String> {
+        match self
+            .faults
+            .iter()
+            .position(|f| !honoured.contains(&f.kind.family()))
+        {
+            None => Ok(()),
+            Some(i) => Err(format!(
+                "invalid fault plan: fault {i}: {consumer} does not honour {} (it honours {})",
+                self.faults[i].kind.family(),
+                honoured.join(", ")
+            )),
+        }
     }
 
     /// Serialize the plan to JSON.
@@ -218,23 +242,17 @@ impl FaultPlan {
         now_ms.saturating_add_signed(skew)
     }
 
-    /// Added latency at `now_ms`, milliseconds (see
-    /// [`FaultKind::AddedLatency`]).
-    pub fn latency_ms(&self, now_ms: u64) -> u64 {
-        self.active(now_ms)
-            .map(|k| match k {
-                FaultKind::AddedLatency { ms } => *ms,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Is agent `host` crashed at `now_ms`?
-    pub fn agent_down(&self, host: u32, now_ms: u64) -> bool {
-        self.active(now_ms).any(|k| match k {
-            FaultKind::AgentCrash { hosts } => hosts.contains(&host),
-            _ => false,
-        })
+    /// Every agent host crashed at `now_ms`, ascending and distinct.
+    pub fn down_hosts(&self, now_ms: u64) -> Vec<u32> {
+        let mut out = Vec::new();
+        for k in self.active(now_ms) {
+            if let FaultKind::AgentCrash { hosts } = k {
+                out.extend_from_slice(hosts);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// Raw ids of every link cut at `now_ms`, deduplicated, in first-
@@ -341,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn clock_skew_and_latency_sum_over_overlaps() {
+    fn clock_skew_sums_over_overlaps() {
         let plan = FaultPlan {
             seed: 0,
             faults: vec![
@@ -353,16 +371,10 @@ mod tests {
                     window: TimeWindow::new(0, 100),
                     kind: FaultKind::ClockSkew { skew_ms: -20 },
                 },
-                Fault {
-                    window: TimeWindow::new(50, 100),
-                    kind: FaultKind::AddedLatency { ms: 7 },
-                },
             ],
         };
         assert_eq!(plan.skewed_now(10), 40);
         assert_eq!(plan.skewed_now(150), 150, "no skew outside windows");
-        assert_eq!(plan.latency_ms(60), 7);
-        assert_eq!(plan.latency_ms(10), 0);
         // Negative skew saturates at zero.
         let back = FaultPlan {
             seed: 0,
@@ -390,16 +402,40 @@ mod tests {
 
     #[test]
     fn agent_crash_targets_hosts() {
+        let crash = |from, to, hosts| Fault {
+            window: TimeWindow::new(from, to),
+            kind: FaultKind::AgentCrash { hosts },
+        };
         let plan = FaultPlan {
             seed: 0,
-            faults: vec![Fault {
-                window: TimeWindow::new(100, 300),
-                kind: FaultKind::AgentCrash { hosts: vec![3, 9] },
-            }],
+            faults: vec![crash(100, 300, vec![9, 3]), crash(200, 400, vec![3, 5])],
         };
-        assert!(plan.agent_down(3, 200));
-        assert!(!plan.agent_down(4, 200));
-        assert!(!plan.agent_down(3, 300), "restarts when the window closes");
+        assert!(plan.down_hosts(50).is_empty());
+        assert_eq!(plan.down_hosts(100), [3, 9]);
+        assert_eq!(plan.down_hosts(250), [3, 5, 9], "overlap sorts and dedups");
+        assert_eq!(plan.down_hosts(300), [3, 5], "restarts when the window closes");
+    }
+
+    #[test]
+    fn a_consumer_refuses_the_families_it_does_not_honour() {
+        let plan = FaultPlan {
+            seed: 0,
+            faults: vec![
+                outage(0, 10, vec![]),
+                Fault {
+                    window: TimeWindow::new(0, 10),
+                    kind: FaultKind::AgentCrash { hosts: vec![1] },
+                },
+            ],
+        };
+        assert_eq!(plan.check_honoured("everyone", &["ShardOutage", "AgentCrash"]), Ok(()));
+        assert_eq!(
+            plan.check_honoured("the drill", &["ShardOutage", "StaleReads"]),
+            Err("invalid fault plan: fault 1: the drill does not honour AgentCrash \
+(it honours ShardOutage, StaleReads)"
+                .to_string())
+        );
+        assert_eq!(FaultPlan::none().check_honoured("nobody", &[]), Ok(()));
     }
 
     #[test]
@@ -465,6 +501,10 @@ mod tests {
         assert_eq!(p.faults.len(), 2);
         assert!(p.any_shard_down(30_000));
         assert!(FaultPlan::from_json("{nonsense").is_err());
+        // An unknown family is refused.
+        let latency = r#"{"seed":1,"faults":[{"window":{"from_ms":0,"to_ms":10},
+            "kind":{"AddedLatency":{"ms":20}}}]}"#;
+        assert!(FaultPlan::from_json(latency).is_err());
     }
 
     #[test]

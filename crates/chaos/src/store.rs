@@ -2,8 +2,8 @@
 //!
 //! [`ChaosStore`] wraps the synchronous [`ShardedStore`] behind the
 //! [`KvAccess`] trait, so anything written against the trait (the
-//! enforcement agent, the §6 drill, the sharded fleet engine, the tokio
-//! daemon) can be run against a degraded store without code changes.
+//! enforcement agent, the §6 drill, the sharded fleet engine) can be
+//! run against a degraded store without code changes.
 
 use crate::plan::FaultPlan;
 use entitlement_kvstore::{KvAccess, KvError, ShardedStore};
@@ -109,7 +109,9 @@ impl KvAccess for ChaosStore {
             ChaosMetrics::inc(&self.metrics.dropped_publishes);
             return Ok(());
         }
-        self.inner.put(key, value, self.plan.skewed_now(now_ms));
+        // Stamped with the writer's clock; liveness is judged on the
+        // store's skewed one.
+        self.inner.put(key, value, now_ms);
         Ok(())
     }
 
@@ -174,8 +176,7 @@ impl KvAccess for ChaosStore {
             ChaosMetrics::inc(&self.metrics.dropped_publishes);
             return Ok(());
         }
-        self.inner
-            .put_in_shard(shard, key, value, self.plan.skewed_now(now_ms));
+        self.inner.put_in_shard(shard, key, value, now_ms);
         Ok(())
     }
 
@@ -333,6 +334,13 @@ mod tests {
         assert_eq!(chaos.try_get("k", 400), Ok(Some(1.0)), "live at 400");
         // At t=600 the skewed clock reads 1500 — past the 1s TTL.
         assert_eq!(chaos.try_get("k", 600), Ok(None), "skew expired it");
+        // A write inside the window carries the writer's clock, so the
+        // skewed store ages it out early too: a writer that publishes
+        // every cycle does not mask the skew.
+        chaos.try_put("k", 2.0, 700).unwrap();
+        assert_eq!(chaos.try_get("k", 700), Ok(Some(2.0)), "900 ms old on the store's clock");
+        assert_eq!(chaos.try_get("k", 900), Ok(None), "1100 ms old on the store's clock");
+        assert_eq!(chaos.try_aggregate("", 900), Ok(0.0));
     }
 
     #[test]

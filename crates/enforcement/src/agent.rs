@@ -82,18 +82,6 @@ impl Agent {
         }
     }
 
-    /// Crash recovery: the meter and kernel table restart empty (all
-    /// traffic conforming) but the contract cache survives — it is
-    /// re-read from the DB on the next refresh anyway. The first
-    /// healthy cycle after a restart re-derives the fleet decision
-    /// from the shared aggregates.
-    pub fn restart(&mut self) {
-        self.meter.reset();
-        self.table = MarkingTable::new();
-        self.last_aggregates_ms = None;
-        self.metrics.restarts.inc();
-    }
-
     /// Refresh the cached entitled rate from the contract database.
     /// Returns the (possibly stale) rate in effect afterwards.
     ///
@@ -461,19 +449,6 @@ mod tests {
             host_group: 10,
         };
         assert_eq!(a.table.classify(probe).0, crate::bpf::MarkAction::Remark);
-    }
-
-    #[test]
-    fn restart_clears_meter_state_and_counts() {
-        let db = db_with_contract(50.0);
-        let mut a = agent(0);
-        a.refresh_contract(&db, 0);
-        a.cycle(Rate::gbps(100.0), Rate::gbps(100.0));
-        assert!(a.meter_conform_ratio() < 1.0);
-        a.restart();
-        assert_eq!(a.meter_conform_ratio(), 1.0, "meter restarts full-open");
-        assert_eq!(a.metrics.snapshot().restarts, 1);
-        assert_eq!(a.entitled(), Some(Rate::gbps(50.0)), "contract cache survives");
     }
 
     #[test]

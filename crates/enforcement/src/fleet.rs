@@ -1,11 +1,10 @@
 //! The sharded fleet engine: hierarchical host → shard → global
 //! aggregation at 10⁵–10⁶ host scale.
 //!
-//! The flat daemon spawns one task per agent and has every agent poll
-//! the global aggregate each cycle — O(agents) KV reads and task wakeups
-//! per cycle, which tops out three orders of magnitude below the
-//! production fleet (paper §6). This engine restructures the runtime as
-//! an aggregation tree:
+//! An agent per host polling the global aggregate each cycle costs
+//! O(agents) KV reads per cycle, which tops out three orders of
+//! magnitude below the production fleet (paper §6). This engine runs
+//! the fleet as an aggregation tree instead:
 //!
 //! 1. **Host pass (struct-of-arrays).** Per-host inputs live in
 //!    parallel vectors (`group`, `demand_bps`); the meter state is held
@@ -56,11 +55,15 @@
 //! its decision — the live (fresh-only) aggregate meanwhile degrades by
 //! exactly the dark shard's contribution, which is what the per-shard
 //! SLIs and the chaos matrix assert.
+//!
+//! An `AgentCrash` takes its hosts out of their shards' partials for
+//! the window, and each restarts with fresh meter state when it closes
+//! (see [`run_fleet_engine_with`]).
 
 use crate::marking::{Marker, GROUPS};
 use crate::metering::StatefulMeter;
 use crate::shard::ShardPlan;
-use entitlement_chaos::{ChaosStore, FaultPlan};
+use entitlement_chaos::{ChaosStore, FaultKind, FaultPlan};
 use entitlement_core::{DetRng, HostId, NpgId, QosClass, Rate};
 use entitlement_kvstore::{
     FanoutSnapshot, KvAccess, ObservedKv, ShardFanout, ShardRead, ShardedStore, StoreConfig,
@@ -220,6 +223,9 @@ pub struct FleetOutcome {
     /// Cycles where the global fold was unavailable and every host
     /// held its decision.
     pub fail_static_cycles: u64,
+    /// Agent restarts: a host counts once each time an `AgentCrash`
+    /// window that held it down closes.
+    pub restarts: u64,
     /// Per-cycle observable state.
     pub cycles: Vec<FleetCycleStats>,
     /// Per-shard fault accounting.
@@ -290,6 +296,61 @@ impl FleetState {
         };
         (state, shard_demand)
     }
+
+    /// Apply one cycle's agent crashes. A host in `down` adds `+0.0` to
+    /// its shard's partial, which leaves the sum bit for bit what it is
+    /// without the host, and holds ratio 1.0, so it marks nothing. A
+    /// host in `was_down` that is up again gets its demand back and
+    /// restarts at ratio 1.0, as [`StatefulMeter`]'s `reset` does.
+    /// Both lists ascend; returns the restart count. A cycle with no
+    /// down and no restarting host touches no host.
+    fn crash(&mut self, config: &FleetConfig, was_down: &[u32], down: &[u32]) -> u64 {
+        if was_down.is_empty() && down.is_empty() {
+            return 0;
+        }
+        let restarted: Vec<u32> = was_down
+            .iter()
+            .filter(|h| down.binary_search(h).is_err())
+            .copied()
+            .collect();
+        for &h in down {
+            self.demand[h as usize] = 0.0;
+        }
+        for &h in &restarted {
+            self.demand[h as usize] = host_demand_bps(config.seed, config.per_host_rate, h);
+        }
+        let mut reset = [down, &restarted].concat();
+        reset.sort_unstable();
+        set_ratios(&mut self.runs, &reset, 1.0);
+        restarted.len() as u64
+    }
+}
+
+/// Set each of `hosts` (ascending, distinct) to `ratio`: the runs they
+/// fall in split around them, and neighbours that end up equal in bits
+/// merge, so the runs stay well formed.
+fn set_ratios(runs: &mut Vec<(usize, f64)>, hosts: &[u32], ratio: f64) {
+    if hosts.is_empty() {
+        return;
+    }
+    let mut out = Vec::with_capacity(runs.len() + 2 * hosts.len());
+    let mut hosts = hosts.iter().map(|&h| h as usize).peekable();
+    let mut start = 0;
+    for &(end, old) in runs.iter() {
+        while let Some(h) = hosts.next_if(|&h| h < end) {
+            if start < h {
+                out.push((h, old));
+            }
+            out.push((h + 1, ratio));
+            start = h + 1;
+        }
+        if start < end {
+            out.push((end, old));
+        }
+        start = end;
+    }
+    merge_runs(&mut out);
+    *runs = out;
 }
 
 /// Every host's ratio, host order.
@@ -562,11 +623,18 @@ pub fn run_fleet_engine(config: &FleetConfig) -> Result<FleetOutcome, String> {
 /// *after* the span closes, so `watch`/`*` events are roots and never
 /// perturb span durations.
 ///
+/// **Agent crashes.** While an `AgentCrash` window holds a host down,
+/// it adds nothing to its shard's partial and marks nothing; the
+/// offered demand the SLO fold judges delivery against keeps it, so
+/// the fold sees the lost delivery. When the window closes the host
+/// restarts with fresh meter state ([`FleetOutcome::restarts`]).
+///
 /// # Errors
 ///
 /// Propagates [`ShardPlan::new`] validation failures, and rejects more
-/// hosts than 32-bit host ids can name and a run whose last cycle
-/// overflows the `u64` millisecond clock ([`FleetConfig::end_ms`]).
+/// hosts than 32-bit host ids can name, a run whose last cycle
+/// overflows the `u64` millisecond clock ([`FleetConfig::end_ms`]) and
+/// an `AgentCrash` naming a host outside the fleet.
 pub fn run_fleet_engine_with(
     config: &FleetConfig,
     obs: &Obs,
@@ -599,13 +667,23 @@ fn run_engine(
             config.cycles, config.cycle_ms
         ));
     };
-    let shards = plan.shards();
     let fault_plan = Arc::new(config.faults.clone().unwrap_or_else(FaultPlan::none));
+    for (i, fault) in fault_plan.faults.iter().enumerate() {
+        if let FaultKind::AgentCrash { hosts } = &fault.kind {
+            if let Some(h) = hosts.iter().find(|&&h| h as usize >= config.hosts) {
+                return Err(format!(
+                    "fault {i}: AgentCrash host {h} is outside the fleet's {} hosts",
+                    config.hosts
+                ));
+            }
+        }
+    }
+    let shards = plan.shards();
     let store = Arc::new(ShardedStore::new(StoreConfig {
         shards,
         ttl: Duration::from_millis(config.cycle_ms.saturating_mul(4)),
     }));
-    let kv = ObservedKv::new(ChaosStore::new(Arc::clone(&store), fault_plan), obs);
+    let kv = ObservedKv::new(ChaosStore::new(Arc::clone(&store), Arc::clone(&fault_plan)), obs);
 
     let (mut state, shard_demand) = FleetState::new(config, &plan);
     // Demand total folded the same way the partials fold: shard order.
@@ -622,6 +700,7 @@ fn run_engine(
     let mut cycle_stats = Vec::new();
     let mut partials = vec![(0.0, 0.0, 0u64); shards];
     let mut fail_static_cycles = 0u64;
+    let (mut down, mut restarts) = (Vec::new(), 0u64);
     // Keys and labels are built once per run; a cycle overwrites only
     // the values it measured.
     let mut entries: Vec<[(String, f64); 2]> = (0..shards)
@@ -669,6 +748,10 @@ fn run_engine(
         obs.clock.set_ms(now_ms);
         let mut span = obs.span("agent", "cycle");
 
+        // 0. Agent crashes and restarts.
+        let was_down = std::mem::replace(&mut down, fault_plan.down_hosts(now_ms));
+        restarts += state.crash(config, &was_down, &down);
+
         // 1. Host pass (the parallelizable part).
         host_pass(config, &plan, &state, &mut partials);
         let marked_hosts: u64 = partials.iter().map(|p| p.2).sum();
@@ -700,6 +783,8 @@ fn run_engine(
         let metered = match (folded_total, snap_conform.fold()) {
             (Ok(total), Ok(conform)) => {
                 meter_pass(&mut state.runs, total, conform, config.entitled.as_bps());
+                // A down host's meter does not run.
+                set_ratios(&mut state.runs, &down, 1.0);
                 Some((total, conform))
             }
             _ => {
@@ -809,6 +894,7 @@ fn run_engine(
         conform_ratios: expand_runs(&state.runs),
         marked_fraction,
         fail_static_cycles,
+        restarts,
         cycles: cycle_stats,
         shard_stats,
         fanout_reads: fan_total.reads() + fan_conform.reads(),
@@ -903,6 +989,26 @@ mod tests {
         let out = run_fleet_engine(&config).unwrap();
         assert_eq!(out.marked_fraction, 0.0);
         assert!(out.conform_ratios.iter().all(|&cr| cr == 1.0));
+    }
+
+    /// The fan-out's reads land in the drill's KV families: two
+    /// prefixes × shards × cycles, all served.
+    #[test]
+    fn observed_fleet_counts_its_fan_out_reads() {
+        let obs = Obs::new(entitlement_obs::Clock::counting(1));
+        run_fleet_engine_with(
+            &small_config(),
+            &obs,
+            &mut SloEvaluator::default(),
+            &mut WatchEvaluator::default(),
+        )
+        .unwrap();
+        let text = obs.registry.render();
+        assert!(
+            text.contains("entitlement_kv_ops_total{op=\"aggregate\",outcome=\"ok\"} 96\n"),
+            "{text}"
+        );
+        assert!(text.contains("entitlement_kv_op_ms_count{op=\"aggregate\"} 96\n"), "{text}");
     }
 
     #[test]
@@ -1131,6 +1237,29 @@ mod tests {
             prop_assert_eq!(ratio_bits(&expand_runs(&runs)), ratio_bits(&ratios));
         }
 
+        /// Setting any hosts to one ratio matches setting them host by
+        /// host, and keeps the runs well formed.
+        #[test]
+        fn set_ratios_matches_the_per_host_set(
+            (seed, hosts) in (any::<u64>(), 1usize..300),
+            (pattern, value) in (0u8..4, 0..EDGE_RATIOS.len()),
+            picks in proptest::collection::vec(any::<usize>(), 0..20),
+        ) {
+            let mut rng = DetRng::new(seed);
+            let mut per_host = ratios(&mut rng, hosts, pattern);
+            let mut runs = runs_from(&per_host);
+            let mut set: Vec<u32> = picks.iter().map(|&p| (p % hosts) as u32).collect();
+            set.sort_unstable();
+            set.dedup();
+            let ratio = EDGE_RATIOS[value];
+            for &h in &set {
+                per_host[h as usize] = ratio;
+            }
+            set_ratios(&mut runs, &set, ratio);
+            prop_assert!(well_formed(&runs, hosts), "{runs:?}");
+            prop_assert_eq!(ratio_bits(&expand_runs(&runs)), ratio_bits(&per_host));
+        }
+
         /// Both kernels on runs against the per-host loops they
         /// replaced, bit for bit. The host pass gets one to eight lanes
         /// of equal lengths, lengths one apart as a plan cuts them, up
@@ -1300,6 +1429,58 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Crashed hosts hold ratio 1.0 and split the one run while down;
+    /// each restarts once when its window closes.
+    #[test]
+    fn crashed_hosts_hold_ratio_one_and_restart() {
+        let config = FleetConfig {
+            faults: Some(FaultPlan {
+                seed: 1,
+                faults: vec![Fault {
+                    window: TimeWindow::new(4000, 7001),
+                    kind: FaultKind::AgentCrash { hosts: vec![100, 3, 4, 3] },
+                }],
+            }),
+            ..small_config()
+        };
+        let (out, seen) = runs_per_cycle(&config);
+        assert_eq!(out.restarts, 3, "three distinct hosts");
+        for (cycle, runs) in seen.iter().enumerate() {
+            assert!(well_formed(runs, config.hosts), "{runs:?}");
+            let ratios = expand_runs(runs);
+            if (4..=7).contains(&(cycle + 1)) {
+                assert!([3, 4, 100].iter().all(|&h| ratios[h] == 1.0), "cycle {}", cycle + 1);
+                assert!(ratios[0] < 1.0, "the rest of the over-entitled fleet marks");
+            }
+        }
+        // The window's cycles fold without the three hosts.
+        let without: f64 = out.cycles[3].shard_totals.iter().map(|t| t.unwrap()).sum();
+        assert!(without < out.cycles[2].live_total);
+        assert_eq!(out.cycles[7].live_total.to_bits(), out.cycles[2].live_total.to_bits());
+    }
+
+    #[test]
+    fn crash_hosts_outside_the_fleet_are_refused() {
+        let config = FleetConfig {
+            faults: Some(FaultPlan {
+                seed: 1,
+                faults: vec![
+                    Fault {
+                        window: TimeWindow::new(0, 1),
+                        kind: FaultKind::StaleReads,
+                    },
+                    Fault {
+                        window: TimeWindow::new(0, 1),
+                        kind: FaultKind::AgentCrash { hosts: vec![199, 200] },
+                    },
+                ],
+            }),
+            ..small_config()
+        };
+        let err = run_fleet_engine(&config).unwrap_err();
+        assert_eq!(err, "fault 1: AgentCrash host 200 is outside the fleet's 200 hosts");
     }
 
     #[test]

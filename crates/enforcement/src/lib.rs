@@ -20,17 +20,16 @@
 //!   (stateless marking oscillates; stateful converges);
 //! * [`drill`] — the §6 end-to-end drill harness coupling agents to the
 //!   simnet world and the storage application (Figs 11–17);
-//! * [`daemon`] — a tokio runtime where agents run as real concurrent
-//!   tasks sharing one synchronous KV store through the drill's fault
-//!   layer.
+//! * [`fleet`] — the sharded fleet engine: every host's agent as
+//!   struct-of-arrays state, folded per shard and metered on one
+//!   global aggregate, deterministic at 10⁶ hosts.
 //!
 //! The whole runtime is **fail-static** (§5.3): when the KV store is
 //! unavailable, agents hold their last enforcement decision instead of
 //! reading the outage as "no traffic" and unthrottling. The drill and
-//! the daemon both accept an `entitlement_chaos::FaultPlan` to inject
-//! store outages, dropped publishes, stale reads, clock skew and agent
-//! crashes (and the daemon added latency) and prove that property end to
-//! end.
+//! the fleet engine both accept an `entitlement_chaos::FaultPlan` to
+//! inject store outages, dropped publishes, stale reads and clock skew
+//! (and the engine agent crashes) and prove that property end to end.
 
 #![forbid(unsafe_code)]
 
@@ -38,7 +37,6 @@ pub mod agent;
 pub mod bpf;
 pub mod controller;
 pub mod convergence;
-pub mod daemon;
 pub mod db;
 pub mod drill;
 pub mod fleet;
@@ -60,7 +58,7 @@ pub use fleet::{
 };
 pub use shard::ShardPlan;
 pub use ingress::{IngressCoordinator, SourceMeter};
-pub use metrics::{aggregate_fleet, AgentMetrics, Counter, Gauge, MetricsSnapshot};
+pub use metrics::{AgentMetrics, Counter, Gauge, MetricsSnapshot};
 pub use multidrill::{run_multi_drill, MultiDrillConfig, ServiceSpec};
 pub use marking::{MarkingStrategy, Marker};
 pub use metering::{Meter, StatefulMeter, StatelessMeter};

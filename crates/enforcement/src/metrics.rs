@@ -16,7 +16,7 @@
 
 pub use entitlement_obs::{Counter, Gauge};
 
-use entitlement_obs::{escape_label_value, Registry};
+use entitlement_obs::escape_label_value;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -44,8 +44,6 @@ pub struct AgentMetrics {
     /// Cycles that held the previous decision because aggregates were
     /// unavailable (fail-static).
     pub fail_static_cycles: Counter,
-    /// Agent restarts (crash recovery; meter state was lost).
-    pub restarts: Counter,
     /// Packets classified by the kernel component.
     pub packets_seen: Counter,
     /// Packets remarked non-conforming.
@@ -65,9 +63,8 @@ pub struct AgentMetrics {
 type MetricRow<T> = (&'static str, &'static str, fn(&MetricsSnapshot) -> T);
 
 /// `(name, help)` for each counter, in render order, paired with an
-/// accessor — shared by [`AgentMetrics::render`] and the fleet
-/// aggregation so the two can never drift apart.
-const COUNTERS: [MetricRow<u64>; 12] = [
+/// accessor.
+const COUNTERS: [MetricRow<u64>; 11] = [
     ("entitlement_agent_cycles_total", "Metering cycles executed", |s| s.cycles),
     (
         "entitlement_agent_decision_changes_total",
@@ -108,11 +105,6 @@ const COUNTERS: [MetricRow<u64>; 12] = [
         "entitlement_agent_fail_static_cycles_total",
         "Cycles that held the last decision on unavailable aggregates",
         |s| s.fail_static_cycles,
-    ),
-    (
-        "entitlement_agent_restarts_total",
-        "Agent restarts (meter state lost)",
-        |s| s.restarts,
     ),
     ("entitlement_agent_packets_seen_total", "Packets classified", |s| s.packets_seen),
     (
@@ -190,41 +182,12 @@ impl AgentMetrics {
             publish_failures: self.publish_failures.get(),
             aggregate_read_failures: self.aggregate_read_failures.get(),
             fail_static_cycles: self.fail_static_cycles.get(),
-            restarts: self.restarts.get(),
             packets_seen: self.packets_seen.get(),
             packets_remarked: self.packets_remarked.get(),
             conform_ratio: self.conform_ratio.get(),
             entitled_bps: self.entitled_bps.get(),
             total_rate_bps: self.total_rate_bps.get(),
             aggregate_staleness_ms: self.aggregate_staleness_ms.get(),
-        }
-    }
-}
-
-/// Fold a fleet of per-agent snapshots into one scrapeable registry:
-/// each counter family becomes a fleet-wide sum (same metric name, so
-/// dashboards written against a single agent keep working), and each
-/// gauge becomes a cross-agent distribution histogram
-/// (`<name>_distribution`) — per-host gauge labels at fleet scale
-/// (thousands of hosts) would explode cardinality.
-pub fn aggregate_fleet(snapshots: &[MetricsSnapshot], registry: &Registry) {
-    registry
-        .gauge(
-            "entitlement_fleet_agents",
-            "Number of agents aggregated into this scrape",
-            &[],
-        )
-        .set(snapshots.len() as f64);
-    for (name, help, get) in COUNTERS {
-        let total: u64 = snapshots.iter().map(get).sum();
-        let c = registry.counter(name, help, &[]);
-        c.add(total.saturating_sub(c.get()));
-    }
-    for (name, help, get) in GAUGES {
-        let dist_name = format!("{name}_distribution");
-        let h = registry.histogram(&dist_name, help, &[]);
-        for s in snapshots {
-            h.record(get(s));
         }
     }
 }
@@ -250,8 +213,6 @@ pub struct MetricsSnapshot {
     pub aggregate_read_failures: u64,
     /// Fail-static (held-decision) cycles.
     pub fail_static_cycles: u64,
-    /// Agent restarts.
-    pub restarts: u64,
     /// Packets classified.
     pub packets_seen: u64,
     /// Packets remarked.
@@ -348,27 +309,6 @@ mod tests {
         let m = AgentMetrics::new();
         let text = m.render(&BTreeMap::new());
         assert!(text.contains("entitlement_agent_cycles_total 0\n"));
-    }
-
-    #[test]
-    fn fleet_aggregation_sums_counters_and_distributes_gauges() {
-        let mut snaps = Vec::new();
-        for i in 0..4u64 {
-            let m = AgentMetrics::new();
-            m.cycles.add(10 + i);
-            m.conform_ratio.set(0.25 * (i + 1) as f64);
-            snaps.push(m.snapshot());
-        }
-        let registry = Registry::new();
-        aggregate_fleet(&snaps, &registry);
-        let text = registry.render();
-        assert!(text.contains("entitlement_fleet_agents 4\n"));
-        assert!(
-            text.contains("entitlement_agent_cycles_total 46\n"),
-            "10+11+12+13: {text}"
-        );
-        assert!(text.contains("entitlement_agent_conform_ratio_distribution_count 4\n"));
-        entitlement_obs::validate_prometheus(&text).expect("parseable exposition");
     }
 
     #[test]

@@ -84,7 +84,7 @@ fn assert_outcomes_identical(det: &FleetOutcome, par: &FleetOutcome) {
 
 /// The flat-path reference: the pre-sharding agent math, host order,
 /// one `StatefulMeter` per host fed the global aggregates — exactly
-/// what `daemon.rs` agents compute, without any KV or shard machinery.
+/// what a per-host agent computes, without any KV or shard machinery.
 fn flat_reference(config: &FleetConfig) -> Vec<f64> {
     let demand: Vec<f64> = (0..config.hosts)
         .map(|h| host_demand_bps(config.seed, config.per_host_rate, h as u32))

@@ -1,7 +1,7 @@
 //! The streaming SLO evaluator: a fold over per-cycle interval
 //! observations, keyed by `(entity, QoS)`.
 //!
-//! The drill and daemon loops feed [`SloEvaluator::observe`] one
+//! The drill and fleet engine loops feed [`SloEvaluator::observe`] one
 //! [`IntervalObs`] per metering cycle — no post-hoc re-parse — and each
 //! observation is simultaneously emitted as an `slo`/`interval` trace
 //! event (pinned JSONL key order, floats in shortest-round-trip form),

@@ -93,8 +93,8 @@ const PAR_MODULES: &[&str] = &[
 ];
 
 /// Modules allowed to spawn OS threads (X0203): the fleet engine's
-/// scoped workers and the risk sweep pool. Everything else must stay
-/// on the tokio runtime or hand work to these.
+/// scoped workers and the risk sweep pool. Everything else runs on
+/// its caller's thread or hands work to these.
 const APPROVED_SPAWN_MODULES: &[&str] = &[
     "crates/enforcement/src/fleet",
     "crates/risk/src/sweep",

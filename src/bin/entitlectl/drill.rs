@@ -7,6 +7,15 @@ use network_entitlement::enforcement::{run_fleet_engine_with, FleetConfig, Fleet
 use network_entitlement::prelude::*;
 use network_entitlement::telemetry::traced_approval_preamble;
 
+/// The fault families the flat drill injects, all through the store.
+/// Its agents are one representative, so it cannot crash a subset.
+const DRILL_FAULTS: &[&str] = &["ShardOutage", "DropPublishes", "StaleReads", "ClockSkew"];
+
+/// The fault families the fleet engine injects: the store's, and
+/// agent crashes.
+const FLEET_FAULTS: &[&str] =
+    &["ShardOutage", "DropPublishes", "StaleReads", "ClockSkew", "AgentCrash"];
+
 /// Every series the flat drill records, in CSV column order.
 const SERIES: [&str; 16] = [
     "rate_total_tbps",
@@ -42,7 +51,7 @@ pub fn drill(m: &Matches) {
     if fleet {
         return fleet_drill(m);
     }
-    let faults = load_faults(m);
+    let faults = load_faults(m, "entitlectl drill", DRILL_FAULTS);
     let faulted = faults.as_ref().is_some_and(|p| !p.is_empty());
     let seed: u64 = m.get("--seed").unwrap_or_else(|| DrillConfig::default().seed);
     let tele = m.telemetry();
@@ -137,7 +146,7 @@ fn fleet_drill(m: &Matches) {
         workers: workers.unwrap_or(0),
         cycles,
         seed: m.get("--seed").unwrap_or(0xD217),
-        faults: load_faults(m),
+        faults: load_faults(m, "entitlectl drill --shards", FLEET_FAULTS),
         // 10G offered per host vs a 5G/host entitlement: the fleet
         // settles near half marked, the regime the paper enforces in.
         entitled: Rate::gbps(5.0 * hosts as f64),

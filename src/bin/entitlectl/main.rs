@@ -110,10 +110,15 @@ fn reject_malformed(source: impl Display, malformed: &[BadLabel]) {
     }
 }
 
-/// The `--faults` plan, if one was given.
-fn load_faults(m: &Matches) -> Option<FaultPlan> {
-    m.text("--faults")
-        .map(|path| load(path, "fault plan", 2, FaultPlan::from_json))
+/// The `--faults` plan, if one was given. A plan naming a family
+/// `consumer` does not honour exits 2: it would run as a healthy run.
+fn load_faults(m: &Matches, consumer: &str, honoured: &[&str]) -> Option<FaultPlan> {
+    let path = m.text("--faults")?;
+    let plan = load(path, "fault plan", 2, FaultPlan::from_json);
+    if let Err(e) = plan.check_honoured(consumer, honoured) {
+        fail(2, format_args!("{path}: {e}"));
+    }
+    Some(plan)
 }
 
 /// Flush `--trace`/`--metrics` outputs, printing one line per file (or

@@ -20,7 +20,7 @@ pub fn market(m: &Matches) {
     let requests: usize = m.get("--requests").unwrap_or(100_000);
     let seed: u64 = m.get("--seed").unwrap_or(0x1360);
     let (workers, dedup) = m.sweep();
-    let faults = load_faults(m);
+    let faults = load_faults(m, "entitlectl market", &["LinkCut"]);
     // The links dead while request `i` is served.
     let cuts = |i: usize| -> Vec<LinkId> {
         faults.as_ref().map_or_else(Vec::new, |plan| {

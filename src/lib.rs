@@ -30,8 +30,8 @@
 //!   (fault plans, degraded stores, fail-static drills);
 //! * [`enforcement`] — metering, marking, BPF-style classification,
 //!   agents, the §6 drill, and the §7.4 convergence simulation. Each
-//!   runtime loop (drill, sharded fleet engine, tokio daemon — and the
-//!   [`market`] storm) is one function fed an [`obs::Obs`] and the
+//!   runtime loop (drill, sharded fleet engine — and the [`market`]
+//!   storm) is one function fed an [`obs::Obs`] and the
 //!   caller's own `&mut` [`slo::SloEvaluator`] /
 //!   [`watch::WatchEvaluator`], plus a shorthand without either;
 //! * [`analyzer`] — static diagnostics over contracts, hoses, pipes,

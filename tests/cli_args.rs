@@ -93,7 +93,14 @@ fn outside_input_never_panics() {
     let garbage = tmp("garbage.json");
     std::fs::write(&garbage, "{\"not\": \"contracts\"").expect("write fixture");
     let garbage = garbage.display().to_string();
-    let cases: [(&[&str], i32); 12] = [
+    let crash = tmp("crash.json");
+    std::fs::write(
+        &crash,
+        r#"{"seed":1,"faults":[{"window":{"from_ms":0,"to_ms":5000},"kind":{"AgentCrash":{"hosts":[3,50]}}}]}"#,
+    )
+    .expect("write fixture");
+    let crash = crash.display().to_string();
+    let cases: [(&[&str], i32); 13] = [
         (&["plan", "--slo", "2"], 2),
         (&["plan", "--slo", "0"], 2),
         (&["plan", "--out", unwritable], 1),
@@ -106,6 +113,8 @@ fn outside_input_never_panics() {
         (&["drill", "--hosts", "50", "--csv", unwritable], 1),
         (&["topo", "--dot", unwritable], 1),
         (&["drill", "--hosts", "50", "--trace", unwritable], 1),
+        // Host 50 of a 50-host fleet.
+        (&["drill", "--hosts", "50", "--shards", "2", "--faults", &crash], 2),
     ];
     for (args, code) in cases {
         let out = ctl(args);
