@@ -34,6 +34,28 @@
 //!    once per run of bit-equal ratios, on the driver, and runs that
 //!    meet merge. A fleet that starts uniform stays one run.
 //!
+//! # The pass memo
+//!
+//! A shard's partial is a pure function of its hosts' marking cuts
+//! (one of 101 values each), group ids and demands. The engine keeps the
+//! partials of the last two distinct cut runs it folded, keyed by the
+//! meter runs mapped to cuts with equal neighbours merged, and serves a
+//! cycle whose cuts repeat from them instead of folding its hosts again.
+//! Group ids never change. Demand changes only when the down set
+//! differs from the previous cycle's, and any such change empties the
+//! memo. The key is therefore the pass's complete input, and a served
+//! partial is the pass's own in bits under any demand model; only how
+//! often the memo hits depends on the traffic. Cycle 1 costs no pass:
+//! every host starts at ratio 1.0, cut 0, so each shard's partial is its
+//! demand sum, which the state build computes from `+0.0` as a lane does.
+//! Two entries, because an over-entitled fleet settles into a limit
+//! cycle of two cuts (50, 50, 49, …). Host passes per run
+//! ([`FleetOutcome::host_passes`]): none or one of the benchmark's eight
+//! cycles at 10⁶ hosts; 2 of 64 at `drill --hosts 20000 --shards 64
+//! --cycles 64` (37 with one entry); 5 of 64 at 200 hosts over four
+//! shards; 8 of 16 at 2 000 hosts with `examples/faults/agent_crash.json`,
+//! whose window empties the memo as it opens and as it closes.
+//!
 //! # Strategies
 //!
 //! The same engine runs under two execution strategies
@@ -230,6 +252,10 @@ pub struct FleetOutcome {
     pub cycles: Vec<FleetCycleStats>,
     /// Per-shard fault accounting.
     pub shard_stats: Vec<FleetShardStats>,
+    /// Host passes run: the cycles whose pass input the memo did not
+    /// hold (see the module doc). A work counter; no CLI output, trace
+    /// or metric carries it.
+    pub host_passes: u64,
     /// Total fan-out reads issued (the O(shards) regression gate).
     pub fanout_reads: u64,
     /// Total offered demand, bits/s (constant across cycles).
@@ -261,7 +287,7 @@ struct FleetState {
     runs: Vec<(usize, f64)>,
     /// Stable marking group id, precomputed from `HostId::group`.
     group: Vec<u8>,
-    /// Offered demand, bits/s, fixed for the run.
+    /// Offered demand, bits/s; `+0.0` while a crash holds the host down.
     demand: Vec<f64>,
 }
 
@@ -270,23 +296,29 @@ const _: () = assert!(GROUPS <= u8::MAX as u32);
 
 impl FleetState {
     /// A fresh fleet over `plan`'s hosts, every host at ratio 1.0, and
-    /// each shard's offered demand. One ascending pass fills the group
-    /// ids, the demands and the shard sums, so no host is read back.
+    /// each shard's offered demand. One ascending pass writes the group
+    /// ids and the demands into pre-sized slices and sums each shard, so
+    /// no host is read back and none is pushed.
     /// The caller has checked that host ids fit 32 bits.
     fn new(config: &FleetConfig, plan: &ShardPlan) -> (FleetState, Vec<f64>) {
-        let mut group = Vec::with_capacity(plan.hosts());
-        let mut demand = Vec::with_capacity(plan.hosts());
+        let mut group = vec![0u8; plan.hosts()];
+        let mut demand = vec![0.0; plan.hosts()];
         let shard_demand = (0..plan.shards())
             .map(|s| {
-                plan.range(s)
-                    .map(|h| {
-                        let h = h as u32;
-                        let d = host_demand_bps(config.seed, config.per_host_rate, h);
-                        group.push(HostId(h).group(GROUPS) as u8);
-                        demand.push(d);
-                        d
-                    })
-                    .sum()
+                let range = plan.range(s);
+                // `+0.0`, as a kernel lane starts, so that this sum is
+                // the shard's cut-0 partial in bits.
+                let mut sum = 0.0;
+                let hosts = group[range.clone()]
+                    .iter_mut()
+                    .zip(&mut demand[range.clone()]);
+                for (h, (g, d)) in range.zip(hosts) {
+                    let h = h as u32;
+                    *g = HostId(h).group(GROUPS) as u8;
+                    *d = host_demand_bps(config.seed, config.per_host_rate, h);
+                    sum += *d;
+                }
+                sum
             })
             .collect();
         let state = FleetState {
@@ -575,6 +607,81 @@ fn host_pass(
     }
 }
 
+/// Every host's marking cut as `(end, cut)` runs; see [`cut_runs`].
+type CutRuns = Vec<(usize, u8)>;
+
+/// A shard's `(total, conform, marked_hosts)`, as [`fold_abreast`]
+/// writes it.
+type Partial = (f64, f64, u64);
+
+/// The host pass's input beyond the group ids and the demand: the
+/// marking cut of every host, as runs with equal neighbours merged
+/// (`(end, cut)`, as [`FleetState::runs`] holds ratios). The pass reads
+/// the meter runs only through [`cut_of`], so two states with the same
+/// cut runs fold to the same partials in bits.
+fn cut_runs(runs: &[(usize, f64)]) -> CutRuns {
+    let mut out: CutRuns = Vec::with_capacity(runs.len());
+    for &(end, ratio) in runs {
+        let cut = cut_of(ratio);
+        match out.last_mut() {
+            Some(last) if last.1 == cut => last.0 = end,
+            _ => out.push((end, cut)),
+        }
+    }
+    out
+}
+
+/// Distinct pass inputs whose partials [`PassMemo`] keeps.
+const MEMO_KEYS: usize = 2;
+
+/// The partials of the last [`MEMO_KEYS`] distinct host-pass inputs,
+/// keyed by [`cut_runs`]. The key leaves out the group ids, which never
+/// change, and the demand, which the engine changes only with the down
+/// set: a new down set must empty `entries`.
+struct PassMemo {
+    /// `(key, partials)`, the most recently served first.
+    entries: Vec<(CutRuns, Vec<Partial>)>,
+    /// Host passes run.
+    passes: u64,
+}
+
+impl PassMemo {
+    /// A memo holding a fresh fleet's partials: every host is at ratio
+    /// 1.0, cut 0, so nobody is marked and each shard's partial is
+    /// `(demand, demand, 0)`.
+    fn new(state: &FleetState, shard_demand: &[f64]) -> PassMemo {
+        let key = cut_runs(&state.runs);
+        debug_assert!(key.iter().all(|&(_, cut)| cut == 0), "{key:?}");
+        let partials = shard_demand.iter().map(|&d| (d, d, 0)).collect();
+        PassMemo {
+            entries: vec![(key, partials)],
+            passes: 0,
+        }
+    }
+
+    /// Every shard's partial for `state`: the kept ones if its cuts
+    /// were served before under this demand, else a [`host_pass`]'s,
+    /// which then displace the least recently served.
+    fn partials(
+        &mut self,
+        config: &FleetConfig,
+        plan: &ShardPlan,
+        state: &FleetState,
+    ) -> &[Partial] {
+        let key = cut_runs(&state.runs);
+        if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
+            self.entries[..=i].rotate_right(1);
+        } else {
+            let mut partials = vec![(0.0, 0.0, 0); plan.shards()];
+            host_pass(config, plan, state, &mut partials);
+            self.passes += 1;
+            self.entries.truncate(MEMO_KEYS - 1);
+            self.entries.insert(0, (key, partials));
+        }
+        &self.entries[0].1
+    }
+}
+
 /// Update every host's meter from the folded global aggregates — the
 /// identical per-host float ops as `StatefulMeter::update`, so a fleet
 /// host and a flat-path agent fed the same inputs stay bit-identical.
@@ -698,7 +805,7 @@ fn run_engine(
     // Grown per cycle, never reserved from `cycles`: the count is a
     // caller's, and a run of 10¹⁴ cycles must not abort on allocation.
     let mut cycle_stats = Vec::new();
-    let mut partials = vec![(0.0, 0.0, 0u64); shards];
+    let mut memo = PassMemo::new(&state, &shard_demand);
     let mut fail_static_cycles = 0u64;
     let (mut down, mut restarts) = (Vec::new(), 0u64);
     // Keys and labels are built once per run; a cycle overwrites only
@@ -751,14 +858,19 @@ fn run_engine(
         // 0. Agent crashes and restarts.
         let was_down = std::mem::replace(&mut down, fault_plan.down_hosts(now_ms));
         restarts += state.crash(config, &was_down, &down);
+        if down != was_down {
+            // The demand the memo's partials were folded under moved.
+            memo.entries.clear();
+        }
 
-        // 1. Host pass (the parallelizable part).
-        host_pass(config, &plan, &state, &mut partials);
+        // 1. Host pass (the parallelizable part), unless the memo holds
+        // this input's partials.
+        let partials = memo.partials(config, &plan, &state);
         let marked_hosts: u64 = partials.iter().map(|p| p.2).sum();
         let marked_fraction = marked_hosts as f64 / config.hosts as f64;
 
         // 2. Shard publish, driver-side, shard order.
-        for (s, (batch, &(total, conform, _))) in entries.iter_mut().zip(&partials).enumerate() {
+        for (s, (batch, &(total, conform, _))) in entries.iter_mut().zip(partials).enumerate() {
             batch[0].1 = total;
             batch[1].1 = conform;
             if kv.try_put_shard_batch(s, batch, now_ms).is_err() {
@@ -897,6 +1009,7 @@ fn run_engine(
         restarts,
         cycles: cycle_stats,
         shard_stats,
+        host_passes: memo.passes,
         fanout_reads: fan_total.reads() + fan_conform.reads(),
         demand_bps,
         final_total,
@@ -1428,6 +1541,35 @@ mod tests {
                     "the dark shard outlives the staleness bound"
                 );
             }
+        }
+    }
+
+    /// A fresh fleet's memo holds what a host pass over it folds, in
+    /// bits, `±0.0` demands included: the state build's sums start at
+    /// `+0.0`, as a kernel lane does.
+    #[test]
+    fn the_seeded_partials_are_a_fresh_pass() {
+        for rate in [10e9, 0.0, -0.0] {
+            let config = FleetConfig {
+                per_host_rate: Rate::bps(rate),
+                ..small_config()
+            };
+            let plan = ShardPlan::new(config.hosts, config.shards).unwrap();
+            let (state, shard_demand) = FleetState::new(&config, &plan);
+            let mut memo = PassMemo::new(&state, &shard_demand);
+            let mut fresh = vec![(f64::NAN, f64::NAN, u64::MAX); plan.shards()];
+            host_pass(&config, &plan, &state, &mut fresh);
+            let seeded: Vec<_> = memo
+                .partials(&config, &plan, &state)
+                .iter()
+                .map(|&p| bits(p))
+                .collect();
+            assert_eq!(
+                seeded,
+                fresh.into_iter().map(bits).collect::<Vec<_>>(),
+                "rate {rate}"
+            );
+            assert_eq!(memo.passes, 0);
         }
     }
 

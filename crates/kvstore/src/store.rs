@@ -49,6 +49,22 @@ pub fn key_hash(key: &str) -> u64 {
     h
 }
 
+/// Write `key` in place if the shard has it, so that a re-publish
+/// allocates nothing; only a new key is copied into the map. An
+/// overwrite keeps the entry's slot, and so the shard's iteration order.
+fn upsert(shard: &mut HashMap<String, Entry>, key: &str, value: f64, now_ms: u64) {
+    let entry = Entry {
+        value,
+        written_ms: now_ms,
+    };
+    match shard.get_mut(key) {
+        Some(old) => *old = entry,
+        None => {
+            shard.insert(key.to_owned(), entry);
+        }
+    }
+}
+
 impl ShardedStore {
     /// Create a store.
     pub fn new(config: StoreConfig) -> Self {
@@ -75,13 +91,7 @@ impl ShardedStore {
 
     /// Write a value at logical time `now_ms`.
     pub fn put(&self, key: &str, value: f64, now_ms: u64) {
-        self.shard(key).lock().insert(
-            key.to_string(),
-            Entry {
-                value,
-                written_ms: now_ms,
-            },
-        );
+        upsert(&mut self.shard(key).lock(), key, value, now_ms);
     }
 
     /// Read a live value (TTL-checked against `now_ms`).
@@ -116,13 +126,7 @@ impl ShardedStore {
     /// hash-routed [`get`](Self::get) (which would look on the wrong
     /// shard) — partials are aggregate-only state.
     pub fn put_in_shard(&self, shard: usize, key: &str, value: f64, now_ms: u64) {
-        self.shards[shard].lock().insert(
-            key.to_string(),
-            Entry {
-                value,
-                written_ms: now_ms,
-            },
-        );
+        upsert(&mut self.shards[shard].lock(), key, value, now_ms);
     }
 
     /// Write a batch of keys into one shard under a single lock
@@ -132,13 +136,7 @@ impl ShardedStore {
     pub fn put_shard_batch(&self, shard: usize, entries: &[(String, f64)], now_ms: u64) {
         let mut guard = self.shards[shard].lock();
         for (key, value) in entries {
-            guard.insert(
-                key.clone(),
-                Entry {
-                    value: *value,
-                    written_ms: now_ms,
-                },
-            );
+            upsert(&mut guard, key, *value, now_ms);
         }
     }
 

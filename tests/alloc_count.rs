@@ -7,15 +7,19 @@
 //! so concurrent tests do not see each other.
 
 use network_entitlement::approval::ApprovalConfig;
+use network_entitlement::chaos::{ChaosStore, FaultPlan};
 use network_entitlement::core::{NpgId, QosBucket, Quarter, Rate, RegionId};
 use network_entitlement::market::{
     generate_storm, AdmitOutcome, AdmitPath, AdmitRequest, EntitlementMarket, IndexKey, MarketKey,
     SliceGrid, SliceId, StormConfig,
 };
+use network_entitlement::kvstore::{KvAccess, ObservedKv, ShardedStore, StoreConfig};
 use network_entitlement::obs::{Clock, Obs};
 use network_entitlement::topology::BackboneSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
+use std::time::Duration;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -305,4 +309,43 @@ fn rendering_allocates_independently_of_the_event_count() {
     let (small, large) = (render(1_000), render(64_000));
     assert!(small <= 2, "{small} allocations for 1 000 events");
     assert_eq!(small, large, "64x the events, the same allocations");
+}
+
+/// The fleet engine's publish: two partial keys per shard, batched onto
+/// their own storage shard through the same store stack the engine
+/// writes through. The first publish copies each key into the map; a
+/// re-publish overwrites the entries in place. Cloning the key on every
+/// write cost a pass-free 256-shard engine cycle 512 allocations.
+#[test]
+fn republishing_a_shard_batch_allocates_nothing() {
+    const SHARDS: usize = 64;
+    let store = Arc::new(ShardedStore::new(StoreConfig {
+        shards: SHARDS,
+        ttl: Duration::from_secs(4),
+    }));
+    let kv = ObservedKv::new(
+        ChaosStore::new(Arc::clone(&store), Arc::new(FaultPlan::none())),
+        &Obs::disabled(),
+    );
+    let mut batches: Vec<[(String, f64); 2]> = (0..SHARDS)
+        .map(|s| {
+            [
+                (format!("rates/7/c2/total/s{s}"), 0.0),
+                (format!("rates/7/c2/conform/s{s}"), 0.0),
+            ]
+        })
+        .collect();
+    let mut publish = |now_ms: u64| {
+        for (s, batch) in batches.iter_mut().enumerate() {
+            batch[0].1 = now_ms as f64;
+            batch[1].1 = now_ms as f64 / 2.0;
+            kv.try_put_shard_batch(s, batch, now_ms).expect("a healthy store");
+        }
+    };
+    let (first, ()) = allocations(|| publish(1000));
+    assert!(first >= 2 * SHARDS as u64, "{first}: each new key is copied once");
+    let (n, ()) = allocations(|| publish(2000));
+    assert_eq!(n, 0, "re-publishing {SHARDS} shard batches");
+    assert_eq!(store.aggregate_sum("rates/7/c2/total/", 2000), 2000.0 * SHARDS as f64);
+    assert_eq!(store.count("rates/7/c2/", 2000), 2 * SHARDS);
 }

@@ -495,13 +495,46 @@ proptest! {
     }
 }
 
+/// Run `entitlectl <args>`, with `--faults <plan>` if given, and return
+/// its exit code, what it computed and its stderr. What the run computes
+/// is the flat drill's CSV (written to `csv`), and any other command's
+/// stdout without the plan summary line a faulted run adds.
+fn run_computed(
+    command: &str,
+    args: &[&str],
+    plan: Option<&std::path::Path>,
+    csv: &std::path::Path,
+) -> (Option<i32>, String, String) {
+    let flat = command == "entitlectl drill";
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_entitlectl"));
+    cmd.args(args);
+    if flat {
+        cmd.arg("--csv").arg(csv);
+    }
+    if let Some(plan) = plan {
+        cmd.arg("--faults").arg(plan);
+    }
+    let out = cmd.output().expect("run entitlectl");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    let computed = if flat {
+        std::fs::read_to_string(csv).unwrap_or_default()
+    } else {
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|line| !line.contains("fault plan:"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let _ = std::fs::remove_file(csv);
+    (out.status.code(), computed, stderr)
+}
+
 /// Every fault family against every command that takes `--faults`: a
 /// plan either changes what the run computes or is refused with exit 2
-/// naming the fault and the command, never "exit 0, no effect". What
-/// the run computes is the flat drill's CSV, and the other two
-/// commands' stdout without the plan summary line a faulted run adds.
-/// Each family's window opens at 1 s and stays open, so it covers some
-/// of every command's logical clock.
+/// naming the fault and the command, never "exit 0, no effect" (what a
+/// run computes: see [`run_computed`]). Each family's window opens at
+/// 1 s and stays open, so it covers some of every command's logical
+/// clock.
 #[test]
 fn every_fault_family_changes_the_run_or_is_refused() {
     let families = [
@@ -531,31 +564,6 @@ fn every_fault_family_changes_the_run_or_is_refused() {
     let dir = std::env::temp_dir().join(format!("chaos_matrix_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let csv = dir.join("run.csv");
-    // The run's computed output, or the exit code and stderr.
-    let run = |command: &str, args: &[&str], plan: Option<&std::path::Path>| {
-        let flat = command == "entitlectl drill";
-        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_entitlectl"));
-        cmd.args(args);
-        if flat {
-            cmd.arg("--csv").arg(&csv);
-        }
-        if let Some(plan) = plan {
-            cmd.arg("--faults").arg(plan);
-        }
-        let out = cmd.output().expect("run entitlectl");
-        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-        let computed = if flat {
-            std::fs::read_to_string(&csv).unwrap_or_default()
-        } else {
-            String::from_utf8_lossy(&out.stdout)
-                .lines()
-                .filter(|line| !line.contains("fault plan:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let _ = std::fs::remove_file(&csv);
-        (out.status.code(), computed, stderr)
-    };
     for (i, family) in families.iter().enumerate() {
         let text = format!(
             r#"{{"seed":5,"faults":[{{"window":{{"from_ms":1000,"to_ms":9007199254740991}},"kind":{family}}}]}}"#
@@ -564,9 +572,9 @@ fn every_fault_family_changes_the_run_or_is_refused() {
         let plan = dir.join(format!("family{i}.json"));
         std::fs::write(&plan, text).expect("write plan");
         for (command, args, honoured) in consumers {
-            let (code, computed, stderr) = run(command, args, Some(&plan));
+            let (code, computed, stderr) = run_computed(command, args, Some(&plan), &csv);
             if honoured.contains(&name) {
-                let (healthy_code, healthy, _) = run(command, args, None);
+                let (healthy_code, healthy, _) = run_computed(command, args, None, &csv);
                 assert_eq!((code, healthy_code), (Some(0), Some(0)), "{name} on {command}: {stderr}");
                 assert_ne!(computed, healthy, "{name} on {command}: exit 0, no effect");
             } else {
@@ -601,6 +609,56 @@ fn example_fault_plans_parse() {
         let again = FaultPlan::from_json(&plan.to_json()).expect(path);
         assert_eq!(plan, again);
     }
+}
+
+/// Every fault of every shipped plan, run alone under the plan's seed
+/// through a command that honours its family, changes what that command
+/// computes: a shipped fault that does nothing is a broken example (the
+/// `ClockSkew` of `degraded_store.json` sat inside the flat drill's TTL
+/// and aged nothing out). Each command's clock covers its plans'
+/// windows: the flat drill runs 30 s ticks for hours, the sharded drill
+/// 1 s cycles, the market one logical millisecond per admission.
+#[test]
+fn every_shipped_fault_changes_its_command() {
+    let command = |family: &str| -> (&'static str, &'static [&'static str]) {
+        match family {
+            "AgentCrash" => (
+                "entitlectl drill --shards",
+                &["drill", "--hosts", "2000", "--shards", "8", "--cycles", "16"],
+            ),
+            "LinkCut" => ("entitlectl market", &["market", "--requests", "2000"]),
+            _ => ("entitlectl drill", &["drill", "--hosts", "100"]),
+        }
+    };
+    let dir = std::env::temp_dir().join(format!("chaos_shipped_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let csv = dir.join("run.csv");
+    let mut paths: Vec<_> = std::fs::read_dir("examples/faults")
+        .expect("examples/faults")
+        .map(|entry| entry.expect("dir entry").path())
+        .collect();
+    paths.sort();
+    let mut checked = 0;
+    for path in &paths {
+        let plan = FaultPlan::from_json(&std::fs::read_to_string(path).expect("a plan"))
+            .expect("a valid plan");
+        for (i, fault) in plan.faults.iter().enumerate() {
+            let alone = FaultPlan {
+                seed: plan.seed,
+                faults: vec![fault.clone()],
+            };
+            let file = dir.join("alone.json");
+            std::fs::write(&file, alone.to_json()).expect("write plan");
+            let (name, args) = command(fault.kind.family());
+            let what = format!("{} fault {i} ({}) on {name}", path.display(), fault.kind.family());
+            let (code, faulted, stderr) = run_computed(name, args, Some(&file), &csv);
+            let (healthy_code, healthy, _) = run_computed(name, args, None, &csv);
+            assert_eq!((code, healthy_code), (Some(0), Some(0)), "{what}: {stderr}");
+            assert_ne!(faulted, healthy, "{what}: exit 0, no effect");
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 7, "every fault of the five shipped plans");
 }
 
 /// A fault plan that would load as something else is refused, by the

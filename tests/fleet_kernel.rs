@@ -9,6 +9,13 @@
 //! case runs under `det` and under `par` with two workers, and both
 //! must give the pinned digest: a host-pass or meter-pass rewrite that
 //! moves one bit of one partial fails here.
+//!
+//! Each case also pins how many host passes it ran
+//! ([`FleetOutcome::host_passes`]): a cycle whose marking cuts and
+//! demand the engine has folded before reuses those partials, so a memo
+//! keyed on more than the pass reads (ratio bits, say), or holding fewer
+//! entries, moves the count. `tests/fleet_oracle.rs` catches one keyed
+//! on less.
 
 use entitlement_chaos::{Fault, FaultKind, FaultPlan, TimeWindow};
 use entitlement_core::Rate;
@@ -74,19 +81,23 @@ fn config(load: f64, dark: bool) -> FleetConfig {
     }
 }
 
-// Computed on commit 43b0946, while the meter state was one ratio per
-// host: offered ÷ entitled, a dark shard, digest.
-const PINS: [(f64, bool, u64); 5] = [
-    (0.5, false, 0x1025_f7ec_066a_a108),
-    (1.0, false, 0x1025_f7ec_066a_a108), // nobody marked either: same bits as 0.5
-    (2.0, false, 0xb63f_9c90_6d60_45a4),
-    (10.0, false, 0x727b_fa4a_3431_b6b5),
-    (2.0, true, 0xd271_ed8d_32d3_83f1),
+// Digests computed on commit 43b0946, while the meter state was one
+// ratio per host; pass counts on the commit that added the pass memo:
+// offered ÷ entitled, a dark shard, digest, host passes. Cycle 1 runs
+// no pass (every host starts at cut 0, the state build's sums); where
+// anyone is marked, the cut moves at cycle 2 and settles into a limit
+// cycle of two cuts, one pass each.
+const PINS: [(f64, bool, u64, u64); 5] = [
+    (0.5, false, 0x1025_f7ec_066a_a108, 0),
+    (1.0, false, 0x1025_f7ec_066a_a108, 0), // nobody marked either: same bits as 0.5
+    (2.0, false, 0xb63f_9c90_6d60_45a4, 2),
+    (10.0, false, 0x727b_fa4a_3431_b6b5, 2),
+    (2.0, true, 0xd271_ed8d_32d3_83f1, 2),
 ];
 
 #[test]
 fn fleet_outcomes_match_the_pinned_digests() {
-    for (load, dark, pin) in PINS {
+    for (load, dark, pin, passes) in PINS {
         let det = config(load, dark);
         let par = FleetConfig {
             strategy: FleetStrategy::Parallel,
@@ -104,6 +115,32 @@ fn fleet_outcomes_match_the_pinned_digests() {
                 config.strategy.as_str(),
                 outcome_digest(&out)
             );
+            assert_eq!(out.host_passes, passes, "load {load}, dark shard {dark}");
         }
+    }
+}
+
+/// The drill's own regime (`entitlectl drill --shards 64 --hosts 20000
+/// --cycles 64`: 10 Gbps offered a host against 5 entitled) settles
+/// into a limit cycle of two marking cuts, which the memo's two entries
+/// both hold: 2 passes in 64 cycles, where one entry ran 37.
+#[test]
+fn a_limit_cycle_runs_two_host_passes_in_64_cycles() {
+    let det = FleetConfig {
+        hosts: 20_000,
+        shards: 64,
+        cycles: 64,
+        entitled: Rate::gbps(5.0 * 20_000.0),
+        per_host_rate: Rate::gbps(10.0),
+        ..FleetConfig::default()
+    };
+    let par = FleetConfig {
+        strategy: FleetStrategy::Parallel,
+        workers: 2,
+        ..det.clone()
+    };
+    for config in [det, par] {
+        let out = run_fleet_engine(&config).expect("a valid fleet");
+        assert_eq!(out.host_passes, 2, "{}", config.strategy.as_str());
     }
 }
