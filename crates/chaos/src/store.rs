@@ -5,7 +5,7 @@
 //! enforcement agent, the §6 drill, the sharded fleet engine) can be
 //! run against a degraded store without code changes.
 
-use crate::plan::FaultPlan;
+use crate::plan::{FaultKind, FaultPlan};
 use entitlement_kvstore::{KvAccess, KvError, ShardedStore};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -48,8 +48,10 @@ pub struct ChaosStore {
     inner: Arc<ShardedStore>,
     plan: Arc<FaultPlan>,
     /// Last healthy read per key/prefix, served during StaleReads
-    /// windows (a wedged replica replays its last snapshot).
-    frozen: Mutex<HashMap<String, f64>>,
+    /// windows (a wedged replica replays its last snapshot). `None`
+    /// when the plan has no `StaleReads` fault: then nothing reads a
+    /// snapshot, so no read takes one.
+    frozen: Option<Mutex<HashMap<String, f64>>>,
     /// Injection counters.
     pub metrics: ChaosMetrics,
 }
@@ -57,10 +59,11 @@ pub struct ChaosStore {
 impl ChaosStore {
     /// Wrap a store with a fault plan.
     pub fn new(inner: Arc<ShardedStore>, plan: Arc<FaultPlan>) -> Self {
+        let stale = plan.faults.iter().any(|f| matches!(f.kind, FaultKind::StaleReads));
         ChaosStore {
             inner,
             plan,
-            frozen: Mutex::new(HashMap::new()),
+            frozen: stale.then(|| Mutex::new(HashMap::new())),
             metrics: ChaosMetrics::default(),
         }
     }
@@ -76,21 +79,26 @@ impl ChaosStore {
     }
 
     /// Serve from the frozen snapshot if a StaleReads window is
-    /// active; otherwise compute fresh and refresh the snapshot.
+    /// active; otherwise compute fresh and refresh the snapshot. The
+    /// key is built only when the plan keeps snapshots.
     fn read_through_freeze(
         &self,
-        cache_key: &str,
+        cache_key: impl FnOnce() -> String,
         now_ms: u64,
         fresh: impl FnOnce(u64) -> f64,
     ) -> f64 {
+        let Some(frozen) = &self.frozen else {
+            return fresh(self.plan.skewed_now(now_ms));
+        };
+        let cache_key = cache_key();
         if self.plan.reads_frozen_at(now_ms).is_some() {
-            if let Some(&v) = self.frozen.lock().get(cache_key) {
+            if let Some(&v) = frozen.lock().get(&cache_key) {
                 ChaosMetrics::inc(&self.metrics.stale_reads);
                 return v;
             }
         }
         let v = fresh(self.plan.skewed_now(now_ms));
-        self.frozen.lock().insert(cache_key.to_string(), v);
+        frozen.lock().insert(cache_key, v);
         v
     }
 }
@@ -120,15 +128,18 @@ impl KvAccess for ChaosStore {
             ChaosMetrics::inc(&self.metrics.unavailable_reads);
             return Err(KvError::ShardUnavailable);
         }
+        let Some(frozen) = &self.frozen else {
+            return Ok(self.inner.get(key, self.plan.skewed_now(now_ms)));
+        };
         if self.plan.reads_frozen_at(now_ms).is_some() {
-            if let Some(&v) = self.frozen.lock().get(key) {
+            if let Some(&v) = frozen.lock().get(key) {
                 ChaosMetrics::inc(&self.metrics.stale_reads);
                 return Ok(Some(v));
             }
         }
         let v = self.inner.get(key, self.plan.skewed_now(now_ms));
         if let Some(v) = v {
-            self.frozen.lock().insert(key.to_string(), v);
+            frozen.lock().insert(key.to_string(), v);
         }
         Ok(v)
     }
@@ -140,7 +151,7 @@ impl KvAccess for ChaosStore {
             ChaosMetrics::inc(&self.metrics.unavailable_reads);
             return Err(KvError::ShardUnavailable);
         }
-        Ok(self.read_through_freeze(prefix, now_ms, |now| {
+        Ok(self.read_through_freeze(|| prefix.to_string(), now_ms, |now| {
             self.inner.aggregate_sum(prefix, now)
         }))
     }
@@ -192,8 +203,8 @@ impl KvAccess for ChaosStore {
         }
         // Freeze-cache per (prefix, shard): a wedged replica replays
         // its own shard's snapshot, not its neighbours'.
-        let cache_key = format!("{prefix}#s{shard}");
-        Ok(self.read_through_freeze(&cache_key, now_ms, |now| {
+        let cache_key = || format!("{prefix}#s{shard}");
+        Ok(self.read_through_freeze(cache_key, now_ms, |now| {
             self.inner.aggregate_sum_shard(prefix, shard, now)
         }))
     }
@@ -315,6 +326,32 @@ mod tests {
         assert_eq!(chaos.try_aggregate("rates/", 2500), Ok(50.0));
         let (_, _, _, stale) = chaos.metrics.snapshot();
         assert_eq!(stale, 2);
+    }
+
+    /// Only a plan with a `StaleReads` fault keeps snapshots; under any
+    /// other plan every read is fresh and none is remembered.
+    #[test]
+    fn only_a_stale_reads_plan_keeps_snapshots() {
+        let window = TimeWindow::new(1000, 2000);
+        let outage = Fault {
+            window,
+            kind: FaultKind::ShardOutage { shards: vec![5] },
+        };
+        let healthy = ChaosStore::new(store(), plan(vec![outage.clone()]));
+        healthy.try_put_shard(0, "rates/x/total/s0", 5.0, 0).unwrap();
+        assert_eq!(healthy.try_shard_aggregate("rates/x/total/", 0, 500), Ok(5.0));
+        assert_eq!(healthy.try_get("rates/x/total/s0", 500), Ok(Some(5.0)));
+        assert_eq!(healthy.try_aggregate("rates/", 500), Ok(5.0));
+        assert!(healthy.frozen.is_none());
+        let stale = Fault {
+            window,
+            kind: FaultKind::StaleReads,
+        };
+        let frozen = ChaosStore::new(store(), plan(vec![outage, stale]));
+        frozen.try_put_shard(0, "rates/x/total/s0", 5.0, 0).unwrap();
+        assert_eq!(frozen.try_shard_aggregate("rates/x/total/", 0, 500), Ok(5.0));
+        let keys = frozen.frozen.as_ref().map(|f| f.lock().len());
+        assert_eq!(keys, Some(1), "one snapshot per (prefix, shard)");
     }
 
     #[test]

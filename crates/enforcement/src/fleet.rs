@@ -56,6 +56,16 @@
 //! shards; 8 of 16 at 2 000 hosts with `examples/faults/agent_crash.json`,
 //! whose window empties the memo as it opens and as it closes.
 //!
+//! # What a run holds
+//!
+//! A run builds only the state it reads. Every run keeps the demand,
+//! 8 B a host. The first host pass hashes the group ids (a byte a
+//! host), so a run whose cuts stay at 0 never builds them. Once the
+//! last cycle has run, the final ratios are expanded into the demand
+//! buffer rather than a vector of their own. The store keeps read
+//! snapshots only when the fault plan has a `StaleReads` window to
+//! serve them in (`ChaosStore::new`).
+//!
 //! # Strategies
 //!
 //! The same engine runs under two execution strategies
@@ -285,7 +295,8 @@ pub fn host_demand_bps(seed: u64, per_host_rate: Rate, host: u32) -> f64 {
 struct FleetState {
     /// Previous conform ratios (the meter state), as runs in host order.
     runs: Vec<(usize, f64)>,
-    /// Stable marking group id, precomputed from `HostId::group`.
+    /// Stable marking group id from `HostId::group`, one per host;
+    /// empty until the first host pass needs it ([`FleetState::fill_groups`]).
     group: Vec<u8>,
     /// Offered demand, bits/s; `+0.0` while a crash holds the host down.
     demand: Vec<f64>,
@@ -296,12 +307,12 @@ const _: () = assert!(GROUPS <= u8::MAX as u32);
 
 impl FleetState {
     /// A fresh fleet over `plan`'s hosts, every host at ratio 1.0, and
-    /// each shard's offered demand. One ascending pass writes the group
-    /// ids and the demands into pre-sized slices and sums each shard, so
-    /// no host is read back and none is pushed.
+    /// each shard's offered demand. One ascending pass writes the
+    /// demands into a pre-sized slice and sums each shard, so no host
+    /// is read back and none is pushed. The group ids wait for the
+    /// first host pass: a run whose cuts stay at 0 never reads them.
     /// The caller has checked that host ids fit 32 bits.
     fn new(config: &FleetConfig, plan: &ShardPlan) -> (FleetState, Vec<f64>) {
-        let mut group = vec![0u8; plan.hosts()];
         let mut demand = vec![0.0; plan.hosts()];
         let shard_demand = (0..plan.shards())
             .map(|s| {
@@ -309,13 +320,8 @@ impl FleetState {
                 // `+0.0`, as a kernel lane starts, so that this sum is
                 // the shard's cut-0 partial in bits.
                 let mut sum = 0.0;
-                let hosts = group[range.clone()]
-                    .iter_mut()
-                    .zip(&mut demand[range.clone()]);
-                for (h, (g, d)) in range.zip(hosts) {
-                    let h = h as u32;
-                    *g = HostId(h).group(GROUPS) as u8;
-                    *d = host_demand_bps(config.seed, config.per_host_rate, h);
+                for (h, d) in range.clone().zip(&mut demand[range]) {
+                    *d = host_demand_bps(config.seed, config.per_host_rate, h as u32);
                     sum += *d;
                 }
                 sum
@@ -323,10 +329,19 @@ impl FleetState {
             .collect();
         let state = FleetState {
             runs: vec![(plan.hosts(), 1.0)],
-            group,
+            group: Vec::new(),
             demand,
         };
         (state, shard_demand)
+    }
+
+    /// Fill the group ids in one ascending pass, unless an earlier host
+    /// pass has; [`host_pass`] reads them.
+    fn fill_groups(&mut self) {
+        if self.group.is_empty() {
+            let hosts = self.demand.len() as u32;
+            self.group = (0..hosts).map(|h| HostId(h).group(GROUPS) as u8).collect();
+        }
     }
 
     /// Apply one cycle's agent crashes. A host in `down` adds `+0.0` to
@@ -385,9 +400,9 @@ fn set_ratios(runs: &mut Vec<(usize, f64)>, hosts: &[u32], ratio: f64) {
     *runs = out;
 }
 
-/// Every host's ratio, host order.
-fn expand_runs(runs: &[(usize, f64)]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(runs.last().map_or(0, |run| run.0));
+/// Every host's ratio, host order, written over `out`'s contents.
+fn expand_runs(runs: &[(usize, f64)], mut out: Vec<f64>) -> Vec<f64> {
+    out.clear();
     for &(end, ratio) in runs {
         out.resize(end, ratio);
     }
@@ -666,13 +681,14 @@ impl PassMemo {
         &mut self,
         config: &FleetConfig,
         plan: &ShardPlan,
-        state: &FleetState,
+        state: &mut FleetState,
     ) -> &[Partial] {
         let key = cut_runs(&state.runs);
         if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
             self.entries[..=i].rotate_right(1);
         } else {
             let mut partials = vec![(0.0, 0.0, 0); plan.shards()];
+            state.fill_groups();
             host_pass(config, plan, state, &mut partials);
             self.passes += 1;
             self.entries.truncate(MEMO_KEYS - 1);
@@ -865,7 +881,7 @@ fn run_engine(
 
         // 1. Host pass (the parallelizable part), unless the memo holds
         // this input's partials.
-        let partials = memo.partials(config, &plan, &state);
+        let partials = memo.partials(config, &plan, &mut state);
         let marked_hosts: u64 = partials.iter().map(|p| p.2).sum();
         let marked_fraction = marked_hosts as f64 / config.hosts as f64;
 
@@ -1003,7 +1019,8 @@ fn run_engine(
     let final_total = store.aggregate_sum(&total_prefix, end_ms);
     let marked_fraction = cycle_stats.last().map_or(0.0, |c| c.marked_fraction);
     Ok(FleetOutcome {
-        conform_ratios: expand_runs(&state.runs),
+        // The demand buffer is dead past the last cycle: reuse it.
+        conform_ratios: expand_runs(&state.runs, std::mem::take(&mut state.demand)),
         marked_fraction,
         fail_static_cycles,
         restarts,
@@ -1335,11 +1352,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Expanding the runs of any per-host vector gives it back bit
-        /// for bit, and the runs are well formed: values equal under
-        /// `==` but not in bits stay separate runs.
+        /// for bit, over whatever the buffer held, and the runs are well
+        /// formed: values equal under `==` but not in bits stay separate
+        /// runs.
         #[test]
         fn runs_round_trip_bit_for_bit(
             pieces in proptest::collection::vec((0..EDGE_RATIOS.len(), 1usize..20), 0..40),
+            stale in 0usize..800,
         ) {
             let ratios: Vec<f64> = pieces
                 .iter()
@@ -1347,7 +1366,8 @@ mod tests {
                 .collect();
             let runs = runs_from(&ratios);
             prop_assert!(well_formed(&runs, ratios.len()), "{runs:?}");
-            prop_assert_eq!(ratio_bits(&expand_runs(&runs)), ratio_bits(&ratios));
+            let buffer = vec![-1.5; stale];
+            prop_assert_eq!(ratio_bits(&expand_runs(&runs, buffer)), ratio_bits(&ratios));
         }
 
         /// Setting any hosts to one ratio matches setting them host by
@@ -1370,7 +1390,7 @@ mod tests {
             }
             set_ratios(&mut runs, &set, ratio);
             prop_assert!(well_formed(&runs, hosts), "{runs:?}");
-            prop_assert_eq!(ratio_bits(&expand_runs(&runs)), ratio_bits(&per_host));
+            prop_assert_eq!(ratio_bits(&expand_runs(&runs, Vec::new())), ratio_bits(&per_host));
         }
 
         /// Both kernels on runs against the per-host loops they
@@ -1417,7 +1437,7 @@ mod tests {
                 meter_pass(&mut kernel, total, conform, 1e12);
                 scalar_meter(&mut scalar, total, conform, 1e12);
                 prop_assert!(well_formed(&kernel, prev_cr.len()), "{kernel:?}");
-                prop_assert_eq!(ratio_bits(&expand_runs(&kernel)), ratio_bits(&scalar));
+                prop_assert_eq!(ratio_bits(&expand_runs(&kernel, Vec::new())), ratio_bits(&scalar));
             }
         }
 
@@ -1463,7 +1483,8 @@ mod tests {
                     let mut scalar = prev_cr.clone();
                     meter_pass(&mut state.runs, total, conform, 1e12);
                     scalar_meter(&mut scalar, total, conform, 1e12);
-                    prop_assert_eq!(ratio_bits(&expand_runs(&state.runs)), ratio_bits(&scalar));
+                    let expanded = expand_runs(&state.runs, Vec::new());
+                    prop_assert_eq!(ratio_bits(&expanded), ratio_bits(&scalar));
                     prop_assert_eq!(kernel_pass(&state), scalar_pass(&scalar, &state));
                     state.runs.clone_from(&runs);
                 }
@@ -1532,7 +1553,7 @@ mod tests {
             }
             assert_eq!(
                 ratio_bits(&out.conform_ratios),
-                ratio_bits(&expand_runs(&seen[config.cycles - 1]))
+                ratio_bits(&expand_runs(&seen[config.cycles - 1], Vec::new()))
             );
             if config.faults.is_some() {
                 assert_eq!(out.shard_stats[3].held_serves, 1);
@@ -1555,21 +1576,23 @@ mod tests {
                 ..small_config()
             };
             let plan = ShardPlan::new(config.hosts, config.shards).unwrap();
-            let (state, shard_demand) = FleetState::new(&config, &plan);
+            let (mut state, shard_demand) = FleetState::new(&config, &plan);
             let mut memo = PassMemo::new(&state, &shard_demand);
-            let mut fresh = vec![(f64::NAN, f64::NAN, u64::MAX); plan.shards()];
-            host_pass(&config, &plan, &state, &mut fresh);
             let seeded: Vec<_> = memo
-                .partials(&config, &plan, &state)
+                .partials(&config, &plan, &mut state)
                 .iter()
                 .map(|&p| bits(p))
                 .collect();
+            assert_eq!(memo.passes, 0);
+            assert!(state.group.is_empty(), "a memo hit reads no group id");
+            state.fill_groups();
+            let mut fresh = vec![(f64::NAN, f64::NAN, u64::MAX); plan.shards()];
+            host_pass(&config, &plan, &state, &mut fresh);
             assert_eq!(
                 seeded,
                 fresh.into_iter().map(bits).collect::<Vec<_>>(),
                 "rate {rate}"
             );
-            assert_eq!(memo.passes, 0);
         }
     }
 
@@ -1591,7 +1614,7 @@ mod tests {
         assert_eq!(out.restarts, 3, "three distinct hosts");
         for (cycle, runs) in seen.iter().enumerate() {
             assert!(well_formed(runs, config.hosts), "{runs:?}");
-            let ratios = expand_runs(runs);
+            let ratios = expand_runs(runs, Vec::new());
             if (4..=7).contains(&(cycle + 1)) {
                 assert!([3, 4, 100].iter().all(|&h| ratios[h] == 1.0), "cycle {}", cycle + 1);
                 assert!(ratios[0] < 1.0, "the rest of the over-entitled fleet marks");

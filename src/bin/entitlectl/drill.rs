@@ -139,6 +139,10 @@ fn fleet_drill(m: &Matches) {
         fail(2, "--workers 0 is not a worker count; omit --workers to auto-size");
     }
     let cycles: usize = m.get("--cycles").unwrap_or(16);
+    if cycles == 0 {
+        // No cycle would run, and an empty run reports full attainment.
+        fail(2, "--cycles 0: a sharded drill needs at least one cycle");
+    }
     let config = FleetConfig {
         hosts,
         shards,

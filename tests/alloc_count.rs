@@ -2,18 +2,22 @@
 //!
 //! Asking "why" has to be cheap and not asking has to be free; both
 //! are statements about allocations, so they are pinned with a
-//! counting global allocator instead of a timer. The counter is
-//! per-thread (the test harness runs tests on threads of their own),
-//! so concurrent tests do not see each other.
+//! counting global allocator instead of a timer. The allocator also
+//! tracks live and peak bytes, which pins what a fleet run keeps per
+//! host. The counters are per-thread (the test harness runs tests on
+//! threads of their own), so concurrent tests do not see each other.
 
 use network_entitlement::approval::ApprovalConfig;
-use network_entitlement::chaos::{ChaosStore, FaultPlan};
+use network_entitlement::chaos::{ChaosStore, Fault, FaultKind, FaultPlan, TimeWindow};
 use network_entitlement::core::{NpgId, QosBucket, Quarter, Rate, RegionId};
+use network_entitlement::enforcement::{
+    host_demand_bps, run_fleet_engine, FleetConfig, FleetOutcome,
+};
 use network_entitlement::market::{
     generate_storm, AdmitOutcome, AdmitPath, AdmitRequest, EntitlementMarket, IndexKey, MarketKey,
     SliceGrid, SliceId, StormConfig,
 };
-use network_entitlement::kvstore::{KvAccess, ObservedKv, ShardedStore, StoreConfig};
+use network_entitlement::kvstore::{KvAccess, ObservedKv, ShardFanout, ShardedStore, StoreConfig};
 use network_entitlement::obs::{Clock, Obs};
 use network_entitlement::topology::BackboneSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -23,26 +27,45 @@ use std::time::Duration;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed (memory freed on
+    /// another thread than the one that allocated it skews both
+    /// threads' counts, so only single-threaded runs read it).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` since [`peak_bytes`] last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting calls that obtain memory.
+/// Move this thread's live byte count by `delta`, raising the peak.
+fn track(delta: i64) {
+    let live = LIVE.with(|n| {
+        n.set(n.get() + delta);
+        n.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
+}
+
+/// The system allocator, counting calls that obtain memory and the
+/// bytes they hold.
 struct Counting;
 
-// SAFETY: every call is forwarded to `System` unchanged; the counter
-// is a const-initialised thread-local `Cell` without a destructor, so
-// touching it neither allocates nor re-enters the allocator.
+// SAFETY: every call is forwarded to `System` unchanged; the counters
+// are const-initialised thread-local `Cell`s without a destructor, so
+// touching them neither allocates nor re-enters the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        track(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         System.dealloc(ptr, layout);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        track(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -55,6 +78,15 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// The most bytes `f` held live at once on this thread, above what
+/// the thread held when it started.
+fn peak_bytes<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let out = f();
+    (PEAK.with(Cell::get) - before, out)
 }
 
 /// A warm market and a storm of asks small enough that every one of
@@ -348,4 +380,82 @@ fn republishing_a_shard_batch_allocates_nothing() {
     assert_eq!(n, 0, "re-publishing {SHARDS} shard batches");
     assert_eq!(store.aggregate_sum("rates/7/c2/total/", 2000), 2000.0 * SHARDS as f64);
     assert_eq!(store.count("rates/7/c2/", 2000), 2 * SHARDS);
+}
+
+/// The fleet's fan-out read through the engine's store stack, under a
+/// plan with faults but no `StaleReads`: no read snapshots its value,
+/// so a refresh of every shard allocates only the snapshot it returns.
+/// Snapshotting every read cost three allocations a shard read (the
+/// cache key formatted, then copied into the map): 769 a refresh.
+#[test]
+fn a_fan_out_refresh_without_stale_reads_allocates_only_its_snapshot() {
+    const SHARDS: usize = 256;
+    let store = Arc::new(ShardedStore::new(StoreConfig {
+        shards: SHARDS,
+        ttl: Duration::from_secs(4),
+    }));
+    let plan = FaultPlan {
+        seed: 1,
+        faults: vec![
+            Fault {
+                window: TimeWindow::new(50_000, 60_000),
+                kind: FaultKind::ShardOutage { shards: vec![3] },
+            },
+            Fault {
+                window: TimeWindow::new(0, 60_000),
+                kind: FaultKind::ClockSkew { skew_ms: 10 },
+            },
+        ],
+    };
+    let kv = ObservedKv::new(ChaosStore::new(Arc::clone(&store), Arc::new(plan)), &Obs::disabled());
+    for s in 0..SHARDS {
+        kv.try_put_shard(s, &format!("rates/7/c2/total/s{s}"), s as f64, 1000)
+            .expect("a healthy store");
+    }
+    let mut fanout = ShardFanout::new(SHARDS, 1000);
+    fanout.refresh(&kv, "rates/7/c2/total/", 1000);
+    let (n, snapshot) = allocations(|| fanout.refresh(&kv, "rates/7/c2/total/", 2000));
+    assert_eq!(n, 1, "{n} allocations for a {SHARDS}-shard refresh");
+    assert_eq!(snapshot.fold(), Ok((0..SHARDS).map(|s| s as f64).sum()));
+}
+
+/// The most a fleet run holds at once, per host. The run keeps an
+/// 8-byte demand per host; the group ids (a byte a host) exist only
+/// once a host pass needs them; the final ratios are written over the
+/// demand buffer. Building the group ids up front and expanding the
+/// ratios into a vector of their own peaked at 17 bytes a host.
+#[test]
+fn a_fleet_run_holds_eight_bytes_a_host_and_one_more_for_a_pass() {
+    const HOSTS: usize = 100_000;
+    // Under `det`: the byte counters are per thread.
+    let base = FleetConfig {
+        hosts: HOSTS,
+        shards: 64,
+        cycles: 8,
+        ..FleetConfig::default()
+    };
+    let offered: f64 = (0..HOSTS as u32)
+        .map(|h| host_demand_bps(base.seed, base.per_host_rate, h))
+        .sum();
+    let run = |load: f64| -> (f64, FleetOutcome) {
+        let config = FleetConfig {
+            entitled: Rate::bps(offered / load),
+            ..base.clone()
+        };
+        let (peak, out) = peak_bytes(|| run_fleet_engine(&config).expect("a valid fleet"));
+        (peak as f64 / HOSTS as f64, out)
+    };
+    // Beyond the hosts, the run holds ≈ 68 KB here: the store, the keys
+    // and labels, the memo's partials and the per-cycle stats.
+    let (free, out) = run(0.5);
+    assert_eq!(out.host_passes, 0, "load 0.5 runs no host pass");
+    assert!(free < 9.0, "{free:.2} bytes a host without a pass");
+    let (one, out) = run(2.0);
+    assert_eq!(out.host_passes, 1, "load 2 runs one host pass");
+    assert!(one < 10.0, "{one:.2} bytes a host with one pass");
+    let groups = one - free;
+    assert!(
+        (0.9..1.1).contains(&groups),
+        "a pass adds {groups:.2} bytes a host, not the group ids' one"
+    );
 }

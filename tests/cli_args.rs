@@ -123,10 +123,11 @@ fn outside_input_never_panics() {
         assert!(!stderr.contains("panicked at"), "{args:?}:\n{stderr}");
         assert!(!stderr.is_empty(), "{args:?} fails without saying why");
     }
-    let out_of_range: [&[&str]; 6] = [
+    let out_of_range: [&[&str]; 7] = [
         &["drill", "--hosts", "0"],
         &["drill", "--hosts", "0", "--shards", "4"],
         &["drill", "--hosts", "5000000000", "--shards", "8"],
+        &["drill", "--cycles", "0", "--shards", "4", "--hosts", "100"],
         &["drill", "--cycles", "18446744073709551615", "--shards", "4"],
         &["market", "--slice-days", "0"],
         &["market", "--slice-days", "500"],

@@ -10,7 +10,11 @@
 //! metered on, and the hosts a crash holds down (`FaultPlan::down_hosts`).
 //! Every cycle's fresh `shard_totals` and `shard_conforms` must equal, in
 //! bits, the ascending-host fold of that cycle's replayed state, whether
-//! the engine ran a host pass for the cycle or served it from the memo.
+//! the engine ran a host pass for the cycle or served it from the memo,
+//! and the final `conform_ratios` the replayed ratios, crashed hosts
+//! included. Each fleet also runs with a `StaleReads` window that opens
+//! after its last cycle, so that the store snapshots every read the
+//! run makes and must still serve the same values.
 //!
 //! Runs over a seed matrix; set `CHAOS_SEED=<n>` to pin one demand seed
 //! (CI's chaos matrix does).
@@ -127,14 +131,36 @@ fn check_against_replay(config: &FleetConfig, out: &FleetOutcome) {
     assert_eq!(bits(&out.conform_ratios), bits(&ratio), "{what}: final ratios");
 }
 
-/// Run `config` under `det` and under `par` with two workers, and
-/// check each against the replay.
+/// `config`'s fault plan plus a `StaleReads` window that opens after
+/// its last cycle: the store keeps a snapshot of every read, and no
+/// read is served one.
+fn snapshotting(config: &FleetConfig) -> FleetConfig {
+    let mut plan = config.faults.clone().unwrap_or_else(FaultPlan::none);
+    let after = config.end_ms().expect("a bounded run") + 1;
+    plan.faults.push(Fault {
+        window: TimeWindow::new(after, u64::MAX),
+        kind: FaultKind::StaleReads,
+    });
+    FleetConfig {
+        faults: Some(plan),
+        ..config.clone()
+    }
+}
+
+/// Run `config` under `det` and under `par` with two workers, and once
+/// more under `det` with a store that snapshots its reads, and check
+/// each against the replay.
 fn check(config: &FleetConfig) {
-    for (strategy, workers) in [(FleetStrategy::Deterministic, 0), (FleetStrategy::Parallel, 2)] {
+    let runs = [
+        (FleetStrategy::Deterministic, 0, config.clone()),
+        (FleetStrategy::Parallel, 2, config.clone()),
+        (FleetStrategy::Deterministic, 0, snapshotting(config)),
+    ];
+    for (strategy, workers, config) in runs {
         let config = FleetConfig {
             strategy,
             workers,
-            ..config.clone()
+            ..config
         };
         let out = run_fleet_engine(&config).expect("a valid fleet");
         check_against_replay(&config, &out);
