@@ -4,7 +4,8 @@
 //! repro <id> [--json]     one experiment (fig1, fig3, fig6, ..., fig25,
 //!                         ablations)
 //! repro all [--json]      everything
-//! repro list              show the experiment index
+//! repro list              show the experiment index (the default)
+//! repro --help            every flag
 //! ```
 //!
 //! `--workers N` / `--no-dedup` control the risk-simulation sweep for
@@ -17,10 +18,16 @@
 //! cycles, KV operations, and staleness histograms, stamped by a
 //! deterministic logical clock. Validate or summarize the outputs with
 //! `entitlectl obs summarize`.
+//!
+//! The argv is parsed by `entitlectl`'s grammar (`network_entitlement::cli`)
+//! with the same flag groups, so an unknown flag, a value flag with no
+//! value or an unparsable value exits 2 naming the flag.
 
 use entitlement_bench::experiments as exp;
 use entitlement_enforcement::MarkingStrategy;
 use entitlement_obs::TelemetrySpec;
+use network_entitlement::cli::commands::{SWEEP, TELEMETRY};
+use network_entitlement::cli::{self, flag, Command, Kind};
 
 const INDEX: &[(&str, &str)] = &[
     ("fig1", "service distribution of a high QoS class"),
@@ -48,31 +55,36 @@ const INDEX: &[(&str, &str)] = &[
     ("ablations", "N-segments, recovery factor, gen-1 vs gen-2"),
 ];
 
-/// Risk-sweep knobs shared by the approval-pipeline experiments.
-#[derive(Clone, Copy)]
-struct SweepOpts {
-    workers: usize,
-    dedup: bool,
-}
+/// `repro`'s grammar: one command, the experiment id its positional.
+/// `--workers`/`--no-dedup` reach the approval experiments (fig22),
+/// `--trace`/`--metrics` the drill ones (fig11–fig17).
+#[rustfmt::skip]
+static REPRO: &[Command] = &[Command {
+    program: "repro",
+    name: "",
+    positionals: &["[id]"],
+    flags: &[
+        &[flag("--json", Kind::Switch, "print each result as one JSON line")],
+        SWEEP,
+        TELEMETRY,
+    ],
+    about: "regenerate a paper figure (`repro list` shows the ids)",
+}];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let json = args.iter().any(|a| a == "--json");
-    let sweep = SweepOpts {
-        workers: value("--workers").and_then(|s| s.parse().ok()).unwrap_or(1),
-        dedup: !args.iter().any(|a| a == "--no-dedup"),
-    };
-    // `--trace` / `--metrics` output paths (drill experiments only).
-    let tele = TelemetrySpec {
-        trace: value("--trace"),
-        metrics: value("--metrics"),
-    };
-    let id = args.first().map_or("list", String::as_str);
+    let m = cli::parse(REPRO, &args).unwrap_or_else(|exit| {
+        if exit.code == 0 {
+            print!("{}", exit.message);
+        } else {
+            eprint!("{}", exit.message);
+        }
+        std::process::exit(exit.code)
+    });
+    let json = m.on("--json");
+    let sweep = m.sweep();
+    let tele = m.telemetry();
+    let id = m.positional(0).unwrap_or("list");
 
     match id {
         "list" => {
@@ -105,7 +117,8 @@ fn emit<T: serde::Serialize>(json: bool, id: &str, value: &T, print: impl FnOnce
     }
 }
 
-fn run(id: &str, json: bool, sweep: SweepOpts, tele: &TelemetrySpec) {
+/// Run one experiment; `sweep` is `(--workers, !--no-dedup)`.
+fn run(id: &str, json: bool, sweep: (usize, bool), tele: &TelemetrySpec) {
     match id {
         "fig1" | "fig2" => {
             let (high, low) = exp::service_distribution::run(0x51);
@@ -158,12 +171,13 @@ fn run(id: &str, json: bool, sweep: SweepOpts, tele: &TelemetrySpec) {
             emit(json, id, &c, || print!("{}", c.render()));
         }
         "fig22" => {
+            let (workers, dedup) = sweep;
             let a = exp::approval_slo::run_with_sweep(
                 &[0.9, 0.95, 0.99, 0.995, 0.999, 0.9995],
                 0.45,
                 0x22,
-                sweep.workers,
-                sweep.dedup,
+                workers,
+                dedup,
             );
             emit(json, id, &a, || print!("{}", a.render()));
         }

@@ -36,4 +36,4 @@ pub mod plan;
 pub mod store;
 
 pub use plan::{Fault, FaultKind, FaultPlan, TimeWindow};
-pub use store::{ChaosMetrics, ChaosStore};
+pub use store::ChaosStore;

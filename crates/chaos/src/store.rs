@@ -3,57 +3,26 @@
 //! [`ChaosStore`] wraps the synchronous [`ShardedStore`] behind the
 //! [`KvAccess`] trait, so anything written against the trait (the
 //! enforcement agent, the §6 drill, the sharded fleet engine) can be
-//! run against a degraded store without code changes.
+//! run against a degraded store without code changes. It keeps no
+//! counters of its own: every injected failure is an `Err` the caller
+//! sees, and the `ObservedKv` decorator above it counts those per
+//! operation (`entitlement_kv_ops_total{outcome="error"}`).
 
 use crate::plan::{FaultKind, FaultPlan};
 use entitlement_kvstore::{KvAccess, KvError, ShardedStore};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// What the chaos layer injected, for test assertions and drill
-/// summaries.
-#[derive(Debug, Default)]
-pub struct ChaosMetrics {
-    /// Reads/aggregates failed by an injected outage.
-    pub unavailable_reads: AtomicU64,
-    /// Publishes failed by an injected outage.
-    pub unavailable_writes: AtomicU64,
-    /// Publishes silently dropped in transit.
-    pub dropped_publishes: AtomicU64,
-    /// Reads served from a frozen (stale) snapshot.
-    pub stale_reads: AtomicU64,
-}
-
-impl ChaosMetrics {
-    fn inc(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// (unavailable_reads, unavailable_writes, dropped_publishes,
-    /// stale_reads) — compact snapshot.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        (
-            self.unavailable_reads.load(Ordering::Acquire),
-            self.unavailable_writes.load(Ordering::Acquire),
-            self.dropped_publishes.load(Ordering::Acquire),
-            self.stale_reads.load(Ordering::Acquire),
-        )
-    }
-}
 
 /// A [`ShardedStore`] with a [`FaultPlan`] between it and the caller.
 pub struct ChaosStore {
     inner: Arc<ShardedStore>,
     plan: Arc<FaultPlan>,
-    /// Last healthy read per key/prefix, served during StaleReads
+    /// Last healthy read per prefix (and shard), served during StaleReads
     /// windows (a wedged replica replays its last snapshot). `None`
     /// when the plan has no `StaleReads` fault: then nothing reads a
     /// snapshot, so no read takes one.
     frozen: Option<Mutex<HashMap<String, f64>>>,
-    /// Injection counters.
-    pub metrics: ChaosMetrics,
 }
 
 impl ChaosStore {
@@ -64,7 +33,6 @@ impl ChaosStore {
             inner,
             plan,
             frozen: stale.then(|| Mutex::new(HashMap::new())),
-            metrics: ChaosMetrics::default(),
         }
     }
 
@@ -93,7 +61,6 @@ impl ChaosStore {
         let cache_key = cache_key();
         if self.plan.reads_frozen_at(now_ms).is_some() {
             if let Some(&v) = frozen.lock().get(&cache_key) {
-                ChaosMetrics::inc(&self.metrics.stale_reads);
                 return v;
             }
         }
@@ -106,7 +73,6 @@ impl ChaosStore {
 impl KvAccess for ChaosStore {
     fn try_put(&self, key: &str, value: f64, now_ms: u64) -> Result<(), KvError> {
         if self.plan.shard_down(self.inner.shard_index(key), now_ms) {
-            ChaosMetrics::inc(&self.metrics.unavailable_writes);
             return Err(KvError::ShardUnavailable);
         }
         if self
@@ -114,7 +80,6 @@ impl KvAccess for ChaosStore {
             .drop_publish(entitlement_kvstore::key_hash(key), now_ms)
         {
             // Lost in transit: the writer sees success.
-            ChaosMetrics::inc(&self.metrics.dropped_publishes);
             return Ok(());
         }
         // Stamped with the writer's clock; liveness is judged on the
@@ -123,32 +88,10 @@ impl KvAccess for ChaosStore {
         Ok(())
     }
 
-    fn try_get(&self, key: &str, now_ms: u64) -> Result<Option<f64>, KvError> {
-        if self.plan.shard_down(self.inner.shard_index(key), now_ms) {
-            ChaosMetrics::inc(&self.metrics.unavailable_reads);
-            return Err(KvError::ShardUnavailable);
-        }
-        let Some(frozen) = &self.frozen else {
-            return Ok(self.inner.get(key, self.plan.skewed_now(now_ms)));
-        };
-        if self.plan.reads_frozen_at(now_ms).is_some() {
-            if let Some(&v) = frozen.lock().get(key) {
-                ChaosMetrics::inc(&self.metrics.stale_reads);
-                return Ok(Some(v));
-            }
-        }
-        let v = self.inner.get(key, self.plan.skewed_now(now_ms));
-        if let Some(v) = v {
-            frozen.lock().insert(key.to_string(), v);
-        }
-        Ok(v)
-    }
-
     fn try_aggregate(&self, prefix: &str, now_ms: u64) -> Result<f64, KvError> {
         // One down shard poisons every prefix sum: report unavailable
         // rather than a silent under-count.
         if self.plan.any_shard_down(now_ms) {
-            ChaosMetrics::inc(&self.metrics.unavailable_reads);
             return Err(KvError::ShardUnavailable);
         }
         Ok(self.read_through_freeze(|| prefix.to_string(), now_ms, |now| {
@@ -164,10 +107,6 @@ impl KvAccess for ChaosStore {
     // operations cannot express (their aggregates span all shards and
     // poison on any outage).
 
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
     fn try_put_shard(
         &self,
         shard: usize,
@@ -176,7 +115,6 @@ impl KvAccess for ChaosStore {
         now_ms: u64,
     ) -> Result<(), KvError> {
         if self.plan.shard_down(shard, now_ms) {
-            ChaosMetrics::inc(&self.metrics.unavailable_writes);
             return Err(KvError::ShardUnavailable);
         }
         if self
@@ -184,7 +122,6 @@ impl KvAccess for ChaosStore {
             .drop_publish(entitlement_kvstore::key_hash(key), now_ms)
         {
             // Lost in transit: the writer sees success.
-            ChaosMetrics::inc(&self.metrics.dropped_publishes);
             return Ok(());
         }
         self.inner.put_in_shard(shard, key, value, now_ms);
@@ -198,7 +135,6 @@ impl KvAccess for ChaosStore {
         now_ms: u64,
     ) -> Result<f64, KvError> {
         if self.plan.shard_down(shard, now_ms) {
-            ChaosMetrics::inc(&self.metrics.unavailable_reads);
             return Err(KvError::ShardUnavailable);
         }
         // Freeze-cache per (prefix, shard): a wedged replica replays
@@ -244,18 +180,18 @@ mod tests {
             chaos.try_aggregate("rates/", 1500),
             Err(KvError::ShardUnavailable)
         );
-        assert_eq!(
-            chaos.try_get("rates/a/h0", 1500),
-            Err(KvError::ShardUnavailable)
-        );
+        for shard in 0..8 {
+            assert_eq!(
+                chaos.try_shard_aggregate("rates/", shard, 1500),
+                Err(KvError::ShardUnavailable)
+            );
+        }
         assert_eq!(
             chaos.try_put("rates/a/h0", 6.0, 1500),
             Err(KvError::ShardUnavailable)
         );
         // After the window the store recovers with its data intact.
         assert_eq!(chaos.try_aggregate("rates/", 2500), Ok(5.0));
-        let (ur, uw, _, _) = chaos.metrics.snapshot();
-        assert_eq!((ur, uw), (2, 1));
     }
 
     #[test]
@@ -272,17 +208,28 @@ mod tests {
         let chaos = ChaosStore::new(
             inner,
             plan(vec![Fault {
-                window: TimeWindow::new(0, 100),
+                window: TimeWindow::new(100, 200),
                 kind: FaultKind::ShardOutage {
                     shards: vec![victim],
                 },
             }]),
         );
-        assert_eq!(chaos.try_get(key, 50), Err(KvError::ShardUnavailable));
-        assert_eq!(chaos.try_get(&other_key, 50), Ok(None), "other shard fine");
-        // But aggregates span the down shard: unavailable.
+        chaos.try_put(key, 1.0, 0).unwrap();
+        chaos.try_put(&other_key, 2.0, 0).unwrap();
         assert_eq!(
-            chaos.try_aggregate("rates/", 50),
+            chaos.try_shard_aggregate("rates/", victim, 150),
+            Err(KvError::ShardUnavailable)
+        );
+        assert_eq!(chaos.try_put(key, 3.0, 150), Err(KvError::ShardUnavailable));
+        assert_eq!(
+            chaos.try_shard_aggregate("rates/", other, 150),
+            Ok(2.0),
+            "other shard fine"
+        );
+        assert_eq!(chaos.try_put(&other_key, 4.0, 150), Ok(()));
+        // But flat aggregates span the down shard: unavailable.
+        assert_eq!(
+            chaos.try_aggregate("rates/", 150),
             Err(KvError::ShardUnavailable)
         );
     }
@@ -297,12 +244,10 @@ mod tests {
             }]),
         );
         assert_eq!(chaos.try_put("k", 1.0, 10), Ok(()), "writer sees success");
-        assert_eq!(chaos.try_get("k", 10), Ok(None), "value never landed");
+        assert_eq!(chaos.try_aggregate("k", 10), Ok(0.0), "value never landed");
         // Outside the window publishes land again.
         chaos.try_put("k", 2.0, 1500).unwrap();
-        assert_eq!(chaos.try_get("k", 1500), Ok(Some(2.0)));
-        let (_, _, dropped, _) = chaos.metrics.snapshot();
-        assert_eq!(dropped, 1);
+        assert_eq!(chaos.try_aggregate("k", 1500), Ok(2.0));
     }
 
     #[test]
@@ -315,17 +260,18 @@ mod tests {
             }]),
         );
         chaos.try_put("rates/a/h0", 5.0, 0).unwrap();
-        // Healthy reads prime the snapshot (per prefix and per key).
+        let shard = chaos.inner().shard_index("rates/a/h0");
+        // Healthy reads prime the snapshot (per prefix, and per prefix
+        // and shard).
         assert_eq!(chaos.try_aggregate("rates/", 500), Ok(5.0));
-        assert_eq!(chaos.try_get("rates/a/h0", 600), Ok(Some(5.0)));
+        assert_eq!(chaos.try_shard_aggregate("rates/", shard, 600), Ok(5.0));
         // The value changes, but frozen reads keep seeing 5.0.
         chaos.try_put("rates/a/h0", 50.0, 1100).unwrap();
         assert_eq!(chaos.try_aggregate("rates/", 1200), Ok(5.0), "frozen");
-        assert_eq!(chaos.try_get("rates/a/h0", 1200), Ok(Some(5.0)));
+        assert_eq!(chaos.try_shard_aggregate("rates/", shard, 1200), Ok(5.0), "frozen");
         // Window over: fresh values visible again.
         assert_eq!(chaos.try_aggregate("rates/", 2500), Ok(50.0));
-        let (_, _, _, stale) = chaos.metrics.snapshot();
-        assert_eq!(stale, 2);
+        assert_eq!(chaos.try_shard_aggregate("rates/", shard, 2500), Ok(50.0));
     }
 
     /// Only a plan with a `StaleReads` fault keeps snapshots; under any
@@ -340,7 +286,6 @@ mod tests {
         let healthy = ChaosStore::new(store(), plan(vec![outage.clone()]));
         healthy.try_put_shard(0, "rates/x/total/s0", 5.0, 0).unwrap();
         assert_eq!(healthy.try_shard_aggregate("rates/x/total/", 0, 500), Ok(5.0));
-        assert_eq!(healthy.try_get("rates/x/total/s0", 500), Ok(Some(5.0)));
         assert_eq!(healthy.try_aggregate("rates/", 500), Ok(5.0));
         assert!(healthy.frozen.is_none());
         let stale = Fault {
@@ -368,16 +313,15 @@ mod tests {
             }]),
         );
         chaos.try_put("k", 1.0, 0).unwrap();
-        assert_eq!(chaos.try_get("k", 400), Ok(Some(1.0)), "live at 400");
+        assert_eq!(chaos.try_aggregate("k", 400), Ok(1.0), "live at 400");
         // At t=600 the skewed clock reads 1500 — past the 1s TTL.
-        assert_eq!(chaos.try_get("k", 600), Ok(None), "skew expired it");
+        assert_eq!(chaos.try_aggregate("k", 600), Ok(0.0), "skew expired it");
         // A write inside the window carries the writer's clock, so the
         // skewed store ages it out early too: a writer that publishes
         // every cycle does not mask the skew.
         chaos.try_put("k", 2.0, 700).unwrap();
-        assert_eq!(chaos.try_get("k", 700), Ok(Some(2.0)), "900 ms old on the store's clock");
-        assert_eq!(chaos.try_get("k", 900), Ok(None), "1100 ms old on the store's clock");
-        assert_eq!(chaos.try_aggregate("", 900), Ok(0.0));
+        assert_eq!(chaos.try_aggregate("k", 700), Ok(2.0), "900 ms old on the store's clock");
+        assert_eq!(chaos.try_aggregate("k", 900), Ok(0.0), "1100 ms old on the store's clock");
     }
 
     #[test]
@@ -413,7 +357,5 @@ mod tests {
         );
         // After recovery the dark shard serves again (data intact).
         assert_eq!(chaos.try_shard_aggregate("rates/x/total/", 3, 2500), Ok(4.0));
-        let (ur, uw, _, _) = chaos.metrics.snapshot();
-        assert_eq!((ur, uw), (1, 1));
     }
 }

@@ -15,14 +15,18 @@
 //! as an idle service and unthrottle the entire fleet past its
 //! entitlement. [`Agent::cycle_observed`] encodes that: `Ok` runs a
 //! normal metering cycle, `Err` freezes the meter and the marking
-//! table, bumps `fail_static_cycles`, and tracks how stale the data
-//! behind the standing decision has become.
+//! table and counts a fail-static cycle; [`Agent::staleness_ms`] says
+//! how old the data behind the standing decision has become.
+//!
+//! The agent's KV outcomes are counted by the `ObservedKv` decorator it
+//! publishes through; the drill reads the two numbers it reports,
+//! [`Agent::fail_static_cycles`] and [`Agent::staleness_ms`], off the
+//! agent.
 
 use crate::bpf::MarkingTable;
 use crate::db::ContractDb;
 use crate::marking::{Marker, MarkingStrategy};
 use crate::metering::{Meter, StatefulMeter};
-use crate::metrics::AgentMetrics;
 use entitlement_core::{Direction, HostId, NpgId, QosClass, Rate, RegionId};
 use entitlement_kvstore::{KvAccess, KvError};
 
@@ -39,16 +43,6 @@ pub struct AgentConfig {
     pub region: RegionId,
     /// Marking granularity.
     pub strategy: MarkingStrategy,
-    /// Bounded-staleness window for fail-static operation: beyond this
-    /// many milliseconds without a successful aggregate read the held
-    /// decision is flagged as expired (it is still held — unthrottling
-    /// on no data is never safe — but operators are expected to page).
-    pub max_staleness_ms: u64,
-}
-
-impl AgentConfig {
-    /// Default bounded-staleness window (5 minutes — ten 30 s cycles).
-    pub const DEFAULT_MAX_STALENESS_MS: u64 = 300_000;
 }
 
 /// One host's agent: meter + marker + kernel table + cached contract.
@@ -61,10 +55,10 @@ pub struct Agent {
     pub table: MarkingTable,
     cached_entitled: Option<Rate>,
     /// Logical timestamp of the last successful aggregate read; the
-    /// basis of the staleness gauge while fail-static.
+    /// basis of [`Agent::staleness_ms`] while fail-static.
     last_aggregates_ms: Option<u64>,
-    /// Observability counters and gauges.
-    pub metrics: AgentMetrics,
+    /// Cycles that held the last decision on unavailable aggregates.
+    fail_static_cycles: u64,
 }
 
 impl Agent {
@@ -78,18 +72,14 @@ impl Agent {
             table: MarkingTable::new(),
             cached_entitled: None,
             last_aggregates_ms: None,
-            metrics: AgentMetrics::new(),
+            fail_static_cycles: 0,
         }
     }
 
     /// Refresh the cached entitled rate from the contract database.
-    /// Returns the (possibly stale) rate in effect afterwards.
-    ///
-    /// Metrics: a successful lookup counts as a refresh; a failed
-    /// lookup with a cached value counts as a stale fallback
-    /// (fail-static on the contract path); a failed lookup with no
-    /// cache counts as a lookup failure — the agent enforces nothing
-    /// for this contract and someone should know.
+    /// Returns the (possibly stale) rate in effect afterwards: a failed
+    /// lookup keeps the cached value (fail-static on the contract
+    /// path), and with no cache the agent enforces nothing.
     pub fn refresh_contract(&mut self, db: &ContractDb, day: u32) -> Option<Rate> {
         if let Some(r) = db.entitled_rate(
             self.config.npg,
@@ -99,12 +89,6 @@ impl Agent {
             day,
         ) {
             self.cached_entitled = Some(r);
-            self.metrics.contract_refreshes.inc();
-            self.metrics.entitled_bps.set(r.as_bps());
-        } else if self.cached_entitled.is_some() {
-            self.metrics.contract_stale_fallbacks.inc();
-        } else {
-            self.metrics.contract_lookup_failures.inc();
         }
         self.cached_entitled
     }
@@ -128,9 +112,9 @@ impl Agent {
 
     /// Publish this host's measured rates into the KV store (step 2).
     /// Works against any [`KvAccess`] layer — the real store or a
-    /// fault-injecting wrapper. A failed publish is counted but not
-    /// fatal: the TTL ages this host out of the aggregates, exactly as
-    /// a dead host would.
+    /// fault-injecting wrapper. A failed publish is not fatal: the TTL
+    /// ages this host out of the aggregates, exactly as a dead host
+    /// would.
     pub fn publish<K: KvAccess + ?Sized>(
         &self,
         kv: &K,
@@ -140,16 +124,10 @@ impl Agent {
     ) -> Result<(), KvError> {
         let h = self.config.host.0;
         let base = self.key_base();
-        let r = kv
-            .try_put(&format!("{base}/total/h{h}"), sent.as_bps(), now_ms)
+        kv.try_put(&format!("{base}/total/h{h}"), sent.as_bps(), now_ms)
             .and_then(|()| {
                 kv.try_put(&format!("{base}/conform/h{h}"), conforming.as_bps(), now_ms)
-            });
-        match r {
-            Ok(()) => self.metrics.publishes.inc(),
-            Err(_) => self.metrics.publish_failures.inc(),
-        }
-        r
+            })
     }
 
     /// Read the service-wide aggregates back (step 3). `Err` means the
@@ -161,33 +139,20 @@ impl Agent {
         now_ms: u64,
     ) -> Result<(Rate, Rate), KvError> {
         let base = self.key_base();
-        let r = kv
-            .try_aggregate(&format!("{base}/total/"), now_ms)
-            .and_then(|total| {
-                kv.try_aggregate(&format!("{base}/conform/"), now_ms)
-                    .map(|conform| (Rate::bps(total), Rate::bps(conform)))
-            });
-        if r.is_err() {
-            self.metrics.aggregate_read_failures.inc();
-        }
-        r
+        kv.try_aggregate(&format!("{base}/total/"), now_ms).and_then(|total| {
+            kv.try_aggregate(&format!("{base}/conform/"), now_ms)
+                .map(|conform| (Rate::bps(total), Rate::bps(conform)))
+        })
     }
 
     /// Run one metering cycle (steps 4–5): update the meter, program the
     /// kernel table, and return the new conform ratio.
     pub fn cycle(&mut self, total: Rate, conform: Rate) -> f64 {
-        self.metrics.cycles.inc();
-        self.metrics.total_rate_bps.set(total.as_bps());
         let Some(entitled) = self.cached_entitled else {
             return 1.0; // no contract — nothing to enforce
         };
-        let prev_cut = Marker::marked_group_count(self.meter.conform_ratio());
         let cr = self.meter.update(total, conform, entitled);
-        self.metrics.conform_ratio.set(cr);
         let cut = Marker::marked_group_count(cr) as u8;
-        if cut as u32 != prev_cut {
-            self.metrics.decision_changes.inc();
-        }
         match self.config.strategy {
             MarkingStrategy::FlowBased => {
                 self.table.set_flow_cut(self.config.npg, self.config.qos, cut);
@@ -206,13 +171,10 @@ impl Agent {
     ///   staleness clock resets.
     /// * `Err(_)` — **fail-static**: the meter and marking table are
     ///   left exactly as they are (the last decision keeps being
-    ///   enforced), `fail_static_cycles` is bumped, and the staleness
-    ///   gauge reports how old the data behind the standing decision
-    ///   is. The decision is held even past
-    ///   [`AgentConfig::max_staleness_ms`] — with no data,
-    ///   unthrottling is the one move that is never safe — but
-    ///   [`Agent::stale_beyond_bound`] flips so harnesses and
-    ///   operators can see the bound was blown.
+    ///   enforced, however long the outage: with no data, unthrottling
+    ///   is the one move that is never safe) and
+    ///   [`Agent::fail_static_cycles`] counts the cycle. The staleness
+    ///   clock keeps running; the watchdog's W0105 pages on it.
     ///
     /// Returns the conform ratio in force afterwards.
     pub fn cycle_observed(
@@ -223,15 +185,10 @@ impl Agent {
         match obs {
             Ok((total, conform)) => {
                 self.last_aggregates_ms = Some(now_ms);
-                self.metrics.aggregate_staleness_ms.set(0.0);
                 self.cycle(total, conform)
             }
             Err(_) => {
-                self.metrics.cycles.inc();
-                self.metrics.fail_static_cycles.inc();
-                self.metrics
-                    .aggregate_staleness_ms
-                    .set(self.staleness_ms(now_ms) as f64);
+                self.fail_static_cycles += 1;
                 self.meter.conform_ratio()
             }
         }
@@ -246,9 +203,10 @@ impl Agent {
         }
     }
 
-    /// Has fail-static operation exceeded the bounded-staleness window?
-    pub fn stale_beyond_bound(&self, now_ms: u64) -> bool {
-        self.staleness_ms(now_ms) > self.config.max_staleness_ms
+    /// Cycles that held the last decision because the aggregates were
+    /// unavailable (fail-static).
+    pub fn fail_static_cycles(&self) -> u64 {
+        self.fail_static_cycles
     }
 
     /// The fleet-wide marking command this agent's decision implies
@@ -296,7 +254,6 @@ mod tests {
             qos: QosClass::C2,
             region: RegionId(0),
             strategy: MarkingStrategy::HostBased,
-            max_staleness_ms: AgentConfig::DEFAULT_MAX_STALENESS_MS,
         })
     }
 
@@ -365,28 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_track_the_agent_lifecycle() {
-        let db = db_with_contract(50.0);
-        let store = ShardedStore::new(StoreConfig::default());
-        let mut a = agent(0);
-        a.refresh_contract(&db, 0);
-        a.refresh_contract(&db, 500); // out of period: stale fallback
-        a.publish(&store, Rate::gbps(1.0), Rate::gbps(1.0), 0).unwrap();
-        a.cycle(Rate::gbps(100.0), Rate::gbps(100.0)); // throttles
-        a.cycle(Rate::gbps(100.0), Rate::gbps(50.0)); // holds
-        let s = a.metrics.snapshot();
-        assert_eq!(s.contract_refreshes, 1);
-        assert_eq!(s.contract_stale_fallbacks, 1);
-        assert_eq!(s.publishes, 1);
-        assert_eq!(s.cycles, 2);
-        assert_eq!(s.decision_changes, 1, "first cycle changed the cut");
-        assert!((s.conform_ratio - 0.5).abs() < 1e-9);
-        assert!((s.entitled_bps - 50e9).abs() < 1.0);
-        let text = a.metrics.render(&Default::default());
-        assert!(text.contains("entitlement_agent_cycles_total 2"));
-    }
-
-    #[test]
     fn unavailable_aggregates_hold_the_standing_decision() {
         let db = db_with_contract(50.0);
         let mut a = agent(0);
@@ -410,13 +345,8 @@ mod tests {
             crate::bpf::MarkAction::Remark,
             "table still throttles during the outage"
         );
-        let s = a.metrics.snapshot();
-        assert_eq!(s.cycles, 2);
-        assert_eq!(s.fail_static_cycles, 1);
-        assert!((s.aggregate_staleness_ms - 30_000.0).abs() < 1.0);
+        assert_eq!(a.fail_static_cycles(), 1);
         assert_eq!(a.staleness_ms(31_000), 30_000);
-        assert!(!a.stale_beyond_bound(31_000), "within the 5 min window");
-        assert!(a.stale_beyond_bound(1_000 + AgentConfig::DEFAULT_MAX_STALENESS_MS + 1));
         // Recovery: a fresh aggregate resumes normal metering.
         let cr = a.cycle_observed(Ok((Rate::gbps(100.0), Rate::gbps(50.0))), 61_000);
         assert!((cr - 0.5).abs() < 1e-9);
@@ -437,11 +367,6 @@ mod tests {
                 a.cycle_observed(Ok((Rate::gbps(200.0), Rate::bps(f64::NAN))), cycle * 1_000);
             assert_eq!(held, cr, "cycle {cycle} held, not doubled");
         }
-        assert_eq!(
-            a.metrics.snapshot().decision_changes,
-            1,
-            "only the first cut"
-        );
         let probe = crate::bpf::ClassifyInput {
             npg: NpgId(1),
             qos: QosClass::C2,
@@ -452,14 +377,11 @@ mod tests {
     }
 
     #[test]
-    fn failed_lookup_with_no_cache_is_counted() {
+    fn failed_lookup_with_no_cache_enforces_nothing() {
         let empty = ContractDb::new();
         let mut a = agent(0);
         assert_eq!(a.refresh_contract(&empty, 0), None);
-        let s = a.metrics.snapshot();
-        assert_eq!(s.contract_lookup_failures, 1);
-        assert_eq!(s.contract_stale_fallbacks, 0);
-        assert_eq!(s.contract_refreshes, 0);
+        assert_eq!(a.cycle(Rate::gbps(500.0), Rate::gbps(500.0)), 1.0);
     }
 
     #[test]

@@ -227,7 +227,6 @@ pub fn run_drill_with(
         qos,
         region,
         strategy: config.strategy,
-        max_staleness_ms: AgentConfig::DEFAULT_MAX_STALENESS_MS,
     });
 
     // --- The KV store the metering loop runs through, behind the
@@ -316,7 +315,7 @@ pub fn run_drill_with(
         recorder.record("block_errors", app_metrics.block_errors);
         recorder.record("marked_fraction", m);
         recorder.record("kv_unavailable", kv_unavailable);
-        recorder.record("fail_static", agent.metrics.fail_static_cycles.get() as f64);
+        recorder.record("fail_static", agent.fail_static_cycles() as f64);
         recorder.record("staleness_ms", agent.staleness_ms(now_ms) as f64);
 
         // SLO fold: one interval per metered tick. A tick whose

@@ -43,7 +43,6 @@ pub mod fleet;
 pub mod ingress;
 pub mod marking;
 pub mod metering;
-pub mod metrics;
 pub mod multidrill;
 pub mod shard;
 
@@ -58,7 +57,6 @@ pub use fleet::{
 };
 pub use shard::ShardPlan;
 pub use ingress::{IngressCoordinator, SourceMeter};
-pub use metrics::{AgentMetrics, Counter, Gauge, MetricsSnapshot};
 pub use multidrill::{run_multi_drill, MultiDrillConfig, ServiceSpec};
 pub use marking::{MarkingStrategy, Marker};
 pub use metering::{Meter, StatefulMeter, StatelessMeter};

@@ -32,7 +32,6 @@ fn agent_with_contract(entitled_g: f64) -> Agent {
         qos: QosClass::C2,
         region: RegionId(0),
         strategy: MarkingStrategy::HostBased,
-        max_staleness_ms: AgentConfig::DEFAULT_MAX_STALENESS_MS,
     });
     a.refresh_contract(&db, 0);
     a
@@ -97,8 +96,7 @@ proptest! {
             prop_assert_eq!(a.marking_command(1000), held_cmd);
             prop_assert_eq!(a.table.classify(probe).0, held_action);
         }
-        let s = a.metrics.snapshot();
-        prop_assert_eq!(s.fail_static_cycles, outage_cycles as u64);
+        prop_assert_eq!(a.fail_static_cycles(), outage_cycles as u64);
         prop_assert_eq!(a.staleness_ms(now), 30_000 * outage_cycles as u64);
     }
 }

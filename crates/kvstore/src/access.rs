@@ -4,8 +4,8 @@
 //! when the telemetry plane is unhealthy, agents must keep enforcing
 //! the last known decision rather than treating silence as "no
 //! traffic". That only works if the type system distinguishes the two:
-//! a missing key is **data** (`Ok(None)` — e.g. a drained host), while
-//! an unreachable store is **absence of data** (`Err(KvError)`).
+//! a zero aggregate is **data** (`Ok(0.0)` — e.g. a drained service),
+//! while an unreachable store is **absence of data** (`Err(KvError)`).
 //!
 //! [`KvAccess`] is the synchronous capability trait every store-like
 //! layer implements: the real [`ShardedStore`] (infallible, always
@@ -18,8 +18,8 @@ use crate::store::ShardedStore;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Why a KV operation could not be served. Distinct from `Ok(None)`:
-/// absence of a key is data, unavailability is absence of data.
+/// Why a KV operation could not be served. Distinct from `Ok(0.0)`:
+/// a zero sum is data, unavailability is absence of data.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KvError {
     /// The shard holding the key — or at least one shard spanned by an
@@ -49,19 +49,12 @@ pub trait KvAccess {
     /// Write a value at logical time `now_ms`.
     fn try_put(&self, key: &str, value: f64, now_ms: u64) -> Result<(), KvError>;
 
-    /// Read a live value. `Ok(None)` means the key is absent or
-    /// TTL-expired — a real observation, not a failure.
-    fn try_get(&self, key: &str, now_ms: u64) -> Result<Option<f64>, KvError>;
-
     /// Sum of live values under `prefix`.
     fn try_aggregate(&self, prefix: &str, now_ms: u64) -> Result<f64, KvError>;
 
-    /// Number of physical shards the store is split into.
-    fn shard_count(&self) -> usize;
-
     /// Write `key` directly into shard `shard` (bypassing the key
     /// hash). Keys placed this way are visible to prefix aggregation
-    /// but not to hash-routed `try_get`.
+    /// like any other.
     fn try_put_shard(&self, shard: usize, key: &str, value: f64, now_ms: u64)
         -> Result<(), KvError>;
 
@@ -94,16 +87,8 @@ impl KvAccess for ShardedStore {
         Ok(())
     }
 
-    fn try_get(&self, key: &str, now_ms: u64) -> Result<Option<f64>, KvError> {
-        Ok(self.get(key, now_ms))
-    }
-
     fn try_aggregate(&self, prefix: &str, now_ms: u64) -> Result<f64, KvError> {
         Ok(self.aggregate_sum(prefix, now_ms))
-    }
-
-    fn shard_count(&self) -> usize {
-        self.shard_count()
     }
 
     fn try_put_shard(
@@ -150,9 +135,8 @@ mod tests {
             ttl: Duration::from_secs(10),
         });
         assert_eq!(s.try_put("k", 1.0, 0), Ok(()));
-        assert_eq!(s.try_get("k", 0), Ok(Some(1.0)));
-        assert_eq!(s.try_get("absent", 0), Ok(None), "absence is data");
         assert_eq!(s.try_aggregate("k", 0), Ok(1.0));
+        assert_eq!(s.try_aggregate("absent", 0), Ok(0.0), "absence is data");
     }
 
     #[test]

@@ -37,16 +37,14 @@ pub enum ShardRead {
     Missing,
 }
 
-/// Driver-side fold state: last good partial per shard plus read
-/// accounting for the O(shards) regression gate.
+/// Driver-side fold state: last good partial per shard plus the read
+/// count for the O(shards) regression gate.
 #[derive(Debug)]
 pub struct ShardFanout {
     max_staleness_ms: u64,
     partials: Vec<Option<Held>>,
     last_ok: Vec<bool>,
     reads: u64,
-    read_failures: u64,
-    held_serves: u64,
 }
 
 impl ShardFanout {
@@ -59,8 +57,6 @@ impl ShardFanout {
             partials: vec![None; shards],
             last_ok: vec![false; shards],
             reads: 0,
-            read_failures: 0,
-            held_serves: 0,
         }
     }
 
@@ -81,16 +77,14 @@ impl ShardFanout {
                 });
                 self.last_ok[shard] = true;
             }
-            Err(_) => {
-                self.read_failures += 1;
-                self.last_ok[shard] = false;
-            }
+            Err(_) => self.last_ok[shard] = false,
         }
     }
 
     /// Classify every shard as of `now_ms`. Call once per cycle after
-    /// observing all shards: held serves are counted per snapshot.
-    pub fn snapshot(&mut self, now_ms: u64) -> FanoutSnapshot {
+    /// observing all shards.
+    #[must_use]
+    pub fn snapshot(&self, now_ms: u64) -> FanoutSnapshot {
         let mut shards = Vec::with_capacity(self.partials.len());
         for (s, partial) in self.partials.iter().enumerate() {
             let read = if self.last_ok[s] {
@@ -112,7 +106,6 @@ impl ShardFanout {
                     // tolerance. Pinned by
                     // `held_partial_boundary_is_inclusive`.
                     Some(h) if now_ms.saturating_sub(h.as_of_ms) <= self.max_staleness_ms => {
-                        self.held_serves += 1;
                         ShardRead::Held(h.value)
                     }
                     _ => ShardRead::Missing,
@@ -143,18 +136,6 @@ impl ShardFanout {
     #[must_use]
     pub fn reads(&self) -> u64 {
         self.reads
-    }
-
-    /// Shard reads that returned `Err`.
-    #[must_use]
-    pub fn read_failures(&self) -> u64 {
-        self.read_failures
-    }
-
-    /// Partials served from the held copy across all snapshots.
-    #[must_use]
-    pub fn held_serves(&self) -> u64 {
-        self.held_serves
     }
 }
 
@@ -261,7 +242,6 @@ mod tests {
         assert_eq!(snap.fold_live(), 7.0);
         assert_eq!((snap.fresh(), snap.held(), snap.missing()), (3, 0, 0));
         assert_eq!(f.reads(), 3);
-        assert_eq!(f.read_failures(), 0);
     }
 
     #[test]
@@ -284,8 +264,7 @@ mod tests {
         assert_eq!(snap.shards()[1], ShardRead::Missing);
         assert_eq!(snap.fold(), Err(KvError::ShardUnavailable));
         assert_eq!(snap.fresh_values(), vec![Some(1.5), None]);
-        assert_eq!(f.held_serves(), 1);
-        assert_eq!(f.read_failures(), 2);
+        assert_eq!(f.reads(), 6, "a failed read is still a read");
     }
 
     #[test]
@@ -307,7 +286,6 @@ mod tests {
             Err(KvError::ShardUnavailable),
             "age == bound + 1 must poison the fold"
         );
-        assert_eq!(f.held_serves(), 1, "held served exactly once");
     }
 
     #[test]

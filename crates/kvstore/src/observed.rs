@@ -24,7 +24,6 @@ pub struct ObservedKv<K> {
     inner: K,
     obs: Obs,
     put: OpMetrics,
-    get: OpMetrics,
     aggregate: OpMetrics,
 }
 
@@ -54,7 +53,6 @@ impl<K> ObservedKv<K> {
             inner,
             obs: obs.clone(),
             put: op_metrics("put"),
-            get: op_metrics("get"),
             aggregate: op_metrics("aggregate"),
         }
     }
@@ -99,12 +97,6 @@ impl<K: KvAccess> KvAccess for ObservedKv<K> {
         self.observe(&self.put, "put", r, start)
     }
 
-    fn try_get(&self, key: &str, now_ms: u64) -> Result<Option<f64>, KvError> {
-        let start = self.obs.clock.now_ms();
-        let r = self.inner.try_get(key, now_ms);
-        self.observe(&self.get, "get", r, start)
-    }
-
     fn try_aggregate(&self, prefix: &str, now_ms: u64) -> Result<f64, KvError> {
         let start = self.obs.clock.now_ms();
         let r = self.inner.try_aggregate(prefix, now_ms);
@@ -115,10 +107,6 @@ impl<K: KvAccess> KvAccess for ObservedKv<K> {
     // (same op labels) with distinct trace phases, so per-shard
     // publishes and fan-out reads show up in the same dashboards as
     // their flat counterparts.
-
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
 
     fn try_put_shard(
         &self,
@@ -167,14 +155,8 @@ mod tests {
             fn try_put(&self, _: &str, _: f64, _: u64) -> Result<(), KvError> {
                 Err(KvError::ShardUnavailable)
             }
-            fn try_get(&self, _: &str, _: u64) -> Result<Option<f64>, KvError> {
-                Err(KvError::ShardUnavailable)
-            }
             fn try_aggregate(&self, _: &str, _: u64) -> Result<f64, KvError> {
                 Err(KvError::ShardUnavailable)
-            }
-            fn shard_count(&self) -> usize {
-                1
             }
             fn try_put_shard(&self, _: usize, _: &str, _: f64, _: u64) -> Result<(), KvError> {
                 Err(KvError::ShardUnavailable)
@@ -191,16 +173,14 @@ mod tests {
         let obs = Obs::new(Clock::counting(2));
         let store = ObservedKv::new(ShardedStore::new(StoreConfig::default()), &obs);
         store.try_put("rates/x/h0", 5.0, 0).unwrap();
-        assert_eq!(store.try_get("rates/x/h0", 0).unwrap(), Some(5.0));
         assert_eq!(store.try_aggregate("rates/", 0).unwrap(), 5.0);
         let text = obs.registry.render();
         assert!(text.contains("entitlement_kv_ops_total{op=\"put\",outcome=\"ok\"} 1"));
-        assert!(text.contains("entitlement_kv_ops_total{op=\"get\",outcome=\"ok\"} 1"));
         assert!(text.contains("entitlement_kv_ops_total{op=\"aggregate\",outcome=\"ok\"} 1"));
         // The counting clock gives every op a 2 ms duration.
         assert!(text.contains("entitlement_kv_op_ms_count{op=\"put\"} 1"));
         let events = obs.trace.events();
-        assert_eq!(events.len(), 3);
+        assert_eq!(events.len(), 2);
         assert!(events.iter().all(|e| e.span == "kv" && e.dur_ms == 2.0));
     }
 
@@ -209,7 +189,6 @@ mod tests {
         let obs = Obs::new(Clock::manual(10));
         let store = ObservedKv::new(flaky_error_store(), &obs);
         assert!(store.try_put("k", 1.0, 10).is_err());
-        assert!(store.try_get("k", 10).is_err());
         assert!(store.try_aggregate("k", 10).is_err());
         assert!(store.try_shard_aggregate("k", 0, 10).is_err());
         let text = obs.registry.render();
@@ -231,7 +210,6 @@ mod tests {
             .unwrap();
         assert_eq!(store.try_shard_aggregate("rates/x/total/", 2, 0), Ok(8.0));
         assert_eq!(store.try_shard_aggregate("rates/x/total/", 3, 0), Ok(4.0));
-        assert_eq!(KvAccess::shard_count(&store), 16);
         let text = obs.registry.render();
         assert!(text.contains("entitlement_kv_ops_total{op=\"put\",outcome=\"ok\"} 2"));
         assert!(text.contains("entitlement_kv_ops_total{op=\"aggregate\",outcome=\"ok\"} 2"));

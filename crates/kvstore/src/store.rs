@@ -94,23 +94,6 @@ impl ShardedStore {
         upsert(&mut self.shard(key).lock(), key, value, now_ms);
     }
 
-    /// Read a live value (TTL-checked against `now_ms`).
-    pub fn get(&self, key: &str, now_ms: u64) -> Option<f64> {
-        let guard = self.shard(key).lock();
-        guard.get(key).and_then(|e| {
-            if self.is_live(e, now_ms) {
-                Some(e.value)
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Delete a key; returns whether it existed.
-    pub fn delete(&self, key: &str) -> bool {
-        self.shard(key).lock().remove(key).is_some()
-    }
-
     fn is_live(&self, e: &Entry, now_ms: u64) -> bool {
         now_ms.saturating_sub(e.written_ms) as u128 <= self.config.ttl.as_millis()
     }
@@ -120,11 +103,9 @@ impl ShardedStore {
     ///
     /// The aggregation tree places fleet shard `s`'s partial keys on
     /// storage shard `s` so shard-scoped faults map one-to-one onto
-    /// fleet shards. Keys written this way are visible to
+    /// fleet shards. Keys written this way are read back through
     /// [`aggregate_sum`](Self::aggregate_sum) /
-    /// [`aggregate_sum_shard`](Self::aggregate_sum_shard) but *not* to
-    /// hash-routed [`get`](Self::get) (which would look on the wrong
-    /// shard) — partials are aggregate-only state.
+    /// [`aggregate_sum_shard`](Self::aggregate_sum_shard).
     pub fn put_in_shard(&self, shard: usize, key: &str, value: f64, now_ms: u64) {
         upsert(&mut self.shards[shard].lock(), key, value, now_ms);
     }
@@ -171,31 +152,6 @@ impl ShardedStore {
             }
         }
         sum
-    }
-
-    /// Count of live keys under a prefix.
-    pub fn count(&self, prefix: &str, now_ms: u64) -> usize {
-        let mut n = 0;
-        for shard in &self.shards {
-            let guard = shard.lock();
-            n += guard
-                .iter()
-                .filter(|(k, e)| k.starts_with(prefix) && self.is_live(e, now_ms))
-                .count();
-        }
-        n
-    }
-
-    /// Drop every expired entry (periodic compaction).
-    pub fn sweep(&self, now_ms: u64) -> usize {
-        let mut removed = 0;
-        for shard in &self.shards {
-            let mut guard = shard.lock();
-            let before = guard.len();
-            guard.retain(|_, e| self.is_live(e, now_ms));
-            removed += before - guard.len();
-        }
-        removed
     }
 }
 
@@ -244,22 +200,22 @@ mod tests {
     }
 
     #[test]
-    fn put_get_roundtrip() {
+    fn put_overwrites_in_place() {
         let s = store();
         s.put("rates/cold/h1", 100.0, 0);
-        assert_eq!(s.get("rates/cold/h1", 1000), Some(100.0));
-        assert_eq!(s.get("rates/cold/h2", 1000), None);
-        // Overwrite.
+        assert_eq!(s.aggregate_sum("rates/cold/h1", 1000), 100.0);
+        assert_eq!(s.aggregate_sum("rates/cold/h2", 1000), 0.0);
+        // Overwrite: the key holds one value, not two.
         s.put("rates/cold/h1", 150.0, 2000);
-        assert_eq!(s.get("rates/cold/h1", 2000), Some(150.0));
+        assert_eq!(s.aggregate_sum("rates/cold/h1", 2000), 150.0);
     }
 
     #[test]
-    fn ttl_expires_entries() {
+    fn ttl_boundary_is_inclusive() {
         let s = store();
         s.put("k", 1.0, 0);
-        assert_eq!(s.get("k", 10_000), Some(1.0), "exactly at TTL still live");
-        assert_eq!(s.get("k", 10_001), None, "past TTL dead");
+        assert_eq!(s.aggregate_sum("k", 10_000), 1.0, "at the TTL still live");
+        assert_eq!(s.aggregate_sum("k", 10_001), 0.0, "past TTL dead");
     }
 
     #[test]
@@ -271,7 +227,6 @@ mod tests {
         s.put("rates/warm/h0", 100.0, 0);
         assert_eq!(s.aggregate_sum("rates/cold/", 100), 100.0);
         assert_eq!(s.aggregate_sum("rates/", 100), 200.0);
-        assert_eq!(s.count("rates/cold/", 100), 50);
     }
 
     #[test]
@@ -281,27 +236,6 @@ mod tests {
         s.put("rates/cold/h2", 20.0, 9_000);
         // At t=15s, h1 (written at 0, ttl 10s) is stale; h2 is live.
         assert_eq!(s.aggregate_sum("rates/cold/", 15_000), 20.0);
-    }
-
-    #[test]
-    fn sweep_removes_expired() {
-        let s = store();
-        for h in 0..10 {
-            s.put(&format!("k{h}"), 1.0, 0);
-        }
-        s.put("fresh", 1.0, 20_000);
-        let removed = s.sweep(20_000);
-        assert_eq!(removed, 10);
-        assert_eq!(s.get("fresh", 20_000), Some(1.0));
-    }
-
-    #[test]
-    fn delete_works() {
-        let s = store();
-        s.put("k", 1.0, 0);
-        assert!(s.delete("k"));
-        assert!(!s.delete("k"));
-        assert_eq!(s.get("k", 0), None);
     }
 
     #[test]

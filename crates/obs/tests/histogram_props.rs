@@ -2,9 +2,9 @@
 //! are always bounded by the observed min/max, merging histograms is
 //! indistinguishable from batch-recording the union of their
 //! observations, and recording from several threads at once loses
-//! nothing.
+//! nothing (the histogram's atomics and a counter's alike).
 
-use entitlement_obs::Histogram;
+use entitlement_obs::{Counter, Histogram};
 use proptest::prelude::*;
 use std::sync::Barrier;
 
@@ -12,11 +12,16 @@ use std::sync::Barrier;
 /// must equal recording the same samples serially. The samples are
 /// integers far below 2^53, so every partial sum is exact and the sum
 /// is the same in any order: a mismatch in `sum`, `min`, `max`, `count`
-/// or any bucket is a lost update, not float rounding.
+/// or any bucket is a lost update, not float rounding. The same threads
+/// bump one shared counter through both `inc` and `add`, and its total
+/// must come out exact.
 #[test]
 fn concurrent_recording_equals_serial_recording() {
     const THREADS: u64 = 4;
     const SAMPLES: u64 = 10_000;
+    // Counter bumps per thread: enough that the threads' loops overlap
+    // although they wake from the barrier up to milliseconds apart.
+    const BUMPS: u64 = 1_000_000;
     let sample = |t: u64, i: u64| ((t * SAMPLES + i) * 7_919 % 100_003) as f64;
     let serial = Histogram::new();
     for t in 0..THREADS {
@@ -24,13 +29,17 @@ fn concurrent_recording_equals_serial_recording() {
             serial.record(sample(t, i));
         }
     }
-    let shared = Histogram::new();
+    let (shared, counter) = (Histogram::new(), Counter::new());
     let start = Barrier::new(THREADS as usize);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let (shared, start) = (&shared, &start);
+            let (shared, counter, start) = (&shared, &counter, &start);
             scope.spawn(move || {
                 start.wait();
+                for _ in 0..BUMPS {
+                    counter.inc();
+                    counter.add(2);
+                }
                 for i in 0..SAMPLES {
                     shared.record(sample(t, i));
                 }
@@ -39,6 +48,7 @@ fn concurrent_recording_equals_serial_recording() {
     });
     assert_eq!(shared.count(), THREADS * SAMPLES);
     assert_eq!(shared.snapshot(), serial.snapshot());
+    assert_eq!(counter.get(), THREADS * BUMPS * 3);
 }
 
 proptest! {

@@ -88,7 +88,6 @@ fn main() {
         qos: QosClass::C2,
         region: src,
         strategy: MarkingStrategy::HostBased,
-        max_staleness_ms: AgentConfig::DEFAULT_MAX_STALENESS_MS,
     });
     agent.refresh_contract(&db, 0);
     println!("\nenforcement cycles (entitled {}):", agent.entitled().unwrap());

@@ -1,5 +1,6 @@
-//! One argv grammar for `entitlectl`: a subcommand declares its flags
-//! once in a table ([`commands::ENTITLECTL`]) and [`parse`] does the
+//! One argv grammar for the workspace's binaries: a subcommand declares
+//! its flags once in a table ([`commands::ENTITLECTL`] for `entitlectl`;
+//! `repro` has a one-command table of its own) and [`parse`] does the
 //! rest — routing, typed values, positionals, generated usage and
 //! `--help`, and a uniform [`Exit`] (code 2, naming the flag) for an
 //! unknown flag, a missing value, an unparsable value or a repeated
@@ -60,7 +61,11 @@ impl Flag {
 /// One subcommand: its words, positionals, flag groups and summary.
 #[derive(Debug)]
 pub struct Command {
-    /// The subcommand words after the program name (`"obs summarize"`).
+    /// The binary the command belongs to (`"entitlectl"`).
+    pub program: &'static str,
+    /// The subcommand words after the program name (`"obs summarize"`);
+    /// empty for a binary with no subcommands, whose one command then
+    /// matches every command line.
     pub name: &'static str,
     /// Positional arguments in order, spelled as usage shows them:
     /// `<required>` or `[optional]`, optional ones last.
@@ -77,10 +82,19 @@ impl Command {
         self.flags.iter().flat_map(|group| group.iter())
     }
 
+    /// The program and subcommand words, as typed.
+    fn invocation(&self) -> String {
+        if self.name.is_empty() {
+            self.program.to_string()
+        } else {
+            format!("{} {}", self.program, self.name)
+        }
+    }
+
     /// The one-line usage synopsis.
     #[must_use]
     pub fn usage(&self) -> String {
-        let mut out = format!("usage: entitlectl {}", self.name);
+        let mut out = format!("usage: {}", self.invocation());
         for p in self.positionals {
             let _ = write!(out, " {p}");
         }
@@ -104,11 +118,11 @@ impl Command {
     /// A usage error for this command: exit 2, `what`, the synopsis.
     #[must_use]
     pub fn usage_error(&self, what: impl Display) -> Exit {
-        let (name, usage) = (self.name, self.usage());
+        let (invocation, usage) = (self.invocation(), self.usage());
         Exit {
             code: 2,
             message: format!(
-                "entitlectl {name}: {what}\n{usage}\n(`entitlectl {name} --help` describes each flag)\n"
+                "{invocation}: {what}\n{usage}\n(`{invocation} --help` describes each flag)\n"
             ),
         }
     }
@@ -192,15 +206,16 @@ pub fn parse(table: &'static [Command], args: &[String]) -> Result<Matches, Exit
     let help = args.contains(&String::from("--help"));
     // Longest match wins: `obs summarize` before a hypothetical `obs`.
     let routed = table.iter().filter(|c| {
-        let words = c.name.split(' ');
+        let words = c.name.split_whitespace();
         words.clone().count() <= args.len() && words.zip(args).all(|(w, a)| w == a)
     });
     let Some(command) = routed.max_by_key(|c| c.name.len()) else {
-        let mut message = String::from("usage: entitlectl <command> [options]\n\ncommands:\n");
+        let program = table.first().map_or("", |c| c.program);
+        let mut message = format!("usage: {program} <command> [options]\n\ncommands:\n");
         for c in table {
             let _ = writeln!(message, "  {:<16} {}", c.name, c.about);
         }
-        message.push_str("\n`entitlectl <command> --help` describes a command's flags.\n");
+        let _ = writeln!(message, "\n`{program} <command> --help` describes a command's flags.");
         let code = if help { 0 } else { 2 };
         return Err(Exit { code, message });
     };
@@ -210,7 +225,7 @@ pub fn parse(table: &'static [Command], args: &[String]) -> Result<Matches, Exit
     }
 
     let (mut given, mut positionals) = (Vec::new(), Vec::new());
-    let mut rest = args[command.name.split(' ').count()..].iter();
+    let mut rest = args[command.name.split_whitespace().count()..].iter();
     while let Some(arg) = rest.next() {
         if !arg.starts_with("--") {
             positionals.push(arg.clone());
@@ -261,12 +276,14 @@ mod tests {
 
     static TABLE: &[Command] = &[
         Command {
+            program: "entitlectl",
             name: "obs flame",
             positionals: &["<trace.jsonl>"],
             flags: &[&[flag("--out", Text("FILE"), "write here")]],
             about: "export folded stacks",
         },
         Command {
+            program: "entitlectl",
             name: "watch",
             positionals: &["<trace.jsonl>"],
             flags: &[
@@ -280,6 +297,7 @@ mod tests {
             about: "re-fold the watchdog",
         },
         Command {
+            program: "entitlectl",
             name: "lint",
             positionals: &["[bundle.json]"],
             flags: &[&[flag("--list-rules", Switch, "print the catalog")]],
@@ -360,6 +378,24 @@ mod tests {
         assert!(rejected("watch a.jsonl b.jsonl").contains("unexpected argument `b.jsonl`"));
         assert!(run("lint --list-rules").unwrap().positional(0).is_none());
         assert_eq!(run("lint b.json").unwrap().positional(0), Some("b.json"));
+    }
+
+    #[test]
+    fn a_command_with_no_words_takes_every_line() {
+        static SOLO: &[Command] = &[Command {
+            program: "repro",
+            name: "",
+            positionals: &["[id]"],
+            flags: &[&[flag("--json", Switch, "JSON")]],
+            about: "one command",
+        }];
+        let args = |line: &str| -> Vec<String> { line.split_whitespace().map(str::to_string).collect() };
+        let m = parse(SOLO, &args("fig6 --json")).unwrap();
+        assert_eq!((m.positional(0), m.on("--json")), (Some("fig6"), true));
+        assert_eq!(parse(SOLO, &[]).unwrap().positional(0), None);
+        let exit = parse(SOLO, &args("fig6 --jsno")).expect_err("unknown flag");
+        assert_eq!(exit.code, 2);
+        assert!(exit.message.starts_with("repro: unknown flag `--jsno`\nusage: repro [id] [--json]\n"));
     }
 
     #[test]

@@ -1,21 +1,22 @@
 //! `entitlectl`'s command table: every subcommand, its positionals and
 //! its flags, declared once. The parser, `--help`, `tests/cli_args.rs`
 //! and the README's CLI reference all read this table; the binary's
-//! command modules only *get* the values.
+//! command modules only *get* the values. The two shared groups `repro`
+//! also takes, [`TELEMETRY`] and [`SWEEP`], are public.
 
 use super::Kind::{Num, Switch, Text, U32, U64};
 use super::{flag, Command, Flag};
 
 /// `--trace` / `--metrics`: deterministic telemetry export.
 #[rustfmt::skip]
-const TELEMETRY: &[Flag] = &[
+pub const TELEMETRY: &[Flag] = &[
     flag("--trace", Text("FILE"), "write the span trace as JSONL (byte-identical per seed)"),
     flag("--metrics", Text("FILE"), "write a Prometheus text snapshot of every metric touched"),
 ];
 
 /// The risk-sweep knobs; both change wall-clock time only, never results.
 #[rustfmt::skip]
-const SWEEP: &[Flag] = &[
+pub const SWEEP: &[Flag] = &[
     flag("--workers", U64("N"), "scenario-sweep threads (default 1; 0 = one per core)"),
     flag("--no-dedup", Switch, "route every scenario, not each distinct failure set once"),
 ];
@@ -42,6 +43,7 @@ const SLO_POLICY: &[Flag] = &[
 #[rustfmt::skip]
 pub static ENTITLECTL: &[Command] = &[
     Command {
+        program: "entitlectl",
         name: "plan",
         positionals: &[],
         flags: &[
@@ -55,6 +57,7 @@ pub static ENTITLECTL: &[Command] = &[
         about: "run a quarterly granting cycle and write the approved contracts",
     },
     Command {
+        program: "entitlectl",
         name: "show",
         positionals: &[],
         flags: &[&[
@@ -64,6 +67,7 @@ pub static ENTITLECTL: &[Command] = &[
         about: "print the stored contracts",
     },
     Command {
+        program: "entitlectl",
         name: "check",
         positionals: &[],
         flags: &[
@@ -83,6 +87,7 @@ pub static ENTITLECTL: &[Command] = &[
         about: "ask whether a planned rate fits the stored entitlement (exit 3 = over)",
     },
     Command {
+        program: "entitlectl",
         name: "drill",
         positionals: &[],
         flags: &[
@@ -102,6 +107,7 @@ pub static ENTITLECTL: &[Command] = &[
         about: "run the section-6 enforcement drill, flat or (--shards/--strategy) sharded",
     },
     Command {
+        program: "entitlectl",
         name: "market",
         positionals: &[],
         flags: &[
@@ -120,6 +126,7 @@ pub static ENTITLECTL: &[Command] = &[
         about: "serve a seeded admission storm through the entitlement market",
     },
     Command {
+        program: "entitlectl",
         name: "negotiate",
         positionals: &[],
         flags: &[
@@ -133,6 +140,7 @@ pub static ENTITLECTL: &[Command] = &[
         about: "negotiate an oversized egress request against the backbone (section 8)",
     },
     Command {
+        program: "entitlectl",
         name: "topo",
         positionals: &[],
         flags: &[&[
@@ -142,6 +150,7 @@ pub static ENTITLECTL: &[Command] = &[
         about: "generate a backbone and print its Graphviz DOT rendering",
     },
     Command {
+        program: "entitlectl",
         name: "lint",
         positionals: &["[bundle.json]"],
         flags: &[&[
@@ -151,6 +160,7 @@ pub static ENTITLECTL: &[Command] = &[
         about: "run the static analyzer over a contract snapshot or lint bundle",
     },
     Command {
+        program: "entitlectl",
         name: "obs summarize",
         positionals: &["<trace.jsonl>"],
         flags: &[&[
@@ -161,30 +171,35 @@ pub static ENTITLECTL: &[Command] = &[
         about: "validate a trace and print its per-(span, phase) self-time table",
     },
     Command {
+        program: "entitlectl",
         name: "obs flame",
         positionals: &["<trace.jsonl>"],
         flags: &[&[flag("--out", Text("FILE"), "write the folded stacks here instead of stdout")]],
         about: "export a trace as flamegraph folded stacks",
     },
     Command {
+        program: "entitlectl",
         name: "obs diff",
         positionals: &["<a>", "<b>"],
         flags: &[&[flag("--counters", Switch, "audit counter monotonicity from <a> to <b> instead")]],
         about: "first-divergence diff of two trace or Prometheus files (exit 1 = differ)",
     },
     Command {
+        program: "entitlectl",
         name: "slo report",
         positionals: &["<trace.jsonl>"],
         flags: &[&[flag("--json", Switch, "emit the report as JSON")], SLO_POLICY],
         about: "fold a trace's slo/interval events into attainment, audit and alerts",
     },
     Command {
+        program: "entitlectl",
         name: "slo audit",
         positionals: &["<trace.jsonl>"],
         flags: &[&[flag("--json", Switch, "emit the report as JSON")], SLO_POLICY],
         about: "`slo report` as a gate: exit 1 on an SLO miss",
     },
     Command {
+        program: "entitlectl",
         name: "watch",
         positionals: &["<trace.jsonl>"],
         flags: &[&[
@@ -195,6 +210,7 @@ pub static ENTITLECTL: &[Command] = &[
         about: "re-fold the runtime watchdog over a recorded trace (exit 1 = unhealthy)",
     },
     Command {
+        program: "entitlectl",
         name: "explain",
         positionals: &["<trace.jsonl>"],
         flags: &[&[

@@ -379,7 +379,7 @@ fn republishing_a_shard_batch_allocates_nothing() {
     let (n, ()) = allocations(|| publish(2000));
     assert_eq!(n, 0, "re-publishing {SHARDS} shard batches");
     assert_eq!(store.aggregate_sum("rates/7/c2/total/", 2000), 2000.0 * SHARDS as f64);
-    assert_eq!(store.count("rates/7/c2/", 2000), 2 * SHARDS);
+    assert_eq!(store.aggregate_sum("rates/7/c2/conform/", 2000), 1000.0 * SHARDS as f64);
 }
 
 /// The fleet's fan-out read through the engine's store stack, under a

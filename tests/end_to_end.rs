@@ -80,7 +80,6 @@ fn full_lifecycle() {
         qos: QosClass::C2,
         region: src,
         strategy: MarkingStrategy::HostBased,
-        max_staleness_ms: AgentConfig::DEFAULT_MAX_STALENESS_MS,
     });
     agent.refresh_contract(&db, 10);
     let demand = approved * 1.5;

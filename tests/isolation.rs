@@ -176,7 +176,6 @@ fn per_class_independence_in_the_datapath() {
         qos: QosClass::C2,
         region: RegionId(0),
         strategy: MarkingStrategy::HostBased,
-        max_staleness_ms: AgentConfig::DEFAULT_MAX_STALENESS_MS,
     });
     c2_agent.refresh_contract(&db, 1);
     c2_agent.cycle(Rate::gbps(400.0), Rate::gbps(400.0));
