@@ -33,6 +33,6 @@ pub mod tree;
 pub use aggregate::DailyAggregation;
 pub use backtest::{backtest, BacktestReport, OriginScore};
 pub use baselines::Baseline;
-pub use decompose::{DecomposableModel, ModelConfig};
+pub use decompose::DecomposableModel;
 pub use pipeline::{ForecastPipeline, PipelineConfig, QuarterForecast};
 pub use tree::{GbdtConfig, QuantileGbdt};

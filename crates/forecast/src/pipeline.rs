@@ -17,7 +17,7 @@
 //! 4. The three monthly forecasts form the quarterly SLI; following
 //!    common capacity practice the SLI is their maximum.
 
-use crate::decompose::{DecomposableModel, ModelConfig};
+use crate::decompose::DecomposableModel;
 use crate::tree::{GbdtConfig, QuantileGbdt};
 use entitlement_core::period::DAYS_PER_MONTH;
 use entitlement_core::Result;
@@ -26,8 +26,6 @@ use serde::{Deserialize, Serialize};
 /// Pipeline hyper-parameters.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PipelineConfig {
-    /// Organic model configuration.
-    pub organic: ModelConfig,
     /// Inorganic tree configuration.
     pub tree: GbdtConfig,
     /// Disable the tree stage (organic-only ablation).
@@ -37,7 +35,6 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            organic: ModelConfig::default(),
             // Monthly training sets are tiny (a year = 12 rows), so allow
             // single-sample leaves and learn fast.
             tree: GbdtConfig {
@@ -127,7 +124,7 @@ impl ForecastPipeline {
         regressors: &[Vec<f64>],
         config: PipelineConfig,
     ) -> Result<Self> {
-        let organic = DecomposableModel::fit(daily, holidays, config.organic.clone())?;
+        let organic = DecomposableModel::fit(daily, holidays)?;
         let train_monthly = monthly_means(daily);
         let months = train_monthly.len();
 

@@ -18,15 +18,16 @@ use crate::request::HoseRequest;
 use entitlement_core::{DetRng, Rate, RegionId};
 use serde::{Deserialize, Serialize};
 
+/// Dirichlet concentration of the sampled points; < 1 biases samples
+/// toward vertices (realistic — services concentrate traffic), 1 is
+/// uniform over the simplex face.
+const CONCENTRATION: f64 = 0.7;
+
 /// Configuration for TM generation.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TmGenConfig {
     /// Number of TMs to generate.
     pub count: usize,
-    /// Dirichlet concentration; < 1 biases samples toward vertices
-    /// (realistic — services concentrate traffic), 1 is uniform over the
-    /// simplex face.
-    pub concentration: f64,
     /// Seed.
     pub seed: u64,
 }
@@ -35,7 +36,6 @@ impl Default for TmGenConfig {
     fn default() -> Self {
         TmGenConfig {
             count: 100,
-            concentration: 0.7,
             seed: 0x7361,
         }
     }
@@ -131,7 +131,7 @@ pub fn generate_tms(hose: &HoseRequest, config: &TmGenConfig) -> Vec<HosePoint> 
         let mut point = HosePoint::new();
         for seg in &hose.segments {
             let members: Vec<RegionId> = seg.regions.iter().copied().collect();
-            let weights = dirichlet(&mut rng, members.len(), config.concentration);
+            let weights = dirichlet(&mut rng, members.len(), CONCENTRATION);
             for (r, w) in members.into_iter().zip(weights) {
                 point.insert(r, seg.cap * w);
             }

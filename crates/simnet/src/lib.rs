@@ -43,10 +43,10 @@ pub mod tcp;
 pub mod timeseries;
 pub mod world;
 
-pub use app::{AppConfig, AppMetrics, StorageApp};
+pub use app::{AppMetrics, StorageApp};
 pub use fabric::{AclRule, Bottleneck, FabricOutcome};
-pub use netfluid::{NetTick, NetWorld, NetWorldConfig, ServiceFlow};
+pub use netfluid::{NetTick, NetWorld, ServiceFlow};
 pub use packetsim::{simulate_port, PacketSource, PortConfig, PortOutcome};
-pub use tcp::{TcpConfig, TcpTickStats};
+pub use tcp::TcpTickStats;
 pub use timeseries::Recorder;
 pub use world::{MarkingCommand, Observation, World, WorldConfig};

@@ -15,6 +15,7 @@
 //!   throttles next tick's sending rate, with the same probe floor as
 //!   the single-bottleneck world.
 
+use crate::tcp::send_throttle;
 use crate::world::MarkingCommand;
 use entitlement_core::{NpgId, QosClass, Rate, RegionId};
 use entitlement_topology::{k_shortest_paths, LinkId, Path, Topology};
@@ -39,29 +40,8 @@ pub struct ServiceFlow {
     pub pattern: TrafficPattern,
 }
 
-/// Network simulation parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct NetWorldConfig {
-    /// Paths per flow (even split).
-    pub k_paths: usize,
-    /// Tick length, seconds.
-    pub dt_secs: f64,
-    /// TCP probe floor (senders never drop below this share of demand).
-    pub probe_floor: f64,
-    /// Retransmit overhead factor.
-    pub retransmit_overhead: f64,
-}
-
-impl Default for NetWorldConfig {
-    fn default() -> Self {
-        NetWorldConfig {
-            k_paths: 2,
-            dt_secs: 30.0,
-            probe_floor: 0.02,
-            retransmit_overhead: 0.05,
-        }
-    }
-}
+/// Paths per flow (even split).
+const K_PATHS: usize = 2;
 
 /// Per-flow outcome of one tick.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
@@ -132,7 +112,6 @@ impl NetTick {
 /// The routed fluid network.
 pub struct NetWorld {
     topo: Topology,
-    config: NetWorldConfig,
     flows: Vec<ServiceFlow>,
     /// Precomputed paths per flow.
     paths: Vec<Vec<Path>>,
@@ -147,20 +126,15 @@ pub struct NetWorld {
 impl NetWorld {
     /// Build the network, precomputing routes. Flows without any path
     /// are rejected.
-    pub fn new(
-        topo: Topology,
-        flows: Vec<ServiceFlow>,
-        config: NetWorldConfig,
-    ) -> entitlement_core::Result<Self> {
+    pub fn new(topo: Topology, flows: Vec<ServiceFlow>) -> entitlement_core::Result<Self> {
         let mut paths = Vec::with_capacity(flows.len());
         for f in &flows {
-            let p = k_shortest_paths(&topo, f.src, f.dst, config.k_paths, &[])?;
+            let p = k_shortest_paths(&topo, f.src, f.dst, K_PATHS, &[])?;
             paths.push(p);
         }
         let n = flows.len();
         Ok(NetWorld {
             topo,
-            config,
             flows,
             paths,
             last_loss: vec![(0.0, 0.0); n],
@@ -192,7 +166,6 @@ impl NetWorld {
 
     /// Advance one tick.
     pub fn step(&mut self, t_secs: f64) -> NetTick {
-        let cfg = &self.config;
         // --- Per-flow sending rates with TCP feedback. -----------------
         let mut conf_sent = vec![Rate::ZERO; self.flows.len()];
         let mut nonconf_sent = vec![Rate::ZERO; self.flows.len()];
@@ -205,11 +178,8 @@ impl NetWorld {
             let offered = f.base_rate * f.pattern.factor_at(t_secs) * mult;
             offered_v[i] = offered;
             let m = self.marking.get(&f.npg).copied().unwrap_or(0.0);
-            let throttle = |loss: f64| {
-                (1.0 - loss).max(cfg.probe_floor) * (1.0 + cfg.retransmit_overhead * loss)
-            };
-            conf_sent[i] = offered * (1.0 - m) * throttle(self.last_loss[i].0);
-            nonconf_sent[i] = offered * m * throttle(self.last_loss[i].1);
+            conf_sent[i] = offered * (1.0 - m) * send_throttle(self.last_loss[i].0);
+            nonconf_sent[i] = offered * m * send_throttle(self.last_loss[i].1);
         }
 
         // --- Per-link loads. --------------------------------------------
@@ -312,7 +282,7 @@ mod tests {
                 pattern: TrafficPattern::Flat,
             });
         }
-        NetWorld::new(topo, flows, NetWorldConfig::default()).unwrap()
+        NetWorld::new(topo, flows).unwrap()
     }
 
     /// Victim goodput: delivered / offered across NPG 1's flows.
@@ -429,7 +399,6 @@ mod tests {
                 base_rate: Rate::gbps(1.0),
                 pattern: TrafficPattern::Flat,
             }],
-            NetWorldConfig::default(),
         );
         assert!(res.is_err());
     }

@@ -27,18 +27,21 @@ pub struct PacketSource {
     pub packet_bytes: u32,
 }
 
+/// Line rate of the port, Gbps.
+const LINE_RATE_GBPS: f64 = 10.0;
+
+/// Buffer per queue, bytes.
+const BUFFER_BYTES: u64 = 1_000_000;
+
+/// Arrival jitter: inter-arrival times are scaled by a uniform factor
+/// in `[1-j, 1+j]`.
+const JITTER: f64 = 0.3;
+
 /// Port configuration.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PortConfig {
-    /// Line rate.
-    pub capacity: Rate,
-    /// Buffer per queue, bytes.
-    pub buffer_bytes: u64,
     /// Simulated duration, seconds.
     pub duration_secs: f64,
-    /// Arrival jitter: inter-arrival times are scaled by a uniform
-    /// factor in `[1-j, 1+j]`.
-    pub jitter: f64,
     /// Seed.
     pub seed: u64,
 }
@@ -46,10 +49,7 @@ pub struct PortConfig {
 impl Default for PortConfig {
     fn default() -> Self {
         PortConfig {
-            capacity: Rate::gbps(10.0),
-            buffer_bytes: 1_000_000,
             duration_secs: 1.0,
-            jitter: 0.3,
             seed: 0x9AC7,
         }
     }
@@ -139,7 +139,7 @@ pub fn simulate_port(sources: &[PacketSource], config: &PortConfig) -> PortOutco
     // Prime one arrival per source.
     let next_gap = |src: &PacketSource, rng: &mut DetRng| -> u64 {
         let mean_ns = src.packet_bytes as f64 * 8.0 / src.rate.as_bps() * 1e9;
-        (mean_ns * rng.range(1.0 - config.jitter, 1.0 + config.jitter)).max(1.0) as u64
+        (mean_ns * rng.range(1.0 - JITTER, 1.0 + JITTER)).max(1.0) as u64
     };
     for (i, s) in sources.iter().enumerate() {
         let t = next_gap(s, &mut rng);
@@ -183,7 +183,7 @@ pub fn simulate_port(sources: &[PacketSource], config: &PortConfig) -> PortOutco
         }
     };
 
-    let capacity_bps = config.capacity.as_bps();
+    let capacity_bps = Rate::gbps(LINE_RATE_GBPS).as_bps();
     while let Some(Arrival { t_ns, source, .. }) = heap.pop() {
         if t_ns > horizon_ns {
             break;
@@ -200,7 +200,7 @@ pub fn simulate_port(sources: &[PacketSource], config: &PortConfig) -> PortOutco
         );
         let src = &sources[source];
         let q = src.dscp.queue() as usize;
-        if queue_bytes[q] + src.packet_bytes as u64 > config.buffer_bytes {
+        if queue_bytes[q] + src.packet_bytes as u64 > BUFFER_BYTES {
             stats.queues[q].dropped += 1;
         } else {
             queues[q].push_back((t_ns, source));
@@ -361,7 +361,7 @@ mod tests {
             // Anything accepted but not transmitted is still queued at the
             // horizon — bounded by the buffer.
             let queued = q.accepted - q.transmitted;
-            assert!(queued * 1500 <= PortConfig::default().buffer_bytes + 1500);
+            assert!(queued * 1500 <= BUFFER_BYTES + 1500);
         }
     }
 }

@@ -4,7 +4,8 @@
 //! drill scope: Coldstorage egress of a selected region, §6) plus the
 //! shared bottleneck. Each tick it:
 //!
-//! 1. computes per-host offered load from the service's traffic pattern;
+//! 1. computes per-host offered load: the base rate times the installed
+//!    demand multiplier, split by a fixed per-host imbalance;
 //! 2. splits offered load into conforming / non-conforming according to
 //!    the current [`MarkingCommand`] (host-based or flow-based, §5.3);
 //! 3. pushes both classes through the [`Bottleneck`];
@@ -14,9 +15,8 @@
 //! 5. returns an [`Observation`] for the enforcement layer.
 
 use crate::fabric::{Bottleneck, FabricOutcome};
-use crate::tcp::{TcpConfig, TcpTickStats};
+use crate::tcp::{connect_stats, send_throttle, TcpTickStats};
 use entitlement_core::{DetRng, Rate};
-use entitlement_workload::TrafficPattern;
 use serde::{Deserialize, Serialize};
 
 /// What the enforcement layer tells the fleet to mark this tick.
@@ -62,25 +62,22 @@ impl MarkingCommand {
     }
 }
 
+/// Per-host lognormal sigma of load imbalance.
+const HOST_IMBALANCE_SIGMA: f64 = 0.2;
+
+/// New TCP connection attempts per host per second.
+const CONN_RATE_PER_HOST: f64 = 2.0;
+
 /// Fleet configuration.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WorldConfig {
     /// Number of hosts running the monitored service.
     pub hosts: usize,
-    /// Aggregate offered load at pattern factor 1.0.
+    /// Aggregate offered load (the service's demand is flat; a
+    /// [`World::set_demand_multiplier`] shapes it over time).
     pub base_rate: Rate,
-    /// The service's time-of-day shape.
-    pub pattern: TrafficPattern,
-    /// Per-host lognormal sigma of load imbalance.
-    pub host_imbalance_sigma: f64,
-    /// New TCP connection attempts per host per second.
-    pub conn_rate_per_host: f64,
     /// Tick length in seconds.
     pub dt_secs: f64,
-    /// TCP model.
-    pub tcp: TcpConfig,
-    /// Retransmit overhead factor: sent ≈ delivered × (1 + overhead×loss).
-    pub retransmit_overhead: f64,
     /// Seed.
     pub seed: u64,
 }
@@ -90,12 +87,7 @@ impl Default for WorldConfig {
         WorldConfig {
             hosts: 1000,
             base_rate: Rate::tbps(2.0),
-            pattern: TrafficPattern::Flat,
-            host_imbalance_sigma: 0.2,
-            conn_rate_per_host: 2.0,
             dt_secs: 10.0,
-            tcp: TcpConfig::default(),
-            retransmit_overhead: 0.05,
             seed: 0x5137,
         }
     }
@@ -146,7 +138,7 @@ impl World {
     pub fn new(config: WorldConfig, bottleneck: Bottleneck) -> Self {
         let mut rng = DetRng::new(config.seed);
         let mut weights: Vec<f64> = (0..config.hosts)
-            .map(|_| rng.lognormal(0.0, config.host_imbalance_sigma))
+            .map(|_| rng.lognormal(0.0, HOST_IMBALANCE_SIGMA))
             .collect();
         let sum: f64 = weights.iter().sum();
         weights.iter_mut().for_each(|w| *w /= sum);
@@ -161,8 +153,8 @@ impl World {
         }
     }
 
-    /// Install a demand multiplier (e.g. an incident) applied on top of
-    /// the traffic pattern.
+    /// Install a demand multiplier (e.g. an incident) applied to the
+    /// base rate.
     pub fn set_demand_multiplier(&mut self, f: impl Fn(f64) -> f64 + Send + 'static) {
         self.demand_multiplier = Box::new(f);
     }
@@ -181,9 +173,7 @@ impl World {
     /// Advance one tick under the given marking.
     pub fn step(&mut self, t_secs: f64, marking: &MarkingCommand) -> Observation {
         let cfg = &self.config;
-        let demand_factor =
-            cfg.pattern.factor_at(t_secs) * (self.demand_multiplier)(t_secs);
-        let offered = cfg.base_rate * demand_factor;
+        let offered = cfg.base_rate * (self.demand_multiplier)(t_secs);
 
         // Per-host offered with a little per-tick jitter.
         let per_host_offered: Vec<Rate> = self
@@ -221,13 +211,9 @@ impl World {
         }
 
         // TCP send-rate feedback: senders throttle toward what the network
-        // delivered last tick, but never fully stop — connections keep
-        // probing at a small floor rate, which is also how they detect
-        // recovery when drops clear.
-        const PROBE_FLOOR: f64 = 0.02;
-        let throttle = |loss: f64| (1.0 - loss).max(PROBE_FLOOR) * (1.0 + cfg.retransmit_overhead * loss);
-        let conf_throttle = throttle(self.last_conf_loss);
-        let nonconf_throttle = throttle(self.last_nonconf_loss);
+        // delivered last tick, but never fully stop.
+        let conf_throttle = send_throttle(self.last_conf_loss);
+        let nonconf_throttle = send_throttle(self.last_nonconf_loss);
         let conf_sent = conf_demand * conf_throttle;
         let nonconf_sent = nonconf_demand * nonconf_throttle;
 
@@ -236,14 +222,10 @@ impl World {
         self.last_nonconf_loss = fabric.nonconf_loss;
 
         // TCP connection stats.
-        let attempts = cfg.conn_rate_per_host * cfg.hosts as f64 * cfg.dt_secs;
+        let attempts = CONN_RATE_PER_HOST * cfg.hosts as f64 * cfg.dt_secs;
         let marked_frac = marking.marked_fraction(cfg.hosts);
-        let tcp_conf = cfg
-            .tcp
-            .connect_stats(attempts * (1.0 - marked_frac), fabric.conf_loss);
-        let tcp_nonconf = cfg
-            .tcp
-            .connect_stats(attempts * marked_frac, fabric.nonconf_loss);
+        let tcp_conf = connect_stats(attempts * (1.0 - marked_frac), fabric.conf_loss);
+        let tcp_nonconf = connect_stats(attempts * marked_frac, fabric.nonconf_loss);
 
         // Per-host *sent* rates (what agents meter locally). These must
         // apply the same previous-tick throttle the aggregate used, so

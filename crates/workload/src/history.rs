@@ -63,11 +63,6 @@ pub struct HistorySpec {
     pub noise_sigma: f64,
     /// Inorganic change events.
     pub events: Vec<InorganicEvent>,
-    /// Traffic per server unit: ties regressors to demand so a tree model
-    /// can learn the relationship.
-    pub rate_per_server: Rate,
-    /// Initial fleet size.
-    pub base_servers: f64,
     /// Seed.
     pub seed: u64,
 }
@@ -83,12 +78,17 @@ impl Default for HistorySpec {
             holiday_boost: 1.3,
             noise_sigma: 0.05,
             events: vec![],
-            rate_per_server: Rate::mbps(100.0),
-            base_servers: 1000.0,
             seed: DEFAULT_SEED,
         }
     }
 }
+
+/// Traffic per server unit, Mbps: ties regressors to demand so a tree
+/// model can learn the relationship.
+const RATE_PER_SERVER_MBPS: f64 = 100.0;
+
+/// Initial fleet size.
+const BASE_SERVERS: f64 = 1000.0;
 
 /// Default seed for history generation.
 const DEFAULT_SEED: u64 = 0xF0_7E;
@@ -122,7 +122,7 @@ impl HistorySpec {
         }
 
         // Fleet trajectory with inorganic events.
-        let mut fleet = vec![self.base_servers; self.months];
+        let mut fleet = vec![BASE_SERVERS; self.months];
         for m in 1..self.months {
             fleet[m] = fleet[m - 1];
             for e in &self.events {
@@ -161,7 +161,8 @@ impl HistorySpec {
             };
             // Inorganic: demand scales with fleet relative to base.
             let inorganic = self.base_rate.as_bps()
-                + self.rate_per_server.as_bps() * (regressors[month].server_count - self.base_servers);
+                + Rate::mbps(RATE_PER_SERVER_MBPS).as_bps()
+                    * (regressors[month].server_count - BASE_SERVERS);
             let noise = rng.lognormal(-self.noise_sigma * self.noise_sigma / 2.0, self.noise_sigma);
             daily_bps.push((inorganic * trend * weekly * yearly * holiday * noise).max(0.0));
         }

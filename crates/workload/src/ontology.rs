@@ -46,18 +46,20 @@ impl Service {
     }
 }
 
+/// Zipf exponent of tail sizes.
+const TAIL_ZIPF_EXPONENT: f64 = 1.1;
+
+/// Fraction of total traffic carried by head (named) services.
+const HEAD_FRACTION: f64 = 0.8;
+
 /// Parameters for catalog generation.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct CatalogSpec {
     /// Number of long-tail services (the paper says thousands; tests use
     /// fewer for speed).
     pub tail_services: usize,
-    /// Zipf exponent of tail sizes.
-    pub tail_zipf_exponent: f64,
     /// Total backbone traffic to distribute.
     pub total_traffic: Rate,
-    /// Fraction of total traffic carried by head (named) services.
-    pub head_fraction: f64,
     /// Seed.
     pub seed: u64,
 }
@@ -66,9 +68,7 @@ impl Default for CatalogSpec {
     fn default() -> Self {
         CatalogSpec {
             tail_services: 2000,
-            tail_zipf_exponent: 1.1,
             total_traffic: Rate::tbps(100.0),
-            head_fraction: 0.8,
             seed: 0x5E11,
         }
     }
@@ -167,7 +167,7 @@ impl ServiceCatalog {
         let mut services = Vec::new();
         let roster = head_roster();
         let weight_sum: f64 = roster.iter().map(|r| r.3).sum();
-        let head_total = spec.total_traffic * spec.head_fraction;
+        let head_total = spec.total_traffic * HEAD_FRACTION;
 
         for (i, (name, mix, pattern, weight)) in roster.into_iter().enumerate() {
             let total = head_total * (weight / weight_sum);
@@ -185,12 +185,12 @@ impl ServiceCatalog {
         }
 
         // Long tail: Zipf-distributed sizes over the remaining traffic.
-        let tail_total = spec.total_traffic * (1.0 - spec.head_fraction);
+        let tail_total = spec.total_traffic * (1.0 - HEAD_FRACTION);
         let zipf_norm: f64 = (1..=spec.tail_services)
-            .map(|k| (k as f64).powf(-spec.tail_zipf_exponent))
+            .map(|k| (k as f64).powf(-TAIL_ZIPF_EXPONENT))
             .sum();
         for k in 0..spec.tail_services {
-            let share = ((k + 1) as f64).powf(-spec.tail_zipf_exponent) / zipf_norm;
+            let share = ((k + 1) as f64).powf(-TAIL_ZIPF_EXPONENT) / zipf_norm;
             let total = tail_total * share;
             // Tail services live in one class, biased toward lower classes.
             let qos = match rng.usize(10) {

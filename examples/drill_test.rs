@@ -10,12 +10,12 @@
 //! cargo run --release --example drill_test
 //! ```
 
-use network_entitlement::enforcement::drill::{run_drill, DrillConfig};
+use network_entitlement::enforcement::drill::{run_drill, DrillConfig, CUT_MIN};
 
 fn main() {
     let config = DrillConfig::default();
-    println!("running drill: {} hosts, entitlement cut to {} at minute {:.0}",
-        config.hosts, config.entitled_after, config.cut_min);
+    println!("running drill: {} hosts, entitlement cut to {} at minute {CUT_MIN}",
+        config.hosts, config.entitled_after);
     for s in &config.stages {
         println!("  ACL stage at minute {:>5.0}: drop {:>5.1}% of non-conforming",
             s.start_min, s.drop_fraction * 100.0);

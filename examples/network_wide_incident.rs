@@ -11,7 +11,7 @@
 //! ```
 
 use network_entitlement::prelude::*;
-use network_entitlement::simnet::netfluid::{NetWorld, NetWorldConfig, ServiceFlow};
+use network_entitlement::simnet::netfluid::{NetWorld, ServiceFlow};
 
 fn build_world() -> NetWorld {
     // A backbone sized so that the *contracted* demand fits (the
@@ -47,7 +47,7 @@ fn build_world() -> NetWorld {
             pattern: TrafficPattern::warmstorage(),
         });
     }
-    NetWorld::new(topo, flows, NetWorldConfig::default()).expect("routable")
+    NetWorld::new(topo, flows).expect("routable")
 }
 
 fn victim_goodput(net: &NetWorld, tick: &network_entitlement::simnet::netfluid::NetTick) -> f64 {

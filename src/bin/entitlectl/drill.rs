@@ -3,6 +3,7 @@
 
 use crate::{fail, load_faults, only_with, write_file, write_telemetry};
 use network_entitlement::cli::Matches;
+use network_entitlement::enforcement::fleet::CYCLE_MS;
 use network_entitlement::enforcement::{run_fleet_engine_with, FleetConfig, FleetStrategy};
 use network_entitlement::prelude::*;
 use network_entitlement::telemetry::traced_approval_preamble;
@@ -161,8 +162,7 @@ fn fleet_drill(m: &Matches) {
         fail(
             2,
             format_args!(
-                "--cycles {cycles}: {cycles} cycles of {} ms overflow the u64 millisecond clock",
-                config.cycle_ms
+                "--cycles {cycles}: {cycles} cycles of {CYCLE_MS} ms overflow the u64 millisecond clock"
             ),
         );
     }

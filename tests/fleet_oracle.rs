@@ -21,6 +21,7 @@
 
 use network_entitlement::chaos::{Fault, FaultKind, FaultPlan, TimeWindow};
 use network_entitlement::core::{HostId, Rate};
+use network_entitlement::enforcement::fleet::CYCLE_MS;
 use network_entitlement::enforcement::marking::{Marker, GROUPS};
 use network_entitlement::enforcement::{
     host_demand_bps, run_fleet_engine, FleetConfig, FleetOutcome, FleetStrategy, ShardPlan,
@@ -92,7 +93,7 @@ fn check_against_replay(config: &FleetConfig, out: &FleetOutcome) {
     let mut was_down: Vec<u32> = Vec::new();
     assert_eq!(out.cycles.len(), config.cycles, "{what}");
     for (i, cycle) in out.cycles.iter().enumerate() {
-        let now_ms = (i as u64 + 1) * config.cycle_ms;
+        let now_ms = (i as u64 + 1) * CYCLE_MS;
         assert_eq!(cycle.now_ms, now_ms, "{what}");
         let down = faults.down_hosts(now_ms);
         let is_down = |h: usize| down.binary_search(&(h as u32)).is_ok();
