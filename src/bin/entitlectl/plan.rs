@@ -17,10 +17,10 @@ fn required<T: FromStr>(m: &Matches, name: &str) -> T {
     })
 }
 
-/// `--slo P` as a checked availability target (default 0.99).
+/// `--slo P` as an availability target (default 0.99); the grammar
+/// holds it to `(0, 1]`.
 fn slo_target(m: &Matches) -> SloTarget {
-    let p = m.get("--slo").unwrap_or(0.99);
-    SloTarget::new(p).unwrap_or_else(|e| exit_with(&m.command.usage_error(format_args!("--slo {p}: {e}"))))
+    SloTarget(m.get("--slo").unwrap_or(0.99))
 }
 
 fn parse_qos(s: &str) -> Option<QosClass> {
