@@ -85,10 +85,12 @@ pub struct ApprovalConfigCheck {
     pub k_paths: f64,
 }
 
-/// An SLO evaluation policy to sanity-check (the knobs `entitlectl
-/// slo` accepts, as they would appear in monitoring config). Window
-/// and hysteresis counts are `f64` so a fractional value in the JSON
-/// is caught by the rule rather than by the parser.
+/// An SLO evaluation policy to sanity-check (the nine knobs
+/// `entitlectl slo` accepts, as they would appear in monitoring
+/// config). Window and hysteresis counts are `f64` so a fractional
+/// value in the JSON is caught by the rule rather than by the parser.
+/// The last three knobs may be absent (or `null`); an absent one takes
+/// `SloPolicy::default()`'s value.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SloPolicyCheck {
     /// Label for diagnostics, e.g. the service the policy watches.
@@ -105,6 +107,13 @@ pub struct SloPolicyCheck {
     pub hysteresis: f64,
     /// Fractional delivery slack, in [0, 1).
     pub delivery_tolerance: f64,
+    /// Fraction of the fast threshold that counts as calm, in (0, 1).
+    pub clear_fraction: Option<f64>,
+    /// Utilization below which an entity is over-entitled.
+    pub under_utilization: Option<f64>,
+    /// Utilization above which an entity is under-entitled; must
+    /// exceed `under_utilization`.
+    pub over_utilization: Option<f64>,
 }
 
 /// Everything the analyzer can look at. All sections optional.

@@ -8,11 +8,12 @@
 //! absence of the other sections makes the irrelevant ones no-ops.
 
 use crate::diag::{Code, Diagnostic, Location, Report};
-use crate::input::{CurveCheck, LintBundle};
+use crate::input::{CurveCheck, LintBundle, SloPolicyCheck};
 use entitlement_core::qos::{QosBand, QosBucket};
 use entitlement_core::{Direction, QosClass, Rate};
 use entitlement_hose::segment::{alpha_minus, alpha_plus};
 use entitlement_hose::HoseRequest;
+use entitlement_slo::SloPolicy;
 use entitlement_topology::{max_flow, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -811,11 +812,12 @@ impl Rule for CurveDomain {
 
 // ---- SLO policy rules ----------------------------------------------------
 
-/// E0601 + E0602 + E0603: a burn-rate alerting policy is internally
-/// consistent — positive integer windows, fast strictly shorter than
-/// slow, thresholds past 1×, tolerance in range. Mirrors
-/// `entitlement-slo`'s `SloPolicy::validate` so a monitoring config
-/// lints the same way it would fail at `entitlectl slo` startup.
+/// E0601 + E0602 + E0603: a burn-rate alerting policy is one
+/// `entitlectl slo` would start with. The findings are
+/// `entitlement-slo`'s own `SloPolicy::validate`, so a monitoring
+/// config lints exactly as it would fail at `entitlectl slo` startup;
+/// the one check kept here is that the window and hysteresis counts,
+/// which arrive as JSON numbers, are whole.
 pub struct SloPolicySanity;
 
 impl SloPolicySanity {
@@ -823,6 +825,36 @@ impl SloPolicySanity {
     /// `f64` so fractional JSON values land here, not in the parser).
     fn positive_count(v: f64) -> bool {
         v.is_finite() && v >= 1.0 && v.fract() == 0.0
+    }
+
+    /// The policy the bundle entry describes, with an absent knob at
+    /// `SloPolicy::default()`'s value; `Err` names each count that is
+    /// not a whole number of cycles.
+    fn policy(p: &SloPolicyCheck) -> Result<SloPolicy, Vec<(&'static str, f64)>> {
+        let counts = [
+            ("fast_window", p.fast_window),
+            ("slow_window", p.slow_window),
+            ("hysteresis", p.hysteresis),
+        ];
+        let fractional: Vec<(&'static str, f64)> = counts
+            .into_iter()
+            .filter(|&(_, v)| !(v.is_finite() && v >= 0.0 && v.fract() == 0.0))
+            .collect();
+        if !fractional.is_empty() {
+            return Err(fractional);
+        }
+        let d = SloPolicy::default();
+        Ok(SloPolicy {
+            fast_window: p.fast_window as usize,
+            slow_window: p.slow_window as usize,
+            fast_burn: p.fast_burn,
+            slow_burn: p.slow_burn,
+            clear_fraction: p.clear_fraction.unwrap_or(d.clear_fraction),
+            hysteresis: p.hysteresis as usize,
+            delivery_tolerance: p.delivery_tolerance,
+            under_utilization: p.under_utilization.unwrap_or(d.under_utilization),
+            over_utilization: p.over_utilization.unwrap_or(d.over_utilization),
+        })
     }
 }
 
@@ -839,58 +871,31 @@ impl Rule for SloPolicySanity {
         let Some(policies) = &bundle.slo_policies else { return };
         for (pi, p) in policies.iter().enumerate() {
             let loc = Location::root("slo_policies").index(pi);
-            for (field, v) in [
-                ("fast_window", p.fast_window),
-                ("slow_window", p.slow_window),
-                ("hysteresis", p.hysteresis),
-            ] {
-                if !Self::positive_count(v) {
-                    out.push(Diagnostic::new(
-                        Code::E0601,
-                        loc.child(field),
-                        format!(
-                            "policy '{}': {field} {v} is not a positive whole cycle count",
-                            p.name
-                        ),
-                    ));
+            let issues = match Self::policy(p) {
+                Ok(policy) => policy.validate(),
+                Err(fractional) => {
+                    for (field, v) in fractional {
+                        out.push(Diagnostic::new(
+                            Code::E0601,
+                            loc.child(field),
+                            format!("policy '{}': {field} {v} is not a whole cycle count", p.name),
+                        ));
+                    }
+                    continue;
                 }
-            }
-            if !p.delivery_tolerance.is_finite()
-                || p.delivery_tolerance < 0.0
-                || p.delivery_tolerance >= 1.0
-            {
+            };
+            for issue in issues {
+                let code = match issue.code {
+                    "E0602" => Code::E0602,
+                    "E0603" => Code::E0603,
+                    _ => Code::E0601,
+                };
+                let at = issue.knobs.first().map_or_else(|| loc.clone(), |k| loc.child(k));
                 out.push(Diagnostic::new(
-                    Code::E0601,
-                    loc.child("delivery_tolerance"),
-                    format!(
-                        "policy '{}': delivery tolerance {} outside [0, 1)",
-                        p.name, p.delivery_tolerance
-                    ),
+                    code,
+                    at,
+                    format!("policy '{}': {}", p.name, issue.message),
                 ));
-            }
-            if p.fast_window >= p.slow_window {
-                out.push(Diagnostic::new(
-                    Code::E0602,
-                    loc.child("fast_window"),
-                    format!(
-                        "policy '{}': fast window ({} cycles) must be strictly shorter \
-                         than the slow window ({} cycles)",
-                        p.name, p.fast_window, p.slow_window
-                    ),
-                ));
-            }
-            for (field, v) in [("fast_burn", p.fast_burn), ("slow_burn", p.slow_burn)] {
-                if !v.is_finite() || v <= 1.0 {
-                    out.push(Diagnostic::new(
-                        Code::E0603,
-                        loc.child(field),
-                        format!(
-                            "policy '{}': {field} threshold {v} must exceed 1 (1× burn \
-                             just spends the budget exactly)",
-                            p.name
-                        ),
-                    ));
-                }
             }
         }
     }

@@ -5,9 +5,23 @@ use crate::{fail, load_trace, reject_malformed};
 use network_entitlement::cli::Matches;
 use network_entitlement::slo::{SloEvaluator, SloPolicy};
 
+/// The flag that sets each [`SloPolicy`] knob, so a finding names
+/// what to change.
+const KNOB_FLAGS: [(&str, &str); 9] = [
+    ("fast_window", "--fast"),
+    ("slow_window", "--slow"),
+    ("hysteresis", "--hysteresis"),
+    ("fast_burn", "--fast-burn"),
+    ("slow_burn", "--slow-burn"),
+    ("clear_fraction", "--clear-fraction"),
+    ("delivery_tolerance", "--tolerance"),
+    ("under_utilization", "--under-util"),
+    ("over_utilization", "--over-util"),
+];
+
 /// Build an [`SloPolicy`] from the shared policy flags, printing every
-/// `E06xx` validation finding and exiting 2 when the result is
-/// nonsense.
+/// `E06xx` validation finding with the flags it is about and exiting 2
+/// when the result is nonsense.
 fn slo_policy(m: &Matches) -> SloPolicy {
     let mut p = SloPolicy::default();
     for (name, window) in [
@@ -30,7 +44,13 @@ fn slo_policy(m: &Matches) -> SloPolicy {
     let issues = p.validate();
     if !issues.is_empty() {
         for i in &issues {
-            eprintln!("{}: {}", i.code, i.message);
+            let flags: Vec<&str> = i
+                .knobs
+                .iter()
+                .filter_map(|k| KNOB_FLAGS.iter().find(|(knob, _)| knob == k))
+                .map(|&(_, flag)| flag)
+                .collect();
+            eprintln!("{} ({}): {}", i.code, flags.join(", "), i.message);
         }
         std::process::exit(2);
     }

@@ -141,6 +141,76 @@ fn bad_policy_flags_exit_two_with_code() {
     assert!(stderr.contains("E0602"), "names the code:\n{stderr}");
 }
 
+/// Every `E06xx` code in `text`, as a set.
+fn e06_codes(text: &str) -> std::collections::BTreeSet<String> {
+    let bytes = text.as_bytes();
+    (0..bytes.len().saturating_sub(4))
+        .filter(|&i| bytes[i..i + 3] == *b"E06" && bytes[i + 3..i + 5].iter().all(u8::is_ascii_digit))
+        .map(|i| text[i..i + 5].to_string())
+        .collect()
+}
+
+/// `entitlectl lint` on a bundle's `slo_policies` entry and
+/// `entitlectl slo` on the same knobs as flags report the same set of
+/// `E06xx` codes — none for a usable policy — for every policy in the
+/// table, including the three knobs the bundle once left out
+/// (`clear_fraction`, `under_utilization`, `over_utilization`).
+#[test]
+fn lint_and_slo_flags_report_the_same_codes_for_a_policy() {
+    use network_entitlement::slo::SloPolicy;
+    let d = SloPolicy::default();
+    let table = [
+        d.clone(),
+        SloPolicy { clear_fraction: 5.0, ..d.clone() },
+        SloPolicy { clear_fraction: 0.0, slow_burn: 1.0, ..d.clone() },
+        SloPolicy { under_utilization: 2.0, over_utilization: 1.0, ..d.clone() },
+        SloPolicy { over_utilization: -1.0, ..d.clone() },
+        SloPolicy { fast_window: 0, ..d.clone() },
+        SloPolicy { fast_window: 60, slow_window: 60, ..d.clone() },
+        SloPolicy { fast_burn: 0.5, ..d.clone() },
+        SloPolicy { delivery_tolerance: 1.0, ..d.clone() },
+        SloPolicy { hysteresis: 0, ..d.clone() },
+        SloPolicy { fast_window: 70, clear_fraction: 1.0, delivery_tolerance: -0.1, ..d.clone() },
+    ];
+    let bundle = tmp("policy_bundle.json");
+    for p in table {
+        std::fs::write(
+            &bundle,
+            format!(
+                r#"{{"slo_policies": [{{"name": "svc", "fast_window": {}, "slow_window": {}, "fast_burn": {}, "slow_burn": {}, "hysteresis": {}, "delivery_tolerance": {}, "clear_fraction": {}, "under_utilization": {}, "over_utilization": {}}}]}}"#,
+                p.fast_window, p.slow_window, p.fast_burn, p.slow_burn, p.hysteresis,
+                p.delivery_tolerance, p.clear_fraction, p.under_utilization, p.over_utilization,
+            ),
+        )
+        .expect("write bundle");
+        let lint = ctl().arg("lint").arg(&bundle).output().expect("spawn lint");
+        let linted = e06_codes(&String::from_utf8_lossy(&lint.stdout));
+        let flags = [
+            ("--fast", p.fast_window.to_string()),
+            ("--slow", p.slow_window.to_string()),
+            ("--hysteresis", p.hysteresis.to_string()),
+            ("--fast-burn", p.fast_burn.to_string()),
+            ("--slow-burn", p.slow_burn.to_string()),
+            ("--clear-fraction", p.clear_fraction.to_string()),
+            ("--tolerance", p.delivery_tolerance.to_string()),
+            ("--under-util", p.under_utilization.to_string()),
+            ("--over-util", p.over_utilization.to_string()),
+        ];
+        let mut slo = ctl();
+        slo.args(["slo", "report", "/dev/null"]);
+        for (flag, value) in &flags {
+            slo.args([flag, value.as_str()]);
+        }
+        let slo = slo.output().expect("spawn slo report");
+        let flagged = e06_codes(&String::from_utf8_lossy(&slo.stderr));
+        assert_eq!(linted, flagged, "{p:?}\nlint: {lint:?}\nslo: {slo:?}");
+        assert_eq!(lint.status.code(), Some(if linted.is_empty() { 0 } else { 1 }), "{p:?}");
+        // A usable policy gets past validation to the empty trace.
+        assert_eq!(slo.status.code(), Some(2), "{p:?}");
+        assert_eq!(p.validate().is_empty(), linted.is_empty(), "{p:?}");
+    }
+}
+
 /// `obs summarize --by-label` groups span durations by a label key —
 /// the per-outcome breakdown of the drill's agent cycles.
 #[test]
