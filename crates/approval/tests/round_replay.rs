@@ -33,7 +33,6 @@ fn realizations(hose: &HoseRequest, config: &ApprovalConfig) -> Vec<Vec<Demand>>
         &TmGenConfig {
             count: config.tms_per_hose,
             seed: config.seed ^ u64::from(hose.npg.0) << 13 ^ u64::from(hose.region.0) ^ salt,
-            ..Default::default()
         },
     )
     .into_iter()

@@ -162,7 +162,6 @@ pub fn architecture_ablation() -> ArchitectureAblation {
                 7,
                 ControllerConfig {
                     decision_interval_ticks: i,
-                    ..Default::default()
                 },
             )
             .wasted_tbps

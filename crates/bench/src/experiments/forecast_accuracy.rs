@@ -106,7 +106,6 @@ pub fn run(config: &AccuracyConfig) -> ForecastAccuracy {
             noise_sigma: rng.range(0.03, 0.12),
             events: surprise_events,
             seed: config.seed ^ (svc as u64) << 8,
-            ..Default::default()
         };
         let history = spec.generate();
         let (train, test) = history.split(12);

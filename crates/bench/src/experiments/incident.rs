@@ -45,7 +45,6 @@ pub fn run(seed: u64) -> IncidentResult {
                 base_rate: base,
                 dt_secs: dt,
                 seed,
-                ..Default::default()
             },
             Bottleneck {
                 capacity: cap,

@@ -89,7 +89,6 @@ pub fn coverage_curve(hose: &HoseRequest, max_tms: usize, probes: usize, seed: u
         &TmGenConfig {
             count: max_tms,
             seed,
-            ..Default::default()
         },
     );
     let probe = probe_points(hose, probes, seed ^ 0xABCD);

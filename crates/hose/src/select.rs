@@ -58,7 +58,6 @@ pub fn greedy_select(
         &TmGenConfig {
             count: config.candidates,
             seed: config.seed,
-            ..Default::default()
         },
     );
     let probes = probe_points(hose, config.probes, config.seed ^ 0x9E3779B9);

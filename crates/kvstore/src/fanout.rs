@@ -96,14 +96,13 @@ impl ShardFanout {
                 match partial {
                     // The bound is INCLUSIVE: a partial aged exactly
                     // `max_staleness_ms` is still served. With the
-                    // engine's `staleness_ms = staleness_cycles ×
-                    // cycle_ms`, a shard that publishes at cycle `c`
-                    // and goes dark is held through the read at cycle
-                    // `c + staleness_cycles` (age == bound) and turns
-                    // Missing one read later — "survive exactly N dark
-                    // cycles". An exclusive bound would silently make
-                    // `staleness_cycles = 1` mean zero dark-cycle
-                    // tolerance. Pinned by
+                    // fleet engine's bound of one cycle
+                    // (`STALENESS_CYCLES × CYCLE_MS`), a shard that
+                    // publishes at cycle `c` and goes dark is held
+                    // through the read at cycle `c + 1` (age == bound)
+                    // and turns Missing one read later — "survive
+                    // exactly one dark cycle". An exclusive bound would
+                    // silently mean zero dark-cycle tolerance. Pinned by
                     // `held_partial_boundary_is_inclusive`.
                     Some(h) if now_ms.saturating_sub(h.as_of_ms) <= self.max_staleness_ms => {
                         ShardRead::Held(h.value)

@@ -25,7 +25,6 @@ fn main() {
                 base_rate: Rate::tbps(base_t),
                 dt_secs: dt,
                 seed,
-                ..Default::default()
             },
             Bottleneck {
                 capacity,

@@ -23,7 +23,6 @@ fn victim_service_is_isolated_from_a_misbehaving_neighbor() {
                 base_rate: Rate::tbps(base_t),
                 dt_secs: dt,
                 seed,
-                ..Default::default()
             },
             Bottleneck {
                 capacity,
