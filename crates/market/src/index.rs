@@ -373,14 +373,15 @@ impl ResidualIndex {
     }
 }
 
-/// The shared headroom kernel: the SLO-feasible volume the backbone can
-/// carry from `src` to `dst` on top of `background`, under the given
-/// scenario set.
+/// The headroom of one pair, from scratch: the SLO-feasible volume the
+/// backbone can carry from `src` to `dst` on top of `background`, under
+/// the given scenario set.
 ///
-/// Both the index build and the sweep fallback call exactly this
-/// function with exactly the same inputs, which is what makes an
-/// index-path decision bit-equal a sweep-path decision while the index
-/// is fresh: the cached number *is* the sweep's number.
+/// The market's warm-up and sweep fallback run the same sweep on a
+/// placement of the same background they keep between sweeps; this
+/// function builds its own plan and places the background itself, so
+/// it is the independent witness an index-path or sweep-path decision
+/// is held to (bit-equal while the index is fresh).
 pub fn pair_headroom(
     topo: &Topology,
     scenarios: &ScenarioSet,
@@ -419,11 +420,15 @@ pub struct HeadroomProbe {
 /// identified and recorded. `probe.headroom` is bit-equal to
 /// [`pair_headroom`]'s return value; the provenance is free.
 ///
-/// Routes through a [`RoutePlan`] of its own, whose rows the topology
-/// keeps: on the market's topology and scenario set it looks up the
-/// rows the market's sweeps filled and searches nothing. Telemetry
-/// (`risk` sweep/merge/scenario spans, sweep histograms) lands in `obs`
-/// when enabled.
+/// The sweep routes a probe at the source's full egress — no
+/// admissible volume can exceed it, so the curve's point at any SLO is
+/// the true headroom at that SLO — on the background placed under each
+/// failure set. It routes through a [`RoutePlan`] of its own, whose
+/// rows the topology keeps: on the market's topology and scenario set
+/// it looks up the rows the market's sweeps filled and searches
+/// nothing, but it places the background again on every call.
+/// Telemetry (`risk` sweep/merge/scenario spans, sweep histograms)
+/// lands in `obs` when enabled.
 #[allow(clippy::too_many_arguments)]
 pub fn pair_headroom_probe(
     topo: &Topology,
@@ -441,7 +446,20 @@ pub fn pair_headroom_probe(
         topo,
         background.iter().map(Demand::pair).chain([(src, dst)]),
     );
-    let samples = pair_samples(topo, &plan, scenarios, &risk, src, dst, obs);
+    let probe = Demand {
+        src,
+        dst,
+        amount: topo.egress_capacity(src),
+    };
+    let samples = sweep_plan(
+        &plan,
+        |u| plan.route(topo, u, &risk.background).residual,
+        &[probe],
+        scenarios,
+        risk.workers,
+        risk.dedup,
+        obs,
+    );
     HeadroomProbe::at_slo(&samples, scenarios, slo)
 }
 
@@ -454,30 +472,6 @@ pub(crate) fn headroom_risk(background: &[Demand], k_paths: usize) -> RiskConfig
         workers: 1,
         dedup: true,
     }
-}
-
-/// The headroom sweep itself: per-scenario admitted volume of a probe
-/// at the source's full egress — no admissible volume can exceed it, so
-/// the curve's point at any SLO is the true headroom at that SLO. The
-/// samples depend on the pair, never on the bucket: one sweep serves
-/// every bucket's [`HeadroomProbe::at_slo`] read. `plan` must cover the
-/// pair and the background's.
-pub(crate) fn pair_samples(
-    topo: &Topology,
-    plan: &RoutePlan,
-    scenarios: &ScenarioSet,
-    risk: &RiskConfig,
-    src: RegionId,
-    dst: RegionId,
-    obs: &Obs,
-) -> RiskSamples {
-    let probe = Demand {
-        src,
-        dst,
-        amount: topo.egress_capacity(src),
-    };
-    let background = |u| plan.route(topo, u, &risk.background).residual;
-    sweep_plan(plan, background, &[probe], scenarios, risk.workers, risk.dedup, obs)
 }
 
 impl HeadroomProbe {

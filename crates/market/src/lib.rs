@@ -17,10 +17,13 @@
 //!
 //! Two invariants carry the design:
 //!
-//! * **Bit-equal decisions.** Index-path and sweep-path admits share
-//!   one headroom kernel ([`pair_headroom`]), so while the index is
-//!   fresh an index decision is bitwise identical to the sweep decision
-//!   it caches (property-tested in `tests/market_props.rs`).
+//! * **Bit-equal decisions.** Index-path and sweep-path admits read
+//!   one sweep, over a placement of the committed background that the
+//!   market keeps until the book or the fault set changes, so while the
+//!   index is fresh an index decision is bitwise identical to the sweep
+//!   decision it caches; [`pair_headroom`] places the background from
+//!   scratch and is the witness both are held to (property-tested in
+//!   `tests/market_props.rs`).
 //! * **Fail-closed freshness.** Any event that can change physical
 //!   headroom (contract load, fault, fault clear) bumps the index
 //!   epoch before anything else; stale slots are never served, so no

@@ -9,14 +9,17 @@
 //! probe of that table — classify, grant, decrement in a single
 //! borrow — and one hashed slot of the grant ledger; only a cold,
 //! stale or exhausted slot falls back to the full RSS sweep (the same
-//! [`crate::index::pair_headroom`] kernel the warm-up ran), whose
-//! decision re-installs the slot — the index refreshes incrementally
-//! from decisions, never from scratch. Warm-up and
-//! fallback sweeps read one [`RoutePlan`], kept for the life of the
-//! effective scenario set, so neither searches a path twice; its rows
-//! outlive it on the topology (which keeps the rows of the last few
-//! sets asked for), so a heal, or the same fault again, finds them
-//! filled.
+//! sweep the warm-up ran), whose decision re-installs the slot — the
+//! index refreshes incrementally from decisions, never from scratch.
+//! Warm-up and fallback sweeps read one [`RoutePlan`], kept for the
+//! life of the effective scenario set, so neither searches a path
+//! twice; its rows outlive it on the topology (which keeps the rows of
+//! the last few sets asked for), so a heal, or the same fault again,
+//! finds them filled. They also read one placement of the committed
+//! background under each failure set of the plan, kept until the book
+//! or the effective set changes, so no sweep places it again.
+//! [`crate::index::pair_headroom_probe`] places it from scratch and is
+//! the independent witness the tests hold those sweeps to.
 //!
 //! **Fail-closed**: a topology fault ([`EntitlementMarket::apply_fault`])
 //! bumps the index epoch before anything else, so no admit after the
@@ -24,17 +27,17 @@
 //! a fault pays for a sweep against the degraded scenario set.
 
 use crate::book::{EntitlementBook, MarketEntitlement, MarketKey};
-use crate::index::{headroom_risk, pair_samples, HeadroomProbe, IndexKey, ResidualIndex};
+use crate::index::{headroom_risk, HeadroomProbe, IndexKey, ResidualIndex};
 use crate::slice::{SliceGrid, SliceId};
 use entitlement_approval::{negotiate_scenarios, Agreement, ApprovalConfig, ServicePolicy};
 use entitlement_core::{NpgId, QosBucket, Rate, RegionId, SloTarget};
 use entitlement_hose::HoseRequest;
 use entitlement_obs::{Counter, Histogram, Obs, PerRegistry, Registry, SpanTimer};
-use entitlement_risk::{RiskConfig, RiskSamples};
+use entitlement_risk::{sweep_plan, RiskConfig, RiskSamples};
 use entitlement_topology::routing::Demand;
 use entitlement_topology::{FailureScenario, LinkId, RoutePlan, ScenarioSet, Topology};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -149,6 +152,12 @@ pub struct EntitlementMarket {
     /// and replaced — empty — whenever `effective` is. Shared by clones
     /// until one of them needs a pair the others have not routed.
     plan: Arc<RoutePlan>,
+    /// The committed background placed under each unique failure set of
+    /// `plan`: what every sweep routes its probe on. Built by
+    /// `ensure_routes`, dropped whenever the background or `effective`
+    /// changes. Shared by clones; one that takes a fault or a book
+    /// drops its own handle and leaves the others' placement alone.
+    placed: Option<Arc<[BTreeMap<LinkId, Rate>]>>,
     dead_links: Vec<LinkId>,
     book: EntitlementBook,
     /// Headroom-sweep knobs; the background is the committed reserving
@@ -188,6 +197,7 @@ impl EntitlementMarket {
             scenarios,
             effective,
             plan,
+            placed: None,
             dead_links: Vec::new(),
             book: EntitlementBook::new(),
             risk,
@@ -249,6 +259,7 @@ impl EntitlementMarket {
             self.book.commit_all_slices(&self.grid, c);
         }
         self.risk.background = self.book.reserved_background();
+        self.placed = None;
         self.index.invalidate_all();
     }
 
@@ -274,11 +285,14 @@ impl EntitlementMarket {
     }
 
     /// Make `links` the dead set — the fault schedule's one entry
-    /// point. A no-op while the set is unchanged, so a caller may ask
-    /// before every admit; a change clears, then applies, so the epoch
-    /// moves exactly as the two calls would move it by hand.
+    /// point. A no-op while the set is unchanged, compared as a set
+    /// (order and repeats do not count), so a caller may ask before
+    /// every admit; a change clears, then applies `links` in the given
+    /// order, so the epoch moves exactly as the two calls would move it
+    /// by hand.
     pub fn set_faults(&mut self, links: &[LinkId]) {
-        if self.dead_links == links {
+        let dead = &self.dead_links;
+        if links.iter().all(|l| dead.contains(l)) && dead.iter().all(|l| links.contains(l)) {
             return;
         }
         self.clear_faults();
@@ -287,20 +301,24 @@ impl EntitlementMarket {
         }
     }
 
-    /// Swap the effective scenario set, and with it the route plan: a
-    /// path set is only valid for the failure sets it was searched
-    /// under. The new plan starts empty; the topology still holds the
-    /// rows an earlier plan of the same set filled (the healthy plan's,
-    /// after a heal), so taking a pair in is then a lookup.
+    /// Swap the effective scenario set, and with it the route plan and
+    /// the background placed on it: a path set is only valid for the
+    /// failure sets it was searched under. The new plan starts empty;
+    /// the topology still holds the rows an earlier plan of the same
+    /// set filled (the healthy plan's, after a heal), so taking a pair
+    /// in is then a lookup.
     fn set_effective(&mut self, effective: ScenarioSet) {
         self.plan = Arc::new(RoutePlan::build(&self.topo, &effective, self.config.k_paths));
+        self.placed = None;
         self.effective = effective;
     }
 
-    /// Make the plan cover `pairs` and the background's. Clones share
-    /// the plan; only one that needs a pair nobody has routed yet
-    /// copies it.
-    fn ensure_routes(&mut self, pairs: &[(RegionId, RegionId)]) {
+    /// Make the plan cover `pairs` and the background's, and place the
+    /// background under every failure set unless it already is for the
+    /// current book and effective set. Clones share the plan; only one
+    /// that needs a pair nobody has routed yet copies it. Returns the
+    /// placement, one residual map per unique failure set.
+    fn ensure_routes(&mut self, pairs: &[(RegionId, RegionId)]) -> Arc<[BTreeMap<LinkId, Rate>]> {
         let wanted = || {
             let background = self.risk.background.iter().map(Demand::pair);
             pairs.iter().copied().chain(background)
@@ -308,6 +326,13 @@ impl EntitlementMarket {
         if !self.plan.covers(wanted()) {
             Arc::make_mut(&mut self.plan).ensure(&self.topo, wanted());
         }
+        let (topo, plan, background) = (&self.topo, &self.plan, &self.risk.background);
+        let placed = self.placed.get_or_insert_with(|| {
+            (0..plan.unique_len())
+                .map(|u| plan.route(topo, u, background).residual)
+                .collect()
+        });
+        Arc::clone(placed)
     }
 
     /// The enumerated scenario set with every dead link appended to
@@ -352,9 +377,9 @@ impl EntitlementMarket {
             .flat_map(|&src| dcs.iter().map(move |&dst| (src, dst)))
             .filter(|(src, dst)| src != dst)
             .collect();
-        self.ensure_routes(&pairs);
+        let placed = self.ensure_routes(&pairs);
         for (src, dst) in pairs {
-            let samples = self.sweep_pair(src, dst, obs);
+            let samples = self.sweep_pair(src, dst, &placed, obs);
             for &bucket in buckets {
                 let probe =
                     HeadroomProbe::at_slo(&samples, &self.effective, Self::slo_for(bucket));
@@ -377,15 +402,31 @@ impl EntitlementMarket {
     }
 
     /// One pair's headroom sweep over the market's own plan, which
-    /// must already cover it.
-    fn sweep_pair(&self, src: RegionId, dst: RegionId, obs: &Obs) -> RiskSamples {
-        pair_samples(
-            &self.topo,
-            &self.plan,
-            &self.effective,
-            &self.risk,
+    /// must already cover it, on the background `placed` under each of
+    /// its failure sets: per-scenario admitted volume of a probe at the
+    /// source's full egress — no admissible volume can exceed it, so
+    /// the curve's point at any SLO is the true headroom at that SLO.
+    /// The samples depend on the pair, never on the bucket: one sweep
+    /// serves every bucket's [`HeadroomProbe::at_slo`] read.
+    fn sweep_pair(
+        &self,
+        src: RegionId,
+        dst: RegionId,
+        placed: &[BTreeMap<LinkId, Rate>],
+        obs: &Obs,
+    ) -> RiskSamples {
+        let probe = Demand {
             src,
             dst,
+            amount: self.topo.egress_capacity(src),
+        };
+        sweep_plan(
+            &self.plan,
+            |u| placed[u].clone(),
+            &[probe],
+            &self.effective,
+            self.risk.workers,
+            self.risk.dedup,
             obs,
         )
     }
@@ -414,9 +455,10 @@ impl EntitlementMarket {
 
     /// Serve one admission. Index path when the slot is fresh and has
     /// residual; otherwise the sweep path recomputes the pair's
-    /// headroom with the *same kernel* the warm-up used and re-installs
-    /// the slot under the current epoch — so an index decision is
-    /// bit-equal to the sweep decision it caches.
+    /// headroom with the *same sweep* the warm-up ran, on the same
+    /// placed background, and re-installs the slot under the current
+    /// epoch — so an index decision is bit-equal to the sweep decision
+    /// it caches.
     ///
     /// An ask that cannot be served at all — a negative or non-finite
     /// rate, a slice outside the grid, a region outside the topology —
@@ -452,9 +494,9 @@ impl EntitlementMarket {
                 let fallback = obs
                     .span("market", "sweep_fallback")
                     .label("reason", slot_state);
-                self.ensure_routes(&[(req.src, req.dst)]);
+                let placed = self.ensure_routes(&[(req.src, req.dst)]);
                 let probe = HeadroomProbe::at_slo(
-                    &self.sweep_pair(req.src, req.dst, obs),
+                    &self.sweep_pair(req.src, req.dst, &placed, obs),
                     &self.effective,
                     Self::slo_for(req.bucket),
                 );

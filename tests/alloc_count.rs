@@ -14,8 +14,8 @@ use network_entitlement::enforcement::{
     host_demand_bps, run_fleet_engine, FleetConfig, FleetOutcome,
 };
 use network_entitlement::market::{
-    generate_storm, AdmitOutcome, AdmitPath, AdmitRequest, EntitlementMarket, IndexKey, MarketKey,
-    SliceGrid, SliceId, StormConfig,
+    generate_storm, AdmitOutcome, AdmitPath, AdmitRequest, EntitlementKind, EntitlementMarket,
+    IndexKey, MarketEntitlement, MarketKey, SliceGrid, SliceId, StormConfig,
 };
 use network_entitlement::kvstore::{KvAccess, ObservedKv, ShardFanout, ShardedStore, StoreConfig};
 use network_entitlement::obs::{Clock, Obs};
@@ -150,8 +150,10 @@ fn a_plain_index_admit_allocates_nothing() {
     assert_eq!(n, 0, "{} untraced index-path admits", requests.len());
 }
 
-/// The benchmark's admit world: 90 DC pairs x 4 buckets x 12 slices.
-fn admit_world(buckets: &[QosBucket]) -> EntitlementMarket {
+/// The benchmark's admit world: 90 DC pairs x 4 buckets x 12 slices,
+/// and with `booked` its book of three reserving contracts and a
+/// usage-based one.
+fn admit_world(buckets: &[QosBucket], booked: bool) -> EntitlementMarket {
     let spec = BackboneSpec {
         dc_count: 10,
         pop_count: 5,
@@ -163,6 +165,29 @@ fn admit_world(buckets: &[QosBucket]) -> EntitlementMarket {
     };
     let grid = SliceGrid::quarterly(Quarter(0), 7);
     let mut market = EntitlementMarket::new(spec.build(), grid, config);
+    if booked {
+        let dcs = market.topology().dc_ids();
+        let entry = |npg, src: usize, dst: usize, gbps, kind| MarketEntitlement {
+            npg: NpgId(npg),
+            bucket: buckets[0],
+            src: dcs[src],
+            dst: dcs[dst],
+            rate: Rate::gbps(gbps),
+            kind,
+        };
+        market.load_contracts(&[
+            entry(100, 0, 1, 20.0, EntitlementKind::Subscription),
+            entry(101, 1, 2, 15.0, EntitlementKind::Subscription),
+            entry(
+                102,
+                2,
+                0,
+                10.0,
+                EntitlementKind::Quota { volume_bytes: 1e15 },
+            ),
+            entry(103, 0, 2, 50.0, EntitlementKind::UsageBased),
+        ]);
+    }
     market.warm(buckets, &Obs::disabled());
     market
 }
@@ -170,7 +195,10 @@ fn admit_world(buckets: &[QosBucket]) -> EntitlementMarket {
 #[test]
 fn cloning_a_warm_market_allocates_o1() {
     let buckets = QosBucket::approval_order();
-    let (one, four) = (admit_world(&buckets[4..5]), admit_world(&buckets[4..]));
+    let (one, four) = (
+        admit_world(&buckets[4..5], false),
+        admit_world(&buckets[4..], false),
+    );
     assert_eq!(four.index().len(), 4_320);
     // The table is two buffers however many slots it holds. As two
     // ordered maps it was a node per 6-11 slots in each: 1 436
@@ -185,6 +213,37 @@ fn cloning_a_warm_market_allocates_o1() {
     let (large, _) = allocations(|| four.clone());
     assert_eq!(small, large, "4x the slots, the same allocations");
     assert!(large <= 160, "{large} allocations for the market");
+}
+
+/// A re-ask of an exhausted slot on the booked admit world: the sweep
+/// routes its probe on the background the market placed when it
+/// warmed, one copy of a residual map per failure set, and places
+/// nothing itself.
+#[test]
+fn a_sweep_path_admit_places_no_background() {
+    let buckets = QosBucket::approval_order();
+    let mut market = admit_world(&buckets[4..], true);
+    assert_eq!(market.route_plan().unique_len(), 28);
+    let dcs = market.topology().dc_ids();
+    let req = AdmitRequest {
+        npg: NpgId(7),
+        bucket: buckets[4],
+        slice: SliceId(0),
+        src: dcs[0],
+        dst: dcs[1],
+        ask: Rate::gbps(1e6),
+    };
+    assert_eq!(
+        market.admit(&req).path,
+        AdmitPath::Index,
+        "warm, then emptied"
+    );
+    let (n, d) = allocations(|| market.admit(&req));
+    assert_eq!(d.path, AdmitPath::Sweep);
+    assert_eq!(d.outcome, AdmitOutcome::Denied);
+    // 239 when this was pinned; placing the background again on every
+    // sweep took 430.
+    assert!(n <= 239, "{n} allocations for a sweep-path admit");
 }
 
 /// An ask is outside input: a negative or non-finite rate, a slice
