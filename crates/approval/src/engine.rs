@@ -476,25 +476,38 @@ pub(crate) fn approve_requests_in(
     let mut background: BTreeMap<(RegionId, RegionId), Rate> = BTreeMap::new();
     let mut results: Vec<(usize, HoseApproval)> = Vec::with_capacity(hoses.len());
 
-    let hose_ms = |qos: &str| {
-        obs.registry.histogram(
-            "entitlement_approval_hose_ms",
-            "Per-hose approval wall time in milliseconds (obs clock)",
-            &[("qos", qos)],
-        )
-    };
-    let outcome_counter = |qos: &str, outcome: &str| {
-        obs.registry.counter(
-            "entitlement_approval_hoses_total",
-            "Hose approvals by QoS class and outcome",
-            &[("qos", qos), ("outcome", outcome)],
-        )
+    // Only a traced round builds the per-hose label and metrics; the
+    // clock is read either way, so a counting clock advances alike.
+    let traced = obs.enabled();
+    let record_hose = |qos: &str, outcome: &str, t0: u64| {
+        let ms = obs.clock.now_ms().saturating_sub(t0) as f64;
+        if !traced {
+            return;
+        }
+        obs.registry
+            .counter(
+                "entitlement_approval_hoses_total",
+                "Hose approvals by QoS class and outcome",
+                &[("qos", qos), ("outcome", outcome)],
+            )
+            .inc();
+        obs.registry
+            .histogram(
+                "entitlement_approval_hose_ms",
+                "Per-hose approval wall time in milliseconds (obs clock)",
+                &[("qos", qos)],
+            )
+            .record(ms);
     };
 
     for &h in &order {
         let hose = hoses[h];
         let slo = requests[h].slo;
-        let qos = format!("{:?}", hose.qos);
+        let qos = if traced {
+            format!("{:?}", hose.qos)
+        } else {
+            String::new()
+        };
         let t0 = obs.clock.now_ms();
         let mut hose_span = obs
             .span("approval", "hose_approval")
@@ -505,8 +518,7 @@ pub(crate) fn approve_requests_in(
             // nothing added to the background of lower classes.
             hose_span.add_label("outcome", "rejected");
             hose_span.finish();
-            outcome_counter(&qos, "rejected").inc();
-            hose_ms(&qos).record(obs.clock.now_ms().saturating_sub(t0) as f64);
+            record_hose(&qos, "rejected", t0);
             results.push((
                 h,
                 HoseApproval {
@@ -585,8 +597,7 @@ pub(crate) fn approve_requests_in(
         };
         hose_span.add_label("outcome", outcome);
         hose_span.finish();
-        outcome_counter(&qos, outcome).inc();
-        hose_ms(&qos).record(obs.clock.now_ms().saturating_sub(t0) as f64);
+        record_hose(&qos, outcome, t0);
         results.push((
             h,
             HoseApproval {

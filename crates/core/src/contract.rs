@@ -76,11 +76,6 @@ impl SloTarget {
     pub fn availability(self) -> f64 {
         self.0
     }
-
-    /// Allowed downtime fraction (`1 - availability`).
-    pub fn downtime_budget(self) -> f64 {
-        1.0 - self.0
-    }
 }
 
 impl fmt::Display for SloTarget {
@@ -187,17 +182,6 @@ impl EntitlementContract {
             .map(|e| e.entitled_rate)
             .reduce(|a, b| a + b)
     }
-
-    /// Total entitled egress across all regions for a class on `day`.
-    pub fn total_egress(&self, qos: QosClass, day: u32) -> Rate {
-        self.entitlements
-            .iter()
-            .filter(|e| {
-                e.qos == qos && e.direction == Direction::Egress && e.period.contains(day)
-            })
-            .map(|e| e.entitled_rate)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +205,6 @@ mod tests {
         assert!(SloTarget::new(0.9998).is_ok());
         assert!(SloTarget::new(0.0).is_err());
         assert!(SloTarget::new(1.5).is_err());
-        assert!((SloTarget::new(0.99).unwrap().downtime_budget() - 0.01).abs() < 1e-12);
     }
 
     #[test]
@@ -256,7 +239,6 @@ mod tests {
         assert!(c
             .entitled_rate(QosClass::C2, RegionId(0), Direction::Egress, 10)
             .is_none());
-        assert!((c.total_egress(QosClass::C1, 10).as_gbps() - 160.0).abs() < 1e-9);
     }
 
     #[test]

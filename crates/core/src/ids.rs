@@ -109,48 +109,6 @@ impl HostId {
     }
 }
 
-/// A flow aggregation key as seen by the enforcement agent's classifier.
-///
-/// The BPF-like egress classifier matches packets on (source host,
-/// destination region, NPG, QoS) and consults the marking table. Individual
-/// 5-tuples are folded into `flow_group` buckets (0..100) so that
-/// remarking is stable per flow and never reorders packets within a flow
-/// (paper §5.3: "remarking needs to be done on per-flow basis to avoid
-/// packet reordering").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct FlowKey {
-    /// Host originating the flow.
-    pub host: HostId,
-    /// Destination backbone region.
-    pub dst_region: RegionId,
-    /// Owning service.
-    pub npg: NpgId,
-    /// Flow group bucket in `0..100`, derived from the 5-tuple hash.
-    pub flow_group: u8,
-}
-
-impl FlowKey {
-    /// Number of flow groups used by the flow-based remarking strategy.
-    pub const FLOW_GROUPS: u8 = 100;
-
-    /// Builds a key, folding an arbitrary flow discriminator (e.g. a
-    /// 5-tuple hash or connection sequence number) into a stable group.
-    pub fn new(host: HostId, dst_region: RegionId, npg: NpgId, flow_discriminator: u64) -> Self {
-        let mut z = flow_discriminator
-            .wrapping_add(host.stable_hash())
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        FlowKey {
-            host,
-            dst_region,
-            npg,
-            flow_group: (z % Self::FLOW_GROUPS as u64) as u8,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,20 +154,5 @@ mod tests {
         // Expected 1000 per bucket; allow generous 25% skew.
         assert!(*min > 750, "min bucket {min}");
         assert!(*max < 1250, "max bucket {max}");
-    }
-
-    #[test]
-    fn flow_key_group_in_range() {
-        for d in 0..1000u64 {
-            let k = FlowKey::new(HostId(3), RegionId(1), NpgId(0), d);
-            assert!(k.flow_group < FlowKey::FLOW_GROUPS);
-        }
-    }
-
-    #[test]
-    fn flow_key_is_deterministic() {
-        let a = FlowKey::new(HostId(5), RegionId(2), NpgId(9), 1234);
-        let b = FlowKey::new(HostId(5), RegionId(2), NpgId(9), 1234);
-        assert_eq!(a, b);
     }
 }

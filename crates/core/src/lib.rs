@@ -4,9 +4,8 @@
 //! workspace: identifiers for services (NPGs), regions and hosts; QoS
 //! classes with strict priority ordering; bandwidth [`Rate`]s; enforcement
 //! [`Period`]s; the [`contract::EntitlementContract`] abstraction itself;
-//! the [`sli::SliRecord`] demand metric; deterministic RNG utilities; and
-//! small statistics helpers (percentiles, CDFs, sMAPE) used throughout the
-//! evaluation harness.
+//! deterministic RNG utilities; and small statistics helpers (percentiles,
+//! sMAPE) used throughout the evaluation harness.
 //!
 //! The entitlement contract (paper §3.2) is an agreement between the network
 //! team and a Network Product Group (NPG). It carries a network SLO target
@@ -22,14 +21,12 @@ pub mod period;
 pub mod qos;
 pub mod rate;
 pub mod rng;
-pub mod sli;
 pub mod stats;
 
 pub use contract::{ContractId, Direction, Entitlement, EntitlementContract, SloTarget};
 pub use error::{EntitlementError, Result};
-pub use ids::{FlowKey, HostId, NpgId, RegionId};
+pub use ids::{HostId, NpgId, RegionId};
 pub use period::{Period, Quarter};
 pub use qos::{QosBand, QosBucket, QosClass};
 pub use rate::Rate;
 pub use rng::DetRng;
-pub use sli::SliRecord;

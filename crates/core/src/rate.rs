@@ -77,11 +77,6 @@ impl Rate {
         self.0 < 1.0
     }
 
-    /// Bytes transferred over `seconds` at this rate.
-    pub fn bytes_over(self, seconds: f64) -> f64 {
-        self.0 * seconds / 8.0
-    }
-
     /// Fraction `self / other`, or 0 if `other` is zero. Handy for
     /// conform-ratio style computations that must not divide by zero.
     pub fn ratio_of(self, other: Rate) -> f64 {
@@ -268,11 +263,5 @@ mod tests {
         // Round trip through Display for the G case.
         let r: Rate = Rate::gbps(1.5).to_string().parse().unwrap();
         assert!((r.as_gbps() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bytes_over_duration() {
-        // 8 Gbps for 1 second = 1 GB.
-        assert!((Rate::gbps(8.0).bytes_over(1.0) - 1e9).abs() < 1.0);
     }
 }

@@ -105,11 +105,6 @@ impl DetRng {
         r * c
     }
 
-    /// Normal with the given mean and standard deviation.
-    pub fn normal_ms(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// Lognormal with the given log-space mu/sigma.
     pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         (mu + sigma * self.normal()).exp()

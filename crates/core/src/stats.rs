@@ -1,8 +1,6 @@
 //! Small statistics helpers used by the forecast and evaluation code:
-//! percentiles, empirical CDFs, and the sMAPE forecast-accuracy metric
-//! from paper §7.1.
-
-use serde::{Deserialize, Serialize};
+//! percentiles, the share of a sample at or below a threshold, and the
+//! sMAPE forecast-accuracy metric from paper §7.1.
 
 /// Percentile of a sample via linear interpolation between order
 /// statistics. `p` is in `[0, 100]`. Returns `NaN` for an empty slice.
@@ -70,97 +68,12 @@ pub fn smape(actual: &[f64], forecast: &[f64]) -> f64 {
     total / actual.len() as f64
 }
 
-/// One point of an empirical CDF.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CdfPoint {
-    /// Sample value.
-    pub value: f64,
-    /// Cumulative fraction `P(X <= value)`.
-    pub fraction: f64,
-}
-
-/// Empirical CDF of a sample, one point per observation (sorted).
-pub fn empirical_cdf(values: &[f64]) -> Vec<CdfPoint> {
-    let mut v: Vec<f64> = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in cdf input"));
-    let n = v.len() as f64;
-    v.into_iter()
-        .enumerate()
-        .map(|(i, value)| CdfPoint {
-            value,
-            fraction: (i + 1) as f64 / n,
-        })
-        .collect()
-}
-
 /// Fraction of samples `<= threshold`.
 pub fn cdf_at(values: &[f64], threshold: f64) -> f64 {
     if values.is_empty() {
         return f64::NAN;
     }
     values.iter().filter(|&&v| v <= threshold).count() as f64 / values.len() as f64
-}
-
-/// An online mean/min/max accumulator for streaming stats collection.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct Accumulator {
-    /// Number of samples.
-    pub count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Accumulator {
-    /// Fresh accumulator.
-    pub fn new() -> Self {
-        Accumulator {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record a sample.
-    pub fn add(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Mean of recorded samples (`NaN` if none).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Minimum (`NaN` if none).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum (`NaN` if none).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
 }
 
 #[cfg(test)]
@@ -200,29 +113,8 @@ mod tests {
     }
 
     #[test]
-    fn cdf_is_monotone_and_ends_at_one() {
-        let cdf = empirical_cdf(&[3.0, 1.0, 2.0, 2.0]);
-        assert_eq!(cdf.len(), 4);
-        assert!((cdf.last().unwrap().fraction - 1.0).abs() < 1e-12);
-        for w in cdf.windows(2) {
-            assert!(w[0].value <= w[1].value);
-            assert!(w[0].fraction <= w[1].fraction);
-        }
+    fn cdf_at_counts_samples_at_or_below() {
         assert!((cdf_at(&[1.0, 2.0, 3.0, 4.0], 2.5) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accumulator_tracks_extremes() {
-        let mut acc = Accumulator::new();
-        assert!(acc.mean().is_nan());
-        for v in [3.0, -1.0, 7.0] {
-            acc.add(v);
-        }
-        assert_eq!(acc.count, 3);
-        assert!((acc.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(acc.min(), -1.0);
-        assert_eq!(acc.max(), 7.0);
-        assert!((acc.sum() - 9.0).abs() < 1e-12);
     }
 
     #[test]

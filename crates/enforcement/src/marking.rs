@@ -11,7 +11,6 @@
 //!   rebalance, and service teams can see exactly which hosts are
 //!   affected.
 
-use crate::metering::Meter;
 use entitlement_core::HostId;
 use entitlement_simnet::MarkingCommand;
 use serde::{Deserialize, Serialize};
@@ -66,25 +65,12 @@ impl Marker {
             },
         }
     }
-
-    /// Convenience: run a meter and emit the command in one step.
-    pub fn meter_and_mark(
-        &self,
-        meter: &mut dyn Meter,
-        total: entitlement_core::Rate,
-        conform: entitlement_core::Rate,
-        entitled: entitlement_core::Rate,
-        hosts: usize,
-    ) -> MarkingCommand {
-        let cr = meter.update(total, conform, entitled);
-        self.command(cr, hosts)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metering::StatelessMeter;
+    use crate::metering::{Meter, StatelessMeter};
     use entitlement_core::Rate;
 
     #[test]
@@ -157,16 +143,11 @@ mod tests {
     }
 
     #[test]
-    fn meter_and_mark_integrates() {
+    fn flow_based_command_follows_the_meter() {
         let m = Marker::new(MarkingStrategy::FlowBased);
         let mut meter = StatelessMeter::new();
-        let cmd = m.meter_and_mark(
-            &mut meter,
-            Rate::tbps(6.0),
-            Rate::tbps(6.0),
-            Rate::tbps(5.0),
-            100,
-        );
+        let cr = meter.update(Rate::tbps(6.0), Rate::tbps(6.0), Rate::tbps(5.0));
+        let cmd = m.command(cr, 100);
         // NonConformRatio 1/6 ≈ 0.1667 → 17 groups.
         assert!((cmd.marked_fraction(100) - 0.17).abs() < 1e-9);
     }

@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 
 pub mod aggregate;
-pub mod backtest;
 pub mod baselines;
 pub mod decompose;
 pub mod linalg;
@@ -31,7 +30,6 @@ pub mod pipeline;
 pub mod tree;
 
 pub use aggregate::DailyAggregation;
-pub use backtest::{backtest, BacktestReport, OriginScore};
 pub use baselines::Baseline;
 pub use decompose::DecomposableModel;
 pub use pipeline::{ForecastPipeline, PipelineConfig, QuarterForecast};

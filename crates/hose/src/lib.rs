@@ -28,12 +28,10 @@ pub mod coverage;
 pub mod polytope;
 pub mod request;
 pub mod segment;
-pub mod select;
 pub mod tmgen;
 
 pub use coverage::{coverage_of, tms_for_coverage};
 pub use polytope::HosePolytope;
 pub use request::{HoseRequest, HoseSegment, PipeRequest};
 pub use segment::{segment_flow_series, segment_n_way, FlowSeries};
-pub use select::{greedy_select, selected_tms_for_coverage, SelectConfig, Selection};
 pub use tmgen::{generate_tms, TmGenConfig};

@@ -108,11 +108,6 @@ impl EntitlementBook {
         self.entries.get(key).map_or(&[], Vec::as_slice)
     }
 
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Total rate an NPG holds in one bucket and slice.
     pub fn held(&self, key: &MarketKey) -> Rate {
         self.get(key).iter().map(|e| e.rate).sum()
@@ -167,7 +162,12 @@ mod tests {
         let grid = SliceGrid::quarterly(Quarter(0), 30);
         let mut book = EntitlementBook::new();
         book.commit_all_slices(&grid, &ent(1, 10.0, EntitlementKind::Subscription));
-        assert_eq!(book.key_count(), 3);
+        let beyond = MarketKey {
+            npg: NpgId(1),
+            bucket: bucket(),
+            slice: SliceId(grid.slice_count()),
+        };
+        assert!(book.get(&beyond).is_empty(), "nothing past the grid");
         for slice in grid.slices() {
             let key = MarketKey {
                 npg: NpgId(1),

@@ -67,20 +67,6 @@ impl SliceGrid {
         // The remainder tail belongs to the last full slice.
         Some(SliceId(idx.min(self.slice_count() - 1)))
     }
-
-    /// The days a slice covers (the last slice absorbs the remainder).
-    pub fn slice_period(&self, slice: SliceId) -> Option<Period> {
-        if slice.0 >= self.slice_count() {
-            return None;
-        }
-        let start = self.period.start_day + slice.0 * self.slice_days;
-        let end = if slice.0 + 1 == self.slice_count() {
-            self.period.end_day
-        } else {
-            start + self.slice_days
-        };
-        Some(Period::new(start, end))
-    }
 }
 
 #[cfg(test)]
@@ -91,13 +77,13 @@ mod tests {
     fn quarterly_grid_partitions_the_period() {
         let grid = SliceGrid::quarterly(Quarter(0), 7);
         assert_eq!(grid.slice_count(), 12, "90 days / 7 = 12 full slices");
-        let mut covered = 0;
-        for s in grid.slices() {
-            covered += grid.slice_period(s).unwrap().days();
+        let mut days = vec![0; grid.slice_count() as usize];
+        for d in grid.period.start_day..grid.period.end_day {
+            days[grid.slice_of(d).expect("slices tile the period").0 as usize] += 1;
         }
-        assert_eq!(covered, grid.period.days(), "slices tile the period");
+        assert!(days[..11].iter().all(|&n| n == 7), "{days:?}");
         // The last slice absorbs the 6-day remainder.
-        assert_eq!(grid.slice_period(SliceId(11)).unwrap().days(), 13);
+        assert_eq!(days[11], 13);
     }
 
     #[test]

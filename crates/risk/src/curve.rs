@@ -69,18 +69,6 @@ impl AvailabilityCurve {
     pub fn samples(&self) -> &[(Rate, f64)] {
         &self.samples
     }
-
-    /// The curve as (volume, availability) points for plotting: for each
-    /// distinct volume, the probability of admitting at least it.
-    pub fn plot_points(&self) -> Vec<(Rate, f64)> {
-        let mut out = Vec::with_capacity(self.samples.len());
-        let mut acc = 0.0;
-        for &(rate, p) in &self.samples {
-            acc += p;
-            out.push((rate, acc));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -140,16 +128,5 @@ mod tests {
         // Scenarios only account for 0.9 of mass.
         let c = AvailabilityCurve::from_samples(vec![(Rate::gbps(5.0), 0.9)]);
         assert_eq!(c.bandwidth_at(0.99), Rate::ZERO);
-    }
-
-    #[test]
-    fn plot_points_are_monotone() {
-        let c = curve();
-        let pts = c.plot_points();
-        assert_eq!(pts.len(), 3);
-        for w in pts.windows(2) {
-            assert!(w[0].0.as_bps() >= w[1].0.as_bps());
-            assert!(w[0].1 <= w[1].1);
-        }
     }
 }

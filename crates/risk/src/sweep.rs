@@ -66,7 +66,9 @@ where
 
 /// `job` over every element of `items` on `workers` scoped threads,
 /// results in input order — the same for any worker count and whatever
-/// `obs` is. Per-item timing lands in the
+/// `obs` is. An untraced `obs` (see [`Obs::enabled`]) registers no
+/// metric; it only reads its clock around each item, as a traced one
+/// does. A traced one also records per-item timing in the
 /// `entitlement_risk_scenario_ms` histogram (timed by the obs clock —
 /// a counting clock gives deterministic pseudo-durations, a manual one
 /// charges zero), per-worker chunk sizes in
@@ -75,17 +77,27 @@ where
 ///
 /// On the **serial** path (one resolved worker) each item additionally
 /// emits a `risk`/`scenario` trace event, parented under whatever span
-/// is open (the `risk`/`sweep` span), with the same clock reads the
-/// histogram wrapper already paid — so enabling per-scenario spans does
-/// not shift any downstream counting-clock timestamp. Parallel sweeps
-/// record histograms only: worker threads would otherwise interleave
-/// event order by scheduling, breaking byte-identical traces. Every CI
-/// byte-equality gate runs `workers = 1`.
+/// is open (the `risk`/`sweep` span), timed by the clock reads the
+/// histogram already pays. Parallel sweeps record histograms only:
+/// worker threads would otherwise interleave event order by scheduling,
+/// breaking byte-identical traces. Every CI byte-equality gate runs
+/// `workers = 1`.
 pub fn sweep_ordered_obs<T, F>(items: &[usize], workers: usize, obs: &Obs, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    let clock = obs.clock.clone();
+    if !obs.enabled() {
+        // The clock is still read around each item: a counting clock
+        // must advance as it does on a traced sweep.
+        return sweep_ordered(items, workers, move |i| {
+            let _ = clock.now_ms();
+            let out = job(i);
+            let _ = clock.now_ms();
+            out
+        });
+    }
     let n = items.len();
     let resolved = effective_workers(workers, n);
     obs.registry
@@ -110,8 +122,7 @@ where
         "Per-scenario routing time in milliseconds (obs clock)",
         &[],
     );
-    let clock = obs.clock.clone();
-    if resolved == 1 && obs.enabled() {
+    if resolved == 1 {
         let trace = obs.trace.clone();
         return sweep_ordered(items, 1, move |i| {
             let t0 = clock.now_ms();

@@ -159,12 +159,6 @@ impl World {
         self.demand_multiplier = Box::new(f);
     }
 
-    /// Mutable access to the bottleneck (drill harness installs ACLs and
-    /// changes capacity mid-run).
-    pub fn bottleneck_mut(&mut self) -> &mut Bottleneck {
-        &mut self.bottleneck
-    }
-
     /// The configuration.
     pub fn config(&self) -> &WorldConfig {
         &self.config
@@ -260,6 +254,13 @@ mod tests {
     use super::*;
 
     fn world(cap_t: f64) -> World {
+        world_behind(Bottleneck {
+            capacity: Rate::tbps(cap_t),
+            ..Default::default()
+        })
+    }
+
+    fn world_behind(bottleneck: Bottleneck) -> World {
         World::new(
             WorldConfig {
                 hosts: 100,
@@ -267,10 +268,7 @@ mod tests {
                 dt_secs: 10.0,
                 ..Default::default()
             },
-            Bottleneck {
-                capacity: Rate::tbps(cap_t),
-                ..Default::default()
-            },
+            bottleneck,
         )
     }
 
@@ -329,11 +327,14 @@ mod tests {
 
     #[test]
     fn nonconforming_drops_do_not_touch_conforming() {
-        let mut w = world(10.0);
-        w.bottleneck_mut().acls.push(crate::fabric::AclRule {
-            from_secs: 0.0,
-            to_secs: 1e9,
-            drop_fraction: 1.0,
+        let mut w = world_behind(Bottleneck {
+            capacity: Rate::tbps(10.0),
+            acls: vec![crate::fabric::AclRule {
+                from_secs: 0.0,
+                to_secs: 1e9,
+                drop_fraction: 1.0,
+            }],
+            ..Default::default()
         });
         let marked: Vec<bool> = (0..100).map(|i| i < 30).collect();
         let mut obs = None;

@@ -256,14 +256,6 @@ impl Topology {
             .sum()
     }
 
-    /// Per-region egress capacities as a map (planning convenience).
-    pub fn egress_capacities(&self) -> BTreeMap<RegionId, Rate> {
-        self.region_ids()
-            .into_iter()
-            .map(|r| (r, self.egress_capacity(r)))
-            .collect()
-    }
-
     /// Render the backbone in Graphviz DOT format: DCs as boxes, PoPs as
     /// ellipses, one edge per fiber pair labeled with capacity and
     /// availability. Pipe into `dot -Tsvg` to visualize a generated
@@ -398,8 +390,6 @@ mod tests {
         let t = triangle();
         assert!((t.egress_capacity(RegionId(0)).as_gbps() - 110.0).abs() < 1e-9);
         assert!((t.ingress_capacity(RegionId(2)).as_gbps() - 60.0).abs() < 1e-9);
-        let caps = t.egress_capacities();
-        assert_eq!(caps.len(), 3);
     }
 
     #[test]

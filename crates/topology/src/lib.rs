@@ -6,12 +6,12 @@
 //!   (data centers and PoPs connected by long-haul fiber links);
 //! * [`generator`] — a synthetic Meta-like backbone generator standing in
 //!   for the production topology (see DESIGN.md substitution table);
-//! * [`path`] — Dijkstra shortest paths and Yen's k-shortest paths;
+//! * [`path`] — Yen's k-shortest loopless paths over a buffered Dijkstra;
 //! * [`plan`] — the k-shortest path sets of every (region pair, failure
 //!   set), computed once and shared by every placement;
 //! * [`maxflow`] — Dinic's maximum flow for feasibility checks;
 //! * [`routing`] — greedy k-shortest-path multipath placement of a traffic
-//!   matrix, reporting admitted volume and per-link utilization;
+//!   matrix, reporting admitted volume and per-link residual capacity;
 //! * [`failure`] — failure scenarios (fiber cuts) with probabilities,
 //!   exhaustive single/double-cut enumeration and Monte-Carlo sampling;
 //! * [`srlg`] — shared-risk link groups: conduit-correlated failures,
@@ -38,7 +38,7 @@ pub use failure::{FailureScenario, ScenarioSet};
 pub use generator::{BackboneSpec, RegionKind};
 pub use graph::{Link, LinkId, Region, Topology};
 pub use maxflow::max_flow;
-pub use path::{k_shortest_paths, shortest_path, Path};
+pub use path::{k_shortest_paths, Path};
 pub use plan::{PlannedPath, RoutePlan, RouteWork, PLAN_KEYS};
 pub use routing::{route_matrix, route_matrix_on_residual, RoutingOutcome};
 pub use srlg::{Conduit, SrlgMap};

@@ -68,18 +68,6 @@ impl PartialOrd for HeapItem {
     }
 }
 
-/// Dijkstra shortest path by fiber length, skipping `dead` links.
-/// Returns `Err(Disconnected)` when no path exists.
-pub fn shortest_path(
-    topo: &Topology,
-    src: RegionId,
-    dst: RegionId,
-    dead: &[LinkId],
-) -> Result<Path> {
-    let mut search = Yen::new(topo, src, dst, LinkMask::of(topo.link_count(), dead))?;
-    Ok(search.paths.swap_remove(0))
-}
-
 /// Yen's algorithm: up to `k` loopless shortest paths by length, skipping
 /// `dead` links. Returns fewer than `k` paths when the graph runs out of
 /// alternatives; errors only when no path exists at all.
@@ -357,10 +345,16 @@ mod tests {
         (t, a, b, c, d)
     }
 
+    fn only_path(paths: Result<Vec<Path>>) -> Path {
+        let mut paths = paths.unwrap();
+        assert_eq!(paths.len(), 1, "k = 1 yields one path");
+        paths.pop().unwrap()
+    }
+
     #[test]
     fn dijkstra_picks_short_route() {
         let (t, a, b, _c, d) = diamond();
-        let p = shortest_path(&t, a, d, &[]).unwrap();
+        let p = only_path(k_shortest_paths(&t, a, d, 1, &[]));
         assert_eq!(p.regions(&t), vec![a, b, d]);
         assert!((p.length_km - 200.0).abs() < 1e-9);
         assert!((p.bottleneck(&t).as_gbps() - 40.0).abs() < 1e-9);
@@ -371,7 +365,7 @@ mod tests {
     fn dead_links_force_detour() {
         let (t, a, _b, c, d) = diamond();
         let ab = t.links()[0].id;
-        let p = shortest_path(&t, a, d, &[ab]).unwrap();
+        let p = only_path(k_shortest_paths(&t, a, d, 1, &[ab]));
         assert_eq!(p.regions(&t), vec![a, c, d]);
     }
 
@@ -380,7 +374,7 @@ mod tests {
         let (t, a, _b, _c, d) = diamond();
         let dead: Vec<LinkId> = t.links().iter().map(|l| l.id).collect();
         assert!(matches!(
-            shortest_path(&t, a, d, &dead),
+            k_shortest_paths(&t, a, d, 1, &dead),
             Err(EntitlementError::Disconnected(_, _))
         ));
     }
@@ -388,7 +382,7 @@ mod tests {
     #[test]
     fn self_path_is_empty() {
         let (t, a, ..) = diamond();
-        let p = shortest_path(&t, a, a, &[]).unwrap();
+        let p = only_path(k_shortest_paths(&t, a, a, 1, &[]));
         assert!(p.links.is_empty());
         assert_eq!(p.length_km, 0.0);
     }

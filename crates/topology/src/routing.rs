@@ -44,32 +44,6 @@ pub struct RoutingOutcome {
     pub residual: BTreeMap<LinkId, Rate>,
 }
 
-impl RoutingOutcome {
-    /// Fraction of the total request that was admitted (1.0 when all fits).
-    pub fn admitted_fraction(&self) -> f64 {
-        if self.requested_total.is_zero() {
-            1.0
-        } else {
-            self.admitted_total / self.requested_total
-        }
-    }
-
-    /// True when every demand was fully admitted (within tolerance).
-    pub fn fully_admitted(&self) -> bool {
-        self.admitted_fraction() > 1.0 - 1e-9
-    }
-
-    /// Utilization of a link given the original topology.
-    pub fn utilization(&self, topo: &Topology, link: LinkId) -> f64 {
-        let cap = topo.link(link).map_or(Rate::ZERO, |l| l.capacity);
-        if cap.is_zero() {
-            return 0.0;
-        }
-        let residual = self.residual.get(&link).copied().unwrap_or(cap);
-        1.0 - (residual / cap)
-    }
-}
-
 /// Route `demands` over the topology minus `dead` links, splitting each
 /// demand across up to `k_paths` shortest paths, largest demands first.
 pub fn route_matrix(
@@ -229,11 +203,11 @@ mod tests {
             &[],
             2,
         );
-        assert!(out.fully_admitted());
         assert!((out.admitted[0].as_gbps() - 6.0).abs() < 1e-9);
+        assert_eq!(out.admitted_total, out.requested_total);
         // Both links carry 6 of 10.
         for l in t.links() {
-            assert!((out.utilization(&t, l.id) - 0.6).abs() < 1e-9);
+            assert!((out.residual[&l.id].as_gbps() - 4.0).abs() < 1e-9);
         }
     }
 
@@ -250,9 +224,13 @@ mod tests {
             &[],
             2,
         );
-        assert!(!out.fully_admitted());
         assert!((out.admitted[0].as_gbps() - 10.0).abs() < 1e-9);
-        assert!((out.admitted_fraction() - 0.4).abs() < 1e-9);
+        assert!((out.admitted_total.as_gbps() - 10.0).abs() < 1e-9);
+        assert!((out.requested_total.as_gbps() - 25.0).abs() < 1e-9);
+        // Both links are full.
+        for l in t.links() {
+            assert!(out.residual[&l.id].as_gbps().abs() < 1e-9);
+        }
     }
 
     #[test]
@@ -319,7 +297,7 @@ mod tests {
             2,
         );
         assert!(out.admitted[0].is_zero());
-        assert_eq!(out.admitted_fraction(), 0.0);
+        assert!(out.admitted_total.is_zero());
     }
 
     #[test]
@@ -342,6 +320,8 @@ mod tests {
             &[],
             2,
         );
-        assert!(out.fully_admitted());
+        assert!((out.admitted[0].as_gbps() - 5.0).abs() < 1e-9);
+        assert!(out.admitted[1].is_zero());
+        assert_eq!(out.admitted_total, out.requested_total);
     }
 }

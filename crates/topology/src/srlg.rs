@@ -116,12 +116,6 @@ impl SrlgMap {
         self.conduits.is_empty()
     }
 
-    /// Mean fiber groups per conduit (1.0 = fully independent).
-    pub fn correlation_factor(&self, topo: &Topology) -> f64 {
-        let groups = fiber_groups(topo).len();
-        groups as f64 / self.conduits.len().max(1) as f64
-    }
-
     /// Enumerate failure scenarios at conduit granularity with up to
     /// `max_cuts` simultaneous conduit cuts (0–2), mirroring
     /// [`ScenarioSet::enumerate`] including the conservative residual
@@ -179,7 +173,6 @@ mod tests {
         let topo = BackboneSpec::small(51).build();
         let map = SrlgMap::independent(&topo);
         assert_eq!(map.len(), fiber_groups(&topo).len());
-        assert!((map.correlation_factor(&topo) - 1.0).abs() < 1e-12);
         let link_total: usize = map.conduits.iter().map(|c| c.links.len()).sum();
         assert_eq!(link_total, topo.link_count());
     }
@@ -189,7 +182,6 @@ mod tests {
         let topo = BackboneSpec::small(51).build();
         let map = SrlgMap::synthesize(&topo, 0.5, 7);
         assert!(map.len() < fiber_groups(&topo).len(), "some merges happened");
-        assert!(map.correlation_factor(&topo) > 1.0);
         // Every link still assigned exactly once.
         let mut all: Vec<LinkId> = map.conduits.iter().flat_map(|c| c.links.clone()).collect();
         all.sort();

@@ -181,28 +181,6 @@ impl DemandHistory {
         self.daily_bps.len() / DAYS_PER_MONTH as usize
     }
 
-    /// Daily values of one month.
-    pub fn month_days(&self, month: usize) -> &[f64] {
-        let a = month * DAYS_PER_MONTH as usize;
-        let b = a + DAYS_PER_MONTH as usize;
-        &self.daily_bps[a..b]
-    }
-
-    /// Monthly mean demand in bps.
-    pub fn monthly_mean(&self) -> Vec<f64> {
-        (0..self.months())
-            .map(|m| entitlement_core::stats::mean(self.month_days(m)))
-            .collect()
-    }
-
-    /// Monthly p99 demand (the paper's daily-p99 aggregation for ads-like
-    /// services, rolled up per month).
-    pub fn monthly_p99(&self) -> Vec<f64> {
-        (0..self.months())
-            .map(|m| entitlement_core::stats::percentile(self.month_days(m), 99.0))
-            .collect()
-    }
-
     /// Split daily data into train (first `train_months`) and holdout.
     pub fn split(&self, train_months: usize) -> (&[f64], &[f64]) {
         let cut = train_months * DAYS_PER_MONTH as usize;
@@ -213,6 +191,13 @@ impl DemandHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn monthly_means(h: &DemandHistory) -> Vec<f64> {
+        h.daily_bps
+            .chunks(DAYS_PER_MONTH as usize)
+            .map(entitlement_core::stats::mean)
+            .collect()
+    }
 
     #[test]
     fn generates_expected_length() {
@@ -231,7 +216,7 @@ mod tests {
             ..Default::default()
         };
         let h = spec.generate();
-        let mm = h.monthly_mean();
+        let mm = monthly_means(&h);
         assert!(
             mm[14] > mm[0] * 1.5,
             "5%/mo growth over 14 months: {} -> {}",
@@ -255,7 +240,7 @@ mod tests {
         assert!(
             (h.regressors[8].server_count / h.regressors[7].server_count - 2.0).abs() < 1e-9
         );
-        let mm = h.monthly_mean();
+        let mm = monthly_means(&h);
         // Doubling the fleet with 100 Mbps/server over 1000 base servers on
         // a 200G base adds 100G.
         assert!(

@@ -58,15 +58,6 @@ impl Incident {
         }
     }
 
-    /// The cache-bypass feature incident: +10% step.
-    pub fn cache_bypass(start_secs: f64, duration_secs: f64) -> Incident {
-        Incident {
-            start_secs,
-            end_secs: start_secs + duration_secs,
-            kind: IncidentKind::FeatureStep { magnitude: 1.1 },
-        }
-    }
-
     /// Traffic multiplier at time `t` (1.0 outside the incident window).
     pub fn factor_at(&self, t_secs: f64) -> f64 {
         if t_secs < self.start_secs || t_secs >= self.end_secs {
@@ -101,8 +92,13 @@ mod tests {
     }
 
     #[test]
-    fn cache_bypass_is_a_step() {
-        let inc = Incident::cache_bypass(100.0, 200.0);
+    fn feature_step_applies_at_once() {
+        // Incident 2: a +10% surge from a caching change.
+        let inc = Incident {
+            start_secs: 100.0,
+            end_secs: 300.0,
+            kind: IncidentKind::FeatureStep { magnitude: 1.1 },
+        };
         assert_eq!(inc.factor_at(99.9), 1.0);
         assert!((inc.factor_at(100.0) - 1.1).abs() < 1e-9);
         assert!((inc.factor_at(250.0) - 1.1).abs() < 1e-9);

@@ -120,11 +120,6 @@ impl TrafficMatrix {
         out
     }
 
-    /// Number of pipes originating at one source.
-    pub fn pipes_from_src(&self, src: RegionId) -> usize {
-        self.demands.keys().filter(|(s, _)| *s == src).count()
-    }
-
     /// The per-source breakdown of traffic into one destination, sorted
     /// descending — the series plotted in Fig 7.
     pub fn sources_into(&self, dst: RegionId) -> Vec<(RegionId, Rate)> {
@@ -164,36 +159,6 @@ impl TrafficMatrix {
         for (&k, &v) in &other.demands {
             *self.demands.entry(k).or_insert(Rate::ZERO) += v;
         }
-    }
-
-    /// Sample the per-destination flow time series out of one source,
-    /// applying a traffic pattern over `samples` points spaced
-    /// `step_secs` apart — exactly the `F(dst, t)` input the segmented-
-    /// hose algorithm consumes (paper §4.2 step 2: "For each src region,
-    /// plot the time series of flow per dst region").
-    ///
-    /// Per-destination phase offsets (derived deterministically from the
-    /// destination id) decorrelate the series slightly, mimicking
-    /// destination-specific load timing.
-    pub fn flow_series_from(
-        &self,
-        src: RegionId,
-        pattern: &crate::patterns::TrafficPattern,
-        samples: usize,
-        step_secs: f64,
-    ) -> BTreeMap<RegionId, Vec<f64>> {
-        let mut out = BTreeMap::new();
-        for (&(s, d), &rate) in &self.demands {
-            if s != src {
-                continue;
-            }
-            let phase = (d.0 as f64 * 769.0) % 3600.0;
-            let series: Vec<f64> = (0..samples)
-                .map(|k| rate.as_bps() * pattern.factor_at(k as f64 * step_secs + phase))
-                .collect();
-            out.insert(d, series);
-        }
-        out
     }
 }
 
@@ -288,32 +253,6 @@ mod tests {
         let tm = TrafficMatrix::synthesize(&topo, cold, QosClass::C1, &MatrixSpec::default());
         assert!(tm.demands.is_empty());
         assert_eq!(tm.top_source_share(RegionId(0), 3), 0.0);
-    }
-
-    #[test]
-    fn flow_series_matches_matrix_scale() {
-        let (topo, cat) = setup();
-        let ws = cat.by_name("warmstorage").unwrap();
-        let tm = TrafficMatrix::synthesize(&topo, ws, QosClass::C2, &MatrixSpec::default());
-        let src = *tm.egress_by_src().keys().next().unwrap();
-        let series = tm.flow_series_from(
-            src,
-            &crate::patterns::TrafficPattern::warmstorage(),
-            48,
-            1800.0,
-        );
-        assert_eq!(series.len(), tm.pipes_from_src(src));
-        for (d, s) in &series {
-            assert_eq!(s.len(), 48);
-            let mean = entitlement_core::stats::mean(s);
-            let base = tm.demands[&(src, *d)].as_bps();
-            // Diurnal pattern over a day averages near the base rate.
-            assert!(
-                (mean / base - 1.0).abs() < 0.15,
-                "dst {d}: mean {mean} vs base {base}"
-            );
-            assert!(s.iter().all(|&v| v >= 0.0));
-        }
     }
 
     #[test]

@@ -109,19 +109,8 @@ impl TrafficPattern {
         }
     }
 
-    /// Numeric long-run mean of the factor over `days`, sampled every
-    /// `step_secs` — used by tests and by planners that need effective
-    /// average rates.
-    pub fn mean_factor(&self, days: f64, step_secs: f64) -> f64 {
-        let steps = (days * DAY_SECS / step_secs) as usize;
-        (0..steps)
-            .map(|i| self.factor_at(i as f64 * step_secs))
-            .sum::<f64>()
-            / steps as f64
-    }
-
-    /// Coefficient of variation over the same sampling grid: spiky
-    /// patterns have much higher CV than diurnal ones, which is the
+    /// Coefficient of variation of the factor over `days`, sampled every
+    /// `step_secs`: spiky patterns have much higher CV than diurnal ones, which is the
     /// distinction Fig 3 draws.
     pub fn cv(&self, days: f64, step_secs: f64) -> f64 {
         let steps = (days * DAY_SECS / step_secs) as usize;
@@ -154,7 +143,11 @@ mod tests {
                 seed: 1,
             },
         ] {
-            let m = p.mean_factor(7.0, 300.0);
+            let steps = (7.0 * DAY_SECS / 300.0) as usize;
+            let m = (0..steps)
+                .map(|i| p.factor_at(i as f64 * 300.0))
+                .sum::<f64>()
+                / steps as f64;
             assert!((m - 1.0).abs() < 0.05, "{p:?} mean {m}");
         }
     }
