@@ -22,7 +22,7 @@
 use crate::engine::{approve_requests_in, band_low_requests, ApprovalConfig, RoundRoutes};
 use crate::types::HoseApproval;
 use entitlement_core::{Rate, SloTarget};
-use entitlement_hose::{HoseRequest, HoseSegment};
+use entitlement_hose::HoseRequest;
 use entitlement_obs::Obs;
 use entitlement_topology::{ScenarioSet, Topology};
 use serde::{Deserialize, Serialize};
@@ -279,15 +279,12 @@ pub fn segments_consistent(request: &HoseRequest) -> bool {
     (sum.as_bps() - request.total.as_bps()).abs() <= 1e-6 * request.total.as_bps().max(1.0)
 }
 
-/// Keep `HoseSegment` import used in rustdoc examples.
-#[allow(unused)]
-fn _doc_anchor(_: &HoseSegment) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{hose_approval, ApprovalMode};
     use entitlement_core::{Direction, NpgId, QosClass, RegionId};
+    use entitlement_hose::HoseSegment;
     use entitlement_topology::BackboneSpec;
 
     fn setup() -> (Topology, HoseRequest) {

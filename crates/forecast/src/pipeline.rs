@@ -23,30 +23,12 @@ use entitlement_core::period::DAYS_PER_MONTH;
 use entitlement_core::Result;
 use serde::{Deserialize, Serialize};
 
-/// Pipeline hyper-parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Pipeline hyper-parameters. The inorganic tree is fitted with
+/// [`GbdtConfig::default`].
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct PipelineConfig {
-    /// Inorganic tree configuration.
-    pub tree: GbdtConfig,
     /// Disable the tree stage (organic-only ablation).
     pub organic_only: bool,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            // Monthly training sets are tiny (a year = 12 rows), so allow
-            // single-sample leaves and learn fast.
-            tree: GbdtConfig {
-                alpha: 0.5,
-                rounds: 60,
-                max_depth: 3,
-                min_leaf: 1,
-                learning_rate: 0.3,
-            },
-            organic_only: false,
-        }
-    }
 }
 
 /// The pipeline's output for one quarter.
@@ -149,7 +131,7 @@ impl ForecastPipeline {
             if xs.is_empty() {
                 None
             } else {
-                Some(QuantileGbdt::fit(&xs, &ys, config.tree.clone()))
+                Some(QuantileGbdt::fit(&xs, &ys, GbdtConfig::default()))
             }
         };
 
@@ -257,10 +239,7 @@ mod tests {
             train,
             &[],
             &regs[..12],
-            PipelineConfig {
-                organic_only: true,
-                ..Default::default()
-            },
+            PipelineConfig { organic_only: true },
         )
         .unwrap();
         assert!(!pipe.has_tree());
@@ -311,10 +290,7 @@ mod tests {
             train,
             &[],
             &regs[..12],
-            PipelineConfig {
-                organic_only: true,
-                ..Default::default()
-            },
+            PipelineConfig { organic_only: true },
         )
         .unwrap();
 

@@ -29,13 +29,15 @@ pub struct GbdtConfig {
 }
 
 impl Default for GbdtConfig {
+    /// The forecast pipeline's values: monthly training sets are tiny
+    /// (a year = 12 rows), so allow single-sample leaves and learn fast.
     fn default() -> Self {
         GbdtConfig {
             alpha: 0.5,
-            rounds: 100,
+            rounds: 60,
             max_depth: 3,
-            min_leaf: 2,
-            learning_rate: 0.1,
+            min_leaf: 1,
+            learning_rate: 0.3,
         }
     }
 }
@@ -264,13 +266,25 @@ mod tests {
     use super::*;
     use entitlement_core::DetRng;
 
+    /// A slower, wider ensemble than the pipeline's default, for the
+    /// larger training sets these tests fit.
+    fn wide() -> GbdtConfig {
+        GbdtConfig {
+            alpha: 0.5,
+            rounds: 100,
+            max_depth: 3,
+            min_leaf: 2,
+            learning_rate: 0.1,
+        }
+    }
+
     #[test]
     fn learns_step_function() {
         // y = 10 if x0 > 0.5 else 2.
         let mut rng = DetRng::new(1);
         let xs: Vec<Vec<f64>> = (0..200).map(|_| vec![rng.f64(), rng.f64()]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| if x[0] > 0.5 { 10.0 } else { 2.0 }).collect();
-        let model = QuantileGbdt::fit(&xs, &ys, GbdtConfig::default());
+        let model = QuantileGbdt::fit(&xs, &ys, wide());
         assert!((model.predict(&[0.9, 0.1]) - 10.0).abs() < 0.5);
         assert!((model.predict(&[0.1, 0.9]) - 2.0).abs() < 0.5);
         assert_eq!(model.len(), 100);
@@ -285,7 +299,7 @@ mod tests {
         let ys: Vec<f64> = (0..100)
             .map(|i| if i % 10 == 0 { 500.0 } else { 5.0 })
             .collect();
-        let model = QuantileGbdt::fit(&xs, &ys, GbdtConfig::default());
+        let model = QuantileGbdt::fit(&xs, &ys, wide());
         let pred = model.predict(&[3.0]);
         assert!((pred - 5.0).abs() < 1.0, "median pred {pred}");
     }
@@ -300,7 +314,7 @@ mod tests {
             &ys,
             GbdtConfig {
                 alpha: 0.5,
-                ..Default::default()
+                ..wide()
             },
         );
         let p90 = QuantileGbdt::fit(
@@ -308,7 +322,7 @@ mod tests {
             &ys,
             GbdtConfig {
                 alpha: 0.9,
-                ..Default::default()
+                ..wide()
             },
         );
         let m = med.predict(&[0.5]);
@@ -326,7 +340,7 @@ mod tests {
             GbdtConfig {
                 rounds: 200,
                 max_depth: 4,
-                ..Default::default()
+                ..wide()
             },
         );
         // Interpolation inside the training range.

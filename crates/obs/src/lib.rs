@@ -108,11 +108,6 @@ impl Obs {
         self.trace.span(&self.clock, span, phase)
     }
 
-    /// Emit an instantaneous event (`dur_ms` = 0).
-    pub fn event(&self, span: &str, phase: &str, labels: &[(&str, &str)]) {
-        self.trace.event(&self.clock, span, phase, labels);
-    }
-
     /// Start an instantaneous event whose labels are formatted in
     /// place; it is emitted when the returned timer drops (see
     /// [`TraceSink::point`]).

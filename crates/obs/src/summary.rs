@@ -668,7 +668,7 @@ mod tests {
     #[test]
     fn emitted_traces_roundtrip() {
         let obs = Obs::new(Clock::counting(2));
-        obs.event("kv", "put", &[("outcome", "ok")]);
+        obs.point("kv", "put").label("outcome", "ok").finish();
         {
             let _s = obs.span("risk", "sweep").label("scenarios", "9");
         }
@@ -681,15 +681,9 @@ mod tests {
     fn summary_table_has_one_row_per_phase() {
         let obs = Obs::new(Clock::manual(0));
         for d in [5.0, 10.0, 15.0] {
-            obs.trace.push_child(crate::TraceEvent::new(
-                0,
-                "approval",
-                "pipe_approval",
-                Vec::new(),
-                d,
-            ));
+            obs.trace.child(0, d, "approval", "pipe_approval").finish();
         }
-        obs.event("kv", "get", &[]);
+        obs.point("kv", "get").finish();
         let table = summarize_trace(&obs.trace.events());
         let rows: Vec<&str> = table.lines().collect();
         assert_eq!(rows.len(), 3, "header + 2 groups: {table}");
@@ -702,15 +696,10 @@ mod tests {
     fn by_label_groups_on_the_label_value() {
         let obs = Obs::new(Clock::manual(0));
         let push = |outcome: Option<&str>, d: f64| {
-            obs.trace.push_child(crate::TraceEvent::new(
-                0,
-                "kv",
-                "get",
-                outcome
-                    .map(|o| vec![("outcome".to_string(), o.to_string())])
-                    .unwrap_or_default(),
-                d,
-            ));
+            let mut get = obs.trace.child(0, d, "kv", "get");
+            if let Some(o) = outcome {
+                get.add_label("outcome", o);
+            }
         };
         push(Some("ok"), 5.0);
         push(Some("ok"), 7.0);
@@ -760,7 +749,16 @@ mod tests {
     fn summarize_falls_back_to_raw_durations_without_ids() {
         // Hand-built events with span_id 0 can't form a forest; the
         // table still renders, using raw durations.
-        let e = crate::TraceEvent::new(0, "a", "b", Vec::new(), 7.0);
+        let e = crate::TraceEvent {
+            ts_ms: 0,
+            trace_id: 0,
+            span_id: 0,
+            parent_id: 0,
+            span: "a".to_string(),
+            phase: "b".to_string(),
+            labels: Vec::new(),
+            dur_ms: 7.0,
+        };
         let table = summarize_trace(&[e]);
         assert!(table.contains("7.0"), "{table}");
     }
@@ -768,7 +766,7 @@ mod tests {
     #[test]
     fn summarize_prints_a_p999_column() {
         let obs = Obs::new(Clock::manual(0));
-        obs.event("kv", "get", &[]);
+        obs.point("kv", "get").finish();
         let table = summarize_trace(&obs.trace.events());
         assert!(table.contains("p999_ms"), "{table}");
         let by = summarize_trace_by_label(&obs.trace.events(), "outcome");
@@ -881,7 +879,7 @@ mod tests {
     #[test]
     fn trace_diff_reports_length_mismatch() {
         let obs = Obs::new(Clock::counting(1));
-        obs.event("a", "b", &[]);
+        obs.point("a", "b").finish();
         let a = obs.trace.to_jsonl();
         let report = diff_traces(&a, "").expect("divergent");
         assert!(report.contains("event counts differ: 1 vs 0"), "{report}");

@@ -109,29 +109,6 @@ impl fmt::Display for BadLabel {
 }
 
 impl TraceEvent {
-    /// An event with unassigned ids (all zero) — handed to
-    /// [`TraceSink::push_child`], which allocates them under the
-    /// currently open span.
-    #[must_use]
-    pub fn new(
-        ts_ms: u64,
-        span: &str,
-        phase: &str,
-        labels: Vec<(String, String)>,
-        dur_ms: f64,
-    ) -> Self {
-        TraceEvent {
-            ts_ms,
-            trace_id: 0,
-            span_id: 0,
-            parent_id: 0,
-            span: span.to_string(),
-            phase: phase.to_string(),
-            labels,
-            dur_ms,
-        }
-    }
-
     /// End of the event's interval (`ts_ms + dur_ms`, in f64 ms).
     #[must_use]
     pub fn end_ms(&self) -> f64 {
@@ -629,22 +606,6 @@ impl SinkInner {
         });
         self.pool.push(scratch);
     }
-
-    /// Append an event whose parts the caller already holds as strings.
-    fn append<'a>(
-        &mut self,
-        ids: Ids,
-        ts_ms: u64,
-        dur_ms: f64,
-        (span, phase): (&str, &str),
-        labels: impl Iterator<Item = (&'a str, &'a str)>,
-    ) {
-        let mut scratch = self.take_scratch(span, phase);
-        for (k, v) in labels {
-            scratch.label(k, |text| text.push_str(v));
-        }
-        self.commit(ids, ts_ms, dur_ms, scratch);
-    }
 }
 
 /// [`TraceSink::write_jsonl`] hands the writer this much at a time.
@@ -686,51 +647,6 @@ impl TraceSink {
         self.inner.is_some()
     }
 
-    /// Append a fully formed event with the ids it carries (none is
-    /// assigned here); its labels are stored sorted. Use
-    /// [`TraceSink::event`], [`TraceSink::span`], or
-    /// [`TraceSink::push_child`] when the sink should assign ids.
-    pub fn push(&self, event: TraceEvent) {
-        self.push_with(&event, |_| Ids {
-            span_id: event.span_id,
-            trace_id: event.trace_id,
-            parent_id: event.parent_id,
-        });
-    }
-
-    /// Append an event with ids allocated under the currently open
-    /// span (the event becomes its child; a leaf, not itself openable).
-    /// This is how traced components that time themselves (e.g.
-    /// the observed KV client) join the causal tree.
-    pub fn push_child(&self, event: TraceEvent) {
-        self.push_with(&event, SinkInner::alloc);
-    }
-
-    fn push_with(&self, event: &TraceEvent, ids: impl FnOnce(&mut SinkInner) -> Ids) {
-        if let Some(inner) = &self.inner {
-            let mut guard = lock(inner);
-            let ids = ids(&mut guard);
-            guard.append(
-                ids,
-                event.ts_ms,
-                event.dur_ms,
-                (&event.span, &event.phase),
-                event.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())),
-            );
-        }
-    }
-
-    /// Emit an instantaneous event stamped by `clock`, parented under
-    /// the currently open span.
-    pub fn event(&self, clock: &Clock, span: &str, phase: &str, labels: &[(&str, &str)]) {
-        if let Some(inner) = &self.inner {
-            let ts_ms = clock.now_ms();
-            let mut guard = lock(inner);
-            let ids = guard.alloc();
-            guard.append(ids, ts_ms, 0.0, (span, phase), labels.iter().copied());
-        }
-    }
-
     /// Start an instantaneous event whose labels are formatted in
     /// place: add them to the returned timer, which emits the event
     /// (`dur_ms` = 0, one clock read, a leaf under the currently open
@@ -745,10 +661,11 @@ impl TraceSink {
         }
     }
 
-    /// [`TraceSink::push_child`] with labels formatted in place: a leaf
-    /// under the currently open span covering an interval the caller
-    /// timed itself (no clock is read), ids allocated now, emitted when
-    /// the returned timer drops.
+    /// A leaf under the currently open span covering an interval the
+    /// caller timed itself (no clock is read), labels formatted in
+    /// place, ids allocated now, emitted when the returned timer drops.
+    /// This is how traced components that time themselves (e.g. the
+    /// observed KV client) join the causal tree.
     #[inline]
     #[must_use]
     pub fn child(&self, ts_ms: u64, dur_ms: f64, span: &str, phase: &str) -> SpanTimer<'_> {
@@ -1122,11 +1039,11 @@ mod tests {
             let outer = sink.span(&clock, "a", "outer");
             {
                 let _inner = sink.span(&clock, "a", "inner");
-                sink.event(&clock, "a", "tick", &[]);
+                sink.point(&clock, "a", "tick").finish();
             }
             outer.finish();
         }
-        sink.event(&clock, "a", "solo", &[]);
+        sink.point(&clock, "a", "solo").finish();
         let ev = sink.events();
         // Close order: inner's tick, inner, outer, solo.
         assert_eq!(ev.len(), 4);
@@ -1151,11 +1068,11 @@ mod tests {
     }
 
     #[test]
-    fn push_child_adopts_the_open_span() {
+    fn a_child_adopts_the_open_span() {
         let sink = TraceSink::new();
         let clock = Clock::manual(0);
         let outer = sink.span(&clock, "agent", "cycle");
-        sink.push_child(TraceEvent::new(5, "kv", "put", Vec::new(), 2.0));
+        sink.child(5, 2.0, "kv", "put").finish();
         let outer_id = outer.id();
         outer.finish();
         let ev = sink.events();
@@ -1175,7 +1092,7 @@ mod tests {
         // later events must not parent under a closed span.
         drop(a);
         drop(b);
-        sink.event(&clock, "x", "after", &[]);
+        sink.point(&clock, "x", "after").finish();
         let ev = sink.events();
         assert_eq!(ev[2].parent_id, 0, "stack fully drained");
     }
@@ -1184,12 +1101,12 @@ mod tests {
     fn disabled_sink_records_nothing() {
         let sink = TraceSink::disabled();
         let clock = Clock::counting(1);
-        sink.event(&clock, "a", "b", &[]);
+        sink.point(&clock, "a", "b").finish();
         {
             let t = sink.span(&clock, "a", "b");
             assert_eq!(t.id(), 0);
         }
-        sink.push_child(TraceEvent::new(0, "a", "b", Vec::new(), 0.0));
+        sink.child(0, 0.0, "a", "b").finish();
         assert!(sink.is_empty());
         assert_eq!(sink.to_jsonl(), "");
     }
@@ -1214,7 +1131,7 @@ mod tests {
     fn jsonl_roundtrips_through_parser() {
         let sink = TraceSink::new();
         let clock = Clock::counting(3);
-        sink.event(&clock, "risk", "sweep", &[("scenarios", "42")]);
+        sink.point(&clock, "risk", "sweep").label("scenarios", "42").finish();
         {
             let _t = sink.span(&clock, "agent", "cycle");
         }

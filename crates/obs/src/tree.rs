@@ -332,12 +332,12 @@ mod tests {
             let outer = obs.span("a", "outer");
             {
                 let _mid = obs.span("b", "mid");
-                obs.event("c", "leaf", &[]);
+                obs.point("c", "leaf").finish();
             }
-            obs.event("d", "leaf2", &[]);
+            obs.point("d", "leaf2").finish();
             outer.finish();
         }
-        obs.event("e", "lone", &[]);
+        obs.point("e", "lone").finish();
         obs.trace.events()
     }
 

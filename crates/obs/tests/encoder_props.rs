@@ -6,10 +6,10 @@
 //! sink used to build them (a `Vec<(String, String)>` of labels,
 //! `sort()`ed at emit; ids from a counter and an open-span stack) and
 //! the line format spelled out with `write!`. Every entry point is
-//! driven — `span` + label adders, `event`, `point`, `child`, `push`,
-//! `push_child` — with spans opened and closed in arbitrary, non-LIFO
-//! order, so a label leaking from one pooled buffer into another
-//! event shows up as a model mismatch.
+//! driven — `span`, `point` and `child`, each with the label adders —
+//! with spans opened and closed in arbitrary, non-LIFO order, so a
+//! label leaking from one pooled buffer into another event shows up as
+//! a model mismatch.
 
 use entitlement_obs::{parse_trace, Clock, SpanTimer, TraceEvent, TraceSink};
 use proptest::prelude::*;
@@ -113,36 +113,21 @@ enum Op {
     Open(String, String, Labels),
     /// Drop the `n % live`-th open span (any order, not just LIFO).
     Close(usize),
-    /// `event()` with its labels as a slice.
-    Event(String, String, Labels),
     /// `point()` + adders, dropped at once.
     Point(String, String, Labels),
     /// `child(ts, dur)` + adders, dropped at once.
     Child(u64, f64, String, String, Labels),
-    /// `push_child(TraceEvent)`.
-    PushChild(u64, f64, String, String, Labels),
-    /// `push(TraceEvent)` with the ids it carries.
-    Push([u64; 4], f64, String, String, Labels),
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    (
-        0usize..9,
-        (text(5), text(5), labels()),
-        (id(), id(), id(), id()),
-        dur(),
+    (0usize..8, (text(5), text(5), labels()), id(), dur()).prop_map(
+        |(pick, (span, phase, labels), a, dur)| match pick {
+            0 | 1 => Op::Open(span, phase, labels),
+            2 | 3 => Op::Close(a as usize),
+            4 | 5 => Op::Point(span, phase, labels),
+            _ => Op::Child(a, dur, span, phase, labels),
+        },
     )
-        .prop_map(
-            |(pick, (span, phase, labels), (a, b, c, d), dur)| match pick {
-                0 | 1 => Op::Open(span, phase, labels),
-                2 | 3 => Op::Close(a as usize),
-                4 => Op::Event(span, phase, labels),
-                5 => Op::Point(span, phase, labels),
-                6 => Op::Child(a, dur, span, phase, labels),
-                7 => Op::PushChild(a, dur, span, phase, labels),
-                _ => Op::Push([a, b, c, d], dur, span, phase, labels),
-            },
-        )
 }
 
 fn add_all(timer: &mut SpanTimer, labels: &Labels) {
@@ -258,17 +243,6 @@ fn run(ops: &[Op]) -> (TraceSink, Vec<TraceEvent>) {
                     close(&mut model, l);
                 }
             }
-            Op::Event(span, phase, labels) => {
-                let strings = owned(labels);
-                let refs: Vec<(&str, &str)> = strings
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.as_str()))
-                    .collect();
-                sink.event(&clock, span, phase, &refs);
-                let ts = model.now();
-                let ids = model.alloc();
-                model.emit(ids, ts, 0.0, (span, phase), labels);
-            }
             Op::Point(span, phase, labels) => {
                 let mut timer = sink.point(&clock, span, phase);
                 add_all(&mut timer, labels);
@@ -283,27 +257,6 @@ fn run(ops: &[Op]) -> (TraceSink, Vec<TraceEvent>) {
                 drop(timer);
                 let ids = model.alloc();
                 model.emit(ids, *ts, *dur, (span, phase), labels);
-            }
-            Op::PushChild(ts, dur, span, phase, labels) => {
-                sink.push_child(TraceEvent::new(*ts, span, phase, owned(labels), *dur));
-                let ids = model.alloc();
-                model.emit(ids, *ts, *dur, (span, phase), labels);
-            }
-            Op::Push([ts, trace_id, span_id, parent_id], dur, span, phase, labels) => {
-                sink.push(TraceEvent {
-                    ts_ms: *ts,
-                    trace_id: *trace_id,
-                    span_id: *span_id,
-                    parent_id: *parent_id,
-                    ..TraceEvent::new(0, span, phase, owned(labels), *dur)
-                });
-                model.emit(
-                    (*span_id, *trace_id, *parent_id),
-                    *ts,
-                    *dur,
-                    (span, phase),
-                    labels,
-                );
             }
         }
     }
@@ -354,17 +307,11 @@ fn same(a: &TraceEvent, b: &TraceEvent) -> bool {
         }
 }
 
-/// Whether `parse_trace` can represent the event exactly: ids go
-/// through the vendored parser's `f64`, `span_id` 0 is rejected, and
-/// a non-finite duration was written as 0.
+/// Whether `parse_trace` can represent the event exactly: numbers go
+/// through the vendored parser's `f64`, and a non-finite duration was
+/// written as 0.
 fn parses_back(e: &TraceEvent) -> bool {
-    const EXACT: u64 = 1 << 53;
-    [e.ts_ms, e.trace_id, e.span_id, e.parent_id]
-        .iter()
-        .all(|&v| v < EXACT)
-        && e.span_id >= 1
-        && e.dur_ms.is_finite()
-        && e.dur_ms >= 0.0
+    e.ts_ms < 1 << 53 && e.dur_ms.is_finite() && e.dur_ms >= 0.0
 }
 
 proptest! {
@@ -505,15 +452,17 @@ fn labels_are_ordered_by_their_own_text_not_the_wire_text() {
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
-        // Through the in-place adders, the slice entry point and an
-        // owned event: three ways in, one order out.
-        let mut timer = sink.span(&clock, "order", "adders");
-        for (k, v) in labels {
-            timer.add_label(k, v);
+        // Through a span, a point and a child: three ways in, one
+        // order out.
+        for mut timer in [
+            sink.span(&clock, "order", "span"),
+            sink.point(&clock, "order", "point"),
+            sink.child(0, 0.0, "order", "child"),
+        ] {
+            for (k, v) in labels {
+                timer.add_label(k, v);
+            }
         }
-        drop(timer);
-        sink.event(&clock, "order", "slice", labels);
-        sink.push_child(TraceEvent::new(0, "order", "owned", owned.clone(), 0.0));
         owned.sort();
         expected.extend([owned.clone(), owned.clone(), owned]);
     }
@@ -528,36 +477,42 @@ fn labels_are_ordered_by_their_own_text_not_the_wire_text() {
     assert_eq!(parse_trace(&jsonl).expect("every line parses"), events);
 }
 
-/// `events()` hands back what was pushed even where the wire cannot:
-/// ids above 2^53, `span_id` 0, and a duration the line renders as `0`.
+/// `events()` hands back what was emitted even where the wire cannot:
+/// a timestamp above 2^53 and a duration the line renders as `0`.
 #[test]
 fn events_keep_what_the_wire_cannot_carry() {
     let sink = TraceSink::new();
-    let pushed: Vec<TraceEvent> = [
-        ([u64::MAX; 4], f64::NAN),
-        ([0, 0, 0, 0], f64::NEG_INFINITY),
-        ([u64::MAX - 1, 1 << 53, 0, (1 << 53) + 1], -0.0),
-        ([7, 1, 2, 1], f64::INFINITY),
-        ([8, 1, 3, 1], 1e300),
+    let emitted: Vec<TraceEvent> = [
+        (u64::MAX, f64::NAN),
+        (0, f64::NEG_INFINITY),
+        (u64::MAX - 1, -0.0),
+        ((1 << 53) + 1, f64::INFINITY),
+        (8, 1e300),
     ]
     .into_iter()
-    .map(|([ts_ms, trace_id, span_id, parent_id], dur_ms)| TraceEvent {
-        ts_ms,
-        trace_id,
-        span_id,
-        parent_id,
-        ..TraceEvent::new(0, "sp\"an", "ph\\ase", vec![("k".to_string(), "v\n".to_string())], dur_ms)
+    .zip(1..)
+    .map(|((ts_ms, dur_ms), id)| {
+        sink.child(ts_ms, dur_ms, "sp\"an", "ph\\ase")
+            .label("k", "v\n")
+            .finish();
+        TraceEvent {
+            ts_ms,
+            trace_id: id,
+            span_id: id,
+            parent_id: 0,
+            span: "sp\"an".to_string(),
+            phase: "ph\\ase".to_string(),
+            labels: vec![("k".to_string(), "v\n".to_string())],
+            dur_ms,
+        }
     })
     .collect();
-    for e in &pushed {
-        sink.push(e.clone());
-    }
     let events = sink.events();
-    assert_eq!(events.len(), pushed.len());
-    for (got, want) in events.iter().zip(&pushed) {
-        assert!(same(got, want), "stored {got:?}\npushed {want:?}");
+    assert_eq!(events.len(), emitted.len());
+    for (got, want) in events.iter().zip(&emitted) {
+        assert!(same(got, want), "stored {got:?}\nemitted {want:?}");
     }
-    for (line, e) in sink.to_jsonl().lines().zip(&pushed) {
+    for (line, e) in sink.to_jsonl().lines().zip(&emitted) {
         assert_eq!(line, model_line(e));
     }
 }
@@ -585,7 +540,7 @@ fn pooled_buffers_carry_nothing_over() {
     outer.add_label("who", "outer");
     inner.add_label("who", "inner");
     drop(outer);
-    sink.event(&clock, "x", "between", &[("who", "event")]);
+    sink.point(&clock, "x", "between").label("who", "event").finish();
     inner.add_label_fmt("n", 7);
     drop(inner);
 

@@ -112,8 +112,47 @@ pub struct AlertTransition {
     pub slow_burn: f64,
 }
 
-/// The two-window burn-rate alert state machine for one
-/// `(entity, QoS)` series.
+/// The fire/clear state machine every alert in the workspace steps:
+/// the burn alerts here and the watchdog's CUSUM and EWMA detectors.
+///
+/// A calm machine fires on the first step whose `fire` predicate
+/// holds; a firing machine clears after `hysteresis` consecutive steps
+/// whose `calm` predicate holds, and a step that is not calm restarts
+/// that run. Each driver's calm level sits strictly below its fire
+/// level, so a monotone series cannot flap.
+#[derive(Clone, Debug, Default)]
+pub struct AlertMachine {
+    firing: bool,
+    calm: usize,
+}
+
+impl AlertMachine {
+    /// Advance one step; returns the transition it caused, if any.
+    pub fn step(&mut self, fire: bool, calm: bool, hysteresis: usize) -> Option<AlertKind> {
+        if !self.firing {
+            self.firing = fire;
+            return fire.then_some(AlertKind::Fire);
+        }
+        if !calm {
+            self.calm = 0;
+            return None;
+        }
+        self.calm += 1;
+        if self.calm < hysteresis {
+            return None;
+        }
+        *self = AlertMachine::default();
+        Some(AlertKind::Clear)
+    }
+
+    /// Whether the machine is firing.
+    #[must_use]
+    pub fn firing(&self) -> bool {
+        self.firing
+    }
+}
+
+/// The two-window burn-rate alert for one `(entity, QoS)` series.
 #[derive(Clone, Debug)]
 pub struct BurnAlert {
     fast: BurnWindow,
@@ -123,8 +162,7 @@ pub struct BurnAlert {
     slow_threshold: f64,
     clear_fraction: f64,
     hysteresis: usize,
-    firing: bool,
-    calm: usize,
+    machine: AlertMachine,
 }
 
 impl BurnAlert {
@@ -141,9 +179,8 @@ impl BurnAlert {
             fast_threshold: policy.fast_burn,
             slow_threshold: policy.slow_burn,
             clear_fraction: policy.clear_fraction,
-            hysteresis: policy.hysteresis.max(1),
-            firing: false,
-            calm: 0,
+            hysteresis: policy.hysteresis,
+            machine: AlertMachine::default(),
         }
     }
 
@@ -157,46 +194,27 @@ impl BurnAlert {
         self.observe_burn(fast, slow)
     }
 
-    /// Advance the state machine on precomputed burn rates. This is the
-    /// raw transition logic [`observe`](Self::observe) delegates to;
+    /// Advance the state machine on precomputed burn rates: fire when
+    /// both burns reach their thresholds, calm while the fast burn is at
+    /// or below `clear_fraction × fast threshold`. This is the raw
+    /// transition logic [`observe`](Self::observe) delegates to;
     /// exposed so offline series (and the no-flap proptests) can drive
     /// the machine directly.
     pub fn observe_burn(&mut self, fast_burn: f64, slow_burn: f64) -> Option<AlertTransition> {
-        if self.firing {
-            if fast_burn <= self.clear_fraction * self.fast_threshold {
-                self.calm += 1;
-                if self.calm >= self.hysteresis {
-                    self.firing = false;
-                    self.calm = 0;
-                    return Some(AlertTransition {
-                        kind: AlertKind::Clear,
-                        fast_burn,
-                        slow_burn,
-                    });
-                }
-            } else {
-                self.calm = 0;
-            }
-            None
-        } else {
-            self.calm = 0;
-            if fast_burn >= self.fast_threshold && slow_burn >= self.slow_threshold {
-                self.firing = true;
-                Some(AlertTransition {
-                    kind: AlertKind::Fire,
-                    fast_burn,
-                    slow_burn,
-                })
-            } else {
-                None
-            }
-        }
+        let fire = fast_burn >= self.fast_threshold && slow_burn >= self.slow_threshold;
+        let calm = fast_burn <= self.clear_fraction * self.fast_threshold;
+        let kind = self.machine.step(fire, calm, self.hysteresis)?;
+        Some(AlertTransition {
+            kind,
+            fast_burn,
+            slow_burn,
+        })
     }
 
     /// Whether the alert is currently firing.
     #[must_use]
     pub fn firing(&self) -> bool {
-        self.firing
+        self.machine.firing()
     }
 
     /// Current fast-window burn rate.
@@ -236,6 +254,19 @@ mod tests {
         // Eviction: the first (bad) sample rolls off.
         w.push(false);
         assert_eq!(w.bad_fraction(), 0.5);
+    }
+
+    #[test]
+    fn a_calm_run_restarts_on_a_step_that_is_not_calm() {
+        let mut m = AlertMachine::default();
+        assert_eq!(m.step(true, false, 5), Some(AlertKind::Fire));
+        // 4 calm steps, one that is not, then 4 more: no clear yet.
+        for calm in [true, true, true, true, false, true, true, true, true] {
+            assert_eq!(m.step(false, calm, 5), None);
+        }
+        assert!(m.firing());
+        assert_eq!(m.step(false, true, 5), Some(AlertKind::Clear), "5th calm step");
+        assert!(!m.firing());
     }
 
     #[test]

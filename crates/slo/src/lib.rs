@@ -8,7 +8,7 @@
 //! reserved; re-negotiation runs off exactly this attainment and
 //! utilization signal.
 //!
-//! Four pieces, all deterministic (same interval stream ⇒ byte-identical
+//! Three pieces, all deterministic (same interval stream ⇒ byte-identical
 //! reports):
 //!
 //! * [`SloEvaluator`] — a streaming fold over per-cycle
@@ -23,7 +23,8 @@
 //!   slow window (default 60) filters blips; an alert fires only when
 //!   **both** exceed their thresholds and clears only after the fast
 //!   burn stays low for a full hysteresis window, so a monotone burn
-//!   series can never flap (see the proptests).
+//!   series can never flap (see the proptests). Its fire/clear
+//!   [`AlertMachine`] is the one the watchdog's detectors step too.
 //! * the **utilization audit** — each entity is classified
 //!   over-/well-/under-entitled from mean demand vs. approved rate,
 //!   flagging the headroom the paper would reclaim at re-negotiation.
@@ -41,7 +42,7 @@ pub mod config;
 pub mod eval;
 pub mod report;
 
-pub use burn::{AlertKind, AlertTransition, BurnAlert, BurnWindow};
+pub use burn::{AlertKind, AlertMachine, AlertTransition, BurnAlert, BurnWindow};
 pub use config::{PolicyIssue, SloPolicy};
 pub use eval::{AlertEvent, IntervalObs, SloEvaluator};
 pub use report::{AuditClass, EntityReport, SloReport};

@@ -103,6 +103,63 @@ pub fn fiber_groups(topo: &Topology) -> Vec<FiberGroup> {
     map.into_values().collect()
 }
 
+/// One independently failing unit of risk — a fiber group or a
+/// conduit: the links it takes down and its availability.
+pub(crate) struct RiskUnit<'a> {
+    pub(crate) links: &'a [LinkId],
+    pub(crate) availability: f64,
+    /// The unit's name in scenario labels; a dual cut joins two with `+`.
+    pub(crate) label: String,
+}
+
+/// The enumeration kernel under [`ScenarioSet::enumerate`] and
+/// [`crate::srlg::SrlgMap::enumerate`]: the healthy scenario, every
+/// single and (for `max_cuts` 2) every pair of unit cuts with exact
+/// joint probabilities under independent unit failure, and the
+/// residual mass as one blackout scenario.
+pub(crate) fn enumerate_units(topo: &Topology, units: &[RiskUnit], max_cuts: usize) -> ScenarioSet {
+    assert!(max_cuts <= 2, "enumeration supports up to dual cuts");
+    let up_prob: f64 = units.iter().map(|u| u.availability).product();
+    let mut scenarios = vec![FailureScenario::healthy(up_prob)];
+
+    if max_cuts >= 1 {
+        for (i, u) in units.iter().enumerate() {
+            let p = up_prob / u.availability * (1.0 - u.availability);
+            scenarios.push(FailureScenario {
+                dead_links: u.links.to_vec(),
+                probability: p,
+                label: u.label.clone(),
+            });
+            if max_cuts >= 2 {
+                for u2 in &units[i + 1..] {
+                    let p2 = up_prob / (u.availability * u2.availability)
+                        * (1.0 - u.availability)
+                        * (1.0 - u2.availability);
+                    let mut dead = u.links.to_vec();
+                    dead.extend_from_slice(u2.links);
+                    scenarios.push(FailureScenario {
+                        dead_links: dead,
+                        probability: p2,
+                        label: format!("{}+{}", u.label, u2.label),
+                    });
+                }
+            }
+        }
+    }
+
+    // Residual mass: treat as total blackout (conservative).
+    let covered: f64 = scenarios.iter().map(|s| s.probability).sum();
+    let residual = (1.0 - covered).max(0.0);
+    if residual > 1e-12 {
+        scenarios.push(FailureScenario {
+            dead_links: topo.links().iter().map(|l| l.id).collect(),
+            probability: residual,
+            label: "blackout(residual)".into(),
+        });
+    }
+    ScenarioSet { scenarios }
+}
+
 impl ScenarioSet {
     /// Exhaustively enumerate scenarios with up to `max_cuts` simultaneous
     /// fiber cuts (0, 1, or 2 supported — beyond dual cuts the probability
@@ -113,50 +170,16 @@ impl ScenarioSet {
     /// a synthetic "blackout" scenario that kills everything, which makes
     /// availability estimates conservative rather than optimistic.
     pub fn enumerate(topo: &Topology, max_cuts: usize) -> ScenarioSet {
-        assert!(max_cuts <= 2, "enumeration supports up to dual cuts");
         let groups = fiber_groups(topo);
-        let up_prob: f64 = groups.iter().map(|g| g.availability).product();
-        let mut scenarios = vec![FailureScenario::healthy(up_prob)];
-
-        if max_cuts >= 1 {
-            for (i, g) in groups.iter().enumerate() {
-                let p = up_prob / g.availability * (1.0 - g.availability);
-                scenarios.push(FailureScenario {
-                    dead_links: g.links.clone(),
-                    probability: p,
-                    label: format!("cut({}-{})", g.endpoints.0, g.endpoints.1),
-                });
-                if max_cuts >= 2 {
-                    for g2 in groups.iter().skip(i + 1) {
-                        let p2 = up_prob / (g.availability * g2.availability)
-                            * (1.0 - g.availability)
-                            * (1.0 - g2.availability);
-                        let mut dead = g.links.clone();
-                        dead.extend_from_slice(&g2.links);
-                        scenarios.push(FailureScenario {
-                            dead_links: dead,
-                            probability: p2,
-                            label: format!(
-                                "cut({}-{})+cut({}-{})",
-                                g.endpoints.0, g.endpoints.1, g2.endpoints.0, g2.endpoints.1
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-
-        // Residual mass: treat as total blackout (conservative).
-        let covered: f64 = scenarios.iter().map(|s| s.probability).sum();
-        let residual = (1.0 - covered).max(0.0);
-        if residual > 1e-12 {
-            scenarios.push(FailureScenario {
-                dead_links: topo.links().iter().map(|l| l.id).collect(),
-                probability: residual,
-                label: "blackout(residual)".into(),
-            });
-        }
-        ScenarioSet { scenarios }
+        let units: Vec<RiskUnit> = groups
+            .iter()
+            .map(|g| RiskUnit {
+                links: &g.links,
+                availability: g.availability,
+                label: format!("cut({}-{})", g.endpoints.0, g.endpoints.1),
+            })
+            .collect();
+        enumerate_units(topo, &units, max_cuts)
     }
 
     /// Monte-Carlo sample `n` scenarios: each fiber group is independently

@@ -12,7 +12,7 @@
 //! endpoints are near each other on the generator's map share a right of
 //! way with some probability).
 
-use crate::failure::{fiber_groups, FailureScenario, FiberGroup, ScenarioSet};
+use crate::failure::{enumerate_units, fiber_groups, FiberGroup, RiskUnit, ScenarioSet};
 use crate::graph::{LinkId, Topology};
 use entitlement_core::DetRng;
 use serde::{Deserialize, Serialize};
@@ -121,43 +121,16 @@ impl SrlgMap {
     /// [`ScenarioSet::enumerate`] including the conservative residual
     /// blackout.
     pub fn enumerate(&self, topo: &Topology, max_cuts: usize) -> ScenarioSet {
-        assert!(max_cuts <= 2);
-        let up: f64 = self.conduits.iter().map(|c| c.availability).product();
-        let mut scenarios = vec![FailureScenario::healthy(up)];
-        if max_cuts >= 1 {
-            for (i, c) in self.conduits.iter().enumerate() {
-                let p = up / c.availability * (1.0 - c.availability);
-                scenarios.push(FailureScenario {
-                    dead_links: c.links.clone(),
-                    probability: p,
-                    label: format!("conduit{}", c.id),
-                });
-                if max_cuts >= 2 {
-                    for c2 in self.conduits.iter().skip(i + 1) {
-                        let p2 = up / (c.availability * c2.availability)
-                            * (1.0 - c.availability)
-                            * (1.0 - c2.availability);
-                        let mut dead = c.links.clone();
-                        dead.extend_from_slice(&c2.links);
-                        scenarios.push(FailureScenario {
-                            dead_links: dead,
-                            probability: p2,
-                            label: format!("conduit{}+conduit{}", c.id, c2.id),
-                        });
-                    }
-                }
-            }
-        }
-        let covered: f64 = scenarios.iter().map(|s| s.probability).sum();
-        let residual = (1.0 - covered).max(0.0);
-        if residual > 1e-12 {
-            scenarios.push(FailureScenario {
-                dead_links: topo.links().iter().map(|l| l.id).collect(),
-                probability: residual,
-                label: "blackout(residual)".into(),
-            });
-        }
-        ScenarioSet { scenarios }
+        let units: Vec<RiskUnit> = self
+            .conduits
+            .iter()
+            .map(|c| RiskUnit {
+                links: &c.links,
+                availability: c.availability,
+                label: format!("conduit{}", c.id),
+            })
+            .collect();
+        enumerate_units(topo, &units, max_cuts)
     }
 }
 
@@ -194,6 +167,28 @@ mod tests {
         let topo = BackboneSpec::small(51).build();
         let map = SrlgMap::synthesize(&topo, 0.0, 7);
         assert_eq!(map.len(), fiber_groups(&topo).len());
+    }
+
+    #[test]
+    fn the_independent_map_enumerates_the_base_model() {
+        for seed in [51, 53, 57] {
+            let topo = BackboneSpec::small(seed).build();
+            for cuts in 0..=2 {
+                let base = ScenarioSet::enumerate(&topo, cuts);
+                let srlg = SrlgMap::independent(&topo).enumerate(&topo, cuts);
+                assert_eq!(srlg.len(), base.len(), "seed {seed} cuts {cuts}");
+                for (a, b) in srlg.scenarios.iter().zip(&base.scenarios) {
+                    assert_eq!(a.dead_links, b.dead_links, "seed {seed} cuts {cuts}");
+                    assert_eq!(
+                        a.probability.to_bits(),
+                        b.probability.to_bits(),
+                        "seed {seed} cuts {cuts}: {} vs {}",
+                        a.label,
+                        b.label
+                    );
+                }
+            }
+        }
     }
 
     #[test]

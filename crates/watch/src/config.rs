@@ -1,236 +1,92 @@
-//! Watchdog policy: thresholds for the invariant monitors and the
-//! statistical anomaly detectors.
+//! Watchdog thresholds for the invariant monitors and the statistical
+//! anomaly detectors.
 //!
-//! Defaults are tuned so every healthy seeded drill, fleet run, and
+//! They are fixed: tuned so every healthy seeded drill, fleet run, and
 //! admission storm in this workspace stays completely silent (the
 //! no-false-positive pin in `tests/watch_chaos.rs` and the proptests
 //! enforce this), while each seeded fault family crosses its detector
 //! within the cycle bounds documented in DESIGN.md §15.
 
-/// One watch-policy validation finding: a stable code plus a human
-/// message (same shape as `SloPolicy`'s issues).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WatchPolicyIssue {
-    /// Stable issue code, e.g. `"watch.delivery_epsilon"`.
-    pub code: &'static str,
-    /// Human-readable description.
-    pub message: String,
-}
+/// The watchdog's thresholds, as associated constants. The type has no
+/// fields; [`crate::WatchEvaluator::new`] takes one for callers written
+/// against it.
+#[derive(Debug, Default)]
+pub struct WatchPolicy;
 
-/// Thresholds for the runtime watchdog.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WatchPolicy {
+impl WatchPolicy {
     /// Slack on the delivery-conservation bound (W0101): delivered may
     /// exceed `min(demand, approved)` by this fraction before the
     /// monitor fires. Matches the drill's own settling bound (the
     /// Fig 12 test allows conform ≤ entitled × 1.25).
-    pub delivery_epsilon: f64,
+    pub const DELIVERY_EPSILON: f64 = 0.25;
     /// Cycles the approved rate must hold steady before W0101 is
     /// enforced — a contract rollover (the drill's minute-30 cut) gets
     /// this many cycles of metering reaction time.
-    pub settle_cycles: u64,
+    pub const SETTLE_CYCLES: u64 = 10;
     /// Slack on the marked/conforming fraction range checks (W0104).
-    pub fraction_epsilon: f64,
+    pub const FRACTION_EPSILON: f64 = 0.01;
     /// Fast EWMA smoothing factor for the drift detector.
-    pub ewma_fast_alpha: f64,
+    pub const EWMA_FAST_ALPHA: f64 = 0.3;
     /// Slow EWMA smoothing factor for the drift detector.
-    pub ewma_slow_alpha: f64,
+    pub const EWMA_SLOW_ALPHA: f64 = 0.05;
     /// Relative fast-vs-slow divergence at which the drift detector
     /// (W0106) fires.
-    pub drift_threshold: f64,
+    pub const DRIFT_THRESHOLD: f64 = 0.2;
     /// CUSUM slack `k`: per-sample deviations below this (relative to
     /// the frozen baseline) are absorbed, and the statistic drains at
     /// this rate once the series recovers.
-    pub cusum_slack: f64,
+    pub const CUSUM_SLACK: f64 = 0.5;
     /// CUSUM decision threshold `h`: the detector fires when the
     /// accumulated statistic reaches it. The statistic is capped at
     /// `2h`, which bounds the post-recovery clear time.
-    pub cusum_threshold: f64,
+    pub const CUSUM_THRESHOLD: f64 = 8.0;
     /// Samples used to freeze each CUSUM baseline mean before the
     /// statistic accumulates.
-    pub warmup: u64,
+    pub const WARMUP: u64 = 20;
     /// Consecutive calm observations required before a firing detector
     /// clears.
-    pub hysteresis: usize,
+    pub const HYSTERESIS: usize = 5;
     /// A firing detector's statistic must stay at or below
-    /// `clear_fraction × threshold` through the hysteresis run. Strictly
+    /// `CLEAR_FRACTION × threshold` through the hysteresis run. Strictly
     /// below 1, so a monotone statistic can never flap (refiring needs
     /// a level the series already fell below).
-    pub clear_fraction: f64,
-}
-
-impl Default for WatchPolicy {
-    fn default() -> Self {
-        WatchPolicy {
-            delivery_epsilon: 0.25,
-            settle_cycles: 10,
-            fraction_epsilon: 0.01,
-            ewma_fast_alpha: 0.3,
-            ewma_slow_alpha: 0.05,
-            drift_threshold: 0.2,
-            cusum_slack: 0.5,
-            cusum_threshold: 8.0,
-            warmup: 20,
-            hysteresis: 5,
-            clear_fraction: 0.5,
-        }
-    }
-}
-
-impl WatchPolicy {
-    /// Validate the policy; an empty vec means usable.
-    #[must_use]
-    pub fn validate(&self) -> Vec<WatchPolicyIssue> {
-        let mut out = Vec::new();
-        let mut push = |code: &'static str, message: String| {
-            out.push(WatchPolicyIssue { code, message });
-        };
-        if !(self.delivery_epsilon >= 0.0 && self.delivery_epsilon.is_finite()) {
-            push(
-                "watch.delivery_epsilon",
-                format!("delivery_epsilon must be finite and ≥ 0, got {}", self.delivery_epsilon),
-            );
-        }
-        if !(self.fraction_epsilon >= 0.0 && self.fraction_epsilon.is_finite()) {
-            push(
-                "watch.fraction_epsilon",
-                format!("fraction_epsilon must be finite and ≥ 0, got {}", self.fraction_epsilon),
-            );
-        }
-        for (code, alpha) in [
-            ("watch.ewma_fast_alpha", self.ewma_fast_alpha),
-            ("watch.ewma_slow_alpha", self.ewma_slow_alpha),
-        ] {
-            if !(alpha > 0.0 && alpha <= 1.0) {
-                push(code, format!("EWMA alpha must lie in (0, 1], got {alpha}"));
-            }
-        }
-        if self.ewma_slow_alpha >= self.ewma_fast_alpha {
-            push(
-                "watch.ewma_windows",
-                format!(
-                    "slow alpha {} must be strictly smaller than fast alpha {}",
-                    self.ewma_slow_alpha, self.ewma_fast_alpha
-                ),
-            );
-        }
-        if !(self.drift_threshold > 0.0 && self.drift_threshold.is_finite()) {
-            push(
-                "watch.drift_threshold",
-                format!("drift_threshold must be positive, got {}", self.drift_threshold),
-            );
-        }
-        if !(self.cusum_slack > 0.0 && self.cusum_slack.is_finite()) {
-            push(
-                "watch.cusum_slack",
-                format!("cusum_slack must be positive, got {}", self.cusum_slack),
-            );
-        }
-        if !(self.cusum_threshold > 0.0 && self.cusum_threshold.is_finite()) {
-            push(
-                "watch.cusum_threshold",
-                format!("cusum_threshold must be positive, got {}", self.cusum_threshold),
-            );
-        }
-        if self.warmup == 0 {
-            push(
-                "watch.warmup",
-                "warmup must be at least 1 sample".to_string(),
-            );
-        }
-        if self.hysteresis == 0 {
-            push(
-                "watch.hysteresis",
-                "hysteresis must be at least 1 cycle".to_string(),
-            );
-        }
-        if !(self.clear_fraction > 0.0 && self.clear_fraction < 1.0) {
-            push(
-                "watch.clear_fraction",
-                format!("clear_fraction must lie in (0, 1), got {}", self.clear_fraction),
-            );
-        }
-        out
-    }
+    pub const CLEAR_FRACTION: f64 = 0.5;
 
     /// Short detector-parameter label for reports, e.g.
     /// `ewma(0.3/0.05)>0.2 cusum(k=0.5,h=8)`.
     #[must_use]
-    pub fn detector_label(&self) -> String {
+    pub fn detector_label() -> String {
         format!(
             "ewma({}/{})>{} cusum(k={},h={})",
-            self.ewma_fast_alpha,
-            self.ewma_slow_alpha,
-            self.drift_threshold,
-            self.cusum_slack,
-            self.cusum_threshold
+            Self::EWMA_FAST_ALPHA,
+            Self::EWMA_SLOW_ALPHA,
+            Self::DRIFT_THRESHOLD,
+            Self::CUSUM_SLACK,
+            Self::CUSUM_THRESHOLD
         )
     }
 }
+
+// The threshold geometry the detectors rely on.
+const _: () = {
+    assert!(WatchPolicy::CLEAR_FRACTION > 0.0 && WatchPolicy::CLEAR_FRACTION < 1.0);
+    assert!(WatchPolicy::EWMA_SLOW_ALPHA > 0.0);
+    assert!(WatchPolicy::EWMA_SLOW_ALPHA < WatchPolicy::EWMA_FAST_ALPHA);
+    assert!(WatchPolicy::EWMA_FAST_ALPHA <= 1.0);
+    assert!(WatchPolicy::WARMUP >= 1 && WatchPolicy::HYSTERESIS >= 1);
+    assert!(WatchPolicy::DELIVERY_EPSILON >= 0.0 && WatchPolicy::FRACTION_EPSILON >= 0.0);
+    assert!(WatchPolicy::DRIFT_THRESHOLD > 0.0);
+    assert!(WatchPolicy::CUSUM_SLACK > 0.0 && WatchPolicy::CUSUM_THRESHOLD > 0.0);
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_is_valid() {
-        assert!(WatchPolicy::default().validate().is_empty());
-    }
-
-    #[test]
-    fn each_bad_field_reports_its_code() {
-        let cases: Vec<(WatchPolicy, &str)> = vec![
-            (
-                WatchPolicy { delivery_epsilon: -1.0, ..Default::default() },
-                "watch.delivery_epsilon",
-            ),
-            (
-                WatchPolicy { fraction_epsilon: f64::NAN, ..Default::default() },
-                "watch.fraction_epsilon",
-            ),
-            (
-                WatchPolicy { ewma_fast_alpha: 0.0, ..Default::default() },
-                "watch.ewma_fast_alpha",
-            ),
-            (
-                WatchPolicy { ewma_slow_alpha: 0.5, ..Default::default() },
-                "watch.ewma_windows",
-            ),
-            (
-                WatchPolicy { drift_threshold: 0.0, ..Default::default() },
-                "watch.drift_threshold",
-            ),
-            (
-                WatchPolicy { cusum_slack: 0.0, ..Default::default() },
-                "watch.cusum_slack",
-            ),
-            (
-                WatchPolicy { cusum_threshold: -2.0, ..Default::default() },
-                "watch.cusum_threshold",
-            ),
-            (WatchPolicy { warmup: 0, ..Default::default() }, "watch.warmup"),
-            (
-                WatchPolicy { hysteresis: 0, ..Default::default() },
-                "watch.hysteresis",
-            ),
-            (
-                WatchPolicy { clear_fraction: 1.0, ..Default::default() },
-                "watch.clear_fraction",
-            ),
-        ];
-        for (policy, code) in cases {
-            let issues = policy.validate();
-            assert!(
-                issues.iter().any(|i| i.code == code),
-                "{code} not reported: {issues:?}"
-            );
-        }
-    }
-
-    #[test]
     fn detector_label_is_stable() {
         assert_eq!(
-            WatchPolicy::default().detector_label(),
+            WatchPolicy::detector_label(),
             "ewma(0.3/0.05)>0.2 cusum(k=0.5,h=8)"
         );
     }

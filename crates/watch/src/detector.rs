@@ -1,109 +1,34 @@
 //! Statistical anomaly detectors: CUSUM changepoint and EWMA drift,
-//! each driving the same hysteresis state machine the burn alerts use.
+//! each stepping the fire/clear machine the burn alerts use
+//! ([`AlertMachine`]).
 //!
-//! The machine fires when the detector's statistic reaches its
-//! threshold and clears only after the statistic has stayed at or
-//! below `clear_fraction × threshold` for a full hysteresis run. The
-//! clear level sits strictly below the fire level, so for any
-//! *monotone* statistic series the machine provably never flaps
-//! (fire → clear → fire needs the statistic to rise back above a level
-//! it already fell below) — the proptests in
-//! `tests/detector_props.rs` pin this, mirroring the burn-alert
-//! no-flap obligation.
+//! A detector fires when its statistic reaches its threshold and
+//! clears only after the statistic has stayed at or below
+//! `CLEAR_FRACTION × threshold` for a full hysteresis run. The clear
+//! level sits strictly below the fire level, so for any *monotone*
+//! statistic series the machine provably never flaps (fire → clear →
+//! fire needs the statistic to rise back above a level it already fell
+//! below) — the proptests in `tests/detector_props.rs` pin this,
+//! mirroring the burn-alert no-flap obligation.
 
 use crate::config::WatchPolicy;
-
-/// Whether a detector transition fires or clears.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WatchKind {
-    /// The statistic reached the threshold.
-    Fire,
-    /// The statistic stayed calm for a full hysteresis run.
-    Clear,
-}
-
-impl WatchKind {
-    /// Stable lowercase form used in trace labels and reports.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            WatchKind::Fire => "fire",
-            WatchKind::Clear => "clear",
-        }
-    }
-}
+use entitlement_slo::{AlertKind, AlertMachine};
 
 /// One detector state transition, with the statistic that caused it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WatchTransition {
     /// Fire or clear.
-    pub kind: WatchKind,
+    pub kind: AlertKind,
     /// The detector statistic at the transition.
     pub stat: f64,
 }
 
-/// The shared fire/clear state machine (one threshold, one statistic —
-/// the single-window analogue of `BurnAlert`).
-#[derive(Clone, Debug)]
-pub struct Hysteresis {
-    threshold: f64,
-    clear_fraction: f64,
-    hysteresis: usize,
-    firing: bool,
-    calm: usize,
-}
-
-impl Hysteresis {
-    /// New machine firing at `threshold` under the policy's
-    /// clear-fraction and hysteresis run length.
-    #[must_use]
-    pub fn new(threshold: f64, policy: &WatchPolicy) -> Self {
-        Hysteresis {
-            threshold,
-            clear_fraction: policy.clear_fraction,
-            hysteresis: policy.hysteresis.max(1),
-            firing: false,
-            calm: 0,
-        }
-    }
-
-    /// Advance on one statistic sample; returns the transition it
-    /// caused, if any.
-    pub fn observe(&mut self, stat: f64) -> Option<WatchTransition> {
-        if self.firing {
-            if stat <= self.clear_fraction * self.threshold {
-                self.calm += 1;
-                if self.calm >= self.hysteresis {
-                    self.firing = false;
-                    self.calm = 0;
-                    return Some(WatchTransition {
-                        kind: WatchKind::Clear,
-                        stat,
-                    });
-                }
-            } else {
-                self.calm = 0;
-            }
-            None
-        } else {
-            self.calm = 0;
-            if stat >= self.threshold {
-                self.firing = true;
-                Some(WatchTransition {
-                    kind: WatchKind::Fire,
-                    stat,
-                })
-            } else {
-                None
-            }
-        }
-    }
-
-    /// Whether the machine is currently firing.
-    #[must_use]
-    pub fn firing(&self) -> bool {
-        self.firing
-    }
+/// Step `machine` on one statistic sample against `threshold`.
+fn step(machine: &mut AlertMachine, stat: f64, threshold: f64) -> Option<WatchTransition> {
+    let fire = stat >= threshold;
+    let calm = stat <= WatchPolicy::CLEAR_FRACTION * threshold;
+    let kind = machine.step(fire, calm, WatchPolicy::HYSTERESIS)?;
+    Some(WatchTransition { kind, stat })
 }
 
 /// One-sided CUSUM changepoint detector over a positive-mean series.
@@ -116,34 +41,16 @@ impl Hysteresis {
 /// it can never fire; once the series recovers after an excursion, `S`
 /// drains at ≥ `k` per sample from its `2h` cap, which bounds the
 /// clear time by `⌈1.5h/k⌉ + hysteresis` samples.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Cusum {
-    warmup: u64,
     seen: u64,
     baseline_sum: f64,
     mu0: Option<f64>,
-    slack: f64,
-    threshold: f64,
     stat: f64,
-    machine: Hysteresis,
+    machine: AlertMachine,
 }
 
 impl Cusum {
-    /// New detector under `policy`.
-    #[must_use]
-    pub fn new(policy: &WatchPolicy) -> Self {
-        Cusum {
-            warmup: policy.warmup.max(1),
-            seen: 0,
-            baseline_sum: 0.0,
-            mu0: None,
-            slack: policy.cusum_slack,
-            threshold: policy.cusum_threshold,
-            stat: 0.0,
-            machine: Hysteresis::new(policy.cusum_threshold, policy),
-        }
-    }
-
     /// Fold one sample; returns a fire/clear transition if one
     /// happened.
     pub fn observe(&mut self, x: f64) -> Option<WatchTransition> {
@@ -153,15 +60,15 @@ impl Cusum {
         self.seen += 1;
         let Some(mu0) = self.mu0 else {
             self.baseline_sum += x;
-            if self.seen >= self.warmup {
+            if self.seen >= WatchPolicy::WARMUP {
                 self.mu0 = Some(self.baseline_sum / self.seen as f64);
             }
             return None;
         };
         let scale = mu0.abs().max(1.0);
-        self.stat = (self.stat + (x - mu0) / scale - self.slack)
-            .clamp(0.0, 2.0 * self.threshold);
-        self.machine.observe(self.stat)
+        let h = WatchPolicy::CUSUM_THRESHOLD;
+        self.stat = (self.stat + (x - mu0) / scale - WatchPolicy::CUSUM_SLACK).clamp(0.0, 2.0 * h);
+        step(&mut self.machine, self.stat, h)
     }
 
     /// Current statistic `S`.
@@ -182,30 +89,15 @@ impl Cusum {
 /// the slow mean, `|fast − slow| / max(|slow|, 1)`. A constant series
 /// keeps both means equal (statistic exactly zero), so it can never
 /// fire.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EwmaDrift {
-    fast_alpha: f64,
-    slow_alpha: f64,
     fast: Option<f64>,
     slow: Option<f64>,
     stat: f64,
-    machine: Hysteresis,
+    machine: AlertMachine,
 }
 
 impl EwmaDrift {
-    /// New detector under `policy`.
-    #[must_use]
-    pub fn new(policy: &WatchPolicy) -> Self {
-        EwmaDrift {
-            fast_alpha: policy.ewma_fast_alpha,
-            slow_alpha: policy.ewma_slow_alpha,
-            fast: None,
-            slow: None,
-            stat: 0.0,
-            machine: Hysteresis::new(policy.drift_threshold, policy),
-        }
-    }
-
     /// Fold one sample; returns a fire/clear transition if one
     /// happened.
     pub fn observe(&mut self, x: f64) -> Option<WatchTransition> {
@@ -213,17 +105,17 @@ impl EwmaDrift {
             return None;
         }
         let fast = match self.fast {
-            Some(f) => f + self.fast_alpha * (x - f),
+            Some(f) => f + WatchPolicy::EWMA_FAST_ALPHA * (x - f),
             None => x,
         };
         let slow = match self.slow {
-            Some(s) => s + self.slow_alpha * (x - s),
+            Some(s) => s + WatchPolicy::EWMA_SLOW_ALPHA * (x - s),
             None => x,
         };
         self.fast = Some(fast);
         self.slow = Some(slow);
         self.stat = (fast - slow).abs() / slow.abs().max(1.0);
-        self.machine.observe(self.stat)
+        step(&mut self.machine, self.stat, WatchPolicy::DRIFT_THRESHOLD)
     }
 
     /// Current drift statistic.
@@ -243,43 +135,22 @@ impl EwmaDrift {
 mod tests {
     use super::*;
 
-    fn policy() -> WatchPolicy {
-        WatchPolicy::default()
-    }
-
     #[test]
-    fn hysteresis_fires_then_clears_once() {
-        let mut h = Hysteresis::new(10.0, &policy());
+    fn a_statistic_fires_at_the_threshold_and_clears_at_half_of_it() {
+        let mut m = AlertMachine::default();
         let mut kinds = Vec::new();
-        for s in [0.0, 2.0, 11.0, 12.0, 9.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0] {
-            if let Some(t) = h.observe(s) {
+        for s in [0.0, 2.0, 11.0, 12.0, 9.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0] {
+            if let Some(t) = step(&mut m, s, 10.0) {
                 kinds.push(t.kind);
             }
         }
-        assert_eq!(kinds, vec![WatchKind::Fire, WatchKind::Clear]);
-        assert!(!h.firing());
-    }
-
-    #[test]
-    fn hysteresis_calm_run_restarts_on_a_spike() {
-        let mut h = Hysteresis::new(10.0, &policy());
-        assert!(h.observe(10.0).is_some());
-        // 4 calm cycles, a spike above the clear level, then 4 more calm
-        // cycles: no clear yet (the run restarted).
-        for _ in 0..4 {
-            assert!(h.observe(1.0).is_none());
-        }
-        assert!(h.observe(9.0).is_none());
-        for _ in 0..4 {
-            assert!(h.observe(1.0).is_none());
-        }
-        assert!(h.firing());
-        assert!(h.observe(1.0).is_some(), "5th consecutive calm cycle clears");
+        assert_eq!(kinds, vec![AlertKind::Fire, AlertKind::Clear]);
+        assert!(!m.firing());
     }
 
     #[test]
     fn cusum_constant_series_never_fires() {
-        let mut c = Cusum::new(&policy());
+        let mut c = Cusum::default();
         for _ in 0..500 {
             assert!(c.observe(30_000.0).is_none());
         }
@@ -289,16 +160,15 @@ mod tests {
 
     #[test]
     fn cusum_step_change_fires_and_recovery_clears() {
-        let p = policy();
-        let mut c = Cusum::new(&p);
-        for _ in 0..p.warmup {
+        let mut c = Cusum::default();
+        for _ in 0..WatchPolicy::WARMUP {
             c.observe(100.0);
         }
         // Step to 3× baseline: each sample adds 2 − k = 1.5 to S.
         let mut fired_at = None;
         for i in 0..20 {
             if let Some(t) = c.observe(300.0) {
-                assert_eq!(t.kind, WatchKind::Fire);
+                assert_eq!(t.kind, AlertKind::Fire);
                 fired_at = Some(i);
                 break;
             }
@@ -310,7 +180,7 @@ mod tests {
         let mut cleared_at = None;
         for i in 0..60 {
             if let Some(t) = c.observe(100.0) {
-                assert_eq!(t.kind, WatchKind::Clear);
+                assert_eq!(t.kind, AlertKind::Clear);
                 cleared_at = Some(i);
                 break;
             }
@@ -322,7 +192,7 @@ mod tests {
 
     #[test]
     fn ewma_constant_series_has_zero_drift() {
-        let mut d = EwmaDrift::new(&policy());
+        let mut d = EwmaDrift::default();
         for _ in 0..200 {
             assert!(d.observe(1.0).is_none());
             assert_eq!(d.stat(), 0.0);
@@ -331,8 +201,7 @@ mod tests {
 
     #[test]
     fn ewma_level_shift_fires_and_clears_after_reconvergence() {
-        let p = policy();
-        let mut d = EwmaDrift::new(&p);
+        let mut d = EwmaDrift::default();
         for _ in 0..50 {
             d.observe(1.0);
         }
@@ -342,7 +211,7 @@ mod tests {
                 kinds.push(t.kind);
             }
         }
-        assert_eq!(kinds, vec![WatchKind::Fire], "level shift fires once");
+        assert_eq!(kinds, vec![AlertKind::Fire], "level shift fires once");
         // The means reconverge on the new level; drift shrinks to zero
         // and the machine clears exactly once.
         for _ in 0..200 {
@@ -350,13 +219,13 @@ mod tests {
                 kinds.push(t.kind);
             }
         }
-        assert_eq!(kinds, vec![WatchKind::Fire, WatchKind::Clear]);
+        assert_eq!(kinds, vec![AlertKind::Fire, AlertKind::Clear]);
     }
 
     #[test]
     fn non_finite_samples_are_ignored() {
-        let mut c = Cusum::new(&policy());
-        let mut d = EwmaDrift::new(&policy());
+        let mut c = Cusum::default();
+        let mut d = EwmaDrift::default();
         for _ in 0..100 {
             assert!(c.observe(f64::NAN).is_none());
             assert!(d.observe(f64::INFINITY).is_none());

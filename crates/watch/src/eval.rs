@@ -20,11 +20,11 @@
 //! [`WatchReport`] — from the trace file alone. Violations and
 //! detector transitions additionally emit `watch`/`violation` and
 //! `watch`/`fire`|`clear` events; those are *recomputed* by the
-//! offline fold, never parsed back, so a different policy re-judges
-//! the same run.
+//! offline fold, never parsed back, so a fold under different
+//! thresholds re-judges the same run.
 
 use crate::config::WatchPolicy;
-use crate::detector::{Cusum, EwmaDrift, WatchKind, WatchTransition};
+use crate::detector::{Cusum, EwmaDrift, WatchTransition};
 use crate::monitor::{
     check_delivery, check_fractions, check_residual, check_shard_sum,
 };
@@ -188,6 +188,7 @@ fn decode_shards(e: &TraceEvent) -> Result<(&str, &str, f64, Vec<f64>), BadLabel
     ))
 }
 
+#[derive(Default)]
 struct EntityState {
     cycles: u64,
     shard_checks: u64,
@@ -197,6 +198,7 @@ struct EntityState {
     attainment: EwmaDrift,
 }
 
+#[derive(Default)]
 struct AdmitState {
     admits: u64,
     latency: Cusum,
@@ -204,55 +206,34 @@ struct AdmitState {
 
 /// The streaming watchdog fold. Same observation stream ⇒ identical
 /// report, bitwise.
+#[derive(Default)]
 pub struct WatchEvaluator {
-    policy: WatchPolicy,
     states: BTreeMap<(String, String), EntityState>,
     admit: AdmitState,
     violations: Vec<Violation>,
     transitions: Vec<DetectorEvent>,
 }
 
-impl Default for WatchEvaluator {
-    /// An evaluator under the default [`WatchPolicy`].
-    fn default() -> Self {
-        WatchEvaluator::new(WatchPolicy::default())
-    }
-}
-
 /// The `(entity, QoS)` state, created on first sight.
 fn state_mut<'a>(
     states: &'a mut BTreeMap<(String, String), EntityState>,
-    policy: &WatchPolicy,
     entity: &str,
     qos: &str,
 ) -> &'a mut EntityState {
     states
         .entry((entity.to_string(), qos.to_string()))
         .or_insert_with(|| EntityState {
-            cycles: 0,
-            shard_checks: 0,
             last_approved: f64::NAN,
-            settled_for: 0,
-            staleness: Cusum::new(policy),
-            attainment: EwmaDrift::new(policy),
+            ..EntityState::default()
         })
 }
 
 impl WatchEvaluator {
-    /// New evaluator under `policy`.
+    /// A new evaluator, the same as [`WatchEvaluator::default`]: the
+    /// thresholds are [`WatchPolicy`]'s constants.
     #[must_use]
-    pub fn new(policy: WatchPolicy) -> Self {
-        let admit = AdmitState {
-            admits: 0,
-            latency: Cusum::new(&policy),
-        };
-        WatchEvaluator {
-            policy,
-            states: BTreeMap::new(),
-            admit,
-            violations: Vec::new(),
-            transitions: Vec::new(),
-        }
+    pub fn new(_: WatchPolicy) -> Self {
+        WatchEvaluator::default()
     }
 
     fn violation(
@@ -295,11 +276,7 @@ impl WatchEvaluator {
         cycle: u64,
         t: WatchTransition,
     ) {
-        let phase = match t.kind {
-            WatchKind::Fire => "fire",
-            WatchKind::Clear => "clear",
-        };
-        obs.point("watch", phase)
+        obs.point("watch", t.kind.as_str())
             .label("code", code.as_str())
             .label("entity", entity)
             .label("qos", qos)
@@ -319,7 +296,7 @@ impl WatchEvaluator {
     /// Fold one metering-cycle observation, emitting a `watch`/`cycle`
     /// event plus any violations/transitions it causes.
     pub fn observe_cycle(&mut self, obs: &Obs, o: &CycleObs) {
-        let st = state_mut(&mut self.states, &self.policy, &o.entity, &o.qos);
+        let st = state_mut(&mut self.states, &o.entity, &o.qos);
         st.cycles += 1;
         let cycle = st.cycles;
 
@@ -334,7 +311,7 @@ impl WatchEvaluator {
         } else {
             st.settled_for += 1;
         }
-        let settled = st.settled_for >= self.policy.settle_cycles;
+        let settled = st.settled_for >= WatchPolicy::SETTLE_CYCLES;
 
         // The detectors step here, while the entity's state is in
         // hand; what they decided is emitted below, after the
@@ -354,16 +331,12 @@ impl WatchEvaluator {
 
         // W0101 delivery conservation (settled, measurable cycles only).
         if settled && o.measurable {
-            if let Some(detail) =
-                check_delivery(&self.policy, o.demand_bps, o.delivered_bps, o.approved_bps)
-            {
+            if let Some(detail) = check_delivery(o.demand_bps, o.delivered_bps, o.approved_bps) {
                 self.violation(obs, Code::W0101, &o.entity, &o.qos, cycle, detail);
             }
         }
         // W0104 fraction sanity (every cycle).
-        if let Some(detail) =
-            check_fractions(&self.policy, o.marked_fraction, o.conform_fraction)
-        {
+        if let Some(detail) = check_fractions(o.marked_fraction, o.conform_fraction) {
             self.violation(obs, Code::W0104, &o.entity, &o.qos, cycle, detail);
         }
         // W0105 staleness CUSUM, W0106 attainment drift.
@@ -386,7 +359,7 @@ impl WatchEvaluator {
         total_bps: f64,
         shard_bps: &[f64],
     ) {
-        let st = state_mut(&mut self.states, &self.policy, entity, qos);
+        let st = state_mut(&mut self.states, entity, qos);
         st.shard_checks += 1;
         let cycle = st.shard_checks;
         encode_shards(obs, entity, qos, total_bps, shard_bps);
@@ -417,7 +390,7 @@ impl WatchEvaluator {
     /// Rebuild the evaluator from a recorded trace: every
     /// `watch`/`cycle`, `watch`/`shards`, and `watch`/`admit` event is
     /// re-observed against a disabled sink. Violations and transitions
-    /// are recomputed from the observation stream, so the same policy
+    /// are recomputed from the observation stream, so the fold
     /// reproduces the live timeline exactly.
     ///
     /// Returns the observation events that did not decode (a missing
@@ -467,7 +440,7 @@ impl WatchEvaluator {
     #[must_use]
     pub fn report(&self) -> WatchReport {
         WatchReport {
-            detectors: self.policy.detector_label(),
+            detectors: WatchPolicy::detector_label(),
             cycles: self.states.values().map(|s| s.cycles).sum(),
             shard_checks: self.states.values().map(|s| s.shard_checks).sum(),
             admits: self.admit.admits,
@@ -482,6 +455,7 @@ impl WatchEvaluator {
 mod tests {
     use super::*;
     use entitlement_obs::Clock;
+    use entitlement_slo::AlertKind;
 
     fn healthy_cycle(i: u64) -> CycleObs {
         CycleObs {
@@ -511,7 +485,7 @@ mod tests {
 
     #[test]
     fn healthy_stream_is_silent() {
-        let mut ev = WatchEvaluator::new(WatchPolicy::default());
+        let mut ev = WatchEvaluator::default();
         let obs = Obs::disabled();
         for i in 0..200 {
             ev.observe_cycle(&obs, &healthy_cycle(i));
@@ -528,7 +502,7 @@ mod tests {
 
     #[test]
     fn over_delivery_fires_w0101_after_settle() {
-        let mut ev = WatchEvaluator::new(WatchPolicy::default());
+        let mut ev = WatchEvaluator::default();
         let obs = Obs::disabled();
         for i in 0..40 {
             let mut o = healthy_cycle(i);
@@ -546,7 +520,7 @@ mod tests {
 
     #[test]
     fn settle_window_absorbs_a_contract_rollover() {
-        let mut ev = WatchEvaluator::new(WatchPolicy::default());
+        let mut ev = WatchEvaluator::default();
         let obs = Obs::disabled();
         for i in 0..30 {
             ev.observe_cycle(&obs, &healthy_cycle(i));
@@ -574,10 +548,9 @@ mod tests {
 
     #[test]
     fn unmeasurable_cycles_skip_delivery_but_keep_staleness() {
-        let p = WatchPolicy::default();
-        let mut ev = WatchEvaluator::new(p.clone());
+        let mut ev = WatchEvaluator::default();
         let obs = Obs::disabled();
-        for i in 0..p.warmup + 5 {
+        for i in 0..WatchPolicy::WARMUP + 5 {
             ev.observe_cycle(&obs, &healthy_cycle(i));
         }
         // Outage: unreadable aggregates, growing staleness, delivery
@@ -599,7 +572,7 @@ mod tests {
 
     #[test]
     fn corrupt_fractions_fire_w0104() {
-        let mut ev = WatchEvaluator::new(WatchPolicy::default());
+        let mut ev = WatchEvaluator::default();
         let obs = Obs::disabled();
         let mut o = healthy_cycle(0);
         o.conform_fraction = 1.4;
@@ -609,7 +582,7 @@ mod tests {
 
     #[test]
     fn shard_mismatch_fires_w0102() {
-        let mut ev = WatchEvaluator::new(WatchPolicy::default());
+        let mut ev = WatchEvaluator::default();
         let obs = Obs::disabled();
         let shards = [0.1, 0.2, 0.3];
         let reversed: f64 = shards.iter().rev().sum();
@@ -621,7 +594,7 @@ mod tests {
 
     #[test]
     fn residual_underflow_fires_w0103() {
-        let mut ev = WatchEvaluator::new(WatchPolicy::default());
+        let mut ev = WatchEvaluator::default();
         let obs = Obs::disabled();
         let mut o = healthy_admit(0);
         o.residual_after_bps = -1.0;
@@ -631,7 +604,7 @@ mod tests {
 
     #[test]
     fn attainment_collapse_fires_w0106_and_recovery_clears() {
-        let mut ev = WatchEvaluator::new(WatchPolicy::default());
+        let mut ev = WatchEvaluator::default();
         let obs = Obs::disabled();
         for i in 0..50 {
             ev.observe_cycle(&obs, &healthy_cycle(i));
@@ -647,26 +620,25 @@ mod tests {
             .filter(|t| t.code == Code::W0106)
             .collect();
         assert_eq!(fired.len(), 1, "{:?}", ev.transitions);
-        assert_eq!(fired[0].kind, WatchKind::Fire);
+        assert_eq!(fired[0].kind, AlertKind::Fire);
         for i in 0..300 {
             ev.observe_cycle(&obs, &healthy_cycle(80 + i));
         }
-        let kinds: Vec<WatchKind> = ev
+        let kinds: Vec<AlertKind> = ev
             .transitions
             .iter()
             .filter(|t| t.code == Code::W0106)
             .map(|t| t.kind)
             .collect();
-        assert_eq!(kinds, vec![WatchKind::Fire, WatchKind::Clear]);
+        assert_eq!(kinds, vec![AlertKind::Fire, AlertKind::Clear]);
         assert!(!ev.any_firing());
     }
 
     #[test]
     fn latency_jump_fires_w0107() {
-        let p = WatchPolicy::default();
-        let mut ev = WatchEvaluator::new(p.clone());
+        let mut ev = WatchEvaluator::default();
         let obs = Obs::disabled();
-        for i in 0..p.warmup + 5 {
+        for i in 0..WatchPolicy::WARMUP + 5 {
             ev.observe_admit(&obs, &healthy_admit(i));
         }
         let mut fired_at = None;
@@ -684,7 +656,7 @@ mod tests {
 
     #[test]
     fn events_roundtrip_the_v2_schema() {
-        let mut ev = WatchEvaluator::new(WatchPolicy::default());
+        let mut ev = WatchEvaluator::default();
         let obs = Obs::new(Clock::counting(1));
         ev.observe_cycle(&obs, &healthy_cycle(0));
         let shards = [0.1, 0.2, 0.3];
@@ -709,7 +681,7 @@ mod tests {
     #[test]
     fn offline_refold_reproduces_the_streaming_report_bytes() {
         let run = |via_trace: bool| {
-            let mut ev = WatchEvaluator::new(WatchPolicy::default());
+            let mut ev = WatchEvaluator::default();
             let obs = Obs::new(Clock::counting(1));
             for i in 0..120u64 {
                 let mut o = healthy_cycle(i);
@@ -735,7 +707,7 @@ mod tests {
                 ev.observe_admit(&obs, &a);
             }
             if via_trace {
-                let mut offline = WatchEvaluator::new(WatchPolicy::default());
+                let mut offline = WatchEvaluator::default();
                 offline.fold_trace(&obs.trace.events());
                 offline.report()
             } else {

@@ -33,8 +33,8 @@ pub mod eval;
 pub mod monitor;
 pub mod report;
 
-pub use config::{WatchPolicy, WatchPolicyIssue};
-pub use detector::{Cusum, EwmaDrift, Hysteresis, WatchKind, WatchTransition};
+pub use config::WatchPolicy;
+pub use detector::{Cusum, EwmaDrift, WatchTransition};
 pub use eval::{AdmitObs, CycleObs, WatchEvaluator};
 pub use monitor::{check_delivery, check_fractions, check_residual, check_shard_sum};
 pub use report::{CodeStats, DetectorEvent, Violation, WatchReport};

@@ -23,16 +23,11 @@ pub(crate) fn fmt_f64(v: f64) -> String {
 
 /// W0101 — delivery conservation: conforming delivery never exceeds
 /// `min(demand, approved) × (1 + ε)`. The caller gates this on the
-/// settle window (a fresh contract rollover gets `settle_cycles` of
+/// settle window (a fresh contract rollover gets `SETTLE_CYCLES` of
 /// metering reaction time) and on measurability.
 #[must_use]
-pub fn check_delivery(
-    policy: &WatchPolicy,
-    demand_bps: f64,
-    delivered_bps: f64,
-    approved_bps: f64,
-) -> Option<String> {
-    let bound = demand_bps.min(approved_bps) * (1.0 + policy.delivery_epsilon);
+pub fn check_delivery(demand_bps: f64, delivered_bps: f64, approved_bps: f64) -> Option<String> {
+    let bound = demand_bps.min(approved_bps) * (1.0 + WatchPolicy::DELIVERY_EPSILON);
     // f64::min quietly drops a NaN operand, so check the raw inputs too.
     if !demand_bps.is_finite() || !approved_bps.is_finite() || !delivered_bps.is_finite() {
         return Some(format!(
@@ -47,7 +42,7 @@ pub fn check_delivery(
             fmt_f64(delivered_bps),
             fmt_f64(demand_bps),
             fmt_f64(approved_bps),
-            fmt_f64(1.0 + policy.delivery_epsilon)
+            fmt_f64(1.0 + WatchPolicy::DELIVERY_EPSILON)
         ));
     }
     None
@@ -125,12 +120,8 @@ pub fn check_residual(
 /// valid shares of sent traffic, each in `[0, 1]` (± ε), so marked and
 /// conforming traffic partition the cycle's accounting.
 #[must_use]
-pub fn check_fractions(
-    policy: &WatchPolicy,
-    marked_fraction: f64,
-    conform_fraction: f64,
-) -> Option<String> {
-    let eps = policy.fraction_epsilon;
+pub fn check_fractions(marked_fraction: f64, conform_fraction: f64) -> Option<String> {
+    let eps = WatchPolicy::FRACTION_EPSILON;
     for (name, v) in [
         ("marked_fraction", marked_fraction),
         ("conform_fraction", conform_fraction),
@@ -146,22 +137,18 @@ pub fn check_fractions(
 mod tests {
     use super::*;
 
-    fn policy() -> WatchPolicy {
-        WatchPolicy::default()
-    }
-
     #[test]
     fn delivery_within_epsilon_passes() {
         // bound = min(2e12, 1e12) × 1.25
-        assert!(check_delivery(&policy(), 2e12, 1.24e12, 1e12).is_none());
-        let detail = check_delivery(&policy(), 2e12, 1.26e12, 1e12).expect("violation");
+        assert!(check_delivery(2e12, 1.24e12, 1e12).is_none());
+        let detail = check_delivery(2e12, 1.26e12, 1e12).expect("violation");
         assert!(detail.contains("exceeds"), "{detail}");
     }
 
     #[test]
     fn delivery_rejects_non_finite_accounting() {
-        assert!(check_delivery(&policy(), f64::NAN, 1.0, 1.0).is_some());
-        assert!(check_delivery(&policy(), 1.0, f64::INFINITY, 1.0).is_some());
+        assert!(check_delivery(f64::NAN, 1.0, 1.0).is_some());
+        assert!(check_delivery(1.0, f64::INFINITY, 1.0).is_some());
     }
 
     #[test]
@@ -200,10 +187,10 @@ mod tests {
 
     #[test]
     fn fractions_must_be_shares() {
-        assert!(check_fractions(&policy(), 0.55, 0.45).is_none());
-        assert!(check_fractions(&policy(), 0.0, 1.0).is_none());
-        assert!(check_fractions(&policy(), 1.02, 0.5).is_some());
-        assert!(check_fractions(&policy(), 0.5, -0.2).is_some());
-        assert!(check_fractions(&policy(), f64::NAN, 0.5).is_some());
+        assert!(check_fractions(0.55, 0.45).is_none());
+        assert!(check_fractions(0.0, 1.0).is_none());
+        assert!(check_fractions(1.02, 0.5).is_some());
+        assert!(check_fractions(0.5, -0.2).is_some());
+        assert!(check_fractions(f64::NAN, 0.5).is_some());
     }
 }

@@ -6,7 +6,7 @@
 //! report built live and rebuilt from an offline trace refold must be
 //! byte-identical.
 
-use crate::detector::WatchKind;
+use entitlement_slo::AlertKind;
 use crate::monitor::fmt_f64;
 use entitlement_analyzer::Code;
 use serde::write_json_string;
@@ -42,7 +42,7 @@ pub struct DetectorEvent {
     /// 1-based ordinal of the observation that caused the transition.
     pub cycle: u64,
     /// Fire or clear.
-    pub kind: WatchKind,
+    pub kind: AlertKind,
     /// Detector statistic at the transition.
     pub stat: f64,
 }
@@ -95,7 +95,7 @@ impl WatchReport {
     pub fn fires(&self) -> u64 {
         self.transitions
             .iter()
-            .filter(|t| t.kind == WatchKind::Fire)
+            .filter(|t| t.kind == AlertKind::Fire)
             .count() as u64
     }
 
@@ -302,7 +302,7 @@ mod tests {
                 entity: "npg:2".to_string(),
                 qos: "c3".to_string(),
                 cycle: 243,
-                kind: WatchKind::Fire,
+                kind: AlertKind::Fire,
                 stat: 9.5,
             }],
             firing: vec![Code::W0105],

@@ -3,27 +3,18 @@
 //! proofs), and the healthy-silence guarantees of the CUSUM and EWMA
 //! detectors on calm series.
 
-use entitlement_watch::{Cusum, EwmaDrift, Hysteresis, WatchKind, WatchPolicy};
+use entitlement_slo::{AlertKind, AlertMachine};
+use entitlement_watch::{Cusum, EwmaDrift, WatchPolicy};
 use proptest::prelude::*;
 
-/// A random policy with a sane threshold geometry: clear level strictly
-/// below the fire level, hysteresis run of at least one cycle.
-fn policy_strategy() -> impl Strategy<Value = WatchPolicy> {
+/// A random threshold geometry for the fire/clear machine: clear level
+/// strictly below the fire level, hysteresis run of at least one cycle.
+fn geometry_strategy() -> impl Strategy<Value = (f64, f64, usize)> {
     (
-        1.0f64..50.0,   // cusum_threshold
-        0.05f64..0.95,  // clear_fraction
-        1usize..10,     // hysteresis
-        0.05f64..2.0,   // cusum_slack
-        1u64..40,       // warmup
+        1.0f64..50.0,  // threshold
+        0.05f64..0.95, // clear fraction
+        1usize..10,    // hysteresis
     )
-        .prop_map(|(threshold, clear, hyst, slack, warmup)| WatchPolicy {
-            cusum_threshold: threshold,
-            clear_fraction: clear,
-            hysteresis: hyst,
-            cusum_slack: slack,
-            warmup,
-            ..WatchPolicy::default()
-        })
 }
 
 proptest! {
@@ -36,26 +27,26 @@ proptest! {
     /// sample. Either way a second Fire is impossible.
     #[test]
     fn monotone_statistic_never_flaps(
-        policy in policy_strategy(),
+        (threshold, clear, hysteresis) in geometry_strategy(),
         deltas in proptest::collection::vec(0.0f64..5.0, 1..200),
         start in 0.0f64..100.0,
         rising in any::<bool>(),
     ) {
-        let mut h = Hysteresis::new(policy.cusum_threshold, &policy);
+        let mut h = AlertMachine::default();
         let mut stat = start;
         let mut kinds = Vec::new();
         for d in deltas {
-            if let Some(t) = h.observe(stat) {
-                kinds.push(t.kind);
+            if let Some(kind) = h.step(stat >= threshold, stat <= clear * threshold, hysteresis) {
+                kinds.push(kind);
             }
             stat = if rising { stat + d } else { (stat - d).max(0.0) };
         }
-        let fires = kinds.iter().filter(|k| **k == WatchKind::Fire).count();
+        let fires = kinds.iter().filter(|k| **k == AlertKind::Fire).count();
         prop_assert!(fires <= 1, "monotone series double-fired: {kinds:?}");
         // No Fire may follow a Clear (that would be the flap).
-        if let Some(clear_at) = kinds.iter().position(|k| *k == WatchKind::Clear) {
+        if let Some(clear_at) = kinds.iter().position(|k| *k == AlertKind::Clear) {
             prop_assert!(
-                kinds[clear_at..].iter().all(|k| *k != WatchKind::Fire),
+                kinds[clear_at..].iter().all(|k| *k != AlertKind::Fire),
                 "fire after clear: {kinds:?}"
             );
         }
@@ -66,11 +57,10 @@ proptest! {
     /// stays clamped at zero.
     #[test]
     fn cusum_constant_series_never_fires(
-        policy in policy_strategy(),
         level in 0.0f64..1e9,
         n in 50usize..400,
     ) {
-        let mut c = Cusum::new(&policy);
+        let mut c = Cusum::default();
         for _ in 0..n {
             prop_assert!(c.observe(level).is_none());
         }
@@ -83,11 +73,10 @@ proptest! {
     /// detector can never fire.
     #[test]
     fn ewma_constant_series_never_fires(
-        policy in policy_strategy(),
         level in -1e9f64..1e9,
         n in 10usize..400,
     ) {
-        let mut d = EwmaDrift::new(&policy);
+        let mut d = EwmaDrift::default();
         for _ in 0..n {
             prop_assert!(d.observe(level).is_none());
             prop_assert_eq!(d.stat(), 0.0);
@@ -99,12 +88,11 @@ proptest! {
     /// one-sided statistic clamps at zero on the way down.
     #[test]
     fn cusum_is_one_sided(
-        policy in policy_strategy(),
         baseline in 10.0f64..1e6,
         dips in proptest::collection::vec(0.0f64..1.0, 50..200),
     ) {
-        let mut c = Cusum::new(&policy);
-        for _ in 0..policy.warmup {
+        let mut c = Cusum::default();
+        for _ in 0..WatchPolicy::WARMUP {
             c.observe(baseline);
         }
         for d in dips {

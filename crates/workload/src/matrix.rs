@@ -15,21 +15,19 @@ use entitlement_topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// Number of home regions per service (the concentrated sources).
+const HOME_REGIONS: usize = 3;
+
 /// Parameters for matrix synthesis.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MatrixSpec {
-    /// Number of home regions per service (the concentrated sources).
-    pub home_regions: usize,
     /// Seed.
     pub seed: u64,
 }
 
 impl Default for MatrixSpec {
     fn default() -> Self {
-        MatrixSpec {
-            home_regions: 3,
-            seed: 0x7A11,
-        }
+        MatrixSpec { seed: 0x7A11 }
     }
 }
 
@@ -60,7 +58,7 @@ impl TrafficMatrix {
         }
         // Per-service deterministic stream: same service, same homes.
         let mut rng = DetRng::new(spec.seed ^ (service.npg.0 as u64) << 17 ^ qos.priority() as u64);
-        let k = spec.home_regions.min(dcs.len().saturating_sub(1)).max(1);
+        let k = HOME_REGIONS.min(dcs.len().saturating_sub(1)).max(1);
         let home_idx = rng.sample_indices(dcs.len(), k);
         let homes: Vec<RegionId> = home_idx.iter().map(|&i| dcs[i]).collect();
 

@@ -50,10 +50,7 @@ fn main() {
         train,
         &history.holidays,
         &regs[..12],
-        PipelineConfig {
-            organic_only: true,
-            ..Default::default()
-        },
+        PipelineConfig { organic_only: true },
     )
     .expect("fits");
     println!("tree stage active: {}", full.has_tree());

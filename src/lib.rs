@@ -7,7 +7,7 @@
 //!
 //! This umbrella crate re-exports the workspace's public API:
 //!
-//! * [`core`] — contracts, QoS classes, rates, SLIs, deterministic RNG;
+//! * [`core`] — contracts, QoS classes, rates, deterministic RNG;
 //! * [`topology`] — the backbone WAN substrate (graph, generator,
 //!   routing, max-flow, failure scenarios);
 //! * [`workload`] — synthetic Meta-like services, patterns, matrices,
@@ -37,8 +37,8 @@
 //! * [`analyzer`] — static diagnostics over contracts, hoses, pipes,
 //!   topologies, and availability curves (`entitlectl lint`);
 //! * [`slo`] — windowed SLO evaluation over the obs outputs:
-//!   attainment, multi-window burn-rate alerts, utilization audit, and
-//!   run-to-run regression tracking (`entitlectl slo report|audit`);
+//!   attainment, multi-window burn-rate alerts and utilization audit
+//!   (`entitlectl slo report|audit`);
 //! * [`watch`] — the runtime watchdog: streaming invariant monitors
 //!   (`W01xx`) and EWMA/CUSUM anomaly detectors over live SLI streams,
 //!   with offline trace refold (`entitlectl watch`).

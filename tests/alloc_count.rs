@@ -124,7 +124,7 @@ fn a_disabled_span_allocates_nothing() {
                 .label_f64("x", 0.5)
                 .finish();
             obs.point("bench", "point").label_fmt("i", i).finish();
-            obs.event("bench", "event", &[("k", "v")]);
+            obs.trace.child(i, 0.5, "bench", "child").label("k", "v").finish();
         }
     });
     assert_eq!(n, 0, "building, using and dropping a disabled Obs");

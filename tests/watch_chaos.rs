@@ -31,7 +31,7 @@
 use network_entitlement::analyzer::Code;
 use network_entitlement::obs::parse_trace;
 use network_entitlement::prelude::*;
-use network_entitlement::watch::WatchKind;
+use network_entitlement::slo::AlertKind;
 
 /// The CI seed matrix, or the single `CHAOS_SEED` override.
 fn seeds() -> Vec<u64> {
@@ -101,13 +101,13 @@ fn healthy_drill_watchdog_is_silent() {
 /// recovery — and fires nothing else.
 #[test]
 fn kv_outage_fires_staleness_cusum_within_bounds() {
-    let policy = WatchPolicy::default();
     // After recovery the statistic drains from its 2h cap to the clear
     // level (clear_fraction × h) at ≥ `slack` per fresh cycle, then the
     // hysteresis run must complete.
-    let drain = ((2.0 - policy.clear_fraction) * policy.cusum_threshold / policy.cusum_slack)
+    let drain = ((2.0 - WatchPolicy::CLEAR_FRACTION) * WatchPolicy::CUSUM_THRESHOLD
+        / WatchPolicy::CUSUM_SLACK)
         .ceil() as u64;
-    let clear_bound = RECOVERY_TICK + drain + policy.hysteresis as u64;
+    let clear_bound = RECOVERY_TICK + drain + WatchPolicy::HYSTERESIS as u64;
     for seed in seeds() {
         let report = watch_drill(seed, Some(plan("kv_outage.json")));
         assert!(
@@ -123,13 +123,13 @@ fn kv_outage_fires_staleness_cusum_within_bounds() {
         let fires: Vec<u64> = report
             .transitions
             .iter()
-            .filter(|t| t.kind == WatchKind::Fire)
+            .filter(|t| t.kind == AlertKind::Fire)
             .map(|t| t.cycle)
             .collect();
         let clears: Vec<u64> = report
             .transitions
             .iter()
-            .filter(|t| t.kind == WatchKind::Clear)
+            .filter(|t| t.kind == AlertKind::Clear)
             .map(|t| t.cycle)
             .collect();
         assert_eq!(fires.len(), 1, "seed {seed:#x}: one outage, one fire");
@@ -307,7 +307,7 @@ fn market_link_cut_fires_admit_latency_cusum() {
         let first_fire = report
             .transitions
             .iter()
-            .find(|t| t.kind == WatchKind::Fire)
+            .find(|t| t.kind == AlertKind::Fire)
             .expect("the cut fires the detector")
             .cycle;
         // Admission i is watchdog cycle i+1; the cut lands at logical
