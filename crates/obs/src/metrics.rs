@@ -108,7 +108,7 @@ struct HistogramInner {
 
 /// A log-bucketed histogram of `f64` observations.
 ///
-/// Fixed layout ([`BUCKETS_PER_DECADE`] buckets per decade over
+/// Fixed layout (four buckets per decade over
 /// `10^-3..10^7`) keeps every histogram mergeable with every other and
 /// avoids per-metric configuration. Quantile estimates interpolate
 /// within a bucket and are always clamped to the observed

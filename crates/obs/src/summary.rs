@@ -112,8 +112,8 @@ fn self_durations(events: &[TraceEvent]) -> Vec<f64> {
 /// Render a per-`(span, phase)` latency table: event count, total and
 /// mean duration, p50/p95/p99.9 estimates, and max. Rows sort by span
 /// then phase; durations are per-event **self-time** (children
-/// subtracted — see [`self_durations`]) in whatever unit the trace
-/// used (milliseconds for every emitter in this workspace).
+/// subtracted) in whatever unit the trace used (milliseconds for every
+/// emitter in this workspace).
 #[must_use]
 pub fn summarize_trace(events: &[TraceEvent]) -> String {
     let selfs = self_durations(events);

@@ -34,7 +34,10 @@
 //! **Storage.** The sink's buffer *is* the JSONL it exports: an event
 //! is encoded once, when it closes, onto the last of the sink's 1 MiB
 //! pages of text, next to one fixed-size `Record` holding its numbers
-//! (a page at a time, so nothing recorded ever moves). A [`SpanTimer`]
+//! (a page at a time, so nothing recorded ever moves). A dropped sink
+//! leaves its pages, cleared, to the next sink on the same thread (at
+//! most 32 of them wait), so trace after trace writes into the same
+//! memory instead of handing it back to the allocator. A [`SpanTimer`]
 //! writes each label straight into wire form — the fragment
 //! `"key":"value",` — in a `Scratch` buffer that the sink hands out
 //! when the span opens and takes back when it closes, under the two
@@ -58,6 +61,7 @@
 use crate::clock::Clock;
 use crate::decimal::{push_finite, push_u64};
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::fmt::{self, Write as _};
 use std::io;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -508,12 +512,42 @@ struct Record {
 /// 32 MB block the last doubling of a 50 k-admit trace left behind
 /// moved the process's peak by 20 MB from run to run.)
 const PAGE: usize = 1 << 20;
+/// A page's text capacity: room for the line that crosses the mark.
+const PAGE_TEXT: usize = PAGE + PAGE / 256;
+/// A page's record capacity: enough for lines of 256 bytes or more.
+const PAGE_RECORDS: usize = PAGE_TEXT / 256;
+/// Most spare pages one thread keeps (≈ 40 MB).
+const SPARE_PAGES: usize = 32;
+
+thread_local! {
+    /// Cleared pages that sinks dropped on this thread left behind,
+    /// taken by the next sink before it allocates one.
+    static SPARE: RefCell<Vec<Page>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A run of events: their canonical lines, newline-terminated, in emit
-/// order, and one record per line. Never empty.
+/// order, and one record per line. Never empty while a sink holds it.
 struct Page {
     text: String,
     records: Vec<Record>,
+}
+
+impl Page {
+    /// A spare page of this thread's, or a new one.
+    fn take() -> Page {
+        let spare = SPARE.try_with(|spare| spare.borrow_mut().pop());
+        spare.ok().flatten().unwrap_or_else(|| Page {
+            text: String::with_capacity(PAGE_TEXT),
+            records: Vec::with_capacity(PAGE_RECORDS),
+        })
+    }
+
+    /// Whether the page is still the size [`Page::take`] makes it: a
+    /// line longer than the room past the mark, or more than
+    /// `PAGE_RECORDS` shorter ones, grew it.
+    fn is_full_size(&self) -> bool {
+        self.text.capacity() == PAGE_TEXT && self.records.capacity() == PAGE_RECORDS
+    }
 }
 
 #[derive(Default)]
@@ -563,14 +597,7 @@ impl SinkInner {
     /// to the pool.
     fn commit(&mut self, ids: Ids, ts_ms: u64, dur_ms: f64, mut scratch: Box<Scratch>) {
         if self.pages.last().is_none_or(|page| page.text.len() >= PAGE) {
-            // The first page grows with a small trace; the others are
-            // allocated once, with room for the line that crosses the
-            // mark and for lines of 256 bytes or more.
-            let room = if self.pages.is_empty() { 0 } else { PAGE + PAGE / 256 };
-            self.pages.push(Page {
-                text: String::with_capacity(room),
-                records: Vec::with_capacity(room / 256),
-            });
+            self.pages.push(Page::take());
         }
         let last = self.pages.len() - 1;
         let Page { text: out, records } = &mut self.pages[last];
@@ -605,6 +632,24 @@ impl SinkInner {
             line_end: out.len(),
         });
         self.pool.push(scratch);
+    }
+}
+
+impl Drop for SinkInner {
+    /// Hand the full-size pages, cleared, to this thread's spares, up
+    /// to [`SPARE_PAGES`]; the rest are freed.
+    fn drop(&mut self) {
+        let _ = SPARE.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            for mut page in self.pages.drain(..).filter(Page::is_full_size) {
+                if spare.len() == SPARE_PAGES {
+                    break;
+                }
+                page.text.clear();
+                page.records.clear();
+                spare.push(page);
+            }
+        });
     }
 }
 
@@ -1150,5 +1195,85 @@ mod tests {
                 assert!(v.get(key).is_some(), "missing {key}");
             }
         }
+    }
+
+    /// How many spare pages this thread holds.
+    fn spare_pages() -> usize {
+        SPARE.with(|spare| spare.borrow().len())
+    }
+
+    /// Run `f` on a thread of its own, whose spare store starts empty.
+    fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|s| s.spawn(f).join().expect("the test thread"))
+    }
+
+    /// `events` spans, each labelled with `label`, an ordinal and a float.
+    fn write(sink: &TraceSink, events: usize, label: &str) {
+        let clock = Clock::counting(1);
+        for i in 0..events {
+            sink.span(&clock, "s", "p")
+                .label("k", label)
+                .label_fmt("i", i)
+                .label_f64("x", i as f64 / 3.0)
+                .finish();
+        }
+    }
+
+    #[test]
+    fn a_sink_on_recycled_pages_exports_what_a_fresh_one_does() {
+        // ≈ 300-byte lines over two pages.
+        let label = "short label ".repeat(12);
+        let export = |sink: &TraceSink| {
+            let mut written = Vec::new();
+            sink.write_jsonl(&mut written).expect("a Vec takes every byte");
+            (sink.to_jsonl(), written, sink.events())
+        };
+        let fresh = on_fresh_thread(|| {
+            let sink = TraceSink::new();
+            write(&sink, 7_000, &label);
+            export(&sink)
+        });
+        let recycled = on_fresh_thread(|| {
+            // Longer, different labels over three pages, then dropped.
+            write(&TraceSink::new(), 5_000, &"a longer label ".repeat(30));
+            let kept = spare_pages();
+            assert_eq!(kept, 3, "the dropped sink's pages");
+            let sink = TraceSink::new();
+            write(&sink, 7_000, &label);
+            assert_eq!(spare_pages(), kept - 2, "the second sink wrote on two of them");
+            export(&sink)
+        });
+        assert!(fresh.0.len() > PAGE, "the trace spans two pages");
+        assert_eq!(fresh.0, recycled.0, "to_jsonl");
+        assert_eq!(fresh.1, recycled.1, "write_jsonl");
+        assert_eq!(fresh.1, fresh.0.as_bytes());
+        assert_eq!(fresh.2, recycled.2, "events");
+    }
+
+    #[test]
+    fn the_spare_store_never_exceeds_its_cap() {
+        on_fresh_thread(|| {
+            // ≈ 3 KB lines, ≈ 340 to a page: three pages past the cap.
+            let sink = TraceSink::new();
+            write(&sink, 340 * (SPARE_PAGES + 3), &"x".repeat(3_000));
+            drop(sink);
+            assert_eq!(spare_pages(), SPARE_PAGES);
+            write(&TraceSink::new(), 1, "small");
+            assert_eq!(spare_pages(), SPARE_PAGES, "a small sink takes one and gives it back");
+        });
+    }
+
+    #[test]
+    fn a_page_that_grew_past_the_full_size_is_not_kept() {
+        on_fresh_thread(|| {
+            write(&TraceSink::new(), 1, "small");
+            assert_eq!(spare_pages(), 1, "a full-size page is kept");
+            // A line longer than the page's room grows its text …
+            write(&TraceSink::new(), 1, &"y".repeat(PAGE_TEXT));
+            assert_eq!(spare_pages(), 0, "a page a long line grew");
+            // … and more lines than it has records for grow those.
+            write(&TraceSink::new(), PAGE_RECORDS + 1, "");
+            assert_eq!(spare_pages(), 0, "a page many short lines grew");
+        });
     }
 }

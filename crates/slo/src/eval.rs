@@ -112,7 +112,35 @@ struct EntityState {
 /// bitwise.
 pub struct SloEvaluator {
     policy: SloPolicy,
-    states: BTreeMap<(String, String), EntityState>,
+    states: PairMap<EntityState>,
+}
+
+/// Fold state per `(entity, QoS)`, nested by entity then QoS: it
+/// iterates in the order a `(String, String)` key would, and finding a
+/// pair already seen allocates nothing.
+pub type PairMap<T> = BTreeMap<String, BTreeMap<String, T>>;
+
+/// The state of `(entity, qos)` in `map`, made by `make` on first
+/// sight, the only time the names are copied.
+pub fn pair_mut<'a, T>(
+    map: &'a mut PairMap<T>,
+    entity: &str,
+    qos: &str,
+    make: impl FnOnce() -> T,
+) -> &'a mut T {
+    slot(slot(map, entity, BTreeMap::new), qos, make)
+}
+
+/// `map[key]`, inserted by `make` when absent.
+fn slot<'a, V>(
+    map: &'a mut BTreeMap<String, V>,
+    key: &str,
+    make: impl FnOnce() -> V,
+) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), make());
+    }
+    map.get_mut(key).expect("present: inserted above")
 }
 
 impl Default for SloEvaluator {
@@ -140,9 +168,8 @@ impl SloEvaluator {
             o.demand_bps.min(o.approved_bps) * (1.0 - self.policy.delivery_tolerance);
         let good = o.measurable && o.delivered_bps >= required;
 
-        let key = (o.entity.clone(), o.qos.clone());
         let policy = &self.policy;
-        let st = self.states.entry(key).or_insert_with(|| EntityState {
+        let st = pair_mut(&mut self.states, &o.entity, &o.qos, || EntityState {
             target: o.target,
             intervals: 0,
             good: 0,
@@ -218,7 +245,7 @@ impl SloEvaluator {
     /// Whether any entity's burn alert is firing right now.
     #[must_use]
     pub fn any_firing(&self) -> bool {
-        self.states.values().any(|s| s.alert.firing())
+        self.states.values().flat_map(BTreeMap::values).any(|s| s.alert.firing())
     }
 
     /// Produce the report: one row per `(entity, QoS)` in key order.
@@ -227,7 +254,8 @@ impl SloEvaluator {
         let entities = self
             .states
             .iter()
-            .map(|((entity, qos), st)| {
+            .flat_map(|(entity, by_qos)| by_qos.iter().map(move |(qos, st)| (entity, qos, st)))
+            .map(|(entity, qos, st)| {
                 let attainment = if st.intervals > 0 {
                     st.good as f64 / st.intervals as f64
                 } else {

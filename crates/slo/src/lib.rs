@@ -44,5 +44,5 @@ pub mod report;
 
 pub use burn::{AlertKind, AlertMachine, AlertTransition, BurnAlert, BurnWindow};
 pub use config::{PolicyIssue, SloPolicy};
-pub use eval::{AlertEvent, IntervalObs, SloEvaluator};
+pub use eval::{pair_mut, AlertEvent, IntervalObs, PairMap, SloEvaluator};
 pub use report::{AuditClass, EntityReport, SloReport};

@@ -31,6 +31,7 @@ use crate::monitor::{
 use crate::report::{DetectorEvent, Violation, WatchReport};
 use entitlement_analyzer::Code;
 use entitlement_obs::{BadLabel, Obs, TraceEvent};
+use entitlement_slo::{pair_mut, PairMap};
 use std::collections::BTreeMap;
 
 /// One metering cycle's health observation for one `(entity, QoS)`.
@@ -208,7 +209,7 @@ struct AdmitState {
 /// report, bitwise.
 #[derive(Default)]
 pub struct WatchEvaluator {
-    states: BTreeMap<(String, String), EntityState>,
+    states: PairMap<EntityState>,
     admit: AdmitState,
     violations: Vec<Violation>,
     transitions: Vec<DetectorEvent>,
@@ -216,16 +217,14 @@ pub struct WatchEvaluator {
 
 /// The `(entity, QoS)` state, created on first sight.
 fn state_mut<'a>(
-    states: &'a mut BTreeMap<(String, String), EntityState>,
+    states: &'a mut PairMap<EntityState>,
     entity: &str,
     qos: &str,
 ) -> &'a mut EntityState {
-    states
-        .entry((entity.to_string(), qos.to_string()))
-        .or_insert_with(|| EntityState {
-            last_approved: f64::NAN,
-            ..EntityState::default()
-        })
+    pair_mut(states, entity, qos, || EntityState {
+        last_approved: f64::NAN,
+        ..EntityState::default()
+    })
 }
 
 impl WatchEvaluator {
@@ -421,7 +420,7 @@ impl WatchEvaluator {
 
     fn firing_codes(&self) -> Vec<Code> {
         let mut out = Vec::new();
-        for st in self.states.values() {
+        for st in self.states.values().flat_map(BTreeMap::values) {
             if st.staleness.firing() && !out.contains(&Code::W0105) {
                 out.push(Code::W0105);
             }
@@ -439,10 +438,11 @@ impl WatchEvaluator {
     /// Produce the report.
     #[must_use]
     pub fn report(&self) -> WatchReport {
+        let states = || self.states.values().flat_map(BTreeMap::values);
         WatchReport {
             detectors: WatchPolicy::detector_label(),
-            cycles: self.states.values().map(|s| s.cycles).sum(),
-            shard_checks: self.states.values().map(|s| s.shard_checks).sum(),
+            cycles: states().map(|s| s.cycles).sum(),
+            shard_checks: states().map(|s| s.shard_checks).sum(),
             admits: self.admit.admits,
             violations: self.violations.clone(),
             transitions: self.transitions.clone(),

@@ -19,6 +19,8 @@ use network_entitlement::market::{
 };
 use network_entitlement::kvstore::{KvAccess, ObservedKv, ShardFanout, ShardedStore, StoreConfig};
 use network_entitlement::obs::{Clock, Obs};
+use network_entitlement::slo::{IntervalObs, SloEvaluator};
+use network_entitlement::watch::{CycleObs, WatchEvaluator};
 use network_entitlement::topology::BackboneSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -378,10 +380,50 @@ fn a_traced_index_admit_allocates_at_most_twice_amortised() {
     assert_eq!(obs.trace.len(), ADMITS);
     // What is left is the pages, their record vectors and the first
     // registration of each metric cell, looked up once for the
-    // registry, and one float memo: 68 when this was pinned (81 with
+    // registry, and one float memo: 42 since the first page is
+    // allocated at its full size instead of growing (68 before, 81 with
     // per-admit lookups), where the owned-event sink made some 45 per
     // admit.
-    assert!(n <= 72, "{n} allocations over {ADMITS} traced admits");
+    assert!(n <= 46, "{n} allocations over {ADMITS} traced admits");
+}
+
+/// A dropped sink leaves its pages to the next sink on its thread: a
+/// second storm of the same size, on a fresh `Obs`, writes its trace
+/// into them and allocates no page text and no record vector. Both
+/// storms run on a thread of their own, so no earlier sink's pages are
+/// waiting for the first.
+#[test]
+fn a_second_traced_storm_writes_into_the_first_ones_pages() {
+    const ADMITS: usize = 10_000;
+    let (mut market, requests) = warm_world(ADMITS);
+    for req in &requests {
+        market.admit(req);
+    }
+    let (first, second) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let storm = || {
+                let mut market = market.clone();
+                let (n, bytes) = allocations(|| {
+                    let obs = Obs::new(Clock::counting(1));
+                    for req in &requests {
+                        assert_eq!(market.admit_obs(req, &obs).path, AdmitPath::Index);
+                    }
+                    obs.trace.to_jsonl().len()
+                });
+                // Less the one allocation of the `to_jsonl` copy.
+                (n - 1, bytes)
+            };
+            (storm(), storm())
+        })
+        .join()
+        .expect("the storms' thread")
+    });
+    assert_eq!(first.1, second.1, "the same trace");
+    // The 4.1 MB trace fills four pages, a text and a record vector
+    // each; the first storm also grows the thread's spare store to hold
+    // them when its sink drops. 45 and 36 when this was pinned.
+    assert_eq!(first.0 - second.0, 4 * 2 + 1, "{first:?} then {second:?}");
+    assert!(second.0 <= 40, "{} allocations in the second storm", second.0);
 }
 
 #[test]
@@ -401,6 +443,55 @@ fn rendering_allocates_independently_of_the_event_count() {
     let (small, large) = (render(1_000), render(64_000));
     assert!(small <= 2, "{small} allocations for 1 000 events");
     assert_eq!(small, large, "64x the events, the same allocations");
+}
+
+/// The SLO and watchdog folds run on every cycle of a fleet run. Once
+/// they have seen an `(entity, QoS)`, folding another observation of
+/// it allocates nothing; keyed by a `(String, String)` tuple, each
+/// lookup built both names, two allocations a fold.
+#[test]
+fn folding_a_seen_entity_allocates_nothing() {
+    let obs = Obs::disabled();
+    let (entity, qos) = ("npg:2".to_string(), "c3".to_string());
+    let interval = IntervalObs {
+        entity: entity.clone(),
+        qos: qos.clone(),
+        target: 0.99,
+        demand_bps: 1e12,
+        delivered_bps: 1e12,
+        approved_bps: 1e12,
+        measurable: true,
+    };
+    let cycle = CycleObs {
+        entity: entity.clone(),
+        qos: qos.clone(),
+        demand_bps: 1e12,
+        delivered_bps: 1e12,
+        approved_bps: 1e12,
+        marked_fraction: 0.0,
+        conform_fraction: 1.0,
+        staleness_ms: 10.0,
+        measurable: true,
+    };
+    let mut slo = SloEvaluator::default();
+    let mut watch = WatchEvaluator::default();
+    let mut fold = || {
+        slo.observe(&obs, &interval);
+        watch.observe_cycle(&obs, &cycle);
+        watch.observe_shards(&obs, &entity, &qos, 1e12, &[4e11, 6e11]);
+    };
+    // Past the burn alert's slow window, whose ring fills as it goes.
+    for _ in 0..100 {
+        fold();
+    }
+    let (n, ()) = allocations(|| {
+        for _ in 0..1_000 {
+            fold();
+        }
+    });
+    assert_eq!(n, 0, "1 000 folds of a seen (entity, QoS)");
+    assert!(!slo.any_firing() && !watch.any_firing());
+    assert!(watch.report().violations.is_empty(), "a healthy stream");
 }
 
 /// The fleet engine's publish: two partial keys per shard, batched onto
