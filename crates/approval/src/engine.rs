@@ -6,7 +6,7 @@ use entitlement_hose::{generate_tms, HoseRequest, TmGenConfig};
 use entitlement_obs::Obs;
 use entitlement_risk::{sweep_plan, AvailabilityCurve};
 use entitlement_topology::routing::Demand;
-use entitlement_topology::{LinkId, RoutePlan, ScenarioSet, Topology};
+use entitlement_topology::{Placement, RoutePlan, ScenarioSet, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -130,18 +130,6 @@ impl<'a> RoundRoutes<'a> {
             plan: RoutePlan::build(topo, scenarios, config.k_paths),
         }
     }
-
-    /// Place `background` under every unique failure set of the plan:
-    /// the capacity it leaves on each surviving link. Placement never
-    /// reads the batch swept over it, so one serves all the sweeps that
-    /// share the background (a hose's realizations).
-    fn place(&mut self, background: &[Demand]) -> Vec<BTreeMap<LinkId, Rate>> {
-        let RoundRoutes { topo, plan, .. } = self;
-        plan.ensure(topo, background.iter().map(Demand::pair));
-        (0..plan.unique_len())
-            .map(|u| plan.route(topo, u, background).residual)
-            .collect()
-    }
 }
 
 /// `Pipe_Approval` for one class batch against the current background.
@@ -162,7 +150,7 @@ pub fn pipe_approval(
     config: &ApprovalConfig,
 ) -> Vec<PipeApproval> {
     let mut routes = RoundRoutes::new(topo, scenarios, config);
-    let placed = routes.place(background);
+    let placed = routes.plan.place(topo, background);
     let requested = requested.iter().copied();
     pipe_approval_in(&mut routes, demands, requested, slo, &placed, config, &Obs::disabled())
 }
@@ -181,7 +169,7 @@ fn pipe_approval_in(
     demands: &[Demand],
     requested: impl Iterator<Item = Rate>,
     slo: SloTarget,
-    background: &[BTreeMap<LinkId, Rate>],
+    background: &Placement,
     config: &ApprovalConfig,
     obs: &Obs,
 ) -> Vec<PipeApproval> {
@@ -193,7 +181,7 @@ fn pipe_approval_in(
     plan.ensure(topo, demands.iter().map(Demand::pair));
     let mut samples = sweep_plan(
         plan,
-        |u| background[u].clone(),
+        background,
         demands,
         scenarios,
         config.workers,
@@ -531,7 +519,7 @@ pub(crate) fn approve_requests_in(
             ));
             continue;
         }
-        let placed = routes.place(&background_demands(&background));
+        let placed = routes.plan.place(topo, &background_demands(&background));
         let mut per_realization: Vec<Rate> = Vec::with_capacity(realizations[h].len());
         // Tracks the minimum-sum realization: the *worst* case, which is
         // both the conservative background pushed to lower classes and

@@ -10,9 +10,15 @@
 //! worst-realization background and the clip to the hose total are
 //! written out again from the paper, so the two agree bit for bit only
 //! if sharing the plan and the placement changes no routing fact.
+//!
+//! A negotiation keeps one plan across its asks, too: every ask of
+//! `negotiate_scenarios` and `shrink_to_fit` must get the grant a
+//! standalone round of that ask gets on a second build of the backbone.
 
 use entitlement_approval::{
-    approve_requests, pipe_approval, ApprovalConfig, ApprovalMode, ApprovalRequest, PipeApproval,
+    approve_requests, negotiate_scenarios, pipe_approval, rescale_segments, shrink_to_fit,
+    Agreement, ApprovalConfig, ApprovalMode, ApprovalRequest, HoseApproval, PipeApproval,
+    ServiceDecision, ServicePolicy,
 };
 use entitlement_core::{Direction, NpgId, QosBand, QosBucket, QosClass, Rate, RegionId, SloTarget};
 use entitlement_hose::{generate_tms, HoseRequest, TmGenConfig};
@@ -149,6 +155,102 @@ fn a_round_is_bit_identical_to_a_replay_that_shares_nothing() {
             // the background, and something after them is squeezed.
             assert!(round[1].fully_approved() && round[3].fully_approved());
             assert!(round.iter().any(|a| !a.fully_approved()));
+        }
+    }
+}
+
+/// A standalone round of one ask: `approve_requests` on its own plan
+/// over `topo`, at the band a negotiation asks in.
+fn standalone(
+    topo: &Topology,
+    ask: &HoseRequest,
+    slo: SloTarget,
+    config: &ApprovalConfig,
+) -> HoseApproval {
+    let request = ApprovalRequest { hose: ask.clone(), band: QosBand::Low, slo };
+    approve_requests(topo, &[request], config).remove(0)
+}
+
+/// Records every ask put to it and the grant that ask got, and always
+/// asks for an alternative, so every round of a negotiation that never
+/// clears is seen.
+#[derive(Default)]
+struct Recording(Vec<(HoseRequest, Rate)>);
+
+impl ServicePolicy for Recording {
+    fn decide(&mut self, request: &HoseRequest, granted: Rate, _round: usize) -> ServiceDecision {
+        self.0.push((request.clone(), granted));
+        ServiceDecision::TryAlternative
+    }
+}
+
+#[test]
+fn every_negotiated_ask_is_bit_identical_to_a_standalone_round() {
+    let topo = BackboneSpec::small(41).build();
+    let fresh = BackboneSpec::small(41).build();
+    let dcs = topo.dc_ids();
+    let slo = SloTarget::new(0.99).unwrap();
+    let hose = HoseRequest::general(
+        NpgId(9),
+        QosClass::C2,
+        dcs[0],
+        Direction::Egress,
+        Rate::gbps(6000.0),
+        dcs[1..].iter().copied(),
+    );
+    for mode in [ApprovalMode::Partial, ApprovalMode::StrictBatch] {
+        for max_cuts in [1, 2] {
+            let config = ApprovalConfig { tms_per_hose: 4, max_cuts, mode, ..Default::default() };
+            let what = format!("{mode:?}, max_cuts {max_cuts}");
+            let scenarios = ScenarioSet::enumerate(&topo, max_cuts);
+            let mut policy = Recording::default();
+            let agreement =
+                negotiate_scenarios(&topo, &hose, slo, &mut policy, &config, 4, &scenarios);
+            let mut asks = policy.0;
+            match agreement {
+                Agreement::Accepted { request, granted, .. } => asks.push((request, granted)),
+                Agreement::Exhausted { best_counter } => {
+                    let best = asks.iter().map(|(_, g)| *g).fold(Rate::ZERO, Rate::max);
+                    assert_eq!(best_counter.as_bps().to_bits(), best.as_bps().to_bits(), "{what}");
+                }
+                Agreement::RiskAccepted { .. } => unreachable!("the policy never accepts risk"),
+            }
+            assert!(asks.len() > 1, "{what}: the negotiation re-asks");
+            for (round, (ask, granted)) in asks.iter().enumerate() {
+                let alone = standalone(&fresh, ask, slo, &config);
+                assert_eq!(
+                    granted.as_bps().to_bits(),
+                    alone.approved_total.as_bps().to_bits(),
+                    "{what}: negotiation round {round}"
+                );
+            }
+
+            // `shrink_to_fit`, replayed ask by ask: retry at the grant
+            // until an ask clears, the grant is zero or the ask is
+            // negligible.
+            let mut current = hose.clone();
+            let mut replayed = None;
+            for round in 0..20 {
+                let alone = standalone(&fresh, &current, slo, &config);
+                if alone.fully_approved() {
+                    replayed = Some((current, round + 1));
+                    break;
+                }
+                if alone.approved_total.is_zero() {
+                    break;
+                }
+                rescale_segments(&mut current, alone.approved_total);
+                if current.total.as_bps() < hose.total.as_bps() * 0.01 {
+                    break;
+                }
+            }
+            // A strict batch grants the short ask nothing, so only a
+            // partial one has something to shrink to.
+            if mode == ApprovalMode::Partial {
+                assert!(replayed.as_ref().is_some_and(|(_, r)| *r > 1), "{what}: shrinks");
+            }
+            let shrunk = shrink_to_fit(&topo, &hose, slo, &config, 20);
+            assert_eq!(format!("{shrunk:?}"), format!("{replayed:?}"), "{what}");
         }
     }
 }

@@ -210,7 +210,7 @@ pub struct SrlgAblation {
 
 /// Run the SRLG ablation on a reference pipe at 99% availability.
 pub fn srlg_ablation(seed: u64) -> SrlgAblation {
-    use entitlement_risk::{assess_risk, RiskConfig};
+    use entitlement_risk::{assess_risk_detailed, RiskConfig};
     use entitlement_topology::routing::Demand;
     use entitlement_topology::{BackboneSpec, SrlgMap};
 
@@ -231,7 +231,8 @@ pub fn srlg_ablation(seed: u64) -> SrlgAblation {
             SrlgMap::synthesize(&topo, p, seed ^ 0x5816)
         };
         let scenarios = map.enumerate(&topo, 2);
-        let curves = assess_risk(&topo, &[demand], &scenarios, &RiskConfig::default());
+        let curves =
+            assess_risk_detailed(&topo, &[demand], &scenarios, &RiskConfig::default()).curves;
         granted.push(curves[0].bandwidth_at(0.99).as_gbps());
         conduits.push(map.len());
     }

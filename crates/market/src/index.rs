@@ -373,37 +373,6 @@ impl ResidualIndex {
     }
 }
 
-/// The headroom of one pair, from scratch: the SLO-feasible volume the
-/// backbone can carry from `src` to `dst` on top of `background`, under
-/// the given scenario set.
-///
-/// The market's warm-up and sweep fallback run the same sweep on a
-/// placement of the same background they keep between sweeps; this
-/// function builds its own plan and places the background itself, so
-/// it is the independent witness an index-path or sweep-path decision
-/// is held to (bit-equal while the index is fresh).
-pub fn pair_headroom(
-    topo: &Topology,
-    scenarios: &ScenarioSet,
-    background: &[Demand],
-    src: RegionId,
-    dst: RegionId,
-    slo: SloTarget,
-    k_paths: usize,
-) -> Rate {
-    pair_headroom_probe(
-        topo,
-        scenarios,
-        background,
-        src,
-        dst,
-        slo,
-        k_paths,
-        &Obs::disabled(),
-    )
-    .headroom
-}
-
 /// A headroom sweep's full answer: the number plus its provenance.
 #[derive(Clone, Debug)]
 pub struct HeadroomProbe {
@@ -413,19 +382,21 @@ pub struct HeadroomProbe {
     pub provenance: SlotProvenance,
 }
 
-/// [`pair_headroom`] keeping the per-scenario evidence: the same
-/// sweep, but instead of folding the samples into a curve and reading
-/// one point, the binding scenario (the one at which cumulative
-/// probability first covers the SLO, in admitted-volume order) is
-/// identified and recorded. `probe.headroom` is bit-equal to
-/// [`pair_headroom`]'s return value; the provenance is free.
+/// The headroom of one pair, from scratch: the SLO-feasible volume the
+/// backbone can carry from `src` to `dst` on top of `background`, under
+/// the given scenario set, plus its provenance — the binding scenario
+/// (the one at which cumulative probability first covers the SLO, in
+/// admitted-volume order).
 ///
 /// The sweep routes a probe at the source's full egress — no
 /// admissible volume can exceed it, so the curve's point at any SLO is
 /// the true headroom at that SLO — on the background placed under each
-/// failure set. It routes through a [`RoutePlan`] of its own, whose
-/// rows the topology keeps: on the market's topology and scenario set
-/// it looks up the rows the market's sweeps filled and searches
+/// failure set. The market's warm-up and sweep fallback run the same
+/// sweep on a placement they keep between sweeps; this function builds
+/// a fresh [`RoutePlan`] and places the background on it, so it is the
+/// independent witness an index-path or sweep-path decision is held to
+/// (bit-equal while the index is fresh). The plan's rows are the
+/// topology's: on the market's topology and scenario set it searches
 /// nothing, but it places the background again on every call.
 /// Telemetry (`risk` sweep/merge/scenario spans, sweep histograms)
 /// lands in `obs` when enabled.
@@ -440,12 +411,10 @@ pub fn pair_headroom_probe(
     k_paths: usize,
     obs: &Obs,
 ) -> HeadroomProbe {
-    let risk = headroom_risk(background, k_paths);
+    let risk = headroom_risk(k_paths);
     let mut plan = RoutePlan::build(topo, scenarios, k_paths);
-    plan.ensure(
-        topo,
-        background.iter().map(Demand::pair).chain([(src, dst)]),
-    );
+    let placed = plan.place(topo, background);
+    plan.ensure(topo, [(src, dst)]);
     let probe = Demand {
         src,
         dst,
@@ -453,7 +422,7 @@ pub fn pair_headroom_probe(
     };
     let samples = sweep_plan(
         &plan,
-        |u| plan.route(topo, u, &risk.background).residual,
+        &placed,
         &[probe],
         scenarios,
         risk.workers,
@@ -465,10 +434,10 @@ pub fn pair_headroom_probe(
 
 /// The risk knobs every headroom sweep runs with: serial and
 /// deduplicated, so the `risk`/`scenario` spans are byte-stable.
-pub(crate) fn headroom_risk(background: &[Demand], k_paths: usize) -> RiskConfig {
+pub(crate) fn headroom_risk(k_paths: usize) -> RiskConfig {
     RiskConfig {
         k_paths,
-        background: background.to_vec(),
+        background: Vec::new(),
         workers: 1,
         dedup: true,
     }

@@ -21,9 +21,9 @@
 //!   one sweep, over a placement of the committed background that the
 //!   market keeps until the book or the fault set changes, so while the
 //!   index is fresh an index decision is bitwise identical to the sweep
-//!   decision it caches; [`pair_headroom`] places the background from
-//!   scratch and is the witness both are held to (property-tested in
-//!   `tests/market_props.rs`).
+//!   decision it caches; [`pair_headroom_probe`]`(..).headroom` places
+//!   the background from scratch and is the witness both are held to
+//!   (property-tested in `tests/market_props.rs`).
 //! * **Fail-closed freshness.** Any event that can change physical
 //!   headroom (contract load, fault, fault clear) bumps the index
 //!   epoch before anything else; stale slots are never served, so no
@@ -40,10 +40,7 @@ pub mod storm;
 
 pub use book::{EntitlementBook, EntitlementKind, MarketEntitlement, MarketKey};
 pub use explain::{explain_denied, explain_request};
-pub use index::{
-    pair_headroom, pair_headroom_probe, HeadroomProbe, IndexKey, ResidualIndex,
-    SlotProvenance,
-};
+pub use index::{pair_headroom_probe, HeadroomProbe, IndexKey, ResidualIndex, SlotProvenance};
 pub use market::{
     AdmitDecision, AdmitOutcome, AdmitPath, AdmitRequest, EntitlementMarket,
 };

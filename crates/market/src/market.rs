@@ -35,9 +35,9 @@ use entitlement_hose::HoseRequest;
 use entitlement_obs::{Counter, Histogram, Obs, PerRegistry, Registry, SpanTimer};
 use entitlement_risk::{sweep_plan, RiskConfig, RiskSamples};
 use entitlement_topology::routing::Demand;
-use entitlement_topology::{FailureScenario, LinkId, RoutePlan, ScenarioSet, Topology};
+use entitlement_topology::{FailureScenario, LinkId, Placement, RoutePlan, ScenarioSet, Topology};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -157,7 +157,7 @@ pub struct EntitlementMarket {
     /// `ensure_routes`, dropped whenever the background or `effective`
     /// changes. Shared by clones; one that takes a fault or a book
     /// drops its own handle and leaves the others' placement alone.
-    placed: Option<Arc<[BTreeMap<LinkId, Rate>]>>,
+    placed: Option<Placement>,
     dead_links: Vec<LinkId>,
     book: EntitlementBook,
     /// Headroom-sweep knobs; the background is the committed reserving
@@ -188,7 +188,7 @@ impl EntitlementMarket {
         let scenarios = ScenarioSet::enumerate(&topo, config.max_cuts);
         let effective = scenarios.clone();
         let plan = Arc::new(RoutePlan::build(&topo, &effective, config.k_paths));
-        let risk = headroom_risk(&[], config.k_paths);
+        let risk = headroom_risk(config.k_paths);
         let index = ResidualIndex::with_space(topo.region_count(), grid.slice_count() as usize);
         EntitlementMarket {
             topo,
@@ -313,26 +313,18 @@ impl EntitlementMarket {
         self.effective = effective;
     }
 
-    /// Make the plan cover `pairs` and the background's, and place the
-    /// background under every failure set unless it already is for the
-    /// current book and effective set. Clones share the plan; only one
-    /// that needs a pair nobody has routed yet copies it. Returns the
-    /// placement, one residual map per unique failure set.
-    fn ensure_routes(&mut self, pairs: &[(RegionId, RegionId)]) -> Arc<[BTreeMap<LinkId, Rate>]> {
-        let wanted = || {
-            let background = self.risk.background.iter().map(Demand::pair);
-            pairs.iter().copied().chain(background)
-        };
-        if !self.plan.covers(wanted()) {
-            Arc::make_mut(&mut self.plan).ensure(&self.topo, wanted());
+    /// Make the plan cover `pairs`, and place the background under
+    /// every failure set unless it already is for the current book and
+    /// effective set. Clones share the plan; only one that needs a pair
+    /// nobody has routed yet, or has to place a background, copies it.
+    fn ensure_routes(&mut self, pairs: &[(RegionId, RegionId)]) -> Placement {
+        if !self.plan.covers(pairs.iter().copied()) {
+            Arc::make_mut(&mut self.plan).ensure(&self.topo, pairs.iter().copied());
         }
-        let (topo, plan, background) = (&self.topo, &self.plan, &self.risk.background);
-        let placed = self.placed.get_or_insert_with(|| {
-            (0..plan.unique_len())
-                .map(|u| plan.route(topo, u, background).residual)
-                .collect()
-        });
-        Arc::clone(placed)
+        let (topo, plan, background) = (&self.topo, &mut self.plan, &self.risk.background);
+        self.placed
+            .get_or_insert_with(|| Arc::make_mut(plan).place(topo, background))
+            .clone()
     }
 
     /// The enumerated scenario set with every dead link appended to
@@ -402,9 +394,9 @@ impl EntitlementMarket {
     }
 
     /// One pair's headroom sweep over the market's own plan, which
-    /// must already cover it, on the background `placed` under each of
-    /// its failure sets: per-scenario admitted volume of a probe at the
-    /// source's full egress — no admissible volume can exceed it, so
+    /// must already cover it, on the background `placed` on that plan:
+    /// per-scenario admitted volume of a probe at the source's full
+    /// egress — no admissible volume can exceed it, so
     /// the curve's point at any SLO is the true headroom at that SLO.
     /// The samples depend on the pair, never on the bucket: one sweep
     /// serves every bucket's [`HeadroomProbe::at_slo`] read.
@@ -412,7 +404,7 @@ impl EntitlementMarket {
         &self,
         src: RegionId,
         dst: RegionId,
-        placed: &[BTreeMap<LinkId, Rate>],
+        placed: &Placement,
         obs: &Obs,
     ) -> RiskSamples {
         let probe = Demand {
@@ -422,7 +414,7 @@ impl EntitlementMarket {
         };
         sweep_plan(
             &self.plan,
-            |u| placed[u].clone(),
+            placed,
             &[probe],
             &self.effective,
             self.risk.workers,

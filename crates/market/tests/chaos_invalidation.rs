@@ -11,7 +11,7 @@ use entitlement_approval::ApprovalConfig;
 use entitlement_chaos::{Fault, FaultKind, FaultPlan, TimeWindow};
 use entitlement_core::{QosBand, QosBucket, QosClass, Quarter};
 use entitlement_market::{
-    generate_storm, pair_headroom, AdmitPath, AdmitRequest, EntitlementMarket, IndexKey,
+    generate_storm, pair_headroom_probe, AdmitPath, AdmitRequest, EntitlementMarket, IndexKey,
     SliceGrid, StormConfig,
 };
 use entitlement_topology::{k_shortest_paths, BackboneSpec, LinkId, ScenarioSet};
@@ -177,7 +177,7 @@ fn assert_sweeps_like_a_cold_market(
         }
         seen.push(key);
         assert_eq!(a.path, AdmitPath::Sweep, "first touch of {key:?}");
-        let from_scratch = pair_headroom(
+        let from_scratch = pair_headroom_probe(
             warmed.topology(),
             &scenarios,
             &[],
@@ -185,7 +185,9 @@ fn assert_sweeps_like_a_cold_market(
             req.dst,
             EntitlementMarket::slo_for(req.bucket),
             k,
-        );
+            &entitlement_obs::Obs::disabled(),
+        )
+        .headroom;
         let installed = warmed.index().provenance(&key).unwrap().headroom;
         assert_eq!(installed.as_bps().to_bits(), from_scratch.as_bps().to_bits());
     }

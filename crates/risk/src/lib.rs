@@ -23,8 +23,5 @@ pub mod simulate;
 pub mod sweep;
 
 pub use curve::AvailabilityCurve;
-pub use simulate::{
-    assess_risk, assess_risk_detailed, assess_risk_detailed_obs, sweep_plan, RiskAssessment,
-    RiskConfig, RiskSamples,
-};
+pub use simulate::{assess_risk_detailed, sweep_plan, RiskAssessment, RiskConfig, RiskSamples};
 pub use sweep::sweep_ordered_obs;

@@ -5,9 +5,8 @@ use crate::sweep::sweep_ordered_obs;
 use entitlement_core::Rate;
 use entitlement_obs::Obs;
 use entitlement_topology::routing::Demand;
-use entitlement_topology::{LinkId, RoutePlan, ScenarioSet, Topology};
+use entitlement_topology::{Placement, RoutePlan, ScenarioSet, Topology};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Risk simulation knobs.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -61,22 +60,12 @@ impl RiskAssessment {
     }
 }
 
-/// Assess one batch of pipe demands against a scenario set.
-///
-/// Returns one [`AvailabilityCurve`] per demand (same order). In each
-/// scenario the background (higher-priority approvals) is routed first,
-/// then the batch; a demand's admitted volume under that scenario becomes
-/// a probability-weighted curve sample.
-pub fn assess_risk(
-    topo: &Topology,
-    demands: &[Demand],
-    scenarios: &ScenarioSet,
-    config: &RiskConfig,
-) -> Vec<AvailabilityCurve> {
-    assess_risk_detailed(topo, demands, scenarios, config).curves
-}
-
-/// [`assess_risk`] plus sweep statistics.
+/// Assess one batch of pipe demands against a scenario set: one
+/// [`AvailabilityCurve`] per demand (same order), plus sweep
+/// statistics. In each scenario the background (higher-priority
+/// approvals) is placed first, then the batch; a demand's admitted
+/// volume under that scenario becomes a probability-weighted curve
+/// sample.
 ///
 /// The sweep routes each *distinct* failure set once (when
 /// `config.dedup`), fanned out over `config.workers` scoped threads in
@@ -84,40 +73,27 @@ pub fn assess_risk(
 /// scenario — in scenario order, with that scenario's own probability.
 /// Because routing is a pure function of the failure set and samples are
 /// merged in input order, the curves are bitwise identical for every
-/// `(workers, dedup)` combination.
+/// `(workers, dedup)` combination. A plan per call, over the rows the
+/// topology keeps; a caller that sweeps the same scenario set again, or
+/// wants the sweep's telemetry, keeps one and calls [`sweep_plan`].
 pub fn assess_risk_detailed(
     topo: &Topology,
     demands: &[Demand],
     scenarios: &ScenarioSet,
     config: &RiskConfig,
 ) -> RiskAssessment {
-    assess_risk_detailed_obs(topo, demands, scenarios, config, &Obs::disabled())
-}
-
-/// [`assess_risk_detailed`] with telemetry: a `risk`/`sweep` span
-/// around the scenario fan-out (labelled with scenario, unique-set,
-/// and demand counts), a `risk`/`merge` span around the per-scenario
-/// sample merge, per-scenario child spans on the serial path, and the
-/// sweep's per-scenario timing and worker-utilization histograms in
-/// `obs.registry` (see [`crate::sweep::sweep_ordered_obs`]). Curves
-/// are bitwise identical to the untraced path.
-pub fn assess_risk_detailed_obs(
-    topo: &Topology,
-    demands: &[Demand],
-    scenarios: &ScenarioSet,
-    config: &RiskConfig,
-    obs: &Obs,
-) -> RiskAssessment {
-    // A plan per call, over the rows the topology keeps; a caller that
-    // sweeps the same scenario set again keeps one and calls
-    // [`sweep_plan`].
     let mut plan = RoutePlan::build(topo, scenarios, config.k_paths);
-    plan.ensure(
-        topo,
-        demands.iter().chain(&config.background).map(Demand::pair),
+    let background = plan.place(topo, &config.background);
+    plan.ensure(topo, demands.iter().map(Demand::pair));
+    let s = sweep_plan(
+        &plan,
+        &background,
+        demands,
+        scenarios,
+        config.workers,
+        config.dedup,
+        &Obs::disabled(),
     );
-    let background = |u| plan.route(topo, u, &config.background).residual;
-    let s = sweep_plan(&plan, background, demands, scenarios, config.workers, config.dedup, obs);
     RiskAssessment {
         curves: s
             .samples
@@ -169,25 +145,24 @@ impl RiskSamples {
 
 /// The sweep kernel: place `demands` on what the background left under
 /// every failure set of `scenarios`, every path read from `plan` — which
-/// must have been built from `scenarios` and cover the demands' pairs.
-/// This is [`assess_risk_detailed_obs`] stopping one step short of
-/// curve construction: [`AvailabilityCurve::from_samples`] over each
-/// demand's samples yields exactly the detailed assessment's curves.
-/// `workers` and `dedup` are [`RiskConfig`]'s.
+/// must have been built from `scenarios` and cover the demands' pairs —
+/// and every failure set's start read from `background`, placed by
+/// [`RoutePlan::place`] on `plan` (or on a plan it was extended from).
+/// This is [`assess_risk_detailed`] stopping one step short of curve
+/// construction: [`AvailabilityCurve::from_samples`] over each demand's
+/// samples yields exactly the assessment's curves. `workers` and
+/// `dedup` are [`RiskConfig`]'s.
 ///
-/// `background(u)` is the capacity the higher-priority traffic leaves
-/// on each link surviving the plan's unique failure set `u`, placed in
-/// a pass of its own: `plan.route(topo, u, &premium).residual` (every
-/// link at full capacity when `premium` is empty). That reads the
-/// failure set and the premium demands, never `demands` — so a caller
-/// that sweeps once places inside the closure, and one that sweeps many
-/// batches over one background (the realizations of a hose) places once
-/// per failure set and hands out clones. Path selection reads only
-/// fiber lengths, so placing the batch on that residual is exactly a
-/// second pass over a topology with rewritten capacities.
+/// With `obs` enabled: a `risk`/`sweep` span around the scenario
+/// fan-out (labelled with scenario, unique-set and demand counts), a
+/// `risk`/`merge` span around the per-scenario sample merge,
+/// per-scenario child spans on the serial path, and the sweep's
+/// per-scenario timing and worker-utilization histograms in
+/// `obs.registry` (see [`crate::sweep::sweep_ordered_obs`]). The
+/// samples are the same whatever `obs` is.
 pub fn sweep_plan(
     plan: &RoutePlan,
-    background: impl Fn(usize) -> BTreeMap<LinkId, Rate> + Sync,
+    background: &Placement,
     demands: &[Demand],
     scenarios: &ScenarioSet,
     workers: usize,
@@ -195,6 +170,7 @@ pub fn sweep_plan(
     obs: &Obs,
 ) -> RiskSamples {
     debug_assert_eq!(plan.scenario_count(), scenarios.len());
+    debug_assert_eq!(background.unique_len(), plan.unique_len());
     // With dedup every distinct failure set is routed once, at its
     // first scenario; without, every scenario is routed.
     let every: Vec<usize>;
@@ -212,7 +188,8 @@ pub fn sweep_plan(
         .label_fmt("demands", demands.len());
     let per_routed: Vec<Vec<Rate>> = sweep_ordered_obs(routed, workers, obs, |scenario_idx| {
         let unique = plan.unique_of(scenario_idx);
-        plan.route_on(unique, demands, background(unique)).admitted
+        plan.route_on(unique, demands, background.residual(unique).clone())
+            .admitted
     });
     sweep_span.finish();
 
@@ -257,7 +234,8 @@ mod tests {
             amount: Rate::gbps(10.0),
         }];
         let scenarios = ScenarioSet::enumerate(&topo, 2);
-        let curves = assess_risk(&topo, &demands, &scenarios, &RiskConfig::default());
+        let curves =
+            assess_risk_detailed(&topo, &demands, &scenarios, &RiskConfig::default()).curves;
         assert_eq!(curves.len(), 1);
         // A 10G demand on a multi-Tbps backbone should survive any dual
         // cut: availability at full volume ≈ 1 - P(blackout residual).
@@ -277,7 +255,8 @@ mod tests {
             amount: huge,
         }];
         let scenarios = ScenarioSet::enumerate(&topo, 2);
-        let curves = assess_risk(&topo, &demands, &scenarios, &RiskConfig::default());
+        let curves =
+            assess_risk_detailed(&topo, &demands, &scenarios, &RiskConfig::default()).curves;
         let granted = curves[0].bandwidth_at(0.99);
         assert!(granted.as_bps() > 0.0);
         assert!(granted.as_bps() < huge.as_bps());
@@ -293,7 +272,8 @@ mod tests {
             amount: Rate::tbps(3.0),
         }];
         let scenarios = ScenarioSet::enumerate(&topo, 2);
-        let curves = assess_risk(&topo, &demands, &scenarios, &RiskConfig::default());
+        let curves =
+            assess_risk_detailed(&topo, &demands, &scenarios, &RiskConfig::default()).curves;
         let loose = curves[0].bandwidth_at(0.95);
         let strict = curves[0].bandwidth_at(0.9999);
         assert!(strict.as_bps() <= loose.as_bps());
@@ -309,8 +289,8 @@ mod tests {
             amount: Rate::tbps(2.0),
         }];
         let scenarios = ScenarioSet::enumerate(&topo, 2);
-        let free = assess_risk(&topo, &demands, &scenarios, &RiskConfig::default());
-        let congested = assess_risk(
+        let free = assess_risk_detailed(&topo, &demands, &scenarios, &RiskConfig::default()).curves;
+        let congested = assess_risk_detailed(
             &topo,
             &demands,
             &scenarios,
@@ -322,7 +302,8 @@ mod tests {
                 }],
                 ..Default::default()
             },
-        );
+        )
+        .curves;
         assert!(
             congested[0].bandwidth_at(0.99).as_bps() < free[0].bandwidth_at(0.99).as_bps(),
             "premium background must squeeze the batch"
@@ -342,9 +323,18 @@ mod tests {
         let config = RiskConfig::default();
         let mut plan = RoutePlan::build(&topo, &scenarios, config.k_paths);
         plan.ensure(&topo, demands.iter().map(Demand::pair));
-        let healthy = |u| plan.route(&topo, u, &[]).residual;
-        let s = sweep_plan(&plan, healthy, &demands, &scenarios, 1, true, &Obs::disabled());
-        let curves = assess_risk(&topo, &demands, &scenarios, &RiskConfig::default());
+        let healthy = plan.place(&topo, &[]);
+        let s = sweep_plan(
+            &plan,
+            &healthy,
+            &demands,
+            &scenarios,
+            1,
+            true,
+            &Obs::disabled(),
+        );
+        let curves =
+            assess_risk_detailed(&topo, &demands, &scenarios, &RiskConfig::default()).curves;
         for slo in [0.9, 0.99, 0.9999] {
             let b = s.binding_scenario(0, slo).expect("feasible slo");
             assert_eq!(
@@ -367,7 +357,8 @@ mod tests {
             amount: Rate::gbps(1.0),
         }];
         let scenarios = ScenarioSet::enumerate(&topo, 2);
-        let curves = assess_risk(&topo, &demands, &scenarios, &RiskConfig::default());
+        let curves =
+            assess_risk_detailed(&topo, &demands, &scenarios, &RiskConfig::default()).curves;
         assert!((curves[0].total_mass() - 1.0).abs() < 1e-9);
     }
 }

@@ -109,7 +109,8 @@ fn assert_equivalent(topo: &Topology, demands: &[Demand], scenarios: &ScenarioSe
             baseline_bits,
             "{label}: the plan-less sweep diverged from the planned one"
         );
-        reused.ensure(topo, demands.iter().chain(&background).map(Demand::pair));
+        let placed = reused.place(topo, &background);
+        reused.ensure(topo, demands.iter().map(Demand::pair));
 
         for workers in [1usize, 2, 8] {
             for dedup in [false, true] {
@@ -134,7 +135,7 @@ fn assert_equivalent(topo: &Topology, demands: &[Demand], scenarios: &ScenarioSe
                 }
                 let again = sweep_plan(
                     &reused,
-                    |u| reused.route(topo, u, &background).residual,
+                    &placed,
                     demands,
                     scenarios,
                     workers,
@@ -268,14 +269,12 @@ proptest! {
         let expected = self_placing_bits(&topo, &plan, &demands, &scenarios, &background);
 
         // One placement per failure set, cloned by every sweep below.
-        let placed: Vec<_> = (0..plan.unique_len())
-            .map(|u| plan.route(&topo, u, &background).residual)
-            .collect();
+        let placed = plan.place(&topo, &background);
         for workers in [1usize, 2] {
             for dedup in [true, false] {
                 let out = sweep_plan(
                     &plan,
-                    |u| placed[u].clone(),
+                    &placed,
                     &demands,
                     &scenarios,
                     workers,

@@ -8,7 +8,6 @@
 use crate::plan::{RouteMemo, RouteWork};
 use entitlement_core::{EntitlementError, Rate, RegionId, Result};
 use serde::{DeError, Deserialize, JsonValue, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Index of a link within a [`Topology`].
@@ -318,19 +317,6 @@ impl Topology {
     /// this topology and its clones since its graph last changed.
     pub fn route_work(&self) -> RouteWork {
         self.memo.work()
-    }
-
-    /// Replace link capacities with the residual capacities from a prior
-    /// routing pass (links absent from the map keep their capacity).
-    /// Used to give higher-priority traffic strict precedence: route it
-    /// first, then route lower classes on the residual topology. Paths
-    /// read lengths, never capacities, so the memo is kept.
-    pub fn apply_residual(&mut self, residual: &BTreeMap<LinkId, Rate>) {
-        for link in &mut self.links {
-            if let Some(&r) = residual.get(&link.id) {
-                link.capacity = r;
-            }
-        }
     }
 
     /// True if `src` can reach `dst` over links not present in `dead`.

@@ -8,7 +8,8 @@
 //!   for the production topology (see DESIGN.md substitution table);
 //! * [`path`] — Yen's k-shortest loopless paths over a buffered Dijkstra;
 //! * [`plan`] — the k-shortest path sets of every (region pair, failure
-//!   set), computed once and shared by every placement;
+//!   set), computed once and shared by every placement, and the one
+//!   [`Placement`] of a background under all of them;
 //! * [`maxflow`] — Dinic's maximum flow for feasibility checks;
 //! * [`routing`] — greedy k-shortest-path multipath placement of a traffic
 //!   matrix, reporting admitted volume and per-link residual capacity;
@@ -39,6 +40,6 @@ pub use generator::{BackboneSpec, RegionKind};
 pub use graph::{Link, LinkId, Region, Topology};
 pub use maxflow::max_flow;
 pub use path::{k_shortest_paths, Path};
-pub use plan::{PlannedPath, RoutePlan, RouteWork, PLAN_KEYS};
+pub use plan::{Placement, PlannedPath, RoutePlan, RouteWork, PLAN_KEYS};
 pub use routing::{route_matrix, route_matrix_on_residual, RoutingOutcome};
 pub use srlg::{Conduit, SrlgMap};

@@ -14,7 +14,8 @@
 //! out over it (no lock, no interior mutability, so any worker count
 //! reads the same bytes). Placement over a plan — `RoutePlan::route`
 //! and `route_on` — lives with the rest of the router in
-//! [`crate::routing`].
+//! [`crate::routing`]; [`RoutePlan::place`] places a background under
+//! every failure set at once, as one [`Placement`].
 //!
 //! **The pool rule.** A region pair's *pool* is one Yen search on the
 //! intact graph, `POOL_DEPTH` paths deep (k + 1 if that is more). Yen
@@ -54,7 +55,8 @@
 use crate::failure::ScenarioSet;
 use crate::graph::{LinkId, Topology};
 use crate::path::{k_shortest_paths_avoiding, Path, Yen};
-use entitlement_core::RegionId;
+use crate::routing::Demand;
+use entitlement_core::{Rate, RegionId};
 use std::collections::BTreeMap;
 use std::mem::size_of;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -653,6 +655,20 @@ impl RoutePlan {
         }
     }
 
+    /// Place `background` under every unique failure set of the plan,
+    /// after ensuring its pairs: what it leaves on each link the set
+    /// does not kill. An empty background leaves every surviving link
+    /// at full capacity. Placement never reads what is swept over it,
+    /// so one serves every sweep that shares the background.
+    pub fn place(&mut self, topo: &Topology, background: &[Demand]) -> Placement {
+        self.ensure(topo, background.iter().map(Demand::pair));
+        Placement(
+            (0..self.unique_len())
+                .map(|u| self.route(topo, u, background).residual)
+                .collect(),
+        )
+    }
+
     /// Whether `link` is dead under unique failure set `unique`.
     pub(crate) fn is_dead(&self, unique: usize, link: LinkId) -> bool {
         self.dead.get(unique).is_some_and(|m| m.contains(link))
@@ -678,6 +694,26 @@ impl RoutePlan {
                 .values()
                 .map(|row| size_of::<((RegionId, RegionId), Arc<Row>)>() + row.heap_bytes())
                 .sum::<usize>()
+    }
+}
+
+/// A background placed under every unique failure set of one plan, by
+/// [`RoutePlan::place`]: per set, the capacity left on each surviving
+/// link. Clones share the residuals.
+#[derive(Clone, Debug)]
+pub struct Placement(Arc<[BTreeMap<LinkId, Rate>]>);
+
+impl Placement {
+    /// Unique failure sets placed under: the plan's
+    /// [`RoutePlan::unique_len`].
+    pub fn unique_len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// What the background leaves on each link alive under unique
+    /// failure set `unique`.
+    pub fn residual(&self, unique: usize) -> &BTreeMap<LinkId, Rate> {
+        &self.0[unique]
     }
 }
 

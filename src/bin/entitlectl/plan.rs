@@ -221,7 +221,9 @@ pub fn check(m: &Matches) {
 /// planning backbone and report the availability the network could give
 /// the planned rate, independent of what the contract says.
 fn check_risk(m: &Matches, region: RegionId, rate: Rate) {
+    use network_entitlement::risk::sweep_plan;
     use network_entitlement::topology::routing::Demand;
+    use network_entitlement::topology::RoutePlan;
 
     let seed: u64 = m.get("--seed").unwrap_or(0xE17);
     let slo_v = slo_target(m).0;
@@ -251,35 +253,28 @@ fn check_risk(m: &Matches, region: RegionId, rate: Rate) {
     let tele = m.telemetry();
     let obs = tele.make_obs();
     let scenarios = ScenarioSet::enumerate(&topo, 2);
-    let assessment = assess_risk_detailed_obs(
-        &topo,
-        &demands,
-        &scenarios,
-        &RiskConfig {
-            workers,
-            dedup,
-            ..Default::default()
-        },
-        &obs,
-    );
+    let mut plan = RoutePlan::build(&topo, &scenarios, RiskConfig::default().k_paths);
+    let healthy = plan.place(&topo, &[]);
+    plan.ensure(&topo, demands.iter().map(Demand::pair));
+    let swept = sweep_plan(&plan, &healthy, &demands, &scenarios, workers, dedup, &obs);
+    let curves: Vec<AvailabilityCurve> = swept
+        .samples
+        .into_iter()
+        .map(AvailabilityCurve::from_samples)
+        .collect();
     // A demand's availability at its full share; the hose carries the
     // planned rate only when every pipe does.
-    let worst = assessment
-        .curves
+    let worst = curves
         .iter()
         .zip(&demands)
         .map(|(c, d)| c.availability_of(d.amount))
         .fold(1.0_f64, f64::min);
-    let at_slo: Rate = assessment
-        .curves
-        .iter()
-        .map(|c| c.bandwidth_at(slo_v))
-        .sum();
+    let at_slo: Rate = curves.iter().map(|c| c.bandwidth_at(slo_v)).sum();
     println!(
         "risk: {rate} from {region} survives with availability {worst:.5} \
          (network could carry {at_slo} at the {slo_v} SLO; routed {} of {} scenarios{})",
-        assessment.routed_scenarios,
-        assessment.total_scenarios,
+        swept.routed_scenarios,
+        swept.total_scenarios,
         if dedup { ", dedup on" } else { ", dedup off" },
     );
     write_telemetry(&tele, &obs);

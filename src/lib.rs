@@ -107,8 +107,7 @@ pub mod prelude {
     };
     pub use entitlement_obs::{Clock, Obs};
     pub use entitlement_risk::{
-        assess_risk, assess_risk_detailed, assess_risk_detailed_obs, AvailabilityCurve,
-        RiskAssessment, RiskConfig,
+        assess_risk_detailed, AvailabilityCurve, RiskAssessment, RiskConfig,
     };
     pub use entitlement_simnet::{Bottleneck, MarkingCommand, World, WorldConfig};
     pub use entitlement_slo::{BurnAlert, SloEvaluator, SloPolicy, SloReport};

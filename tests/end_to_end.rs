@@ -166,7 +166,7 @@ fn approval_volumes_meet_the_slo_on_the_curve() {
         dst: dcs[2],
         amount: Rate::tbps(2.0),
     };
-    let curves = assess_risk(&topo, &[demand], &scenarios, &RiskConfig::default());
+    let curves = assess_risk_detailed(&topo, &[demand], &scenarios, &RiskConfig::default()).curves;
     for slo in [0.9, 0.99, 0.999] {
         let granted = curves[0].bandwidth_at(slo);
         if granted.as_bps() > 0.0 {

@@ -386,10 +386,6 @@ fn mutating_a_clone_leaves_the_original_intact() {
 
     let mut clone = original.clone();
     assert_eq!(clone.pooled_pairs(), pooled, "a clone shares the memo");
-    let mut residual = std::collections::BTreeMap::new();
-    residual.insert(LinkId(0), Rate::gbps(1.0));
-    clone.apply_residual(&residual);
-    assert_eq!(clone.pooled_pairs(), pooled, "capacities leave paths alone");
     let shortcut = add_shortcut(&mut clone);
     assert_eq!(first_path(&clone), [shortcut]);
 

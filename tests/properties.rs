@@ -11,7 +11,7 @@ use network_entitlement::hose::segment::{alpha_minus, alpha_plus, two_segments, 
 use network_entitlement::hose::{generate_tms, TmGenConfig};
 use network_entitlement::risk::AvailabilityCurve;
 use network_entitlement::topology::routing::Demand;
-use network_entitlement::topology::{max_flow, route_matrix, BackboneSpec};
+use network_entitlement::topology::{max_flow, route_matrix, BackboneSpec, LinkId, Topology};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -303,6 +303,23 @@ proptest! {
     }
 }
 
+/// `topo` rebuilt with each link's capacity read from `residual` (a
+/// link absent from it keeps its own): the same regions and links,
+/// added in the same order, so every `LinkId` names the same link.
+fn with_capacities(topo: &Topology, residual: &BTreeMap<LinkId, Rate>) -> Topology {
+    let mut rebuilt = Topology::new();
+    for r in topo.regions() {
+        rebuilt.add_region(r.name.clone(), r.is_dc, r.capacity_scale);
+    }
+    for l in topo.links() {
+        let capacity = residual.get(&l.id).copied().unwrap_or(l.capacity);
+        rebuilt
+            .add_link(l.src, l.dst, capacity, l.availability, l.length_km)
+            .expect("every region was added");
+    }
+    rebuilt
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -315,7 +332,7 @@ proptest! {
         n_scenarios in 50usize..300,
         slo in 0.5f64..0.9995,
     ) {
-        use network_entitlement::risk::{assess_risk, RiskConfig};
+        use network_entitlement::risk::{assess_risk_detailed, RiskConfig};
         use network_entitlement::topology::ScenarioSet;
 
         let topo = BackboneSpec::small(seed % 64).build();
@@ -325,12 +342,12 @@ proptest! {
             Demand { src: ids[1], dst: ids[4], amount: Rate::tbps(20.0) },
         ];
         let scenarios = ScenarioSet::sample(&topo, n_scenarios, seed);
-        let deduped = assess_risk(&topo, &demands, &scenarios, &RiskConfig {
+        let deduped = assess_risk_detailed(&topo, &demands, &scenarios, &RiskConfig {
             dedup: true, workers: 2, ..Default::default()
-        });
-        let plain = assess_risk(&topo, &demands, &scenarios, &RiskConfig {
+        }).curves;
+        let plain = assess_risk_detailed(&topo, &demands, &scenarios, &RiskConfig {
             dedup: false, workers: 1, ..Default::default()
-        });
+        }).curves;
         for (a, b) in deduped.iter().zip(&plain) {
             prop_assert!((a.total_mass() - 1.0).abs() < 1e-9);
             prop_assert_eq!(
@@ -367,10 +384,8 @@ proptest! {
 
         // The sweep's path: overlay the background residual.
         let overlay = route_matrix_on_residual(&topo, &demands, &dead, 4, &bg.residual);
-        // The seed path: clone the topology and rewrite capacities.
-        let mut cloned = topo.clone();
-        cloned.apply_residual(&bg.residual);
-        let via_clone = route_matrix(&cloned, &demands, &dead, 4);
+        // The seed path: rebuild the topology at the residual capacities.
+        let via_clone = route_matrix(&with_capacities(&topo, &bg.residual), &demands, &dead, 4);
 
         prop_assert_eq!(overlay.admitted.len(), via_clone.admitted.len());
         for (a, b) in overlay.admitted.iter().zip(&via_clone.admitted) {
@@ -428,6 +443,61 @@ proptest! {
                 planned.residual.iter().map(|(l, r)| (*l, r.as_bps().to_bits())).collect::<Vec<_>>(),
                 one_shot.residual.iter().map(|(l, r)| (*l, r.as_bps().to_bits())).collect::<Vec<_>>()
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A placement is what the one-shot router leaves: under every
+    /// unique failure set of the plan, `RoutePlan::place`'s residual
+    /// equals, bit for bit, the residual of `route_matrix` placing the
+    /// background alone under the dead links of that set's first
+    /// scenario, on a second build of the backbone — for the empty
+    /// background (every surviving link at full capacity) and a random
+    /// one.
+    #[test]
+    fn a_placement_is_the_one_shot_residual_under_every_failure_set(
+        seed in any::<u64>(),
+        sampled in any::<bool>(),
+        // (src, dst, Gbps) by region index; self pairs are legal no-ops.
+        spec in proptest::collection::vec((0usize..8, 0usize..8, 1.0f64..8000.0), 1..4),
+    ) {
+        use network_entitlement::topology::{RoutePlan, ScenarioSet};
+
+        let topo = BackboneSpec::small(seed % 64).build();
+        let fresh = BackboneSpec::small(seed % 64).build();
+        let ids = topo.region_ids();
+        let random: Vec<Demand> = spec
+            .iter()
+            .map(|&(s, d, gbps)| Demand {
+                src: ids[s % ids.len()],
+                dst: ids[d % ids.len()],
+                amount: Rate::gbps(gbps),
+            })
+            .collect();
+        let scenarios = if sampled {
+            ScenarioSet::sample(&topo, 60, seed)
+        } else {
+            ScenarioSet::enumerate(&topo, 1)
+        };
+        let bits = |r: &BTreeMap<LinkId, Rate>| {
+            r.iter().map(|(l, r)| (*l, r.as_bps().to_bits())).collect::<Vec<_>>()
+        };
+        let mut plan = RoutePlan::build(&topo, &scenarios, 4);
+        for background in [Vec::new(), random] {
+            let placement = plan.place(&topo, &background);
+            prop_assert_eq!(placement.unique_len(), plan.unique_len());
+            for (u, &s) in plan.representatives().iter().enumerate() {
+                let scenario = &scenarios.scenarios[s];
+                let one_shot = route_matrix(&fresh, &background, &scenario.dead_links, 4);
+                prop_assert_eq!(
+                    bits(placement.residual(u)),
+                    bits(&one_shot.residual),
+                    "{} under {}", background.len(), &scenario.label
+                );
+            }
         }
     }
 }
