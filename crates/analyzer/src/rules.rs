@@ -885,14 +885,9 @@ impl Rule for SloPolicySanity {
                 }
             };
             for issue in issues {
-                let code = match issue.code {
-                    "E0602" => Code::E0602,
-                    "E0603" => Code::E0603,
-                    _ => Code::E0601,
-                };
                 let at = issue.knobs.first().map_or_else(|| loc.clone(), |k| loc.child(k));
                 out.push(Diagnostic::new(
-                    code,
+                    issue.code,
                     at,
                     format!("policy '{}': {}", p.name, issue.message),
                 ));

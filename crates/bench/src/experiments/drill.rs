@@ -6,8 +6,7 @@ use entitlement_enforcement::drill::{run_drill_with, DrillConfig};
 use entitlement_enforcement::MarkingStrategy;
 use entitlement_obs::Obs;
 use entitlement_simnet::Recorder;
-use entitlement_slo::SloEvaluator;
-use entitlement_watch::WatchEvaluator;
+use entitlement_slo::{watch::WatchEvaluator, SloEvaluator};
 use serde::{Deserialize, Serialize};
 
 /// All drill series (times in minutes).

@@ -4,8 +4,9 @@
 //! workspace: identifiers for services (NPGs), regions and hosts; QoS
 //! classes with strict priority ordering; bandwidth [`Rate`]s; enforcement
 //! [`Period`]s; the [`contract::EntitlementContract`] abstraction itself;
-//! deterministic RNG utilities; and small statistics helpers (percentiles,
-//! sMAPE) used throughout the evaluation harness.
+//! deterministic RNG utilities; small statistics helpers (percentiles,
+//! sMAPE) used throughout the evaluation harness; and the stable
+//! diagnostic [`Code`]s the analyzer and the watchdog report.
 //!
 //! The entitlement contract (paper §3.2) is an agreement between the network
 //! team and a Network Product Group (NPG). It carries a network SLO target
@@ -14,6 +15,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod code;
 pub mod contract;
 pub mod error;
 pub mod ids;
@@ -23,6 +25,7 @@ pub mod rate;
 pub mod rng;
 pub mod stats;
 
+pub use code::{CatalogEntry, Code, Severity};
 pub use contract::{ContractId, Direction, Entitlement, EntitlementContract, SloTarget};
 pub use error::{EntitlementError, Result};
 pub use ids::{HostId, NpgId, RegionId};

@@ -24,8 +24,8 @@ use entitlement_obs::Obs;
 use entitlement_simnet::{
     AclRule, Bottleneck, MarkingCommand, Recorder, StorageApp, World, WorldConfig,
 };
-use entitlement_slo::{IntervalObs, SloEvaluator};
-use entitlement_watch::{CycleObs, WatchEvaluator};
+use entitlement_slo::watch::WatchEvaluator;
+use entitlement_slo::{CycleObs, SloEvaluator};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
@@ -143,20 +143,20 @@ pub fn run_drill(config: &DrillConfig) -> Recorder {
 /// `set_ms` per tick, so a manual clock tracks drill time exactly),
 /// every KV operation crosses an [`ObservedKv`] decorator (latency
 /// histograms, outcome counters, `kv` trace spans), each metering
-/// cycle emits an `agent`/`cycle` span labelled with the KV outcome
-/// and standing decision, and agent staleness lands in the
-/// `entitlement_agent_staleness_ms` histogram. Decoration only: the
-/// recorded series are bitwise identical whatever `obs` is.
+/// cycle is an `agent`/`cycle` span that parents its KV spans, and
+/// agent staleness lands in the `entitlement_agent_staleness_ms`
+/// histogram. Decoration only: the recorded series are bitwise
+/// identical whatever `obs` is.
 ///
 /// **Health folds.** The caller owns them: it builds `slo` and `watch`
 /// under whatever policy it wants and reads `report()` afterwards.
-/// Every tick with a completed agent cycle feeds `slo` one
-/// [`IntervalObs`] (conforming delivery vs. the entitled rate in
-/// force, fail-closed on KV-unavailable ticks; emits `slo`/`interval`
-/// and any `alert_*` events) and then `watch` one [`CycleObs`] (the
-/// same rates plus the marked/conforming split and the aggregate
-/// staleness; emits `watch`/`cycle` and any `violation`, `fire`,
-/// `clear`). Re-folding the saved trace with `fold_trace` under the
+/// Every tick with a completed agent cycle is one [`CycleObs`]
+/// (conforming delivery vs. the entitled rate in force, fail-closed on
+/// KV-unavailable ticks, plus the marked/conforming split and the
+/// aggregate staleness). `slo` folds it and writes it, once, as an
+/// `slo`/`cycle` event (plus any `alert_*`); `watch` then folds the
+/// same tick and writes only its `violation`, `fire` and `clear`
+/// events. Re-folding the saved trace with `fold_trace` under the
 /// same policy reproduces both reports byte-for-byte.
 pub fn run_drill_with(
     config: &DrillConfig,
@@ -264,7 +264,7 @@ pub fn run_drill_with(
         let mut kv_unavailable = 0.0;
         let cycled = last_seen.is_some();
         if let Some(o) = &last_seen {
-            let mut cycle_span = obs.span("agent", "cycle");
+            let cycle_span = obs.span("agent", "cycle");
             let _ = agent.publish(&kv, o.total_sent, o.conf_sent, now_ms);
             let observed = agent.read_aggregates(&kv, now_ms);
             if observed.is_err() {
@@ -272,14 +272,6 @@ pub fn run_drill_with(
             }
             agent.cycle_observed(observed, now_ms);
             marking = agent.marking_command(config.hosts);
-            cycle_span.add_label(
-                "kv",
-                if kv_unavailable > 0.0 { "unavailable" } else { "ok" },
-            );
-            cycle_span.add_label_fmt(
-                "marked_fraction",
-                format_args!("{:.4}", marking.marked_fraction(config.hosts)),
-            );
             cycle_span.finish();
         }
         staleness_hist.record(agent.staleness_ms(now_ms) as f64);
@@ -316,42 +308,25 @@ pub fn run_drill_with(
         recorder.record("fail_static", agent.fail_static_cycles() as f64);
         recorder.record("staleness_ms", agent.staleness_ms(now_ms) as f64);
 
-        // SLO fold: one interval per metered tick. A tick whose
-        // aggregate read failed is unmeasurable and counts bad
+        // Health folds: one observation per metered tick. A tick whose
+        // aggregate read failed is unmeasurable: the SLO counts it bad
         // (fail-closed), regardless of what the wire delivered.
         if cycled {
             let total = seen.total_sent.as_bps();
             let delivered = seen.conf_sent.as_bps();
-            let measurable = kv_unavailable == 0.0;
-            slo.observe(
-                obs,
-                &IntervalObs {
-                    entity: npg.to_string(),
-                    qos: qos.to_string(),
-                    target: slo_target,
-                    demand_bps: total,
-                    delivered_bps: delivered,
-                    approved_bps: entitled.as_bps(),
-                    measurable,
-                },
-            );
-            // Watchdog fold over the same observation, plus the SLIs
-            // the SLO evaluator does not consume: the marked/conforming
-            // split and the aggregate staleness behind the decision.
-            watch.observe_cycle(
-                obs,
-                &CycleObs {
-                    entity: npg.to_string(),
-                    qos: qos.to_string(),
-                    demand_bps: total,
-                    delivered_bps: delivered,
-                    approved_bps: entitled.as_bps(),
-                    marked_fraction: m,
-                    conform_fraction: if total > 0.0 { delivered / total } else { 1.0 },
-                    staleness_ms: agent.staleness_ms(now_ms) as f64,
-                    measurable,
-                },
-            );
+            let tick = CycleObs {
+                entity: npg.to_string(),
+                qos: qos.to_string(),
+                demand_bps: total,
+                delivered_bps: delivered,
+                approved_bps: entitled.as_bps(),
+                marked_fraction: m,
+                conform_fraction: if total > 0.0 { delivered / total } else { 1.0 },
+                staleness_ms: agent.staleness_ms(now_ms) as f64,
+                measurable: kv_unavailable == 0.0,
+            };
+            slo.observe_cycle(obs, slo_target, &tick);
+            watch.observe_cycle(obs, &tick);
         }
 
         last_seen = Some(seen);

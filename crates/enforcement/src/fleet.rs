@@ -101,8 +101,8 @@ use entitlement_kvstore::{
     FanoutSnapshot, KvAccess, ObservedKv, ShardFanout, ShardRead, ShardedStore, StoreConfig,
 };
 use entitlement_obs::Obs;
-use entitlement_slo::{IntervalObs, SloEvaluator};
-use entitlement_watch::{CycleObs, WatchEvaluator};
+use entitlement_slo::watch::WatchEvaluator;
+use entitlement_slo::{CycleObs, IntervalObs, SloEvaluator};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
@@ -735,16 +735,17 @@ pub fn run_fleet_engine(config: &FleetConfig) -> Result<FleetOutcome, String> {
 /// the saved trace with `fold_trace` reproduces the reports exactly.
 ///
 /// The caller builds `slo` and `watch` under whatever policy it wants
-/// and reads `report()` afterwards. They are two arguments, not one
+/// and reads `report()` afterwards. Each cycle is one [`CycleObs`] for
+/// the global entity, which both fold. They are two arguments, not one
 /// observer, because they are fed at different points of a cycle:
-/// `slo` gets its [`IntervalObs`] (the global entity, plus one per
-/// shard with [`FleetConfig::per_shard_slis`]) *inside* the
-/// `agent`/`cycle` span, so `slo`/`interval` events carry the cycle
-/// span as `parent_id`; `watch` gets its [`CycleObs`] and the W0102
-/// shard reconciliation (the servable partials re-summed in shard
-/// order and bit-compared against the fold the meters consumed)
-/// *after* the span closes, so `watch`/`*` events are roots and never
-/// perturb span durations.
+/// `slo` gets the tick, written once as its `slo`/`cycle` event (plus
+/// an `slo`/`interval` [`IntervalObs`] per shard with
+/// [`FleetConfig::per_shard_slis`]), *inside* the `agent`/`cycle`
+/// span, so those events carry the cycle span as `parent_id`; `watch`
+/// gets the same tick and the W0102 shard reconciliation (the
+/// servable partials re-summed in shard order and bit-compared against
+/// the fold the meters consumed) *after* the span closes, so `watch`/`*`
+/// events are roots and never perturb span durations.
 ///
 /// **Agent crashes.** While an `AgentCrash` window holds a host down,
 /// it adds nothing to its shard's partial and marks nothing; the
@@ -834,18 +835,10 @@ fn run_engine(
             ]
         })
         .collect();
-    let mut interval = IntervalObs {
+    let mut shard_values = Vec::with_capacity(shards);
+    let mut tick = CycleObs {
         entity: NPG.to_string(),
         qos: QOS.to_string(),
-        target: SLO_TARGET,
-        demand_bps,
-        delivered_bps: 0.0,
-        approved_bps: config.entitled.as_bps(),
-        measurable: false,
-    };
-    let mut cycle_obs = CycleObs {
-        entity: interval.entity.clone(),
-        qos: interval.qos.clone(),
         demand_bps,
         delivered_bps: 0.0,
         approved_bps: config.entitled.as_bps(),
@@ -869,7 +862,7 @@ fn run_engine(
     for cycle in 1..=config.cycles {
         let now_ms = cycle as u64 * CYCLE_MS;
         obs.clock.set_ms(now_ms);
-        let mut span = obs.span("agent", "cycle");
+        let span = obs.span("agent", "cycle");
 
         // 0. Agent crashes and restarts.
         let was_down = std::mem::replace(&mut down, fault_plan.down_hosts(now_ms));
@@ -935,11 +928,21 @@ fn run_engine(
         let live_total = snap_total.fold_live();
         let live_conform = snap_conform.fold_live();
 
-        // 5. SLO fold: the global entity, plus per-shard SLIs when on.
-        let measurable = snap_total.missing() == 0 && snap_conform.missing() == 0;
-        interval.delivered_bps = live_conform;
-        interval.measurable = measurable;
-        slo.observe(obs, &interval);
+        // 5. SLO fold: the tick, plus per-shard SLIs when on. Staleness
+        // here is the cost of degraded serves: each held or missing
+        // shard this cycle ages the decision by one cycle (a healthy
+        // run holds it at zero).
+        let degraded = (snap_total.held() + snap_total.missing()) as f64;
+        tick.delivered_bps = live_conform;
+        tick.marked_fraction = marked_fraction;
+        tick.conform_fraction = if live_total > 0.0 {
+            live_conform / live_total
+        } else {
+            1.0
+        };
+        tick.staleness_ms = degraded * CYCLE_MS as f64;
+        tick.measurable = snap_total.missing() == 0 && snap_conform.missing() == 0;
+        slo.observe_cycle(obs, SLO_TARGET, &tick);
         if config.per_shard_slis {
             for (s, (&sd, read)) in shard_demand.iter().zip(snap_conform.shards()).enumerate() {
                 let (delivered, shard_measurable) = match *read {
@@ -949,8 +952,8 @@ fn run_engine(
                 slo.observe(
                     obs,
                     &IntervalObs {
-                        entity: format!("{}/s{s}", interval.entity),
-                        qos: interval.qos.clone(),
+                        entity: format!("{}/s{s}", tick.entity),
+                        qos: tick.qos.clone(),
                         target: SLO_TARGET,
                         demand_bps: sd,
                         delivered_bps: delivered,
@@ -961,45 +964,21 @@ fn run_engine(
                 );
             }
         }
-
-        span.add_label("kv", if measurable { "ok" } else { "degraded" });
-        span.add_label_fmt("marked_fraction", format_args!("{marked_fraction:.4}"));
         span.finish();
 
         // 6. Watchdog fold, outside the cycle span so watch events
-        // never perturb span durations. Staleness here is the cost of
-        // degraded serves: each held or missing shard this cycle ages
-        // the decision by one cycle (a healthy run holds it at zero).
-        let degraded = (snap_total.held() + snap_total.missing()) as f64;
-        cycle_obs.delivered_bps = live_conform;
-        cycle_obs.marked_fraction = marked_fraction;
-        cycle_obs.conform_fraction = if live_total > 0.0 {
-            live_conform / live_total
-        } else {
-            1.0
-        };
-        cycle_obs.staleness_ms = degraded * CYCLE_MS as f64;
-        cycle_obs.measurable = measurable;
-        watch.observe_cycle(obs, &cycle_obs);
+        // never perturb span durations.
+        watch.observe_cycle(obs, &tick);
         // W0102: re-sum the servable shard partials and bit-compare
         // against the fold the meters consumed. Skipped when the fold
         // itself failed (a missing shard is W0105's territory).
         if let Ok(folded) = folded_total {
-            let shard_values: Vec<f64> = snap_total
-                .shards()
-                .iter()
-                .map(|r| match *r {
-                    ShardRead::Fresh(v) | ShardRead::Held(v) => v,
-                    ShardRead::Missing => 0.0,
-                })
-                .collect();
-            watch.observe_shards(
-                obs,
-                &cycle_obs.entity,
-                &cycle_obs.qos,
-                folded,
-                &shard_values,
-            );
+            shard_values.clear();
+            shard_values.extend(snap_total.shards().iter().map(|r| match *r {
+                ShardRead::Fresh(v) | ShardRead::Held(v) => v,
+                ShardRead::Missing => 0.0,
+            }));
+            watch.observe_shards(obs, &tick.entity, &tick.qos, folded, &shard_values);
         }
 
         cycle_stats.push(FleetCycleStats {

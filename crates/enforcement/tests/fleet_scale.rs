@@ -19,8 +19,7 @@ use entitlement_enforcement::{
     run_fleet_engine_with, FleetConfig, FleetOutcome, FleetStrategy,
 };
 use entitlement_obs::{Clock, Obs};
-use entitlement_slo::{SloEvaluator, SloReport};
-use entitlement_watch::WatchEvaluator;
+use entitlement_slo::{watch::WatchEvaluator, SloEvaluator, SloReport};
 use std::time::{Duration, Instant};
 
 const HOSTS: usize = 100_000;

@@ -22,8 +22,7 @@ use entitlement_enforcement::{
 use entitlement_core::{HostId, Rate};
 use entitlement_kvstore::key_hash;
 use entitlement_obs::{Clock, Obs};
-use entitlement_slo::SloEvaluator;
-use entitlement_watch::WatchEvaluator;
+use entitlement_slo::{watch::WatchEvaluator, SloEvaluator};
 use proptest::prelude::*;
 
 fn base_config(hosts: usize, shards: usize, seed: u64, cycles: usize) -> FleetConfig {

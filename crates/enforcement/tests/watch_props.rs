@@ -5,8 +5,8 @@
 
 use entitlement_enforcement::{run_drill_with, DrillConfig};
 use entitlement_obs::{parse_trace, Clock, Obs};
+use entitlement_slo::watch::{WatchEvaluator, WatchReport};
 use entitlement_slo::SloEvaluator;
-use entitlement_watch::{WatchEvaluator, WatchReport};
 use proptest::prelude::*;
 
 /// The watchdog report of one drill under the default policies.
@@ -32,7 +32,7 @@ proptest! {
     /// the default 2000): coarser fleets genuinely oscillate — the
     /// meter's recovery doubling from a half-open conform ratio lands
     /// exactly on 1.0 — and the watchdog flagging that regime is its
-    /// job, not a false positive (see DESIGN.md §15).
+    /// job, not a false positive (see DESIGN.md §10).
     #[test]
     fn healthy_drill_is_silent_for_any_seed(
         seed in any::<u64>(),

@@ -5,8 +5,8 @@ use crate::market::{AdmitDecision, AdmitOutcome, AdmitPath, AdmitRequest, Entitl
 use crate::slice::SliceId;
 use entitlement_core::{DetRng, NpgId, QosBucket, Rate};
 use entitlement_obs::Obs;
+use entitlement_slo::watch::{AdmitObs, WatchEvaluator};
 use entitlement_topology::LinkId;
-use entitlement_watch::{AdmitObs, WatchEvaluator};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of a deterministic admission storm.

@@ -6,12 +6,14 @@
 //! `entitlectl slo` flag set and a bad lint-bundle section read
 //! identically.
 
+use entitlement_core::Code;
+
 /// One policy-validation finding: a stable code, the knobs it is
 /// about, and a human message.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PolicyIssue {
     /// Stable diagnostic code (`E0601`–`E0603`).
-    pub code: &'static str,
+    pub code: Code,
     /// The [`SloPolicy`] fields the finding is about, by name: one for
     /// a knob out of its own range, two for a pair out of order. The
     /// CLI names their flags; the analyzer locates the finding at the
@@ -103,7 +105,7 @@ impl SloPolicy {
         };
         if self.fast_window == 0 || self.slow_window == 0 {
             issue(
-                "E0601",
+                Code::E0601,
                 &["fast_window", "slow_window"],
                 format!(
                     "burn windows must be positive cycle counts (fast {}, slow {})",
@@ -113,7 +115,7 @@ impl SloPolicy {
         }
         if self.hysteresis == 0 {
             issue(
-                "E0601",
+                Code::E0601,
                 &["hysteresis"],
                 "hysteresis must be a positive cycle count".to_string(),
             );
@@ -123,7 +125,7 @@ impl SloPolicy {
             || self.delivery_tolerance >= 1.0
         {
             issue(
-                "E0601",
+                Code::E0601,
                 &["delivery_tolerance"],
                 format!(
                     "delivery tolerance {} outside [0, 1)",
@@ -133,7 +135,7 @@ impl SloPolicy {
         }
         if self.fast_window >= self.slow_window {
             issue(
-                "E0602",
+                Code::E0602,
                 &["fast_window", "slow_window"],
                 format!(
                     "fast window ({} cycles) must be strictly shorter than the slow \
@@ -148,7 +150,7 @@ impl SloPolicy {
         ] {
             if !v.is_finite() || v <= 1.0 {
                 issue(
-                    "E0603",
+                    Code::E0603,
                     knob,
                     format!(
                         "{name} burn threshold {v} must exceed 1 (1× burn just spends \
@@ -162,7 +164,7 @@ impl SloPolicy {
             || self.clear_fraction >= 1.0
         {
             issue(
-                "E0603",
+                Code::E0603,
                 &["clear_fraction"],
                 format!("clear fraction {} outside (0, 1)", self.clear_fraction),
             );
@@ -173,7 +175,7 @@ impl SloPolicy {
             && self.under_utilization < self.over_utilization)
         {
             issue(
-                "E0601",
+                Code::E0601,
                 &["under_utilization", "over_utilization"],
                 format!(
                     "audit bands must satisfy 0 ≤ under ({}) < over ({})",
@@ -201,7 +203,7 @@ mod tests {
             ..Default::default()
         };
         let issues = p.validate();
-        assert!(issues.iter().any(|i| i.code == "E0601"), "{issues:?}");
+        assert!(issues.iter().any(|i| i.code == Code::E0601), "{issues:?}");
     }
 
     #[test]
@@ -211,13 +213,13 @@ mod tests {
             slow_window: 60,
             ..Default::default()
         };
-        assert!(p.validate().iter().any(|i| i.code == "E0602"));
+        assert!(p.validate().iter().any(|i| i.code == Code::E0602));
         let p = SloPolicy {
             fast_window: 90,
             slow_window: 60,
             ..Default::default()
         };
-        assert!(p.validate().iter().any(|i| i.code == "E0602"));
+        assert!(p.validate().iter().any(|i| i.code == Code::E0602));
     }
 
     #[test]
@@ -228,7 +230,7 @@ mod tests {
                 ..Default::default()
             };
             assert!(
-                p.validate().iter().any(|i| i.code == "E0603"),
+                p.validate().iter().any(|i| i.code == Code::E0603),
                 "fast_burn {bad}"
             );
         }
@@ -236,7 +238,7 @@ mod tests {
             slow_burn: 1.0,
             ..Default::default()
         };
-        assert!(p.validate().iter().any(|i| i.code == "E0603"));
+        assert!(p.validate().iter().any(|i| i.code == Code::E0603));
     }
 
     #[test]
@@ -245,12 +247,12 @@ mod tests {
             delivery_tolerance: 1.0,
             ..Default::default()
         };
-        assert!(p.validate().iter().any(|i| i.code == "E0601"));
+        assert!(p.validate().iter().any(|i| i.code == Code::E0601));
         let p = SloPolicy {
             clear_fraction: 1.0,
             ..Default::default()
         };
-        assert!(p.validate().iter().any(|i| i.code == "E0603"));
+        assert!(p.validate().iter().any(|i| i.code == Code::E0603));
     }
 
     #[test]

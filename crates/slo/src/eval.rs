@@ -1,13 +1,17 @@
 //! The streaming SLO evaluator: a fold over per-cycle interval
 //! observations, keyed by `(entity, QoS)`.
 //!
-//! The drill and fleet engine loops feed [`SloEvaluator::observe`] one
-//! [`IntervalObs`] per metering cycle — no post-hoc re-parse — and each
-//! observation is simultaneously emitted as an `slo`/`interval` trace
-//! event (pinned JSONL key order, floats in shortest-round-trip form),
-//! so [`SloEvaluator::fold_trace`] can rebuild the identical evaluator
-//! offline from the trace file alone. `entitlectl slo report|audit` is
-//! exactly that offline fold.
+//! The drill and fleet engine loops feed
+//! [`SloEvaluator::observe_cycle`] one [`CycleObs`] per metered tick —
+//! no post-hoc re-parse — and each tick is written once, as an
+//! `slo`/`cycle` event (pinned JSONL key order, floats in
+//! shortest-round-trip form) that carries the watchdog's SLIs too.
+//! Samples the watchdog does not read (the market CLI's chunks, the
+//! fleet's per-shard SLIs) go through [`SloEvaluator::observe`] as
+//! `slo`/`interval` events. [`SloEvaluator::fold_trace`] folds both
+//! kinds, so it rebuilds the identical evaluator offline from the
+//! trace file alone; `entitlectl slo report|audit` is exactly that
+//! offline fold.
 //!
 //! **Fail-closed accounting**: an interval whose aggregates were
 //! unreadable (`measurable == false`, e.g. a KV shard outage) counts
@@ -20,7 +24,8 @@ use crate::report::{EntityReport, SloReport};
 use entitlement_obs::{BadLabel, Obs, TraceEvent};
 use std::collections::BTreeMap;
 
-/// One metering cycle's delivery observation for one `(entity, QoS)`.
+/// One SLO sample for one `(entity, QoS)` that carries nothing for
+/// the watchdog: a market chunk or one shard's share of a fleet tick.
 #[derive(Clone, Debug, PartialEq)]
 pub struct IntervalObs {
     /// The entitled entity, e.g. `npg:2`.
@@ -37,6 +42,34 @@ pub struct IntervalObs {
     pub approved_bps: f64,
     /// Whether the cycle's aggregates were readable. Unmeasurable
     /// cycles count bad (fail-closed).
+    pub measurable: bool,
+}
+
+/// One metered tick for one `(entity, QoS)`: what the SLO fold judges
+/// (with the contract's target, given alongside) and the SLIs the
+/// watchdog reads.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CycleObs {
+    /// The entitled entity, e.g. `npg:2`.
+    pub entity: String,
+    /// QoS class, e.g. `c3`.
+    pub qos: String,
+    /// Offered/sent demand this cycle, bits/s.
+    pub demand_bps: f64,
+    /// Conforming delivered rate this cycle, bits/s.
+    pub delivered_bps: f64,
+    /// Approved/entitled rate in force this cycle, bits/s.
+    pub approved_bps: f64,
+    /// Fraction of hosts marked non-conforming.
+    pub marked_fraction: f64,
+    /// Conforming share of the sent rate.
+    pub conform_fraction: f64,
+    /// Age of the aggregates behind the standing decision, ms.
+    pub staleness_ms: f64,
+    /// Whether the cycle's aggregates were readable. The SLO fold
+    /// counts an unmeasurable tick bad; the watchdog skips W0101 on it
+    /// but keeps its staleness detector running — staleness is a local
+    /// measurement and is exactly what an outage drives up.
     pub measurable: bool,
 }
 
@@ -58,14 +91,15 @@ impl IntervalObs {
             .finish();
     }
 
-    /// Read an `slo`/`interval` event back. Every field is required.
+    /// Read an `slo`/`interval` event back. Every label is required,
+    /// `good` too, though the fold recomputes it.
     ///
     /// # Errors
     ///
     /// Names the first label that is missing or does not parse;
     /// nothing is defaulted.
     pub fn decode(e: &TraceEvent) -> Result<IntervalObs, BadLabel> {
-        Ok(IntervalObs {
+        let o = IntervalObs {
             entity: e.need("entity")?.to_string(),
             qos: e.need("qos")?.to_string(),
             target: e.num("target")?,
@@ -73,8 +107,68 @@ impl IntervalObs {
             delivered_bps: e.num("delivered_bps")?,
             approved_bps: e.num("approved_bps")?,
             measurable: e.parsed("measurable")?,
-        })
+        };
+        e.parsed::<bool>("good")?;
+        Ok(o)
     }
+}
+
+impl CycleObs {
+    /// The wire form: one `slo`/`cycle` event carrying every field, the
+    /// target and the fold's `good` verdict, labels in key order.
+    fn encode(&self, obs: &Obs, target: f64, good: bool) {
+        obs.point("slo", "cycle")
+            .label_f64("approved_bps", self.approved_bps)
+            .label_f64("conform_fraction", self.conform_fraction)
+            .label_f64("delivered_bps", self.delivered_bps)
+            .label_f64("demand_bps", self.demand_bps)
+            .label("entity", &self.entity)
+            .label_fmt("good", good)
+            .label_f64("marked_fraction", self.marked_fraction)
+            .label_fmt("measurable", self.measurable)
+            .label("qos", &self.qos)
+            .label_f64("staleness_ms", self.staleness_ms)
+            .label_f64("target", target)
+            .finish();
+    }
+
+    /// Read an `slo`/`cycle` event back: the tick and the target it
+    /// was judged against. Every label is required, `good` too.
+    ///
+    /// # Errors
+    ///
+    /// As [`IntervalObs::decode`].
+    pub fn decode(e: &TraceEvent) -> Result<(CycleObs, f64), BadLabel> {
+        let o = CycleObs {
+            entity: e.need("entity")?.to_string(),
+            qos: e.need("qos")?.to_string(),
+            demand_bps: e.num("demand_bps")?,
+            delivered_bps: e.num("delivered_bps")?,
+            approved_bps: e.num("approved_bps")?,
+            marked_fraction: e.num("marked_fraction")?,
+            conform_fraction: e.num("conform_fraction")?,
+            staleness_ms: e.num("staleness_ms")?,
+            measurable: e.parsed("measurable")?,
+        };
+        let target = e.num("target")?;
+        e.parsed::<bool>("good")?;
+        Ok((o, target))
+    }
+}
+
+/// Fold each observation event of `events` with `fold`, against a
+/// disabled sink, and return the ones that did not decode (a missing
+/// or unparsable label). Those are not folded, so a non-empty return
+/// means the report does not describe the run.
+pub(crate) fn fold_events(
+    events: &[TraceEvent],
+    mut fold: impl FnMut(&Obs, &TraceEvent) -> Result<(), BadLabel>,
+) -> Vec<BadLabel> {
+    let silent = Obs::disabled();
+    events
+        .iter()
+        .filter_map(|e| fold(&silent, e).err())
+        .collect()
 }
 
 /// A typed alert transition, as recorded in the report (the same
@@ -118,11 +212,11 @@ pub struct SloEvaluator {
 /// Fold state per `(entity, QoS)`, nested by entity then QoS: it
 /// iterates in the order a `(String, String)` key would, and finding a
 /// pair already seen allocates nothing.
-pub type PairMap<T> = BTreeMap<String, BTreeMap<String, T>>;
+pub(crate) type PairMap<T> = BTreeMap<String, BTreeMap<String, T>>;
 
 /// The state of `(entity, qos)` in `map`, made by `make` on first
 /// sight, the only time the names are copied.
-pub fn pair_mut<'a, T>(
+pub(crate) fn pair_mut<'a, T>(
     map: &'a mut PairMap<T>,
     entity: &str,
     qos: &str,
@@ -160,41 +254,71 @@ impl SloEvaluator {
         }
     }
 
-    /// Fold one interval, emitting `slo` trace events into `obs`
-    /// (an `interval` event always; `alert_fire`/`alert_clear` on a
-    /// burn-alert transition).
+    /// Fold one SLO-only sample, emitting an `slo`/`interval` event
+    /// and any `alert_fire`/`alert_clear` it causes into `obs`.
     pub fn observe(&mut self, obs: &Obs, o: &IntervalObs) {
-        let required =
-            o.demand_bps.min(o.approved_bps) * (1.0 - self.policy.delivery_tolerance);
-        let good = o.measurable && o.delivered_bps >= required;
+        let rates = [o.demand_bps, o.delivered_bps, o.approved_bps];
+        let key = (o.entity.as_str(), o.qos.as_str());
+        self.fold(obs, key, o.target, rates, o.measurable, |good| {
+            o.encode(obs, good)
+        });
+    }
+
+    /// Fold one metered tick against `target`, emitting its one
+    /// `slo`/`cycle` event and any `alert_fire`/`alert_clear` it causes
+    /// into `obs`. The caller folds the same tick into the watchdog
+    /// ([`WatchEvaluator::observe_cycle`](crate::watch::WatchEvaluator::observe_cycle)),
+    /// which writes no copy of it.
+    pub fn observe_cycle(&mut self, obs: &Obs, target: f64, o: &CycleObs) {
+        let rates = [o.demand_bps, o.delivered_bps, o.approved_bps];
+        let key = (o.entity.as_str(), o.qos.as_str());
+        self.fold(obs, key, target, rates, o.measurable, |good| {
+            o.encode(obs, target, good)
+        });
+    }
+
+    /// Judge one sample of `(entity, qos)` — its demand, delivered and
+    /// approved rates, in that order — fold it, `write` its event and
+    /// emit the burn alert's transition, if any.
+    fn fold(
+        &mut self,
+        obs: &Obs,
+        (entity, qos): (&str, &str),
+        target: f64,
+        [demand_bps, delivered_bps, approved_bps]: [f64; 3],
+        measurable: bool,
+        write: impl FnOnce(bool),
+    ) {
+        let required = demand_bps.min(approved_bps) * (1.0 - self.policy.delivery_tolerance);
+        let good = measurable && delivered_bps >= required;
 
         let policy = &self.policy;
-        let st = pair_mut(&mut self.states, &o.entity, &o.qos, || EntityState {
-            target: o.target,
+        let st = pair_mut(&mut self.states, entity, qos, || EntityState {
+            target,
             intervals: 0,
             good: 0,
             sum_demand_bps: 0.0,
             sum_delivered_bps: 0.0,
             sum_approved_bps: 0.0,
-            alert: BurnAlert::new(policy, o.target),
+            alert: BurnAlert::new(policy, target),
             alerts: Vec::new(),
         });
-        st.target = o.target;
+        st.target = target;
         st.intervals += 1;
         if good {
             st.good += 1;
         }
-        st.sum_demand_bps += o.demand_bps;
-        st.sum_delivered_bps += o.delivered_bps;
-        st.sum_approved_bps += o.approved_bps;
+        st.sum_demand_bps += demand_bps;
+        st.sum_delivered_bps += delivered_bps;
+        st.sum_approved_bps += approved_bps;
         let cycle = st.intervals;
 
-        o.encode(obs, good);
+        write(good);
 
         if let Some(t) = st.alert.observe(!good) {
             let event = AlertEvent {
-                entity: o.entity.clone(),
-                qos: o.qos.clone(),
+                entity: entity.to_string(),
+                qos: qos.to_string(),
                 cycle,
                 kind: t.kind,
                 window: self.policy.window_label(),
@@ -206,8 +330,8 @@ impl SloEvaluator {
                 AlertKind::Clear => "alert_clear",
             };
             obs.point("slo", phase)
-                .label("entity", &o.entity)
-                .label("qos", &o.qos)
+                .label("entity", entity)
+                .label("qos", qos)
                 .label_fmt("cycle", cycle)
                 .label("window", &event.window)
                 .label_f64("fast_burn", t.fast_burn)
@@ -218,28 +342,26 @@ impl SloEvaluator {
     }
 
     /// Rebuild the evaluator state from a recorded trace: every
-    /// `slo`/`interval` event is re-observed (without re-emitting —
-    /// the sink is disabled). Alert transitions are *recomputed* from
-    /// the interval stream under this evaluator's policy, so the same
-    /// policy reproduces the in-process alert timeline exactly and a
-    /// different policy re-judges the same run.
+    /// `slo`/`cycle` and `slo`/`interval` event is re-observed (without
+    /// re-emitting — the sink is disabled). Alert transitions are
+    /// *recomputed* from the sample stream under this evaluator's
+    /// policy, so the same policy reproduces the in-process alert
+    /// timeline exactly and a different policy re-judges the same run.
     ///
-    /// Returns the interval events that did not decode
-    /// ([`IntervalObs::decode`]); those are not folded, so a non-empty
-    /// return means the report does not describe the run.
+    /// Returns the observation events that did not decode
+    /// ([`CycleObs::decode`], [`IntervalObs::decode`]); those are not
+    /// folded, so a non-empty return means the report does not
+    /// describe the run.
     pub fn fold_trace(&mut self, events: &[TraceEvent]) -> Vec<BadLabel> {
-        let silent = Obs::disabled();
-        let mut malformed = Vec::new();
-        for e in events {
-            if e.span != "slo" || e.phase != "interval" {
-                continue;
+        fold_events(events, |silent, e| {
+            match (e.span.as_str(), e.phase.as_str()) {
+                ("slo", "cycle") => {
+                    CycleObs::decode(e).map(|(o, target)| self.observe_cycle(silent, target, &o))
+                }
+                ("slo", "interval") => IntervalObs::decode(e).map(|o| self.observe(silent, &o)),
+                _ => Ok(()),
             }
-            match IntervalObs::decode(e) {
-                Ok(o) => self.observe(&silent, &o),
-                Err(bad) => malformed.push(bad),
-            }
-        }
-        malformed
+        })
     }
 
     /// Whether any entity's burn alert is firing right now.

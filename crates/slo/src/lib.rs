@@ -8,12 +8,12 @@
 //! reserved; re-negotiation runs off exactly this attainment and
 //! utilization signal.
 //!
-//! Three pieces, all deterministic (same interval stream ⇒ byte-identical
+//! Four pieces, all deterministic (same sample stream ⇒ byte-identical
 //! reports):
 //!
-//! * [`SloEvaluator`] — a streaming fold over per-cycle
-//!   [`IntervalObs`] observations, keyed by `(entity, QoS)`. Each
-//!   interval is classified *good* (delivered ≥ the approved share of
+//! * [`SloEvaluator`] — a streaming fold over per-tick [`CycleObs`]
+//!   and SLO-only [`IntervalObs`] samples, keyed by `(entity, QoS)`.
+//!   Each sample is classified *good* (delivered ≥ the approved share of
 //!   demand, within tolerance, and the KV aggregates were readable —
 //!   unmeasurable intervals count **bad**, fail-closed) or *bad*, and
 //!   folded into the attainment fraction compared against the
@@ -27,13 +27,19 @@
 //!   [`AlertMachine`] is the one the watchdog's detectors step too.
 //! * the **utilization audit** — each entity is classified
 //!   over-/well-/under-entitled from mean demand vs. approved rate,
-//!   flagging the headroom the paper would reclaim at re-negotiation.
+//!   flagging the headroom the paper would reclaim at re-negotiation;
+//! * [`watch`] — the runtime watchdog: `W01xx` invariant monitors and
+//!   CUSUM/EWMA detectors over the same ticks, plus the market's
+//!   admissions and the fleet's shard checks.
 //!
-//! Alert transitions are emitted as typed [`AlertEvent`]s *and* as
-//! `slo`-span trace events with the workspace's pinned JSONL key
-//! order, so one trace file carries the raw intervals and the alert
-//! timeline; [`SloEvaluator::fold_trace`] rebuilds the same report
-//! offline from that file (`entitlectl slo report`).
+//! A metered tick is written once, as one `slo`/`cycle` event that
+//! both folds decode. Alert transitions are emitted as typed
+//! [`AlertEvent`]s *and* as `slo`-span trace events with the
+//! workspace's pinned JSONL key order, so one trace file carries the
+//! raw samples and the alert timeline; [`SloEvaluator::fold_trace`]
+//! rebuilds the same report offline from that file (`entitlectl slo
+//! report`), and [`watch::WatchEvaluator::fold_trace`] the watchdog's
+//! (`entitlectl watch`).
 
 #![forbid(unsafe_code)]
 
@@ -41,8 +47,9 @@ pub mod burn;
 pub mod config;
 pub mod eval;
 pub mod report;
+pub mod watch;
 
 pub use burn::{AlertKind, AlertMachine, AlertTransition, BurnAlert, BurnWindow};
 pub use config::{PolicyIssue, SloPolicy};
-pub use eval::{pair_mut, AlertEvent, IntervalObs, PairMap, SloEvaluator};
+pub use eval::{AlertEvent, CycleObs, IntervalObs, SloEvaluator};
 pub use report::{AuditClass, EntityReport, SloReport};

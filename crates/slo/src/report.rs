@@ -82,12 +82,29 @@ pub struct SloReport {
     pub entities: Vec<EntityReport>,
 }
 
-/// Shortest-round-trip float form shared with the trace labels.
-fn fmt_f64(v: f64) -> String {
+/// Shortest-round-trip float form shared with the trace labels (a
+/// non-finite value is written `0`, as the trace writer does), for
+/// every number a report or a watchdog detail prints.
+pub(crate) fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
         "0".to_string()
+    }
+}
+
+/// Append `items` to `out` comma-separated, each written by `item`:
+/// the body of a JSON array.
+pub(crate) fn push_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
     }
 }
 
@@ -156,12 +173,11 @@ impl SloReport {
                 status
             );
         }
-        let mut alerts: Vec<(&EntityReport, &AlertEvent)> = Vec::new();
-        for e in &self.entities {
-            for a in &e.alerts {
-                alerts.push((e, a));
-            }
-        }
+        let alerts: Vec<(&EntityReport, &AlertEvent)> = self
+            .entities
+            .iter()
+            .flat_map(|e| e.alerts.iter().map(move |a| (e, a)))
+            .collect();
         if !alerts.is_empty() {
             let _ = writeln!(out, "alerts:");
             for (e, a) in &alerts {
@@ -222,14 +238,11 @@ impl SloReport {
             fmt_f64(p.over_utilization)
         );
         out.push_str("},\"entities\":[");
-        for (i, e) in self.entities.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        push_list(&mut out, self.entities.iter(), |out, e| {
             out.push_str("{\"entity\":");
-            write_json_string(&e.entity, &mut out);
+            write_json_string(&e.entity, out);
             out.push_str(",\"qos\":");
-            write_json_string(&e.qos, &mut out);
+            write_json_string(&e.qos, out);
             let _ = write!(
                 out,
                 ",\"target\":{},\"intervals\":{},\"good\":{},\"attainment\":{},\
@@ -242,7 +255,7 @@ impl SloReport {
                 e.audit.as_str(),
                 e.violated
             );
-            write_json_string(&e.window, &mut out);
+            write_json_string(&e.window, out);
             let _ = write!(
                 out,
                 ",\"mean_demand_gbps\":{},\"mean_delivered_gbps\":{},\
@@ -252,26 +265,23 @@ impl SloReport {
                 fmt_f64(e.mean_approved_gbps),
                 e.firing
             );
-            for (j, a) in e.alerts.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
+            push_list(out, e.alerts.iter(), |out, a| {
                 let _ = write!(
                     out,
                     "{{\"cycle\":{},\"kind\":\"{}\",\"window\":",
                     a.cycle,
                     a.kind.as_str()
                 );
-                write_json_string(&a.window, &mut out);
+                write_json_string(&a.window, out);
                 let _ = write!(
                     out,
                     ",\"fast_burn\":{},\"slow_burn\":{}}}",
                     fmt_f64(a.fast_burn),
                     fmt_f64(a.slow_burn)
                 );
-            }
+            });
             out.push_str("]}");
-        }
+        });
         out.push_str("]}");
         out
     }

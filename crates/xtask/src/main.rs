@@ -77,7 +77,6 @@ const DETERMINISTIC_CRATES: &[&str] = &[
     "crates/chaos",
     "crates/obs",
     "crates/slo",
-    "crates/watch",
     "crates/market",
     "crates/enforcement/src/fleet",
     "crates/enforcement/src/shard",

@@ -65,7 +65,7 @@ pub fn slo(m: &Matches) {
     reject_malformed(m.positional(0).unwrap_or_default(), &evaluator.fold_trace(&events));
     let report = evaluator.report();
     if report.entities.is_empty() {
-        fail(2, "trace carries no slo/interval events (re-run the drill with --trace)");
+        fail(2, "trace carries no slo/cycle or slo/interval events (re-run the drill with --trace)");
     }
     if m.on("--json") {
         println!("{}", report.render_json());

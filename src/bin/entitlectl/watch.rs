@@ -33,26 +33,10 @@ pub fn watch(m: &Matches) {
 /// output); returns the updated (violations, transitions) watermarks.
 fn print_new(report: &WatchReport, seen_v: usize, seen_t: usize) -> (usize, usize) {
     for v in &report.violations[seen_v..] {
-        let shard = if v.shard >= 0 {
-            format!(" s{}", v.shard)
-        } else {
-            String::new()
-        };
-        println!(
-            "{} cycle {} {}/{}{}: {}",
-            v.code, v.cycle, v.entity, v.qos, shard, v.detail
-        );
+        println!("{v}");
     }
     for t in &report.transitions[seen_t..] {
-        println!(
-            "{} {} cycle {} {}/{} stat={}",
-            t.code,
-            t.kind.as_str(),
-            t.cycle,
-            t.entity,
-            t.qos,
-            t.stat
-        );
+        println!("{t}");
     }
     (report.violations.len(), report.transitions.len())
 }

@@ -201,7 +201,7 @@ pub static ENTITLECTL: &[Command] = &[
         name: "slo report",
         positionals: &["<trace.jsonl>"],
         flags: &[&[flag("--json", Switch, "emit the report as JSON")], SLO_POLICY],
-        about: "fold a trace's slo/interval events into attainment, audit and alerts",
+        about: "fold a trace's slo/cycle and slo/interval events into attainment, audit and alerts",
     },
     Command {
         program: "entitlectl",

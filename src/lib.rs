@@ -36,12 +36,14 @@
 //!   [`watch::WatchEvaluator`], plus a shorthand without either;
 //! * [`analyzer`] — static diagnostics over contracts, hoses, pipes,
 //!   topologies, and availability curves (`entitlectl lint`);
-//! * [`slo`] — windowed SLO evaluation over the obs outputs:
+//! * [`slo`] — the health folds over the obs outputs: windowed SLO
 //!   attainment, multi-window burn-rate alerts and utilization audit
-//!   (`entitlectl slo report|audit`);
-//! * [`watch`] — the runtime watchdog: streaming invariant monitors
-//!   (`W01xx`) and EWMA/CUSUM anomaly detectors over live SLI streams,
-//!   with offline trace refold (`entitlectl watch`).
+//!   (`entitlectl slo report|audit`), and in [`slo::watch`] the
+//!   runtime watchdog: streaming invariant monitors (`W01xx`) and
+//!   EWMA/CUSUM anomaly detectors over live SLI streams, with offline
+//!   trace refold (`entitlectl watch`). A metered tick is one
+//!   `slo/cycle` event that both fold;
+//! * [`watch`] — [`slo::watch`] under its own name.
 //!
 //! ## Quickstart
 //!
@@ -80,8 +82,8 @@ pub use entitlement_obs as obs;
 pub use entitlement_risk as risk;
 pub use entitlement_simnet as simnet;
 pub use entitlement_slo as slo;
+pub use entitlement_slo::watch;
 pub use entitlement_topology as topology;
-pub use entitlement_watch as watch;
 pub use entitlement_workload as workload;
 
 /// The most commonly used items in one import.
@@ -110,9 +112,9 @@ pub mod prelude {
         assess_risk_detailed, AvailabilityCurve, RiskAssessment, RiskConfig,
     };
     pub use entitlement_simnet::{Bottleneck, MarkingCommand, World, WorldConfig};
+    pub use entitlement_slo::watch::{WatchEvaluator, WatchPolicy, WatchReport};
     pub use entitlement_slo::{BurnAlert, SloEvaluator, SloPolicy, SloReport};
     pub use entitlement_topology::{BackboneSpec, ScenarioSet, Topology};
-    pub use entitlement_watch::{WatchEvaluator, WatchPolicy, WatchReport};
     pub use entitlement_workload::{
         HistorySpec, Incident, MatrixSpec, ServiceCatalog, TrafficMatrix, TrafficPattern,
     };

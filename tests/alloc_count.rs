@@ -19,8 +19,8 @@ use network_entitlement::market::{
 };
 use network_entitlement::kvstore::{KvAccess, ObservedKv, ShardFanout, ShardedStore, StoreConfig};
 use network_entitlement::obs::{Clock, Obs};
-use network_entitlement::slo::{IntervalObs, SloEvaluator};
-use network_entitlement::watch::{CycleObs, WatchEvaluator};
+use network_entitlement::slo::{CycleObs, IntervalObs, SloEvaluator};
+use network_entitlement::watch::WatchEvaluator;
 use network_entitlement::topology::BackboneSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -445,16 +445,17 @@ fn rendering_allocates_independently_of_the_event_count() {
     assert_eq!(small, large, "64x the events, the same allocations");
 }
 
-/// The SLO and watchdog folds run on every cycle of a fleet run. Once
-/// they have seen an `(entity, QoS)`, folding another observation of
-/// it allocates nothing; keyed by a `(String, String)` tuple, each
+/// The SLO and watchdog folds run on every cycle of a fleet run: the
+/// tick into both, and the shard check and the per-shard SLIs' samples.
+/// Once they have seen an `(entity, QoS)`, folding another observation
+/// of it allocates nothing; keyed by a `(String, String)` tuple, each
 /// lookup built both names, two allocations a fold.
 #[test]
 fn folding_a_seen_entity_allocates_nothing() {
     let obs = Obs::disabled();
     let (entity, qos) = ("npg:2".to_string(), "c3".to_string());
     let interval = IntervalObs {
-        entity: entity.clone(),
+        entity: "npg:2/s0".to_string(),
         qos: qos.clone(),
         target: 0.99,
         demand_bps: 1e12,
@@ -462,7 +463,7 @@ fn folding_a_seen_entity_allocates_nothing() {
         approved_bps: 1e12,
         measurable: true,
     };
-    let cycle = CycleObs {
+    let tick = CycleObs {
         entity: entity.clone(),
         qos: qos.clone(),
         demand_bps: 1e12,
@@ -476,8 +477,9 @@ fn folding_a_seen_entity_allocates_nothing() {
     let mut slo = SloEvaluator::default();
     let mut watch = WatchEvaluator::default();
     let mut fold = || {
+        slo.observe_cycle(&obs, 0.99, &tick);
         slo.observe(&obs, &interval);
-        watch.observe_cycle(&obs, &cycle);
+        watch.observe_cycle(&obs, &tick);
         watch.observe_shards(&obs, &entity, &qos, 1e12, &[4e11, 6e11]);
     };
     // Past the burn alert's slow window, whose ring fills as it goes.

@@ -356,7 +356,7 @@ fn dark_shard_degrades_only_its_contribution_and_reconverges() {
 }
 
 /// Crash runs use 2 000 hosts over 8 shards of 250: at 200 hosts the
-/// healthy run itself swings ±12 % at load 10 (DESIGN §15).
+/// healthy run itself swings ±12 % at load 10 (DESIGN §10).
 const CRASH_HOSTS: usize = 2000;
 const CRASH_SHARDS: usize = 8;
 const PER_HOST_GBPS: f64 = 10.0;

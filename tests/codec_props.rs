@@ -2,11 +2,12 @@
 //! what `observe*` writes into a trace, `decode`/`fold_trace` reads
 //! back as the same observation — through the JSONL wire, escapes and
 //! all — and a trace with any one required label deleted or garbled is
-//! reported by `fold_trace`, never folded under a default.
+//! reported by every `fold_trace` that reads the event, never folded
+//! under a default.
 
 use network_entitlement::obs::{parse_trace, BadLabel, Clock, Obs, TraceEvent};
-use network_entitlement::slo::{IntervalObs, SloEvaluator};
-use network_entitlement::watch::{AdmitObs, CycleObs, WatchEvaluator};
+use network_entitlement::slo::{CycleObs, IntervalObs, SloEvaluator};
+use network_entitlement::watch::{AdmitObs, WatchEvaluator};
 use proptest::prelude::*;
 
 /// Any finite `f64` (the writer renders a non-finite one as `0`, so it
@@ -51,7 +52,7 @@ fn assert_reported(malformed: &[BadLabel], event: &TraceEvent, key: &str) {
 }
 
 // (label, is free text) per event, every one required.
-const INTERVAL: [(&str, bool); 7] = [
+const INTERVAL: [(&str, bool); 8] = [
     ("entity", true),
     ("qos", true),
     ("target", false),
@@ -59,10 +60,13 @@ const INTERVAL: [(&str, bool); 7] = [
     ("delivered_bps", false),
     ("approved_bps", false),
     ("measurable", false),
+    ("good", false),
 ];
-const CYCLE: [(&str, bool); 9] = [
+const CYCLE: [(&str, bool); 11] = [
     ("entity", true),
     ("qos", true),
+    ("target", false),
+    ("good", false),
     ("demand_bps", false),
     ("delivered_bps", false),
     ("approved_bps", false),
@@ -110,10 +114,12 @@ proptest! {
         prop_assert!(offline.report().entities.is_empty(), "a malformed interval was folded");
     }
 
+    /// The `slo/cycle` event is read by both folds, so each reports a
+    /// broken label — also one it does not use.
     #[test]
     fn cycle_obs_round_trips_and_never_defaults(
         names in (printable(), printable()),
-        rates in (finite(), finite(), finite()),
+        rates in (finite(), finite(), finite(), finite()),
         slis in (finite(), finite(), finite(), any::<bool>()),
         pick in any::<usize>(),
     ) {
@@ -128,14 +134,18 @@ proptest! {
             staleness_ms: slis.2,
             measurable: slis.3,
         };
-        let mut events = wire(|obs| WatchEvaluator::default().observe_cycle(obs, &o));
-        events.truncate(1); // violations may follow the cycle
-        prop_assert_eq!(CycleObs::decode(&events[0]), Ok(o));
+        let target = rates.3;
+        let mut events = wire(|obs| SloEvaluator::default().observe_cycle(obs, target, &o));
+        events.truncate(1); // an alert transition may follow the tick
+        prop_assert_eq!(CycleObs::decode(&events[0]), Ok((o, target)));
 
         let key = corrupt(&mut events[0], &CYCLE, pick);
-        let mut offline = WatchEvaluator::default();
-        assert_reported(&offline.fold_trace(&events), &events[0], key);
-        prop_assert_eq!(offline.report().cycles, 0, "a malformed cycle was folded");
+        let mut slo = SloEvaluator::default();
+        assert_reported(&slo.fold_trace(&events), &events[0], key);
+        prop_assert!(slo.report().entities.is_empty(), "a malformed tick was folded");
+        let mut watch = WatchEvaluator::default();
+        assert_reported(&watch.fold_trace(&events), &events[0], key);
+        prop_assert_eq!(watch.report().cycles, 0, "a malformed tick was folded");
     }
 
     #[test]

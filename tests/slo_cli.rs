@@ -97,12 +97,31 @@ fn a_malformed_observation_event_exits_one_naming_it() {
         }
     }
     // The untouched trace still folds through both (a 200-host drill
-    // is too coarse for the watchdog to call healthy — DESIGN §15 — so
+    // is too coarse for the watchdog to call healthy — DESIGN §10 — so
     // only its having reached a verdict is checked).
     let run = |args: &[&str]| ctl().args(args).arg(&healthy).output().expect("spawn");
     assert!(run(&["slo", "audit"]).status.success());
     let watch = run(&["watch"]);
     assert!(watch.stderr.is_empty() && String::from_utf8_lossy(&watch.stdout).contains("status:"));
+}
+
+/// A trace-schema v3 tick (`watch/cycle`, from before a tick was one
+/// `slo/cycle` event) is refused by the watchdog, live or tailed: exit
+/// 1 and one stderr line naming the event, never a `healthy` report
+/// over zero cycles.
+#[test]
+fn a_v3_tick_is_refused_by_the_watchdog() {
+    let v3 = tmp("v3_tick.jsonl");
+    let line = r#"{"ts_ms":99,"trace_id":50,"span_id":50,"parent_id":0,"span":"watch","phase":"cycle","labels":{"approved_bps":"3000000000000","conform_fraction":"1","delivered_bps":"901662852005.8058","demand_bps":"901662852005.8058","entity":"npg:2","marked_fraction":"0","measurable":"true","qos":"c3","staleness_ms":"0"},"dur_ms":0}"#;
+    std::fs::write(&v3, format!("{line}\n")).expect("write v3 trace");
+    for args in [&["watch"][..], &["watch", "--follow", "--idle-ms", "200"]] {
+        let out = ctl().args(args).arg(&v3).output().expect("spawn entitlectl");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: one line:\n{stderr}");
+        assert!(stderr.contains("watch/cycle event span_id 50"), "{args:?}:\n{stderr}");
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("status:"), "{out:?}");
+    }
 }
 
 /// A drill through the example KV outage audits dirty: exit 1, the

@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 
 use network_entitlement::kvstore::key_hash;
-use network_entitlement::obs::{parse_trace, validate_prometheus, Clock, Obs};
+use network_entitlement::obs::{parse_trace, validate_prometheus, Clock, Obs, TraceEvent};
 use network_entitlement::prelude::{
     run_drill_with, DrillConfig, SloEvaluator, SloReport, WatchEvaluator, WatchReport,
 };
@@ -275,6 +275,34 @@ fn an_admit_is_one_event_with_its_slot_state_and_provenance_off_a_full_grant() {
     }
 }
 
+/// Trace-schema v4 on the seeded drill and fleet: a metered tick is
+/// written once. Each `agent/cycle` span (a bare timing span, no
+/// labels) pairs with exactly one `slo/cycle` event, the watchdog
+/// folded one tick per pair, and no `watch/cycle` event exists.
+#[test]
+fn a_metered_tick_is_one_slo_cycle_event() {
+    let (drill, _, drill_watch) = seeded_drill(0xE17);
+    let (fleet, _, fleet_watch) = seeded_fleet(0xF1EE7);
+    for (name, obs, folded) in [("drill", drill, drill_watch), ("fleet", fleet, fleet_watch)] {
+        let events = obs.trace.events();
+        let is = |e: &TraceEvent, span: &str, phase: &str| e.span == span && e.phase == phase;
+        assert!(!events.iter().any(|e| is(e, "watch", "cycle")), "{name}: a watch/cycle event");
+        let ticks: Vec<&TraceEvent> = events
+            .iter()
+            .filter(|e| is(e, "agent", "cycle") || is(e, "slo", "cycle"))
+            .collect();
+        assert!(!ticks.is_empty() && ticks.len().is_multiple_of(2), "{name}: {} events", ticks.len());
+        for pair in ticks.chunks(2) {
+            let agent = pair.iter().filter(|e| is(e, "agent", "cycle")).count();
+            assert_eq!(agent, 1, "{name}: one slo/cycle per agent/cycle: {pair:?}");
+        }
+        for e in ticks.iter().filter(|e| is(e, "agent", "cycle")) {
+            assert!(e.labels.is_empty(), "{name}: agent/cycle labels {:?}", e.labels);
+        }
+        assert_eq!(folded.cycles as usize, ticks.len() / 2, "{name}: ticks the watchdog folded");
+    }
+}
+
 /// Cross-commit byte pin. Every other determinism gate compares a run
 /// with itself, so a change that moves both sides the same way — a
 /// label renamed, a float formatted differently, a clock read added
@@ -325,12 +353,15 @@ fn telemetry_bytes_match_the_pinned_digests() {
     assert_eq!(digest(&admits), ADMITS_TRACE_PIN, "admits: trace bytes moved");
 }
 
-// (byte length, FNV-1a-64 — `kvstore::key_hash`), computed on commit
-// be042a1 (PR 15).
-const DRILL_TRACE_PIN: (usize, u64) = (54_358, 0x1dfa_a583_3d27_c24a);
-// Computed on commit 1465d29 (PR 18), before the `run_*` ladders were
-// collapsed.
-const FLEET_TRACE_PIN: (usize, u64) = (180_173, 0xeb34_b31c_a346_52fd);
+// (byte length, FNV-1a-64 — `kvstore::key_hash`). Regenerated with
+// trace-schema v4: a metered tick is one `slo/cycle` event (the
+// `slo/interval` labels, `good` included, plus `conform_fraction`,
+// `marked_fraction` and `staleness_ms`), `watch/cycle` is gone, and
+// `agent/cycle` carries no labels. One clock read fewer a tick moves
+// every later `ts_ms` under the counting clock. The v3 values were
+// (54_358, 0x1dfa_a583_3d27_c24a) and (180_173, 0xeb34_b31c_a346_52fd).
+const DRILL_TRACE_PIN: (usize, u64) = (42_772, 0x04cb_12d0_b57d_a3f2);
+const FLEET_TRACE_PIN: (usize, u64) = (168_190, 0xcdee_60c5_6c96_ab85);
 // Regenerated when the KV decorator stopped registering the `op="get"`
 // family (no caller reads a single key): each file is the earlier one
 // less those 46 always-zero lines, 2 704 bytes. The earlier values were
