@@ -847,6 +847,22 @@ fn run_engine(
         staleness_ms: 0.0,
         measurable: false,
     };
+    // The per-shard SLIs' entities too: a cycle sets what it measured.
+    let mut shard_slis: Vec<IntervalObs> = if config.per_shard_slis {
+        let slis = shard_demand.iter().enumerate().map(|(s, &sd)| IntervalObs {
+            entity: format!("{}/s{s}", tick.entity),
+            qos: tick.qos.clone(),
+            target: SLO_TARGET,
+            demand_bps: sd,
+            delivered_bps: 0.0,
+            // Pro-rata share of the service entitlement.
+            approved_bps: config.entitled.as_bps() * sd / demand_bps,
+            measurable: false,
+        });
+        slis.collect()
+    } else {
+        Vec::new()
+    };
 
     obs.registry
         .gauge("entitlement_fleet_hosts", "Hosts in the sharded fleet", &[])
@@ -943,26 +959,12 @@ fn run_engine(
         tick.staleness_ms = degraded * CYCLE_MS as f64;
         tick.measurable = snap_total.missing() == 0 && snap_conform.missing() == 0;
         slo.observe_cycle(obs, SLO_TARGET, &tick);
-        if config.per_shard_slis {
-            for (s, (&sd, read)) in shard_demand.iter().zip(snap_conform.shards()).enumerate() {
-                let (delivered, shard_measurable) = match *read {
-                    ShardRead::Fresh(v) | ShardRead::Held(v) => (v, true),
-                    ShardRead::Missing => (0.0, false),
-                };
-                slo.observe(
-                    obs,
-                    &IntervalObs {
-                        entity: format!("{}/s{s}", tick.entity),
-                        qos: tick.qos.clone(),
-                        target: SLO_TARGET,
-                        demand_bps: sd,
-                        delivered_bps: delivered,
-                        // Pro-rata share of the service entitlement.
-                        approved_bps: config.entitled.as_bps() * sd / demand_bps,
-                        measurable: shard_measurable,
-                    },
-                );
-            }
+        for (sli, read) in shard_slis.iter_mut().zip(snap_conform.shards()) {
+            (sli.delivered_bps, sli.measurable) = match *read {
+                ShardRead::Fresh(v) | ShardRead::Held(v) => (v, true),
+                ShardRead::Missing => (0.0, false),
+            };
+            slo.observe(obs, sli);
         }
         span.finish();
 

@@ -6,91 +6,55 @@
 //! and flamegraph export live in [`crate::tree`].
 
 use crate::metrics::Histogram;
-use crate::trace::TraceEvent;
+use crate::trace::{read_event, TraceEvent};
 use crate::tree::{build_span_forest, self_time_ms};
-use serde::JsonValue;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Parse a JSONL trace (one event per line; blank lines ignored),
-/// validating the stable v2 schema: `ts_ms`/`trace_id`/`span_id`/
-/// `parent_id` (non-negative integers below 2^53, `span_id` ≥ 1),
-/// `span`/`phase` (strings), `labels` (string→string object), `dur_ms`
-/// (number).
+/// Parse a JSONL trace: one event per line, each exactly as
+/// [`TraceEvent::to_json_line`] writes it — the keys `ts_ms`,
+/// `trace_id`, `span_id`, `parent_id`, `span`, `phase`, `labels`,
+/// `dur_ms` in that order, no whitespace, strings escaped as the
+/// encoder escapes them, numbers as it prints them. Blank lines are
+/// skipped. The reader is the sink's own ([`TraceSink::events`]):
+/// ids are read from their digits, exact up to `u64::MAX`, and a line
+/// is accepted only if encoding the event read from it gives the line
+/// back byte for byte, so no other spelling of an event — `1e3`, a
+/// sign, a leading zero, a space, `\u0041` for `A`, reordered keys —
+/// is taken for one. `span_id` 0 is refused too: ids start at 1.
+///
+/// # Errors
+///
+/// `line N: …` for the first line refused, naming the field that did
+/// not read or the column where the line leaves the encoder's spelling.
+///
+/// [`TraceSink::events`]: crate::TraceSink::events
 pub fn parse_trace(jsonl: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
-    for (i, line) in jsonl.lines().enumerate() {
-        let lineno = i + 1;
+    for (i, line) in jsonl.split('\n').enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let v = serde_json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        events.push(parse_event(&v).map_err(|e| format!("line {lineno}: {e}"))?);
+        events.push(read_line(line).map_err(|e| format!("line {}: {e}", i + 1))?);
     }
     Ok(events)
 }
 
-/// A `u64` field. The vendored parser reads numbers through `f64`, so
-/// from 2^53 up the value in hand may not be the one in the file
-/// (`…962` reads as `…976`, `1e300` as `u64::MAX`): refused, because a
-/// rounded id attaches the span to some other parent.
-fn parse_id(v: &JsonValue, key: &str) -> Result<u64, String> {
-    const EXACT: f64 = 9_007_199_254_740_992.0;
-    match v.get(key) {
-        Some(JsonValue::Number(n)) if *n >= EXACT => {
-            Err(format!("`{key}` exceeds 2^53 and cannot be read exactly"))
-        }
-        Some(JsonValue::Number(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-        Some(_) => Err(format!("`{key}` must be a non-negative integer")),
-        None => Err(format!("missing `{key}`")),
+/// One line of a trace file, read as [`parse_trace`] reads it.
+fn read_line(line: &str) -> Result<TraceEvent, String> {
+    let event = read_event(line).map_err(|field| format!("cannot read `{field}`"))?;
+    let canonical = event.to_json_line();
+    if canonical != line {
+        let same = canonical.bytes().zip(line.bytes()).take_while(|(a, b)| a == b).count();
+        return Err(format!(
+            "not spelled as the encoder writes its event, from column {}",
+            same + 1
+        ));
     }
-}
-
-fn parse_event(v: &JsonValue) -> Result<TraceEvent, String> {
-    let ts_ms = parse_id(v, "ts_ms")?;
-    let trace_id = parse_id(v, "trace_id")?;
-    let span_id = parse_id(v, "span_id")?;
-    if span_id == 0 {
+    if event.span_id == 0 {
         return Err("`span_id` must be ≥ 1".to_string());
     }
-    let parent_id = parse_id(v, "parent_id")?;
-    let span = match v.get("span") {
-        Some(JsonValue::String(s)) => s.clone(),
-        _ => return Err("missing or non-string `span`".to_string()),
-    };
-    let phase = match v.get("phase") {
-        Some(JsonValue::String(s)) => s.clone(),
-        _ => return Err("missing or non-string `phase`".to_string()),
-    };
-    let labels = match v.get("labels") {
-        Some(JsonValue::Object(fields)) => {
-            let mut out = Vec::with_capacity(fields.len());
-            for (k, lv) in fields {
-                match lv {
-                    JsonValue::String(s) => out.push((k.clone(), s.clone())),
-                    _ => return Err(format!("label `{k}` must be a string")),
-                }
-            }
-            out
-        }
-        Some(_) => return Err("`labels` must be an object".to_string()),
-        None => return Err("missing `labels`".to_string()),
-    };
-    let dur_ms = match v.get("dur_ms") {
-        Some(JsonValue::Number(n)) if n.is_finite() && *n >= 0.0 => *n,
-        Some(_) => return Err("`dur_ms` must be a non-negative number".to_string()),
-        None => return Err("missing `dur_ms`".to_string()),
-    };
-    Ok(TraceEvent {
-        ts_ms,
-        trace_id,
-        span_id,
-        parent_id,
-        span,
-        phase,
-        labels,
-        dur_ms,
-    })
+    Ok(event)
 }
 
 /// Per-event *self* durations: duration minus children's durations
@@ -201,8 +165,8 @@ pub fn summarize_trace_by_label(events: &[TraceEvent], key: &str) -> String {
 /// First-divergence diff of two JSONL traces, with parsed context.
 ///
 /// Returns `None` when the files are byte-identical. Otherwise the
-/// report names the first divergent line and, when both lines parse as
-/// v2 events, the span/phase/ids on each side plus the fields that
+/// report names the first divergent line and, when both lines read as
+/// events ([`parse_trace`]), the span/phase/ids on each side plus the fields that
 /// differ — so a CI byte-equality failure points at *what* diverged,
 /// not just *that* bytes did.
 #[must_use]
@@ -221,11 +185,8 @@ pub fn diff_traces(a: &str, b: &str) -> Option<String> {
         }
         let lineno = i + 1;
         let _ = writeln!(out, "first divergence at line {lineno}:");
-        match (
-            serde_json::parse(x).ok().as_ref().map(parse_event),
-            serde_json::parse(y).ok().as_ref().map(parse_event),
-        ) {
-            (Some(Ok(ea)), Some(Ok(eb))) => {
+        match (read_line(x), read_line(y)) {
+            (Ok(ea), Ok(eb)) => {
                 let _ = writeln!(
                     out,
                     "  a: {}/{} span_id={} parent_id={} ts={} dur={}",
@@ -629,7 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn an_id_the_parser_cannot_read_exactly_is_refused_not_rounded() {
+    fn ids_up_to_u64_max_read_exactly() {
         let line = |key: &str, value: &str| {
             let field = |k: &str, v: &str| format!("\"{k}\":{}", if k == key { value } else { v });
             format!(
@@ -643,26 +604,32 @@ mod tests {
         let ok = line("", "");
         assert_eq!(parse_trace(&ok).expect("a plain line").len(), 1);
         for key in ["ts_ms", "trace_id", "span_id", "parent_id"] {
-            // 2^53 + 1 reads as 2^53, …962 as …976, 1e300 as u64::MAX.
+            // The f64 reader this replaced read 2^53 + 1 as 2^53, …962
+            // as …976, and refused all of these.
             for value in [
                 "9007199254740992",
                 "9007199254740993",
                 "16131454690887550962",
                 "18446744073709551615",
-                "1e300",
             ] {
-                let text = format!("{ok}\n{}\n", line(key, value));
-                assert_eq!(
-                    parse_trace(&text),
-                    Err(format!("line 2: `{key}` exceeds 2^53 and cannot be read exactly")),
-                    "{key} = {value}"
-                );
+                let event = &parse_trace(&line(key, value)).expect("an exact id")[0];
+                let read = [event.ts_ms, event.trace_id, event.span_id, event.parent_id];
+                assert!(read.contains(&value.parse().expect("a u64")), "{key}: {read:?}");
             }
-            let exact = line(key, "9007199254740991");
-            let event = &parse_trace(&exact).expect("2^53 - 1 is exact")[0];
-            let read = [event.ts_ms, event.trace_id, event.span_id, event.parent_id];
-            assert!(read.contains(&((1 << 53) - 1)), "{key}: {read:?}");
+            // Not a u64, or not the encoder's spelling of one.
+            for value in ["1e300", "18446744073709551616", "+2", "-2", "02", " 2", "2 ", "2.0"] {
+                let text = format!("{ok}\n{}\n", line(key, value));
+                let err = parse_trace(&text).expect_err(value);
+                assert!(err.starts_with("line 2: "), "{key} = {value}: {err}");
+            }
+            let text = format!("{ok}\n{}\n", line(key, "1e300"));
+            assert_eq!(parse_trace(&text), Err(format!("line 2: cannot read `{key}`")));
         }
+        let text = format!("{ok}\n{}", line("span_id", "02"));
+        assert_eq!(
+            parse_trace(&text),
+            Err("line 2: not spelled as the encoder writes its event, from column 35".to_string())
+        );
     }
 
     #[test]

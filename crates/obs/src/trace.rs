@@ -1,4 +1,4 @@
-//! Structured span events and the JSONL trace sink (schema v2).
+//! Structured span events and the JSONL trace sink.
 //!
 //! Every event serializes to one JSON line with a **stable schema**:
 //!
@@ -17,7 +17,8 @@
 //! * `span` — the subsystem (e.g. `approval`, `risk`, `kv`, `agent`);
 //! * `phase` — the step within the subsystem;
 //! * `labels` — a flat string→string object (sorted by key);
-//! * `dur_ms` — f64 duration (0 for instantaneous events).
+//! * `dur_ms` — f64 duration (0 for instantaneous events; a negative
+//!   or non-finite one is written as 0).
 //!
 //! Parentage is tracked by an open-span stack inside the sink: starting
 //! a span pushes its id, dropping it removes it. Because spans close in
@@ -33,8 +34,8 @@
 //!
 //! **Storage.** The sink's buffer *is* the JSONL it exports: an event
 //! is encoded once, when it closes, onto the last of the sink's 1 MiB
-//! pages of text, next to one fixed-size `Record` holding its numbers
-//! (a page at a time, so nothing recorded ever moves). A dropped sink
+//! pages of text (a page at a time, so nothing recorded ever moves);
+//! a page holds nothing but its text. A dropped sink
 //! leaves its pages, cleared, to the next sink on the same thread (at
 //! most 32 of them wait), so trace after trace writes into the same
 //! memory instead of handing it back to the allocator. A [`SpanTimer`]
@@ -53,10 +54,11 @@
 //! reference count. One encoder (`push_numbers`, `push_names`,
 //! `push_label`, `push_tail`) is behind [`TraceEvent::to_json_line`]
 //! and the sink; [`TraceSink::to_jsonl`] and
-//! [`TraceSink::write_jsonl`] copy the buffer, and
-//! [`TraceSink::events`] reads its strings back through the encoder's
-//! strict inverse (`read_event`). DESIGN.md §9 has the cost model and
-//! the wire contract.
+//! [`TraceSink::write_jsonl`] copy the buffer. One decoder,
+//! the encoder's strict inverse (`read_event`), reads a line back:
+//! [`TraceSink::events`] runs it over the buffer and
+//! [`crate::parse_trace`] over a file. DESIGN.md §9 has the cost model
+//! and the wire contract.
 
 use crate::clock::Clock;
 use crate::decimal::{push_finite, push_u64};
@@ -267,13 +269,15 @@ fn push_label(out: &mut String, key: &str, value: &str) {
 }
 
 /// Close the labels — the last fragment's comma goes — and the line
-/// (no trailing newline).
+/// (no trailing newline). A duration that is not a positive number
+/// (negative, `-0`, non-finite: none a valid span produces) is written
+/// as `0`, so every line this writes reads back as itself.
 fn push_tail(out: &mut String, dur_ms: f64) {
     if out.ends_with(',') {
         out.pop();
     }
     out.push_str("},\"dur_ms\":");
-    push_f64(out, dur_ms);
+    push_f64(out, if dur_ms > 0.0 { dur_ms } else { 0.0 });
     out.push('}');
 }
 
@@ -317,9 +321,10 @@ fn is_plain(s: &str) -> bool {
     escapes(s) == (0, false)
 }
 
-// The encoder's inverse, for the sink's own lines (`parse_trace` is
-// the reader for files). Strict: it yields text only for bytes the
-// functions above would have written for that text.
+// The encoder's inverse, the one reader of the trace line: for the
+// sink's own lines and, through `parse_trace`, for files. Strict on
+// text: it yields a string only for the bytes the functions above
+// would have written for it.
 
 /// The text a JSON string body stands for.
 fn unescape(body: &str) -> Option<Cow<'_, str>> {
@@ -364,43 +369,63 @@ fn read_json_str(s: &str) -> Option<(Cow<'_, str>, &str)> {
     Some((unescape(&s[..end])?, &s[end + 1..]))
 }
 
-/// The event of one newline-terminated line: span, phase and labels
-/// read from it, its numbers — skipped over in the line — from `rec`,
-/// where an id above 2^53 or a NaN duration survives.
-fn read_event(line: &str, rec: &Record) -> Option<TraceEvent> {
+/// The four numbers that open a line, each with the key before it.
+const NUMBERS: [(&str, &str); 4] = [
+    ("{\"ts_ms\":", "ts_ms"),
+    (",\"trace_id\":", "trace_id"),
+    (",\"span_id\":", "span_id"),
+    (",\"parent_id\":", "parent_id"),
+];
+
+/// The event one line (without its newline) stands for, or the key of
+/// the first field that does not read. `ts_ms` and the ids are read
+/// from their digits, exact for every `u64`; `dur_ms` from its text;
+/// the strings through [`unescape`]. A number's spelling is not
+/// checked (`007`, `1e3`, `-1` read as numbers): `parse_trace`
+/// re-encodes what this returns and compares, and the sink's own lines
+/// are the encoder's by construction.
+pub(crate) fn read_event(line: &str) -> Result<TraceEvent, &'static str> {
     let mut rest = line;
-    for key in ["{\"ts_ms\":", ",\"trace_id\":", ",\"span_id\":", ",\"parent_id\":"] {
-        let number = rest.strip_prefix(key)?;
-        rest = number.trim_start_matches(|c: char| c.is_ascii_digit());
-        if rest.len() == number.len() {
-            return None;
+    let mut numbers = [0u64; 4];
+    for (number, (key, name)) in numbers.iter_mut().zip(NUMBERS) {
+        let digits = rest.strip_prefix(key).ok_or(name)?;
+        let end = digits.find(|c: char| !c.is_ascii_digit()).unwrap_or(digits.len());
+        *number = digits[..end].parse().map_err(|_| name)?;
+        rest = &digits[end..];
+        if !rest.starts_with(',') {
+            return Err(name);
         }
     }
-    let (span, rest) = read_json_str(rest.strip_prefix(",\"span\":")?)?;
-    let (phase, rest) = read_json_str(rest.strip_prefix(",\"phase\":")?)?;
-    let mut rest = rest.strip_prefix(",\"labels\":{")?;
+    let [ts_ms, trace_id, span_id, parent_id] = numbers;
+    let (span, rest) = rest.strip_prefix(",\"span\":").and_then(read_json_str).ok_or("span")?;
+    let (phase, rest) = rest.strip_prefix(",\"phase\":").and_then(read_json_str).ok_or("phase")?;
+    let mut rest = rest.strip_prefix(",\"labels\":{").ok_or("labels")?;
     let mut labels = Vec::new();
     while !rest.starts_with('}') {
-        let (key, after) = read_json_str(rest)?;
-        let (value, after) = read_json_str(after.strip_prefix(':')?)?;
-        labels.push((key.into_owned(), value.into_owned()));
-        rest = match after.strip_prefix(',') {
-            Some(next) if next.starts_with('"') => next,
-            None if after.starts_with('}') => after,
-            _ => return None,
-        };
+        let label = read_json_str(rest).and_then(|(key, after)| {
+            let (value, after) = read_json_str(after.strip_prefix(':')?)?;
+            let next = match after.strip_prefix(',') {
+                Some(next) if next.starts_with('"') => next,
+                None if after.starts_with('}') => after,
+                _ => return None,
+            };
+            Some(((key.into_owned(), value.into_owned()), next))
+        });
+        let (label, next) = label.ok_or("labels")?;
+        labels.push(label);
+        rest = next;
     }
-    let dur_ms = rest.strip_prefix("},\"dur_ms\":")?.strip_suffix("}\n")?;
-    dur_ms.parse::<f64>().ok()?;
-    Some(TraceEvent {
-        ts_ms: rec.ts_ms,
-        trace_id: rec.ids.trace_id,
-        span_id: rec.ids.span_id,
-        parent_id: rec.ids.parent_id,
+    let dur_ms = rest.strip_prefix("},\"dur_ms\":").and_then(|dur| dur.strip_suffix('}'));
+    let dur_ms = dur_ms.and_then(|dur| dur.parse().ok()).ok_or("dur_ms")?;
+    Ok(TraceEvent {
+        ts_ms,
+        trace_id,
+        span_id,
+        parent_id,
         span: span.into_owned(),
         phase: phase.into_owned(),
         labels,
-        dur_ms: rec.dur_ms,
+        dur_ms,
     })
 }
 
@@ -494,18 +519,6 @@ impl Scratch {
     }
 }
 
-/// One event's fixed-size part: its numbers as they were given, which
-/// the line cannot always carry (an id above 2^53 does not survive a
-/// JSON reader, a non-finite duration is written as `0`), and where
-/// its line ends in its page's text. A line starts where the previous
-/// one ended.
-struct Record {
-    ids: Ids,
-    ts_ms: u64,
-    dur_ms: f64,
-    line_end: usize,
-}
-
 /// A page takes lines until its text holds this much: the sink's
 /// buffer grows a page at a time and never moves what it holds. (As
 /// one `String` it doubled, and whether the allocator could reuse the
@@ -514,47 +527,27 @@ struct Record {
 const PAGE: usize = 1 << 20;
 /// A page's text capacity: room for the line that crosses the mark.
 const PAGE_TEXT: usize = PAGE + PAGE / 256;
-/// A page's record capacity: enough for lines of 256 bytes or more.
-const PAGE_RECORDS: usize = PAGE_TEXT / 256;
 /// Most spare pages one thread keeps (≈ 40 MB).
 const SPARE_PAGES: usize = 32;
 
 thread_local! {
     /// Cleared pages that sinks dropped on this thread left behind,
     /// taken by the next sink before it allocates one.
-    static SPARE: RefCell<Vec<Page>> = const { RefCell::new(Vec::new()) };
+    static SPARE: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A run of events: their canonical lines, newline-terminated, in emit
-/// order, and one record per line. Never empty while a sink holds it.
-struct Page {
-    text: String,
-    records: Vec<Record>,
-}
-
-impl Page {
-    /// A spare page of this thread's, or a new one.
-    fn take() -> Page {
-        let spare = SPARE.try_with(|spare| spare.borrow_mut().pop());
-        spare.ok().flatten().unwrap_or_else(|| Page {
-            text: String::with_capacity(PAGE_TEXT),
-            records: Vec::with_capacity(PAGE_RECORDS),
-        })
-    }
-
-    /// Whether the page is still the size [`Page::take`] makes it: a
-    /// line longer than the room past the mark, or more than
-    /// `PAGE_RECORDS` shorter ones, grew it.
-    fn is_full_size(&self) -> bool {
-        self.text.capacity() == PAGE_TEXT && self.records.capacity() == PAGE_RECORDS
-    }
+/// A spare page of this thread's, or a new one.
+fn take_page() -> String {
+    let spare = SPARE.try_with(|spare| spare.borrow_mut().pop());
+    spare.ok().flatten().unwrap_or_else(|| String::with_capacity(PAGE_TEXT))
 }
 
 #[derive(Default)]
 struct SinkInner {
-    /// Every event, in emit order; the pages' texts, end to end, are
-    /// the bytes every export copies.
-    pages: Vec<Page>,
+    /// Every event, in emit order: pages of canonical lines, each
+    /// newline-terminated, never empty while the sink holds them. End
+    /// to end they are the bytes every export copies.
+    pages: Vec<String>,
     /// Next span id to hand out; ids start at 1 so 0 can mean "root".
     next_id: u64,
     /// Open spans, innermost last: `(span_id, trace_id)`.
@@ -596,11 +589,11 @@ impl SinkInner {
     /// String)>::sort` gives, duplicates kept — and return the buffer
     /// to the pool.
     fn commit(&mut self, ids: Ids, ts_ms: u64, dur_ms: f64, mut scratch: Box<Scratch>) {
-        if self.pages.last().is_none_or(|page| page.text.len() >= PAGE) {
-            self.pages.push(Page::take());
+        if self.pages.last().is_none_or(|page| page.len() >= PAGE) {
+            self.pages.push(take_page());
         }
         let last = self.pages.len() - 1;
-        let Page { text: out, records } = &mut self.pages[last];
+        let out = &mut self.pages[last];
         push_numbers(out, ids, ts_ms);
         let text = scratch.text.as_str();
         let own = |f: &Fragment| (&text[f.start + 1..f.key_end], &text[f.key_end + 3..f.end - 2]);
@@ -625,28 +618,23 @@ impl SinkInner {
         }
         push_tail(out, dur_ms);
         out.push('\n');
-        records.push(Record {
-            ids,
-            ts_ms,
-            dur_ms,
-            line_end: out.len(),
-        });
         self.pool.push(scratch);
     }
 }
 
 impl Drop for SinkInner {
-    /// Hand the full-size pages, cleared, to this thread's spares, up
-    /// to [`SPARE_PAGES`]; the rest are freed.
+    /// Hand the pages still the size [`take_page`] makes them (a line
+    /// longer than the room past the mark grows one), cleared, to this
+    /// thread's spares, up to [`SPARE_PAGES`]; the rest are freed.
     fn drop(&mut self) {
         let _ = SPARE.try_with(|spare| {
             let mut spare = spare.borrow_mut();
-            for mut page in self.pages.drain(..).filter(Page::is_full_size) {
+            let full_size = |page: &String| page.capacity() == PAGE_TEXT;
+            for mut page in self.pages.drain(..).filter(full_size) {
                 if spare.len() == SPARE_PAGES {
                     break;
                 }
-                page.text.clear();
-                page.records.clear();
+                page.clear();
                 spare.push(page);
             }
         });
@@ -733,11 +721,15 @@ impl TraceSink {
         }
     }
 
-    /// Number of buffered events.
+    /// Number of buffered events: the lines on the pages.
     #[must_use]
     pub fn len(&self) -> usize {
         match &self.inner {
-            Some(inner) => lock(inner).pages.iter().map(|page| page.records.len()).sum(),
+            Some(inner) => lock(inner)
+                .pages
+                .iter()
+                .map(|page| page.bytes().filter(|&b| b == b'\n').count())
+                .sum(),
             None => 0,
         }
     }
@@ -745,33 +737,31 @@ impl TraceSink {
     /// Whether the sink holds no events.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.inner
+            .as_ref()
+            .is_none_or(|inner| lock(inner).pages.is_empty())
     }
 
-    /// Copy out all buffered events: numbers from the records, strings
-    /// read back from the buffer's own lines. A line the encoder did
-    /// not write — a bug in this module, nothing a caller can cause —
-    /// trips a debug assertion and is left out; telemetry does not
-    /// panic the run it describes.
+    /// Copy out all buffered events, read back from the buffer's own
+    /// lines by the reader [`crate::parse_trace`] uses, so they are
+    /// exactly what the file this sink writes reads as. A line the
+    /// encoder did not write — a bug in this module, nothing a caller
+    /// can cause — trips a debug assertion and is left out; telemetry
+    /// does not panic the run it describes.
     #[must_use]
     pub fn events(&self) -> Vec<TraceEvent> {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
         let guard = lock(inner);
-        let mut events = Vec::new();
-        for page in &guard.pages {
-            events.reserve(page.records.len());
-            let mut line_start = 0;
-            for rec in &page.records {
-                let line = page.text.get(line_start..rec.line_end);
-                let event = line.and_then(|line| read_event(line, rec));
+        let lines = guard.pages.iter().flat_map(|page| page.split_terminator('\n'));
+        lines
+            .filter_map(|line| {
+                let event = read_event(line).ok();
                 debug_assert!(event.is_some(), "not the encoder's: {line:?}");
-                events.extend(event);
-                line_start = rec.line_end;
-            }
-        }
-        events
+                event
+            })
+            .collect()
     }
 
     /// Every buffered event as JSONL (one event per line, trailing
@@ -781,10 +771,10 @@ impl TraceSink {
         match &self.inner {
             Some(inner) => {
                 let guard = lock(inner);
-                let bytes = guard.pages.iter().map(|page| page.text.len()).sum();
+                let bytes = guard.pages.iter().map(String::len).sum();
                 let mut out = String::with_capacity(bytes);
                 for page in &guard.pages {
-                    out.push_str(&page.text);
+                    out.push_str(page);
                 }
                 out
             }
@@ -808,7 +798,7 @@ impl TraceSink {
         guard
             .pages
             .iter()
-            .flat_map(|page| page.text.as_bytes().chunks(WRITE_CHUNK))
+            .flat_map(|page| page.as_bytes().chunks(WRITE_CHUNK))
             .try_for_each(|chunk| out.write_all(chunk))
     }
 }
@@ -1031,31 +1021,38 @@ mod tests {
             labels: vec![("k".to_string(), "v\n".to_string()), ("l".to_string(), String::new())],
             dur_ms: 1.5,
         };
-        let rec = Record {
-            ids: Ids { span_id: 2, trace_id: 1, parent_id: 1 },
-            ts_ms: 5,
-            dur_ms: 1.5,
-            line_end: 0,
-        };
-        let line = event.to_json_line() + "\n";
-        assert_eq!(read_event(&line, &rec), Some(event));
-        for (from, to) in [
-            ("\"ts_ms\":5", "\"ts_ms\":"),
-            ("\"ts_ms\":5", "\"ts_ms\":5.0"),
-            ("\"span_id\":2", "\"span_id\":-2"),
-            (",\"l\":\"\"", ",\"l\":\"\","),
-            (",\"l\":\"\"", "\"l\":\"\""),
-            (",\"l\":\"\"", ",\"l\":7"),
-            ("\"dur_ms\":1.5", "\"dur_ms\":x"),
+        let line = event.to_json_line();
+        assert_eq!(read_event(&line), Ok(event));
+        for (from, to, field) in [
+            ("\"ts_ms\":5", "\"ts_ms\":", "ts_ms"),
+            ("\"ts_ms\":5", "\"ts_ms\":5.0", "ts_ms"),
+            ("\"span_id\":2", "\"span_id\":-2", "span_id"),
+            ("\"span_id\":2", "\"span_id\":18446744073709551616", "span_id"),
+            ("\"parent_id\":1", "\"parent_id\":1e3", "parent_id"),
+            ("\"span\":", "\"span\": ", "span"),
+            (",\"l\":\"\"", ",\"l\":\"\",", "labels"),
+            (",\"l\":\"\"", "\"l\":\"\"", "labels"),
+            (",\"l\":\"\"", ",\"l\":7", "labels"),
+            ("\"dur_ms\":1.5", "\"dur_ms\":x", "dur_ms"),
             // (Braces spelled as escapes: `xtask lint` finds the end of
             // this module by counting them.)
-            ("\u{7d}\n", "\u{7d}"),
-            ("\u{7b}\"ts_ms\"", " \u{7b}\"ts_ms\""),
+            ("1.5\u{7d}", "1.5", "dur_ms"),
+            ("1.5\u{7d}", "1.5\u{7d}\n", "dur_ms"),
+            ("\u{7b}\"ts_ms\"", " \u{7b}\"ts_ms\"", "ts_ms"),
         ] {
             let broken = line.replacen(from, to, 1);
             assert_ne!(broken, line, "{from} is in the line");
-            assert_eq!(read_event(&broken, &rec), None, "{broken}");
+            assert_eq!(read_event(&broken), Err(field), "{broken}");
         }
+        // Every id up to `u64::MAX` reads exactly.
+        let far = TraceEvent {
+            ts_ms: u64::MAX,
+            trace_id: u64::MAX - 1,
+            span_id: (1 << 53) + 1,
+            parent_id: 16_131_454_690_887_550_962,
+            ..read_event(&line).expect("the line above")
+        };
+        assert_eq!(read_event(&far.to_json_line()), Ok(far));
     }
 
     #[test]
@@ -1172,31 +1169,6 @@ mod tests {
         assert!(alpha < zeta, "{line}");
     }
 
-    #[test]
-    fn jsonl_roundtrips_through_parser() {
-        let sink = TraceSink::new();
-        let clock = Clock::counting(3);
-        sink.point(&clock, "risk", "sweep").label("scenarios", "42").finish();
-        {
-            let _t = sink.span(&clock, "agent", "cycle");
-        }
-        for line in sink.to_jsonl().lines() {
-            let v = serde_json::parse(line).expect("valid json");
-            for key in [
-                "ts_ms",
-                "trace_id",
-                "span_id",
-                "parent_id",
-                "span",
-                "phase",
-                "labels",
-                "dur_ms",
-            ] {
-                assert!(v.get(key).is_some(), "missing {key}");
-            }
-        }
-    }
-
     /// How many spare pages this thread holds.
     fn spare_pages() -> usize {
         SPARE.with(|spare| spare.borrow().len())
@@ -1268,12 +1240,32 @@ mod tests {
         on_fresh_thread(|| {
             write(&TraceSink::new(), 1, "small");
             assert_eq!(spare_pages(), 1, "a full-size page is kept");
-            // A line longer than the page's room grows its text …
+            // A line longer than the page's room grows its text.
             write(&TraceSink::new(), 1, &"y".repeat(PAGE_TEXT));
             assert_eq!(spare_pages(), 0, "a page a long line grew");
-            // … and more lines than it has records for grow those.
-            write(&TraceSink::new(), PAGE_RECORDS + 1, "");
-            assert_eq!(spare_pages(), 0, "a page many short lines grew");
+        });
+    }
+
+    #[test]
+    fn short_lines_recycle_their_pages() {
+        on_fresh_thread(|| {
+            // ≈ 110-byte lines, ≈ 9 000 to a page: three pages.
+            const EVENTS: u64 = 20_000;
+            let write = |sink: &TraceSink| {
+                let clock = Clock::counting(1);
+                for i in 0..EVENTS {
+                    sink.point(&clock, "s", "p").label_fmt("i", i).finish();
+                }
+                sink.to_jsonl()
+            };
+            let first = write(&TraceSink::new());
+            let line = first.len() as u64 / EVENTS;
+            assert!((100..=120).contains(&line), "{line}-byte lines");
+            assert_eq!(first.len().div_ceil(PAGE), 3, "{} bytes", first.len());
+            assert_eq!(spare_pages(), 3, "every page the short lines filled");
+            let sink = TraceSink::new();
+            assert_eq!(write(&sink), first);
+            assert_eq!(spare_pages(), 0, "the next sink wrote on all three");
         });
     }
 }

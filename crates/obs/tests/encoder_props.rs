@@ -1,15 +1,18 @@
-//! Property tests for the trace sink's storage and encoder.
+//! Property tests for the trace sink's encoder and its one reader.
 //!
-//! The sink keeps events in flat arenas and renders them with one
-//! streaming encoder; these tests hold both to a model that shares no
-//! code with them: events as owned `TraceEvent`s built the way the
-//! sink used to build them (a `Vec<(String, String)>` of labels,
-//! `sort()`ed at emit; ids from a counter and an open-span stack) and
-//! the line format spelled out with `write!`. Every entry point is
-//! driven — `span`, `point` and `child`, each with the label adders —
-//! with spans opened and closed in arbitrary, non-LIFO order, so a
-//! label leaking from one pooled buffer into another event shows up as
-//! a model mismatch.
+//! The sink keeps events as pages of wire text, written by one
+//! encoder and read back by its strict inverse; these tests hold both
+//! to a model that shares no code with them: events as owned
+//! `TraceEvent`s built the way the sink used to build them (a
+//! `Vec<(String, String)>` of labels, `sort()`ed at emit; ids from a
+//! counter and an open-span stack) and the line format spelled out
+//! with `write!`. Every entry point is driven — `span`, `point` and
+//! `child`, each with the label adders — with spans opened and closed
+//! in arbitrary, non-LIFO order, so a label leaking from one pooled
+//! buffer into another event shows up as a model mismatch. What
+//! `events()` returns and what `parse_trace` reads from the exported
+//! file are the same events, always; a line that is not the encoder's
+//! is refused, never read as something else.
 
 use entitlement_obs::{parse_trace, Clock, SpanTimer, TraceEvent, TraceSink};
 use proptest::prelude::*;
@@ -192,7 +195,7 @@ impl Model {
             span: names.0.to_string(),
             phase: names.1.to_string(),
             labels,
-            dur_ms,
+            dur_ms: on_the_wire(dur_ms),
         });
     }
 }
@@ -267,6 +270,16 @@ fn run(ops: &[Op]) -> (TraceSink, Vec<TraceEvent>) {
     (sink, model.events)
 }
 
+/// A duration as the line carries it: a positive finite value as it
+/// is, anything else (negative, `-0`, NaN, ±∞) as `0`.
+fn on_the_wire(dur_ms: f64) -> f64 {
+    if dur_ms.is_finite() && dur_ms > 0.0 {
+        dur_ms
+    } else {
+        0.0
+    }
+}
+
 /// The line format, spelled out independently of the encoder.
 fn model_line(e: &TraceEvent) -> String {
     let mut out = String::new();
@@ -287,47 +300,23 @@ fn model_line(e: &TraceEvent) -> String {
         out.push(':');
         serde::write_json_string(v, &mut out);
     }
-    if e.dur_ms.is_finite() {
-        let _ = write!(out, "}},\"dur_ms\":{}}}", e.dur_ms);
-    } else {
-        out.push_str("},\"dur_ms\":0}");
-    }
+    let _ = write!(out, "}},\"dur_ms\":{}}}", on_the_wire(e.dur_ms));
     out
-}
-
-/// `TraceEvent` equality that also holds for a NaN duration.
-fn same(a: &TraceEvent, b: &TraceEvent) -> bool {
-    a.dur_ms.to_bits() == b.dur_ms.to_bits()
-        && TraceEvent {
-            dur_ms: 0.0,
-            ..a.clone()
-        } == TraceEvent {
-            dur_ms: 0.0,
-            ..b.clone()
-        }
-}
-
-/// Whether `parse_trace` can represent the event exactly: numbers go
-/// through the vendored parser's `f64`, and a non-finite duration was
-/// written as 0.
-fn parses_back(e: &TraceEvent) -> bool {
-    e.ts_ms < 1 << 53 && e.dur_ms.is_finite() && e.dur_ms >= 0.0
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Arenas == model, and the three exports agree with each other
-    /// and with the spelled-out format, byte for byte.
+    /// Pages == model, the three exports agree with each other and
+    /// with the spelled-out format, byte for byte, and the file reads
+    /// back as exactly what `events()` returns.
     #[test]
     fn storage_and_encoder_match_the_model(ops in proptest::collection::vec(op(), 1..16)) {
         let (sink, expected) = run(&ops);
         let events = sink.events();
         prop_assert_eq!(events.len(), expected.len());
         prop_assert_eq!(sink.len(), expected.len());
-        for (got, want) in events.iter().zip(&expected) {
-            prop_assert!(same(got, want), "stored {got:?}\nmodel  {want:?}");
-        }
+        prop_assert_eq!(&events, &expected);
 
         let jsonl = sink.to_jsonl();
         let lines: Vec<&str> = jsonl.split_terminator('\n').collect();
@@ -341,13 +330,10 @@ proptest! {
         let mut streamed = Vec::new();
         sink.write_jsonl(&mut streamed).expect("writing to a Vec");
         prop_assert_eq!(streamed.as_slice(), jsonl.as_bytes());
-        // A clone reads the same arenas.
+        // A clone reads the same pages.
         prop_assert_eq!(sink.clone().to_jsonl(), jsonl.clone());
 
-        if events.iter().all(parses_back) {
-            let parsed = parse_trace(&jsonl).expect("every line parses");
-            prop_assert_eq!(parsed, events);
-        }
+        prop_assert_eq!(parse_trace(&jsonl), Ok(events));
     }
 }
 
@@ -477,21 +463,23 @@ fn labels_are_ordered_by_their_own_text_not_the_wire_text() {
     assert_eq!(parse_trace(&jsonl).expect("every line parses"), events);
 }
 
-/// `events()` hands back what was emitted even where the wire cannot:
-/// a timestamp above 2^53 and a duration the line renders as `0`.
+/// `events()` hands back what the wire carries, which is what a file
+/// reads as: every `u64` timestamp exactly, and a duration the line
+/// writes as `0` as `0`.
 #[test]
-fn events_keep_what_the_wire_cannot_carry() {
+fn events_are_what_the_wire_carries() {
     let sink = TraceSink::new();
     let emitted: Vec<TraceEvent> = [
-        (u64::MAX, f64::NAN),
-        (0, f64::NEG_INFINITY),
-        (u64::MAX - 1, -0.0),
-        ((1 << 53) + 1, f64::INFINITY),
-        (8, 1e300),
+        (u64::MAX, f64::NAN, 0.0),
+        (0, f64::NEG_INFINITY, 0.0),
+        (u64::MAX - 1, -0.0, 0.0),
+        ((1 << 53) + 1, f64::INFINITY, 0.0),
+        (16_131_454_690_887_550_962, -2.5, 0.0),
+        (8, 1e300, 1e300),
     ]
     .into_iter()
     .zip(1..)
-    .map(|((ts_ms, dur_ms), id)| {
+    .map(|((ts_ms, dur_ms, wire), id)| {
         sink.child(ts_ms, dur_ms, "sp\"an", "ph\\ase")
             .label("k", "v\n")
             .finish();
@@ -503,18 +491,20 @@ fn events_keep_what_the_wire_cannot_carry() {
             span: "sp\"an".to_string(),
             phase: "ph\\ase".to_string(),
             labels: vec![("k".to_string(), "v\n".to_string())],
-            dur_ms,
+            dur_ms: wire,
         }
     })
     .collect();
     let events = sink.events();
-    assert_eq!(events.len(), emitted.len());
+    assert_eq!(events, emitted);
     for (got, want) in events.iter().zip(&emitted) {
-        assert!(same(got, want), "stored {got:?}\nemitted {want:?}");
+        assert_eq!(got.dur_ms.to_bits(), want.dur_ms.to_bits(), "-0 is written as 0");
     }
-    for (line, e) in sink.to_jsonl().lines().zip(&emitted) {
+    let jsonl = sink.to_jsonl();
+    for (line, e) in jsonl.lines().zip(&emitted) {
         assert_eq!(line, model_line(e));
     }
+    assert_eq!(parse_trace(&jsonl), Ok(events));
 }
 
 /// Buffers go back to the pool at close and out again at the next
@@ -628,4 +618,259 @@ fn streaming_export_is_chunked_and_complete() {
         .write_jsonl(&mut nothing)
         .expect("no-op");
     assert!(nothing.is_empty());
+}
+
+/// One edit of a canonical line.
+#[derive(Clone, Debug)]
+enum Mutation {
+    /// Replace the `n % len`-th character.
+    Replace(usize, char),
+    Insert(usize, char),
+    Delete(usize),
+    /// Keep the first `n % len` characters.
+    Truncate(usize),
+    /// Spell the `n`-th ASCII letter or digit as a `\u00XX` escape.
+    Escape(usize),
+    /// Swap two of the eight top-level key names.
+    SwapKeys(usize, usize),
+    /// Move `"dur_ms":…` to the front of the object.
+    DurFirst,
+    /// Append spaces.
+    Trailing(usize),
+}
+
+/// What a mutation writes: the punctuation and digits the format is
+/// made of, whitespace, escapes' letters and a few non-ASCII.
+const MUTANTS: &[char] = &[
+    '0', '1', '9', '-', '+', '.', 'e', 'E', ' ', '"', '\\', 'u', '{', '}', ':', ',', '[', '\n',
+    '\r', '\t', '\u{0}', 'A', 'a', 'n', '/', 'é', '😀',
+];
+
+const KEYS: [&str; 8] = [
+    "\"ts_ms\":",
+    "\"trace_id\":",
+    "\"span_id\":",
+    "\"parent_id\":",
+    "\"span\":",
+    "\"phase\":",
+    "\"labels\":",
+    "\"dur_ms\":",
+];
+
+fn mutation() -> impl Strategy<Value = Mutation> {
+    (0usize..8, any::<usize>(), 0..MUTANTS.len(), 0usize..8).prop_map(|(pick, n, c, k)| {
+        match pick {
+            0 => Mutation::Replace(n, MUTANTS[c]),
+            1 => Mutation::Insert(n, MUTANTS[c]),
+            2 => Mutation::Delete(n),
+            3 => Mutation::Truncate(n),
+            4 => Mutation::Escape(n),
+            5 => Mutation::SwapKeys(k, n % KEYS.len()),
+            6 => Mutation::DurFirst,
+            _ => Mutation::Trailing(1 + k % 3),
+        }
+    })
+}
+
+fn mutate(line: &str, m: &Mutation) -> String {
+    let mut chars: Vec<char> = line.chars().collect();
+    let at = |n: usize, len: usize| if len == 0 { 0 } else { n % len };
+    match *m {
+        Mutation::Replace(n, c) if !chars.is_empty() => {
+            let i = at(n, chars.len());
+            chars[i] = c;
+        }
+        Mutation::Insert(n, c) => chars.insert(at(n, chars.len() + 1), c),
+        Mutation::Delete(n) if !chars.is_empty() => {
+            chars.remove(at(n, chars.len()));
+        }
+        Mutation::Truncate(n) => chars.truncate(at(n, chars.len())),
+        Mutation::Escape(n) => {
+            let alnum: Vec<usize> = (0..chars.len())
+                .filter(|&i| chars[i].is_ascii_alphanumeric())
+                .collect();
+            if !alnum.is_empty() {
+                let i = alnum[n % alnum.len()];
+                let escape = format!("\\u{:04x}", chars[i] as u32);
+                chars.splice(i..=i, escape.chars());
+            }
+        }
+        Mutation::SwapKeys(a, b) => {
+            let (ka, kb) = (KEYS[a], KEYS[b]);
+            return line
+                .replacen(ka, "\u{1}", 1)
+                .replacen(kb, ka, 1)
+                .replacen('\u{1}', kb, 1);
+        }
+        Mutation::DurFirst => {
+            if let Some(at) = line.rfind(",\"dur_ms\":") {
+                let dur = &line[at + 1..line.len() - 1];
+                return format!("{{{dur},{}}}", &line[1..at]);
+            }
+        }
+        Mutation::Trailing(n) => chars.extend(std::iter::repeat_n(' ', n)),
+        _ => {}
+    }
+    chars.into_iter().collect()
+}
+
+/// Whether `parse_trace` kept its contract on `text`: a refusal, or
+/// events whose encodings are the text's non-blank lines.
+fn refused_or_canonical(text: &str) -> Result<(), String> {
+    match parse_trace(text) {
+        Err(e) if e.starts_with("line ") => Ok(()),
+        Err(e) => Err(format!("refused without naming the line: {e}")),
+        Ok(events) => {
+            let lines: Vec<&str> = text.split('\n').filter(|l| !l.trim().is_empty()).collect();
+            let encoded: Vec<String> = events.iter().map(TraceEvent::to_json_line).collect();
+            if lines == encoded {
+                Ok(())
+            } else {
+                Err(format!("accepted {text:?} as {encoded:?}"))
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Edited canonical lines — characters flipped, inserted, deleted,
+    /// the line cut short, letters spelled as `\u00XX`, keys swapped or
+    /// reordered, trailing spaces — never panic the reader, and each
+    /// is either refused (naming its line) or read as the event whose
+    /// encoding it is.
+    #[test]
+    fn a_mutated_line_is_refused_or_its_own_encoding(
+        ops in proptest::collection::vec(op(), 0..6),
+        (span, phase, last) in (text(5), text(5), labels()),
+        pick in any::<usize>(),
+        edits in proptest::collection::vec(mutation(), 1..4),
+    ) {
+        // At least one event: a point after whatever `ops` did.
+        let ops: Vec<Op> = ops.into_iter().chain([Op::Point(span, phase, last)]).collect();
+        let (sink, _) = run(&ops);
+        let jsonl = sink.to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let mut line = lines[pick % lines.len()].to_string();
+        for edit in &edits {
+            line = mutate(&line, edit);
+            prop_assert_eq!(refused_or_canonical(&line), Ok(()));
+        }
+        // In a file, after a line that reads.
+        let text = format!("{}\n{line}\n", lines[0]);
+        prop_assert_eq!(refused_or_canonical(&text), Ok(()));
+    }
+}
+
+/// splitmix64: the oracle's own generator, so a failure names a seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// Up to `max` characters of [`ALPHABET`]: every escape the
+    /// encoder writes, multi-byte UTF-8 and JSON punctuation.
+    fn text(&mut self, max: usize) -> String {
+        let len = self.below(max + 1);
+        (0..len).map(|_| ALPHABET[self.below(ALPHABET.len())]).collect()
+    }
+
+    /// Any `u64`, with the ends of the range and 2^53 ± 1 drawn often.
+    fn id(&mut self) -> u64 {
+        match self.below(8) {
+            0 => u64::MAX,
+            1 => (1 << 53) + self.below(3) as u64 - 1,
+            2 => self.next() % 1000,
+            _ => self.next(),
+        }
+    }
+
+    /// Any double, non-finite and negative ones included.
+    fn dur(&mut self) -> f64 {
+        match self.below(8) {
+            0 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0][self.below(5)],
+            1 => -((self.next() % 1000) as f64) / 8.0,
+            2 => (self.next() % 100_000) as f64 / 1000.0,
+            _ => f64::from_bits(self.next()),
+        }
+    }
+}
+
+/// The full reader oracle: a million random events — timestamps and
+/// ids over the whole `u64` range, every escape, non-finite and
+/// negative durations — through a sink, `to_jsonl` and `parse_trace`,
+/// and as free-standing lines with ids no sink hands out; then random
+/// single-byte edits of the lines. Seconds in a release build:
+/// `cargo test --release -p entitlement-obs -- --ignored`.
+#[test]
+#[ignore = "a million events: run it in release"]
+fn a_million_random_events_read_back_as_written() {
+    const BATCHES: usize = 100;
+    const EVENTS: usize = 10_000;
+    let mut rng = Rng(0x5EED_7ACE_0000_0001);
+    let (mut mutated, mut accepted) = (0u64, 0u64);
+    for batch in 0..BATCHES {
+        let sink = TraceSink::new();
+        let mut written = Vec::with_capacity(EVENTS);
+        for _ in 0..EVENTS {
+            let (ts_ms, dur_ms) = (rng.id(), rng.dur());
+            let (span, phase) = (rng.text(4), rng.text(4));
+            let mut labels: Vec<(String, String)> =
+                (0..rng.below(4)).map(|_| (rng.text(3), rng.text(6))).collect();
+            let mut timer = sink.child(ts_ms, dur_ms, &span, &phase);
+            for (k, v) in &labels {
+                timer.add_label(k, v);
+            }
+            drop(timer);
+            labels.sort();
+            written.push((ts_ms, on_the_wire(dur_ms), span, phase, labels));
+        }
+        let events = sink.events();
+        let jsonl = sink.to_jsonl();
+        assert_eq!(parse_trace(&jsonl).as_ref(), Ok(&events), "batch {batch}");
+        assert_eq!(events.len(), EVENTS);
+        for ((e, (ts_ms, dur_ms, span, phase, labels)), line) in
+            events.iter().zip(&written).zip(jsonl.lines())
+        {
+            assert_eq!(
+                (e.ts_ms, e.dur_ms.to_bits(), &e.span, &e.phase, &e.labels),
+                (*ts_ms, dur_ms.to_bits(), span, phase, labels),
+                "batch {batch}: {line}"
+            );
+            // The same event under ids over the whole range.
+            let far = TraceEvent {
+                trace_id: rng.id(),
+                span_id: rng.id().max(1),
+                parent_id: rng.id(),
+                ..e.clone()
+            };
+            let far_line = far.to_json_line();
+            assert_eq!(parse_trace(&far_line), Ok(vec![far]), "{far_line}");
+            // One byte of the line replaced by any byte.
+            let mut bytes = line.as_bytes().to_vec();
+            let at = rng.below(bytes.len());
+            bytes[at] = rng.next() as u8;
+            if let Ok(text) = String::from_utf8(bytes) {
+                mutated += 1;
+                accepted += u64::from(parse_trace(&text).is_ok());
+                assert_eq!(refused_or_canonical(&text), Ok(()), "{line}");
+            }
+        }
+    }
+    // About half the edits leave UTF-8 (a byte above 0x7f rarely
+    // does). Most break the line; a few land on a digit or a label's
+    // text and make another event, which must then be their encoding.
+    assert!(mutated > (BATCHES * EVENTS) as u64 * 2 / 5, "{mutated} edits were UTF-8");
+    assert!(accepted > 0 && accepted < mutated / 2, "{accepted} of {mutated} edits read");
 }

@@ -378,18 +378,18 @@ fn a_traced_index_admit_allocates_at_most_twice_amortised() {
     });
     // One event per admit: the slot state is a label on the span.
     assert_eq!(obs.trace.len(), ADMITS);
-    // What is left is the pages, their record vectors and the first
-    // registration of each metric cell, looked up once for the
-    // registry, and one float memo: 42 since the first page is
-    // allocated at its full size instead of growing (68 before, 81 with
-    // per-admit lookups), where the owned-event sink made some 45 per
-    // admit.
+    // What is left is the pages and the first registration of each
+    // metric cell, looked up once for the registry, and one float
+    // memo: 38 since a page is its text alone (42 with a record vector
+    // beside it, 68 before the first page was allocated at its full
+    // size, 81 with per-admit lookups), where the owned-event sink made
+    // some 45 per admit.
     assert!(n <= 46, "{n} allocations over {ADMITS} traced admits");
 }
 
 /// A dropped sink leaves its pages to the next sink on its thread: a
 /// second storm of the same size, on a fresh `Obs`, writes its trace
-/// into them and allocates no page text and no record vector. Both
+/// into them and allocates no page. Both
 /// storms run on a thread of their own, so no earlier sink's pages are
 /// waiting for the first.
 #[test]
@@ -419,10 +419,11 @@ fn a_second_traced_storm_writes_into_the_first_ones_pages() {
         .expect("the storms' thread")
     });
     assert_eq!(first.1, second.1, "the same trace");
-    // The 4.1 MB trace fills four pages, a text and a record vector
-    // each; the first storm also grows the thread's spare store to hold
-    // them when its sink drops. 45 and 36 when this was pinned.
-    assert_eq!(first.0 - second.0, 4 * 2 + 1, "{first:?} then {second:?}");
+    // The 4.1 MB trace fills four pages; the first storm also grows the
+    // thread's spare store to hold them when its sink drops. 45 and 36
+    // when this was pinned, with a record vector beside each page's text
+    // (4 × 2 + 1); 41 and 36 since a page is its text alone.
+    assert_eq!(first.0 - second.0, 4 + 1, "{first:?} then {second:?}");
     assert!(second.0 <= 40, "{} allocations in the second storm", second.0);
 }
 
@@ -611,4 +612,27 @@ fn a_fleet_run_holds_eight_bytes_a_host_and_one_more_for_a_pass() {
         (0.9..1.1).contains(&groups),
         "a pass adds {groups:.2} bytes a host, not the group ids' one"
     );
+}
+
+/// A fleet run with per-shard SLIs folds one `IntervalObs` per shard a
+/// cycle. Their entities are built once per run, like the KV keys, so
+/// what the SLIs allocate does not grow with the cycle count; built per
+/// cycle, each cost a `format!` and a clone, two allocations a shard.
+#[test]
+fn per_shard_slis_allocate_independently_of_the_cycle_count() {
+    let slis = |cycles: usize| {
+        let run = |per_shard_slis: bool| {
+            let config = FleetConfig {
+                hosts: 2_000,
+                shards: 8,
+                cycles,
+                per_shard_slis,
+                ..FleetConfig::default()
+            };
+            allocations(|| run_fleet_engine(&config).expect("a valid fleet")).0
+        };
+        run(true) - run(false)
+    };
+    let (short, long) = (slis(8), slis(32));
+    assert_eq!(short, long, "the SLIs of 8 cycles, then of 32");
 }

@@ -247,10 +247,11 @@ fn summarize_by_label_groups_outcomes() {
     assert!(stdout.contains("p95_ms"), "histogram columns present:\n{stdout}");
 }
 
-/// A trace line whose id the JSON reader cannot hold exactly is
-/// refused with its line and key: `obs summarize --tree` exits 1 and
-/// prints no tree, where it used to round the id and hang the span
-/// under whichever parent the rounded value named.
+/// Trace ids are read from their digits, exact for every `u64`: an id
+/// of twenty digits comes back as written (the f64 reader before it
+/// read `…962` as `…976`, then refused it), and what is not a `u64` —
+/// an exponent, one past `u64::MAX` — is refused with its line and
+/// key: `obs summarize --tree` exits 1 and prints no table.
 #[test]
 fn summarize_refuses_an_id_it_cannot_read_exactly() {
     let good = tmp("exact_ids.jsonl");
@@ -263,21 +264,25 @@ fn summarize_refuses_an_id_it_cannot_read_exactly() {
              \"span\":\"x\",\"phase\":\"y\",\"labels\":{{}},\"dur_ms\":0}}"
         )
     };
-    let doctored = [
-        ("parent_id", event("900001", "16131454690887550962")),
-        ("span_id", event("1e300", "1")),
-    ];
-    for (key, line) in doctored {
-        let bad = tmp(&format!("inexact_{key}.jsonl"));
-        std::fs::write(&bad, format!("{text}{line}\n")).expect("write the doctored trace");
-        let out = ctl()
+    let summarize = |name: &str, line: &str| {
+        let doctored = tmp(name);
+        std::fs::write(&doctored, format!("{text}{line}\n")).expect("write the doctored trace");
+        ctl()
             .args(["obs", "summarize", "--tree"])
-            .arg(&bad)
+            .arg(&doctored)
             .output()
-            .expect("summarize --tree");
+            .expect("summarize --tree")
+    };
+    // Read exactly: the tree names the parent no event has, digit for digit.
+    let out = summarize("exact_parent.jsonl", &event("900001", "16131454690887550962"));
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unresolved parent_id 16131454690887550962"), "{stderr}");
+    for (name, value) in [("exponent", "1e300"), ("past_max", "18446744073709551616")] {
+        let out = summarize(&format!("inexact_{name}.jsonl"), &event(value, "1"));
         assert_eq!(out.status.code(), Some(1), "{out:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let want = format!("line {}: `{key}` exceeds 2^53 and cannot be read exactly", lines + 1);
+        let want = format!("line {}: cannot read `span_id`", lines + 1);
         assert!(stderr.contains(&want), "names the line and the key:\n{stderr}");
         assert!(out.stdout.is_empty(), "no table, no tree: {out:?}");
     }

@@ -353,6 +353,26 @@ fn telemetry_bytes_match_the_pinned_digests() {
     assert_eq!(digest(&admits), ADMITS_TRACE_PIN, "admits: trace bytes moved");
 }
 
+/// Every pinned trace reads back through `parse_trace` as exactly the
+/// events the live sink holds, and each line it read re-encodes to the
+/// same bytes: the file and the in-memory view cannot differ.
+#[test]
+fn pinned_traces_read_back_as_the_sink_holds_them() {
+    let runs = [
+        ("storm", seeded_storm(4960).0),
+        ("drill", seeded_drill(0xE17).0),
+        ("fleet", seeded_fleet(0xF1EE7).0),
+        ("admits", seeded_admits()),
+    ];
+    for (name, obs) in runs {
+        let jsonl = obs.trace.to_jsonl();
+        let events = parse_trace(&jsonl).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(events, obs.trace.events(), "{name}: file and sink disagree");
+        let encoded: String = events.iter().map(|e| e.to_json_line() + "\n").collect();
+        assert!(encoded == jsonl, "{name}: a line re-encodes to other bytes");
+    }
+}
+
 // (byte length, FNV-1a-64 — `kvstore::key_hash`). Regenerated with
 // trace-schema v4: a metered tick is one `slo/cycle` event (the
 // `slo/interval` labels, `good` included, plus `conform_fraction`,
