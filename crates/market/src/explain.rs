@@ -7,29 +7,43 @@
 //! — for a denial or a partial grant — the binding failure scenario
 //! with its dead links; see
 //! [`crate::market::EntitlementMarket::admit_obs`]), and parent ids tie
-//! the admit to its `sweep_fallback` / `risk` descendants. A
-//! trace-schema v2 recording (the slot state in an `index_probe` child,
-//! the provenance on every admit) explains exactly as it always did.
+//! the admit to its `sweep_fallback` / `risk` descendants. Rates are
+//! read in bps through [`AdmitObs::decode`] and printed in Gbps; a
+//! trace from before schema v5 (no `ask_bps`) is refused. Under a
+//! counting clock a duration counts clock reads, not time.
 //! `entitlectl explain` feeds a parsed trace through
 //! [`explain_request`]; no market state, topology, or replay is needed
 //! — the trace is the audit record.
 
 use entitlement_obs::tree::{build_span_forest, critical_path, SpanForest};
-use entitlement_obs::TraceEvent;
+use entitlement_obs::{BadLabel, TraceEvent};
+use entitlement_slo::watch::AdmitObs;
 use std::fmt::Write as _;
 
 fn label<'a>(e: &'a TraceEvent, key: &str) -> &'a str {
     e.label(key).unwrap_or("?")
 }
 
-/// Indices of all `market`/`admit` events, in emit order.
-fn admit_events(events: &[TraceEvent]) -> Vec<usize> {
-    events
+/// An admit's event index, rates and (if written) headroom in bps.
+type Admit = (usize, AdmitObs, Option<f64>);
+
+/// Every `market`/`admit` span, in emit order, decoded; the first that
+/// does not decode is named as the watchdog names it.
+fn admit_events(events: &[TraceEvent]) -> Result<Vec<Admit>, String> {
+    let admits = events
         .iter()
         .enumerate()
         .filter(|(_, e)| e.span == "market" && e.phase == "admit")
-        .map(|(i, _)| i)
-        .collect()
+        .map(|(i, e)| {
+            let headroom = e.label("headroom_bps").map(|_| e.num("headroom_bps"));
+            Ok((i, AdmitObs::decode(e)?, headroom.transpose()?))
+        })
+        .collect::<Result<Vec<Admit>, BadLabel>>()
+        .map_err(|bad| bad.to_string())?;
+    if admits.is_empty() {
+        return Err("trace contains no market/admit spans".to_string());
+    }
+    Ok(admits)
 }
 
 /// Explain one admission decision by its stable `request` ordinal.
@@ -37,16 +51,13 @@ fn admit_events(events: &[TraceEvent]) -> Vec<usize> {
 /// # Errors
 ///
 /// Returns a message when no `market`/`admit` span carries the
-/// requested ordinal (or the trace has no admit spans at all).
+/// requested ordinal, the trace has no admit spans at all, or an admit
+/// does not decode.
 pub fn explain_request(events: &[TraceEvent], request: u64) -> Result<String, String> {
-    let admits = admit_events(events);
-    if admits.is_empty() {
-        return Err("trace contains no market/admit spans".to_string());
-    }
-    let node = admits
+    let admits = admit_events(events)?;
+    let admit = admits
         .iter()
-        .copied()
-        .find(|&i| events[i].parsed("request") == Ok(request))
+        .find(|(_, rates, _)| rates.request == request)
         .ok_or_else(|| {
             format!(
                 "no market/admit span with request ordinal {request} \
@@ -58,7 +69,7 @@ pub fn explain_request(events: &[TraceEvent], request: u64) -> Result<String, St
     // provenance but whose surroundings are malformed; the explanation
     // then degrades to the ledger labels without the causal subtree.
     let forest = build_span_forest(events).ok();
-    Ok(render_one(events, forest.as_ref(), node))
+    Ok(render_one(events, forest.as_ref(), admit))
 }
 
 /// Explain every **denied** admission in the trace, in request order.
@@ -67,16 +78,13 @@ pub fn explain_request(events: &[TraceEvent], request: u64) -> Result<String, St
 ///
 /// # Errors
 ///
-/// Returns a message when the trace has no admit spans.
+/// Returns a message when the trace has no admit spans or an admit
+/// does not decode.
 pub fn explain_denied(events: &[TraceEvent]) -> Result<String, String> {
-    let admits = admit_events(events);
-    if admits.is_empty() {
-        return Err("trace contains no market/admit spans".to_string());
-    }
-    let denied: Vec<usize> = admits
+    let admits = admit_events(events)?;
+    let denied: Vec<&Admit> = admits
         .iter()
-        .copied()
-        .filter(|&i| events[i].label("outcome") == Some("denied"))
+        .filter(|(i, _, _)| events[*i].label("outcome") == Some("denied"))
         .collect();
     let mut out = String::new();
     let _ = writeln!(
@@ -86,62 +94,59 @@ pub fn explain_denied(events: &[TraceEvent]) -> Result<String, String> {
         denied.len()
     );
     let forest = build_span_forest(events).ok();
-    for &node in &denied {
+    for admit in denied {
         out.push('\n');
-        out.push_str(&render_one(events, forest.as_ref(), node));
+        out.push_str(&render_one(events, forest.as_ref(), admit));
     }
     Ok(out)
 }
 
 /// The causal explanation of one admit span.
-fn render_one(events: &[TraceEvent], forest: Option<&SpanForest>, node: usize) -> String {
+fn render_one(events: &[TraceEvent], forest: Option<&SpanForest>, admit: &Admit) -> String {
+    // Rates print in Gbps, `{}` of `bps / 1e9`.
+    let (node, rates, headroom) = (admit.0, &admit.1, admit.2.map(|bps| bps / 1e9));
     let e = &events[node];
     let mut out = String::new();
     let _ = writeln!(
         out,
         "request #{}: {} asks {} Gbps {}->{} ({}, {})",
-        label(e, "request"),
+        rates.request,
         label(e, "npg"),
-        label(e, "ask_gbps"),
+        rates.ask_bps / 1e9,
         label(e, "src"),
         label(e, "dst"),
         label(e, "bucket"),
         label(e, "slice"),
     );
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "  decision: {} {} Gbps via {} path (index epoch {}",
+        "  decision: {} {} Gbps via {} path (index epoch {}, slot {})",
         label(e, "outcome"),
-        label(e, "granted_gbps"),
-        label(e, "path"),
+        rates.granted_bps / 1e9,
+        rates.path,
         label(e, "epoch"),
+        label(e, "state"),
     );
-    // Schema v3 names the slot state on the admit itself; in v2 it is
-    // the `index_probe` child's, printed with the causal subtree.
-    let state = e.label("state");
-    if let Some(state) = state {
-        let _ = write!(out, ", slot {state}");
-    }
-    out.push_str(")\n");
     let _ = writeln!(
         out,
         "  residual headroom: {} Gbps before -> {} Gbps after",
-        label(e, "residual_before_gbps"),
-        label(e, "residual_after_gbps"),
+        rates.residual_before_bps / 1e9,
+        rates.residual_after_bps / 1e9,
     );
-    // v3 writes the provenance only where the verdict reads it; every
-    // v2 admit printed this line, `?`s and all.
-    if state.is_none() || e.label("headroom_gbps").is_some() {
+    // The provenance is written only where the verdict reads it.
+    if let Some(headroom) = headroom {
         let _ = writeln!(
             out,
-            "  physical headroom: {} Gbps, bound by scenario `{}` (links {}, p={})",
-            label(e, "headroom_gbps"),
+            "  physical headroom: {headroom} Gbps, bound by scenario `{}` (links {}, p={})",
             label(e, "binding_scenario"),
             label(e, "binding_links"),
             label(e, "binding_p"),
         );
     }
-    out.push_str(&verdict(e));
+    // What prints as `0`: exactly +0.
+    let zero = |gbps: f64| gbps.to_bits() == 0;
+    let residual_zero = zero(rates.residual_before_bps / 1e9);
+    out.push_str(&verdict(e, headroom.is_some_and(zero), residual_zero));
     if let Some(forest) = forest {
         let _ = writeln!(out, "  causal trace:");
         render_subtree(events, forest, node, 2, &mut out);
@@ -156,12 +161,10 @@ fn render_one(events: &[TraceEvent], forest: Option<&SpanForest>, node: usize) -
 }
 
 /// One plain-language sentence naming the bottleneck.
-fn verdict(e: &TraceEvent) -> String {
+fn verdict(e: &TraceEvent, headroom_zero: bool, residual_zero: bool) -> String {
     let pair = format!("{}->{}", label(e, "src"), label(e, "dst"));
     let scenario = label(e, "binding_scenario");
     let links = label(e, "binding_links");
-    let headroom_zero = e.label("headroom_gbps") == Some("0");
-    let residual_zero = e.label("residual_before_gbps") == Some("0");
     let body = match label(e, "outcome") {
         _ if e.label("rejected").is_some() => format!(
             "the request was refused for its {}: nothing was looked up, \
@@ -230,7 +233,7 @@ mod tests {
     use super::*;
     use crate::market::EntitlementMarket;
     use crate::slice::SliceGrid;
-    use crate::storm::{generate_storm, run_storm, StormConfig};
+    use crate::storm::{generate_storm, StormConfig};
     use entitlement_approval::ApprovalConfig;
     use entitlement_core::{Quarter, QosBucket};
     use entitlement_obs::{Clock, Obs};
@@ -253,7 +256,9 @@ mod tests {
             ..Default::default()
         };
         let reqs = generate_storm(&market, &buckets, &sc);
-        run_storm(&mut market, &reqs, &obs);
+        for req in &reqs {
+            market.admit_obs(req, &obs);
+        }
         obs.trace.events()
     }
 
@@ -331,25 +336,72 @@ mod tests {
         assert!(!text.contains("physical headroom"), "nothing was looked up: {text}");
     }
 
-    /// A recording made before trace-schema v3 — the slot state in an
-    /// `index_probe` child, the provenance on every admit — explains
-    /// byte for byte as it did when it was made: every denial, then
-    /// every request by ordinal. The fixture is a 12-ask storm (seed
-    /// 11, asks up to 2 000 Gbps, all eight buckets) on
-    /// `BackboneSpec::small(7)` with single cuts, then the first ask's
-    /// slot asked for everything, the first ask again (a sweep) and an
-    /// ask for a slice past the grid (rejected).
+    /// The fixture's storm: 12 asks (seed 11, asks up to 2 000 Gbps,
+    /// all eight buckets) on `BackboneSpec::small(7)` with single cuts,
+    /// warmed untraced, then the first ask's slot asked for everything,
+    /// the first ask again (a sweep) and an ask for a slice past the
+    /// grid (rejected), all traced under a counting clock.
+    fn fixture_trace() -> String {
+        use crate::market::AdmitRequest;
+        use crate::slice::SliceId;
+        use entitlement_core::Rate;
+        let grid = SliceGrid::quarterly(Quarter(0), 30);
+        let config = ApprovalConfig {
+            max_cuts: 1,
+            ..Default::default()
+        };
+        let mut market = EntitlementMarket::new(BackboneSpec::small(7).build(), grid, config);
+        let buckets = QosBucket::approval_order();
+        market.warm(&buckets, &Obs::disabled());
+        let sc = StormConfig {
+            requests: 12,
+            seed: 11,
+            max_ask_gbps: 2000.0,
+            ..Default::default()
+        };
+        let mut reqs = generate_storm(&market, &buckets, &sc);
+        let first = reqs[0];
+        reqs.push(AdmitRequest {
+            ask: Rate::gbps(1e9),
+            ..first
+        });
+        reqs.push(first);
+        reqs.push(AdmitRequest {
+            slice: SliceId(grid.slice_count()),
+            ..first
+        });
+        let obs = Obs::new(Clock::counting(1));
+        for req in &reqs {
+            market.admit_obs(req, &obs);
+        }
+        obs.trace.to_jsonl()
+    }
+
+    /// A v5 recording explains byte for byte as it did when it was
+    /// made: every denial, then every request by ordinal. The storm
+    /// still records those bytes.
     #[test]
-    fn a_v2_trace_explains_as_it_always_did() {
-        let jsonl = include_str!("../tests/fixtures/explain_v2.jsonl");
+    fn a_v5_trace_explains_as_it_always_did() {
+        let jsonl = include_str!("../tests/fixtures/explain_v5.jsonl");
+        assert_eq!(fixture_trace(), jsonl, "the fixture is the storm's recording");
         let events = entitlement_obs::parse_trace(jsonl).expect("the fixture parses");
-        assert!(events.iter().any(|e| e.phase == "index_probe"));
         let mut text = explain_denied(&events).unwrap();
-        for request in 0..admit_events(&events).len() as u64 {
+        for request in 0..admit_events(&events).unwrap().len() as u64 {
             text.push('\n');
             text.push_str(&explain_request(&events, request).unwrap());
         }
-        assert_eq!(text, include_str!("../tests/fixtures/explain_v2.txt"));
+        assert_eq!(text, include_str!("../tests/fixtures/explain_v5.txt"));
+    }
+
+    /// A trace-schema v4 admit (rates in Gbps) is refused, naming the
+    /// admit and the label it lacks.
+    #[test]
+    fn a_v4_trace_is_refused() {
+        let v4 = fixture_trace().replace("_bps\"", "_gbps\"");
+        let events = entitlement_obs::parse_trace(&v4).expect("v4 parses");
+        let want = "market/admit event span_id 1: label `ask_bps` is missing";
+        assert_eq!(explain_denied(&events).unwrap_err(), want);
+        assert_eq!(explain_request(&events, 0).unwrap_err(), want);
     }
 
     #[test]

@@ -45,4 +45,4 @@ pub use market::{
     AdmitDecision, AdmitOutcome, AdmitPath, AdmitRequest, EntitlementMarket,
 };
 pub use slice::{SliceGrid, SliceId};
-pub use storm::{generate_storm, run_storm, run_storm_with, StormConfig, StormReport};
+pub use storm::{generate_storm, run_storm_with, StormConfig, StormReport};

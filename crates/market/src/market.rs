@@ -118,7 +118,7 @@ pub struct AdmitDecision {
 }
 
 impl AdmitDecision {
-    fn new(ask: Rate, granted: Rate, path: AdmitPath) -> AdmitDecision {
+    fn new(ask: Rate, granted: Rate, path: AdmitPath, residual_before: Rate) -> AdmitDecision {
         let outcome = if granted.is_zero() {
             AdmitOutcome::Denied
         } else if granted.as_bps() >= ask.as_bps() {
@@ -130,8 +130,8 @@ impl AdmitDecision {
             granted,
             outcome,
             path,
-            residual_before: Rate::ZERO,
-            residual_after: Rate::ZERO,
+            residual_before,
+            residual_after: (residual_before - granted).clamp_zero(),
         }
     }
 }
@@ -176,6 +176,8 @@ pub struct EntitlementMarket {
     /// can address one decision without positional indexing. Counts
     /// every admit, traced or not, so ordinals match across runs.
     admit_seq: u64,
+    /// What [`EntitlementMarket::last_admit_ms`] reads.
+    last_admit_ms: f64,
     /// The traced admit's metric cells in the registry it last recorded
     /// into: looked up once per registry, not on every admit.
     metrics: PerRegistry<AdmitMetrics>,
@@ -204,6 +206,7 @@ impl EntitlementMarket {
             index,
             grants: HashMap::default(),
             admit_seq: 0,
+            last_admit_ms: 0.0,
             metrics: PerRegistry::default(),
         }
     }
@@ -458,11 +461,13 @@ impl EntitlementMarket {
     /// table, the ledger or the plan sees it. It takes its `request`
     /// ordinal and, traced, its `market`/`admit` span (labelled
     /// `rejected`) like any other, and reports [`AdmitPath::Index`]: it
-    /// was decided in O(1) and no sweep ran.
+    /// was decided in O(1) and no sweep ran. Its latency is two clock
+    /// reads, the span's open and close (or untraced, the same two).
     pub fn admit_obs(&mut self, req: &AdmitRequest, obs: &Obs) -> AdmitDecision {
         let seq = self.admit_seq;
         self.admit_seq += 1;
-        let t0 = obs.clock.now_ms();
+        let traced = obs.enabled();
+        let t0 = if traced { 0 } else { obs.clock.now_ms() };
         let mut span = obs.span("market", "admit");
         let key = IndexKey {
             src: req.src,
@@ -470,7 +475,6 @@ impl EntitlementMarket {
             bucket: req.bucket,
             slice: req.slice,
         };
-        let traced = obs.enabled();
         let epoch = self.index.epoch();
         let rejected = self.rejection(req);
         // The one borrow of the table an index-path admit makes.
@@ -499,9 +503,7 @@ impl EntitlementMarket {
                 (AdmitPath::Sweep, available, granted)
             }
         };
-        let mut decision = AdmitDecision::new(req.ask, granted, path);
-        decision.residual_before = residual_before;
-        decision.residual_after = (residual_before - decision.granted).clamp_zero();
+        let decision = AdmitDecision::new(req.ask, granted, path, residual_before);
         if !decision.granted.is_zero() {
             let mkey = MarketKey {
                 npg: req.npg,
@@ -512,17 +514,16 @@ impl EntitlementMarket {
         }
         if traced {
             // Decision-provenance ledger: everything `entitlectl
-            // explain` needs to reconstruct *why*, carried on the span
-            // itself so the trace alone is sufficient evidence, and the
-            // slot state the probe found (`state`, last in key order).
-            // The binding scenario and the slot's physical headroom are
+            // explain` and the watchdog need, carried on the span itself
+            // so the trace alone is sufficient evidence, and the slot
+            // state the probe found (`state`, last in key order). The
+            // binding scenario and the slot's physical headroom are
             // written only when the ask was not granted in full: a full
             // grant's verdict never reads them. Written once, in key
-            // order (the sink's sort finds nothing to do),
-            // shortest-round-trip decimal Gbps throughout. The sink
-            // formats a float once per value and the same few repeat
-            // from admit to admit; only the `NaN` or `inf` of a
-            // rejected ask has to be spelled out.
+            // order, shortest-round-trip decimal bps (the index's unit,
+            // so a reader gets its bits back). The sink formats a float
+            // once per value; only the `NaN` or `inf` of a rejected ask
+            // has to be spelled out.
             let prov = match rejected {
                 None if decision.outcome != AdmitOutcome::Granted => self.index.provenance(&key),
                 _ => None,
@@ -534,7 +535,7 @@ impl EntitlementMarket {
                     span.add_label_fmt(key, v);
                 }
             };
-            float(&mut span, "ask_gbps", req.ask.as_gbps());
+            float(&mut span, "ask_bps", req.ask.as_bps());
             if let Some(prov) = prov {
                 span.add_label("binding_links", &prov.binding_links);
                 float(&mut span, "binding_p", prov.binding_probability);
@@ -543,9 +544,9 @@ impl EntitlementMarket {
             req.bucket.add_to(&mut span, "bucket");
             req.dst.add_to(&mut span, "dst");
             epoch.add_to(&mut span, "epoch");
-            float(&mut span, "granted_gbps", decision.granted.as_gbps());
+            float(&mut span, "granted_bps", decision.granted.as_bps());
             if let Some(prov) = prov {
-                float(&mut span, "headroom_gbps", prov.headroom.as_gbps());
+                float(&mut span, "headroom_bps", prov.headroom.as_bps());
             }
             req.npg.add_to(&mut span, "npg");
             span.add_label("outcome", decision.outcome.as_str());
@@ -554,21 +555,27 @@ impl EntitlementMarket {
                 span.add_label("rejected", why);
             }
             seq.add_to(&mut span, "request");
-            float(&mut span, "residual_after_gbps", decision.residual_after.as_gbps());
-            float(&mut span, "residual_before_gbps", residual_before.as_gbps());
+            float(&mut span, "residual_after_bps", decision.residual_after.as_bps());
+            float(&mut span, "residual_before_bps", residual_before.as_bps());
             req.slice.add_to(&mut span, "slice");
             req.src.add_to(&mut span, "src");
             span.add_label("state", probe.err().unwrap_or("fresh"));
         }
-        span.finish();
+        let untraced_ms = || obs.clock.now_ms().saturating_sub(t0) as f64;
+        self.last_admit_ms = span.finish_ms().unwrap_or_else(untraced_ms);
         if traced {
-            let dur_ms = obs.clock.now_ms().saturating_sub(t0);
             let registry = &obs.registry;
             let metrics = self.metrics.get(registry);
             metrics.admits(registry, &decision).inc();
-            metrics.latency(registry, decision.path).record(dur_ms as f64);
+            metrics.latency(registry, decision.path).record(self.last_admit_ms);
         }
         decision
+    }
+
+    /// The latency [`EntitlementMarket::admit_obs`] measured for the
+    /// last admit, in `obs.clock` ms (0 before the first).
+    pub fn last_admit_ms(&self) -> f64 {
+        self.last_admit_ms
     }
 
     /// Negotiate a hose request against the market's *warm* scenario

@@ -1,5 +1,6 @@
 //! Seeded admission storms: deterministic load for benchmarking and
-//! byte-identical trace replay.
+//! byte-identical trace replay, one `market`/`admit` event per
+//! admission.
 
 use crate::market::{AdmitDecision, AdmitOutcome, AdmitPath, AdmitRequest, EntitlementMarket};
 use crate::slice::SliceId;
@@ -101,17 +102,6 @@ impl StormReport {
     }
 }
 
-/// [`run_storm_with`] on a healthy network with nobody reading the
-/// watchdog: no cuts, no per-admit hook, a default evaluator.
-pub fn run_storm(
-    market: &mut EntitlementMarket,
-    requests: &[AdmitRequest],
-    obs: &Obs,
-) -> StormReport {
-    let no_cuts = |_| Vec::new();
-    run_storm_with(market, requests, obs, &mut WatchEvaluator::default(), no_cuts, |_, _| {})
-}
-
 /// Drive a storm through the market, tallying outcomes and paths and
 /// feeding the caller's watchdog fold.
 ///
@@ -119,12 +109,14 @@ pub fn run_storm(
 /// `report()` afterwards. Every admission feeds it one [`AdmitObs`] —
 /// the W0103 residual-monotonicity monitor (bit-exact against the
 /// index's own bps arithmetic) and the W0107 admit-latency CUSUM —
-/// emitting `watch`/`admit` (and any `watch`/`violation`,
-/// `watch`/`fire`|`clear`) trace events into `obs`. The latency sample
-/// is the logical clock delta around each admission, so under a
-/// counting clock the sweep path reads strictly slower than the warm
-/// index path. Re-folding the saved trace with `fold_trace` under the
-/// same policy reproduces the report byte-for-byte.
+/// emitting any `watch`/`violation` and `watch`/`fire`|`clear` trace
+/// events into `obs`. The observation is on the wire once, as the
+/// admit's `market`/`admit` span, so re-folding the saved trace with
+/// `fold_trace` reproduces the report byte for byte. Its latency is the
+/// one [`EntitlementMarket::last_admit_ms`] reads; the storm reads no
+/// clock. Under a counting clock a latency counts clock reads, so a
+/// sweep reads slower than an index hit, and a traced sweep, whose
+/// spans read the clock too, slower than an untraced one.
 ///
 /// `cuts(i)` is the fault schedule: the links dead while request `i`
 /// is served (logical time = request ordinal), handed to
@@ -143,9 +135,7 @@ pub fn run_storm_with(
     let mut report = StormReport::default();
     for (i, req) in requests.iter().enumerate() {
         market.set_faults(&cuts(i));
-        let t0 = obs.clock.now_ms();
         let d = market.admit_obs(req, obs);
-        let admit_ms = obs.clock.now_ms().saturating_sub(t0) as f64;
         report.tally(&d);
         watch.observe_admit(
             obs,
@@ -155,7 +145,7 @@ pub fn run_storm_with(
                 granted_bps: d.granted.as_bps(),
                 residual_before_bps: d.residual_before.as_bps(),
                 residual_after_bps: d.residual_after.as_bps(),
-                admit_ms,
+                admit_ms: market.last_admit_ms(),
                 path: d.path.as_str().to_string(),
             },
         );

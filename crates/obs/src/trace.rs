@@ -854,8 +854,8 @@ impl<'a> Armed<'a> {
     }
 
     /// Read the closing time, leave the open stack and append the
-    /// event, the last two under one lock.
-    fn close(self) {
+    /// event, the last two under one lock; returns its `dur_ms`.
+    fn close(self) -> f64 {
         let dur_ms = match self.clock {
             Some(clock) => clock.now_ms().saturating_sub(self.start_ms) as f64,
             None => self.dur_ms,
@@ -866,6 +866,7 @@ impl<'a> Armed<'a> {
             guard.open.retain(|&(id, _)| id != span_id);
         }
         guard.commit(self.ids, self.start_ms, dur_ms, self.scratch);
+        dur_ms
     }
 }
 
@@ -954,6 +955,13 @@ impl SpanTimer<'_> {
     /// End the span now (equivalent to dropping it).
     #[inline]
     pub fn finish(self) {}
+
+    /// End the span now and hand back its duration (an open span's
+    /// clock delta); `None` on a disabled sink, which read no clock.
+    #[inline]
+    pub fn finish_ms(mut self) -> Option<f64> {
+        self.0.take().map(Armed::close)
+    }
 }
 
 impl Drop for SpanTimer<'_> {
@@ -1071,6 +1079,20 @@ mod tests {
             events[0].labels,
             vec![("op".to_string(), "sum".to_string())]
         );
+    }
+
+    #[test]
+    fn finish_ms_hands_back_the_written_duration() {
+        let sink = TraceSink::new();
+        let clock = Clock::counting(3);
+        assert_eq!(sink.span(&clock, "a", "open").finish_ms(), Some(3.0));
+        assert_eq!(sink.child(7, 2.5, "a", "leaf").finish_ms(), Some(2.5));
+        let durations: Vec<f64> = sink.events().iter().map(|e| e.dur_ms).collect();
+        assert_eq!(durations, [3.0, 2.5]);
+        assert_eq!(clock.now_ms(), 6, "an open span reads the clock twice");
+        let off = TraceSink::disabled();
+        assert_eq!(off.span(&clock, "a", "off").finish_ms(), None);
+        assert_eq!(clock.now_ms(), 9, "a disabled span reads no clock");
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! writes; [`observe_shards`](WatchEvaluator::observe_shards) takes a
 //! sharded fold (W0102), written as `watch`/`shards`; and
 //! [`observe_admit`](WatchEvaluator::observe_admit) a market admission
-//! (W0103, W0107), written as `watch`/`admit`. Those events carry the
+//! (W0103, W0107), on the wire as its `market`/`admit` span, in bps;
+//! the latency is `dur_ms`, clock reads under a counting clock, so a
+//! traced sweep is slower than an untraced one. Those events carry the
 //! inputs, never the verdicts, so [`WatchEvaluator::fold_trace`]
 //! recomputes every finding and rebuilds a byte-identical
 //! [`WatchReport`] from the saved trace alone (`entitlectl watch`).

@@ -13,56 +13,46 @@ use std::collections::BTreeMap;
 
 pub use crate::eval::CycleObs;
 
-/// One market admission's health observation.
+/// One market admission's health observation. On the wire it is the
+/// admit's own `market`/`admit` span, written by the market.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AdmitObs {
     /// Monotone admission ordinal (the `request` span label).
     pub request: u64,
-    /// Requested rate, bits/s.
+    /// Requested rate, bits/s (`NaN` or `inf` for a rejected ask).
     pub ask_bps: f64,
     /// Granted rate, bits/s.
     pub granted_bps: f64,
     /// Residual headroom in the slot before the decision, bits/s —
-    /// kept in the market's own unit so the W0103 bit-compare runs the
-    /// exact arithmetic the index ran.
+    /// the market's own unit, so the W0103 bit-compare runs the exact
+    /// arithmetic the index ran.
     pub residual_before_bps: f64,
     /// Residual after the decrement, bits/s.
     pub residual_after_bps: f64,
-    /// Admission latency, logical ms.
+    /// Admission latency, logical ms (the span's `dur_ms`).
     pub admit_ms: f64,
     /// Serving path label (`index` / `sweep`).
     pub path: String,
 }
 
 impl AdmitObs {
-    /// The wire form: one `watch`/`admit` event carrying every field,
-    /// labels in key order.
-    fn encode(&self, obs: &Obs) {
-        obs.point("watch", "admit")
-            .label_f64("admit_ms", self.admit_ms)
-            .label_f64("ask_bps", self.ask_bps)
-            .label_f64("granted_bps", self.granted_bps)
-            .label("path", &self.path)
-            .label_fmt("request", self.request)
-            .label_f64("residual_after_bps", self.residual_after_bps)
-            .label_f64("residual_before_bps", self.residual_before_bps)
-            .finish();
-    }
-
-    /// Read a `watch`/`admit` event back. Every field is required.
+    /// Read a `market`/`admit` span back. Every field is required; the
+    /// ask may be non-finite (a rejected ask's `NaN` or `inf` is
+    /// spelled out), every other rate is a finite number.
     ///
     /// # Errors
     ///
     /// Names the first label that is missing or does not parse;
-    /// nothing is defaulted.
+    /// nothing is defaulted. A trace-schema v4 admit (rates in Gbps)
+    /// is refused at its missing `ask_bps`.
     pub fn decode(e: &TraceEvent) -> Result<AdmitObs, BadLabel> {
         Ok(AdmitObs {
             request: e.parsed("request")?,
-            ask_bps: e.num("ask_bps")?,
+            ask_bps: e.parsed("ask_bps")?,
             granted_bps: e.num("granted_bps")?,
             residual_before_bps: e.num("residual_before_bps")?,
             residual_after_bps: e.num("residual_after_bps")?,
-            admit_ms: e.num("admit_ms")?,
+            admit_ms: e.dur_ms,
             path: e.need("path")?.to_string(),
         })
     }
@@ -282,12 +272,12 @@ impl WatchEvaluator {
         }
     }
 
-    /// Fold one admission observation, emitting a `watch`/`admit`
-    /// event plus any W0103 violation / W0107 transition.
+    /// Fold one admission observation, emitting any W0103 violation /
+    /// W0107 transition. The observation is on the wire already, as
+    /// the admit's `market`/`admit` span.
     pub fn observe_admit(&mut self, obs: &Obs, o: &AdmitObs) {
         self.admit.admits += 1;
         let cycle = self.admit.admits;
-        o.encode(obs);
         if let Some(detail) = check_residual(
             o.residual_before_bps,
             o.residual_after_bps,
@@ -302,7 +292,7 @@ impl WatchEvaluator {
     }
 
     /// Rebuild the evaluator from a recorded trace: every `slo`/`cycle`,
-    /// `watch`/`shards`, and `watch`/`admit` event is re-observed
+    /// `watch`/`shards`, and `market`/`admit` event is re-observed
     /// against a disabled sink. Violations and transitions are
     /// recomputed from the observation stream, so the fold reproduces
     /// the live timeline exactly.
@@ -311,8 +301,8 @@ impl WatchEvaluator {
     /// or unparsable label); those are not folded, so a non-empty
     /// return means the report does not describe the run. A
     /// trace-schema v3 tick (`watch`/`cycle`, no `target` or `good`)
-    /// is one of them: an old trace is refused, never read as a run of
-    /// zero cycles.
+    /// and a v4 admit (no `ask_bps`) are among them: an old trace is
+    /// refused, never read as a run of zero cycles or admits.
     pub fn fold_trace(&mut self, events: &[TraceEvent]) -> Vec<BadLabel> {
         fold_events(events, |silent, e| {
             match (e.span.as_str(), e.phase.as_str()) {
@@ -322,7 +312,7 @@ impl WatchEvaluator {
                 ("watch", "shards") => decode_shards(e).map(|(entity, qos, total, partials)| {
                     self.observe_shards(silent, entity, qos, total, &partials);
                 }),
-                ("watch", "admit") => AdmitObs::decode(e).map(|o| self.observe_admit(silent, &o)),
+                ("market", "admit") => AdmitObs::decode(e).map(|o| self.observe_admit(silent, &o)),
                 _ => Ok(()),
             }
         })
@@ -397,6 +387,20 @@ mod tests {
             admit_ms: 2.0,
             path: "index".to_string(),
         }
+    }
+
+    /// The labels of `a`'s `market`/`admit` span that the watchdog
+    /// reads, as the market writes them, over `a.admit_ms`.
+    fn write_admit(obs: &Obs, a: &AdmitObs) {
+        obs.trace
+            .child(obs.clock.now_ms(), a.admit_ms, "market", "admit")
+            .label_f64("ask_bps", a.ask_bps)
+            .label_f64("granted_bps", a.granted_bps)
+            .label("path", &a.path)
+            .label_fmt("request", a.request)
+            .label_f64("residual_after_bps", a.residual_after_bps)
+            .label_f64("residual_before_bps", a.residual_before_bps)
+            .finish();
     }
 
     #[test]
@@ -584,9 +588,9 @@ mod tests {
         let jsonl = obs.trace.to_jsonl();
         let parsed = entitlement_obs::parse_trace(&jsonl).expect("valid trace");
         let phases: Vec<&str> = parsed.iter().map(|e| e.phase.as_str()).collect();
-        assert_eq!(phases, vec!["shards", "admit", "violation"]);
+        assert_eq!(phases, vec!["shards", "violation"]);
         assert!(parsed.iter().all(|e| e.span == "watch"));
-        let violation = &parsed[2];
+        let violation = &parsed[1];
         assert_eq!(violation.label("code"), Some("W0104"));
         assert_eq!(violation.label("entity"), Some("npg:2"));
     }
@@ -611,6 +615,22 @@ mod tests {
         assert_eq!(bad.len(), 1);
         assert_eq!((bad[0].event.as_str(), bad[0].key.as_str()), ("watch/cycle", "target"));
         assert_eq!(ev.report().cycles, 0);
+    }
+
+    #[test]
+    fn a_v4_admit_is_refused() {
+        let obs = Obs::new(Clock::counting(1));
+        obs.span("market", "admit")
+            .label("ask_gbps", "0.005")
+            .label("granted_gbps", "0.005")
+            .label("path", "index")
+            .label("request", "0")
+            .finish();
+        let mut ev = WatchEvaluator::default();
+        let bad = ev.fold_trace(&obs.trace.events());
+        assert_eq!(bad.len(), 1);
+        assert_eq!((bad[0].event.as_str(), bad[0].key.as_str()), ("market/admit", "ask_bps"));
+        assert_eq!(ev.report().admits, 0);
     }
 
     #[test]
@@ -641,6 +661,7 @@ mod tests {
                     a.admit_ms = 55.0;
                     a.path = "sweep".to_string();
                 }
+                write_admit(&obs, &a);
                 ev.observe_admit(&obs, &a);
             }
             if via_trace {

@@ -70,9 +70,7 @@ pub fn check_residual(
     ask_bps: f64,
 ) -> Option<String> {
     // A denial grants exactly zero whatever was asked, so a zero grant
-    // passes against any ask — also against one the trace's float
-    // policy rewrote (non-finite -> 0), which keeps an offline re-fold
-    // equal to the live verdict.
+    // passes against any ask, a rejected ask's `NaN` included.
     if !(granted_bps == 0.0 || (0.0..=ask_bps).contains(&granted_bps)) {
         return Some(format!(
             "granted {} is not within [0, ask {}]",

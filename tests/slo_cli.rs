@@ -124,6 +124,29 @@ fn a_v3_tick_is_refused_by_the_watchdog() {
     }
 }
 
+/// A trace-schema v4 market trace (rates in Gbps on `market/admit`, a
+/// `watch/admit` copy in bps) is refused by the watchdog and by
+/// `explain`: exit 1 and one stderr line naming the `market/admit`
+/// event and the `ask_bps` it lacks.
+#[test]
+fn a_v4_market_trace_is_refused_by_watch_and_explain() {
+    let v4 = tmp("v4_admit.jsonl");
+    let admit = r#"{"ts_ms":724,"trace_id":362,"span_id":362,"parent_id":0,"span":"market","phase":"admit","labels":{"ask_gbps":"0.11777390238570917","bucket":"c4_low","dst":"r2","epoch":"1","granted_gbps":"0.11777390238570917","npg":"npg:17","outcome":"granted","path":"index","request":"0","residual_after_gbps":"790.1614641798707","residual_before_gbps":"790.2792380822565","slice":"s4","src":"r0","state":"fresh"},"dur_ms":1}"#;
+    let copy = r#"{"ts_ms":728,"trace_id":363,"span_id":363,"parent_id":0,"span":"watch","phase":"admit","labels":{"admit_ms":"5","ask_bps":"117773902.38570917","granted_bps":"117773902.38570917","path":"index","request":"0","residual_after_bps":"790161464179.8707","residual_before_bps":"790279238082.2565"},"dur_ms":0}"#;
+    std::fs::write(&v4, format!("{admit}\n{copy}\n")).expect("write v4 trace");
+    for args in [&["watch"][..], &["explain", "--all-denied"], &["explain", "--request", "0"]] {
+        let out = ctl().args(args).arg(&v4).output().expect("spawn entitlectl");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: one line:\n{stderr}");
+        assert!(
+            stderr.contains("market/admit event span_id 362: label `ask_bps` is missing"),
+            "{args:?}:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+    }
+}
+
 /// A drill through the example KV outage audits dirty: exit 1, the
 /// violated (entity, QoS) named with its burn window, and the
 /// fire/clear alert pair visible in the report.

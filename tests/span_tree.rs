@@ -9,7 +9,7 @@
 use network_entitlement::approval::ApprovalConfig;
 use network_entitlement::core::{Quarter, QosBucket};
 use network_entitlement::market::{
-    generate_storm, run_storm, EntitlementMarket, SliceGrid, StormConfig,
+    generate_storm, EntitlementMarket, SliceGrid, StormConfig,
 };
 use network_entitlement::obs::{
     build_span_forest, check_well_formed, critical_path, Clock, Obs, TraceEvent,
@@ -59,7 +59,9 @@ fn market_trace(seed: u64, requests: usize) -> Vec<TraceEvent> {
         ..Default::default()
     };
     let reqs = generate_storm(&market, &buckets, &sc);
-    run_storm(&mut market, &reqs, &obs);
+    for req in &reqs {
+        market.admit_obs(req, &obs);
+    }
     obs.trace.events()
 }
 

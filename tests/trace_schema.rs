@@ -179,7 +179,7 @@ fn seeded_fleet(seed: u64) -> (Obs, SloReport, WatchReport) {
 /// their float labels, a slot exhausted and asked again (the sweep
 /// path, with its `risk` spans), the eight asks `tests/alloc_count.rs`
 /// has rejected (negative, NaN, ∞, slices and regions out of range —
-/// `ask_gbps` says `NaN`/`inf` there), and one label whose value needs
+/// `ask_bps` says `NaN`/`inf` there), and one label whose value needs
 /// every kind of JSON escape.
 fn seeded_admits() -> Obs {
     use network_entitlement::approval::ApprovalConfig;
@@ -236,21 +236,26 @@ fn seeded_admits() -> Obs {
     obs
 }
 
-/// Trace-schema v3 on the storm's oversized asks and on the admits'
-/// sweep and rejected asks: an admit is one event, it names the slot
-/// state its probe found, and it carries the binding scenario and the
-/// physical headroom exactly when its verdict reads them — when the
-/// ask was looked up and not granted in full.
+/// Trace-schema v5 on the storm's oversized asks and on the admits'
+/// sweep and rejected asks: an admission is one event, its
+/// `market`/`admit` span (no `index_probe` child, no `watch/admit`
+/// copy); it names the slot state its probe found, writes its rates in
+/// bps, and carries the binding scenario and the physical headroom
+/// exactly when its verdict reads them — when the ask was looked up
+/// and not granted in full.
 #[test]
 fn an_admit_is_one_event_with_its_slot_state_and_provenance_off_a_full_grant() {
-    const PROVENANCE: [&str; 4] = ["binding_links", "binding_p", "binding_scenario", "headroom_gbps"];
+    const PROVENANCE: [&str; 4] = ["binding_links", "binding_p", "binding_scenario", "headroom_bps"];
     let mut seen = BTreeSet::new();
-    for obs in [seeded_storm(4960).0, seeded_admits()] {
+    let (storm, storm_watch) = seeded_storm(4960);
+    for (obs, admits) in [(storm, storm_watch.admits), (seeded_admits(), 2_010)] {
         let events = obs.trace.events();
         assert!(
-            !events.iter().any(|e| e.span == "market" && e.phase == "index_probe"),
-            "the slot state is a label, not an event"
+            !events.iter().any(|e| e.phase == "index_probe" || e.span != "market" && e.phase == "admit"),
+            "an admission writes no event but its own span"
         );
+        let written = events.iter().filter(|e| e.span == "market" && e.phase == "admit").count();
+        assert_eq!(written as u64, admits, "one market/admit per admission");
         for e in events.iter().filter(|e| e.span == "market" && e.phase == "admit") {
             let state = e.label("state").expect("every admit names its slot state");
             let outcome = e.label("outcome").expect("every admit has an outcome");
@@ -342,9 +347,9 @@ fn telemetry_bytes_match_the_pinned_digests() {
     let admits = seeded_admits().trace.to_jsonl();
     for part in [
         r#""path":"sweep""#,
-        r#""ask_gbps":"NaN""#,
-        r#""ask_gbps":"inf""#,
-        r#""ask_gbps":"-100""#,
+        r#""ask_bps":"NaN""#,
+        r#""ask_bps":"inf""#,
+        r#""ask_bps":"-100000000000""#,
         r#""rejected":"region""#,
         r#""note":"quote \" backslash \\ bell \u0007 newline \n""#,
     ] {
@@ -393,14 +398,14 @@ const DRILL_SLO_PIN: (usize, u64) = (510, 0xddc1_591d_346d_74ee);
 const DRILL_WATCH_PIN: (usize, u64) = (112, 0x5aca_3fd3_41c1_b4ee);
 const FLEET_SLO_PIN: (usize, u64) = (2_168, 0x274c_d7b5_08a2_7084);
 const FLEET_WATCH_PIN: (usize, u64) = (200, 0xe3eb_85b1_1c22_f8e1);
-// Regenerated with trace-schema v3: an admit is one event (its slot
-// state a label, no `index_probe` child), the binding scenario and
-// the physical headroom are left off full grants, and the admit reads
-// the clock once less — so under the counting clock every later
-// `ts_ms` moves, and so do the storm's `entitlement_market_admit_ms`
-// sums (one logical ms less per admit). The v2 values were
-// (1_037_808, 0xe86c_9e01_d3ad_1530), (12_468, 0x7a66_2ca9_b182_ff78)
-// and (1_319_012, 0xe54b_d55e_d170_9149).
-const STORM_TRACE_PIN: (usize, u64) = (979_348, 0x6aaa_e658_cfbb_50ef);
-const STORM_METRICS_PIN: (usize, u64) = (12_469, 0xbe53_7116_e52e_6ac1);
-const ADMITS_TRACE_PIN: (usize, u64) = (816_594, 0x4600_8611_2e7c_6773);
+// Regenerated with trace-schema v5: an admission is one event, its
+// `market`/`admit` span, with its rates in bps (`ask_bps`,
+// `granted_bps`, `headroom_bps`, `residual_*_bps`); the `watch/admit`
+// copy is gone. The admit's latency is the span's own two clock reads,
+// so under the counting clock every later `ts_ms` moves, and each
+// index-path sample of the storm's `entitlement_market_admit_ms` is 1
+// where it was 3. The v4 values were (979_348, 0x6aaa_e658_cfbb_50ef),
+// (12_469, 0xbe53_7116_e52e_6ac1) and (816_594, 0x4600_8611_2e7c_6773).
+const STORM_TRACE_PIN: (usize, u64) = (866_567, 0x326e_da30_b3a0_7c06);
+const STORM_METRICS_PIN: (usize, u64) = (12_473, 0x9c1e_7d37_be2a_f7d5);
+const ADMITS_TRACE_PIN: (usize, u64) = (806_154, 0xe16e_823d_ff5b_94df);

@@ -201,8 +201,22 @@ fn stale_reads_unthrottle_fires_delivery_monitor() {
 /// Run the market admission storm under the watchdog through the same
 /// library runner `entitlectl market --watch` calls: deterministic
 /// counting clock, link cuts applied at logical time = admission
-/// ordinal.
+/// ordinal, no trace kept.
 fn market_storm_watch(seed: u64, requests: usize, faults: Option<FaultPlan>) -> WatchReport {
+    let obs = Obs {
+        trace: network_entitlement::obs::TraceSink::disabled(),
+        ..Obs::new(Clock::counting(1))
+    };
+    market_storm_watch_on(seed, requests, faults, &obs)
+}
+
+/// [`market_storm_watch`] into the caller's `obs`.
+fn market_storm_watch_on(
+    seed: u64,
+    requests: usize,
+    faults: Option<FaultPlan>,
+    obs: &Obs,
+) -> WatchReport {
     use network_entitlement::core::{QosBand, QosBucket, QosClass};
     use network_entitlement::market::{generate_storm, run_storm_with};
     use network_entitlement::topology::LinkId;
@@ -243,13 +257,9 @@ fn market_storm_watch(seed: u64, requests: usize, faults: Option<FaultPlan>) -> 
         },
     ];
 
-    let obs = Obs {
-        trace: network_entitlement::obs::TraceSink::disabled(),
-        ..Obs::new(Clock::counting(1))
-    };
     let mut market = EntitlementMarket::new(topo, grid, cfg);
     market.load_contracts(&contracts);
-    market.warm(&buckets, &obs);
+    market.warm(&buckets, obs);
     let storm = generate_storm(
         &market,
         &buckets,
@@ -267,7 +277,7 @@ fn market_storm_watch(seed: u64, requests: usize, faults: Option<FaultPlan>) -> 
         })
     };
     let mut watch = WatchEvaluator::default();
-    run_storm_with(&mut market, &storm, &obs, &mut watch, cuts, |_, _| {});
+    run_storm_with(&mut market, &storm, obs, &mut watch, cuts, |_, _| {});
     watch.report()
 }
 
@@ -330,6 +340,26 @@ fn market_link_cut_fires_admit_latency_cusum() {
             report.render_text()
         );
     }
+}
+
+/// A traced link-cut storm, long enough for W0107 to fire at the cut
+/// and clear, re-folds offline from its `market`/`admit` spans to the
+/// live report byte for byte.
+#[test]
+fn offline_refold_matches_streaming_on_a_link_cut_storm() {
+    let obs = Obs::new(Clock::counting(1));
+    let live = market_storm_watch_on(0xD217, 6_000, Some(plan("link_cut.json")), &obs);
+    let kinds: Vec<AlertKind> = live.transitions.iter().map(|t| t.kind).collect();
+    assert!(kinds.starts_with(&[AlertKind::Fire, AlertKind::Clear]), "{}", live.render_text());
+    assert_eq!(live.transitions[0].cycle, LINK_CUT_START_ADMIT + 1);
+    let events = parse_trace(&obs.trace.to_jsonl()).expect("trace parses");
+    let mut folded = WatchEvaluator::default();
+    assert_eq!(folded.fold_trace(&events), []);
+    let offline = folded.report();
+    assert_eq!(offline.admits, 6_000);
+    assert_eq!(live.render_json(), offline.render_json());
+    assert_eq!(live.render_text(), offline.render_text());
+    assert_eq!(live, offline);
 }
 
 /// Re-folding the emitted trace offline reproduces the streaming
