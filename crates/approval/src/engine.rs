@@ -285,10 +285,10 @@ pub fn hose_approval(
 
 /// [`hose_approval`] with telemetry: per-phase spans (`preflight`,
 /// `gen_demand`, one `hose_approval` per hose labelled with its QoS
-/// class and NPG, `aggregate`), a per-hose wall-time histogram
-/// `entitlement_approval_hose_ms{qos}` and an outcome counter
-/// `entitlement_approval_hoses_total{qos,outcome}` in `obs.registry`.
-/// Approvals are the same whatever `obs` is.
+/// class, NPG and outcome, `aggregate`). The metrics fold reads the
+/// per-hose families `entitlement_approval_hose_ms{qos}` and
+/// `entitlement_approval_hoses_total{qos,outcome}` off the
+/// `hose_approval` spans. Approvals are the same whatever `obs` is.
 pub fn hose_approval_obs(
     topo: &Topology,
     hoses: &[HoseRequest],
@@ -464,29 +464,8 @@ pub(crate) fn approve_requests_in(
     let mut background: BTreeMap<(RegionId, RegionId), Rate> = BTreeMap::new();
     let mut results: Vec<(usize, HoseApproval)> = Vec::with_capacity(hoses.len());
 
-    // Only a traced round builds the per-hose label and metrics; the
-    // clock is read either way, so a counting clock advances alike.
+    // Only a traced round builds the per-hose label.
     let traced = obs.enabled();
-    let record_hose = |qos: &str, outcome: &str, t0: u64| {
-        let ms = obs.clock.now_ms().saturating_sub(t0) as f64;
-        if !traced {
-            return;
-        }
-        obs.registry
-            .counter(
-                "entitlement_approval_hoses_total",
-                "Hose approvals by QoS class and outcome",
-                &[("qos", qos), ("outcome", outcome)],
-            )
-            .inc();
-        obs.registry
-            .histogram(
-                "entitlement_approval_hose_ms",
-                "Per-hose approval wall time in milliseconds (obs clock)",
-                &[("qos", qos)],
-            )
-            .record(ms);
-    };
 
     for &h in &order {
         let hose = hoses[h];
@@ -496,7 +475,6 @@ pub(crate) fn approve_requests_in(
         } else {
             String::new()
         };
-        let t0 = obs.clock.now_ms();
         let mut hose_span = obs
             .span("approval", "hose_approval")
             .label("qos", &qos)
@@ -506,7 +484,6 @@ pub(crate) fn approve_requests_in(
             // nothing added to the background of lower classes.
             hose_span.add_label("outcome", "rejected");
             hose_span.finish();
-            record_hose(&qos, "rejected", t0);
             results.push((
                 h,
                 HoseApproval {
@@ -585,7 +562,6 @@ pub(crate) fn approve_requests_in(
         };
         hose_span.add_label("outcome", outcome);
         hose_span.finish();
-        record_hose(&qos, outcome, t0);
         results.push((
             h,
             HoseApproval {
@@ -821,7 +797,7 @@ mod tests {
         ] {
             assert!(phases.contains(p), "missing phase {p}: {phases:?}");
         }
-        let text = obs.registry.render();
+        let text = entitlement_obs::fold_metrics(&obs.trace.events()).unwrap();
         assert!(
             text.contains("entitlement_approval_hoses_total{outcome=\"approved\",qos=\"C1\"} 1"),
             "{text}"

@@ -16,7 +16,7 @@ use entitlement_approval::{
 };
 use entitlement_core::{Direction, NpgId, QosClass, Rate, RegionId, SloTarget};
 use entitlement_hose::{HoseRequest, HoseSegment};
-use entitlement_obs::{Clock, Obs};
+use entitlement_obs::{fold_metrics, Clock, Obs};
 use entitlement_topology::routing::Demand;
 use entitlement_topology::{BackboneSpec, ScenarioSet, Topology};
 
@@ -54,7 +54,7 @@ fn zero_realization_hose_is_rejected_not_granted() {
     );
     assert_eq!(out[0].counter_proposal, Rate::ZERO);
     assert!(out[0].per_realization.is_empty());
-    let text = obs.registry.render();
+    let text = fold_metrics(&obs.trace.events()).unwrap();
     assert!(
         text.contains("entitlement_approval_hoses_total{outcome=\"rejected\",qos=\"C1\"} 1"),
         "{text}"

@@ -13,11 +13,11 @@
 //! failure scenarios (0 = one per core), and dedup routes each distinct
 //! failure set once. Both are output-invariant.
 //!
-//! `--trace out.jsonl` / `--metrics out.prom` collect span traces and a
-//! Prometheus snapshot from the drill experiments (fig11–fig17): agent
-//! cycles, KV operations, and staleness histograms, stamped by a
-//! deterministic logical clock. Validate or summarize the outputs with
-//! `entitlectl obs summarize`.
+//! `--trace out.jsonl` / `--metrics out.prom` collect span traces from
+//! the drill experiments (fig11–fig17) — agent cycles, KV operations and
+//! metered ticks, stamped by a deterministic logical clock — and the
+//! Prometheus text they fold into. Validate or summarize the outputs
+//! with `entitlectl obs summarize`.
 //!
 //! The argv is parsed by `entitlectl`'s grammar (`network_entitlement::cli`)
 //! with the same flag groups, so an unknown flag, a value flag with no

@@ -59,8 +59,8 @@ fn slice(r: &Recorder) -> DrillResult {
 }
 
 /// Run the drill with the default (paper) timeline. Agent-cycle spans,
-/// KV latency histograms, staleness metrics and the two health folds'
-/// events land in `obs`; nobody reads the folds' reports here.
+/// KV operations, the metered ticks and the two health folds' events
+/// land in `obs`; nobody reads the folds' reports here.
 pub fn run(strategy: MarkingStrategy, obs: &Obs) -> DrillResult {
     let config = DrillConfig {
         strategy,

@@ -141,12 +141,11 @@ pub fn run_drill(config: &DrillConfig) -> Recorder {
 ///
 /// **Telemetry.** The drill's logical time drives `obs.clock` (one
 /// `set_ms` per tick, so a manual clock tracks drill time exactly),
-/// every KV operation crosses an [`ObservedKv`] decorator (latency
-/// histograms, outcome counters, `kv` trace spans), each metering
-/// cycle is an `agent`/`cycle` span that parents its KV spans, and
-/// agent staleness lands in the `entitlement_agent_staleness_ms`
-/// histogram. Decoration only: the recorded series are bitwise
-/// identical whatever `obs` is.
+/// every KV operation crosses an [`ObservedKv`] decorator (`kv` trace
+/// spans with their outcome), each metering cycle is an `agent`/`cycle`
+/// span that parents its KV spans, and the metered tick's `slo`/`cycle`
+/// event carries the agent's staleness. Decoration only: the recorded
+/// series are bitwise identical whatever `obs` is.
 ///
 /// **Health folds.** The caller owns them: it builds `slo` and `watch`
 /// under whatever policy it wants and reads `report()` afterwards.
@@ -235,11 +234,6 @@ pub fn run_drill_with(
     }));
     let plan = Arc::new(config.faults.clone().unwrap_or_default());
     let kv = ObservedKv::new(ChaosStore::new(store, plan), obs);
-    let staleness_hist = obs.registry.histogram(
-        "entitlement_agent_staleness_ms",
-        "Age of the aggregates behind the agent's standing decision",
-        &[],
-    );
 
     // --- The storage application.
     let mut app = StorageApp::default();
@@ -274,7 +268,6 @@ pub fn run_drill_with(
             marking = agent.marking_command(config.hosts);
             cycle_span.finish();
         }
-        staleness_hist.record(agent.staleness_ms(now_ms) as f64);
 
         // World step.
         let seen = world.step(t, &marking);
@@ -520,7 +513,7 @@ mod tests {
         let events = obs_a.trace.events();
         assert!(events.iter().any(|e| e.span == "agent" && e.phase == "cycle"));
         assert!(events.iter().any(|e| e.span == "kv"));
-        let text = obs_a.registry.render();
+        let text = entitlement_obs::fold_metrics(&events).unwrap();
         assert!(text.contains("entitlement_kv_ops_total"));
         assert!(text.contains("entitlement_agent_staleness_ms_count"));
     }

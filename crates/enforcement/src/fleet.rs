@@ -726,13 +726,15 @@ pub fn run_fleet_engine(config: &FleetConfig) -> Result<FleetOutcome, String> {
     )
 }
 
-/// Run the fleet engine, recording spans/events/metrics into `obs` and
+/// Run the fleet engine, recording spans and events into `obs` and
 /// feeding the caller's two health folds.
 ///
 /// All telemetry and KV traffic is issued from the driver thread in
-/// deterministic order (cycle, then shard index), so traces, metrics
-/// and both folds are byte-identical across strategies, and re-folding
-/// the saved trace with `fold_trace` reproduces the reports exactly.
+/// deterministic order (cycle, then shard index), so traces, the
+/// metrics folded from them and both health folds are byte-identical
+/// across strategies, and re-folding the saved trace with `fold_trace`
+/// reproduces the reports exactly. After the last cycle one
+/// `fleet`/`run` event names the fleet's `hosts` and `shards`.
 ///
 /// The caller builds `slo` and `watch` under whatever policy it wants
 /// and reads `report()` afterwards. Each cycle is one [`CycleObs`] for
@@ -864,17 +866,6 @@ fn run_engine(
         Vec::new()
     };
 
-    obs.registry
-        .gauge("entitlement_fleet_hosts", "Hosts in the sharded fleet", &[])
-        .set(config.hosts as f64);
-    obs.registry
-        .gauge(
-            "entitlement_fleet_shards",
-            "Shards in the aggregation tree",
-            &[],
-        )
-        .set(shards as f64);
-
     for cycle in 1..=config.cycles {
         let now_ms = cycle as u64 * CYCLE_MS;
         obs.clock.set_ms(now_ms);
@@ -926,13 +917,6 @@ fn run_engine(
             }
             _ => {
                 fail_static_cycles += 1;
-                obs.registry
-                    .counter(
-                        "entitlement_fleet_fail_static_cycles_total",
-                        "Cycles the fleet held its decision on an unavailable fold",
-                        &[],
-                    )
-                    .inc();
                 None
             }
         };
@@ -999,6 +983,12 @@ fn run_engine(
 
     let final_total = store.aggregate_sum(&total_prefix, end_ms);
     let marked_fraction = cycle_stats.last().map_or(0.0, |c| c.marked_fraction);
+    // The fleet's shape, once, after its last cycle: what the metrics
+    // fold reads the `entitlement_fleet_{hosts,shards}` gauges off.
+    obs.point("fleet", "run")
+        .label_fmt("hosts", config.hosts)
+        .label_fmt("shards", shards)
+        .finish();
     Ok(FleetOutcome {
         // The demand buffer is dead past the last cycle: reuse it.
         conform_ratios: expand_runs(&state.runs, std::mem::take(&mut state.demand)),
@@ -1114,7 +1104,7 @@ mod tests {
             &mut WatchEvaluator::default(),
         )
         .unwrap();
-        let text = obs.registry.render();
+        let text = entitlement_obs::fold_metrics(&obs.trace.events()).unwrap();
         assert!(
             text.contains("entitlement_kv_ops_total{op=\"aggregate\",outcome=\"ok\"} 96\n"),
             "{text}"

@@ -57,7 +57,7 @@ fn run_with_telemetry(
         outcome,
         obs.trace.to_jsonl(),
         slo.report().render_json(),
-        obs.registry.render(),
+        entitlement_obs::fold_metrics(&obs.trace.events()).expect("the run's events fold"),
     )
 }
 

@@ -5,11 +5,17 @@
 //!
 //! `R(S, t) = Σ_{dst∈S} F(dst, t) / Σ_{dst∈N} F(dst, t)`
 //!
-//! with `α⁻(S) = min_t R(S, t)` and `α⁺(S) = max_t R(S, t)`. The best
-//! two-way split (largest polytope-volume reduction, since the volume
-//! scales as α(1−α)) is the smallest set `S` with `α⁻(S) > 0.5`; the
-//! greedy algorithm sorts destinations by their individual α⁻ and adds
-//! them until the set crosses 0.5.
+//! with `α⁻(S) = min_t R(S, t)` and `α⁺(S) = max_t R(S, t)`. The
+//! split is greedy: destinations sorted by their individual α⁻ (ties by
+//! region id) are added to `S` until its α⁻ exceeds 0.5, and a prefix
+//! that never does is clamped to all destinations but the last. That is
+//! a prefix of one order, not the smallest set with `α⁻(S) > 0.5`, and
+//! its α⁻ need not exceed 0.5 at all. With `r1 = [60, 10]`,
+//! `r2 = [10, 60]` and `r3 = [30, 30]` the order is r3 (0.3), r1, r2
+//! (0.1 each); neither {r3} nor {r1, r3} (0.4) crosses 0.5, so the clamp
+//! gives SEG = {r1, r3} with caps of 90 % and 10 %, although {r1, r2}
+//! has α⁻ 0.7 and r2 alone, in SEG′, sends 60 % at t1
+//! (`tests/properties.rs` pins this case).
 //!
 //! Segment capacities use `α⁺(SEG)` for the first segment — the maximum
 //! share it ever needed — and `1 − α⁺(SEG) = α⁻(SEG′)` for the second, so
@@ -55,10 +61,13 @@ pub fn alpha_plus(flows: &FlowSeries, set: &BTreeSet<RegionId>) -> f64 {
 
 /// Algorithm 1: split the destination set into two segments.
 ///
-/// Returns `(seg, seg_prime)` — the first is the smallest prefix (by
-/// descending per-node α⁻) whose α⁻ exceeds 0.5; the second is the rest.
-/// With fewer than 2 destinations there is nothing to split and the
-/// function errors.
+/// Returns `(seg, seg_prime)`: `seg` is the shortest prefix of the
+/// destinations by descending per-node α⁻ (ties by id) whose α⁻
+/// exceeds 0.5, clamped to all but the last destination when no proper
+/// prefix does; `seg_prime` is the rest. This is greedy, not the
+/// smallest set crossing 0.5 (see the module docs for a case where
+/// `seg`'s α⁻ is 0.4 and another pair's is 0.7). With fewer than 2
+/// destinations there is nothing to split and the function errors.
 pub fn two_segments(flows: &FlowSeries) -> Result<(BTreeSet<RegionId>, BTreeSet<RegionId>)> {
     let nodes: Vec<RegionId> = flows.keys().copied().collect();
     if nodes.len() < 2 {

@@ -1,59 +1,30 @@
 //! Telemetry-wrapping store access.
 //!
 //! [`ObservedKv`] wraps any [`KvAccess`] implementation — the real
-//! [`crate::ShardedStore`] or a fault-injecting chaos wrapper — and
-//! records per-operation latency histograms, outcome counters, and
-//! trace spans into an [`Obs`] bundle. Because it composes over the
-//! trait, the same telemetry sees healthy stores and degraded
-//! ones: under a chaos fault plan the `outcome="error"` counters and
-//! the latency histograms tell the fail-static story from the store's
-//! side.
+//! [`crate::ShardedStore`] or a fault-injecting chaos wrapper — and,
+//! traced, writes each operation as a `kv` trace event timed by the
+//! obs clock and labelled with its outcome. Because it composes over
+//! the trait, the same telemetry sees healthy stores and degraded
+//! ones: under a chaos fault plan the `outcome="error:…"` events (and
+//! the `entitlement_kv_ops_total{outcome="error"}` series the metrics
+//! fold reads off them) tell the fail-static story from the store's
+//! side. Untraced, an operation goes straight to the wrapped store.
 
 use crate::access::{KvAccess, KvError};
-use entitlement_obs::{Counter, Histogram, Obs};
+use entitlement_obs::Obs;
 
-/// Cached metric handles for one operation kind.
-struct OpMetrics {
-    latency_ms: Histogram,
-    ok: Counter,
-    err: Counter,
-}
-
-/// A [`KvAccess`] decorator recording latency, outcomes, and spans.
+/// A [`KvAccess`] decorator tracing each operation.
 pub struct ObservedKv<K> {
     inner: K,
     obs: Obs,
-    put: OpMetrics,
-    aggregate: OpMetrics,
 }
 
 impl<K> ObservedKv<K> {
-    /// Wrap `inner`, registering the KV metric families in
-    /// `obs.registry` (handles are cached, so the per-op cost is a few
-    /// atomic updates).
+    /// Wrap `inner`, tracing into `obs`.
     pub fn new(inner: K, obs: &Obs) -> Self {
-        let op_metrics = |op: &str| OpMetrics {
-            latency_ms: obs.registry.histogram(
-                "entitlement_kv_op_ms",
-                "KV operation latency in milliseconds (from the injected clock)",
-                &[("op", op)],
-            ),
-            ok: obs.registry.counter(
-                "entitlement_kv_ops_total",
-                "KV operations by kind and outcome",
-                &[("op", op), ("outcome", "ok")],
-            ),
-            err: obs.registry.counter(
-                "entitlement_kv_ops_total",
-                "KV operations by kind and outcome",
-                &[("op", op), ("outcome", "error")],
-            ),
-        };
         ObservedKv {
             inner,
             obs: obs.clone(),
-            put: op_metrics("put"),
-            aggregate: op_metrics("aggregate"),
         }
     }
 
@@ -62,29 +33,26 @@ impl<K> ObservedKv<K> {
         &self.inner
     }
 
+    /// `op` on the wrapped store; traced, as a `kv`/`phase` event
+    /// between two clock reads.
     fn observe<T>(
         &self,
-        metrics: &OpMetrics,
         phase: &str,
-        result: Result<T, KvError>,
-        start_ms: u64,
+        op: impl FnOnce(&K) -> Result<T, KvError>,
     ) -> Result<T, KvError> {
-        let end_ms = self.obs.clock.now_ms();
-        metrics.latency_ms.record(end_ms.saturating_sub(start_ms) as f64);
-        match &result {
-            Ok(_) => metrics.ok.inc(),
-            Err(_) => metrics.err.inc(),
+        if !self.obs.enabled() {
+            return op(&self.inner);
         }
-        if self.obs.enabled() {
-            // child: the sink allocates span ids and parents the op
-            // under the currently open span (the agent's cycle), so
-            // KV ops land in the causal tree, not as orphan roots.
-            let dur_ms = end_ms.saturating_sub(start_ms) as f64;
-            let mut event = self.obs.trace.child(start_ms, dur_ms, "kv", phase);
-            match &result {
-                Ok(_) => event.add_label("outcome", "ok"),
-                Err(e) => event.add_label_fmt("outcome", format_args!("error:{e:?}")),
-            }
+        let start_ms = self.obs.clock.now_ms();
+        let result = op(&self.inner);
+        let dur_ms = self.obs.clock.now_ms().saturating_sub(start_ms) as f64;
+        // child: the sink allocates span ids and parents the op under
+        // the currently open span (the agent's cycle), so KV ops land
+        // in the causal tree, not as orphan roots.
+        let mut event = self.obs.trace.child(start_ms, dur_ms, "kv", phase);
+        match &result {
+            Ok(_) => event.add_label("outcome", "ok"),
+            Err(e) => event.add_label_fmt("outcome", format_args!("error:{e:?}")),
         }
         result
     }
@@ -92,21 +60,17 @@ impl<K> ObservedKv<K> {
 
 impl<K: KvAccess> KvAccess for ObservedKv<K> {
     fn try_put(&self, key: &str, value: f64, now_ms: u64) -> Result<(), KvError> {
-        let start = self.obs.clock.now_ms();
-        let r = self.inner.try_put(key, value, now_ms);
-        self.observe(&self.put, "put", r, start)
+        self.observe("put", |kv| kv.try_put(key, value, now_ms))
     }
 
     fn try_aggregate(&self, prefix: &str, now_ms: u64) -> Result<f64, KvError> {
-        let start = self.obs.clock.now_ms();
-        let r = self.inner.try_aggregate(prefix, now_ms);
-        self.observe(&self.aggregate, "aggregate", r, start)
+        self.observe("aggregate", |kv| kv.try_aggregate(prefix, now_ms))
     }
 
-    // Shard-addressed ops reuse the `put`/`aggregate` metric families
-    // (same op labels) with distinct trace phases, so per-shard
-    // publishes and fan-out reads show up in the same dashboards as
-    // their flat counterparts.
+    // Shard-addressed ops have trace phases of their own; the metrics
+    // fold counts them under the `put`/`aggregate` op labels, so
+    // per-shard publishes and fan-out reads show up in the same
+    // dashboards as their flat counterparts.
 
     fn try_put_shard(
         &self,
@@ -115,9 +79,9 @@ impl<K: KvAccess> KvAccess for ObservedKv<K> {
         value: f64,
         now_ms: u64,
     ) -> Result<(), KvError> {
-        let start = self.obs.clock.now_ms();
-        let r = self.inner.try_put_shard(shard, key, value, now_ms);
-        self.observe(&self.put, "put_shard", r, start)
+        self.observe("put_shard", |kv| {
+            kv.try_put_shard(shard, key, value, now_ms)
+        })
     }
 
     fn try_put_shard_batch(
@@ -126,9 +90,9 @@ impl<K: KvAccess> KvAccess for ObservedKv<K> {
         entries: &[(String, f64)],
         now_ms: u64,
     ) -> Result<(), KvError> {
-        let start = self.obs.clock.now_ms();
-        let r = self.inner.try_put_shard_batch(shard, entries, now_ms);
-        self.observe(&self.put, "put_shard_batch", r, start)
+        self.observe("put_shard_batch", |kv| {
+            kv.try_put_shard_batch(shard, entries, now_ms)
+        })
     }
 
     fn try_shard_aggregate(
@@ -137,9 +101,9 @@ impl<K: KvAccess> KvAccess for ObservedKv<K> {
         shard: usize,
         now_ms: u64,
     ) -> Result<f64, KvError> {
-        let start = self.obs.clock.now_ms();
-        let r = self.inner.try_shard_aggregate(prefix, shard, now_ms);
-        self.observe(&self.aggregate, "shard_aggregate", r, start)
+        self.observe("shard_aggregate", |kv| {
+            kv.try_shard_aggregate(prefix, shard, now_ms)
+        })
     }
 }
 
@@ -147,7 +111,11 @@ impl<K: KvAccess> KvAccess for ObservedKv<K> {
 mod tests {
     use super::*;
     use crate::store::{ShardedStore, StoreConfig};
-    use entitlement_obs::Clock;
+    use entitlement_obs::{fold_metrics, Clock};
+
+    fn metrics(obs: &Obs) -> String {
+        fold_metrics(&obs.trace.events()).expect("the decorator's events fold")
+    }
 
     fn flaky_error_store() -> impl KvAccess {
         struct Down;
@@ -174,7 +142,7 @@ mod tests {
         let store = ObservedKv::new(ShardedStore::new(StoreConfig::default()), &obs);
         store.try_put("rates/x/h0", 5.0, 0).unwrap();
         assert_eq!(store.try_aggregate("rates/", 0).unwrap(), 5.0);
-        let text = obs.registry.render();
+        let text = metrics(&obs);
         assert!(text.contains("entitlement_kv_ops_total{op=\"put\",outcome=\"ok\"} 1"));
         assert!(text.contains("entitlement_kv_ops_total{op=\"aggregate\",outcome=\"ok\"} 1"));
         // The counting clock gives every op a 2 ms duration.
@@ -191,7 +159,7 @@ mod tests {
         assert!(store.try_put("k", 1.0, 10).is_err());
         assert!(store.try_aggregate("k", 10).is_err());
         assert!(store.try_shard_aggregate("k", 0, 10).is_err());
-        let text = obs.registry.render();
+        let text = metrics(&obs);
         assert!(text.contains("entitlement_kv_ops_total{op=\"put\",outcome=\"error\"} 1"));
         assert!(text.contains("entitlement_kv_ops_total{op=\"aggregate\",outcome=\"error\"} 2"));
         let events = obs.trace.events();
@@ -210,7 +178,7 @@ mod tests {
             .unwrap();
         assert_eq!(store.try_shard_aggregate("rates/x/total/", 2, 0), Ok(8.0));
         assert_eq!(store.try_shard_aggregate("rates/x/total/", 3, 0), Ok(4.0));
-        let text = obs.registry.render();
+        let text = metrics(&obs);
         assert!(text.contains("entitlement_kv_ops_total{op=\"put\",outcome=\"ok\"} 2"));
         assert!(text.contains("entitlement_kv_ops_total{op=\"aggregate\",outcome=\"ok\"} 2"));
         let events = obs.trace.events();
@@ -220,14 +188,15 @@ mod tests {
     }
 
     #[test]
-    fn disabled_obs_still_counts_but_emits_no_events() {
-        let obs = Obs::disabled();
+    fn an_untraced_op_reads_no_clock_and_emits_nothing() {
+        let obs = Obs {
+            trace: entitlement_obs::TraceSink::disabled(),
+            ..Obs::new(Clock::counting(1))
+        };
         let store = ObservedKv::new(ShardedStore::new(StoreConfig::default()), &obs);
         store.try_put("k", 1.0, 0).unwrap();
+        assert_eq!(store.try_aggregate("k", 0), Ok(1.0));
         assert!(obs.trace.is_empty());
-        assert!(obs
-            .registry
-            .render()
-            .contains("entitlement_kv_ops_total{op=\"put\",outcome=\"ok\"} 1"));
+        assert_eq!(obs.clock.now_ms(), 0, "the first read is ours");
     }
 }

@@ -398,8 +398,8 @@ pub struct HeadroomProbe {
 /// (bit-equal while the index is fresh). The plan's rows are the
 /// topology's: on the market's topology and scenario set it searches
 /// nothing, but it places the background again on every call.
-/// Telemetry (`risk` sweep/merge/scenario spans, sweep histograms)
-/// lands in `obs` when enabled.
+/// Telemetry (`risk` sweep/merge/scenario spans) lands in `obs` when
+/// enabled.
 #[allow(clippy::too_many_arguments)]
 pub fn pair_headroom_probe(
     topo: &Topology,

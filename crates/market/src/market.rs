@@ -32,7 +32,7 @@ use crate::slice::{SliceGrid, SliceId};
 use entitlement_approval::{negotiate_scenarios, Agreement, ApprovalConfig, ServicePolicy};
 use entitlement_core::{NpgId, QosBucket, Rate, RegionId, SloTarget};
 use entitlement_hose::HoseRequest;
-use entitlement_obs::{Counter, Histogram, Obs, PerRegistry, Registry, SpanTimer};
+use entitlement_obs::{Obs, SpanTimer};
 use entitlement_risk::{sweep_plan, RiskConfig, RiskSamples};
 use entitlement_topology::routing::Demand;
 use entitlement_topology::{FailureScenario, LinkId, Placement, RoutePlan, ScenarioSet, Topology};
@@ -178,9 +178,6 @@ pub struct EntitlementMarket {
     admit_seq: u64,
     /// What [`EntitlementMarket::last_admit_ms`] reads.
     last_admit_ms: f64,
-    /// The traced admit's metric cells in the registry it last recorded
-    /// into: looked up once per registry, not on every admit.
-    metrics: PerRegistry<AdmitMetrics>,
 }
 
 impl EntitlementMarket {
@@ -207,7 +204,6 @@ impl EntitlementMarket {
             grants: HashMap::default(),
             admit_seq: 0,
             last_admit_ms: 0.0,
-            metrics: PerRegistry::default(),
         }
     }
 
@@ -563,12 +559,6 @@ impl EntitlementMarket {
         }
         let untraced_ms = || obs.clock.now_ms().saturating_sub(t0) as f64;
         self.last_admit_ms = span.finish_ms().unwrap_or_else(untraced_ms);
-        if traced {
-            let registry = &obs.registry;
-            let metrics = self.metrics.get(registry);
-            metrics.admits(registry, &decision).inc();
-            metrics.latency(registry, decision.path).record(self.last_admit_ms);
-        }
         decision
     }
 
@@ -599,39 +589,6 @@ impl EntitlementMarket {
             max_rounds,
             &self.effective,
         )
-    }
-}
-
-/// An admit's two metric families in one registry, each cell
-/// registered the first time an admit needs it, so the registry holds
-/// exactly the cells per-admit lookups would have registered.
-#[derive(Clone, Default)]
-struct AdmitMetrics {
-    /// By outcome, then path.
-    admits: [[Option<Counter>; 2]; 3],
-    /// By path.
-    latency: [Option<Histogram>; 2],
-}
-
-impl AdmitMetrics {
-    fn admits(&mut self, registry: &Registry, d: &AdmitDecision) -> &Counter {
-        self.admits[d.outcome as usize][d.path as usize].get_or_insert_with(|| {
-            registry.counter(
-                "entitlement_market_admits_total",
-                "admission decisions by outcome and serving path",
-                &[("outcome", d.outcome.as_str()), ("path", d.path.as_str())],
-            )
-        })
-    }
-
-    fn latency(&mut self, registry: &Registry, path: AdmitPath) -> &Histogram {
-        self.latency[path as usize].get_or_insert_with(|| {
-            registry.histogram(
-                "entitlement_market_admit_ms",
-                "admission latency by serving path",
-                &[("path", path.as_str())],
-            )
-        })
     }
 }
 

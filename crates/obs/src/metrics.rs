@@ -1,74 +1,10 @@
-//! Metric primitives: counters, float gauges, and log-bucketed
-//! histograms. All handles are `Arc`-backed — cloning shares the
-//! underlying cell, so a metric can be registered once and recorded
-//! from many owners (agents, worker threads) without locks.
+//! The log-bucketed histogram the metrics fold and the trace summaries
+//! record into. It is `Arc`-backed — cloning shares the underlying
+//! cells, so several owners (worker threads) can record into one
+//! without locks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// A monotonically increasing `u64` counter.
-#[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// New counter at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Increment by `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::AcqRel);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
-}
-
-/// A settable `f64` gauge.
-///
-/// The value is stored as its IEEE-754 bit pattern
-/// ([`f64::to_bits`]) in an atomic, so negative and sub-microsecond
-/// magnitudes round-trip exactly. (An earlier implementation stored
-/// `(v * 1e6) as u64`, which saturates every negative value to zero
-/// and quantises small ones — see the regression tests.)
-#[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Default for Gauge {
-    fn default() -> Self {
-        // 0.0f64.to_bits() == 0, so a zeroed atomic reads as 0.0.
-        Self(Arc::new(AtomicU64::new(0)))
-    }
-}
-
-impl Gauge {
-    /// New gauge at `0.0`.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the gauge.
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Release);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Acquire))
-    }
-}
 
 /// Buckets per decade of the log-spaced histogram layout.
 const BUCKETS_PER_DECADE: i32 = 4;
@@ -304,30 +240,6 @@ fn fold_bits(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let shared = c.clone();
-        shared.inc();
-        assert_eq!(c.get(), 6);
-    }
-
-    #[test]
-    fn gauge_roundtrips_negative_and_tiny_values() {
-        let g = Gauge::new();
-        g.set(-42.5);
-        assert_eq!(g.get(), -42.5);
-        g.set(3e-9); // sub-micro: the old fixed-point encoding lost this
-        assert_eq!(g.get(), 3e-9);
-        g.set(0.0);
-        assert_eq!(g.get(), 0.0);
-        g.set(f64::MAX);
-        assert_eq!(g.get(), f64::MAX);
-    }
 
     #[test]
     fn histogram_basic_stats() {

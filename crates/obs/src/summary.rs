@@ -562,8 +562,7 @@ fn parse_label_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::Registry;
-    use crate::{Clock, Obs};
+    use crate::{fold_metrics, Clock, Obs};
 
     #[test]
     fn parse_rejects_schema_violations() {
@@ -746,15 +745,21 @@ mod tests {
     }
 
     #[test]
-    fn validates_registry_output() {
-        let r = Registry::new();
-        r.counter("ops_total", "ops", &[("kind", "weird \"x\"\\\n")])
-            .inc();
-        r.gauge("level", "level", &[]).set(-3.25);
-        r.histogram("lat_ms", "latency", &[("op", "get")]).record(2.0);
-        let text = r.render();
+    fn validates_the_folded_metrics() {
+        let obs = Obs::new(Clock::counting(1));
+        drop(
+            obs.span("approval", "hose_approval")
+                .label("outcome", "zero")
+                .label("qos", "weird \"x\"\\\n"),
+        );
+        drop(
+            obs.point("fleet", "run")
+                .label("hosts", "-3.25")
+                .label("shards", "2"),
+        );
+        let text = fold_metrics(&obs.trace.events()).expect("every label reads");
         let n = validate_prometheus(&text).expect("valid exposition");
-        assert!(n > 40, "histogram buckets + counter + gauge: {n}");
+        assert!(n > 40, "histogram buckets + counter + gauges: {n}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! increasing timestamps while staying byte-identical across runs with
 //! the same seed (no wall clock anywhere).
 
-use crate::{Clock, Obs};
+use crate::{fold_metrics, Clock, Obs};
 
 /// Requested `--trace` / `--metrics` destinations.
 #[derive(Clone, Debug, Default)]
@@ -36,8 +36,10 @@ impl TelemetrySpec {
         }
     }
 
-    /// Write the requested outputs. Returns one human-readable line per
-    /// file written (for the CLI to print), or the first I/O error.
+    /// Write the requested outputs: the trace as the sink holds it, the
+    /// metrics as [`fold_metrics`] of the sink's events. Returns one
+    /// human-readable line per file written (for the CLI to print), or
+    /// the first error.
     ///
     /// # Errors
     ///
@@ -54,7 +56,8 @@ impl TelemetrySpec {
             written.push(format!("{events} trace event(s) written to {path}"));
         }
         if let Some(path) = &self.metrics {
-            let text = obs.registry.render();
+            let text = fold_metrics(&obs.trace.events())
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
             std::fs::write(path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
             let samples = text.lines().filter(|l| !l.starts_with('#')).count();
             written.push(format!("{samples} metric sample(s) written to {path}"));
@@ -88,14 +91,27 @@ mod tests {
         let obs = spec.make_obs();
         assert!(obs.enabled());
         drop(obs.span("approval", "round").label("qos", "c1"));
-        obs.registry.counter("demo_total", "demo", &[]).inc();
+        drop(
+            obs.point("fleet", "run")
+                .label("hosts", "8")
+                .label("shards", "2"),
+        );
         let lines = spec.write(&obs).unwrap();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("1 trace event(s) written to "), "{lines:?}");
-        assert!(lines[1].starts_with("1 metric sample(s) written to "), "{lines:?}");
+        assert!(
+            lines[0].starts_with("2 trace event(s) written to "),
+            "{lines:?}"
+        );
+        assert!(
+            lines[1].starts_with("2 metric sample(s) written to "),
+            "{lines:?}"
+        );
         let read = |p: &Option<String>| std::fs::read_to_string(p.as_ref().unwrap()).unwrap();
         assert_eq!(read(&spec.trace), obs.trace.to_jsonl());
-        assert_eq!(read(&spec.metrics), obs.registry.render());
+        assert_eq!(
+            read(&spec.metrics),
+            fold_metrics(&obs.trace.events()).unwrap()
+        );
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl TraceEvent {
         }
     }
 
-    fn bad(&self, key: &str, value: Option<&str>) -> BadLabel {
+    pub(crate) fn bad(&self, key: &str, value: Option<&str>) -> BadLabel {
         BadLabel {
             span_id: self.span_id,
             event: format!("{}/{}", self.span, self.phase),

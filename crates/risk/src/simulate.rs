@@ -155,11 +155,10 @@ impl RiskSamples {
 ///
 /// With `obs` enabled: a `risk`/`sweep` span around the scenario
 /// fan-out (labelled with scenario, unique-set and demand counts), a
-/// `risk`/`merge` span around the per-scenario sample merge,
-/// per-scenario child spans on the serial path, and the sweep's
-/// per-scenario timing and worker-utilization histograms in
-/// `obs.registry` (see [`crate::sweep::sweep_ordered_obs`]). The
-/// samples are the same whatever `obs` is.
+/// `risk`/`merge` span around the per-scenario sample merge, and
+/// per-scenario child spans on the serial path (see
+/// [`crate::sweep::sweep_ordered_obs`]). The samples are the same
+/// whatever `obs` is.
 pub fn sweep_plan(
     plan: &RoutePlan,
     background: &Placement,

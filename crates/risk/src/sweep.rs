@@ -66,69 +66,29 @@ where
 
 /// `job` over every element of `items` on `workers` scoped threads,
 /// results in input order — the same for any worker count and whatever
-/// `obs` is. An untraced `obs` (see [`Obs::enabled`]) registers no
-/// metric; it only reads its clock around each item, as a traced one
-/// does. A traced one also records per-item timing in the
-/// `entitlement_risk_scenario_ms` histogram (timed by the obs clock —
-/// a counting clock gives deterministic pseudo-durations, a manual one
-/// charges zero), per-worker chunk sizes in
-/// `entitlement_risk_worker_items` (utilization balance), the resolved
-/// worker count in the `entitlement_risk_sweep_workers` gauge.
+/// `obs` is. The obs clock is read around each item, traced or not, so
+/// a counting clock advances alike either way.
 ///
-/// On the **serial** path (one resolved worker) each item additionally
-/// emits a `risk`/`scenario` trace event, parented under whatever span
-/// is open (the `risk`/`sweep` span), timed by the clock reads the
-/// histogram already pays. Parallel sweeps record histograms only:
-/// worker threads would otherwise interleave event order by scheduling,
-/// breaking byte-identical traces. Every CI byte-equality gate runs
-/// `workers = 1`.
+/// On the **serial** path (one resolved worker) of a traced `obs`
+/// (see [`Obs::enabled`]) each item also emits a `risk`/`scenario`
+/// trace event, parented under whatever span is open (the
+/// `risk`/`sweep` span) and timed by those two reads; the metrics fold
+/// reads `entitlement_risk_scenario_ms` off them. Parallel sweeps emit
+/// none: worker threads would otherwise interleave event order by
+/// scheduling, breaking byte-identical traces. Every CI byte-equality
+/// gate runs `workers = 1`.
 pub fn sweep_ordered_obs<T, F>(items: &[usize], workers: usize, obs: &Obs, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let clock = obs.clock.clone();
-    if !obs.enabled() {
-        // The clock is still read around each item: a counting clock
-        // must advance as it does on a traced sweep.
-        return sweep_ordered(items, workers, move |i| {
-            let _ = clock.now_ms();
-            let out = job(i);
-            let _ = clock.now_ms();
-            out
-        });
-    }
-    let n = items.len();
-    let resolved = effective_workers(workers, n);
-    obs.registry
-        .gauge(
-            "entitlement_risk_sweep_workers",
-            "Worker threads used by the last risk sweep",
-            &[],
-        )
-        .set(resolved as f64);
-    let chunk_hist = obs.registry.histogram(
-        "entitlement_risk_worker_items",
-        "Scenarios routed per sweep worker (utilization balance)",
-        &[],
-    );
-    let base = n / resolved;
-    let extra = n % resolved;
-    for c in 0..resolved {
-        chunk_hist.record((base + usize::from(c < extra)) as f64);
-    }
-    let scenario_ms = obs.registry.histogram(
-        "entitlement_risk_scenario_ms",
-        "Per-scenario routing time in milliseconds (obs clock)",
-        &[],
-    );
-    if resolved == 1 {
+    if obs.enabled() && effective_workers(workers, items.len()) == 1 {
         let trace = obs.trace.clone();
         return sweep_ordered(items, 1, move |i| {
             let t0 = clock.now_ms();
             let out = job(i);
             let dur = clock.now_ms().saturating_sub(t0) as f64;
-            scenario_ms.record(dur);
             trace
                 .child(t0, dur, "risk", "scenario")
                 .label_fmt("scenario", i)
@@ -137,9 +97,9 @@ where
         });
     }
     sweep_ordered(items, workers, move |i| {
-        let t0 = clock.now_ms();
+        let _ = clock.now_ms();
         let out = job(i);
-        scenario_ms.record(clock.now_ms().saturating_sub(t0) as f64);
+        let _ = clock.now_ms();
         out
     })
 }

@@ -24,7 +24,7 @@
 //!   sources.
 //! * `X0106` — `println!`/`print!`/`eprintln!`/`eprint!`/`dbg!` in
 //!   library code. Libraries report through returned values and the
-//!   telemetry registry (`entitlement-obs`), never stdout; binaries
+//!   trace (`entitlement-obs`), never stdout; binaries
 //!   (`src/bin/`, `crates/*/src/bin/`), `examples/`, integration
 //!   `tests/`, and this xtask are exempt.
 //!
@@ -114,9 +114,10 @@ const HOT_PATH_CRATES: &[&str] = &[
     "crates/topology/src/plan",
     "crates/topology/src/routing",
     // The write side of telemetry rides inside every traced admit and
-    // fleet cycle: a poisoned lock is recovered, never unwrapped.
+    // fleet cycle: a poisoned lock is recovered, never unwrapped. The
+    // metrics fold reads operator files: a bad label is an error.
     "crates/obs/src/trace",
-    "crates/obs/src/registry",
+    "crates/obs/src/fold",
     // Every admit: the table probe and the decision around it. A key
     // outside the table is cold, never a panic.
     "crates/market/src/index",
@@ -391,7 +392,7 @@ fn lint(root: &Path, allowlist_path: &Path) -> Result<Vec<Finding>, String> {
                             line: line_no,
                             message: format!(
                                 "`{pat}` in library code; return strings or record \
-                                 through the obs registry"
+                                 through the obs trace"
                             ),
                         });
                         break; // `print!` is a substring of `println!`

@@ -2,15 +2,15 @@
 //!
 //! Runs a traced approval round plus a short enforcement drill
 //! with a single [`Obs`] bundle, then prints a per-phase latency
-//! summary, the Prometheus rendering, and the first few JSONL trace
-//! lines. The clock is a counting clock, so a re-run with the same
+//! summary, the Prometheus text folded from the trace, and the first
+//! few JSONL trace lines. The clock is a counting clock, so a re-run with the same
 //! seed produces byte-identical output.
 //!
 //! ```sh
 //! cargo run --example telemetry
 //! ```
 
-use network_entitlement::obs::{parse_trace, summarize_trace, validate_prometheus};
+use network_entitlement::obs::{fold_metrics, parse_trace, summarize_trace, validate_prometheus};
 use network_entitlement::prelude::*;
 use network_entitlement::telemetry::traced_approval_preamble;
 
@@ -49,8 +49,8 @@ fn main() {
     //    `entitlectl obs summarize` prints.
     println!("\n{}", summarize_trace(&events));
 
-    // 5. The metrics registry renders Prometheus text.
-    let text = obs.registry.render();
+    // 5. The metrics are a fold of the trace, as Prometheus text.
+    let text = fold_metrics(&events).expect("own trace folds");
     let samples = validate_prometheus(&text).expect("valid Prometheus text");
     println!("metrics: {samples} samples; approval/KV excerpts:");
     for line in text

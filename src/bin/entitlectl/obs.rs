@@ -1,11 +1,11 @@
 //! `obs summarize | flame | diff`: read-side tools over the telemetry
 //! files a run leaves behind.
 
-use crate::{fail, load, load_trace, read, write_file};
+use crate::{fail, load_trace, read, write_file};
 use network_entitlement::cli::Matches;
 use network_entitlement::obs::{
-    diff_counters, diff_prometheus, diff_traces, flamegraph_folded, render_critical_path,
-    render_span_tree, summarize_trace, summarize_trace_by_label, validate_prometheus,
+    check_metrics, diff_counters, diff_prometheus, diff_traces, flamegraph_folded,
+    render_critical_path, render_span_tree, summarize_trace, summarize_trace_by_label,
 };
 
 pub fn summarize(m: &Matches) {
@@ -24,8 +24,9 @@ pub fn summarize(m: &Matches) {
         print!("{}", render_critical_path(&events));
     }
     if let Some(path) = m.text("--metrics") {
-        let samples = load(path, "metrics", 1, validate_prometheus);
-        println!("{path}: {samples} valid metric sample(s)");
+        let samples = check_metrics(&read(path, 1), &events)
+            .unwrap_or_else(|e| fail(1, format_args!("metrics {path}: {e}")));
+        println!("{path}: {samples} valid metric sample(s), the fold of the trace");
     }
 }
 

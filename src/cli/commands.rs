@@ -23,7 +23,7 @@ const FINITE: Domain = Domain(Unbounded, Unbounded);
 #[rustfmt::skip]
 pub const TELEMETRY: &[Flag] = &[
     flag("--trace", Text("FILE"), "write the span trace as JSONL (byte-identical per seed)"),
-    flag("--metrics", Text("FILE"), "write a Prometheus text snapshot of every metric touched"),
+    flag("--metrics", Text("FILE"), "write the Prometheus text the trace folds into"),
 ];
 
 /// The risk-sweep knobs; both change wall-clock time only, never results.
@@ -176,7 +176,7 @@ pub static ENTITLECTL: &[Command] = &[
         name: "obs summarize",
         positionals: &["<trace.jsonl>"],
         flags: &[&[
-            flag("--metrics", Text("FILE"), "also validate this Prometheus text file"),
+            flag("--metrics", Text("FILE"), "also check this Prometheus text file is the trace's fold"),
             flag("--by-label", Text("KEY"), "add a breakdown by the values of label KEY"),
             flag("--tree", Switch, "add the aggregated span tree and the critical path"),
         ]],

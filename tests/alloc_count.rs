@@ -220,7 +220,7 @@ fn cloning_a_warm_market_allocates_o1() {
 /// A re-ask of an exhausted slot on the booked admit world: the sweep
 /// routes its probe on the background the market placed when it
 /// warmed, one copy of a residual map per failure set, and places
-/// nothing itself. Untraced, it registers no sweep metric either.
+/// nothing itself.
 #[test]
 fn a_sweep_path_admit_places_no_background() {
     let buckets = QosBucket::approval_order();
@@ -378,13 +378,10 @@ fn a_traced_index_admit_allocates_at_most_twice_amortised() {
     });
     // One event per admit: the slot state is a label on the span.
     assert_eq!(obs.trace.len(), ADMITS);
-    // What is left is the pages and the first registration of each
-    // metric cell, looked up once for the registry, and one float
-    // memo: 38 since a page is its text alone (42 with a record vector
-    // beside it, 68 before the first page was allocated at its full
-    // size, 81 with per-admit lookups), where the owned-event sink made
-    // some 45 per admit.
-    assert!(n <= 46, "{n} allocations over {ADMITS} traced admits");
+    // What is left is the pages and one float memo: 19 (38 while a
+    // registry held each admit's metric cells), where the owned-event
+    // sink made some 45 per admit.
+    assert!(n <= 24, "{n} allocations over {ADMITS} traced admits");
 }
 
 /// A dropped sink leaves its pages to the next sink on its thread: a

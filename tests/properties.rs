@@ -30,6 +30,33 @@ fn flow_series_strategy() -> impl Strategy<Value = FlowSeries> {
     })
 }
 
+/// Algorithm 1 as implemented is a greedy prefix, not the smallest set
+/// whose α⁻ exceeds 0.5. With r1 = [60, 10], r2 = [10, 60] and
+/// r3 = [30, 30] the per-node α⁻ rank r3 (0.3) ahead of r1 and r2 (0.1
+/// each, id order); no proper prefix crosses 0.5, so the whole-set
+/// clamp leaves SEG = {r1, r3} at α⁻ 0.4 with caps of 90 and 10 of 100,
+/// although {r1, r2} has α⁻ 0.7 and r2 alone sends 60 of 100 at t1.
+#[test]
+fn two_segments_is_a_greedy_prefix_not_the_smallest_crossing_set() {
+    let (r1, r2, r3) = (RegionId(1), RegionId(2), RegionId(3));
+    let flows: FlowSeries = [(r1, vec![60.0, 10.0]), (r2, vec![10.0, 60.0]), (r3, vec![30.0, 30.0])]
+        .into_iter()
+        .collect();
+    let (seg, rest) = two_segments(&flows).unwrap();
+    assert_eq!(seg.iter().copied().collect::<Vec<_>>(), [r1, r3]);
+    assert_eq!(rest.iter().copied().collect::<Vec<_>>(), [r2]);
+    assert!((alpha_minus(&flows, &seg) - 0.4).abs() < 1e-12);
+    let crossing: std::collections::BTreeSet<RegionId> = [r1, r2].into_iter().collect();
+    assert!((alpha_minus(&flows, &crossing) - 0.7).abs() < 1e-12);
+    let hose = network_entitlement::hose::segment_flow_series(
+        NpgId(0), QosClass::C1, RegionId(0), Direction::Egress, Rate::gbps(100.0), &flows,
+    )
+    .unwrap();
+    let caps: Vec<f64> = hose.segments.iter().map(|s| s.cap.as_gbps()).collect();
+    assert!((caps[0] - 90.0).abs() < 1e-9 && (caps[1] - 10.0).abs() < 1e-9, "{caps:?}");
+    assert!((alpha_plus(&flows, &rest) - 0.6).abs() < 1e-12, "r2's peak share");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

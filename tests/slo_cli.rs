@@ -4,7 +4,9 @@
 //! a faulted drill audits dirty (exit 1) naming the violated
 //! `(entity, QoS)` and burn window, nonsense SLO policy flags exit 2
 //! with their E06xx code, and a trace whose observation events do not
-//! decode exits 1 naming the event.
+//! decode exits 1 naming the event. Every CLI run that writes a trace
+//! and a metrics file writes the trace's fold as the metrics file, and
+//! `obs summarize --metrics` holds a pair to that.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -308,5 +310,103 @@ fn summarize_refuses_an_id_it_cannot_read_exactly() {
         let want = format!("line {}: cannot read `span_id`", lines + 1);
         assert!(stderr.contains(&want), "names the line and the key:\n{stderr}");
         assert!(out.stdout.is_empty(), "no table, no tree: {out:?}");
+    }
+}
+
+/// Run `entitlectl` with `args`; panics unless it exits 0.
+fn run_ok(args: &[&str]) {
+    let out = ctl().args(args).output().expect("spawn entitlectl");
+    assert!(out.status.success(), "{args:?}: {out:?}");
+}
+
+/// Every command shape CI runs with both `--trace` and `--metrics` —
+/// the seeded drill, the sharded drill (under a fault plan, so held
+/// and missing shards and fail-static cycles are in it), an admission
+/// storm with sweeps and denials, and `check --risk` — writes as its
+/// metrics file the fold of its trace file, read back from disk, byte
+/// for byte.
+#[test]
+fn every_metrics_file_is_the_fold_of_its_trace() {
+    use network_entitlement::obs::{fold_metrics, parse_trace};
+    let plan = |name: &str, faults: &str| {
+        let path = tmp(name);
+        std::fs::write(&path, format!(r#"{{"seed": 1, "faults": [{faults}]}}"#)).expect("write the plan");
+        path.display().to_string()
+    };
+    let stale = plan(
+        "fold_stale.json",
+        r#"{"window": {"from_ms": 2000, "to_ms": 3600000}, "kind": "StaleReads"}"#,
+    );
+    let outage = plan(
+        "fold_outage.json",
+        r#"{"window": {"from_ms": 4000, "to_ms": 9001}, "kind": {"ShardOutage": {"shards": [2]}}}"#,
+    );
+    let db = tmp("fold_contracts.json").display().to_string();
+    run_ok(&["plan", "--out", &db]);
+    let fleet = ["drill", "--shards", "8", "--hosts", "2000", "--cycles", "16"];
+    let shapes: [(&str, Vec<&str>); 5] = [
+        ("drill", vec!["drill", "--hosts", "200", "--seed", "3607"]),
+        ("stale", [&fleet[..], &["--strategy", "par", "--faults", stale.as_str()]].concat()),
+        ("outage", [&fleet[..], &["--faults", outage.as_str()]].concat()),
+        ("storm", vec!["market", "--requests", "2000", "--max-ask", "2000"]),
+        (
+            "risk",
+            vec!["check", "--db", db.as_str(), "--npg", "0", "--qos", "c1", "--region", "0", "--rate", "500", "--risk"],
+        ),
+    ];
+    for (name, args) in shapes {
+        let trace = tmp(&format!("fold_{name}.jsonl")).display().to_string();
+        let metrics = tmp(&format!("fold_{name}.prom")).display().to_string();
+        run_ok(&[&args[..], &["--trace", trace.as_str(), "--metrics", metrics.as_str()]].concat());
+        let read = |p: &str| std::fs::read_to_string(p).expect("telemetry written");
+        let events = parse_trace(&read(&trace)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let folded = fold_metrics(&events).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(!folded.is_empty(), "{name}: no family");
+        assert!(folded == read(&metrics), "{name}: the metrics file is not the fold of the trace");
+    }
+}
+
+/// `obs summarize --metrics` re-folds the trace: a seeded drill's own
+/// pair agrees (exit 0), and the same pair with one counter sample
+/// edited exits 1 naming the family and both samples.
+#[test]
+fn summarize_checks_the_metrics_file_against_the_trace() {
+    let (trace, metrics) = (tmp("agree.jsonl"), tmp("agree.prom"));
+    let st = ctl()
+        .args(["drill", "--hosts", "200", "--seed", "3607", "--trace"])
+        .arg(&trace)
+        .arg("--metrics")
+        .arg(&metrics)
+        .output()
+        .expect("spawn entitlectl drill");
+    assert!(st.status.success(), "drill failed: {st:?}");
+    let summarize = |prom: &Path| {
+        ctl()
+            .args(["obs", "summarize"])
+            .arg(&trace)
+            .arg("--metrics")
+            .arg(prom)
+            .output()
+            .expect("summarize --metrics")
+    };
+    let out = summarize(&metrics);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("the fold of the trace"), "{out:?}");
+
+    let text = std::fs::read_to_string(&metrics).expect("metrics written");
+    let sample = "entitlement_kv_ops_total{op=\"put\",outcome=\"ok\"} 998\n";
+    assert!(text.contains(sample), "the drill's puts:\n{text}");
+    let edited = tmp("disagree.prom");
+    std::fs::write(&edited, text.replace(sample, "entitlement_kv_ops_total{op=\"put\",outcome=\"ok\"} 999\n"))
+        .expect("write the edited metrics");
+    let out = summarize(&edited);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for part in [
+        "family `entitlement_kv_ops_total`",
+        "the trace folds to `entitlement_kv_ops_total{op=\"put\",outcome=\"ok\"} 998`",
+        "the file has `entitlement_kv_ops_total{op=\"put\",outcome=\"ok\"} 999`",
+    ] {
+        assert!(stderr.contains(part), "names {part}:\n{stderr}");
     }
 }
