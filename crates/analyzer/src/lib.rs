@@ -13,21 +13,22 @@
 //!   text/JSON [`Report`]s;
 //! * [`input`] — the [`LintBundle`]: every artifact a planning run
 //!   consumes, all sections optional;
-//! * [`rules`] — the [`Rule`] engine: ≥10 rules encoding §3–§4
+//! * [`rules`] — fifteen plain rule functions encoding §3–§4
 //!   invariants (segment disjointness, the Algorithm 1 α⁻ > 0.5
 //!   boundary, cap sums, the Algorithm 2 bucket order, capacity vs.
-//!   max-flow, curve monotonicity, …).
+//!   max-flow, curve monotonicity, …), run in one fixed order by
+//!   [`analyze`].
 //!
 //! Surfaces: `entitlectl lint` (CLI), the approval engine's pre-flight
 //! gate ([`preflight_hoses`]), and the fixture-corpus CI run.
 //!
 //! ```
-//! use entitlement_analyzer::{Analyzer, Code, LintBundle};
+//! use entitlement_analyzer::{analyze, Code, LintBundle};
 //!
 //! let bundle = LintBundle::from_json(
 //!     r#"{"approval_order": ["c2_low", "c1_low"]}"#,
 //! ).unwrap();
-//! let report = Analyzer::new().run(&bundle);
+//! let report = analyze(&bundle);
 //! assert!(report.has_errors());
 //! assert_eq!(report.codes(), vec![Code::E0301]);
 //! ```
@@ -38,4 +39,4 @@ pub mod rules;
 
 pub use diag::{CatalogEntry, Code, Diagnostic, Location, Report, Severity};
 pub use input::{ApprovalConfigCheck, CurveCheck, CurvePoint, HoseFlows, LintBundle, RegionSeries};
-pub use rules::{preflight_hoses, Analyzer, Rule, RuleInfo};
+pub use rules::{analyze, preflight_hoses};

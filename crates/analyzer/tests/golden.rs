@@ -9,7 +9,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use entitlement_analyzer::{Analyzer, LintBundle, Report, Severity};
+use entitlement_analyzer::{analyze, LintBundle, Report, Severity};
 
 fn fixture_dir(kind: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures").join(kind)
@@ -20,7 +20,7 @@ fn run_fixture(path: &Path) -> Report {
         .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     let bundle = LintBundle::from_json(&text)
         .unwrap_or_else(|e| panic!("parse {}: {e}", path.display()));
-    Analyzer::default().run(&bundle)
+    analyze(&bundle)
 }
 
 /// The code a fixture is named for: `e0203_caps_dont_sum.json` → "E0203".

@@ -14,13 +14,20 @@
 //! **Stateful** (eq. 6–7): track `PrevConformRatio` and use only the
 //! aggregate **conforming** rate:
 //! `ConformRatio = EntitledRate / ConformRate × PrevConformRatio`.
-//! When all traffic returns into conformance (`TotalRate ≤
-//! EntitledRate`), the ratio recovers exponentially
+//! When all traffic returns into conformance (`TotalRate <
+//! 0.9 × EntitledRate`), the ratio recovers exponentially
 //! (`ConformRatio = 2 × PrevConformRatio`) — rapid but not immediate
-//! un-throttling to avoid fluctuation.
+//! un-throttling to avoid fluctuation. Just under the entitlement it
+//! grows by `EntitledRate / TotalRate` instead ([`RECOVERY_BAND`]).
 
 use entitlement_core::Rate;
 use serde::{Deserialize, Serialize};
+
+/// Totals in `[RECOVERY_BAND, 1) × entitled` grow the stateful ratio
+/// by entitled/total instead of eq. 7's ×recovery (DESIGN §6): a ratio
+/// that lands a marking group short of the entitlement would otherwise
+/// double and overshoot it, every other cycle.
+pub const RECOVERY_BAND: f64 = 0.9;
 
 /// A metering algorithm: maps observed rates to a conform ratio in
 /// `[0, 1]` (the fraction of traffic to leave conforming).
@@ -139,9 +146,13 @@ impl StatefulMeter {
         if !(total_bps.is_finite() && conform_bps.is_finite() && entitled_bps.is_finite()) {
             return prev;
         }
-        let new_ratio = if total_bps < entitled_bps {
+        let new_ratio = if total_bps < RECOVERY_BAND * entitled_bps {
             // Back in conformance: exponential un-throttle.
             (prev * recovery_factor).min(1.0)
+        } else if total_bps < entitled_bps {
+            // Just under the entitlement: grow by the headroom left, so
+            // a group-granular undershoot is not read as recovery.
+            (prev * (entitled_bps / total_bps).min(recovery_factor)).min(1.0)
         } else if conform_bps < 1.0 {
             // Nothing conforming observed (same sub-bit/s threshold as
             // `Rate::is_zero`): probe with the previous ratio.
@@ -157,9 +168,10 @@ impl StatefulMeter {
 
 impl Meter for StatefulMeter {
     fn update(&mut self, total_rate: Rate, conform_rate: Rate, entitled: Rate) -> f64 {
-        // Strictly below the entitlement triggers recovery. At exact
-        // equality the service is *at* its limit, not under it — doubling
-        // there would oscillate between full throttle and none (in
+        // Strictly below the entitlement triggers recovery (eq. 7's
+        // ×recovery only below the band). At exact equality the service
+        // is *at* its limit, not under it — doubling there would
+        // oscillate between full throttle and none (in
         // practice TCP probing keeps the observed total slightly above
         // the entitlement whenever demand exceeds it, so the boundary is
         // rarely hit; the strict comparison makes the idealized §7.4

@@ -1,10 +1,13 @@
 //! Property tests for the fail-static invariants: the stateful meter's
-//! output is always a usable conform ratio, and a cycle observing an
-//! unavailable store never perturbs the standing decision.
+//! output is always a usable conform ratio, its recovery is eq. 7's
+//! outside the band just under the entitlement and continuous at the
+//! band's top, and a cycle observing an unavailable store never
+//! perturbs the standing decision.
 
 use entitlement_core::{
     Direction, Entitlement, HostId, NpgId, Period, QosClass, Rate, RegionId, SloTarget,
 };
+use entitlement_enforcement::metering::RECOVERY_BAND;
 use entitlement_enforcement::{
     Agent, AgentConfig, ContractDb, MarkingStrategy, Meter, StatefulMeter,
 };
@@ -61,6 +64,38 @@ proptest! {
             );
             prop_assert!((1e-4..=1.0).contains(&cr), "cr out of bounds: {cr}");
             prop_assert!(cr == meter.conform_ratio());
+        }
+    }
+
+    /// Below `RECOVERY_BAND × entitled` the update is eq. 7's
+    /// `min(prev × recovery, 1)` bit for bit; inside the band the ratio
+    /// grows by at most entitled/total, which tends to 1 as the total
+    /// reaches the entitlement, where eq. 7 holds the ratio (conform =
+    /// entitled): no step at the band's top.
+    #[test]
+    fn recovery_is_eq7_outside_the_band_and_continuous_at_its_top(
+        prev in 1e-4f64..1.0,
+        entitled in 1e6f64..4e12,
+        share in 0.0f64..1.0,
+        recovery in 1.0f64..4.0,
+    ) {
+        let up = |total: f64| StatefulMeter::update_value(prev, total, total, entitled, recovery);
+        let eq7 = (prev * recovery).clamp(1e-4, 1.0);
+        let below = share * RECOVERY_BAND * entitled;
+        if below < RECOVERY_BAND * entitled {
+            prop_assert_eq!(up(below).to_bits(), eq7.to_bits(), "total {}", below);
+        }
+
+        let total = entitled * (RECOVERY_BAND + share * (1.0 - RECOVERY_BAND));
+        if total < entitled {
+            let factor = up(total) / prev;
+            prop_assert!(up(total) <= eq7, "band step {} past eq. 7's {}", up(total), eq7);
+            prop_assert!(factor >= 1.0 - 1e-12, "the band never throttles: {}", factor);
+            prop_assert!(factor <= entitled / total * (1.0 + 1e-12), "factor {}", factor);
+            let at_top = StatefulMeter::update_value(prev, entitled, entitled, entitled, recovery);
+            prop_assert_eq!(at_top.to_bits(), prev.to_bits());
+            let gap = (up(total) - at_top).abs();
+            prop_assert!(gap <= prev * (entitled / total - 1.0) * (1.0 + 1e-9), "gap {}", gap);
         }
     }
 

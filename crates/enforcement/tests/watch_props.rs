@@ -28,11 +28,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// No monitor or detector fires on a healthy drill, whatever the
-    /// seed. Host counts stay at fine marking granularity (≥ 300 of
-    /// the default 2000): coarser fleets genuinely oscillate — the
-    /// meter's recovery doubling from a half-open conform ratio lands
-    /// exactly on 1.0 — and the watchdog flagging that regime is its
-    /// job, not a false positive (see DESIGN.md §10).
+    /// seed. Host counts stay at ≥ 300 of the default 2000; coarser
+    /// fleets oscillated until the meter's recovery band (DESIGN.md §6,
+    /// §10).
     #[test]
     fn healthy_drill_is_silent_for_any_seed(
         seed in any::<u64>(),

@@ -243,13 +243,12 @@ impl Fold {
                 Value::Count(n) => sample("", None, Sample::Count(*n)),
                 Value::Gauge(v) => sample("", None, Sample::Value(*v)),
                 Value::Histogram(h) => {
-                    let snap = h.snapshot();
-                    for (le, cum) in &snap.cumulative {
-                        sample("_bucket", Some(*le), Sample::Count(*cum));
+                    for (le, cum) in h.cumulative() {
+                        sample("_bucket", Some(le), Sample::Count(cum));
                     }
-                    sample("_bucket", Some(f64::INFINITY), Sample::Count(snap.count));
-                    sample("_sum", None, Sample::Value(snap.sum));
-                    sample("_count", None, Sample::Count(snap.count));
+                    sample("_bucket", Some(f64::INFINITY), Sample::Count(h.count()));
+                    sample("_sum", None, Sample::Value(h.sum()));
+                    sample("_count", None, Sample::Count(h.count()));
                 }
             }
         }

@@ -47,7 +47,7 @@ pub mod tree;
 
 pub use clock::Clock;
 pub use fold::{check_metrics, fold_metrics};
-pub use metrics::{Histogram, HistogramSnapshot};
+pub use metrics::Histogram;
 pub use summary::{
     diff_counters, diff_prometheus, diff_traces, parse_trace, summarize_trace,
     summarize_trace_by_label, validate_prometheus,

@@ -1,10 +1,5 @@
 //! The log-bucketed histogram the metrics fold and the trace summaries
-//! record into. It is `Arc`-backed — cloning shares the underlying
-//! cells, so several owners (worker threads) can record into one
-//! without locks.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! record into. Each has one owner, which records through `&mut self`.
 
 /// Buckets per decade of the log-spaced histogram layout.
 const BUCKETS_PER_DECADE: i32 = 4;
@@ -31,26 +26,20 @@ fn bounds() -> &'static [f64; N_BOUNDS] {
     })
 }
 
-struct HistogramInner {
-    /// Per-bucket (non-cumulative) counts; index `N_BOUNDS` is the
-    /// overflow (`+Inf`) bucket.
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    /// `f64` bit patterns maintained by CAS loops.
-    sum_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-}
-
 /// A log-bucketed histogram of `f64` observations.
 ///
-/// Fixed layout (four buckets per decade over
-/// `10^-3..10^7`) keeps every histogram mergeable with every other and
-/// avoids per-metric configuration. Quantile estimates interpolate
-/// within a bucket and are always clamped to the observed
-/// `[min, max]` range.
-#[derive(Clone)]
-pub struct Histogram(Arc<HistogramInner>);
+/// Fixed layout (four buckets per decade over `10^-3..10^7`) avoids
+/// per-metric configuration. Quantile estimates interpolate within a
+/// bucket and are always clamped to the observed `[min, max]` range.
+pub struct Histogram {
+    /// Per-bucket (non-cumulative) counts; index `N_BOUNDS` is the
+    /// overflow (`+Inf`) bucket.
+    buckets: Vec<u64>,
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
 
 impl Default for Histogram {
     fn default() -> Self {
@@ -62,52 +51,50 @@ impl Histogram {
     /// New empty histogram.
     #[must_use]
     pub fn new() -> Self {
-        Self(Arc::new(HistogramInner {
-            buckets: (0..=N_BOUNDS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0.0f64.to_bits()),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        }))
+        Self {
+            buckets: vec![0; N_BOUNDS + 1],
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
     }
 
     /// Record one observation. Non-finite values are ignored.
-    pub fn record(&self, v: f64) {
+    pub fn record(&mut self, v: f64) {
         if !v.is_finite() {
             return;
         }
         let idx = bounds().partition_point(|&b| b < v).min(N_BOUNDS);
-        self.0.buckets[idx].fetch_add(1, Ordering::AcqRel);
-        self.0.count.fetch_add(1, Ordering::AcqRel);
-        fold_bits(&self.0.sum_bits, |cur| cur + v);
-        fold_bits(&self.0.min_bits, |cur| cur.min(v));
-        fold_bits(&self.0.max_bits, |cur| cur.max(v));
+        self.buckets[idx] += 1;
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
     }
 
     /// Number of observations.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Acquire)
+        self.count
     }
 
     /// Sum of observations.
     #[must_use]
     pub fn sum(&self) -> f64 {
-        f64::from_bits(self.0.sum_bits.load(Ordering::Acquire))
+        self.sum
     }
 
     /// Smallest observation, or `None` if empty.
     #[must_use]
     pub fn min(&self) -> Option<f64> {
-        let v = f64::from_bits(self.0.min_bits.load(Ordering::Acquire));
-        v.is_finite().then_some(v)
+        self.min.is_finite().then_some(self.min)
     }
 
     /// Largest observation, or `None` if empty.
     #[must_use]
     pub fn max(&self) -> Option<f64> {
-        let v = f64::from_bits(self.0.max_bits.load(Ordering::Acquire));
-        v.is_finite().then_some(v)
+        self.max.is_finite().then_some(self.max)
     }
 
     /// Estimate the `q`-quantile (`q` clamped to `[0, 1]`) by linear
@@ -123,8 +110,7 @@ impl Histogram {
         let target = q.clamp(0.0, 1.0) * count as f64;
         let bs = bounds();
         let mut cum = 0u64;
-        for (i, bucket) in self.0.buckets.iter().enumerate() {
-            let n = bucket.load(Ordering::Acquire);
+        for (i, &n) in self.buckets.iter().enumerate() {
             if n == 0 {
                 continue;
             }
@@ -161,79 +147,14 @@ impl Histogram {
         self.quantile(0.999)
     }
 
-    /// Fold another histogram's observations into this one. Bucket
-    /// counts, count, min, and max merge exactly; the sums add.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (dst, src) in self.0.buckets.iter().zip(&other.0.buckets) {
-            dst.fetch_add(src.load(Ordering::Acquire), Ordering::AcqRel);
-        }
-        self.0
-            .count
-            .fetch_add(other.count(), Ordering::AcqRel);
-        let (os, omin, omax) = (other.sum(), other.min(), other.max());
-        if other.count() > 0 {
-            fold_bits(&self.0.sum_bits, |cur| cur + os);
-        }
-        if let Some(m) = omin {
-            fold_bits(&self.0.min_bits, |cur| cur.min(m));
-        }
-        if let Some(m) = omax {
-            fold_bits(&self.0.max_bits, |cur| cur.max(m));
-        }
-    }
-
-    /// A point-in-time copy for rendering and comparison.
-    #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let bs = bounds();
-        let mut cumulative = Vec::with_capacity(N_BOUNDS);
-        let mut cum = 0u64;
-        for (i, bucket) in self.0.buckets.iter().enumerate().take(N_BOUNDS) {
-            cum += bucket.load(Ordering::Acquire);
-            cumulative.push((bs[i], cum));
-        }
-        HistogramSnapshot {
-            cumulative,
-            count: self.count(),
-            sum: self.sum(),
-            min: self.min(),
-            max: self.max(),
-        }
-    }
-}
-
-/// Cumulative-bucket snapshot of a [`Histogram`], in Prometheus `le`
-/// form (the final `+Inf` bucket is implied by `count`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistogramSnapshot {
-    /// `(le, cumulative_count)` for each finite boundary, ascending.
-    pub cumulative: Vec<(f64, u64)>,
-    /// Total number of observations (also the `+Inf` cumulative count).
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Smallest observation, if any.
-    pub min: Option<f64>,
-    /// Largest observation, if any.
-    pub max: Option<f64>,
-}
-
-/// CAS-update an atomic holding `f64` bits with a pure fold.
-///
-/// The success ordering must be `AcqRel`: a `Relaxed` CAS here would
-/// let a reader observe the folded sum without a happens-before edge
-/// from the fold that produced it, so the read is not ordered after
-/// the observations it claims to summarize. The loop retries on a
-/// stale `cur`, so concurrent recorders never lose an update
-/// (`tests/histogram_props.rs` records from four threads at once).
-fn fold_bits(cell: &AtomicU64, f: impl Fn(f64) -> f64) {
-    let mut cur = cell.load(Ordering::Acquire);
-    loop {
-        let next = f(f64::from_bits(cur)).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
+    /// `(le, cumulative_count)` for each finite boundary, ascending: the
+    /// Prometheus `_bucket` series (the final `+Inf` bucket is
+    /// [`Histogram::count`]).
+    pub fn cumulative(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        bounds().iter().zip(&self.buckets).scan(0u64, |cum, (&le, &n)| {
+            *cum += n;
+            Some((le, *cum))
+        })
     }
 }
 
@@ -243,7 +164,7 @@ mod tests {
 
     #[test]
     fn histogram_basic_stats() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for v in [1.0, 2.0, 3.0, 4.0] {
             h.record(v);
         }
@@ -257,7 +178,7 @@ mod tests {
 
     #[test]
     fn quantiles_bracket_the_data() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for i in 1..=1000 {
             h.record(f64::from(i));
         }
@@ -272,7 +193,7 @@ mod tests {
 
     #[test]
     fn quantile_of_out_of_range_values() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         h.record(1e-9); // below the first boundary: lands in bucket 0
         h.record(1e12); // above the last: overflow bucket
         for q in [0.01, 0.5, 0.99] {
@@ -287,7 +208,7 @@ mod tests {
         // Regression: bucket 0 used to interpolate from a 0.0 lower
         // edge, so a lone sub-millisecond sample reported quantiles
         // below itself. The lower edge is now the observed minimum.
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         h.record(2e-4);
         for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile(q), Some(2e-4), "q={q}");
@@ -299,7 +220,7 @@ mod tests {
         // Two samples in bucket 0 (bound 1e-3): min 2e-4 is the lower
         // edge, so the median interpolates to 2e-4 + 0.5·(1e-3 − 2e-4)
         // = 6e-4 — not the 5e-4 a zero lower edge would give.
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         h.record(2e-4);
         h.record(1e-3);
         let p50 = h.quantile(0.5).unwrap();
@@ -312,36 +233,5 @@ mod tests {
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
-    }
-
-    #[test]
-    fn merge_matches_batch() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let batch = Histogram::new();
-        for v in [0.5, 1.5, 250.0] {
-            a.record(v);
-            batch.record(v);
-        }
-        for v in [0.001, 9.0, 1e8] {
-            b.record(v);
-            batch.record(v);
-        }
-        a.merge_from(&b);
-        let (ma, mb) = (a.snapshot(), batch.snapshot());
-        assert_eq!(ma.cumulative, mb.cumulative);
-        assert_eq!(ma.count, mb.count);
-        assert_eq!(ma.min, mb.min);
-        assert_eq!(ma.max, mb.max);
-        assert!((ma.sum - mb.sum).abs() <= 1e-9 * mb.sum.abs().max(1.0));
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let a = Histogram::new();
-        a.record(7.0);
-        let before = a.snapshot();
-        a.merge_from(&Histogram::new());
-        assert_eq!(a.snapshot(), before);
     }
 }

@@ -80,37 +80,9 @@ fn self_durations(events: &[TraceEvent]) -> Vec<f64> {
 /// emitter in this workspace).
 #[must_use]
 pub fn summarize_trace(events: &[TraceEvent]) -> String {
-    let selfs = self_durations(events);
-    let mut groups: BTreeMap<(String, String), Histogram> = BTreeMap::new();
-    for (i, e) in events.iter().enumerate() {
-        groups
-            .entry((e.span.clone(), e.phase.clone()))
-            .or_default()
-            .record(selfs[i].max(0.0));
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<14} {:<22} {:>7} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "span", "phase", "count", "total_ms", "mean_ms", "p50_ms", "p95_ms", "p999_ms", "max_ms"
-    );
-    for ((span, phase), h) in &groups {
-        let count = h.count();
-        let total = h.sum();
-        let mean = if count > 0 { total / count as f64 } else { 0.0 };
-        let p50 = h.quantile(0.50).unwrap_or(0.0);
-        let p95 = h.quantile(0.95).unwrap_or(0.0);
-        let p999 = h.p999().unwrap_or(0.0);
-        let max = h.max().unwrap_or(0.0);
-        let _ = writeln!(
-            out,
-            "{span:<14} {phase:<22} {count:>7} {total:>12.1} {mean:>10.2} {p50:>10.2} {p95:>10.2} {p999:>10.2} {max:>10.2}"
-        );
-    }
-    if groups.is_empty() {
-        let _ = writeln!(out, "(no events)");
-    }
-    out
+    latency_table(events, &[("span", 14), ("phase", 22)], |e| {
+        vec![e.span.clone(), e.phase.clone()]
+    })
 }
 
 /// Render a latency table grouped by the value of one label: one row
@@ -120,30 +92,37 @@ pub fn summarize_trace(events: &[TraceEvent]) -> String {
 /// Rows sort by label value.
 #[must_use]
 pub fn summarize_trace_by_label(events: &[TraceEvent], key: &str) -> String {
-    let selfs = self_durations(events);
-    let mut groups: BTreeMap<String, Histogram> = BTreeMap::new();
-    for (i, e) in events.iter().enumerate() {
-        let value = e
-            .labels
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or_else(|| "(unlabelled)".to_string(), |(_, v)| v.clone());
-        groups.entry(value).or_default().record(selfs[i].max(0.0));
+    latency_table(events, &[(&format!("{key}="), 24)], |e| {
+        let value = e.labels.iter().find(|(k, _)| k == key);
+        vec![value.map_or_else(|| "(unlabelled)".to_string(), |(_, v)| v.clone())]
+    })
+}
+
+/// The one latency table: events grouped by `key` (one cell per
+/// `(title, width)` column), each group's self-times in a
+/// [`Histogram`], rows in key order.
+fn latency_table(
+    events: &[TraceEvent],
+    columns: &[(&str, usize)],
+    key: impl Fn(&TraceEvent) -> Vec<String>,
+) -> String {
+    let mut groups: BTreeMap<Vec<String>, Histogram> = BTreeMap::new();
+    for (e, d) in events.iter().zip(self_durations(events)) {
+        groups.entry(key(e)).or_default().record(d.max(0.0));
     }
     let mut out = String::new();
+    for (title, w) in columns {
+        let _ = write!(out, "{title:<w$} ");
+    }
     let _ = writeln!(
         out,
-        "{:<24} {:>7} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        format!("{key}="),
-        "count",
-        "total_ms",
-        "mean_ms",
-        "p50_ms",
-        "p95_ms",
-        "p999_ms",
-        "max_ms"
+        "{:>7} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "count", "total_ms", "mean_ms", "p50_ms", "p95_ms", "p999_ms", "max_ms"
     );
-    for (value, h) in &groups {
+    for (cells, h) in &groups {
+        for (cell, (_, w)) in cells.iter().zip(columns) {
+            let _ = write!(out, "{cell:<w$} ");
+        }
         let count = h.count();
         let total = h.sum();
         let mean = if count > 0 { total / count as f64 } else { 0.0 };
@@ -153,7 +132,7 @@ pub fn summarize_trace_by_label(events: &[TraceEvent], key: &str) -> String {
         let max = h.max().unwrap_or(0.0);
         let _ = writeln!(
             out,
-            "{value:<24} {count:>7} {total:>12.1} {mean:>10.2} {p50:>10.2} {p95:>10.2} {p999:>10.2} {max:>10.2}"
+            "{count:>7} {total:>12.1} {mean:>10.2} {p50:>10.2} {p95:>10.2} {p999:>10.2} {max:>10.2}"
         );
     }
     if groups.is_empty() {

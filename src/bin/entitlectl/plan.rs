@@ -357,13 +357,11 @@ pub fn topo(m: &Matches) {
 }
 
 pub fn lint(m: &Matches) {
-    use network_entitlement::analyzer::{Analyzer, LintBundle};
+    use network_entitlement::analyzer::{analyze, Code, LintBundle};
 
-    let analyzer = Analyzer::default();
     if m.on("--list-rules") {
-        for info in analyzer.rule_infos() {
-            let codes: Vec<&str> = info.codes.iter().map(|c| c.as_str()).collect();
-            println!("{:<24} {:<24} {}", info.name, codes.join(","), info.description);
+        for e in Code::CATALOG {
+            println!("{} {:<7} {}  [{}]", e.code, e.severity.to_string(), e.invariant, e.paper);
         }
         return;
     }
@@ -371,7 +369,7 @@ pub fn lint(m: &Matches) {
         exit_with(&m.command.usage_error("missing [bundle.json] (or --list-rules)"));
     };
     let bundle = load(path, "bundle", 2, LintBundle::from_json);
-    let report = analyzer.run(&bundle);
+    let report = analyze(&bundle);
     if m.on("--json") {
         println!("{}", report.render_json());
     } else if report.diagnostics.is_empty() {

@@ -1,7 +1,9 @@
 //! End-to-end exit-code contract of `entitlectl lint`: every broken
 //! fixture exits non-zero with its named error code on stdout, every
-//! clean fixture exits zero, and warnings never gate.
+//! clean fixture exits zero, warnings never gate, and `--list-rules`
+//! prints the code catalog.
 
+use network_entitlement::analyzer::Code;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -116,4 +118,28 @@ fn usage_errors_exit_two() {
         .output()
         .expect("spawn entitlectl");
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// `--list-rules` needs no bundle and prints the one code catalog, a
+/// line per `Code::CATALOG` entry in catalog order: code, severity,
+/// invariant and paper anchor, the E07xx approval-config and W01xx
+/// watchdog codes included.
+#[test]
+fn list_rules_prints_the_code_catalog() {
+    let out = Command::new(env!("CARGO_BIN_EXE_entitlectl"))
+        .args(["lint", "--list-rules"])
+        .output()
+        .expect("spawn entitlectl");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).expect("utf-8");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), Code::CATALOG.len(), "{stdout}");
+    for (line, e) in lines.iter().zip(Code::CATALOG) {
+        let severity = e.severity.to_string();
+        assert!(line.starts_with(&format!("{} {severity}", e.code)), "{line}");
+        assert!(line.contains(e.invariant) && line.contains(e.paper), "{line}");
+    }
+    for code in ["E0701", "W0107"] {
+        assert!(lines.iter().any(|l| l.starts_with(code)), "{code} missing:\n{stdout}");
+    }
 }

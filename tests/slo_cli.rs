@@ -98,9 +98,8 @@ fn a_malformed_observation_event_exits_one_naming_it() {
             assert!(!stdout.contains("VIOLATED") && !stdout.contains("status:"), "{stdout}");
         }
     }
-    // The untouched trace still folds through both (a 200-host drill
-    // is too coarse for the watchdog to call healthy — DESIGN §10 — so
-    // only its having reached a verdict is checked).
+    // The untouched trace still folds through both (only the watchdog's
+    // having reached a verdict is checked).
     let run = |args: &[&str]| ctl().args(args).arg(&healthy).output().expect("spawn");
     assert!(run(&["slo", "audit"]).status.success());
     let watch = run(&["watch"]);
