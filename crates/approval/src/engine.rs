@@ -219,27 +219,24 @@ fn pipe_approval_in(
             if p.fully_approved() {
                 continue;
             }
-            let event = obs
-                .point("approval", "pipe_binding")
-                .label_fmt("pipe", i)
-                .label_fmt("src", p.src)
-                .label_fmt("dst", p.dst)
-                .label_fmt("requested_gbps", p.requested.as_gbps())
-                .label_fmt("approved_gbps", p.approved.as_gbps());
-            match samples.binding_scenario(i, slo.availability()) {
+            let event = obs.point("approval", "pipe_binding");
+            let (scenario, links, probability) = match samples.binding_scenario(i, slo.availability()) {
                 Some(s) => {
                     let sc = &scenarios.scenarios[s];
-                    event
-                        .label("binding_scenario", &sc.label)
-                        .label("binding_links", &sc.links_label())
-                        .label_fmt("binding_p", sc.probability)
+                    (sc.label.as_str(), sc.links_label(), sc.probability)
                 }
-                None => event
-                    .label("binding_scenario", "infeasible")
-                    .label("binding_links", "none")
-                    .label_fmt("binding_p", 0.0),
-            }
-            .finish();
+                None => ("infeasible", "none".to_string(), 0.0),
+            };
+            event
+                .label_fmt("approved_gbps", p.approved.as_gbps())
+                .label("binding_links", &links)
+                .label_fmt("binding_p", probability)
+                .label("binding_scenario", scenario)
+                .label_fmt("dst", p.dst)
+                .label_fmt("pipe", i)
+                .label_fmt("requested_gbps", p.requested.as_gbps())
+                .label_fmt("src", p.src)
+                .finish();
         }
     }
     if config.mode == ApprovalMode::StrictBatch && out.iter().any(|p| !p.fully_approved()) {
@@ -477,12 +474,12 @@ pub(crate) fn approve_requests_in(
         };
         let mut hose_span = obs
             .span("approval", "hose_approval")
-            .label("qos", &qos)
             .label_fmt("npg", hose.npg.0);
         if rejected[h] {
             // Analyzer-rejected: zero grant, no counter-proposal, and
             // nothing added to the background of lower classes.
             hose_span.add_label("outcome", "rejected");
+            hose_span.add_label("qos", &qos);
             hose_span.finish();
             results.push((
                 h,
@@ -561,6 +558,7 @@ pub(crate) fn approve_requests_in(
             "partial"
         };
         hose_span.add_label("outcome", outcome);
+        hose_span.add_label("qos", &qos);
         hose_span.finish();
         results.push((
             h,

@@ -23,6 +23,10 @@
 //! with the same flag groups, so an unknown flag, a value flag with no
 //! value or an unparsable value exits 2 naming the flag.
 
+#[macro_use]
+#[path = "../../../../src/bin/entitlectl/out.rs"]
+mod out;
+
 use entitlement_bench::experiments as exp;
 use entitlement_enforcement::MarkingStrategy;
 use entitlement_obs::TelemetrySpec;
@@ -75,7 +79,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let m = cli::parse(REPRO, &args).unwrap_or_else(|exit| {
         if exit.code == 0 {
-            print!("{}", exit.message);
+            out!("{}", exit.message);
         } else {
             eprint!("{}", exit.message);
         }
@@ -88,9 +92,9 @@ fn main() {
 
     match id {
         "list" => {
-            println!("experiments:");
+            outln!("experiments:");
             for (id, desc) in INDEX {
-                println!("  {id:<10} {desc}");
+                outln!("  {id:<10} {desc}");
             }
         }
         "all" => {
@@ -108,7 +112,7 @@ fn main() {
 
 fn emit<T: serde::Serialize>(json: bool, id: &str, value: &T, print: impl FnOnce()) {
     if json {
-        println!(
+        outln!(
             "{{\"experiment\":\"{id}\",\"data\":{}}}",
             serde_json::to_string(value).expect("serializable result")
         );
@@ -123,28 +127,28 @@ fn run(id: &str, json: bool, sweep: (usize, bool), tele: &TelemetrySpec) {
         "fig1" | "fig2" => {
             let (high, low) = exp::service_distribution::run(0x51);
             let d = if id == "fig1" { high } else { low };
-            emit(json, id, &d, || print!("{}", d.render()));
+            emit(json, id, &d, || out!("{}", d.render()));
         }
         "fig3" => {
             let p = exp::storage_patterns::run(2.0);
-            emit(json, id, &p, || print!("{}", p.render()));
+            emit(json, id, &p, || out!("{}", p.render()));
         }
         "fig4" | "fig5" => {
             let r = exp::incident::run(5);
-            emit(json, id, &r, || print!("{}", r.render()));
+            emit(json, id, &r, || out!("{}", r.render()));
         }
         "fig6" => {
             let e = exp::hose_example::run();
-            emit(json, id, &e, || print!("{}", e.render()));
+            emit(json, id, &e, || out!("{}", e.render()));
         }
         "fig7" => {
             let d = exp::src_distribution::run(0x51);
-            emit(json, id, &d, || print!("{}", d.render()));
+            emit(json, id, &d, || out!("{}", d.render()));
         }
         "fig11" | "fig12" | "fig13" | "fig14" | "fig15" | "fig16" | "fig17" => {
             let obs = tele.make_obs();
             let r = exp::drill::run(MarkingStrategy::HostBased, &obs);
-            emit(json, id, &r, || print!("{}", r.render()));
+            emit(json, id, &r, || out!("{}", r.render()));
             match tele.write(&obs) {
                 Ok(lines) => lines.iter().for_each(|line| eprintln!("{line}")),
                 Err(e) => {
@@ -160,15 +164,15 @@ fn run(id: &str, json: bool, sweep: (usize, bool), tele: &TelemetrySpec) {
                 ..Default::default()
             });
             let label = if id == "fig18" { "QoS A" } else { "QoS B" };
-            emit(json, id, &acc, || print!("{}", acc.render(label)));
+            emit(json, id, &acc, || out!("{}", acc.render(label)));
         }
         "fig20" => {
             let b = exp::segmented_benefit::run(&Default::default());
-            emit(json, id, &b, || print!("{}", b.render()));
+            emit(json, id, &b, || out!("{}", b.render()));
         }
         "fig21" => {
             let c = exp::coverage_tradeoff::run(4000, 400, 0xF21);
-            emit(json, id, &c, || print!("{}", c.render()));
+            emit(json, id, &c, || out!("{}", c.render()));
         }
         "fig22" => {
             let (workers, dedup) = sweep;
@@ -179,11 +183,11 @@ fn run(id: &str, json: bool, sweep: (usize, bool), tele: &TelemetrySpec) {
                 workers,
                 dedup,
             );
-            emit(json, id, &a, || print!("{}", a.render()));
+            emit(json, id, &a, || out!("{}", a.render()));
         }
         "fig23" | "fig24" | "fig25" => {
             let m = exp::marking::run(60);
-            emit(json, id, &m, || print!("{}", m.render()));
+            emit(json, id, &m, || out!("{}", m.render()));
         }
         "ablations" => {
             let s = exp::ablations::segments_ablation(20, 0xAB1);
@@ -196,7 +200,7 @@ fn run(id: &str, json: bool, sweep: (usize, bool), tele: &TelemetrySpec) {
                 emit(json, "ablation_architecture", &a, || {});
                 emit(json, "ablation_srlg", &g, || {});
             } else {
-                print!("{}{}{}{}", s.render(), r.render(), a.render(), g.render());
+                out!("{}{}{}{}", s.render(), r.render(), a.render(), g.render());
             }
         }
         other => {

@@ -102,7 +102,7 @@ use entitlement_kvstore::{
 };
 use entitlement_obs::Obs;
 use entitlement_slo::watch::WatchEvaluator;
-use entitlement_slo::{CycleObs, IntervalObs, SloEvaluator};
+use entitlement_slo::{CycleObs, SloEvaluator};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
@@ -178,9 +178,6 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Optional fault plan (shard outages target fleet shards).
     pub faults: Option<FaultPlan>,
-    /// Also feed one SLI entity per shard into the SLO evaluator
-    /// (entity `npg:N/sS`, approved pro-rata by demand share).
-    pub per_shard_slis: bool,
 }
 
 impl FleetConfig {
@@ -204,7 +201,6 @@ impl Default for FleetConfig {
             cycles: 32,
             seed: 0xD217,
             faults: None,
-            per_shard_slis: false,
         }
     }
 }
@@ -740,10 +736,9 @@ pub fn run_fleet_engine(config: &FleetConfig) -> Result<FleetOutcome, String> {
 /// and reads `report()` afterwards. Each cycle is one [`CycleObs`] for
 /// the global entity, which both fold. They are two arguments, not one
 /// observer, because they are fed at different points of a cycle:
-/// `slo` gets the tick, written once as its `slo`/`cycle` event (plus
-/// an `slo`/`interval` [`IntervalObs`] per shard with
-/// [`FleetConfig::per_shard_slis`]), *inside* the `agent`/`cycle`
-/// span, so those events carry the cycle span as `parent_id`; `watch`
+/// `slo` gets the tick, written once as its `slo`/`cycle` event,
+/// *inside* the `agent`/`cycle` span, so it carries the cycle span as
+/// `parent_id`; `watch`
 /// gets the same tick and the W0102 shard reconciliation (the
 /// servable partials re-summed in shard order and bit-compared against
 /// the fold the meters consumed) *after* the span closes, so `watch`/`*`
@@ -849,22 +844,6 @@ fn run_engine(
         staleness_ms: 0.0,
         measurable: false,
     };
-    // The per-shard SLIs' entities too: a cycle sets what it measured.
-    let mut shard_slis: Vec<IntervalObs> = if config.per_shard_slis {
-        let slis = shard_demand.iter().enumerate().map(|(s, &sd)| IntervalObs {
-            entity: format!("{}/s{s}", tick.entity),
-            qos: tick.qos.clone(),
-            target: SLO_TARGET,
-            demand_bps: sd,
-            delivered_bps: 0.0,
-            // Pro-rata share of the service entitlement.
-            approved_bps: config.entitled.as_bps() * sd / demand_bps,
-            measurable: false,
-        });
-        slis.collect()
-    } else {
-        Vec::new()
-    };
 
     for cycle in 1..=config.cycles {
         let now_ms = cycle as u64 * CYCLE_MS;
@@ -928,7 +907,7 @@ fn run_engine(
         let live_total = snap_total.fold_live();
         let live_conform = snap_conform.fold_live();
 
-        // 5. SLO fold: the tick, plus per-shard SLIs when on. Staleness
+        // 5. SLO fold: the tick. Staleness
         // here is the cost of degraded serves: each held or missing
         // shard this cycle ages the decision by one cycle (a healthy
         // run holds it at zero).
@@ -943,13 +922,6 @@ fn run_engine(
         tick.staleness_ms = degraded * CYCLE_MS as f64;
         tick.measurable = snap_total.missing() == 0 && snap_conform.missing() == 0;
         slo.observe_cycle(obs, SLO_TARGET, &tick);
-        for (sli, read) in shard_slis.iter_mut().zip(snap_conform.shards()) {
-            (sli.delivered_bps, sli.measurable) = match *read {
-                ShardRead::Fresh(v) | ShardRead::Held(v) => (v, true),
-                ShardRead::Missing => (0.0, false),
-            };
-            slo.observe(obs, sli);
-        }
         span.finish();
 
         // 6. Watchdog fold, outside the cycle span so watch events
@@ -1158,23 +1130,6 @@ mod tests {
         assert!(out.cycles.last().unwrap().metered.is_some());
         assert_eq!(out.shard_stats[2].held_serves, 1);
         assert_eq!(out.shard_stats[2].read_failures, 4);
-    }
-
-    #[test]
-    fn per_shard_slis_report_one_entity_per_shard() {
-        let config = FleetConfig {
-            per_shard_slis: true,
-            ..small_config()
-        };
-        let mut slo = SloEvaluator::default();
-        run_fleet_engine_with(&config, &Obs::disabled(), &mut slo, &mut WatchEvaluator::default())
-            .unwrap();
-        let report = slo.report();
-        assert_eq!(report.entities.len(), 5, "global + one per shard");
-        assert!(report
-            .entities
-            .iter()
-            .any(|e| e.entity == "npg:7/s3"));
     }
 
     #[test]

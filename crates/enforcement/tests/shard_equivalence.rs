@@ -184,7 +184,6 @@ fn equivalence_matrix_with_telemetry() {
 fn equivalence_survives_a_dark_shard() {
     for &seed in &[0xD217u64, 0xBEEF, 0x5EED] {
         let mut config = base_config(90, 6, seed, 12);
-        config.per_shard_slis = true;
         config.faults = Some(FaultPlan {
             seed: 9,
             faults: vec![Fault {

@@ -14,8 +14,9 @@ use std::fmt::Write as _;
 /// Parse a JSONL trace: one event per line, each exactly as
 /// [`TraceEvent::to_json_line`] writes it — the keys `ts_ms`,
 /// `trace_id`, `span_id`, `parent_id`, `span`, `phase`, `labels`,
-/// `dur_ms` in that order, no whitespace, strings escaped as the
-/// encoder escapes them, numbers as it prints them. Blank lines are
+/// `dur_ms` in that order, label keys strictly increasing, no
+/// whitespace, strings escaped as the encoder escapes them, numbers as
+/// it prints them. Blank lines are
 /// skipped. The reader is the sink's own ([`TraceSink::events`]):
 /// ids are read from their digits, exact up to `u64::MAX`, and a line
 /// is accepted only if encoding the event read from it gives the line
@@ -608,6 +609,29 @@ mod tests {
             parse_trace(&text),
             Err("line 2: not spelled as the encoder writes its event, from column 35".to_string())
         );
+    }
+
+    #[test]
+    fn label_keys_out_of_order_or_repeated_are_refused() {
+        let line = |labels: &str| {
+            format!(
+                "{{\"ts_ms\":1,\"trace_id\":1,\"span_id\":1,\"parent_id\":0,\"span\":\"a\",\"phase\":\"b\",\"labels\":{{{labels}}},\"dur_ms\":0}}"
+            )
+        };
+        for ok in ["", r#""a":"1""#, r#""a":"1","b":"0""#, r#""a":"1","a b":"0""#, r#""\u0001":"","!":"""#] {
+            assert_eq!(parse_trace(&line(ok)).map(|e| e.len()), Ok(1), "{ok}");
+        }
+        for bad in [
+            r#""b":"0","a":"1""#,
+            r#""a":"1","a":"1""#,
+            r#""a":"1","a":"2""#,
+            r#""a b":"0","a":"1""#,
+            r#""!":"","\u0001":"""#,
+            r#""a":"1","c":"","b":"""#,
+        ] {
+            let text = format!("{}\n{}\n", line(""), line(bad));
+            assert_eq!(parse_trace(&text), Err("line 2: cannot read `labels`".to_string()), "{bad}");
+        }
     }
 
     #[test]

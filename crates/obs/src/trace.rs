@@ -16,7 +16,7 @@
 //!   this event started, or `0` for roots;
 //! * `span` — the subsystem (e.g. `approval`, `risk`, `kv`, `agent`);
 //! * `phase` — the step within the subsystem;
-//! * `labels` — a flat string→string object (sorted by key);
+//! * `labels` — a flat string→string object, keys strictly increasing;
 //! * `dur_ms` — f64 duration (0 for instantaneous events; a negative
 //!   or non-finite one is written as 0).
 //!
@@ -40,12 +40,12 @@
 //! most 32 of them wait), so trace after trace writes into the same
 //! memory instead of handing it back to the allocator. A [`SpanTimer`]
 //! writes each label straight into wire form — the fragment
-//! `"key":"value",` — in a `Scratch` buffer that the sink hands out
-//! when the span opens and takes back when it closes, under the two
-//! locks a span takes anyway; an event whose labels were added in
-//! `(key, value)` order and need no escaping, as every high-volume
-//! emitter in the workspace writes them, moves from that
-//! buffer to the sink as one copy. Numbers — floats included — are
+//! `"key":"value",`, escaped as it is written — in a `Scratch` buffer
+//! that the sink hands out when the span opens and takes back when it
+//! closes, under the two locks a span takes anyway. Every emitter adds
+//! its labels in strictly increasing key order (debug builds check each
+//! add), so the buffer is the event's wire text and moves to the sink
+//! as one copy. Numbers — floats included — are
 //! written by `crate::decimal`, never through `core::fmt`, and a float
 //! label is encoded once per distinct value: the buffer keeps a small
 //! direct-mapped memo of the encoder's own output, keyed by the
@@ -83,7 +83,7 @@ pub struct TraceEvent {
     pub span: String,
     /// Step within the subsystem.
     pub phase: String,
-    /// Flat key→value labels, sorted by key at emit time.
+    /// Flat key→value labels, keys strictly increasing.
     pub labels: Vec<(String, String)>,
     /// Duration in milliseconds (0 for point events).
     pub dur_ms: f64,
@@ -204,7 +204,7 @@ struct Ids {
 }
 
 // The one encoder behind every trace export. A line is `push_numbers`,
-// `push_names`, one `push_label` per label in (key, value) order and
+// `push_names`, one `push_label` per label in increasing key order and
 // `push_tail`; a name is written as the fragment a label would be.
 
 /// Append a line up to its names.
@@ -230,42 +230,18 @@ fn push_names(out: &mut String, span: &str, phase: &str) {
     out.push_str(LABELS_OPEN);
 }
 
-/// Where one [`push_fragment`] wrote, in byte offsets.
-#[derive(Clone, Copy, Default)]
-struct Fragment {
-    start: usize,
-    /// The key's closing quote; the value's text starts 3 bytes on.
-    key_end: usize,
-    end: usize,
-}
-
-/// Append `"key":"`, what `write` appends, and `",`: a label's
-/// fragment, provided neither text needs escaping.
-fn push_fragment(out: &mut String, key: &str, write: impl FnOnce(&mut String)) -> Fragment {
-    let start = out.len();
+/// Append `"key":"`: a label up to its value.
+fn push_key(out: &mut String, key: &str) {
     out.push('"');
-    out.push_str(key);
-    let key_end = out.len();
+    push_escaped(out, key);
     out.push_str("\":\"");
-    write(out);
-    out.push_str("\",");
-    Fragment {
-        start,
-        key_end,
-        end: out.len(),
-    }
 }
 
-/// Append one label's fragment.
+/// Append one label's fragment, `"key":"value",`.
 fn push_label(out: &mut String, key: &str, value: &str) {
-    if is_plain(key) && is_plain(value) {
-        push_fragment(out, key, |out| out.push_str(value));
-    } else {
-        serde::write_json_string(key, out);
-        out.push(':');
-        serde::write_json_string(value, out);
-        out.push(',');
-    }
+    push_key(out, key);
+    push_escaped(out, value);
+    out.push_str("\",");
 }
 
 /// Close the labels — the last fragment's comma goes — and the line
@@ -292,33 +268,25 @@ fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// What in `s` a JSON string has to escape: how many quotes, and
-/// whether any backslash or control character. Branch-free over blocks
-/// with byte-wide accumulators, which is the shape the compiler turns
-/// into vector code; a byte-at-a-time `all()` costs more than
-/// formatting the floats does.
-fn escapes(s: &str) -> (usize, bool) {
-    let (mut quotes, mut other) = (0usize, 0u8);
-    let mut blocks = s.as_bytes().chunks_exact(32);
-    for block in &mut blocks {
-        let mut n = 0u8;
-        for &b in block {
-            n += u8::from(b == b'"');
-            other |= u8::from(b < 0x20) | u8::from(b == b'\\');
-        }
-        quotes += usize::from(n);
-    }
-    for &b in blocks.remainder() {
-        quotes += usize::from(b == b'"');
-        other |= u8::from(b < 0x20) | u8::from(b == b'\\');
-    }
-    (quotes, other != 0)
+/// Whether `s` is its own JSON string body: no quote, backslash or
+/// control character, which is every name and almost every value.
+/// Keys and values are short, so a byte loop that stops at the first
+/// such byte is as fast as a block-wise scan of the whole string.
+fn is_plain(s: &str) -> bool {
+    s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\')
 }
 
-/// Whether `s` is its own JSON string body: nothing to escape, which
-/// is every name and almost every value.
-fn is_plain(s: &str) -> bool {
-    escapes(s) == (0, false)
+/// Append `s` as the body of a JSON string, escaped as
+/// `serde::write_json_string` escapes it: the one escaper of the trace
+/// line, for names, keys and text values alike.
+fn push_escaped(out: &mut String, s: &str) {
+    if is_plain(s) {
+        out.push_str(s);
+    } else {
+        let mut quoted = String::with_capacity(s.len() + 8);
+        serde::write_json_string(s, &mut quoted);
+        out.push_str(&quoted[1..quoted.len() - 1]);
+    }
 }
 
 // The encoder's inverse, the one reader of the trace line: for the
@@ -352,9 +320,9 @@ fn unescape(body: &str) -> Option<Cow<'_, str>> {
     }
     text.push_str(rest);
     // Only the one spelling the encoder gives this text.
-    let mut wire = String::with_capacity(body.len() + 2);
-    serde::write_json_string(&text, &mut wire);
-    (wire.get(1..wire.len() - 1) == Some(body)).then_some(Cow::Owned(text))
+    let mut wire = String::with_capacity(body.len());
+    push_escaped(&mut wire, &text);
+    (wire == body).then_some(Cow::Owned(text))
 }
 
 /// Read one JSON string off the front of `s`: its text and what
@@ -380,10 +348,10 @@ const NUMBERS: [(&str, &str); 4] = [
 /// The event one line (without its newline) stands for, or the key of
 /// the first field that does not read. `ts_ms` and the ids are read
 /// from their digits, exact for every `u64`; `dur_ms` from its text;
-/// the strings through [`unescape`]. A number's spelling is not
-/// checked (`007`, `1e3`, `-1` read as numbers): `parse_trace`
-/// re-encodes what this returns and compares, and the sink's own lines
-/// are the encoder's by construction.
+/// the strings through [`unescape`]; label keys must strictly increase.
+/// A number's spelling is not checked (`007`, `1e3`, `-1` read as
+/// numbers): `parse_trace` re-encodes what this returns and compares,
+/// and the sink's own lines are the encoder's by construction.
 pub(crate) fn read_event(line: &str) -> Result<TraceEvent, &'static str> {
     let mut rest = line;
     let mut numbers = [0u64; 4];
@@ -412,6 +380,9 @@ pub(crate) fn read_event(line: &str) -> Result<TraceEvent, &'static str> {
             Some(((key.into_owned(), value.into_owned()), next))
         });
         let (label, next) = label.ok_or("labels")?;
+        if labels.last().is_some_and(|(last, _): &(String, String)| *last >= label.0) {
+            return Err("labels");
+        }
         labels.push(label);
         rest = next;
     }
@@ -478,18 +449,20 @@ fn push_f64_memo(memo: &mut [MemoSlot], out: &mut String, v: f64) {
     }
 }
 
-/// The write buffer of one event in flight: the line from its names
-/// on — the two name fragments, [`LABELS_OPEN`], then each label's
-/// fragment in the order they were added — with nothing escaped yet
-/// ([`SinkInner::commit`] checks). Owned by the sink's pool between
-/// events, so a steady stream of spans writes into the same few
-/// buffers and finds its floats in the same few memos.
+/// The write buffer of one event in flight: its wire text from the
+/// names on — the two name fragments, [`LABELS_OPEN`], then each
+/// label's fragment, escaped as it was written, in the order the
+/// emitter added them: strictly increasing key order, which debug
+/// builds check at each add and the reader checks on every line. Owned
+/// by the sink's pool between events, so a steady stream of spans
+/// writes into the same few buffers and finds its floats in the same
+/// few memos.
 #[derive(Default)]
 struct Scratch {
     text: String,
-    span: Fragment,
-    phase: Fragment,
-    labels: Vec<Fragment>,
+    /// Where in `text` the last label's key is written.
+    #[cfg(debug_assertions)]
+    last_key: Option<std::ops::Range<usize>>,
     /// Empty until this buffer's first float label.
     memo: Vec<MemoSlot>,
 }
@@ -497,15 +470,25 @@ struct Scratch {
 impl Scratch {
     fn begin(&mut self, span: &str, phase: &str) {
         self.text.clear();
-        self.labels.clear();
-        self.span = push_fragment(&mut self.text, "span", |text| text.push_str(span));
-        self.phase = push_fragment(&mut self.text, "phase", |text| text.push_str(phase));
-        self.text.push_str(LABELS_OPEN);
+        #[cfg(debug_assertions)]
+        {
+            self.last_key = None;
+        }
+        push_names(&mut self.text, span, phase);
     }
 
-    /// Add a label whose value `write` appends to the text.
-    fn label(&mut self, key: &str, write: impl FnOnce(&mut String)) {
-        self.labels.push(push_fragment(&mut self.text, key, write));
+    /// Open a label, `"key":"`, and hand back the text its value goes
+    /// on; the adder closes it with `",`.
+    fn open(&mut self, key: &str) -> &mut String {
+        #[cfg(debug_assertions)]
+        let at = self.text.len() + 1;
+        push_key(&mut self.text, key);
+        #[cfg(debug_assertions)]
+        if let Some(last) = self.last_key.replace(at..self.text.len() - 3) {
+            let last = unescape(&self.text[last]).unwrap_or_default();
+            assert!(*last < *key, "label `{key}` added after `{last}`: add labels in increasing key order");
+        }
+        &mut self.text
     }
 
     /// Add a float label through the memo.
@@ -513,9 +496,9 @@ impl Scratch {
         if self.memo.is_empty() {
             self.memo = vec![MemoSlot::EMPTY; MEMO_SLOTS];
         }
-        let memo = &mut self.memo;
-        let write = |text: &mut String| push_f64_memo(memo, text, v);
-        self.labels.push(push_fragment(&mut self.text, key, write));
+        self.open(key);
+        push_f64_memo(&mut self.memo, &mut self.text, v);
+        self.text.push_str("\",");
     }
 }
 
@@ -584,38 +567,17 @@ impl SinkInner {
         scratch
     }
 
-    /// Encode the event in `scratch` onto the buffer, labels ordered by
-    /// their own (key, value) text — the order `Vec<(String,
-    /// String)>::sort` gives, duplicates kept — and return the buffer
-    /// to the pool.
-    fn commit(&mut self, ids: Ids, ts_ms: u64, dur_ms: f64, mut scratch: Box<Scratch>) {
+    /// Append the event in `scratch` to the buffer — its numbers, a
+    /// copy of its wire text, its tail — and return the buffer to the
+    /// pool.
+    fn commit(&mut self, ids: Ids, ts_ms: u64, dur_ms: f64, scratch: Box<Scratch>) {
         if self.pages.last().is_none_or(|page| page.len() >= PAGE) {
             self.pages.push(take_page());
         }
         let last = self.pages.len() - 1;
         let out = &mut self.pages[last];
         push_numbers(out, ids, ts_ms);
-        let text = scratch.text.as_str();
-        let own = |f: &Fragment| (&text[f.start + 1..f.key_end], &text[f.key_end + 3..f.end - 2]);
-        let labels = &mut scratch.labels;
-        let sorted = labels.windows(2).all(|w| own(&w[0]) <= own(&w[1]));
-        // Nothing to escape but the quotes the fragments and
-        // `LABELS_OPEN` bring themselves.
-        let quotes = 4 * (2 + labels.len()) + 2;
-        if sorted && escapes(text) == (quotes, false) {
-            // Added in order, as every emitter here does: the buffer is
-            // the wire text, one copy.
-            out.push_str(text);
-        } else {
-            push_names(out, own(&scratch.span).1, own(&scratch.phase).1);
-            // Equal labels are the same bytes, so stability buys nothing
-            // and the unstable sort never allocates.
-            labels.sort_unstable_by(|a, b| own(a).cmp(&own(b)));
-            for l in labels.iter() {
-                let (key, value) = own(l);
-                push_label(out, key, value);
-            }
-        }
+        out.push_str(&scratch.text);
         push_tail(out, dur_ms);
         out.push('\n');
         self.pool.push(scratch);
@@ -917,7 +879,9 @@ impl SpanTimer<'_> {
     #[inline]
     pub fn add_label(&mut self, k: &str, v: &str) {
         if let Some(armed) = &mut self.0 {
-            armed.scratch.label(k, |text| text.push_str(v));
+            let text = armed.scratch.open(k);
+            push_escaped(text, v);
+            text.push_str("\",");
         }
     }
 
@@ -925,9 +889,14 @@ impl SpanTimer<'_> {
     #[inline]
     pub fn add_label_fmt(&mut self, k: &str, v: impl fmt::Display) {
         if let Some(armed) = &mut self.0 {
-            armed.scratch.label(k, |text| {
-                let _ = write!(text, "{v}");
-            });
+            let text = armed.scratch.open(k);
+            let start = text.len();
+            let _ = write!(text, "{v}");
+            if !is_plain(&text[start..]) {
+                let raw = text.split_off(start);
+                push_escaped(text, &raw);
+            }
+            text.push_str("\",");
         }
     }
 
@@ -937,10 +906,10 @@ impl SpanTimer<'_> {
     #[inline]
     pub fn add_label_u64(&mut self, k: &str, prefix: &str, v: u64) {
         if let Some(armed) = &mut self.0 {
-            armed.scratch.label(k, |text| {
-                text.push_str(prefix);
-                push_u64(text, v);
-            });
+            let text = armed.scratch.open(k);
+            push_escaped(text, prefix);
+            push_u64(text, v);
+            text.push_str("\",");
         }
     }
 
@@ -1176,19 +1145,15 @@ mod tests {
     }
 
     #[test]
-    fn labels_sorted_at_emit() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "label `alpha` added after `zeta`")]
+    fn a_label_added_out_of_key_order_panics_in_debug_builds() {
         let sink = TraceSink::new();
         let clock = Clock::manual(0);
-        {
-            let _t = sink
-                .span(&clock, "s", "p")
-                .label("zeta", "1")
-                .label("alpha", "2");
-        }
-        let line = sink.to_jsonl();
-        let zeta = line.find("zeta").unwrap();
-        let alpha = line.find("alpha").unwrap();
-        assert!(alpha < zeta, "{line}");
+        let _t = sink
+            .span(&clock, "s", "p")
+            .label("zeta", "1")
+            .label("alpha", "2");
     }
 
     /// How many spare pages this thread holds.
@@ -1206,8 +1171,8 @@ mod tests {
         let clock = Clock::counting(1);
         for i in 0..events {
             sink.span(&clock, "s", "p")
-                .label("k", label)
                 .label_fmt("i", i)
+                .label("k", label)
                 .label_f64("x", i as f64 / 3.0)
                 .finish();
         }

@@ -6,8 +6,8 @@
 //! no post-hoc re-parse — and each tick is written once, as an
 //! `slo`/`cycle` event (pinned JSONL key order, floats in
 //! shortest-round-trip form) that carries the watchdog's SLIs too.
-//! Samples the watchdog does not read (the market CLI's chunks, the
-//! fleet's per-shard SLIs) go through [`SloEvaluator::observe`] as
+//! Samples the watchdog does not read (the market CLI's chunks) go
+//! through [`SloEvaluator::observe`] as
 //! `slo`/`interval` events. [`SloEvaluator::fold_trace`] folds both
 //! kinds, so it rebuilds the identical evaluator offline from the
 //! trace file alone; `entitlectl slo report|audit` is exactly that
@@ -330,12 +330,12 @@ impl SloEvaluator {
                 AlertKind::Clear => "alert_clear",
             };
             obs.point("slo", phase)
-                .label("entity", entity)
-                .label("qos", qos)
                 .label_fmt("cycle", cycle)
-                .label("window", &event.window)
+                .label("entity", entity)
                 .label_f64("fast_burn", t.fast_burn)
+                .label("qos", qos)
                 .label_f64("slow_burn", t.slow_burn)
+                .label("window", &event.window)
                 .finish();
             st.alerts.push(event);
         }

@@ -156,11 +156,11 @@ impl WatchEvaluator {
         let shard = -1i64;
         obs.point("watch", "violation")
             .label("code", code.as_str())
+            .label_fmt("cycle", cycle)
+            .label("detail", &detail)
             .label("entity", entity)
             .label("qos", qos)
             .label_fmt("shard", shard)
-            .label_fmt("cycle", cycle)
-            .label("detail", &detail)
             .finish();
         self.violations.push(Violation {
             code,
@@ -183,9 +183,9 @@ impl WatchEvaluator {
     ) {
         obs.point("watch", t.kind.as_str())
             .label("code", code.as_str())
+            .label_fmt("cycle", cycle)
             .label("entity", entity)
             .label("qos", qos)
-            .label_fmt("cycle", cycle)
             .label_f64("stat", t.stat)
             .finish();
         self.transitions.push(DetectorEvent {

@@ -83,13 +83,13 @@ pub fn drill(m: &Matches) {
             outbuf.push('\n');
         }
         write_file(csv, &outbuf);
-        println!("{} ticks written to {csv}", recorder.len());
+        outln!("{} ticks written to {csv}", recorder.len());
     } else {
         let conf_loss_max = recorder
             .series("loss_conf")
             .into_iter()
             .fold(0.0f64, f64::max);
-        println!(
+        outln!(
             "drill complete: {} ticks, max conforming loss {:.4}%",
             recorder.len(),
             conf_loss_max * 100.0
@@ -106,7 +106,7 @@ pub fn drill(m: &Matches) {
             .series("staleness_ms")
             .into_iter()
             .fold(0.0f64, f64::max);
-        println!(
+        outln!(
             "fault plan: {unavailable} tick(s) with the KV store unavailable; \
 {fail_static} cycle(s) held the last decision (fail-static); \
 max aggregate staleness {:.0} s",
@@ -114,7 +114,7 @@ max aggregate staleness {:.0} s",
         );
     }
     if m.on("--watch") {
-        print!("{}", watch.render_text());
+        out!("{}", watch.render_text());
     }
     write_telemetry(&tele, &obs);
     if m.on("--watch") && !watch.healthy() {
@@ -156,7 +156,6 @@ fn fleet_drill(m: &Matches) {
         // settles near half marked, the regime the paper enforces in.
         entitled: Rate::gbps(5.0 * hosts as f64),
         per_host_rate: Rate::gbps(10.0),
-        ..FleetConfig::default()
     };
     if config.end_ms().is_none() {
         fail(
@@ -172,12 +171,12 @@ fn fleet_drill(m: &Matches) {
     let out = run_fleet_engine_with(&config, &obs, &mut slo, &mut watchdog)
         .unwrap_or_else(|e| fail(2, format_args!("invalid fleet config: {e}")));
     let (report, watch) = (slo.report(), watchdog.report());
-    println!(
+    outln!(
         "fleet drill: {hosts} hosts / {shards} shards, strategy {} — {cycles} cycles",
         strategy.as_str()
     );
     let delivered = out.cycles.last().map_or(0.0, |c| c.live_conform);
-    println!(
+    outln!(
         "  marked fraction {:.4}; conforming {:.3} of {:.3} Tbps offered; attainment {:.4}",
         out.marked_fraction,
         delivered / 1e12,
@@ -187,7 +186,7 @@ fn fleet_drill(m: &Matches) {
     if config.faults.is_some() {
         let publish_failures: u64 = out.shard_stats.iter().map(|s| s.publish_failures).sum();
         let held: u64 = out.shard_stats.iter().map(|s| s.held_serves).sum();
-        println!(
+        outln!(
             "  fault plan: {} cycle(s) fleet-wide fail-static; {held} held shard serve(s); \
 {publish_failures} shard publish failure(s)",
             out.fail_static_cycles
@@ -195,7 +194,7 @@ fn fleet_drill(m: &Matches) {
     }
 
     if m.on("--watch") {
-        print!("{}", watch.render_text());
+        out!("{}", watch.render_text());
     }
     write_telemetry(&tele, &obs);
     if m.on("--watch") && !watch.healthy() {

@@ -9,6 +9,9 @@
 //! 2 bad arguments or an unusable input file, 3 `check` found the rate
 //! over its entitlement — never 101.
 
+#[macro_use]
+mod out;
+
 mod drill;
 mod market;
 mod obs;
@@ -53,7 +56,7 @@ fn fail(code: i32, message: impl Display) -> ! {
 /// Leave the way the grammar asks: help on stdout, errors on stderr.
 fn exit_with(exit: &Exit) -> ! {
     if exit.code == 0 {
-        print!("{}", exit.message);
+        out!("{}", exit.message);
     } else {
         eprint!("{}", exit.message);
     }

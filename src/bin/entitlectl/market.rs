@@ -142,17 +142,17 @@ pub fn market(m: &Matches) {
         },
     );
 
-    println!(
+    outln!(
         "market storm: {requests} requests over {} DC pairs x {} buckets x {} slices (seed {seed})",
         dcs.len() * (dcs.len() - 1),
         buckets.len(),
         grid.slice_count(),
     );
-    println!(
+    outln!(
         "  book: {} contract(s); index warm with {warm_slots} slot(s)",
         contracts.len()
     );
-    println!(
+    outln!(
         "  outcomes: {} granted / {} partial / {} denied; paths: {} index / {} sweep; {:.1} Tbps granted",
         report.granted,
         report.partial,
@@ -162,7 +162,7 @@ pub fn market(m: &Matches) {
         report.granted_gbps / 1000.0,
     );
     if faults.is_some() {
-        println!(
+        outln!(
             "  fault plan: link cuts applied at logical time = request index (1 ms/admit); \
 index fails closed to the sweep path on every cut and heal"
         );
@@ -170,7 +170,7 @@ index fails closed to the sweep path on every cut and heal"
     write_telemetry(&tele, &obs);
     if m.on("--watch") {
         let watch = watchdog.report();
-        print!("{}", watch.render_text());
+        out!("{}", watch.render_text());
         if !watch.healthy() {
             std::process::exit(1);
         }
@@ -181,7 +181,6 @@ index fails closed to the sweep path on every cut and heal"
 /// recording — no market state or replay, just the trace.
 pub fn explain(m: &Matches) {
     use network_entitlement::market::{explain_denied, explain_request};
-    use std::io::Write;
 
     let events = load_trace(m);
     let rendered = if m.on("--all-denied") {
@@ -192,11 +191,7 @@ pub fn explain(m: &Matches) {
         crate::exit_with(&m.command.usage_error("pass --request N or --all-denied"));
     };
     match rendered {
-        Ok(text) => {
-            // A closed pipe (`entitlectl explain ... | head`) just ends
-            // the output.
-            let _ = std::io::stdout().write_all(text.as_bytes());
-        }
+        Ok(text) => out!("{text}"),
         Err(e) => fail(1, format_args!("explain: {e}")),
     }
 }

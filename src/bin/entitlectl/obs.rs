@@ -10,23 +10,23 @@ use network_entitlement::obs::{
 
 pub fn summarize(m: &Matches) {
     let events = load_trace(m);
-    print!("{}", summarize_trace(&events));
+    out!("{}", summarize_trace(&events));
     if let Some(key) = m.text("--by-label") {
-        println!();
-        print!("{}", summarize_trace_by_label(&events, key));
+        outln!();
+        out!("{}", summarize_trace_by_label(&events, key));
     }
     if m.on("--tree") {
         let tree = render_span_tree(&events)
             .unwrap_or_else(|e| fail(1, format_args!("cannot build span tree: {e}")));
-        println!();
-        print!("{tree}");
-        println!();
-        print!("{}", render_critical_path(&events));
+        outln!();
+        out!("{tree}");
+        outln!();
+        out!("{}", render_critical_path(&events));
     }
     if let Some(path) = m.text("--metrics") {
         let samples = check_metrics(&read(path, 1), &events)
             .unwrap_or_else(|e| fail(1, format_args!("metrics {path}: {e}")));
-        println!("{path}: {samples} valid metric sample(s), the fold of the trace");
+        outln!("{path}: {samples} valid metric sample(s), the fold of the trace");
     }
 }
 
@@ -42,7 +42,7 @@ pub fn flame(m: &Matches) {
                 folded.lines().count()
             );
         }
-        None => print!("{folded}"),
+        None => out!("{folded}"),
     }
 }
 
@@ -60,7 +60,7 @@ pub fn diff(m: &Matches) {
     let (a, b) = (read(pa, 2), read(pb, 2));
     if m.on("--counters") {
         match diff_counters(&a, &b) {
-            Ok(violations) if violations.is_empty() => println!("{pa} -> {pb}: counters monotone"),
+            Ok(violations) if violations.is_empty() => outln!("{pa} -> {pb}: counters monotone"),
             Ok(violations) => {
                 eprintln!("{pa} -> {pb}:");
                 for v in &violations {
@@ -83,7 +83,7 @@ pub fn diff(m: &Matches) {
         diff_prometheus(&a, &b)
     };
     match report {
-        None => println!("{pa} and {pb}: identical"),
+        None => outln!("{pa} and {pb}: identical"),
         Some(r) => {
             eprintln!("{pa} vs {pb}:");
             eprint!("{r}");

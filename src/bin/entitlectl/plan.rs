@@ -135,7 +135,7 @@ pub fn plan(m: &Matches) {
     if let Err(e) = db.save(std::path::Path::new(out)) {
         fail(1, format_args!("cannot write {out}: {e}"));
     }
-    println!("{} contracts written to {out}", db.len());
+    outln!("{} contracts written to {out}", db.len());
 }
 
 fn load_db(m: &Matches) -> ContractDb {
@@ -145,20 +145,15 @@ fn load_db(m: &Matches) -> ContractDb {
 }
 
 pub fn show(m: &Matches) {
-    use std::io::Write;
     let db = load_db(m);
     let filter: Option<u32> = m.get("--npg");
     let contracts: Vec<EntitlementContract> = serde_json::from_str(&db.snapshot())
         .unwrap_or_else(|e| fail(1, format_args!("contract snapshot does not re-parse: {e}")));
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    // A closed pipe (e.g. `entitlectl show | head`) just ends the output.
-    let _ = writeln!(
-        out,
+    outln!(
         "{:<12} {:<14} {:>6} {:>8} {:>8} {:>16} {:>14}",
         "contract", "npg", "qos", "region", "dir", "entitled", "period"
     );
-    'outer: for c in contracts {
+    for c in contracts {
         if filter.is_some_and(|n| c.npg != NpgId(n)) {
             continue;
         }
@@ -173,9 +168,7 @@ pub fn show(m: &Matches) {
                 format!("{}", e.entitled_rate),
                 format!("{}", e.period),
             );
-            if writeln!(out, "{line}").is_err() {
-                break 'outer;
-            }
+            outln!("{line}");
         }
     }
 }
@@ -196,17 +189,17 @@ pub fn check(m: &Matches) {
     let rate = Rate::gbps(required(m, "--rate"));
     let db = load_db(m);
     let Some(entitled) = db.entitled_rate(npg, qos, region, Direction::Egress, 0) else {
-        println!("no entitlement found for {npg} {qos} {region} egress");
+        outln!("no entitlement found for {npg} {qos} {region} egress");
         std::process::exit(1);
     };
     let fits = rate.as_bps() <= entitled.as_bps();
     if fits {
-        println!(
+        outln!(
             "OK: {rate} fits within the {entitled} entitlement ({:.0}% headroom)",
             (1.0 - rate.as_bps() / entitled.as_bps()) * 100.0
         );
     } else {
-        println!(
+        outln!(
             "OVER: {rate} exceeds the {entitled} entitlement; the excess \
              will be remarked and dropped first under congestion"
         );
@@ -270,7 +263,7 @@ fn check_risk(m: &Matches, region: RegionId, rate: Rate) {
         .map(|(c, d)| c.availability_of(d.amount))
         .fold(1.0_f64, f64::min);
     let at_slo: Rate = curves.iter().map(|c| c.bandwidth_at(slo_v)).sum();
-    println!(
+    outln!(
         "risk: {rate} from {region} survives with availability {worst:.5} \
          (network could carry {at_slo} at the {slo_v} SLO; routed {} of {} scenarios{})",
         swept.routed_scenarios,
@@ -323,14 +316,14 @@ pub fn negotiate(m: &Matches) {
     match outcome {
         Agreement::Accepted {
             granted, rounds, ..
-        } => println!("accepted after {rounds} round(s): {granted} guaranteed"),
+        } => outln!("accepted after {rounds} round(s): {granted} guaranteed"),
         Agreement::RiskAccepted {
             guaranteed, rounds, ..
-        } => println!(
+        } => outln!(
             "service keeps its {rate} ask after {rounds} round(s); only {guaranteed} is guaranteed — the excess rides at risk"
         ),
         Agreement::Exhausted { best_counter } => {
-            println!("no agreement; best counter-proposal was {best_counter}")
+            outln!("no agreement; best counter-proposal was {best_counter}")
         }
     }
 }
@@ -352,7 +345,7 @@ pub fn topo(m: &Matches) {
                 topo.link_count()
             );
         }
-        None => print!("{dot}"),
+        None => out!("{dot}"),
     }
 }
 
@@ -361,7 +354,7 @@ pub fn lint(m: &Matches) {
 
     if m.on("--list-rules") {
         for e in Code::CATALOG {
-            println!("{} {:<7} {}  [{}]", e.code, e.severity.to_string(), e.invariant, e.paper);
+            outln!("{} {:<7} {}  [{}]", e.code, e.severity.to_string(), e.invariant, e.paper);
         }
         return;
     }
@@ -371,11 +364,11 @@ pub fn lint(m: &Matches) {
     let bundle = load(path, "bundle", 2, LintBundle::from_json);
     let report = analyze(&bundle);
     if m.on("--json") {
-        println!("{}", report.render_json());
+        outln!("{}", report.render_json());
     } else if report.diagnostics.is_empty() {
-        println!("{path}: clean");
+        outln!("{path}: clean");
     } else {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text());
     }
     if report.has_errors() {
         std::process::exit(1);

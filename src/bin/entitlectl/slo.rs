@@ -68,9 +68,9 @@ pub fn slo(m: &Matches) {
         fail(2, "trace carries no slo/cycle or slo/interval events (re-run the drill with --trace)");
     }
     if m.on("--json") {
-        println!("{}", report.render_json());
+        outln!("{}", report.render_json());
     } else {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text());
     }
     if audit && report.has_violations() {
         fail(1, "audit: SLO violations present");

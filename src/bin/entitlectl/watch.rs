@@ -11,7 +11,7 @@ pub fn watch(m: &Matches) {
     only_with(m, "--follow", m.on("--follow"), &["--idle-ms"]);
     let report = if m.on("--follow") {
         let report = follow(m);
-        println!();
+        outln!();
         report
     } else {
         let mut evaluator = WatchEvaluator::default();
@@ -20,9 +20,9 @@ pub fn watch(m: &Matches) {
         evaluator.report()
     };
     if m.on("--json") {
-        println!("{}", report.render_json());
+        outln!("{}", report.render_json());
     } else {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text());
     }
     if !report.healthy() {
         std::process::exit(1);
@@ -33,10 +33,10 @@ pub fn watch(m: &Matches) {
 /// output); returns the updated (violations, transitions) watermarks.
 fn print_new(report: &WatchReport, seen_v: usize, seen_t: usize) -> (usize, usize) {
     for v in &report.violations[seen_v..] {
-        println!("{v}");
+        outln!("{v}");
     }
     for t in &report.transitions[seen_t..] {
-        println!("{t}");
+        outln!("{t}");
     }
     (report.violations.len(), report.transitions.len())
 }

@@ -121,8 +121,8 @@ fn a_disabled_span_allocates_nothing() {
         let obs = Obs::disabled();
         for i in 0..1_000u64 {
             obs.span("bench", "probe")
-                .label("k", "v")
                 .label_fmt("i", i)
+                .label("k", "v")
                 .label_f64("x", 0.5)
                 .finish();
             obs.point("bench", "point").label_fmt("i", i).finish();
@@ -444,7 +444,7 @@ fn rendering_allocates_independently_of_the_event_count() {
 }
 
 /// The SLO and watchdog folds run on every cycle of a fleet run: the
-/// tick into both, and the shard check and the per-shard SLIs' samples.
+/// tick into both, and the shard check into the watchdog.
 /// Once they have seen an `(entity, QoS)`, folding another observation
 /// of it allocates nothing; keyed by a `(String, String)` tuple, each
 /// lookup built both names, two allocations a fold.
@@ -609,27 +609,4 @@ fn a_fleet_run_holds_eight_bytes_a_host_and_one_more_for_a_pass() {
         (0.9..1.1).contains(&groups),
         "a pass adds {groups:.2} bytes a host, not the group ids' one"
     );
-}
-
-/// A fleet run with per-shard SLIs folds one `IntervalObs` per shard a
-/// cycle. Their entities are built once per run, like the KV keys, so
-/// what the SLIs allocate does not grow with the cycle count; built per
-/// cycle, each cost a `format!` and a clone, two allocations a shard.
-#[test]
-fn per_shard_slis_allocate_independently_of_the_cycle_count() {
-    let slis = |cycles: usize| {
-        let run = |per_shard_slis: bool| {
-            let config = FleetConfig {
-                hosts: 2_000,
-                shards: 8,
-                cycles,
-                per_shard_slis,
-                ..FleetConfig::default()
-            };
-            allocations(|| run_fleet_engine(&config).expect("a valid fleet")).0
-        };
-        run(true) - run(false)
-    };
-    let (short, long) = (slis(8), slis(32));
-    assert_eq!(short, long, "the SLIs of 8 cycles, then of 32");
 }

@@ -198,6 +198,25 @@ fn market_and_fleet_drill_stdout_is_a_function_of_the_flags() {
     }
 }
 
+/// A reader that stops reading is not an error: with its stdout a pipe
+/// whose read end is already closed, a command exits as it would have,
+/// where `print!` panicked on the closed pipe (exit 101).
+#[test]
+fn a_closed_stdout_ends_the_output_not_the_run() {
+    for args in [&["lint", "--list-rules"][..], &["--help"], &["topo"]] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_entitlectl"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn entitlectl");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
 /// A seeded stream of byte mutations of `base`: each one flips a byte,
 /// truncates the text, or duplicates a run of bytes in place.
 fn mutants(base: &[u8], seed: u64, count: usize) -> Vec<Vec<u8>> {

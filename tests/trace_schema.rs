@@ -152,7 +152,7 @@ fn seeded_storm(seed: u64) -> (Obs, WatchReport) {
 
 /// A small sharded fleet run with shard 2 dark for cycles 30..=33,
 /// past the detectors' warm-up so W0105 fires: held then missing
-/// partials, fail-static cycles, per-shard SLIs, the `shard`/`fold`
+/// partials, fail-static cycles, the `shard`/`fold`
 /// fan-out and the W0102 shard reconciliation — the events the flat
 /// drill never emits.
 fn seeded_fleet(seed: u64) -> (Obs, SloReport, WatchReport) {
@@ -173,7 +173,6 @@ fn seeded_fleet(seed: u64) -> (Obs, SloReport, WatchReport) {
                 kind: FaultKind::ShardOutage { shards: vec![2] },
             }],
         }),
-        per_shard_slis: true,
         ..FleetConfig::default()
     };
     let (mut slo, mut watch) = (SloEvaluator::default(), WatchEvaluator::default());
@@ -398,8 +397,13 @@ fn pinned_traces_read_back_as_the_sink_holds_them() {
 // `fleet`/`run` event naming its hosts and shards (136 bytes). The v4
 // values were (42_772, 0x04cb_12d0_b57d_a3f2) and
 // (168_190, 0xcdee_60c5_6c96_ab85).
+// The fleet's again when its per-shard SLIs went: 160 `slo/interval`
+// events and the two `slo/alert_fire` events of shard entities are
+// gone, and with their clock reads every later `ts_ms` and each
+// `agent/cycle`'s `dur_ms` under the counting clock. It was
+// (168_326, 0x34c9_f975_5d84_af49).
 const DRILL_TRACE_PIN: (usize, u64) = (42_771, 0x31bd_fb63_429e_1c04);
-const FLEET_TRACE_PIN: (usize, u64) = (168_326, 0x34c9_f975_5d84_af49);
+const FLEET_TRACE_PIN: (usize, u64) = (119_958, 0x8a6d_38b9_4826_5b23);
 // Regenerated when the metrics file became the fold of the trace. Only
 // these families moved:
 // - `entitlement_risk_sweep_workers` (storm, drill) is gone: the trace
@@ -417,7 +421,9 @@ const FLEET_METRICS_PIN: (usize, u64) = (9_347, 0x019d_cbe7_9f69_770a);
 const STORM_WATCH_PIN: (usize, u64) = (113, 0xd7e4_5851_34e0_7628);
 const DRILL_SLO_PIN: (usize, u64) = (510, 0xddc1_591d_346d_74ee);
 const DRILL_WATCH_PIN: (usize, u64) = (112, 0x5aca_3fd3_41c1_b4ee);
-const FLEET_SLO_PIN: (usize, u64) = (2_168, 0x274c_d7b5_08a2_7084);
+// The fleet's SLO report lost its four shard entities with the
+// per-shard SLIs; it was (2_168, 0x274c_d7b5_08a2_7084).
+const FLEET_SLO_PIN: (usize, u64) = (623, 0xc719_4cff_c3e0_59e7);
 const FLEET_WATCH_PIN: (usize, u64) = (200, 0xe3eb_85b1_1c22_f8e1);
 // Regenerated with trace-schema v5: an admission is one event, its
 // `market`/`admit` span, with its rates in bps (`ask_bps`,

@@ -96,6 +96,21 @@ fn healthy_drill_watchdog_is_silent() {
     }
 }
 
+/// CI's watch gates run at 100 hosts: a fleet that coarse sat in the
+/// §10 limit cycle, and fired, until the meter's recovery band. Seed
+/// 3607 is CI's; seed 4 fired at 300 hosts before the band.
+#[test]
+fn a_healthy_drill_at_100_hosts_is_silent() {
+    for seed in [3607, 4] {
+        let config = DrillConfig {
+            hosts: 100,
+            ..drill_config(seed, None)
+        };
+        let report = drill_watch(&config, &Obs::disabled());
+        assert!(report.healthy(), "seed {seed}:\n{}", report.render_text());
+    }
+}
+
 /// The KV outage fires the staleness CUSUM within a handful of cycles
 /// of the store going dark and clears within the drain bound after
 /// recovery — and fires nothing else.
