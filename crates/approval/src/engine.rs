@@ -3,7 +3,7 @@
 use crate::types::{HoseApproval, PipeApproval};
 use entitlement_core::{NpgId, Rate, RegionId, SloTarget};
 use entitlement_hose::{generate_tms, HoseRequest, TmGenConfig};
-use entitlement_obs::Obs;
+use entitlement_obs::{key, Obs};
 use entitlement_risk::{sweep_plan, AvailabilityCurve};
 use entitlement_topology::routing::Demand;
 use entitlement_topology::{Placement, RoutePlan, ScenarioSet, Topology};
@@ -175,8 +175,8 @@ fn pipe_approval_in(
 ) -> Vec<PipeApproval> {
     let span = obs
         .span("approval", "pipe_approval")
-        .label_fmt("pipes", demands.len())
-        .label_fmt("slo", format_args!("{:.4}", slo.availability()));
+        .label_fmt(key!("pipes"), demands.len())
+        .label_fmt(key!("slo"), format_args!("{:.4}", slo.availability()));
     let RoundRoutes { topo, scenarios, plan } = routes;
     plan.ensure(topo, demands.iter().map(Demand::pair));
     let mut samples = sweep_plan(
@@ -228,14 +228,14 @@ fn pipe_approval_in(
                 None => ("infeasible", "none".to_string(), 0.0),
             };
             event
-                .label_fmt("approved_gbps", p.approved.as_gbps())
-                .label("binding_links", &links)
-                .label_fmt("binding_p", probability)
-                .label("binding_scenario", scenario)
-                .label_fmt("dst", p.dst)
-                .label_fmt("pipe", i)
-                .label_fmt("requested_gbps", p.requested.as_gbps())
-                .label_fmt("src", p.src)
+                .label_fmt(key!("approved_gbps"), p.approved.as_gbps())
+                .label(key!("binding_links"), &links)
+                .label_fmt(key!("binding_p"), probability)
+                .label(key!("binding_scenario"), scenario)
+                .label_fmt(key!("dst"), p.dst)
+                .label_fmt(key!("pipe"), i)
+                .label_fmt(key!("requested_gbps"), p.requested.as_gbps())
+                .label_fmt(key!("src"), p.src)
                 .finish();
         }
     }
@@ -378,8 +378,8 @@ pub(crate) fn approve_requests_in(
     let (topo, scenarios) = (routes.topo, routes.scenarios);
     let round_span = obs
         .span("approval", "round")
-        .label_fmt("hoses", requests.len())
-        .label_fmt("scenarios", scenarios.len());
+        .label_fmt(key!("hoses"), requests.len())
+        .label_fmt(key!("scenarios"), scenarios.len());
     let hoses: Vec<&HoseRequest> = requests.iter().map(|r| &r.hose).collect();
 
     // Pre-flight: reject statically invalid hoses before spending any
@@ -387,18 +387,18 @@ pub(crate) fn approve_requests_in(
     // Hoses with error-severity diagnostics get zero approval.
     let mut span = obs
         .span("approval", "preflight")
-        .label_fmt("hoses", requests.len());
+        .label_fmt(key!("hoses"), requests.len());
     let owned: Vec<HoseRequest> = requests.iter().map(|r| r.hose.clone()).collect();
     let rejected = preflight_rejections(topo, &owned);
-    span.add_label_fmt("rejected", rejected.iter().filter(|&&x| x).count());
+    span.add_label_fmt(key!("rejected"), rejected.iter().filter(|&&x| x).count());
     span.finish();
 
     // GEN_DEMAND: representative pipe realizations per hose.
     // realizations[h] = Vec<TM>, each TM = Vec<(dst, rate)>.
     let gen_span = obs
         .span("approval", "gen_demand")
-        .label_fmt("hoses", hoses.len())
-        .label_fmt("tms_per_hose", config.tms_per_hose);
+        .label_fmt(key!("hoses"), hoses.len())
+        .label_fmt(key!("tms_per_hose"), config.tms_per_hose);
     let mut realizations: Vec<Vec<Vec<Demand>>> = Vec::with_capacity(hoses.len());
     for (hi, &hose) in hoses.iter().enumerate() {
         if rejected[hi] {
@@ -474,12 +474,12 @@ pub(crate) fn approve_requests_in(
         };
         let mut hose_span = obs
             .span("approval", "hose_approval")
-            .label_fmt("npg", hose.npg.0);
+            .label_fmt(key!("npg"), hose.npg.0);
         if rejected[h] {
             // Analyzer-rejected: zero grant, no counter-proposal, and
             // nothing added to the background of lower classes.
-            hose_span.add_label("outcome", "rejected");
-            hose_span.add_label("qos", &qos);
+            hose_span.add_label(key!("outcome"), "rejected");
+            hose_span.add_label(key!("qos"), &qos);
             hose_span.finish();
             results.push((
                 h,
@@ -557,8 +557,8 @@ pub(crate) fn approve_requests_in(
         } else {
             "partial"
         };
-        hose_span.add_label("outcome", outcome);
-        hose_span.add_label("qos", &qos);
+        hose_span.add_label(key!("outcome"), outcome);
+        hose_span.add_label(key!("qos"), &qos);
         hose_span.finish();
         results.push((
             h,
@@ -574,7 +574,7 @@ pub(crate) fn approve_requests_in(
     // Back to input order (the sweep visited hoses in bucket order).
     let agg_span = obs
         .span("approval", "aggregate")
-        .label_fmt("hoses", results.len());
+        .label_fmt(key!("hoses"), results.len());
     results.sort_by_key(|&(i, _)| i);
     let out: Vec<HoseApproval> = results.into_iter().map(|(_, r)| r).collect();
     agg_span.finish();

@@ -100,7 +100,7 @@ use entitlement_core::{DetRng, HostId, NpgId, QosClass, Rate};
 use entitlement_kvstore::{
     FanoutSnapshot, KvAccess, ObservedKv, ShardFanout, ShardRead, ShardedStore, StoreConfig,
 };
-use entitlement_obs::Obs;
+use entitlement_obs::{key, Obs};
 use entitlement_slo::watch::WatchEvaluator;
 use entitlement_slo::{CycleObs, SloEvaluator};
 use std::ops::Range;
@@ -958,8 +958,8 @@ fn run_engine(
     // The fleet's shape, once, after its last cycle: what the metrics
     // fold reads the `entitlement_fleet_{hosts,shards}` gauges off.
     obs.point("fleet", "run")
-        .label_fmt("hosts", config.hosts)
-        .label_fmt("shards", shards)
+        .label_fmt(key!("hosts"), config.hosts)
+        .label_fmt(key!("shards"), shards)
         .finish();
     Ok(FleetOutcome {
         // The demand buffer is dead past the last cycle: reuse it.
@@ -987,9 +987,9 @@ fn emit_shard_events(obs: &Obs, snap_total: &FanoutSnapshot, snap_conform: &Fano
     };
     for (s, read) in snap_total.shards().iter().enumerate() {
         obs.point("shard", "fold")
-            .label("conform", describe(&snap_conform.shards()[s]))
-            .label_fmt("shard", s)
-            .label("total", describe(read))
+            .label(key!("conform"), describe(&snap_conform.shards()[s]))
+            .label_fmt(key!("shard"), s)
+            .label(key!("total"), describe(read))
             .finish();
     }
 }

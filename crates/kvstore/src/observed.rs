@@ -11,7 +11,7 @@
 //! side. Untraced, an operation goes straight to the wrapped store.
 
 use crate::access::{KvAccess, KvError};
-use entitlement_obs::Obs;
+use entitlement_obs::{key, Obs};
 
 /// A [`KvAccess`] decorator tracing each operation.
 pub struct ObservedKv<K> {
@@ -51,8 +51,8 @@ impl<K> ObservedKv<K> {
         // in the causal tree, not as orphan roots.
         let mut event = self.obs.trace.child(start_ms, dur_ms, "kv", phase);
         match &result {
-            Ok(_) => event.add_label("outcome", "ok"),
-            Err(e) => event.add_label_fmt("outcome", format_args!("error:{e:?}")),
+            Ok(_) => event.add_label(key!("outcome"), "ok"),
+            Err(e) => event.add_label_fmt(key!("outcome"), format_args!("error:{e:?}")),
         }
         result
     }

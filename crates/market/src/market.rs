@@ -32,7 +32,7 @@ use crate::slice::{SliceGrid, SliceId};
 use entitlement_approval::{negotiate_scenarios, Agreement, ApprovalConfig, ServicePolicy};
 use entitlement_core::{NpgId, QosBucket, Rate, RegionId, SloTarget};
 use entitlement_hose::HoseRequest;
-use entitlement_obs::{Obs, SpanTimer};
+use entitlement_obs::{key, Key, Obs, SpanTimer};
 use entitlement_risk::{sweep_plan, RiskConfig, RiskSamples};
 use entitlement_topology::routing::Demand;
 use entitlement_topology::{FailureScenario, LinkId, Placement, RoutePlan, ScenarioSet, Topology};
@@ -361,7 +361,7 @@ impl EntitlementMarket {
     pub fn warm(&mut self, buckets: &[QosBucket], obs: &Obs) {
         let span = obs
             .span("market", "warm")
-            .label_fmt("buckets", buckets.len());
+            .label_fmt(key!("buckets"), buckets.len());
         let dcs = self.topo.dc_ids();
         let pairs: Vec<(RegionId, RegionId)> = dcs
             .iter()
@@ -485,7 +485,7 @@ impl EntitlementMarket {
                 // Cold, stale, or exhausted: fall closed to the sweep.
                 let fallback = obs
                     .span("market", "sweep_fallback")
-                    .label("reason", slot_state);
+                    .label(key!("reason"), slot_state);
                 let placed = self.ensure_routes(&[(req.src, req.dst)]);
                 let probe = HeadroomProbe::at_slo(
                     &self.sweep_pair(req.src, req.dst, &placed, obs),
@@ -524,38 +524,38 @@ impl EntitlementMarket {
                 None if decision.outcome != AdmitOutcome::Granted => self.index.provenance(&key),
                 _ => None,
             };
-            let float = |span: &mut SpanTimer, key: &str, v: f64| {
+            let float = |span: &mut SpanTimer, key: Key, v: f64| {
                 if v.is_finite() {
                     span.add_label_f64(key, v);
                 } else {
                     span.add_label_fmt(key, v);
                 }
             };
-            float(&mut span, "ask_bps", req.ask.as_bps());
+            float(&mut span, key!("ask_bps"), req.ask.as_bps());
             if let Some(prov) = prov {
-                span.add_label("binding_links", &prov.binding_links);
-                float(&mut span, "binding_p", prov.binding_probability);
-                span.add_label("binding_scenario", &prov.binding_scenario);
+                span.add_label(key!("binding_links"), &prov.binding_links);
+                float(&mut span, key!("binding_p"), prov.binding_probability);
+                span.add_label(key!("binding_scenario"), &prov.binding_scenario);
             }
-            req.bucket.add_to(&mut span, "bucket");
-            req.dst.add_to(&mut span, "dst");
-            epoch.add_to(&mut span, "epoch");
-            float(&mut span, "granted_bps", decision.granted.as_bps());
+            req.bucket.add_to(&mut span, key!("bucket"));
+            req.dst.add_to(&mut span, key!("dst"));
+            epoch.add_to(&mut span, key!("epoch"));
+            float(&mut span, key!("granted_bps"), decision.granted.as_bps());
             if let Some(prov) = prov {
-                float(&mut span, "headroom_bps", prov.headroom.as_bps());
+                float(&mut span, key!("headroom_bps"), prov.headroom.as_bps());
             }
-            req.npg.add_to(&mut span, "npg");
-            span.add_label("outcome", decision.outcome.as_str());
-            span.add_label("path", decision.path.as_str());
+            req.npg.add_to(&mut span, key!("npg"));
+            span.add_label(key!("outcome"), decision.outcome.as_str());
+            span.add_label(key!("path"), decision.path.as_str());
             if let Some(why) = rejected {
-                span.add_label("rejected", why);
+                span.add_label(key!("rejected"), why);
             }
-            seq.add_to(&mut span, "request");
-            float(&mut span, "residual_after_bps", decision.residual_after.as_bps());
-            float(&mut span, "residual_before_bps", residual_before.as_bps());
-            req.slice.add_to(&mut span, "slice");
-            req.src.add_to(&mut span, "src");
-            span.add_label("state", probe.err().unwrap_or("fresh"));
+            seq.add_to(&mut span, key!("request"));
+            float(&mut span, key!("residual_after_bps"), decision.residual_after.as_bps());
+            float(&mut span, key!("residual_before_bps"), residual_before.as_bps());
+            req.slice.add_to(&mut span, key!("slice"));
+            req.src.add_to(&mut span, key!("src"));
+            span.add_label(key!("state"), probe.err().unwrap_or("fresh"));
         }
         let untraced_ms = || obs.clock.now_ms().saturating_sub(t0) as f64;
         self.last_admit_ms = span.finish_ms().unwrap_or_else(untraced_ms);
@@ -632,17 +632,17 @@ impl Hasher for LedgerHasher {
 /// nested `Debug`/`write!` through `core::fmt`, which cost a traced
 /// admit more than copying the rest of its labels.
 trait Label: Copy {
-    fn add_to(self, span: &mut SpanTimer, key: &str);
+    fn add_to(self, span: &mut SpanTimer, key: Key);
 }
 
 impl Label for u64 {
-    fn add_to(self, span: &mut SpanTimer, key: &str) {
+    fn add_to(self, span: &mut SpanTimer, key: Key) {
         span.add_label_u64(key, "", self);
     }
 }
 
 impl Label for NpgId {
-    fn add_to(self, span: &mut SpanTimer, key: &str) {
+    fn add_to(self, span: &mut SpanTimer, key: Key) {
         if self.is_low_touch() {
             span.add_label(key, "npg:low-touch");
         } else {
@@ -652,19 +652,19 @@ impl Label for NpgId {
 }
 
 impl Label for RegionId {
-    fn add_to(self, span: &mut SpanTimer, key: &str) {
+    fn add_to(self, span: &mut SpanTimer, key: Key) {
         span.add_label_u64(key, "r", self.0.into());
     }
 }
 
 impl Label for SliceId {
-    fn add_to(self, span: &mut SpanTimer, key: &str) {
+    fn add_to(self, span: &mut SpanTimer, key: Key) {
         span.add_label_u64(key, "s", self.0.into());
     }
 }
 
 impl Label for QosBucket {
-    fn add_to(self, span: &mut SpanTimer, key: &str) {
+    fn add_to(self, span: &mut SpanTimer, key: Key) {
         span.add_label(key, self.as_str());
     }
 }
@@ -682,10 +682,10 @@ mod tests {
         let sink = TraceSink::new();
         let clock = Clock::manual(0);
         let mut ours = sink.span(&clock, "l", "ours");
-        v.add_to(&mut ours, "k");
+        v.add_to(&mut ours, key!("k"));
         drop(ours);
         let mut fmt = sink.span(&clock, "l", "fmt");
-        fmt.add_label_fmt("k", v);
+        fmt.add_label_fmt(key!("k"), v);
         drop(fmt);
         let events = sink.events();
         assert_eq!(events[0].label("k"), events[1].label("k"));

@@ -19,15 +19,20 @@
 //!   time; CLI paths that want non-zero durations without wall time use
 //!   [`Clock::counting`].
 //!
+//! A label's key is a [`Key`], checked once where it is declared: a
+//! literal through [`key!`], which fails to compile if the text would
+//! need a JSON escape, a computed one through [`Key::new`]. Labels go
+//! on in increasing key order.
+//!
 //! ```
-//! use entitlement_obs::{fold_metrics, Clock, Obs};
+//! use entitlement_obs::{fold_metrics, key, Clock, Obs};
 //!
 //! let obs = Obs::new(Clock::counting(1));
 //! {
 //!     let _span = obs
 //!         .span("approval", "hose_approval")
-//!         .label("outcome", "approved")
-//!         .label("qos", "C1");
+//!         .label(key!("outcome"), "approved")
+//!         .label(key!("qos"), "C1");
 //! } // emitted on drop
 //! assert!(obs.trace.to_jsonl().contains("\"span\":\"approval\""));
 //! let metrics = fold_metrics(&obs.trace.events()).unwrap();
@@ -53,11 +58,35 @@ pub use summary::{
     summarize_trace_by_label, validate_prometheus,
 };
 pub use telemetry::TelemetrySpec;
-pub use trace::{BadLabel, SpanTimer, TraceEvent, TraceSink};
+pub use trace::{BadLabel, Key, SpanTimer, TraceEvent, TraceSink};
 pub use tree::{
     build_span_forest, check_well_formed, critical_path, flamegraph_folded, render_critical_path,
     render_span_tree, self_time_ms, SpanForest, SpanNode,
 };
+
+/// A label [`Key`] from a string literal, checked while the crate
+/// compiles: text holding a quote, a backslash or a control character
+/// — anything that would need a JSON escape — is a compile error, in
+/// every build. The adders copy the key onto the wire without a scan.
+///
+/// ```
+/// use entitlement_obs::{key, Clock, Obs};
+///
+/// let obs = Obs::new(Clock::manual(0));
+/// obs.point("kv", "put").label(key!("outcome"), "ok").finish();
+/// assert_eq!(key!("outcome").as_str(), "outcome");
+/// ```
+///
+/// ```compile_fail,E0080
+/// let _ = entitlement_obs::key!("say \"hi\"");
+/// ```
+#[macro_export]
+macro_rules! key {
+    ($text:expr) => {{
+        const KEY: $crate::Key = $crate::Key::literal($text);
+        KEY
+    }};
+}
 
 /// The telemetry bundle threaded through traced call paths: a
 /// [`TraceSink`] and the [`Clock`] that stamps it. Cloning shares both.

@@ -542,7 +542,7 @@ fn parse_label_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{fold_metrics, Clock, Obs};
+    use crate::{fold_metrics, key, Clock, Obs};
 
     #[test]
     fn parse_rejects_schema_violations() {
@@ -618,7 +618,7 @@ mod tests {
                 "{{\"ts_ms\":1,\"trace_id\":1,\"span_id\":1,\"parent_id\":0,\"span\":\"a\",\"phase\":\"b\",\"labels\":{{{labels}}},\"dur_ms\":0}}"
             )
         };
-        for ok in ["", r#""a":"1""#, r#""a":"1","b":"0""#, r#""a":"1","a b":"0""#, r#""\u0001":"","!":"""#] {
+        for ok in ["", r#""a":"1""#, r#""a":"1","b":"0""#, r#""a":"1","a b":"0""#, r#""!":"","a":"""#] {
             assert_eq!(parse_trace(&line(ok)).map(|e| e.len()), Ok(1), "{ok}");
         }
         for bad in [
@@ -626,8 +626,32 @@ mod tests {
             r#""a":"1","a":"1""#,
             r#""a":"1","a":"2""#,
             r#""a b":"0","a":"1""#,
-            r#""!":"","\u0001":"""#,
+            r#""a":"","!":"""#,
             r#""a":"1","c":"","b":"""#,
+        ] {
+            let text = format!("{}\n{}\n", line(""), line(bad));
+            assert_eq!(parse_trace(&text), Err("line 2: cannot read `labels`".to_string()), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_label_key_holding_an_escape_is_refused() {
+        // No writer can make such a key (a `Key` is plain text), so the
+        // reader takes none, although each is a valid JSON string and
+        // the same escapes read in a value.
+        let line = |labels: &str| {
+            format!(
+                "{{\"ts_ms\":1,\"trace_id\":1,\"span_id\":1,\"parent_id\":0,\"span\":\"a\",\"phase\":\"b\",\"labels\":{{{labels}}},\"dur_ms\":0}}"
+            )
+        };
+        let ok = r#""a":"\"","b":"\\","c":"\n""#;
+        assert_eq!(parse_trace(&line(ok)).map(|e| e[0].labels.len()), Ok(3));
+        for bad in [
+            r#""a\"b":"1""#,
+            r#""\u0041":"1""#,
+            r#""\u0001":"","!":"""#,
+            r#""a":"1","b\\":"2""#,
+            r#""a":"1","b\n":"2""#,
         ] {
             let text = format!("{}\n{}\n", line(""), line(bad));
             assert_eq!(parse_trace(&text), Err("line 2: cannot read `labels`".to_string()), "{bad}");
@@ -637,9 +661,9 @@ mod tests {
     #[test]
     fn emitted_traces_roundtrip() {
         let obs = Obs::new(Clock::counting(2));
-        obs.point("kv", "put").label("outcome", "ok").finish();
+        obs.point("kv", "put").label(key!("outcome"), "ok").finish();
         {
-            let _s = obs.span("risk", "sweep").label("scenarios", "9");
+            let _s = obs.span("risk", "sweep").label(key!("scenarios"), "9");
         }
         let jsonl = obs.trace.to_jsonl();
         let parsed = parse_trace(&jsonl).expect("roundtrip");
@@ -667,7 +691,7 @@ mod tests {
         let push = |outcome: Option<&str>, d: f64| {
             let mut get = obs.trace.child(0, d, "kv", "get");
             if let Some(o) = outcome {
-                get.add_label("outcome", o);
+                get.add_label(key!("outcome"), o);
             }
         };
         push(Some("ok"), 5.0);
@@ -752,13 +776,13 @@ mod tests {
         let obs = Obs::new(Clock::counting(1));
         drop(
             obs.span("approval", "hose_approval")
-                .label("outcome", "zero")
-                .label("qos", "weird \"x\"\\\n"),
+                .label(key!("outcome"), "zero")
+                .label(key!("qos"), "weird \"x\"\\\n"),
         );
         drop(
             obs.point("fleet", "run")
-                .label("hosts", "-3.25")
-                .label("shards", "2"),
+                .label(key!("hosts"), "-3.25")
+                .label(key!("shards"), "2"),
         );
         let text = fold_metrics(&obs.trace.events()).expect("every label reads");
         let n = validate_prometheus(&text).expect("valid exposition");
@@ -840,7 +864,7 @@ mod tests {
     fn trace_diff_reports_first_divergence() {
         let obs = Obs::new(Clock::counting(1));
         {
-            let _s = obs.span("market", "admit").label("outcome", "granted");
+            let _s = obs.span("market", "admit").label(key!("outcome"), "granted");
         }
         let a = obs.trace.to_jsonl();
         assert!(diff_traces(&a, &a).is_none(), "identical files");

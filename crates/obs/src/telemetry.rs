@@ -69,6 +69,7 @@ impl TelemetrySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key;
 
     #[test]
     fn an_empty_spec_is_disabled_and_writes_nothing() {
@@ -90,11 +91,11 @@ mod tests {
         };
         let obs = spec.make_obs();
         assert!(obs.enabled());
-        drop(obs.span("approval", "round").label("qos", "c1"));
+        drop(obs.span("approval", "round").label(key!("qos"), "c1"));
         drop(
             obs.point("fleet", "run")
-                .label("hosts", "8")
-                .label("shards", "2"),
+                .label(key!("hosts"), "8")
+                .label(key!("shards"), "2"),
         );
         let lines = spec.write(&obs).unwrap();
         assert_eq!(lines.len(), 2);

@@ -40,12 +40,15 @@
 //! most 32 of them wait), so trace after trace writes into the same
 //! memory instead of handing it back to the allocator. A [`SpanTimer`]
 //! writes each label straight into wire form — the fragment
-//! `"key":"value",`, escaped as it is written — in a `Scratch` buffer
-//! that the sink hands out when the span opens and takes back when it
-//! closes, under the two locks a span takes anyway. Every emitter adds
-//! its labels in strictly increasing key order (debug builds check each
-//! add), so the buffer is the event's wire text and moves to the sink
-//! as one copy. Numbers — floats included — are
+//! `"key":"value",`, the value escaped as it is written — in a
+//! `Scratch` buffer that the sink hands out when the span opens and
+//! takes back when it closes, under the two locks a span takes anyway.
+//! A label's key is a [`Key`], checked once where it is declared
+//! ([`key!`](crate::key) for a literal, at compile time), so it is
+//! copied with no scan, and each adder inlines into its emitter. Every
+//! emitter adds its labels in strictly increasing key order (debug
+//! builds check each add), so the buffer is the event's wire text and
+//! moves to the sink as one copy. Numbers — floats included — are
 //! written by `crate::decimal`, never through `core::fmt`, and a float
 //! label is encoded once per distinct value: the buffer keeps a small
 //! direct-mapped memo of the encoder's own output, keyed by the
@@ -223,23 +226,24 @@ fn push_numbers(out: &mut String, ids: Ids, ts_ms: u64) {
 /// What follows the names: the brace that opens the labels.
 const LABELS_OPEN: &str = "\"labels\":{";
 
-/// Append a line's names, up to and including [`LABELS_OPEN`].
+/// Append a line's names, up to and including [`LABELS_OPEN`]: each
+/// written as the fragment a label would be.
 fn push_names(out: &mut String, span: &str, phase: &str) {
-    push_label(out, "span", span);
-    push_label(out, "phase", phase);
+    out.push_str("\"span\":\"");
+    push_escaped(out, span);
+    out.push_str("\",\"phase\":\"");
+    push_escaped(out, phase);
+    out.push_str("\",");
     out.push_str(LABELS_OPEN);
 }
 
-/// Append `"key":"`: a label up to its value.
-fn push_key(out: &mut String, key: &str) {
+/// Append one label's fragment, `"key":"value",`, escaping both: the
+/// form of an event built outside a sink, whose keys no [`Key`]
+/// checked.
+fn push_label(out: &mut String, key: &str, value: &str) {
     out.push('"');
     push_escaped(out, key);
     out.push_str("\":\"");
-}
-
-/// Append one label's fragment, `"key":"value",`.
-fn push_label(out: &mut String, key: &str, value: &str) {
-    push_key(out, key);
     push_escaped(out, value);
     out.push_str("\",");
 }
@@ -269,23 +273,106 @@ fn push_f64(out: &mut String, v: f64) {
 }
 
 /// Whether `s` is its own JSON string body: no quote, backslash or
-/// control character, which is every name and almost every value.
-/// Keys and values are short, so a byte loop that stops at the first
-/// such byte is as fast as a block-wise scan of the whole string.
-fn is_plain(s: &str) -> bool {
-    s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\')
+/// control character, which is every key, every name and almost every
+/// value. Values are short, so a byte loop that stops at the first
+/// such byte is as fast as a block-wise scan of the whole string. A
+/// `const fn`, so [`key!`](crate::key) runs it while the crate
+/// compiles.
+const fn is_plain(s: &str) -> bool {
+    let bytes = s.as_bytes();
+    let mut at = 0;
+    while at < bytes.len() {
+        let b = bytes[at];
+        if b < 0x20 || b == b'"' || b == b'\\' {
+            return false;
+        }
+        at += 1;
+    }
+    true
 }
 
 /// Append `s` as the body of a JSON string, escaped as
 /// `serde::write_json_string` escapes it: the one escaper of the trace
-/// line, for names, keys and text values alike.
+/// line, for names and text values (and the keys of events built
+/// outside a sink). Plain text, the common case, is one scan and one
+/// copy.
+#[inline]
 fn push_escaped(out: &mut String, s: &str) {
     if is_plain(s) {
         out.push_str(s);
     } else {
-        let mut quoted = String::with_capacity(s.len() + 8);
-        serde::write_json_string(s, &mut quoted);
-        out.push_str(&quoted[1..quoted.len() - 1]);
+        push_quoted(out, s);
+    }
+}
+
+/// [`push_escaped`] for text that needs an escape.
+#[cold]
+#[inline(never)]
+fn push_quoted(out: &mut String, s: &str) {
+    let mut quoted = String::with_capacity(s.len() + 8);
+    serde::write_json_string(s, &mut quoted);
+    out.push_str(&quoted[1..quoted.len() - 1]);
+}
+
+/// A label key: text that is its own JSON string body — no quote,
+/// backslash or control character — so an adder copies it onto the
+/// wire as it is, with no scan. A key is checked once, where it is
+/// made: a literal by [`key!`](crate::key) while the crate compiles,
+/// a computed one by [`Key::new`] when it is built. No key that needs
+/// an escape exists, so none is ever written, and the reader refuses
+/// one on the wire.
+///
+/// `S` is the text's owner: a literal is a `Key<&'static str>`, a
+/// computed key kept for reuse a `Key<String>`, and the adders take
+/// the `Key<&str>` that [`Key::borrowed`] lends of either.
+///
+/// ```
+/// use entitlement_obs::{key, Clock, Key, Obs};
+///
+/// let obs = Obs::new(Clock::manual(0));
+/// let shard = Key::new(format!("s{}", 3)).expect("no quote, backslash or control character");
+/// obs.point("fleet", "shard")
+///     .label_fmt(key!("hosts"), 8)
+///     .label_f64(shard.borrowed(), 0.5)
+///     .finish();
+/// assert!(obs.trace.to_jsonl().contains(r#""labels":{"hosts":"8","s3":"0.5"}"#));
+/// assert!(Key::new("say \"hi\"").is_none());
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Key<S = &'static str>(S);
+
+impl Key {
+    /// What [`key!`](crate::key) evaluates in a `const`: `text` as a
+    /// key, or a panic — so a compile error there — when it needs an
+    /// escape.
+    #[doc(hidden)]
+    #[must_use]
+    pub const fn literal(text: &'static str) -> Key {
+        assert!(is_plain(text), "a label key holds no quote, backslash or control character");
+        Key(text)
+    }
+}
+
+impl<S: AsRef<str>> Key<S> {
+    /// `text` as a key, if it needs no escape: the one run-time check
+    /// of a computed key. Build it once and write it through
+    /// [`Key::borrowed`] as often as needed.
+    #[must_use]
+    pub fn new(text: S) -> Option<Self> {
+        is_plain(text.as_ref()).then_some(Key(text))
+    }
+
+    /// The key's text.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        self.0.as_ref()
+    }
+
+    /// The key lent to an adder: no check, no copy.
+    #[inline]
+    #[must_use]
+    pub fn borrowed(&self) -> Key<&str> {
+        Key(self.0.as_ref())
     }
 }
 
@@ -348,7 +435,8 @@ const NUMBERS: [(&str, &str); 4] = [
 /// The event one line (without its newline) stands for, or the key of
 /// the first field that does not read. `ts_ms` and the ids are read
 /// from their digits, exact for every `u64`; `dur_ms` from its text;
-/// the strings through [`unescape`]; label keys must strictly increase.
+/// the strings through [`unescape`]; a label key must be plain text (no
+/// writer escapes one: see [`Key`]) and keys must strictly increase.
 /// A number's spelling is not checked (`007`, `1e3`, `-1` read as
 /// numbers): `parse_trace` re-encodes what this returns and compares,
 /// and the sink's own lines are the encoder's by construction.
@@ -371,13 +459,17 @@ pub(crate) fn read_event(line: &str) -> Result<TraceEvent, &'static str> {
     let mut labels = Vec::new();
     while !rest.starts_with('}') {
         let label = read_json_str(rest).and_then(|(key, after)| {
+            // Borrowed exactly when the key's wire text holds no escape.
+            let Cow::Borrowed(key) = key else {
+                return None;
+            };
             let (value, after) = read_json_str(after.strip_prefix(':')?)?;
             let next = match after.strip_prefix(',') {
                 Some(next) if next.starts_with('"') => next,
                 None if after.starts_with('}') => after,
                 _ => return None,
             };
-            Some(((key.into_owned(), value.into_owned()), next))
+            Some(((key.to_string(), value.into_owned()), next))
         });
         let (label, next) = label.ok_or("labels")?;
         if labels.last().is_some_and(|(last, _): &(String, String)| *last >= label.0) {
@@ -427,6 +519,7 @@ impl MemoSlot {
 /// copied, any other is formatted and takes the slot over. The cached
 /// text is `push_f64`'s own output for the same bits, so the bytes are
 /// the same either way.
+#[inline]
 fn push_f64_memo(memo: &mut [MemoSlot], out: &mut String, v: f64) {
     let bits = v.to_bits();
     // Fibonacci hashing: the product's top bits depend on all of `bits`.
@@ -439,24 +532,30 @@ fn push_f64_memo(memo: &mut [MemoSlot], out: &mut String, v: f64) {
             return out.push_str(text);
         }
     }
+    push_f64_into(slot, out, v);
+}
+
+/// The memo's miss: format `v` onto `out` and keep the text in `slot`
+/// when it fits.
+#[inline(never)]
+fn push_f64_into(slot: &mut MemoSlot, out: &mut String, v: f64) {
     let start = out.len();
     push_f64(out, v);
     let text = &out.as_bytes()[start..];
     if let Some(cached) = slot.text.get_mut(..text.len()) {
         cached.copy_from_slice(text);
-        slot.bits = bits;
+        slot.bits = v.to_bits();
         slot.len = text.len() as u8;
     }
 }
 
 /// The write buffer of one event in flight: its wire text from the
 /// names on — the two name fragments, [`LABELS_OPEN`], then each
-/// label's fragment, escaped as it was written, in the order the
-/// emitter added them: strictly increasing key order, which debug
-/// builds check at each add and the reader checks on every line. Owned
-/// by the sink's pool between events, so a steady stream of spans
-/// writes into the same few buffers and finds its floats in the same
-/// few memos.
+/// label's fragment, in the order the emitter added them: strictly
+/// increasing key order, which debug builds check at each add and the
+/// reader checks on every line. Owned by the sink's pool between
+/// events, so a steady stream of spans writes into the same few
+/// buffers and finds its floats in the same few memos.
 #[derive(Default)]
 struct Scratch {
     text: String,
@@ -477,29 +576,47 @@ impl Scratch {
         push_names(&mut self.text, span, phase);
     }
 
-    /// Open a label, `"key":"`, and hand back the text its value goes
-    /// on; the adder closes it with `",`.
-    fn open(&mut self, key: &str) -> &mut String {
+    /// Open a label, `"key":"` — the key copied as it is, a [`Key`]
+    /// needs no escape — and hand back the text its value goes on; the
+    /// adder closes it with `",`.
+    #[inline]
+    fn open(&mut self, key: Key<&str>) -> &mut String {
         #[cfg(debug_assertions)]
+        self.check_order(key.0);
+        let text = &mut self.text;
+        text.push('"');
+        text.push_str(key.0);
+        text.push_str("\":\"");
+        text
+    }
+
+    /// Panic unless `key` sorts after the last key added: a [`Key`] is
+    /// its own wire text, so the two compare as written.
+    #[cfg(debug_assertions)]
+    fn check_order(&mut self, key: &str) {
         let at = self.text.len() + 1;
-        push_key(&mut self.text, key);
-        #[cfg(debug_assertions)]
-        if let Some(last) = self.last_key.replace(at..self.text.len() - 3) {
-            let last = unescape(&self.text[last]).unwrap_or_default();
-            assert!(*last < *key, "label `{key}` added after `{last}`: add labels in increasing key order");
+        if let Some(last) = self.last_key.replace(at..at + key.len()) {
+            let last = &self.text[last];
+            assert!(last < key, "label `{key}` added after `{last}`: add labels in increasing key order");
         }
-        &mut self.text
     }
 
     /// Add a float label through the memo.
-    fn label_f64(&mut self, key: &str, v: f64) {
+    #[inline]
+    fn label_f64(&mut self, key: Key<&str>, v: f64) {
         if self.memo.is_empty() {
-            self.memo = vec![MemoSlot::EMPTY; MEMO_SLOTS];
+            self.memo = new_memo();
         }
         self.open(key);
         push_f64_memo(&mut self.memo, &mut self.text, v);
         self.text.push_str("\",");
     }
+}
+
+/// An empty float memo: a buffer's first float label allocates it.
+#[cold]
+fn new_memo() -> Vec<MemoSlot> {
+    vec![MemoSlot::EMPTY; MEMO_SLOTS]
 }
 
 /// A page takes lines until its text holds this much: the sink's
@@ -851,7 +968,7 @@ impl SpanTimer<'_> {
     /// Attach a label (builder style).
     #[inline]
     #[must_use]
-    pub fn label(mut self, k: &str, v: &str) -> Self {
+    pub fn label(mut self, k: Key<&str>, v: &str) -> Self {
         self.add_label(k, v);
         self
     }
@@ -860,7 +977,7 @@ impl SpanTimer<'_> {
     /// straight into the span's buffer (builder style).
     #[inline]
     #[must_use]
-    pub fn label_fmt(mut self, k: &str, v: impl fmt::Display) -> Self {
+    pub fn label_fmt(mut self, k: Key<&str>, v: impl fmt::Display) -> Self {
         self.add_label_fmt(k, v);
         self
     }
@@ -869,7 +986,7 @@ impl SpanTimer<'_> {
     /// round-trip decimal, non-finite values as `0` (builder style).
     #[inline]
     #[must_use]
-    pub fn label_f64(mut self, k: &str, v: f64) -> Self {
+    pub fn label_f64(mut self, k: Key<&str>, v: f64) -> Self {
         self.add_label_f64(k, v);
         self
     }
@@ -877,7 +994,7 @@ impl SpanTimer<'_> {
     /// Attach a label to a span by reference (for spans held across
     /// loop bodies).
     #[inline]
-    pub fn add_label(&mut self, k: &str, v: &str) {
+    pub fn add_label(&mut self, k: Key<&str>, v: &str) {
         if let Some(armed) = &mut self.0 {
             let text = armed.scratch.open(k);
             push_escaped(text, v);
@@ -887,14 +1004,14 @@ impl SpanTimer<'_> {
 
     /// [`SpanTimer::label_fmt`] by reference.
     #[inline]
-    pub fn add_label_fmt(&mut self, k: &str, v: impl fmt::Display) {
+    pub fn add_label_fmt(&mut self, k: Key<&str>, v: impl fmt::Display) {
         if let Some(armed) = &mut self.0 {
             let text = armed.scratch.open(k);
             let start = text.len();
             let _ = write!(text, "{v}");
             if !is_plain(&text[start..]) {
                 let raw = text.split_off(start);
-                push_escaped(text, &raw);
+                push_quoted(text, &raw);
             }
             text.push_str("\",");
         }
@@ -904,7 +1021,7 @@ impl SpanTimer<'_> {
     /// decimal — what `{}` prints for an id such as `r3` or `s0` —
     /// without going through `core::fmt`.
     #[inline]
-    pub fn add_label_u64(&mut self, k: &str, prefix: &str, v: u64) {
+    pub fn add_label_u64(&mut self, k: Key<&str>, prefix: &str, v: u64) {
         if let Some(armed) = &mut self.0 {
             let text = armed.scratch.open(k);
             push_escaped(text, prefix);
@@ -915,7 +1032,7 @@ impl SpanTimer<'_> {
 
     /// [`SpanTimer::label_f64`] by reference.
     #[inline]
-    pub fn add_label_f64(&mut self, k: &str, v: f64) {
+    pub fn add_label_f64(&mut self, k: Key<&str>, v: f64) {
         if let Some(armed) = &mut self.0 {
             armed.scratch.label_f64(k, v);
         }
@@ -945,6 +1062,7 @@ impl Drop for SpanTimer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key;
 
     #[test]
     fn event_line_matches_schema_golden() {
@@ -1037,7 +1155,7 @@ mod tests {
         let sink = TraceSink::new();
         let clock = Clock::manual(100);
         {
-            let _t = sink.span(&clock, "kv", "aggregate").label("op", "sum");
+            let _t = sink.span(&clock, "kv", "aggregate").label(key!("op"), "sum");
             clock.set_ms(130);
         }
         let events = sink.events();
@@ -1152,8 +1270,8 @@ mod tests {
         let clock = Clock::manual(0);
         let _t = sink
             .span(&clock, "s", "p")
-            .label("zeta", "1")
-            .label("alpha", "2");
+            .label(key!("zeta"), "1")
+            .label(key!("alpha"), "2");
     }
 
     /// How many spare pages this thread holds.
@@ -1171,9 +1289,9 @@ mod tests {
         let clock = Clock::counting(1);
         for i in 0..events {
             sink.span(&clock, "s", "p")
-                .label_fmt("i", i)
-                .label("k", label)
-                .label_f64("x", i as f64 / 3.0)
+                .label_fmt(key!("i"), i)
+                .label(key!("k"), label)
+                .label_f64(key!("x"), i as f64 / 3.0)
                 .finish();
         }
     }
@@ -1241,7 +1359,7 @@ mod tests {
             let write = |sink: &TraceSink| {
                 let clock = Clock::counting(1);
                 for i in 0..EVENTS {
-                    sink.point(&clock, "s", "p").label_fmt("i", i).finish();
+                    sink.point(&clock, "s", "p").label_fmt(key!("i"), i).finish();
                 }
                 sink.to_jsonl()
             };

@@ -3,7 +3,7 @@
 use crate::curve::AvailabilityCurve;
 use crate::sweep::sweep_ordered_obs;
 use entitlement_core::Rate;
-use entitlement_obs::Obs;
+use entitlement_obs::{key, Obs};
 use entitlement_topology::routing::Demand;
 use entitlement_topology::{Placement, RoutePlan, ScenarioSet, Topology};
 use serde::{Deserialize, Serialize};
@@ -182,9 +182,9 @@ pub fn sweep_plan(
 
     let sweep_span = obs
         .span("risk", "sweep")
-        .label_fmt("demands", demands.len())
-        .label_fmt("scenarios", scenarios.len())
-        .label_fmt("unique", routed.len());
+        .label_fmt(key!("demands"), demands.len())
+        .label_fmt(key!("scenarios"), scenarios.len())
+        .label_fmt(key!("unique"), routed.len());
     let per_routed: Vec<Vec<Rate>> = sweep_ordered_obs(routed, workers, obs, |scenario_idx| {
         let unique = plan.unique_of(scenario_idx);
         plan.route_on(unique, demands, background.residual(unique).clone())

@@ -14,7 +14,7 @@
 //! function of the inputs: identical for any worker count, bitwise equal
 //! to the serial sweep.
 
-use entitlement_obs::Obs;
+use entitlement_obs::{key, Obs};
 use std::thread;
 
 /// Resolve a `workers` knob: `0` means one worker per available core,
@@ -91,7 +91,7 @@ where
             let dur = clock.now_ms().saturating_sub(t0) as f64;
             trace
                 .child(t0, dur, "risk", "scenario")
-                .label_fmt("scenario", i)
+                .label_fmt(key!("scenario"), i)
                 .finish();
             out
         });

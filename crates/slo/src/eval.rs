@@ -21,7 +21,7 @@
 use crate::burn::{AlertKind, BurnAlert};
 use crate::config::SloPolicy;
 use crate::report::{EntityReport, SloReport};
-use entitlement_obs::{BadLabel, Obs, TraceEvent};
+use entitlement_obs::{key, BadLabel, Obs, TraceEvent};
 use std::collections::BTreeMap;
 
 /// One SLO sample for one `(entity, QoS)` that carries nothing for
@@ -80,14 +80,14 @@ impl IntervalObs {
     /// is the order the sink writes them in.
     fn encode(&self, obs: &Obs, good: bool) {
         obs.point("slo", "interval")
-            .label_f64("approved_bps", self.approved_bps)
-            .label_f64("delivered_bps", self.delivered_bps)
-            .label_f64("demand_bps", self.demand_bps)
-            .label("entity", &self.entity)
-            .label_fmt("good", good)
-            .label_fmt("measurable", self.measurable)
-            .label("qos", &self.qos)
-            .label_f64("target", self.target)
+            .label_f64(key!("approved_bps"), self.approved_bps)
+            .label_f64(key!("delivered_bps"), self.delivered_bps)
+            .label_f64(key!("demand_bps"), self.demand_bps)
+            .label(key!("entity"), &self.entity)
+            .label_fmt(key!("good"), good)
+            .label_fmt(key!("measurable"), self.measurable)
+            .label(key!("qos"), &self.qos)
+            .label_f64(key!("target"), self.target)
             .finish();
     }
 
@@ -118,17 +118,17 @@ impl CycleObs {
     /// target and the fold's `good` verdict, labels in key order.
     fn encode(&self, obs: &Obs, target: f64, good: bool) {
         obs.point("slo", "cycle")
-            .label_f64("approved_bps", self.approved_bps)
-            .label_f64("conform_fraction", self.conform_fraction)
-            .label_f64("delivered_bps", self.delivered_bps)
-            .label_f64("demand_bps", self.demand_bps)
-            .label("entity", &self.entity)
-            .label_fmt("good", good)
-            .label_f64("marked_fraction", self.marked_fraction)
-            .label_fmt("measurable", self.measurable)
-            .label("qos", &self.qos)
-            .label_f64("staleness_ms", self.staleness_ms)
-            .label_f64("target", target)
+            .label_f64(key!("approved_bps"), self.approved_bps)
+            .label_f64(key!("conform_fraction"), self.conform_fraction)
+            .label_f64(key!("delivered_bps"), self.delivered_bps)
+            .label_f64(key!("demand_bps"), self.demand_bps)
+            .label(key!("entity"), &self.entity)
+            .label_fmt(key!("good"), good)
+            .label_f64(key!("marked_fraction"), self.marked_fraction)
+            .label_fmt(key!("measurable"), self.measurable)
+            .label(key!("qos"), &self.qos)
+            .label_f64(key!("staleness_ms"), self.staleness_ms)
+            .label_f64(key!("target"), target)
             .finish();
     }
 
@@ -330,12 +330,12 @@ impl SloEvaluator {
                 AlertKind::Clear => "alert_clear",
             };
             obs.point("slo", phase)
-                .label_fmt("cycle", cycle)
-                .label("entity", entity)
-                .label_f64("fast_burn", t.fast_burn)
-                .label("qos", qos)
-                .label_f64("slow_burn", t.slow_burn)
-                .label("window", &event.window)
+                .label_fmt(key!("cycle"), cycle)
+                .label(key!("entity"), entity)
+                .label_f64(key!("fast_burn"), t.fast_burn)
+                .label(key!("qos"), qos)
+                .label_f64(key!("slow_burn"), t.slow_burn)
+                .label(key!("window"), &event.window)
                 .finish();
             st.alerts.push(event);
         }

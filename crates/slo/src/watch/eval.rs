@@ -8,7 +8,7 @@ use crate::watch::detector::{Cusum, EwmaDrift, WatchTransition};
 use crate::watch::monitor::{check_delivery, check_fractions, check_residual, check_shard_sum};
 use crate::watch::report::{DetectorEvent, Violation, WatchReport};
 use entitlement_core::Code;
-use entitlement_obs::{BadLabel, Obs, TraceEvent};
+use entitlement_obs::{key, BadLabel, Key, Obs, TraceEvent};
 use std::collections::BTreeMap;
 
 pub use crate::eval::CycleObs;
@@ -62,24 +62,46 @@ impl AdmitObs {
 /// with the fold total, the shard count and one `s{n}` label per
 /// partial. Labels in key order: the `s{n}` keys as text sorts them
 /// (`s0, s1, s10, …, s2, …`), all before `shards`.
-fn encode_shards(obs: &Obs, entity: &str, qos: &str, total_bps: f64, shard_bps: &[f64]) {
+fn encode_shards(
+    obs: &Obs,
+    keys: &mut ShardKeys,
+    entity: &str,
+    qos: &str,
+    total_bps: f64,
+    shard_bps: &[f64],
+) {
     if !obs.enabled() {
-        return; // spares formatting the `s{n}` keys
+        return; // spares building the `s{n}` keys
     }
-    let mut partials: Vec<(String, f64)> = shard_bps
-        .iter()
-        .enumerate()
-        .map(|(s, &v)| (format!("s{s}"), v))
-        .collect();
-    partials.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut event = obs.point("watch", "shards").label("entity", entity).label("qos", qos);
-    for (key, v) in &partials {
-        event.add_label_f64(key, *v);
+    let mut event = obs
+        .point("watch", "shards")
+        .label(key!("entity"), entity)
+        .label(key!("qos"), qos);
+    for (shard, key) in keys.sorted(shard_bps.len()) {
+        event.add_label_f64(key.borrowed(), shard_bps[*shard]);
     }
     event
-        .label_fmt("shards", shard_bps.len())
-        .label_f64("total_bps", total_bps)
+        .label_fmt(key!("shards"), shard_bps.len())
+        .label_f64(key!("total_bps"), total_bps)
         .finish();
+}
+
+/// The `s{n}` keys of a `watch`/`shards` event with each key's shard,
+/// in key order: built and checked once per shard count, not on every
+/// traced cycle.
+#[derive(Default)]
+struct ShardKeys(Vec<(usize, Key<String>)>);
+
+impl ShardKeys {
+    /// The keys of `shards` partials in key order.
+    fn sorted(&mut self, shards: usize) -> &[(usize, Key<String>)] {
+        if self.0.len() != shards {
+            let key = |s| Key::new(format!("s{s}")).expect("`s` and digits need no escape");
+            self.0 = (0..shards).map(|s| (s, key(s))).collect();
+            self.0.sort_unstable_by(|a, b| a.1.cmp(&b.1));
+        }
+        &self.0
+    }
 }
 
 /// Inverse of [`encode_shards`] — `(entity, qos, total, partials)`.
@@ -119,6 +141,7 @@ pub struct WatchEvaluator {
     admit: AdmitState,
     violations: Vec<Violation>,
     transitions: Vec<DetectorEvent>,
+    shard_keys: ShardKeys,
 }
 
 /// The `(entity, QoS)` state, created on first sight.
@@ -155,12 +178,12 @@ impl WatchEvaluator {
         // the detail text.
         let shard = -1i64;
         obs.point("watch", "violation")
-            .label("code", code.as_str())
-            .label_fmt("cycle", cycle)
-            .label("detail", &detail)
-            .label("entity", entity)
-            .label("qos", qos)
-            .label_fmt("shard", shard)
+            .label(key!("code"), code.as_str())
+            .label_fmt(key!("cycle"), cycle)
+            .label(key!("detail"), &detail)
+            .label(key!("entity"), entity)
+            .label(key!("qos"), qos)
+            .label_fmt(key!("shard"), shard)
             .finish();
         self.violations.push(Violation {
             code,
@@ -182,11 +205,11 @@ impl WatchEvaluator {
         t: WatchTransition,
     ) {
         obs.point("watch", t.kind.as_str())
-            .label("code", code.as_str())
-            .label_fmt("cycle", cycle)
-            .label("entity", entity)
-            .label("qos", qos)
-            .label_f64("stat", t.stat)
+            .label(key!("code"), code.as_str())
+            .label_fmt(key!("cycle"), cycle)
+            .label(key!("entity"), entity)
+            .label(key!("qos"), qos)
+            .label_f64(key!("stat"), t.stat)
             .finish();
         self.transitions.push(DetectorEvent {
             code,
@@ -266,7 +289,7 @@ impl WatchEvaluator {
         let st = state_mut(&mut self.states, entity, qos);
         st.shard_checks += 1;
         let cycle = st.shard_checks;
-        encode_shards(obs, entity, qos, total_bps, shard_bps);
+        encode_shards(obs, &mut self.shard_keys, entity, qos, total_bps, shard_bps);
         if let Some(detail) = check_shard_sum(total_bps, shard_bps) {
             self.violation(obs, Code::W0102, entity, qos, cycle, detail);
         }
@@ -394,12 +417,12 @@ mod tests {
     fn write_admit(obs: &Obs, a: &AdmitObs) {
         obs.trace
             .child(obs.clock.now_ms(), a.admit_ms, "market", "admit")
-            .label_f64("ask_bps", a.ask_bps)
-            .label_f64("granted_bps", a.granted_bps)
-            .label("path", &a.path)
-            .label_fmt("request", a.request)
-            .label_f64("residual_after_bps", a.residual_after_bps)
-            .label_f64("residual_before_bps", a.residual_before_bps)
+            .label_f64(key!("ask_bps"), a.ask_bps)
+            .label_f64(key!("granted_bps"), a.granted_bps)
+            .label(key!("path"), &a.path)
+            .label_fmt(key!("request"), a.request)
+            .label_f64(key!("residual_after_bps"), a.residual_after_bps)
+            .label_f64(key!("residual_before_bps"), a.residual_before_bps)
             .finish();
     }
 
@@ -600,15 +623,15 @@ mod tests {
         let obs = Obs::new(Clock::counting(1));
         let o = healthy_cycle(0);
         obs.point("watch", "cycle")
-            .label_f64("approved_bps", o.approved_bps)
-            .label_f64("conform_fraction", o.conform_fraction)
-            .label_f64("delivered_bps", o.delivered_bps)
-            .label_f64("demand_bps", o.demand_bps)
-            .label("entity", &o.entity)
-            .label_f64("marked_fraction", o.marked_fraction)
-            .label_fmt("measurable", o.measurable)
-            .label("qos", &o.qos)
-            .label_f64("staleness_ms", o.staleness_ms)
+            .label_f64(key!("approved_bps"), o.approved_bps)
+            .label_f64(key!("conform_fraction"), o.conform_fraction)
+            .label_f64(key!("delivered_bps"), o.delivered_bps)
+            .label_f64(key!("demand_bps"), o.demand_bps)
+            .label(key!("entity"), &o.entity)
+            .label_f64(key!("marked_fraction"), o.marked_fraction)
+            .label_fmt(key!("measurable"), o.measurable)
+            .label(key!("qos"), &o.qos)
+            .label_f64(key!("staleness_ms"), o.staleness_ms)
             .finish();
         let mut ev = WatchEvaluator::default();
         let bad = ev.fold_trace(&obs.trace.events());
@@ -621,10 +644,10 @@ mod tests {
     fn a_v4_admit_is_refused() {
         let obs = Obs::new(Clock::counting(1));
         obs.span("market", "admit")
-            .label("ask_gbps", "0.005")
-            .label("granted_gbps", "0.005")
-            .label("path", "index")
-            .label("request", "0")
+            .label(key!("ask_gbps"), "0.005")
+            .label(key!("granted_gbps"), "0.005")
+            .label(key!("path"), "index")
+            .label(key!("request"), "0")
             .finish();
         let mut ev = WatchEvaluator::default();
         let bad = ev.fold_trace(&obs.trace.events());

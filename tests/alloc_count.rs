@@ -18,7 +18,7 @@ use network_entitlement::market::{
     IndexKey, MarketEntitlement, MarketKey, SliceGrid, SliceId, StormConfig,
 };
 use network_entitlement::kvstore::{KvAccess, ObservedKv, ShardFanout, ShardedStore, StoreConfig};
-use network_entitlement::obs::{Clock, Obs};
+use network_entitlement::obs::{key, Clock, Obs};
 use network_entitlement::slo::{CycleObs, IntervalObs, SloEvaluator};
 use network_entitlement::watch::WatchEvaluator;
 use network_entitlement::topology::BackboneSpec;
@@ -121,12 +121,12 @@ fn a_disabled_span_allocates_nothing() {
         let obs = Obs::disabled();
         for i in 0..1_000u64 {
             obs.span("bench", "probe")
-                .label_fmt("i", i)
-                .label("k", "v")
-                .label_f64("x", 0.5)
+                .label_fmt(key!("i"), i)
+                .label(key!("k"), "v")
+                .label_f64(key!("x"), 0.5)
                 .finish();
-            obs.point("bench", "point").label_fmt("i", i).finish();
-            obs.trace.child(i, 0.5, "bench", "child").label("k", "v").finish();
+            obs.point("bench", "point").label_fmt(key!("i"), i).finish();
+            obs.trace.child(i, 0.5, "bench", "child").label(key!("k"), "v").finish();
         }
     });
     assert_eq!(n, 0, "building, using and dropping a disabled Obs");
@@ -430,8 +430,8 @@ fn rendering_allocates_independently_of_the_event_count() {
         let obs = Obs::new(Clock::counting(1));
         for i in 0..events {
             obs.point("bulk", "row")
-                .label_fmt("i", i)
-                .label("kind", "plain")
+                .label_fmt(key!("i"), i)
+                .label(key!("kind"), "plain")
                 .finish();
         }
         let (n, text) = allocations(|| obs.trace.to_jsonl());

@@ -2,13 +2,13 @@
 //!
 //! The trace sink writes a float label with its own shortest
 //! round-trip encoder, not `core::fmt`. These cases go through the
-//! public path only — `point(..).label_f64("x", v)`, then `events()` —
+//! public path only — `point(..).label_f64(key!("x"), v)`, then `events()` —
 //! and hold the text read back to `format!("{v}")`, or `0` for a
 //! non-finite value, where shortest printing is hardest: every power
 //! of two, every power of ten and its neighbours, the integers where
 //! doubles stop being consecutive, and the ends of the range.
 
-use network_entitlement::obs::{Clock, TraceSink};
+use network_entitlement::obs::{key, Clock, TraceSink};
 use proptest::prelude::*;
 
 /// What a float label must read back as.
@@ -28,7 +28,7 @@ fn check(values: impl IntoIterator<Item = f64>) -> usize {
     let clock = Clock::manual(0);
     for &v in &values {
         sink.point(&clock, "float", "label")
-            .label_f64("x", v)
+            .label_f64(key!("x"), v)
             .finish();
     }
     let events = sink.events();

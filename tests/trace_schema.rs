@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 
 use network_entitlement::kvstore::key_hash;
 use network_entitlement::obs::{
-    fold_metrics, parse_trace, validate_prometheus, Clock, Obs, TraceEvent,
+    fold_metrics, key, parse_trace, validate_prometheus, Clock, Obs, TraceEvent,
 };
 use network_entitlement::prelude::{
     run_drill_with, DrillConfig, SloEvaluator, SloReport, WatchEvaluator, WatchReport,
@@ -236,7 +236,7 @@ fn seeded_admits() -> Obs {
         market.admit_obs(req, &obs);
     }
     obs.point("pin", "escapes")
-        .label("note", "quote \" backslash \\ bell \u{7} newline \n")
+        .label(key!("note"), "quote \" backslash \\ bell \u{7} newline \n")
         .finish();
     obs
 }
